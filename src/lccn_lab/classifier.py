@@ -174,7 +174,6 @@ class OptimizerState:
     momentum: float = 0.9
     weight_decay: float = 0.0
     velocity: dict[str, np.ndarray] = field(default_factory=dict)
-    step_count: int = 0
 
 
 def init_optimizer(
@@ -199,7 +198,6 @@ def apply_gradients(
         vel *= opt.momentum
         vel += grad
         params.tensors[name] -= opt.learning_rate * vel
-    opt.step_count += 1
 
 
 def loss_and_grads(

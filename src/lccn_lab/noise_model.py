@@ -208,14 +208,6 @@ def conditional_transition_column(
     )
 
 
-def apply_reassignment(
-    counts: ConfusionCounts, old_latent: int, new_latent: int, observed: int
-) -> None:
-    """Move one sample's count from (old_latent, observed) to (new_latent, observed)."""
-    counts.decrement(old_latent, observed)
-    counts.increment(new_latent, observed)
-
-
 @dataclass
 class TransitionUpdateBound:
     """Per-row certificate for how far one batch moved the smoothed transition.
@@ -236,12 +228,13 @@ class TransitionUpdateBound:
 
 
 def update_bound(
-    before: ConfusionCounts,
-    after: ConfusionCounts,
-    prior: DirichletPrior,
-    smoothed: bool = True,
+    before: ConfusionCounts, after: ConfusionCounts, prior: DirichletPrior
 ) -> TransitionUpdateBound:
-    """Bound and measure the per-row L1 transition change between two count states."""
+    """Bound and measure the per-row L1 change of the smoothed transition between two states.
+
+    The bound divides by row total plus prior total, so it certifies only the
+    smoothed (posterior-mean) estimator that the latent trainers use.
+    """
     if before.counts.shape != after.counts.shape:
         raise ParameterError("count matrices must have the same shape")
     delta = after.counts - before.counts
@@ -253,8 +246,8 @@ def update_bound(
     if np.any(net_ratio <= -1.0):
         raise InvariantError("net count change cannot remove more mass than a row holds")
     bound = (np.abs(net_ratio) + abs_ratio) / (1.0 + net_ratio)
-    phi_before = transition_from_counts(before, prior, smoothed=smoothed).matrix
-    phi_after = transition_from_counts(after, prior, smoothed=smoothed).matrix
+    phi_before = transition_from_counts(before, prior).matrix
+    phi_after = transition_from_counts(after, prior).matrix
     measured = np.abs(phi_after - phi_before).sum(axis=1)
     return TransitionUpdateBound(
         row_count_before=before.row_totals.astype(np.float64),

@@ -4,12 +4,22 @@ All trainers share one contract: (train dataset, config, optional test
 dataset) -> RunResult with per-checkpoint metric records, the final model,
 and, where the method maintains one, the final estimate of the label
 transition channel. Runs are bit-reproducible for a fixed config.
+
+Every kind runs through one loop, `_fit`. The loop seeds the run, builds
+the classifier and its optimizer, optionally pretrains with plain
+cross-entropy, walks the epochs under the learning-rate schedule, evaluates
+on the `eval_every` cadence and assembles the RunResult. A kind supplies
+only a `_Hooks` bundle: its per-batch step (hard target, self-blended
+target, composed channel, EM responsibilities or latent resample) plus
+views of its own state for the metric records and the final transition.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -53,27 +63,27 @@ from .sampler import AnnealSchedule, LatentAssignment, gibbs_sample_batch
 
 BOUND_SLACK = 1e-12
 
-TRAINER_KINDS = (
-    "ce",
-    "bootstrap_hard",
-    "forward_fixed",
-    "s_adaptation",
-    "em_reference",
-    "lccn",
-    "lccn_star",
-    "lccn_plus",
-)
-
-
 @dataclass
 class TrainConfig:
-    """Shared configuration for every trainer; unused fields are ignored.
+    """Shared configuration for every trainer; a kind ignores the fields it does not read.
 
     lr_milestones lists (epoch, learning_rate) overrides that take effect
-    from the given epoch on. warmup_steps counts sampling iterations that use
-    the prediction-derived transition instead of the evolving counts (None
-    means one epoch of steps); total_iterations caps the sampling phase (None
-    means epochs * batches-per-epoch).
+    from the given epoch on. Fields that only some kinds read:
+
+    - pretrain_epochs: every kind except ce and bootstrap_hard;
+    - total_iterations: the latent kinds (lccn, lccn_star, lccn_plus) only.
+      It counts batches, so it may stop mid-epoch or run past `epochs`;
+      None means epochs * batches-per-epoch;
+    - warmup_steps: s_adaptation (steps the transition layer stays frozen)
+      and the latent kinds (sampling steps that use the initial channel
+      instead of the counts); None means one epoch of steps;
+    - warmup_kind and oracle_phi: the initial channel of forward_fixed,
+      s_adaptation and the latent kinds;
+    - alpha and anneal: the latent kinds;
+    - em_m_epochs: em_reference, whose epochs, lr_milestones and eval_every
+      count outer iterations of em_m_epochs classifier epochs each;
+    - transition_lr and grad_clip: s_adaptation;
+    - bootstrap_beta: bootstrap_hard.
     """
 
     kind: str = "ce"
@@ -90,7 +100,6 @@ class TrainConfig:
     warmup_steps: int | None = None
     total_iterations: int | None = None
     alpha: float | tuple[float, ...] = 1.0
-    smoothed: bool = True
     anneal: AnnealSchedule = field(default_factory=AnnealSchedule)
     warmup_kind: str = "predictions"
     oracle_phi: np.ndarray | None = None
@@ -170,22 +179,6 @@ def _lr_at(cfg: TrainConfig, epoch: int) -> float:
     return rate
 
 
-def _arch_for(ds: LabeledDataset, cfg: TrainConfig, extra_class: bool = False) -> Architecture:
-    n_out = ds.n_classes + 1 if extra_class else ds.n_classes
-    if cfg.hidden_width > 0:
-        return Architecture("mlp", ds.dim, n_out, cfg.hidden_width, cfg.activation)
-    return Architecture("linear", ds.dim, n_out, activation=cfg.activation)
-
-
-def _spawn_rngs(seed: int) -> tuple[int, np.random.Generator, np.random.Generator]:
-    ss_init, ss_data, ss_gibbs = np.random.SeedSequence(seed).spawn(3)
-    return (
-        int(ss_init.generate_state(1)[0]),
-        np.random.default_rng(ss_data),
-        np.random.default_rng(ss_gibbs),
-    )
-
-
 def _prior_for(cfg: TrainConfig, n_observed: int) -> DirichletPrior:
     if np.isscalar(cfg.alpha):
         return DirichletPrior.uniform(n_observed, float(cfg.alpha))
@@ -195,109 +188,135 @@ def _prior_for(cfg: TrainConfig, n_observed: int) -> DirichletPrior:
     return DirichletPrior(concentration)
 
 
-class _Evaluator:
-    """Appends paired train/test metric records at strictly increasing steps."""
+def _phi_error(cfg: TrainConfig, phi) -> float | None:
+    if cfg.reference_phi is None or phi is None:
+        return None
+    return transition_l1_error(phi, cfg.reference_phi)
 
-    def __init__(
-        self,
-        ds: LabeledDataset,
-        test_ds: LabeledDataset | None,
-        loss_cfg: LossConfig,
-        n_eval_classes: int | None = None,
-    ):
-        self.ds = ds
-        self.test_ds = test_ds
-        self.loss_cfg = loss_cfg
-        self.n_eval_classes = n_eval_classes
-        self.records: list[MetricsRecord] = []
-        self._last_step = -1
 
-    def evaluate(
-        self,
-        step: int,
-        params: ClassifierParams,
-        correction: float | None = None,
-        phi_l1_error: float | None = None,
-        variation: float | None = None,
-        bound: float | None = None,
-    ) -> None:
-        if step <= self._last_step:
-            return
-        self._last_step = step
-        probs = forward_proba(params, self.ds.features)
-        scored = probs if self.n_eval_classes is None else probs[:, : self.n_eval_classes]
-        train_acc = float(np.mean(scored.argmax(axis=1) == self.ds.noisy_labels))
-        train_loss, _ = soft_target_cross_entropy(
-            probs, one_hot(self.ds.noisy_labels, probs.shape[1]), self.loss_cfg
+@dataclass
+class _Run:
+    """What the shared loop hands a kind's hooks: model, optimizer and loop position."""
+
+    params: ClassifierParams
+    opt: OptimizerState
+    loss_cfg: LossConfig
+    gibbs_rng: np.random.Generator
+    n_batches: int
+    total: int
+    iteration: int = 0
+
+
+@dataclass
+class _Hooks:
+    """One trainer kind's part of the shared loop.
+
+    batch(idx) takes the kind's step on one minibatch and returns the
+    (measured, bound) transition variation it caused, or None. epoch_start
+    runs before every epoch; record() gives the extra fields of each train
+    record; final_phi() gives the run's transition estimate.
+    """
+
+    batch: Callable[[np.ndarray], tuple[float, float] | None]
+    epoch_start: Callable[[], None] = lambda: None
+    record: Callable[[], dict] = dict
+    final_phi: Callable[[], TransitionMatrix | None] = lambda: None
+
+
+def _fit(
+    ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None,
+    start: Callable[[_Run], _Hooks], *, pretrain: bool = True, extra_class: bool = False,
+    passes: int = 1, total_iterations: int | None = None,
+) -> RunResult:
+    """The one training loop; `start` builds a kind's hooks after pretraining.
+
+    An epoch is `passes` sweeps of shuffled minibatches; the learning-rate
+    schedule and the eval cadence count epochs. total_iterations, when
+    given, replaces the epoch budget with a batch budget. The run always
+    ends on an eval. Train records score the observed labels on the first
+    n_classes outputs (extra_class adds one more output), test records the
+    true labels of in-distribution samples; each train record carries the
+    largest batch variation since the previous eval.
+    """
+    ss_init, ss_data, ss_gibbs = np.random.SeedSequence(cfg.seed).spawn(3)
+    data_rng, gibbs_rng = np.random.default_rng(ss_data), np.random.default_rng(ss_gibbs)
+    n_out = ds.n_classes + 1 if extra_class else ds.n_classes
+    if cfg.hidden_width > 0:
+        arch = Architecture("mlp", ds.dim, n_out, cfg.hidden_width, cfg.activation)
+    else:
+        arch = Architecture("linear", ds.dim, n_out, activation=cfg.activation)
+    params = init_params(arch, int(ss_init.generate_state(1)[0]))
+    opt = init_optimizer(params, _lr_at(cfg, 0), cfg.momentum, cfg.weight_decay)
+    loss_cfg = LossConfig(cfg.clip)
+    n_batches = math.ceil(ds.n / cfg.batch_size)
+    offset = 0
+    if pretrain:
+        pretrain_ce(
+            params, opt, ds.features, ds.noisy_labels,
+            cfg.pretrain_epochs, cfg.batch_size, loss_cfg, data_rng,
         )
-        self.records.append(
-            MetricsRecord(
-                step=step,
-                split="train",
-                accuracy=train_acc,
-                loss=train_loss,
-                correction_ratio=correction,
-                phi_l1_error=phi_l1_error,
-                max_phi_row_variation=variation,
-                bound_value=bound,
+        offset = cfg.pretrain_epochs * n_batches
+    per_epoch = passes * n_batches
+    total = cfg.epochs * per_epoch if total_iterations is None else total_iterations
+    run = _Run(params, opt, loss_cfg, gibbs_rng, n_batches, total)
+    hooks = start(run)
+    n_scored = ds.n_classes if extra_class else None
+    records: list[MetricsRecord] = []
+    variations: list[BatchVariation] = []
+    seen = 0
+
+    def evaluate() -> None:
+        nonlocal seen
+        window, seen = variations[seen:], len(variations)
+        worst = max(window, key=lambda v: v.measured) if window else None
+        step = offset + run.iteration
+        probs = forward_proba(params, ds.features)
+        scored = probs if n_scored is None else probs[:, :n_scored]
+        loss, _ = soft_target_cross_entropy(probs, one_hot(ds.noisy_labels, n_out), loss_cfg)
+        records.append(MetricsRecord(
+            step, "train", float(np.mean(scored.argmax(axis=1) == ds.noisy_labels)), loss,
+            max_phi_row_variation=None if worst is None else worst.measured,
+            bound_value=None if worst is None else worst.bound,
+            **hooks.record(),
+        ))
+        if test_ds is not None:
+            keep = ~test_ds.ood_mask
+            test_probs = forward_proba(params, test_ds.features[keep])
+            truth = one_hot(test_ds.true_labels[keep], n_out)
+            loss, _ = soft_target_cross_entropy(test_probs, truth, loss_cfg)
+            records.append(
+                MetricsRecord(step, "test", test_accuracy(params, test_ds, n_scored), loss)
             )
-        )
-        if self.test_ds is not None:
-            keep = ~self.test_ds.ood_mask
-            test_probs = forward_proba(params, self.test_ds.features[keep])
-            test_loss, _ = soft_target_cross_entropy(
-                test_probs,
-                one_hot(self.test_ds.true_labels[keep], test_probs.shape[1]),
-                self.loss_cfg,
-            )
-            self.records.append(
-                MetricsRecord(
-                    step=step,
-                    split="test",
-                    accuracy=test_accuracy(params, self.test_ds, self.n_eval_classes),
-                    loss=test_loss,
-                )
-            )
 
-
-class _VariationWindow:
-    """Keeps the largest measured variation (and its bound) since the last eval."""
-
-    def __init__(self) -> None:
-        self.measured: float | None = None
-        self.bound: float | None = None
-
-    def push(self, measured: float, bound: float) -> None:
-        if self.measured is None or measured > self.measured:
-            self.measured = measured
-            self.bound = bound
-
-    def pop(self) -> tuple[float | None, float | None]:
-        out = (self.measured, self.bound)
-        self.measured = None
-        self.bound = None
-        return out
+    evaluate()
+    while run.iteration < total:
+        opt.learning_rate = _lr_at(cfg, run.iteration // per_epoch)
+        hooks.epoch_start()
+        sweeps = (minibatch_indices(data_rng, ds.n, cfg.batch_size) for _ in range(passes))
+        for idx in itertools.chain.from_iterable(sweeps):
+            if run.iteration >= total:
+                break
+            run.iteration += 1
+            moved = hooks.batch(idx)
+            if moved is not None:
+                variations.append(BatchVariation(offset + run.iteration, *moved))
+        if run.iteration >= total or (run.iteration // per_epoch) % cfg.eval_every == 0:
+            evaluate()
+    return RunResult(records, params, hooks.final_phi(), variations)
 
 
 def train_ce(
     ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None = None
 ) -> RunResult:
     """Plain clipped cross-entropy on the observed labels."""
-    init_seed, data_rng, _ = _spawn_rngs(cfg.seed)
-    params = init_params(_arch_for(ds, cfg), init_seed)
-    opt = init_optimizer(params, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
-    loss_cfg = LossConfig(cfg.clip)
-    ev = _Evaluator(ds, test_ds, loss_cfg)
-    ev.evaluate(0, params)
-    step = 0
-    for epoch in range(cfg.epochs):
-        opt.learning_rate = _lr_at(cfg, epoch)
-        for idx in minibatch_indices(data_rng, ds.n, cfg.batch_size):
-            sgd_step(params, opt, ds.features[idx], ds.noisy_labels[idx], loss_cfg)
-            step += 1
-        if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-            ev.evaluate(step, params)
-    return RunResult(ev.records, params, None)
+
+    def start(run: _Run) -> _Hooks:
+        def batch(idx: np.ndarray) -> None:
+            sgd_step(run.params, run.opt, ds.features[idx], ds.noisy_labels[idx], run.loss_cfg)
+
+        return _Hooks(batch)
+
+    return _fit(ds, cfg, test_ds, start, pretrain=False)
 
 
 def train_bootstrap_hard(
@@ -308,27 +327,19 @@ def train_bootstrap_hard(
     Target weights are beta on the observed label and (1 - beta) on the
     current prediction's argmax, recomputed every step.
     """
-    init_seed, data_rng, _ = _spawn_rngs(cfg.seed)
-    params = init_params(_arch_for(ds, cfg), init_seed)
-    opt = init_optimizer(params, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
-    loss_cfg = LossConfig(cfg.clip)
     beta = cfg.bootstrap_beta
-    ev = _Evaluator(ds, test_ds, loss_cfg)
-    ev.evaluate(0, params)
-    step = 0
-    for epoch in range(cfg.epochs):
-        opt.learning_rate = _lr_at(cfg, epoch)
-        for idx in minibatch_indices(data_rng, ds.n, cfg.batch_size):
+
+    def start(run: _Run) -> _Hooks:
+        def batch(idx: np.ndarray) -> None:
             features = ds.features[idx]
-            probs = forward_proba(params, features)
-            pseudo = probs.argmax(axis=1)
+            pseudo = forward_proba(run.params, features).argmax(axis=1)
             weights = beta * one_hot(ds.noisy_labels[idx], ds.n_classes)
             weights += (1.0 - beta) * one_hot(pseudo, ds.n_classes)
-            sgd_step_soft(params, opt, features, weights, loss_cfg)
-            step += 1
-        if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-            ev.evaluate(step, params)
-    return RunResult(ev.records, params, None)
+            sgd_step_soft(run.params, run.opt, features, weights, run.loss_cfg)
+
+        return _Hooks(batch)
+
+    return _fit(ds, cfg, test_ds, start, pretrain=False)
 
 
 def _row_softmax(logits: np.ndarray) -> np.ndarray:
@@ -360,11 +371,19 @@ def _composed_loss_grads(
     return loss, grads, dphi
 
 
+def _composed_step(run: _Run, ds: LabeledDataset, idx: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """One classifier step through the channel phi; returns the gradient with respect to phi."""
+    loss, grads, dphi = _composed_loss_grads(
+        run.params, ds.features[idx], ds.noisy_labels[idx], phi, run.loss_cfg
+    )
+    if not np.isfinite(loss):
+        raise TrainingError("non-finite training loss")
+    apply_gradients(run.params, run.opt, grads)
+    return dphi
+
+
 def _initial_channel(
-    ds: LabeledDataset,
-    cfg: TrainConfig,
-    params: ClassifierParams,
-    n_latent: int,
+    ds: LabeledDataset, cfg: TrainConfig, params: ClassifierParams, n_latent: int
 ) -> TransitionMatrix:
     """Transition estimate available before counts exist: oracle, identity, or predictions."""
     k = ds.n_classes
@@ -387,38 +406,17 @@ def train_forward_fixed(
     ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None = None
 ) -> RunResult:
     """Train through a frozen transition: fit q = probs @ phi to the observed labels."""
-    init_seed, data_rng, _ = _spawn_rngs(cfg.seed)
-    params = init_params(_arch_for(ds, cfg), init_seed)
-    opt = init_optimizer(params, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
-    loss_cfg = LossConfig(cfg.clip)
-    opt.learning_rate = _lr_at(cfg, 0)
-    pretrain_ce(
-        params, opt, ds.features, ds.noisy_labels,
-        cfg.pretrain_epochs, cfg.batch_size, loss_cfg, data_rng,
-    )
-    step = cfg.pretrain_epochs * math.ceil(ds.n / cfg.batch_size)
-    channel = _initial_channel(ds, cfg, params, ds.n_classes)
-    phi = channel.matrix
-    phi_err = (
-        transition_l1_error(phi, cfg.reference_phi)
-        if cfg.reference_phi is not None
-        else None
-    )
-    ev = _Evaluator(ds, test_ds, loss_cfg)
-    ev.evaluate(step, params, phi_l1_error=phi_err)
-    for epoch in range(cfg.epochs):
-        opt.learning_rate = _lr_at(cfg, epoch)
-        for idx in minibatch_indices(data_rng, ds.n, cfg.batch_size):
-            loss, grads, _ = _composed_loss_grads(
-                params, ds.features[idx], ds.noisy_labels[idx], phi, loss_cfg
-            )
-            if not np.isfinite(loss):
-                raise TrainingError("non-finite training loss")
-            apply_gradients(params, opt, grads)
-            step += 1
-        if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-            ev.evaluate(step, params, phi_l1_error=phi_err)
-    return RunResult(ev.records, params, channel)
+
+    def start(run: _Run) -> _Hooks:
+        channel = _initial_channel(ds, cfg, run.params, ds.n_classes)
+        phi_err = _phi_error(cfg, channel.matrix)
+
+        def batch(idx: np.ndarray) -> None:
+            _composed_step(run, ds, idx, channel.matrix)
+
+        return _Hooks(batch, record=lambda: {"phi_l1_error": phi_err}, final_phi=lambda: channel)
+
+    return _fit(ds, cfg, test_ds, start)
 
 
 def train_s_adaptation(
@@ -431,75 +429,42 @@ def train_s_adaptation(
     the layer follow the gradient. Optional grad_clip bounds each entry of
     the layer's gradient.
     """
-    init_seed, data_rng, _ = _spawn_rngs(cfg.seed)
-    params = init_params(_arch_for(ds, cfg), init_seed)
-    opt = init_optimizer(params, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
-    loss_cfg = LossConfig(cfg.clip)
-    opt.learning_rate = _lr_at(cfg, 0)
-    pretrain_ce(
-        params, opt, ds.features, ds.noisy_labels,
-        cfg.pretrain_epochs, cfg.batch_size, loss_cfg, data_rng,
-    )
-    n_batches = math.ceil(ds.n / cfg.batch_size)
-    step = cfg.pretrain_epochs * n_batches
-    warmup_steps = cfg.warmup_steps if cfg.warmup_steps is not None else n_batches
-    channel_init = _initial_channel(ds, cfg, params, ds.n_classes)
-    layer_logits = np.log(np.maximum(channel_init.matrix, 1e-8))
-    layer_velocity = np.zeros_like(layer_logits)
-    variations: list[BatchVariation] = []
-    window = _VariationWindow()
 
-    def current_phi(iteration: int) -> np.ndarray:
-        if iteration <= warmup_steps:
-            return channel_init.matrix
-        return _row_softmax(layer_logits)
+    def start(run: _Run) -> _Hooks:
+        warmup_steps = cfg.warmup_steps if cfg.warmup_steps is not None else run.n_batches
+        channel_init = _initial_channel(ds, cfg, run.params, ds.n_classes)
+        layer_logits = np.log(np.maximum(channel_init.matrix, 1e-8))
+        layer_velocity = np.zeros_like(layer_logits)
 
-    def phi_error(phi: np.ndarray) -> float | None:
-        if cfg.reference_phi is None:
-            return None
-        return transition_l1_error(phi, cfg.reference_phi)
+        def current_phi() -> np.ndarray:
+            if run.iteration <= warmup_steps:
+                return channel_init.matrix
+            return _row_softmax(layer_logits)
 
-    ev = _Evaluator(ds, test_ds, loss_cfg)
-    ev.evaluate(step, params, phi_l1_error=phi_error(current_phi(0)))
-    iteration = 0
-    for epoch in range(cfg.epochs):
-        opt.learning_rate = _lr_at(cfg, epoch)
-        layer_rate = cfg.transition_lr if cfg.transition_lr is not None else opt.learning_rate
-        for idx in minibatch_indices(data_rng, ds.n, cfg.batch_size):
-            iteration += 1
-            phi = current_phi(iteration)
-            loss, grads, dphi = _composed_loss_grads(
-                params, ds.features[idx], ds.noisy_labels[idx], phi, loss_cfg
-            )
-            if not np.isfinite(loss):
-                raise TrainingError("non-finite training loss")
-            apply_gradients(params, opt, grads)
-            step += 1
-            if iteration > warmup_steps:
-                inner = (phi * dphi).sum(axis=1, keepdims=True)
-                dlayer = phi * (dphi - inner)
-                if cfg.grad_clip is not None:
-                    dlayer = np.clip(dlayer, -cfg.grad_clip, cfg.grad_clip)
-                if not np.all(np.isfinite(dlayer)):
-                    raise TrainingError("non-finite transition-layer gradient")
-                layer_velocity *= cfg.momentum
-                layer_velocity += dlayer
-                layer_logits -= layer_rate * layer_velocity
-                new_phi = _row_softmax(layer_logits)
-                measured = float(np.abs(new_phi - phi).sum(axis=1).max())
-                variations.append(BatchVariation(step, measured, float("nan")))
-                window.push(measured, float("nan"))
-        if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-            var, bound = window.pop()
-            ev.evaluate(
-                step,
-                params,
-                phi_l1_error=phi_error(current_phi(iteration)),
-                variation=var,
-                bound=bound,
-            )
-    final_phi = TransitionMatrix(current_phi(iteration))
-    return RunResult(ev.records, params, final_phi, variations)
+        def batch(idx: np.ndarray) -> tuple[float, float] | None:
+            nonlocal layer_logits, layer_velocity
+            phi = current_phi()
+            dphi = _composed_step(run, ds, idx, phi)
+            if run.iteration <= warmup_steps:
+                return None
+            inner = (phi * dphi).sum(axis=1, keepdims=True)
+            dlayer = phi * (dphi - inner)
+            if cfg.grad_clip is not None:
+                dlayer = np.clip(dlayer, -cfg.grad_clip, cfg.grad_clip)
+            if not np.all(np.isfinite(dlayer)):
+                raise TrainingError("non-finite transition-layer gradient")
+            rate = run.opt.learning_rate if cfg.transition_lr is None else cfg.transition_lr
+            layer_velocity *= cfg.momentum
+            layer_velocity += dlayer
+            layer_logits -= rate * layer_velocity
+            return float(np.abs(_row_softmax(layer_logits) - phi).sum(axis=1).max()), float("nan")
+
+        def record() -> dict:
+            return {"phi_l1_error": _phi_error(cfg, current_phi())}
+
+        return _Hooks(batch, record=record, final_phi=lambda: TransitionMatrix(current_phi()))
+
+    return _fit(ds, cfg, test_ds, start)
 
 
 def train_em_reference(
@@ -513,43 +478,36 @@ def train_em_reference(
     weighted-confusion estimator, then runs em_m_epochs of SGD toward the
     responsibilities.
     """
-    init_seed, data_rng, _ = _spawn_rngs(cfg.seed)
-    params = init_params(_arch_for(ds, cfg), init_seed)
-    opt = init_optimizer(params, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
-    loss_cfg = LossConfig(cfg.clip)
-    opt.learning_rate = _lr_at(cfg, 0)
-    pretrain_ce(
-        params, opt, ds.features, ds.noisy_labels,
-        cfg.pretrain_epochs, cfg.batch_size, loss_cfg, data_rng,
-    )
-    step = cfg.pretrain_epochs * math.ceil(ds.n / cfg.batch_size)
-    ev = _Evaluator(ds, test_ds, loss_cfg)
-    ev.evaluate(step, params)
-    phi_bar: TransitionMatrix | None = None
-    for outer in range(cfg.epochs):
-        opt.learning_rate = _lr_at(cfg, outer)
-        predictions = forward_proba(params, ds.features)
-        if phi_bar is None:
-            responsibilities = predictions
-        else:
-            raw = predictions * phi_bar.matrix[:, ds.noisy_labels].T
-            denom = raw.sum(axis=1, keepdims=True)
-            # Rows where prediction mass and transition column cancel exactly
-            # carry no signal; fall back to the bare prediction there.
-            responsibilities = np.where(denom > 0.0, raw / np.maximum(denom, 1e-300), predictions)
-        phi_bar = em_e_step(responsibilities, ds.noisy_labels, ds.n_classes)
-        for _ in range(cfg.em_m_epochs):
-            for idx in minibatch_indices(data_rng, ds.n, cfg.batch_size):
-                sgd_step_soft(params, opt, ds.features[idx], responsibilities[idx], loss_cfg)
-                step += 1
-        if (outer + 1) % cfg.eval_every == 0 or outer == cfg.epochs - 1:
-            phi_err = (
-                transition_l1_error(phi_bar, cfg.reference_phi)
-                if cfg.reference_phi is not None
-                else None
-            )
-            ev.evaluate(step, params, phi_l1_error=phi_err)
-    return RunResult(ev.records, params, phi_bar)
+
+    def start(run: _Run) -> _Hooks:
+        phi_bar: TransitionMatrix | None = None
+        responsibilities: np.ndarray | None = None
+
+        def epoch_start() -> None:
+            nonlocal phi_bar, responsibilities
+            predictions = forward_proba(run.params, ds.features)
+            if phi_bar is None:
+                responsibilities = predictions
+            else:
+                raw = predictions * phi_bar.matrix[:, ds.noisy_labels].T
+                denom = raw.sum(axis=1, keepdims=True)
+                # Rows where prediction mass and transition column cancel exactly
+                # carry no signal; fall back to the bare prediction there.
+                responsibilities = np.where(
+                    denom > 0.0, raw / np.maximum(denom, 1e-300), predictions
+                )
+            phi_bar = em_e_step(responsibilities, ds.noisy_labels, ds.n_classes)
+
+        def batch(idx: np.ndarray) -> None:
+            targets = responsibilities[idx]
+            sgd_step_soft(run.params, run.opt, ds.features[idx], targets, run.loss_cfg)
+
+        def record() -> dict:
+            return {"phi_l1_error": _phi_error(cfg, phi_bar)}
+
+        return _Hooks(batch, epoch_start, record, final_phi=lambda: phi_bar)
+
+    return _fit(ds, cfg, test_ds, start, passes=cfg.em_m_epochs)
 
 
 def em_e_step(
@@ -560,13 +518,10 @@ def em_e_step(
 
 
 def _train_latent(
-    ds: LabeledDataset,
-    cfg: TrainConfig,
-    test_ds: LabeledDataset | None,
-    extra_class: bool,
-    use_clean: bool,
+    ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None,
+    extra_class: bool, use_clean: bool,
 ) -> RunResult:
-    """Shared loop: collapsed-Gibbs resampling of latent labels + SGD on the samples."""
+    """Collapsed-Gibbs resampling of latent labels + SGD on the samples."""
     k = ds.n_classes
     n_latent = k + 1 if extra_class else k
     if use_clean and not ds.clean_mask.any():
@@ -575,79 +530,44 @@ def _train_latent(
             UserWarning,
         )
         use_clean = False
-    init_seed, data_rng, gibbs_rng = _spawn_rngs(cfg.seed)
-    params = init_params(_arch_for(ds, cfg, extra_class), init_seed)
-    opt = init_optimizer(params, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
-    loss_cfg = LossConfig(cfg.clip)
     prior = _prior_for(cfg, k)
-
-    opt.learning_rate = _lr_at(cfg, 0)
-    pretrain_ce(
-        params, opt, ds.features, ds.noisy_labels,
-        cfg.pretrain_epochs, cfg.batch_size, loss_cfg, data_rng,
-    )
-    n_batches = math.ceil(ds.n / cfg.batch_size)
-    step = cfg.pretrain_epochs * n_batches
-
-    channel_init = _initial_channel(ds, cfg, params, n_latent)
-    assignment = LatentAssignment.from_labels(ds.noisy_labels)
     exclude = ds.clean_mask if use_clean else None
+    assignment = LatentAssignment.from_labels(ds.noisy_labels)
     counts = ConfusionCounts.from_assignment(
         assignment.labels, ds.noisy_labels, n_latent, k, exclude=exclude
     )
 
-    total = (
-        cfg.total_iterations
-        if cfg.total_iterations is not None
-        else cfg.epochs * n_batches
-    )
-    warmup_steps = cfg.warmup_steps if cfg.warmup_steps is not None else n_batches
-    schedule = cfg.anneal
-    if schedule.enabled and schedule.max_step <= 1 and total > 1:
-        schedule = replace(schedule, max_step=total)
-
     def current_phi() -> TransitionMatrix:
-        return transition_from_counts(counts, prior, smoothed=cfg.smoothed)
+        return transition_from_counts(counts, prior)
 
-    def phi_error() -> float | None:
-        if cfg.reference_phi is None:
-            return None
-        return transition_l1_error(current_phi().matrix[:k], cfg.reference_phi)
-
-    def check_books() -> None:
+    def record() -> dict:
+        # The books are checked at every eval, and the run always ends on one.
         counts.check_consistent()
         expected = ConfusionCounts.from_assignment(
             assignment.labels, ds.noisy_labels, n_latent, k, exclude=exclude
         )
         if np.any(expected.counts != counts.counts):
             raise InvariantError("confusion counts drifted from the assignment")
+        phi = current_phi().matrix[:k] if cfg.reference_phi is not None else None
+        return {
+            "correction_ratio": correction_ratio(assignment.labels, ds.true_labels),
+            "phi_l1_error": _phi_error(cfg, phi),
+        }
 
-    ev = _Evaluator(ds, test_ds, loss_cfg, n_eval_classes=k if extra_class else None)
-    ev.evaluate(
-        step,
-        params,
-        correction=correction_ratio(assignment.labels, ds.true_labels),
-        phi_l1_error=phi_error(),
-    )
-    variations: list[BatchVariation] = []
-    window = _VariationWindow()
-    iteration = 0
-    while iteration < total:
-        epoch = iteration // n_batches
-        opt.learning_rate = _lr_at(cfg, epoch)
-        for idx in minibatch_indices(data_rng, ds.n, cfg.batch_size):
-            if iteration >= total:
-                break
-            iteration += 1
+    def start(run: _Run) -> _Hooks:
+        channel_init = _initial_channel(ds, cfg, run.params, n_latent)
+        warmup_steps = cfg.warmup_steps if cfg.warmup_steps is not None else run.n_batches
+        schedule = cfg.anneal
+        if schedule.enabled and schedule.max_step <= 1 and run.total > 1:
+            schedule = replace(schedule, max_step=run.total)
+
+        def batch(idx: np.ndarray) -> tuple[float, float] | None:
             features = ds.features[idx]
-            probs = forward_proba(params, features)
-            resample = (
-                np.flatnonzero(~ds.clean_mask[idx]) if use_clean else np.arange(len(idx))
-            )
+            probs = forward_proba(run.params, features)
+            resample = np.flatnonzero(~ds.clean_mask[idx]) if use_clean else np.arange(len(idx))
+            moved = None
             if resample.size:
                 before = counts.copy()
-                warm = channel_init if iteration <= warmup_steps else None
-                anneal = schedule.coefficient(iteration)
                 gibbs_sample_batch(
                     probs[resample],
                     ds.noisy_labels[idx][resample],
@@ -655,45 +575,27 @@ def _train_latent(
                     prior,
                     assignment,
                     idx[resample],
-                    gibbs_rng,
-                    warmup_phi=warm,
-                    anneal=anneal,
+                    run.gibbs_rng,
+                    warmup_phi=channel_init if run.iteration <= warmup_steps else None,
+                    anneal=schedule.coefficient(run.iteration),
                     anneal_target=schedule.target,
                 )
-                cert = update_bound(before, counts, prior, smoothed=cfg.smoothed)
+                cert = update_bound(before, counts, prior)
                 if np.any(cert.measured > cert.bound + BOUND_SLACK):
-                    raise InvariantError(
-                        "transition row moved beyond the per-batch update bound"
-                    )
+                    raise InvariantError("transition row moved beyond the per-batch update bound")
                 worst = int(np.argmax(cert.measured))
-                variations.append(
-                    BatchVariation(
-                        step + 1,
-                        float(cert.measured[worst]),
-                        float(cert.bound[worst]),
-                    )
-                )
-                window.push(float(cert.measured[worst]), float(cert.bound[worst]))
-            targets = assignment.labels[idx]
-            sgd_step(params, opt, features, targets, loss_cfg)
-            step += 1
-        epochs_done = iteration // n_batches
-        if iteration >= total or epochs_done % cfg.eval_every == 0:
-            check_books()
-            var, bound = window.pop()
-            ev.evaluate(
-                step,
-                params,
-                correction=correction_ratio(assignment.labels, ds.true_labels),
-                phi_l1_error=phi_error(),
-                variation=var,
-                bound=bound,
-            )
-    check_books()
-    outlier_recall = None
+                moved = float(cert.measured[worst]), float(cert.bound[worst])
+            sgd_step(run.params, run.opt, features, assignment.labels[idx], run.loss_cfg)
+            return moved
+
+        return _Hooks(batch, record=record, final_phi=current_phi)
+
+    result = _fit(
+        ds, cfg, test_ds, start, extra_class=extra_class, total_iterations=cfg.total_iterations
+    )
     if extra_class and ds.ood_mask.any():
-        outlier_recall = float(np.mean(assignment.labels[ds.ood_mask] == k))
-    return RunResult(ev.records, params, current_phi(), variations, outlier_recall)
+        result.outlier_recall = float(np.mean(assignment.labels[ds.ood_mask] == k))
+    return result
 
 
 def train_lccn(
@@ -731,6 +633,7 @@ TRAINERS = {
     "lccn_star": train_lccn_star,
     "lccn_plus": train_lccn_plus,
 }
+TRAINER_KINDS = tuple(TRAINERS)
 
 
 def run_trainer(

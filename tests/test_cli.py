@@ -150,6 +150,18 @@ def test_unknown_train_key_is_usage_error(tmp_path, capsys):
     assert "train section" in capsys.readouterr().err
 
 
+def test_removed_smoothed_knob_is_usage_error(tmp_path, capsys):
+    # the per-batch bound certifies only the smoothed estimator, so the
+    # unsmoothed switch is gone; an old config naming it must fail at parse time
+    cfg = json.loads(json.dumps(BASE_CFG))
+    cfg["train"]["smoothed"] = False
+    code = main(
+        ["train", "--config", write_cfg(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")]
+    )
+    assert code == EXIT_USAGE
+    assert "smoothed" in capsys.readouterr().err
+
+
 def test_train_section_required(tmp_path, capsys):
     cfg = {"generator": {"k": 2, "n_per_class": 8, "seed": 1}}
     code = main(

@@ -5,10 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lccn_lab.datagen import NoiseSpec, apply_noise, make_gaussian_mixture
+from lccn_lab.datagen import NoiseSpec, apply_noise, make_gaussian_mixture, mark_clean_subset
 from lccn_lab.errors import InvariantError, ParameterError
 from lccn_lab.metrics import MetricsRecord
 from lccn_lab.trainers import (
+    TRAINER_KINDS,
     RunResult,
     TrainConfig,
     em_e_step,
@@ -182,6 +183,26 @@ def test_record_order_validation_catches_regressions():
     result = RunResult(records=rows, final_params=None, final_phi=None)
     with pytest.raises(InvariantError):
         result.validate_record_order()
+
+
+@pytest.mark.parametrize("kind", TRAINER_KINDS)
+def test_shared_loop_eval_cadence(kind, blobs2_tiny):
+    # 64 samples at batch 16: 4 batches per pass; em_reference makes 2 passes
+    # per outer epoch, and only ce and bootstrap_hard skip pretraining
+    ds = mark_clean_subset(blobs2_tiny["noisy"], 8, 0)
+    common = dict(kind=kind, epochs=3, pretrain_epochs=2, batch_size=16,
+                  learning_rate=0.02, em_m_epochs=2, seed=1)
+    first = 0 if kind in ("ce", "bootstrap_hard") else 2 * 4
+    per_epoch = 8 if kind == "em_reference" else 4
+
+    result = run_trainer(ds, TrainConfig(eval_every=2, **common), blobs2_tiny["test"])
+    steps = [r.step for r in result.records_for("train")]
+    assert steps == [first, first + 2 * per_epoch, first + 3 * per_epoch]
+    assert [r.step for r in result.records_for("test")] == steps
+
+    sparse = run_trainer(ds, TrainConfig(eval_every=4, **common))
+    assert [r.step for r in sparse.records] == [first, first + 3 * per_epoch]
+    assert [r.split for r in sparse.records] == ["train", "train"]
 
 
 def test_milestones_change_learning_rate(blobs2_tiny):
