@@ -7,6 +7,12 @@ eval_every 2) and compares the sha256 of every file the run writes with
 the hashes in `golden_hashes.json`. A refactor or speed-up that keeps
 these hashes keeps the trainers' arithmetic and RNG streams exactly.
 
+The `cli/<case>` entries pin every file that one or more `lccn-lab`
+commands write (generate, train with one and two seeds, train from saved
+files, sweep and the four diagnose commands). They run inside a fresh
+directory with relative paths, because some outputs echo the paths they
+were given.
+
 The hashes are specific to the numpy/OpenBLAS build they were recorded
 with (numpy 2.4.6 with scipy-openblas 0.3.31, a DYNAMIC_ARCH build, on
 x86-64); another BLAS build or CPU kernel may round differently. Any update
@@ -17,13 +23,14 @@ To re-record the hashes: `PYTHONPATH=src python tests/test_golden.py`.
 
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from lccn_lab.cli import run_experiment
+from lccn_lab.cli import EXIT_OK, main, run_experiment
 from lccn_lab.trainers import TRAINER_KINDS
 
 HASHES_PATH = Path(__file__).with_name("golden_hashes.json")
@@ -70,14 +77,97 @@ def artifact_hashes(case: str, out_dir: Path) -> dict[str, str]:
     }
 
 
+CLI_INPUTS = {
+    "cfg.json": {
+        "generator": {"k": 3, "n_per_class": 15, "separation": 4.0, "seed": 2},
+        "noise": {"kind": "asymmetric", "ratio": 0.3, "seed": 3},
+        "clean": {"n_clean": 5, "seed": 4},
+        "test": {"n_per_class": 10},
+        "train": {
+            "kind": "lccn", "epochs": 2, "pretrain_epochs": 1, "batch_size": 8,
+            "hidden_width": 4, "learning_rate": 0.05, "eval_every": 1, "seed": 0,
+        },
+    },
+    "files.json": {
+        "dataset": "gen/dataset.json",
+        "test_dataset": "gen/dataset.json",
+        "train": {
+            "kind": "lccn_star", "epochs": 1, "pretrain_epochs": 1, "batch_size": 8,
+            "learning_rate": 0.05, "oracle_phi": "oracle.json",
+        },
+    },
+    "oracle.json": {"matrix": [[0.7, 0.3, 0.0], [0.0, 0.7, 0.3], [0.3, 0.0, 0.7]]},
+}
+
+GENERATE = [
+    "generate", "--k", "3", "--n-per-class", "12", "--noise", "asymmetric", "--ratio", "0.3",
+    "--ood-fraction", "0.1", "--n-clean", "4", "--seed", "9", "--out", "gen",
+]
+TRAIN = ["train", "--config", "cfg.json", "--out", "run"]
+TRAIN_2 = ["train", "--config", "cfg.json", "--out", "runs", "--seeds", "0", "1"]
+
+CLI_CASES = {
+    "generate": [GENERATE],
+    "train_1seed": [TRAIN],
+    "train_2seeds": [TRAIN_2],
+    "train_from_files": [GENERATE, ["train", "--config", "files.json", "--out", "filerun"]],
+    "sweep": [
+        ["sweep", "--config", "cfg.json", "--param", "alpha", "--values", "1", "10",
+         "--seeds", "0", "--out", "sweep"],
+    ],
+    "diagnose_mixing": [
+        ["diagnose", "mixing", "--n", "4", "--k", "2", "--sweeps", "300", "--burn-in", "50",
+         "--out", "mix"],
+    ],
+    "diagnose_transition": [
+        TRAIN, ["diagnose", "transition", "--run", "run", "--oracle", "oracle.json", "--out", "phi"],
+    ],
+    "diagnose_variation": [
+        TRAIN_2,
+        ["diagnose", "variation", "--run-a", "runs/seed_0", "--run-b", "runs/seed_1",
+         "--bins", "5", "--out", "var"],
+    ],
+    "diagnose_correction": [TRAIN, ["diagnose", "correction", "--run", "run", "--out", "corr"]],
+}
+
+
+def cli_output_hashes(case: str, work: Path) -> dict[str, str]:
+    """Run one CLI case inside `work` and hash every file found there afterwards."""
+    work.mkdir(parents=True, exist_ok=True)
+    for name, payload in CLI_INPUTS.items():
+        (work / name).write_text(json.dumps(payload))
+    previous = os.getcwd()
+    os.chdir(work)
+    try:
+        for argv in CLI_CASES[case]:
+            assert main(argv) == EXIT_OK, argv
+    finally:
+        os.chdir(previous)
+    return {
+        path.relative_to(work).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(work.rglob("*"))
+        if path.is_file()
+    }
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_artifacts_match_pinned_hashes(case, tmp_path):
     pinned = json.loads(HASHES_PATH.read_text())
     assert artifact_hashes(case, tmp_path) == pinned[case]
 
 
+@pytest.mark.parametrize("case", CLI_CASES)
+def test_cli_outputs_match_pinned_hashes(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LCCN_LAB_THREADS", "1")
+    pinned = json.loads(HASHES_PATH.read_text())
+    assert cli_output_hashes(case, tmp_path) == pinned[f"cli/{case}"]
+
+
 if __name__ == "__main__":
+    os.environ["LCCN_LAB_THREADS"] = "1"
     with tempfile.TemporaryDirectory() as scratch:
         recorded = {case: artifact_hashes(case, Path(scratch) / case) for case in CASES}
+        for case in CLI_CASES:
+            recorded[f"cli/{case}"] = cli_output_hashes(case, Path(scratch) / "cli" / case)
     HASHES_PATH.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(recorded)} cases to {HASHES_PATH}", file=sys.stderr)
