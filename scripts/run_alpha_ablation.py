@@ -9,11 +9,11 @@ Example:
 """
 
 import argparse
-import csv
 import statistics
 from pathlib import Path
 
 from lccn_lab import NoiseSpec, TrainConfig, apply_noise, make_gaussian_mixture, train_lccn
+from lccn_lab.metrics import write_csv
 
 
 def main() -> None:
@@ -49,10 +49,8 @@ def main() -> None:
         rows.append([repr(alpha), repr(med), repr(min(accs)), repr(max(accs)), len(args.seeds)])
         print(f"alpha {alpha:>8.1f}: median accuracy {med:.4f} (min {min(accs):.4f})")
 
-    with open(out / "alpha_ablation.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["alpha", "median_acc", "min_acc", "max_acc", "n_seeds"])
-        writer.writerows(rows)
+    header = ["alpha", "median_acc", "min_acc", "max_acc", "n_seeds"]
+    write_csv(out / "alpha_ablation.csv", header, rows)
     print(f"wrote {out / 'alpha_ablation.csv'}")
 
 

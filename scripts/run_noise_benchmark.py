@@ -6,12 +6,12 @@ Example:
 """
 
 import argparse
-import csv
 import statistics
 import time
 from pathlib import Path
 
 from lccn_lab import NoiseSpec, TrainConfig, apply_noise, make_gaussian_mixture, run_trainer
+from lccn_lab.metrics import write_csv
 
 TRAINER_GRID = ["ce", "bootstrap_hard", "forward_fixed", "s_adaptation", "em_reference", "lccn"]
 NOISE_GRID = [("symmetric", 0.3), ("symmetric", 0.5), ("asymmetric", 0.4)]
@@ -75,10 +75,11 @@ def main() -> None:
             rows.append([noise_kind, ratio, trainer, repr(med), repr(min(accs)),
                          repr(max(accs)), len(args.seeds)])
 
-    with open(out / "benchmark.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["noise", "ratio", "trainer", "median_acc", "min_acc", "max_acc", "n_seeds"])
-        writer.writerows(rows)
+    write_csv(
+        out / "benchmark.csv",
+        ["noise", "ratio", "trainer", "median_acc", "min_acc", "max_acc", "n_seeds"],
+        rows,
+    )
     print(f"wrote {out / 'benchmark.csv'}")
 
 

@@ -9,7 +9,6 @@ Example:
 """
 
 import argparse
-import csv
 from pathlib import Path
 
 from lccn_lab import (
@@ -22,6 +21,7 @@ from lccn_lab import (
     variation_histogram,
     write_histogram_csv,
 )
+from lccn_lab.metrics import write_csv
 
 
 def main() -> None:
@@ -65,10 +65,11 @@ def main() -> None:
                         out / "histogram_count_updates.csv")
     write_histogram_csv(variation_histogram(layer_all, bins=args.bins),
                         out / "histogram_gradient_layer.csv")
-    with open(out / "stability.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["seed", "count_update_max", "gradient_layer_max", "count_is_steadier"])
-        writer.writerows(rows)
+    write_csv(
+        out / "stability.csv",
+        ["seed", "count_update_max", "gradient_layer_max", "count_is_steadier"],
+        rows,
+    )
     print(f"wrote {out / 'stability.csv'} and both histograms")
 
 

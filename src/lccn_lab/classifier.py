@@ -8,7 +8,7 @@ likelihoods, soft targets) can reuse one softmax backward pass.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -274,13 +274,7 @@ def pretrain_ce(
 
 def save_checkpoint(params: ClassifierParams, path: str | Path) -> None:
     payload = {
-        "architecture": {
-            "kind": params.arch.kind,
-            "input_dim": params.arch.input_dim,
-            "n_classes": params.arch.n_classes,
-            "hidden_width": params.arch.hidden_width,
-            "activation": params.arch.activation,
-        },
+        "architecture": asdict(params.arch),
         "tensors": {name: tensor.tolist() for name, tensor in params.tensors.items()},
     }
     Path(path).write_text(json.dumps(payload))

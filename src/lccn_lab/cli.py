@@ -3,6 +3,11 @@
 Every command writes a JSON echo of its resolved configuration next to its
 outputs, so any artifact can be reproduced from its directory alone. Exit
 codes: 0 success, 1 runtime/training failure, 2 usage or config error.
+
+Every JSON input file is read by `_load_json`, which resolves relative paths
+against the config's directory and turns a missing or malformed file into a
+usage error. Outputs go through `_write_json` and `metrics.write_csv`; `generate`
+and `generator` configs share one data recipe, `_generate_data`.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .datagen import (
     LabeledDataset,
     NoiseSpec,
     apply_noise,
-    load_dataset,
     make_gaussian_mixture,
     mark_clean_subset,
     save_dataset,
@@ -36,6 +40,7 @@ from .metrics import (
     transition_frobenius_error,
     transition_l1_error,
     variation_histogram,
+    write_csv,
     write_histogram_csv,
     write_metrics_csv,
 )
@@ -64,25 +69,46 @@ def _write_json(payload, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _load_json(path: str | Path):
+def _echo(args) -> dict:
+    """A command's flags as given, minus the output directory and the dispatch fields."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "what", "func", "out")}
+
+
+def _load_json(path, base: Path | None = None):
+    """Read one JSON input file; a relative path resolves against base when given."""
+    if not isinstance(path, (str, Path)):
+        raise ParameterError(f"expected a file path, got {path!r}")
     path = Path(path)
+    if base is not None and not path.is_absolute():
+        path = base / path
     if not path.exists():
         raise ParameterError(f"file not found: {path}")
     try:
         return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParameterError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _load_config(path: str) -> tuple[dict, Path]:
+    """An experiment config and the directory its relative paths resolve against."""
+    cfg = _load_json(path)
+    if not isinstance(cfg, dict):
+        raise ParameterError("experiment config must be a JSON object")
+    return cfg, Path(path).resolve().parent
 
 
 def _phi_from_value(value, base: Path | None = None) -> np.ndarray:
     """Accept a matrix inline (nested lists) or as a path to a JSON file."""
     if isinstance(value, str):
-        path = Path(value)
-        if base is not None and not path.is_absolute():
-            path = base / path
-        payload = _load_json(path)
-        value = payload["matrix"] if isinstance(payload, dict) else payload
-    matrix = np.asarray(value, dtype=np.float64)
+        value = _load_json(value, base)
+        if isinstance(value, dict):
+            if "matrix" not in value:
+                raise ParameterError("transition matrix file has no 'matrix' key")
+            value = value["matrix"]
+    try:
+        matrix = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"transition matrix is not a numeric matrix: {exc}") from exc
     if matrix.ndim != 2:
         raise ParameterError("transition matrix must be 2-d")
     return matrix
@@ -91,26 +117,55 @@ def _phi_from_value(value, base: Path | None = None) -> np.ndarray:
 def build_train_config(train_dict: dict, seed: int | None = None, base: Path | None = None) -> TrainConfig:
     """Translate the JSON 'train' section into a TrainConfig."""
     payload = dict(train_dict)
-    if "anneal" in payload and isinstance(payload["anneal"], dict):
-        try:
-            payload["anneal"] = AnnealSchedule(**payload["anneal"])
-        except TypeError as exc:
-            raise ParameterError(f"bad anneal section: {exc}") from exc
-    if "lr_milestones" in payload:
-        payload["lr_milestones"] = tuple(
-            (int(e), float(lr)) for e, lr in payload["lr_milestones"]
-        )
-    for key in ("oracle_phi", "reference_phi"):
-        if payload.get(key) is not None:
-            payload[key] = _phi_from_value(payload[key], base)
-    if "alpha" in payload and isinstance(payload["alpha"], list):
-        payload["alpha"] = tuple(float(a) for a in payload["alpha"])
-    if seed is not None:
-        payload["seed"] = seed
     try:
+        if isinstance(payload.get("anneal"), dict):
+            payload["anneal"] = AnnealSchedule(**payload["anneal"])
+        if "lr_milestones" in payload:
+            payload["lr_milestones"] = tuple(
+                (int(e), float(lr)) for e, lr in payload["lr_milestones"]
+            )
+        for key in ("oracle_phi", "reference_phi"):
+            if payload.get(key) is not None:
+                payload[key] = _phi_from_value(payload[key], base)
+        if isinstance(payload.get("alpha"), list):
+            payload["alpha"] = tuple(float(a) for a in payload["alpha"])
+        if seed is not None:
+            payload["seed"] = seed
         return TrainConfig(**payload)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParameterError(f"bad train section: {exc}") from exc
+
+
+def _generate_data(generator: dict, noise: dict | None = None, clean: dict | None = None):
+    """The one data recipe: Gaussian mixture, then label/open-set noise, then a clean subset.
+
+    Returns (dataset, noise report or None, noise spec or None); the noise
+    step runs only when a noise section is given.
+    """
+    report = spec = None
+    try:
+        ds = make_gaussian_mixture(
+            n_classes=int(generator["k"]),
+            dim=int(generator.get("d", 2)),
+            n_per_class=int(generator["n_per_class"]),
+            separation=float(generator.get("separation", 4.0)),
+            seed=int(generator.get("seed", 0)),
+        )
+        if noise:
+            pair_map = noise.get("pair_map")
+            if pair_map is not None:
+                noise = {**noise, "pair_map": tuple(int(p) for p in pair_map)}
+            spec = NoiseSpec(**noise)
+            ds, report = apply_noise(ds, spec)
+        if clean:
+            ds = mark_clean_subset(ds, int(clean["n_clean"]), int(clean.get("seed", 0)))
+    except ParameterError:
+        raise
+    except KeyError as exc:
+        raise ParameterError(f"data section is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"bad data section: {exc}") from exc
+    return ds, report, spec
 
 
 def build_datasets(cfg: dict, base: Path | None = None):
@@ -120,69 +175,28 @@ def build_datasets(cfg: dict, base: Path | None = None):
     datasets depend only on the generator/noise/clean seeds, never on the
     training seed, so multi-seed runs share identical data.
     """
-    report = None
-    reference_phi = None
-    test_ds = None
     if "dataset" in cfg:
-        path = Path(cfg["dataset"])
-        if base is not None and not path.is_absolute():
-            path = base / path
-        if not path.exists():
-            raise ParameterError(f"dataset file not found: {path}")
-        ds = load_dataset(path)
+        ds = LabeledDataset.from_json_dict(_load_json(cfg["dataset"], base))
+        test_ds = None
         if "test_dataset" in cfg:
-            tpath = Path(cfg["test_dataset"])
-            if base is not None and not tpath.is_absolute():
-                tpath = base / tpath
-            if not tpath.exists():
-                raise ParameterError(f"test dataset file not found: {tpath}")
-            test_ds = load_dataset(tpath)
-    elif "generator" in cfg:
-        gen = dict(cfg["generator"])
-        try:
-            ds = make_gaussian_mixture(
-                n_classes=int(gen["k"]),
-                dim=int(gen.get("d", 2)),
-                n_per_class=int(gen["n_per_class"]),
-                separation=float(gen.get("separation", 4.0)),
-                seed=int(gen.get("seed", 0)),
-            )
-        except KeyError as exc:
-            raise ParameterError(f"generator section is missing field {exc}") from exc
-        noise_dict = dict(cfg.get("noise", {}))
-        if noise_dict:
-            if "pair_map" in noise_dict and noise_dict["pair_map"] is not None:
-                noise_dict["pair_map"] = tuple(int(p) for p in noise_dict["pair_map"])
-            try:
-                spec = NoiseSpec(**noise_dict)
-            except TypeError as exc:
-                raise ParameterError(f"bad noise section: {exc}") from exc
-            ds, report = apply_noise(ds, spec)
-            reference_phi = spec.true_transition(ds.n_classes)
-        clean = cfg.get("clean")
-        if clean:
-            ds = mark_clean_subset(
-                ds, int(clean["n_clean"]), int(clean.get("seed", 0))
-            )
-        test = dict(cfg.get("test", {}))
-        test_ds = make_gaussian_mixture(
-            n_classes=ds.n_classes,
-            dim=ds.dim,
-            n_per_class=int(test.get("n_per_class", gen["n_per_class"])),
-            separation=float(gen.get("separation", 4.0)),
-            seed=int(test.get("seed", int(gen.get("seed", 0)) + TEST_SEED_OFFSET)),
-        )
-    else:
+            test_ds = LabeledDataset.from_json_dict(_load_json(cfg["test_dataset"], base))
+        return ds, test_ds, None, None
+    if "generator" not in cfg:
         raise ParameterError("config must contain a 'dataset' path or a 'generator' section")
+    for section in ("generator", "noise", "clean", "test"):
+        if not isinstance(cfg.get(section) or {}, dict):
+            raise ParameterError(f"config section {section!r} must be a JSON object")
+    gen = cfg["generator"]
+    ds, report, spec = _generate_data(gen, cfg.get("noise"), cfg.get("clean"))
+    test = cfg.get("test") or {}
+    test_gen = {
+        **gen,
+        "n_per_class": test.get("n_per_class", gen["n_per_class"]),
+        "seed": test.get("seed", int(gen.get("seed", 0)) + TEST_SEED_OFFSET),
+    }
+    test_ds = _generate_data(test_gen)[0]
+    reference_phi = spec.true_transition(ds.n_classes) if spec is not None else None
     return ds, test_ds, report, reference_phi
-
-
-def _write_variations_csv(run, path: Path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["step", "measured", "bound"])
-        for var in run.batch_variations:
-            writer.writerow([var.step, repr(var.measured), repr(var.bound)])
 
 
 def run_experiment(cfg: dict, seed: int, out_dir: Path, base: Path | None = None) -> dict:
@@ -205,7 +219,11 @@ def run_experiment(cfg: dict, seed: int, out_dir: Path, base: Path | None = None
     if result.final_phi is not None:
         _write_json({"matrix": result.final_phi.matrix.tolist()}, out_dir / "phi_final.json")
     if result.batch_variations:
-        _write_variations_csv(result, out_dir / "variations.csv")
+        write_csv(
+            out_dir / "variations.csv",
+            ["step", "measured", "bound"],
+            ([v.step, repr(v.measured), repr(v.bound)] for v in result.batch_variations),
+        )
     if report is not None:
         save_report(report, out_dir / "noise_report.json")
     summary = {
@@ -218,70 +236,44 @@ def run_experiment(cfg: dict, seed: int, out_dir: Path, base: Path | None = None
     return summary
 
 
-def _experiment_worker(payload: tuple) -> dict:
-    cfg, seed, out_dir, base = payload
-    return run_experiment(cfg, seed, Path(out_dir), Path(base) if base else None)
-
-
 def _run_seeds(cfg: dict, seeds: list[int], out: Path, base: Path | None) -> list[dict]:
     if len(set(seeds)) != len(seeds):
         raise ParameterError("seeds must be distinct")
     if len(seeds) == 1:
         return [run_experiment(cfg, seeds[0], out, base)]
-    jobs = [(cfg, seed, str(out / f"seed_{seed}"), str(base) if base else None) for seed in seeds]
-    workers = _worker_cap(len(jobs))
+    dirs = [out / f"seed_{seed}" for seed in seeds]
+    workers = _worker_cap(len(seeds))
     if workers == 1:
-        return [_experiment_worker(job) for job in jobs]
+        return [run_experiment(cfg, seed, d, base) for seed, d in zip(seeds, dirs)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_experiment_worker, jobs))
+        return list(pool.map(run_experiment, [cfg] * len(seeds), seeds, dirs, [base] * len(seeds)))
 
 
 def cmd_generate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ds = make_gaussian_mixture(
-        n_classes=args.k,
-        dim=args.d,
-        n_per_class=args.n_per_class,
-        separation=args.separation,
-        seed=args.seed,
+    ds, report, _ = _generate_data(
+        {"k": args.k, "d": args.d, "n_per_class": args.n_per_class,
+         "separation": args.separation, "seed": args.seed},
+        {"kind": args.noise, "ratio": args.ratio, "pair_map": args.pair_map,
+         "ood_fraction": args.ood_fraction, "seed": args.seed},
+        {"n_clean": args.n_clean, "seed": args.seed + 1} if args.n_clean else None,
     )
-    pair_map = tuple(args.pair_map) if args.pair_map else None
-    spec = NoiseSpec(
-        kind=args.noise,
-        ratio=args.ratio,
-        pair_map=pair_map,
-        ood_fraction=args.ood_fraction,
-        seed=args.seed,
-    )
-    ds, report = apply_noise(ds, spec)
-    if args.n_clean:
-        ds = mark_clean_subset(ds, args.n_clean, args.seed + 1)
     save_dataset(ds, out / "dataset.json")
     save_report(report, out / "noise_report.json")
-    echo = {
-        "k": args.k,
-        "d": args.d,
-        "n_per_class": args.n_per_class,
-        "separation": args.separation,
-        "noise": args.noise,
-        "ratio": args.ratio,
-        "pair_map": list(pair_map) if pair_map else None,
-        "ood_fraction": args.ood_fraction,
-        "n_clean": args.n_clean,
-        "seed": args.seed,
-    }
-    _write_json(echo, out / "generate_config.json")
+    _write_json(_echo(args), out / "generate_config.json")
     print(f"wrote {out / 'dataset.json'} ({ds.n} samples, K={ds.n_classes})")
     print(f"realized flip fraction: {report.realized_flip_fraction:.4f}")
     return EXIT_OK
 
 
+def _median_test_accuracy(summaries: list[dict]) -> float | None:
+    accuracies = [s["final_test_accuracy"] for s in summaries if s["final_test_accuracy"] is not None]
+    return statistics.median(accuracies) if accuracies else None
+
+
 def cmd_train(args) -> int:
-    cfg = _load_json(args.config)
-    if not isinstance(cfg, dict):
-        raise ParameterError("experiment config must be a JSON object")
-    base = Path(args.config).resolve().parent
+    cfg, base = _load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.seeds is not None:
@@ -291,11 +283,10 @@ def cmd_train(args) -> int:
     else:
         seeds = [int(cfg.get("train", {}).get("seed", 0))]
     summaries = _run_seeds(cfg, seeds, out, base)
-    accuracies = [s["final_test_accuracy"] for s in summaries if s["final_test_accuracy"] is not None]
     aggregate = {
         "seeds": seeds,
         "runs": summaries,
-        "median_test_accuracy": statistics.median(accuracies) if accuracies else None,
+        "median_test_accuracy": _median_test_accuracy(summaries),
     }
     _write_json(aggregate, out / "summary.json")
     if aggregate["median_test_accuracy"] is not None:
@@ -335,10 +326,7 @@ def _resolve_sweep_target(param: str) -> tuple[str, str]:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_json(args.config)
-    if not isinstance(cfg, dict):
-        raise ParameterError("experiment config must be a JSON object")
-    base = Path(args.config).resolve().parent
+    cfg, base = _load_config(args.config)
     if not args.values:
         raise ParameterError("values: sweep grid must not be empty")
     values = [_coerce_sweep_value(v) for v in args.values]
@@ -351,24 +339,16 @@ def cmd_sweep(args) -> int:
         point_cfg = json.loads(json.dumps(cfg))  # deep copy
         point_cfg.setdefault(section, {})[key] = value
         point_dir = out / f"{key}_{value}"
-        summaries = _run_seeds(point_cfg, seeds, point_dir, base)
-        accuracies = [
-            s["final_test_accuracy"] for s in summaries if s["final_test_accuracy"] is not None
-        ]
-        if not accuracies:
+        accuracy = _median_test_accuracy(_run_seeds(point_cfg, seeds, point_dir, base))
+        if accuracy is None:
             raise ParameterError("sweep requires a test split to aggregate accuracy")
-        rows.append((args.param, value, statistics.median(accuracies), len(seeds)))
-    with open(out / "sweep.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["param", "value", "median_accuracy", "n_seeds"])
-        for row in rows:
-            writer.writerow([row[0], row[1], repr(row[2]), row[3]])
+        rows.append([args.param, value, repr(accuracy), len(seeds)])
+        print(f"{args.param}={value}: median accuracy {accuracy:.4f}")
+    write_csv(out / "sweep.csv", ["param", "value", "median_accuracy", "n_seeds"], rows)
     _write_json(
         {"param": args.param, "values": values, "seeds": seeds},
         out / "sweep_config.json",
     )
-    for _, value, acc, _n in rows:
-        print(f"{args.param}={value}: median accuracy {acc:.4f}")
     return EXIT_OK
 
 
@@ -382,22 +362,13 @@ def cmd_diagnose_mixing(args) -> int:
     diag = mixing_diagnostic(
         probs, observed, prior, sweeps=args.sweeps, burn_in=args.burn_in, seed=args.seed + 1
     )
-    with open(out / "mixing.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["sweep", "max_tv", "mean_tv"])
-        for sweep, max_tv, mean_tv in diag.trace:
-            writer.writerow([sweep, repr(max_tv), repr(mean_tv)])
+    write_csv(
+        out / "mixing.csv",
+        ["sweep", "max_tv", "mean_tv"],
+        ([sweep, repr(max_tv), repr(mean_tv)] for sweep, max_tv, mean_tv in diag.trace),
+    )
     _write_json(
-        {
-            "n": args.n,
-            "k": args.k,
-            "sweeps": args.sweeps,
-            "burn_in": args.burn_in,
-            "alpha": args.alpha,
-            "seed": args.seed,
-            "final_max_tv": diag.max_tv,
-            "final_mean_tv": diag.mean_tv,
-        },
+        {**_echo(args), "final_max_tv": diag.max_tv, "final_mean_tv": diag.mean_tv},
         out / "mixing_config.json",
     )
     print(f"final max TV over {args.n} samples: {diag.max_tv:.5f}")
@@ -408,13 +379,15 @@ def cmd_diagnose_transition(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     phi = _phi_from_value(str(Path(args.run) / "phi_final.json"))
-    with open(out / "transition_colormap.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["row", "col", "value", "log_value"])
-        for i in range(phi.shape[0]):
-            for j in range(phi.shape[1]):
-                value = float(phi[i, j])
-                writer.writerow([i, j, repr(value), repr(math.log(max(value, 1e-12)))])
+    write_csv(
+        out / "transition_colormap.csv",
+        ["row", "col", "value", "log_value"],
+        (
+            [i, j, repr(value), repr(math.log(max(value, 1e-12)))]
+            for i, row in enumerate(phi.tolist())
+            for j, value in enumerate(row)
+        ),
+    )
     payload = {"rows": phi.shape[0], "cols": phi.shape[1]}
     if args.oracle:
         oracle = _phi_from_value(args.oracle)
@@ -422,12 +395,12 @@ def cmd_diagnose_transition(args) -> int:
             oracle = oracle[: phi.shape[0], : phi.shape[1]]
             if oracle.shape != phi.shape:
                 raise ParameterError("oracle transition shape does not match the run's")
-        per_row = np.abs(phi - oracle).sum(axis=1)
-        with open(out / "transition_errors.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["row", "l1_error"])
-            for i, err in enumerate(per_row):
-                writer.writerow([i, repr(float(err))])
+        per_row = np.abs(phi - oracle).sum(axis=1).tolist()
+        write_csv(
+            out / "transition_errors.csv",
+            ["row", "l1_error"],
+            ([i, repr(err)] for i, err in enumerate(per_row)),
+        )
         payload["max_row_l1_error"] = transition_l1_error(phi, oracle)
         payload["frobenius_error"] = transition_frobenius_error(phi, oracle)
         print(f"max row L1 error: {payload['max_row_l1_error']:.5f}")
@@ -473,11 +446,11 @@ def cmd_diagnose_correction(args) -> int:
     ]
     if not rows:
         raise ParameterError("run has no correction_ratio records")
-    with open(out / "correction_trace.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["step", "correction_ratio"])
-        for step, ratio in rows:
-            writer.writerow([step, repr(ratio)])
+    write_csv(
+        out / "correction_trace.csv",
+        ["step", "correction_ratio"],
+        ([step, repr(ratio)] for step, ratio in rows),
+    )
     print(f"correction ratio: {rows[0][1]:.4f} -> {rows[-1][1]:.4f}")
     return EXIT_OK
 

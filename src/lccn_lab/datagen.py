@@ -110,6 +110,8 @@ class LabeledDataset:
             )
         except KeyError as exc:
             raise ParameterError(f"dataset JSON is missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"dataset JSON is malformed: {exc}") from exc
 
 
 def save_dataset(ds: LabeledDataset, path: str | Path) -> None:
@@ -192,13 +194,6 @@ class NoiseInjectionReport:
             "realized_flip_fraction": float(self.realized_flip_fraction),
             "realized_confusion": self.realized_confusion.tolist(),
         }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "NoiseInjectionReport":
-        return cls(
-            realized_flip_fraction=float(payload["realized_flip_fraction"]),
-            realized_confusion=np.array(payload["realized_confusion"], dtype=np.int64),
-        )
 
 
 def save_report(report: NoiseInjectionReport, path: str | Path) -> None:

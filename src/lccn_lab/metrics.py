@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,16 +29,7 @@ class MetricsRecord:
     bound_value: float | None = None
 
 
-CSV_COLUMNS = (
-    "step",
-    "split",
-    "accuracy",
-    "loss",
-    "correction_ratio",
-    "phi_l1_error",
-    "max_phi_row_variation",
-    "bound_value",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 
 
 def test_accuracy(
@@ -132,53 +124,47 @@ def variation_histogram(run_or_values, bins: int = 50) -> Histogram:
     return Histogram(bin_lo=edges[:-1], bin_hi=edges[1:], counts=counts.astype(np.int64))
 
 
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header row, then one row per item; every CSV artifact goes through here.
+
+    Callers format floats with repr, so a rerun writes the same bytes.
+    """
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _format_optional(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
 def write_metrics_csv(records: list[MetricsRecord], path: str | Path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.step,
-                    rec.split,
-                    repr(float(rec.accuracy)),
-                    repr(float(rec.loss)),
-                    _format_optional(rec.correction_ratio),
-                    _format_optional(rec.phi_l1_error),
-                    _format_optional(rec.max_phi_row_variation),
-                    _format_optional(rec.bound_value),
-                ]
-            )
+    rows = (
+        [rec.step, rec.split, *(_format_optional(getattr(rec, name)) for name in CSV_COLUMNS[2:])]
+        for rec in records
+    )
+    write_csv(path, CSV_COLUMNS, rows)
 
 
 def read_metrics_csv(path: str | Path) -> list[MetricsRecord]:
-    records = []
     with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            records.append(
-                MetricsRecord(
-                    step=int(row["step"]),
-                    split=row["split"],
-                    accuracy=float(row["accuracy"]),
-                    loss=float(row["loss"]),
-                    correction_ratio=float(row["correction_ratio"]) if row["correction_ratio"] else None,
-                    phi_l1_error=float(row["phi_l1_error"]) if row["phi_l1_error"] else None,
-                    max_phi_row_variation=float(row["max_phi_row_variation"])
-                    if row["max_phi_row_variation"]
-                    else None,
-                    bound_value=float(row["bound_value"]) if row["bound_value"] else None,
-                )
+        return [
+            MetricsRecord(
+                int(row["step"]),
+                row["split"],
+                *(float(row[name]) if row[name] else None for name in CSV_COLUMNS[2:]),
             )
-    return records
+            for row in csv.DictReader(handle)
+        ]
 
 
 def write_histogram_csv(hist: Histogram, path: str | Path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["bin_lo", "bin_hi", "count"])
-        for lo, hi, count in zip(hist.bin_lo, hist.bin_hi, hist.counts):
-            writer.writerow([repr(float(lo)), repr(float(hi)), int(count)])
+    write_csv(
+        path,
+        ["bin_lo", "bin_hi", "count"],
+        (
+            [repr(float(lo)), repr(float(hi)), int(count)]
+            for lo, hi, count in zip(hist.bin_lo, hist.bin_hi, hist.counts)
+        ),
+    )

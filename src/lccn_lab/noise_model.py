@@ -86,10 +86,6 @@ class ConfusionCounts:
     def n_observed(self) -> int:
         return self.counts.shape[1]
 
-    @property
-    def total(self) -> int:
-        return int(self.row_totals.sum())
-
     def copy(self) -> "ConfusionCounts":
         return ConfusionCounts(self.counts.copy(), self.row_totals.copy())
 
@@ -215,7 +211,8 @@ class TransitionUpdateBound:
     For each latent row: row_count_before is the pre-batch count total,
     net_change / abs_change are the signed and absolute count deltas, and the
     measured L1 row variation is guaranteed to be at most
-    (|net_ratio| + abs_ratio) / (1 + net_ratio).
+    (|net_ratio| + abs_ratio) / (1 + net_ratio), which equals
+    (|net_change| + abs_change) / (row total after + prior total).
     """
 
     row_count_before: np.ndarray
@@ -243,9 +240,18 @@ def update_bound(
     denom = before.row_totals + prior.total
     net_ratio = net_change / denom
     abs_ratio = abs_change / denom
-    if np.any(net_ratio <= -1.0):
+    shrink = 1.0 + net_ratio
+    if np.all(shrink > 0.0):
+        bound = (np.abs(net_ratio) + abs_ratio) / shrink
+    elif np.any(after.row_totals < 0):
         raise InvariantError("net count change cannot remove more mass than a row holds")
-    bound = (np.abs(net_ratio) + abs_ratio) / (1.0 + net_ratio)
+    else:
+        # Under a tiny prior a batch that empties a row makes net_ratio = -n / (n + total)
+        # round to -1; such rows take the equal form over the row's mass after the
+        # batch, which may overflow to inf but never undercuts the measured change.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            exact = (np.abs(net_change) + abs_change) / (after.row_totals + prior.total)
+            bound = np.where(shrink > 0.0, (np.abs(net_ratio) + abs_ratio) / shrink, exact)
     phi_before = transition_from_counts(before, prior).matrix
     phi_after = transition_from_counts(after, prior).matrix
     measured = np.abs(phi_after - phi_before).sum(axis=1)

@@ -36,19 +36,8 @@ class LatentAssignment:
         self.labels = np.asarray(self.labels, dtype=np.int64)
 
     @classmethod
-    def unassigned(cls, n: int) -> "LatentAssignment":
-        return cls(np.full(n, UNASSIGNED, dtype=np.int64))
-
-    @classmethod
     def from_labels(cls, labels: np.ndarray) -> "LatentAssignment":
         return cls(np.array(labels, dtype=np.int64))
-
-    @property
-    def assigned(self) -> np.ndarray:
-        return self.labels >= 0
-
-    def copy(self) -> "LatentAssignment":
-        return LatentAssignment(self.labels.copy())
 
 
 @dataclass

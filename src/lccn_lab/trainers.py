@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .classifier import (
     LossConfig,
     OptimizerState,
     _forward,
+    _softmax as _row_softmax,
     apply_gradients,
     backprop_logits,
     dlogits_from_dprobs,
@@ -62,6 +64,10 @@ from .noise_model import (
 from .sampler import AnnealSchedule, LatentAssignment, gibbs_sample_batch
 
 BOUND_SLACK = 1e-12
+# TrainConfig checks each field declared `int` or `float` (or `... | None`)
+# against these; the declarations are strings under postponed annotations.
+_NUMBER_TYPES = {"int": numbers.Integral, "float": numbers.Real}
+
 
 @dataclass
 class TrainConfig:
@@ -114,6 +120,19 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.kind not in TRAINER_KINDS:
             raise ParameterError(f"unknown trainer kind {self.kind!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            wanted = _NUMBER_TYPES.get(f.type.removesuffix(" | None"))
+            if wanted is None or (value is None and f.type.endswith(" | None")):
+                continue
+            if isinstance(value, bool) or not isinstance(value, wanted):
+                raise ParameterError(f"{f.name} must be {f.type}, got {value!r}")
+        if np.asarray(self.alpha).dtype.kind not in "iuf" or np.ndim(self.alpha) > 1:
+            raise ParameterError(f"alpha must be a number or a vector, got {self.alpha!r}")
+        if not isinstance(self.anneal, AnnealSchedule):
+            raise ParameterError(f"anneal must be an AnnealSchedule, got {self.anneal!r}")
+        if self.hidden_width < 0:
+            raise ParameterError("hidden_width must be nonnegative")
         if self.epochs < 0 or self.pretrain_epochs < 0:
             raise ParameterError("epoch counts must be nonnegative")
         if self.batch_size < 1:
@@ -340,12 +359,6 @@ def train_bootstrap_hard(
         return _Hooks(batch)
 
     return _fit(ds, cfg, test_ds, start, pretrain=False)
-
-
-def _row_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expz = np.exp(shifted)
-    return expz / expz.sum(axis=1, keepdims=True)
 
 
 def _composed_loss_grads(

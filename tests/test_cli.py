@@ -162,6 +162,47 @@ def test_removed_smoothed_knob_is_usage_error(tmp_path, capsys):
     assert "smoothed" in capsys.readouterr().err
 
 
+RAGGED_DATASET = {
+    "features": [[0.0, 1.0], [2.0]], "true_labels": [0, 1], "noisy_labels": [0, 1],
+    "clean_mask": [False, False], "ood_mask": [False, False], "K": 2,
+}
+
+# name -> (files written beside the config, config sections to override)
+BAD_INPUTS = {
+    "dataset_not_json": ({"data.json": "{not json"}, {"dataset": "data.json"}),
+    "dataset_ragged_features": ({"data.json": json.dumps(RAGGED_DATASET)},
+                                {"dataset": "data.json"}),
+    "phi_file_without_matrix": ({"phi.json": json.dumps({"rows": 2})},
+                                {"train": {"oracle_phi": "phi.json"}}),
+    "ragged_inline_oracle_phi": ({}, {"train": {"oracle_phi": [[1.0], [0.5, 0.5]]}}),
+    "anneal_not_an_object": ({}, {"train": {"anneal": True}}),
+    "lr_milestone_not_a_number": ({}, {"train": {"lr_milestones": [["x", 0.1]]}}),
+    "alpha_vector_of_strings": ({}, {"train": {"alpha": ["a", "b", "c"]}}),
+    "generator_k_not_a_number": ({}, {"generator": {"k": "x"}}),
+    "momentum_not_a_number": ({}, {"train": {"momentum": "x"}}),
+    "batch_size_not_an_integer": ({}, {"train": {"batch_size": 8.5}}),
+    "negative_hidden_width": ({}, {"train": {"hidden_width": -3}}),
+}
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_malformed_config_or_input_file_is_usage_error(name, tmp_path, capsys):
+    files, override = BAD_INPUTS[name]
+    for filename, text in files.items():
+        (tmp_path / filename).write_text(text)
+    cfg = json.loads(json.dumps(BASE_CFG))
+    if "dataset" in override:
+        del cfg["generator"]
+    for section, value in override.items():
+        cfg[section] = {**cfg[section], **value} if isinstance(value, dict) else value
+    code = main(
+        ["train", "--config", write_cfg(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")]
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_train_section_required(tmp_path, capsys):
     cfg = {"generator": {"k": 2, "n_per_class": 8, "seed": 1}}
     code = main(

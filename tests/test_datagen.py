@@ -221,6 +221,20 @@ def test_load_dataset_missing_field_raises(tmp_path):
         L.load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("features", [[0.0, 1.0], [2.0]]), ("noisy_labels", ["a", "b"]), ("K", None)]
+)
+def test_load_dataset_malformed_field_raises(field, value, tmp_path):
+    payload = {
+        "features": [[0.0, 1.0], [2.0, 3.0]], "true_labels": [0, 1], "noisy_labels": [0, 1],
+        "clean_mask": [False, False], "ood_mask": [False, False], "K": 2, field: value,
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParameterError, match="malformed"):
+        L.load_dataset(path)
+
+
 @given(
     k=st.integers(min_value=2, max_value=5),
     ratio=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),

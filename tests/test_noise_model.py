@@ -226,3 +226,11 @@ def test_update_bound_rejects_row_wipeout_past_total():
     prior = DirichletPrior.uniform(2, 1.0)
     with pytest.raises(InvariantError):
         update_bound(before, bad_after, prior)
+
+
+def test_update_bound_covers_emptied_row_under_tiny_prior():
+    # 1 + net_ratio rounds to 0 for the emptied row; its bound must still hold
+    before = make_counts([[2.0, 1.0], [0.0, 2.0]])
+    after = make_counts([[0.0, 0.0], [2.0, 3.0]])
+    cert = update_bound(before, after, DirichletPrior.uniform(2, 1e-300))
+    assert np.all(cert.measured <= cert.bound)

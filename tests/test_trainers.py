@@ -228,11 +228,32 @@ def test_milestones_change_learning_rate(blobs2_tiny):
         dict(eval_every=0),
         dict(em_m_epochs=0),
         dict(clip=0.0),
+        dict(anneal=True),
+        dict(batch_size=8.5),
+        dict(seed=True),
+        dict(total_iterations="10"),
+        dict(momentum="x"),
+        dict(grad_clip=[0.1]),
+        dict(alpha="x"),
+        dict(hidden_width=-3),
     ],
 )
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ParameterError):
         TrainConfig(**bad)
+
+
+@pytest.mark.parametrize("kind", ["lccn", "lccn_star", "lccn_plus"])
+def test_tiny_concentration_keeps_bound_certified(kind):
+    # with alpha ~ 0, a batch that empties a latent row drives the net ratio of
+    # that row to -1 in floating point; the bound must still certify the batch
+    clean = make_gaussian_mixture(n_classes=3, dim=2, n_per_class=40, separation=4.0, seed=5)
+    noisy, _ = apply_noise(clean, NoiseSpec(kind="symmetric", ratio=0.3, ood_fraction=0.1, seed=6))
+    ds = mark_clean_subset(noisy, 12, 7)
+    cfg = TrainConfig(kind=kind, epochs=5, pretrain_epochs=2, batch_size=16, hidden_width=8,
+                      learning_rate=0.1, eval_every=2, alpha=1e-300, seed=0)
+    result = run_trainer(ds, cfg)
+    assert all(v.measured <= v.bound + 1e-12 for v in result.batch_variations)
 
 
 def test_alpha_vector_must_match_class_count(blobs2_tiny):
