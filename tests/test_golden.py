@@ -3,8 +3,9 @@
 Each case runs `cli.run_experiment` for one trainer kind and one config
 variant on a 120-sample K=3 mixture (symmetric noise plus open-set
 outliers, 12 trusted samples, MLP-8, batch 16, 2 pretrain + 3 epochs,
-eval_every 2) and compares the sha256 of every file the run writes with
-the hashes in `golden_hashes.json`. A refactor or speed-up that keeps
+eval_every 2); the latent kinds add a channel-only annealing variant and a
+120-sample K=8 "wide" variant. Each case compares the sha256 of every file
+the run writes with the hashes in `golden_hashes.json`. A refactor or speed-up that keeps
 these hashes keeps the trainers' arithmetic and RNG streams exactly.
 
 The `cli/<case>` entries pin every file that one or more `lccn-lab`
@@ -64,12 +65,26 @@ VARIANTS = {
     "no_epochs": {"epochs": 0},
 }
 
-CASES = [f"{kind}/{variant}" for kind in TRAINER_KINDS for variant in VARIANTS]
+# Sampler branches that only the latent kinds reach: annealing of the channel
+# factor alone, and rows of 8 or more latent classes (K=8; lccn_star has 9),
+# whose sums take numpy's unrolled order instead of a left-to-right loop.
+LATENT_VARIANTS = {
+    "anneal_transition": {"anneal": {"enabled": True, "target": "transition"}},
+    "wide": {},
+}
+GENERATOR_OVERRIDES = {"wide": {"k": 8, "n_per_class": 15}}
+LATENT_KINDS = ("lccn", "lccn_star", "lccn_plus")
+
+CASES = [f"{kind}/{variant}" for kind in TRAINER_KINDS for variant in VARIANTS] + [
+    f"{kind}/{variant}" for kind in LATENT_KINDS for variant in LATENT_VARIANTS
+]
 
 
 def artifact_hashes(case: str, out_dir: Path) -> dict[str, str]:
     kind, variant = case.split("/")
-    cfg = {**BASE_CFG, "train": {**BASE_CFG["train"], "kind": kind, **VARIANTS[variant]}}
+    train = {**BASE_CFG["train"], "kind": kind, **{**VARIANTS, **LATENT_VARIANTS}[variant]}
+    generator = {**BASE_CFG["generator"], **GENERATOR_OVERRIDES.get(variant, {})}
+    cfg = {**BASE_CFG, "generator": generator, "train": train}
     run_experiment(cfg, 0, out_dir)
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
