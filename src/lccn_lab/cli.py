@@ -6,16 +6,17 @@ codes: 0 success, 1 runtime/training failure, 2 usage or config error.
 
 Every JSON input file is read by `_load_json`, which resolves relative paths
 against the config's directory and turns a missing or malformed file into a
-usage error. Outputs go through `_write_json` and `metrics.write_csv`; `generate`
-and `generator` configs share one data recipe, `_generate_data`.
+usage error; its twin for CSV run artifacts is `metrics.read_csv`. Outputs go
+through `_write_json` and `metrics.write_csv`; `generate` and `generator`
+configs share one data recipe, `_generate_data`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
+import numbers
 import os
 import statistics
 import sys
@@ -36,6 +37,7 @@ from .datagen import (
 )
 from .errors import InvariantError, ParameterError, TrainingError
 from .metrics import (
+    read_csv,
     read_metrics_csv,
     transition_frobenius_error,
     transition_l1_error,
@@ -87,6 +89,15 @@ def _load_json(path, base: Path | None = None):
         return json.loads(path.read_text())
     except ValueError as exc:
         raise ParameterError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _seed_list(values) -> list[int]:
+    """Training seeds as given by a config; anything but a list of integers is a usage error."""
+    if not isinstance(values, list) or not all(
+        isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values
+    ):
+        raise ParameterError(f"seeds must be a list of integers, got {values!r}")
+    return [int(v) for v in values]
 
 
 def _load_config(path: str) -> tuple[dict, Path]:
@@ -279,9 +290,10 @@ def cmd_train(args) -> int:
     if args.seeds is not None:
         seeds = list(args.seeds)
     elif cfg.get("seeds"):
-        seeds = [int(s) for s in cfg["seeds"]]
+        seeds = _seed_list(cfg["seeds"])
     else:
-        seeds = [int(cfg.get("train", {}).get("seed", 0))]
+        train = cfg.get("train", {})
+        seeds = _seed_list([train.get("seed", 0) if isinstance(train, dict) else 0])
     summaries = _run_seeds(cfg, seeds, out, base)
     aggregate = {
         "seeds": seeds,
@@ -331,7 +343,7 @@ def cmd_sweep(args) -> int:
         raise ParameterError("values: sweep grid must not be empty")
     values = [_coerce_sweep_value(v) for v in args.values]
     section, key = _resolve_sweep_target(args.param)
-    seeds = list(args.seeds) if args.seeds is not None else [int(s) for s in cfg.get("seeds", [0])]
+    seeds = list(args.seeds) if args.seeds is not None else _seed_list(cfg.get("seeds", [0]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -408,19 +420,13 @@ def cmd_diagnose_transition(args) -> int:
     return EXIT_OK
 
 
-def _read_variations(run_dir: Path) -> list[float]:
-    path = run_dir / "variations.csv"
-    if not path.exists():
-        raise ParameterError(f"no variations.csv in {run_dir}")
-    with open(path, newline="") as handle:
-        return [float(row["measured"]) for row in csv.DictReader(handle)]
-
-
 def cmd_diagnose_variation(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    values_a = _read_variations(Path(args.run_a))
-    values_b = _read_variations(Path(args.run_b))
+    values_a, values_b = (
+        [row["measured"] for row in read_csv(Path(run) / "variations.csv", {"measured": float})]
+        for run in (args.run_a, args.run_b)
+    )
     write_histogram_csv(variation_histogram(values_a, bins=args.bins), out / "histogram_a.csv")
     write_histogram_csv(variation_histogram(values_b, bins=args.bins), out / "histogram_b.csv")
     payload = {

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -43,11 +43,16 @@ def test_accuracy(
     keep = ~ds.ood_mask
     if not np.any(keep):
         raise ParameterError("dataset has no in-distribution samples to score")
-    probs = forward_proba(params, ds.features[keep])
+    return top1_accuracy(forward_proba(params, ds.features[keep]), ds.true_labels[keep], n_classes)
+
+
+def top1_accuracy(probs: np.ndarray, labels: np.ndarray, n_classes: int | None = None) -> float:
+    """Share of rows whose top class among the first n_classes outputs is the label."""
+    if len(labels) == 0:
+        raise ParameterError("no samples to score")
     if n_classes is not None:
         probs = probs[:, :n_classes]
-    predicted = probs.argmax(axis=1)
-    return float(np.mean(predicted == ds.true_labels[keep]))
+    return float(np.mean(probs.argmax(axis=1) == labels))
 
 
 def correction_ratio(assignment_labels, true_labels: np.ndarray) -> float:
@@ -147,16 +152,33 @@ def write_metrics_csv(records: list[MetricsRecord], path: str | Path) -> None:
     write_csv(path, CSV_COLUMNS, rows)
 
 
-def read_metrics_csv(path: str | Path) -> list[MetricsRecord]:
+def read_csv(path: str | Path, columns: dict[str, Callable[[str], object]]) -> list[dict]:
+    """Read a CSV artifact into one dict per row, holding only the named columns.
+
+    Each cell goes through its column's parser. A missing file, a missing
+    column or a cell its parser rejects is a ParameterError.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise ParameterError(f"file not found: {path}")
     with open(path, newline="") as handle:
-        return [
-            MetricsRecord(
-                int(row["step"]),
-                row["split"],
-                *(float(row[name]) if row[name] else None for name in CSV_COLUMNS[2:]),
-            )
-            for row in csv.DictReader(handle)
-        ]
+        reader = csv.DictReader(handle)
+        missing = [name for name in columns if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ParameterError(f"{path} has no column {', '.join(missing)}")
+        try:
+            return [{name: parse(row[name]) for name, parse in columns.items()} for row in reader]
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"{path} has a malformed cell: {exc}") from exc
+
+
+def _optional_float(cell: str) -> float | None:
+    return float(cell) if cell else None
+
+
+def read_metrics_csv(path: str | Path) -> list[MetricsRecord]:
+    columns = {"step": int, "split": str, **dict.fromkeys(CSV_COLUMNS[2:], _optional_float)}
+    return [MetricsRecord(**row) for row in read_csv(path, columns)]
 
 
 def write_histogram_csv(hist: Histogram, path: str | Path) -> None:

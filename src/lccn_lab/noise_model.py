@@ -5,6 +5,15 @@ label) pairs. A Dirichlet prior over each latent class's row yields closed
 forms for the smoothed transition estimate, the leave-one-out predictive
 probability used by the collapsed Gibbs sampler, and a per-batch bound on how
 far one batch of reassignments can move any transition row.
+
+`update_bound` computes only the rows a batch touched, on plain Python
+floats, and returns exactly the bits of the whole-matrix numpy formula
+(`transition_from_counts` before and after, differenced and summed per row).
+Sums over a row follow numpy's order: a row of fewer than 8 entries is summed
+left to right from -0.0, which is what numpy does for such rows, and a row
+of 8 or more entries goes through numpy's own (unrolled, pairwise)
+reduction. `_row_sum` and `_row_sums` hold that rule for this module and the
+sampler.
 """
 
 from __future__ import annotations
@@ -16,6 +25,26 @@ import numpy as np
 from .errors import InvariantError, ParameterError
 
 ROW_SUM_TOL = 1e-9
+# numpy sums a row of fewer entries than this left to right; longer rows take
+# its unrolled pairwise order, which a plain loop does not reproduce.
+_NUMPY_UNROLL = 8
+
+
+def _row_sum(values: list) -> float:
+    """Sum of one row with the bits numpy's `sum` over that row gives."""
+    if len(values) >= _NUMPY_UNROLL:
+        return float(np.array(values, dtype=np.float64).sum())
+    total = -0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _row_sums(rows: list[list]) -> list[float]:
+    """`_row_sum` of equally long rows, with one numpy call for rows of numpy's width."""
+    if rows and len(rows[0]) >= _NUMPY_UNROLL:
+        return np.array(rows, dtype=np.float64).sum(axis=1).tolist()
+    return [_row_sum(row) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -230,37 +259,63 @@ def update_bound(
     """Bound and measure the per-row L1 change of the smoothed transition between two states.
 
     The bound divides by row total plus prior total, so it certifies only the
-    smoothed (posterior-mean) estimator that the latent trainers use.
+    smoothed (posterior-mean) estimator that the latent trainers use. Rows the
+    batch did not touch get exactly 0.0 everywhere except `row_count_before`;
+    every touched row is computed from plain floats with numpy's arithmetic
+    and summation order (see the module docstring), and its smoothed rows
+    before and after must pass the same row-stochastic check as a
+    `TransitionMatrix`.
     """
     if before.counts.shape != after.counts.shape:
         raise ParameterError("count matrices must have the same shape")
-    delta = after.counts - before.counts
-    net_change = delta.sum(axis=1).astype(np.float64)
-    abs_change = np.abs(delta).sum(axis=1).astype(np.float64)
-    denom = before.row_totals + prior.total
-    net_ratio = net_change / denom
-    abs_ratio = abs_change / denom
-    shrink = 1.0 + net_ratio
-    if np.all(shrink > 0.0):
-        bound = (np.abs(net_ratio) + abs_ratio) / shrink
-    elif np.any(after.row_totals < 0):
+    if prior.n_observed != before.n_observed:
+        raise ParameterError("prior size must match the observed-label count")
+    alpha = prior.concentration.tolist()
+    total = prior.total
+    totals_before = before.row_totals.tolist()
+    totals_after = after.row_totals.tolist()
+    rows_before, rows_after = before.counts.tolist(), after.counts.tolist()
+    touched = [r for r, (b, a) in enumerate(zip(rows_before, rows_after)) if b != a]
+    rows_before = [rows_before[r] for r in touched]
+    rows_after = [rows_after[r] for r in touched]
+    deltas = [[a - b for a, b in zip(row_a, row_b)] for row_a, row_b in zip(rows_after, rows_before)]
+    nets = _row_sums(deltas)
+    churns = _row_sums([[abs(d) for d in delta] for delta in deltas])
+    denoms = [totals_before[r] + total for r in touched]
+    net_ratios = [net / denom for net, denom in zip(nets, denoms)]
+    abs_ratios = [churn / denom for churn, denom in zip(churns, denoms)]
+    if not all(1.0 + ratio > 0.0 for ratio in net_ratios) and any(t < 0 for t in totals_after):
         raise InvariantError("net count change cannot remove more mass than a row holds")
-    else:
-        # Under a tiny prior a batch that empties a row makes net_ratio = -n / (n + total)
-        # round to -1; such rows take the equal form over the row's mass after the
-        # batch, which may overflow to inf but never undercuts the measured change.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            exact = (np.abs(net_change) + abs_change) / (after.row_totals + prior.total)
-            bound = np.where(shrink > 0.0, (np.abs(net_ratio) + abs_ratio) / shrink, exact)
-    phi_before = transition_from_counts(before, prior).matrix
-    phi_after = transition_from_counts(after, prior).matrix
-    measured = np.abs(phi_after - phi_before).sum(axis=1)
-    return TransitionUpdateBound(
-        row_count_before=before.row_totals.astype(np.float64),
-        net_change=net_change,
-        abs_change=abs_change,
-        net_ratio=net_ratio,
-        abs_ratio=abs_ratio,
-        bound=bound,
-        measured=measured,
+    bounds = []
+    for r, net, churn, net_ratio, abs_ratio in zip(touched, nets, churns, net_ratios, abs_ratios):
+        shrink = 1.0 + net_ratio
+        if shrink > 0.0:
+            bounds.append((abs(net_ratio) + abs_ratio) / shrink)
+        else:
+            # Under a tiny prior a batch that empties a row makes net_ratio = -n / (n + total)
+            # round to -1; such rows take the equal form over the row's mass after the
+            # batch, which may overflow to inf but never undercuts the measured change.
+            bounds.append((abs(net) + churn) / (totals_after[r] + total))
+    phi_before = _smoothed_rows(rows_before, alpha)
+    phi_after = _smoothed_rows(rows_after, alpha)
+    moved = _row_sums(
+        [[abs(a - b) for a, b in zip(row_a, row_b)] for row_a, row_b in zip(phi_after, phi_before)]
     )
+    values = np.zeros((7, len(totals_before)))
+    values[0] = totals_before
+    values[1:, touched] = [nets, churns, net_ratios, abs_ratios, bounds, moved]
+    return TransitionUpdateBound(*values)
+
+
+def _smoothed_rows(count_rows: list[list], alpha: list) -> list[list[float]]:
+    """Rows of `transition_from_counts`, held to the `TransitionMatrix` row check."""
+    numers = [[c + a for c, a in zip(row, alpha)] for row in count_rows]
+    norms = _row_sums(numers)
+    if 0.0 in norms:
+        raise ParameterError("transition rows must be nonnegative and sum to 1")
+    rows = [[x / norm for x in numer] for numer, norm in zip(numers, norms)]
+    if any(abs(total - 1.0) > ROW_SUM_TOL for total in _row_sums(rows)) or any(
+        x < 0.0 for row in rows for x in row
+    ):
+        raise ParameterError("transition rows must be nonnegative and sum to 1")
+    return rows

@@ -5,6 +5,18 @@ classifier's probability for that class, and the leave-one-out predictive
 probability of the observed label given the class (from the Dirichlet-
 multinomial channel). Enumerating all joint assignments gives an exact
 posterior for small instances, used to validate the chain.
+
+`sampling_distribution` is the one-draw reference. `gibbs_sample_batch` runs
+the same chain on plain Python floats and is bit-identical to replaying the
+reference draw by draw (`np.cumsum`/`np.searchsorted` on its output against
+one scalar `rng.random()` each): the same labels, the same counts and the
+same generator state after the batch. It draws the batch's uniforms with one
+`rng.random(M)` call (the same doubles as M scalar calls) and inverts the CDF
+with a running sum. Both share `_distribution`, so the scoring arithmetic
+exists once. Score sums follow numpy's order: left to right from -0.0 for
+fewer than 8 latent classes, numpy's own reduction from 8 on (see
+`noise_model`). The annealing exponent always goes through numpy's `**`,
+whose vectorized power may round differently from Python's.
 """
 
 from __future__ import annotations
@@ -15,11 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .errors import ParameterError, TrainingError
+from .errors import InvariantError, ParameterError, TrainingError
 from .noise_model import (
     ConfusionCounts,
     DirichletPrior,
     TransitionMatrix,
+    _row_sum,
     conditional_transition_column,
 )
 
@@ -79,6 +92,24 @@ def anneal_coefficient(step: int, schedule: AnnealSchedule) -> float:
     return max(math.exp(-step / schedule.max_step * schedule.decay), schedule.floor)
 
 
+def _distribution(probs_row: list, channel, anneal: float, anneal_target: str) -> list[float]:
+    """Normalized scores of one draw from a classifier row and a channel column."""
+    if anneal_target == "transition":
+        if anneal != 1.0:
+            channel = (np.array(channel, dtype=np.float64) ** anneal).tolist()
+        scores = [p * c for p, c in zip(probs_row, channel)]
+    elif anneal_target == "product":
+        scores = [p * c for p, c in zip(probs_row, channel)]
+        if anneal != 1.0:
+            scores = (np.array(scores) ** anneal).tolist()
+    else:
+        raise ParameterError(f"unknown anneal target {anneal_target!r}")
+    norm = _row_sum(scores)
+    if not math.isfinite(norm) or norm <= 0.0:
+        raise TrainingError("sampling scores are non-finite or all zero")
+    return [score / norm for score in scores]
+
+
 def sampling_distribution(
     probs_row: np.ndarray,
     observed_label: int,
@@ -95,21 +126,14 @@ def sampling_distribution(
     classifier factor still applies. Scores are invariant to positive scaling
     of probs_row.
     """
+    probs_row = np.asarray(probs_row, dtype=np.float64)
+    if probs_row.shape != (counts.n_latent,):
+        raise ParameterError("probs_row must hold one probability per latent class")
     if warmup_phi is not None:
         channel = warmup_phi.matrix[:, observed_label]
     else:
         channel = conditional_transition_column(counts, prior, observed_label)
-    if anneal_target == "transition":
-        scores = probs_row * channel**anneal if anneal != 1.0 else probs_row * channel
-    elif anneal_target == "product":
-        base = probs_row * channel
-        scores = base**anneal if anneal != 1.0 else base
-    else:
-        raise ParameterError(f"unknown anneal target {anneal_target!r}")
-    norm = scores.sum()
-    if not np.isfinite(norm) or norm <= 0.0:
-        raise TrainingError("sampling scores are non-finite or all zero")
-    return scores / norm
+    return np.array(_distribution(probs_row.tolist(), channel.tolist(), anneal, anneal_target))
 
 
 def gibbs_sample_batch(
@@ -129,6 +153,10 @@ def gibbs_sample_batch(
     Samples are processed sequentially: each draw removes the sample's old
     count (if assigned), scores every latent class against counts already
     updated by earlier draws in the batch, draws a new class, and books it.
+    The count columns of the batch's observed labels and the row totals are
+    mirrored as Python lists and written back when the batch ends, also when
+    it ends on an error. The batch's uniforms are drawn up front, so a batch
+    that fails part-way has consumed all of them.
 
     Args:
         probs: (M, R) classifier probabilities for the batch samples.
@@ -143,24 +171,52 @@ def gibbs_sample_batch(
         raise ParameterError("probs must be (batch, n_latent)")
     if len(observed_labels) != probs.shape[0] or len(batch_indices) != probs.shape[0]:
         raise ParameterError("batch arrays must have matching lengths")
+    observed_list = np.asarray(observed_labels).tolist()
+    if observed_list and not 0 <= min(observed_list) <= max(observed_list) < counts.n_observed:
+        raise ParameterError("observed labels out of range")
     n_latent = counts.n_latent
-    sampled = np.empty(probs.shape[0], dtype=np.int64)
-    for i in range(probs.shape[0]):
-        position = int(batch_indices[i])
-        observed = int(observed_labels[i])
-        old = int(assignment.labels[position])
-        if old != UNASSIGNED:
-            counts.decrement(old, observed)
-        dist = sampling_distribution(
-            probs[i], observed, counts, prior, warmup_phi, anneal, anneal_target
-        )
-        new = int(np.searchsorted(np.cumsum(dist), rng.random(), side="right"))
-        if new >= n_latent:
+    uniforms = rng.random(probs.shape[0]).tolist()
+    alpha = prior.concentration.tolist()
+    alpha_total = prior.total
+    warmup_columns = None if warmup_phi is None else warmup_phi.matrix.T.tolist()
+    labels = assignment.labels
+    totals = counts.row_totals.tolist()
+    columns: dict[int, list] = {}
+    sampled = []
+    try:
+        for row, observed, position, u in zip(
+            probs.tolist(), observed_list, np.asarray(batch_indices).tolist(), uniforms
+        ):
+            column = columns.get(observed)
+            if column is None:
+                column = columns[observed] = counts.counts[:, observed].tolist()
+            old = int(labels[position])
+            if old != UNASSIGNED:
+                if column[old] <= 0:
+                    raise InvariantError(f"decrement of empty count cell ({old}, {observed})")
+                column[old] -= 1
+                totals[old] -= 1
+            if warmup_columns is not None:
+                channel = warmup_columns[observed]
+            else:
+                a = alpha[observed]
+                channel = [(a + c) / (alpha_total + t) for c, t in zip(column, totals)]
             new = n_latent - 1
-        counts.increment(new, observed)
-        assignment.labels[position] = new
-        sampled[i] = new
-    return sampled
+            cumulative = 0.0
+            for r, p in enumerate(_distribution(row, channel, anneal, anneal_target)):
+                cumulative += p
+                if cumulative > u:
+                    new = r
+                    break
+            column[new] += 1
+            totals[new] += 1
+            labels[position] = new
+            sampled.append(new)
+    finally:
+        for observed, column in columns.items():
+            counts.counts[:, observed] = column
+        counts.row_totals[:] = totals
+    return np.array(sampled, dtype=np.int64)
 
 
 def _log_dirichlet_norm(alpha: np.ndarray) -> float:

@@ -50,7 +50,7 @@ from .errors import InvariantError, ParameterError, TrainingError
 from .metrics import (
     MetricsRecord,
     correction_ratio,
-    test_accuracy,
+    top1_accuracy,
     transition_l1_error,
 )
 from .noise_model import (
@@ -290,21 +290,21 @@ def _fit(
         worst = max(window, key=lambda v: v.measured) if window else None
         step = offset + run.iteration
         probs = forward_proba(params, ds.features)
-        scored = probs if n_scored is None else probs[:, :n_scored]
         loss, _ = soft_target_cross_entropy(probs, one_hot(ds.noisy_labels, n_out), loss_cfg)
         records.append(MetricsRecord(
-            step, "train", float(np.mean(scored.argmax(axis=1) == ds.noisy_labels)), loss,
+            step, "train", top1_accuracy(probs, ds.noisy_labels, n_scored), loss,
             max_phi_row_variation=None if worst is None else worst.measured,
             bound_value=None if worst is None else worst.bound,
             **hooks.record(),
         ))
         if test_ds is not None:
+            # One forward of the in-distribution rows serves the loss and the accuracy.
             keep = ~test_ds.ood_mask
             test_probs = forward_proba(params, test_ds.features[keep])
-            truth = one_hot(test_ds.true_labels[keep], n_out)
-            loss, _ = soft_target_cross_entropy(test_probs, truth, loss_cfg)
+            truth = test_ds.true_labels[keep]
+            loss, _ = soft_target_cross_entropy(test_probs, one_hot(truth, n_out), loss_cfg)
             records.append(
-                MetricsRecord(step, "test", test_accuracy(params, test_ds, n_scored), loss)
+                MetricsRecord(step, "test", top1_accuracy(test_probs, truth, n_scored), loss)
             )
 
     evaluate()

@@ -182,6 +182,10 @@ BAD_INPUTS = {
     "momentum_not_a_number": ({}, {"train": {"momentum": "x"}}),
     "batch_size_not_an_integer": ({}, {"train": {"batch_size": 8.5}}),
     "negative_hidden_width": ({}, {"train": {"hidden_width": -3}}),
+    "seeds_not_integers": ({}, {"seeds": ["x"]}),
+    "seeds_not_a_list": ({}, {"seeds": 3}),
+    "train_seed_not_an_integer": ({}, {"train": {"seed": "x"}}),
+    "train_section_not_an_object": ({}, {"train": []}),
 }
 
 
@@ -201,6 +205,18 @@ def test_malformed_config_or_input_file_is_usage_error(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seeds", [["x"], [1.5], "0"])
+def test_sweep_seeds_not_integers_is_usage_error(seeds, tmp_path, capsys):
+    cfg = {**BASE_CFG, "seeds": seeds}
+    code = main(
+        ["sweep", "--config", write_cfg(tmp_path / "c.json", cfg), "--param", "alpha",
+         "--values", "1", "--out", str(tmp_path / "o")]
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "seeds" in err and "Traceback" not in err
 
 
 def test_train_section_required(tmp_path, capsys):
@@ -388,3 +404,69 @@ def test_no_arguments_is_usage_error(capsys):
 def test_help_exits_clean(capsys):
     assert main(["--help"]) == EXIT_OK
     assert "generate" in capsys.readouterr().out
+
+
+def _copy_run(lccn_run, tmp_path):
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("metrics.csv", "variations.csv"):
+        (run / name).write_bytes((lccn_run / name).read_bytes())
+    return run
+
+
+def _drop_column(path, column):
+    with open(path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, [name for name in rows[0] if name != column])
+        writer.writeheader()
+        writer.writerows({k: v for k, v in row.items() if k != column} for row in rows)
+
+
+def _spoil_cell(path, column):
+    with open(path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    rows[-1][column] = "not-a-number"
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+# name -> (artifact, how it is spoiled, diagnose command)
+BAD_RUN_FILES = {
+    "metrics_without_accuracy": ("metrics.csv", "accuracy", _drop_column, "correction"),
+    "metrics_without_correction": ("metrics.csv", "correction_ratio", _drop_column, "correction"),
+    "metrics_non_numeric_step": ("metrics.csv", "step", _spoil_cell, "correction"),
+    "metrics_non_numeric_ratio": ("metrics.csv", "correction_ratio", _spoil_cell, "correction"),
+    "metrics_missing": ("metrics.csv", None, None, "correction"),
+    "variations_without_measured": ("variations.csv", "measured", _drop_column, "variation"),
+    "variations_non_numeric": ("variations.csv", "measured", _spoil_cell, "variation"),
+    "variations_missing": ("variations.csv", None, None, "variation"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_RUN_FILES)
+def test_diagnose_bad_run_csv_is_usage_error(name, tmp_path, lccn_run, capsys):
+    artifact, column, spoil, command = BAD_RUN_FILES[name]
+    run = _copy_run(lccn_run, tmp_path)
+    if spoil is None:
+        (run / artifact).unlink()
+    else:
+        spoil(run / artifact, column)
+    if command == "correction":
+        argv = ["diagnose", "correction", "--run", str(run)]
+    else:
+        argv = ["diagnose", "variation", "--run-a", str(lccn_run), "--run-b", str(run)]
+    code = main([*argv, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_diagnose_correction_missing_run_dir_is_usage_error(tmp_path, capsys):
+    code = main(
+        ["diagnose", "correction", "--run", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]
+    )
+    assert code == EXIT_USAGE
+    assert "not found" in capsys.readouterr().err

@@ -234,3 +234,69 @@ def test_update_bound_covers_emptied_row_under_tiny_prior():
     after = make_counts([[0.0, 0.0], [2.0, 3.0]])
     cert = update_bound(before, after, DirichletPrior.uniform(2, 1e-300))
     assert np.all(cert.measured <= cert.bound)
+
+
+def _numpy_update_bound(before, after, prior):
+    """The whole-matrix formula `update_bound` was first written with, as the reference."""
+    delta = after.counts - before.counts
+    net_change = delta.sum(axis=1).astype(np.float64)
+    abs_change = np.abs(delta).sum(axis=1).astype(np.float64)
+    denom = before.row_totals + prior.total
+    net_ratio = net_change / denom
+    abs_ratio = abs_change / denom
+    shrink = 1.0 + net_ratio
+    if np.all(shrink > 0.0):
+        bound = (np.abs(net_ratio) + abs_ratio) / shrink
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            exact = (np.abs(net_change) + abs_change) / (after.row_totals + prior.total)
+            bound = np.where(shrink > 0.0, (np.abs(net_ratio) + abs_ratio) / shrink, exact)
+    phi_before = transition_from_counts(before, prior).matrix
+    phi_after = transition_from_counts(after, prior).matrix
+    measured = np.abs(phi_after - phi_before).sum(axis=1)
+    return {
+        "row_count_before": before.row_totals.astype(np.float64),
+        "net_change": net_change,
+        "abs_change": abs_change,
+        "net_ratio": net_ratio,
+        "abs_ratio": abs_ratio,
+        "bound": bound,
+        "measured": measured,
+    }
+
+
+@given(
+    n_observed=st.integers(min_value=2, max_value=10),
+    extra_row=st.booleans(),
+    log_alpha=st.floats(min_value=-300.0, max_value=1.0),
+    vector_alpha=st.booleans(),
+    n_moves=st.integers(min_value=0, max_value=40),
+    emptied=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_update_bound_is_bit_identical_to_numpy_formula(
+    n_observed, extra_row, log_alpha, vector_alpha, n_moves, emptied, seed
+):
+    data = np.random.default_rng(seed)
+    n_latent = n_observed + extra_row
+    before_m = data.integers(0, 30, size=(n_latent, n_observed)) * (data.random((n_latent, 1)) < 0.8)
+    after_m = before_m.copy()
+    for _ in range(n_moves):
+        old, new, col = data.integers(0, n_latent), data.integers(0, n_latent), data.integers(0, n_observed)
+        if after_m[old, col] > 0:
+            after_m[old, col] -= 1
+            after_m[new, col] += 1
+    if emptied:
+        # the batch moves every sample of one row elsewhere
+        row = data.integers(0, n_latent)
+        after_m[(row + 1) % n_latent] += after_m[row]
+        after_m[row] = 0
+    alpha = 10.0**log_alpha * (data.uniform(0.5, 2.0, size=n_observed) if vector_alpha else 1.0)
+    prior = DirichletPrior(np.broadcast_to(alpha, (n_observed,)))
+    before = ConfusionCounts(before_m, before_m.sum(axis=1))
+    after = ConfusionCounts(after_m, after_m.sum(axis=1))
+    cert = update_bound(before, after, prior)
+    reference = _numpy_update_bound(before, after, prior)
+    for name, expected in reference.items():
+        assert getattr(cert, name).tobytes() == expected.tobytes(), name

@@ -1,4 +1,4 @@
-"""Annealing schedule, single-draw distributions, and exact-enumeration checks."""
+"""Annealing schedule, single-draw distributions, batch bit-identity and exact-enumeration checks."""
 
 import math
 
@@ -7,9 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lccn_lab.errors import ParameterError, TrainingError
-from lccn_lab.noise_model import ConfusionCounts, DirichletPrior, TransitionMatrix
+from lccn_lab.errors import InvariantError, ParameterError, TrainingError
+from lccn_lab.noise_model import (
+    ConfusionCounts,
+    DirichletPrior,
+    TransitionMatrix,
+    conditional_transition_column,
+)
 from lccn_lab.sampler import (
+    UNASSIGNED,
     AnnealSchedule,
     LatentAssignment,
     anneal_coefficient,
@@ -149,6 +155,128 @@ def test_gibbs_batch_labels_in_range(seed):
     counts.check_consistent()
     rebuilt = ConfusionCounts.from_assignment(assignment.labels, observed, 3, 3)
     np.testing.assert_array_equal(counts.counts, rebuilt.counts)
+
+
+def _numpy_distribution(probs_row, observed, counts, prior, warmup_phi, anneal, target):
+    """The whole-array formula `sampling_distribution` was first written with."""
+    if warmup_phi is not None:
+        channel = warmup_phi.matrix[:, observed]
+    else:
+        channel = conditional_transition_column(counts, prior, observed)
+    if target == "transition":
+        scores = probs_row * channel**anneal if anneal != 1.0 else probs_row * channel
+    else:
+        base = probs_row * channel
+        scores = base**anneal if anneal != 1.0 else base
+    return scores / scores.sum()
+
+
+def _replay(probs, observed, counts, prior, labels, positions, rng, warmup_phi, anneal, target):
+    """Step-by-step reference chain: one reference draw and one scalar uniform per sample."""
+    n_latent = counts.n_latent
+    sampled = []
+    for row, obs, position in zip(probs, observed, positions):
+        if labels[position] != UNASSIGNED:
+            counts.decrement(int(labels[position]), int(obs))
+        dist = sampling_distribution(row, int(obs), counts, prior, warmup_phi, anneal, target)
+        new = int(np.searchsorted(np.cumsum(dist), rng.random(), side="right"))
+        new = min(new, n_latent - 1)
+        counts.increment(new, int(obs))
+        labels[position] = new
+        sampled.append(new)
+    return sampled
+
+
+@st.composite
+def batch_cases(draw):
+    """A Gibbs batch: counts, assignment, batch, prior, warmup and anneal settings."""
+    n_latent = draw(st.integers(min_value=2, max_value=10))
+    n_observed = draw(st.integers(min_value=max(1, n_latent - 1), max_value=n_latent))
+    size = draw(st.integers(min_value=1, max_value=40))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    data = np.random.default_rng(seed)
+    n = size + int(data.integers(0, 20))
+    # a few observed labels repeat throughout the batch
+    observed = data.integers(0, min(n_observed, int(data.integers(1, 4))), size=n)
+    labels = data.integers(0, n_latent, size=n)
+    labels[data.random(n) < 0.2] = UNASSIGNED
+    positions = data.permutation(n)[:size]
+    probs = data.dirichlet(np.full(n_latent, 0.7), size=size)
+    alpha = data.uniform(0.05, 5.0, size=n_observed)
+    warmup = None
+    if draw(st.booleans()):
+        warmup = TransitionMatrix(data.dirichlet(np.ones(n_observed), size=n_latent))
+    anneal = draw(st.sampled_from([1.0, 0.5]) | st.floats(min_value=0.2, max_value=1.5))
+    target = draw(st.sampled_from(["transition", "product"]))
+    return probs, observed, labels, positions, DirichletPrior(alpha), warmup, anneal, target, seed
+
+
+@given(case=batch_cases())
+@settings(max_examples=300, deadline=None)
+def test_gibbs_batch_is_bit_identical_to_stepwise_replay(case):
+    probs, observed, labels, positions, prior, warmup, anneal, target, seed = case
+    n_latent, n_observed = probs.shape[1], prior.n_observed
+    counts = ConfusionCounts.from_assignment(labels, observed, n_latent, n_observed)
+    work = counts.copy()
+    assignment = LatentAssignment.from_labels(labels)
+    replay_labels = labels.copy()
+    rng, replay_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    batch_observed = observed[positions]
+    sampled = gibbs_sample_batch(
+        probs, batch_observed, counts, prior, assignment, positions, rng,
+        warmup_phi=warmup, anneal=anneal, anneal_target=target,
+    )
+    expected = _replay(
+        probs, batch_observed, work, prior, replay_labels, positions, replay_rng,
+        warmup, anneal, target,
+    )
+    assert sampled.tolist() == expected
+    assert np.array_equal(counts.counts, work.counts)
+    assert np.array_equal(counts.row_totals, work.row_totals)
+    assert np.array_equal(assignment.labels, replay_labels)
+    assert rng.bit_generator.state == replay_rng.bit_generator.state
+
+
+@given(case=batch_cases())
+@settings(max_examples=300, deadline=None)
+def test_sampling_distribution_is_bit_identical_to_numpy_formula(case):
+    probs, observed, labels, _, prior, warmup, anneal, target, _ = case
+    counts = ConfusionCounts.from_assignment(labels, observed, probs.shape[1], prior.n_observed)
+    for row, obs in zip(probs, observed):
+        dist = sampling_distribution(row, int(obs), counts, prior, warmup, anneal, target)
+        reference = _numpy_distribution(row, int(obs), counts, prior, warmup, anneal, target)
+        assert dist.tobytes() == reference.tobytes()
+
+
+def test_gibbs_batch_failure_writes_counts_back():
+    # The second draw has all-zero scores; the first draw and the second
+    # sample's removal stay booked, as with per-draw updates of the counts.
+    probs = np.array([[0.5, 0.5], [0.0, 0.0]])
+    observed = np.array([0, 1])
+    assignment = LatentAssignment.from_labels(np.array([0, 1]))
+    counts = ConfusionCounts.from_assignment(assignment.labels, observed, 2, 2)
+    prior = DirichletPrior.uniform(2, 1.0)
+    with pytest.raises(TrainingError):
+        gibbs_sample_batch(
+            probs, observed, counts, prior, assignment, np.array([0, 1]), np.random.default_rng(3)
+        )
+    first = int(assignment.labels[0])
+    expected = np.zeros((2, 2), dtype=np.int64)
+    expected[first, 0] = 1
+    np.testing.assert_array_equal(counts.counts, expected)
+    np.testing.assert_array_equal(counts.row_totals, expected.sum(axis=1))
+
+
+def test_gibbs_batch_decrement_of_empty_cell_raises():
+    # the assignment claims a label the counts do not hold
+    counts = ConfusionCounts.zeros(2, 2)
+    assignment = LatentAssignment.from_labels(np.array([1]))
+    with pytest.raises(InvariantError):
+        gibbs_sample_batch(
+            np.array([[0.5, 0.5]]), np.array([0]), counts, DirichletPrior.uniform(2, 1.0),
+            assignment, np.array([0]), np.random.default_rng(0),
+        )
+    assert counts.counts.sum() == 0 and counts.row_totals.sum() == 0
 
 
 def test_gibbs_batch_shape_validation():
