@@ -301,6 +301,7 @@ def update_bound(
     moved = _row_sums(
         [[abs(a - b) for a, b in zip(row_a, row_b)] for row_a, row_b in zip(phi_after, phi_before)]
     )
+    # One row per TransitionUpdateBound field, in declaration order.
     values = np.zeros((7, len(totals_before)))
     values[0] = totals_before
     values[1:, touched] = [nets, churns, net_ratios, abs_ratios, bounds, moved]

@@ -414,46 +414,41 @@ def _copy_run(lccn_run, tmp_path):
     return run
 
 
-def _drop_column(path, column):
+def _spoil_csv(path, column, how):
+    """Drop `column` from a CSV file, or put a non-number in its last cell."""
     with open(path, newline="") as handle:
         rows = list(csv.DictReader(handle))
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, [name for name in rows[0] if name != column])
-        writer.writeheader()
-        writer.writerows({k: v for k, v in row.items() if k != column} for row in rows)
-
-
-def _spoil_cell(path, column):
-    with open(path, newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    rows[-1][column] = "not-a-number"
+    if how == "drop":
+        rows = [{k: v for k, v in row.items() if k != column} for row in rows]
+    else:
+        rows[-1][column] = "not-a-number"
     with open(path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
 
 
-# name -> (artifact, how it is spoiled, diagnose command)
+# name -> (artifact, column, "drop" / "spoil" / "delete" the file, diagnose command)
 BAD_RUN_FILES = {
-    "metrics_without_accuracy": ("metrics.csv", "accuracy", _drop_column, "correction"),
-    "metrics_without_correction": ("metrics.csv", "correction_ratio", _drop_column, "correction"),
-    "metrics_non_numeric_step": ("metrics.csv", "step", _spoil_cell, "correction"),
-    "metrics_non_numeric_ratio": ("metrics.csv", "correction_ratio", _spoil_cell, "correction"),
-    "metrics_missing": ("metrics.csv", None, None, "correction"),
-    "variations_without_measured": ("variations.csv", "measured", _drop_column, "variation"),
-    "variations_non_numeric": ("variations.csv", "measured", _spoil_cell, "variation"),
-    "variations_missing": ("variations.csv", None, None, "variation"),
+    "metrics_without_accuracy": ("metrics.csv", "accuracy", "drop", "correction"),
+    "metrics_without_correction": ("metrics.csv", "correction_ratio", "drop", "correction"),
+    "metrics_non_numeric_step": ("metrics.csv", "step", "spoil", "correction"),
+    "metrics_non_numeric_ratio": ("metrics.csv", "correction_ratio", "spoil", "correction"),
+    "metrics_missing": ("metrics.csv", None, "delete", "correction"),
+    "variations_without_measured": ("variations.csv", "measured", "drop", "variation"),
+    "variations_non_numeric": ("variations.csv", "measured", "spoil", "variation"),
+    "variations_missing": ("variations.csv", None, "delete", "variation"),
 }
 
 
 @pytest.mark.parametrize("name", BAD_RUN_FILES)
 def test_diagnose_bad_run_csv_is_usage_error(name, tmp_path, lccn_run, capsys):
-    artifact, column, spoil, command = BAD_RUN_FILES[name]
+    artifact, column, how, command = BAD_RUN_FILES[name]
     run = _copy_run(lccn_run, tmp_path)
-    if spoil is None:
+    if how == "delete":
         (run / artifact).unlink()
     else:
-        spoil(run / artifact, column)
+        _spoil_csv(run / artifact, column, how)
     if command == "correction":
         argv = ["diagnose", "correction", "--run", str(run)]
     else:
