@@ -197,7 +197,8 @@ def batch_cases(draw):
     data = np.random.default_rng(seed)
     n = size + int(data.integers(0, 20))
     # a few observed labels repeat throughout the batch
-    observed = data.integers(0, min(n_observed, int(data.integers(1, 4))), size=n)
+    pool = data.choice(n_observed, size=min(n_observed, int(data.integers(1, 4))), replace=False)
+    observed = data.choice(pool, size=n)
     labels = data.integers(0, n_latent, size=n)
     labels[data.random(n) < 0.2] = UNASSIGNED
     positions = data.permutation(n)[:size]
@@ -246,6 +247,43 @@ def test_sampling_distribution_is_bit_identical_to_numpy_formula(case):
         dist = sampling_distribution(row, int(obs), counts, prior, warmup, anneal, target)
         reference = _numpy_distribution(row, int(obs), counts, prior, warmup, anneal, target)
         assert dist.tobytes() == reference.tobytes()
+
+
+class _GivenUniforms:
+    """Stands in for a Generator whose next uniforms are given."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        taken, self.values = self.values[:size], self.values[size:]
+        return np.array(taken)
+
+
+def _one_draw(probs_row, u):
+    n_latent = len(probs_row)
+    counts = ConfusionCounts.zeros(n_latent, n_latent)
+    assignment = LatentAssignment.from_labels(np.array([UNASSIGNED]))
+    sampled = gibbs_sample_batch(
+        np.array([probs_row]), np.array([0]), counts, DirichletPrior.uniform(n_latent, 1.0),
+        assignment, np.array([0]), _GivenUniforms([u]),
+    )
+    return int(sampled[0])
+
+
+def test_gibbs_batch_cdf_edges_match_searchsorted():
+    # A uniform equal to a partial sum takes the next class (searchsorted
+    # side="right"); one at or above the rounded total takes the last class.
+    assert _one_draw([0.5, 0.5], 0.5) == 1
+    data = np.random.default_rng(0)
+    prior = DirichletPrior.uniform(3, 1.0)
+    row = next(
+        r for r in data.dirichlet(np.ones(3), size=1000)
+        if np.cumsum(sampling_distribution(r, 0, ConfusionCounts.zeros(3, 3), prior))[-1] < 1.0
+    )
+    assert _one_draw(row.tolist(), np.nextafter(1.0, 0.0)) == 2
 
 
 def test_gibbs_batch_failure_writes_counts_back():
