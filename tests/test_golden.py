@@ -3,10 +3,13 @@
 Each case runs `cli.run_experiment` for one trainer kind and one config
 variant on a 120-sample K=3 mixture (symmetric noise plus open-set
 outliers, 12 trusted samples, MLP-8, batch 16, 2 pretrain + 3 epochs,
-eval_every 2); the latent kinds add a channel-only annealing variant and a
+eval_every 2). Two variants change what the optimizer sees: a linear model
+("linear") and a tanh MLP with weight decay 0.05 and momentum 0.5
+("tanh_decay"). The latent kinds add a channel-only annealing variant and a
 120-sample K=8 "wide" variant. Each case compares the sha256 of every file
-the run writes with the hashes in `golden_hashes.json`. A refactor or speed-up that keeps
-these hashes keeps the trainers' arithmetic and RNG streams exactly.
+the run writes with the hashes in `golden_hashes.json`. A refactor or
+speed-up that keeps these hashes keeps the trainers' arithmetic and RNG
+streams exactly.
 
 The `cli/<case>` entries pin every file that one or more `lccn-lab`
 commands write (generate, train with one and two seeds, train from saved
@@ -63,6 +66,8 @@ VARIANTS = {
         "grad_clip": 0.01,
     },
     "no_epochs": {"epochs": 0},
+    "linear": {"hidden_width": 0},
+    "tanh_decay": {"activation": "tanh", "weight_decay": 0.05, "momentum": 0.5},
 }
 
 # Sampler branches that only the latent kinds reach: annealing of the channel
