@@ -3,13 +3,30 @@
 Everything is plain numpy. Losses return gradients with respect to the
 predicted probabilities so that composed objectives (transition-adjusted
 likelihoods, soft targets) can reuse one softmax backward pass.
+
+Flat layout: `ClassifierParams.tensors` and `OptimizerState.velocity` are
+read-only mappings of reshaped views into one contiguous float64 vector
+each (`.flat`), packed in the mapping's key order when the object is built
+(`copy()` and `load_checkpoint` included). A write into a view, such as
+`tensors["w"][:] = ...` or a write through `tensors["w"].ravel()`, changes
+the vector; rebinding an entry raises TypeError, because a new array would
+no longer be part of the vector.
+
+`apply_gradients` joins the gradients in the params' tensor order and runs
+the momentum step once on the flat vectors. Every element goes through the
+same float operations, in the same order, as a per-tensor loop would give
+it, so the result is bit for bit the same. The SGD steps take an optional
+`forward=(probs, cache)` from `_forward` on the same params and features,
+so a caller that already needed the probabilities does not forward twice.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -37,13 +54,31 @@ class Architecture:
             raise ParameterError("input_dim must be >= 1 and n_classes >= 2")
 
 
+def _pack(tensors: Mapping[str, np.ndarray]) -> tuple[np.ndarray, Mapping[str, np.ndarray]]:
+    """Copy tensors into one float64 vector; return it and read-only views of it by name."""
+    flat = np.empty(sum(np.size(t) for t in tensors.values()))
+    views, start = {}, 0
+    for name, tensor in tensors.items():
+        view = flat[start : start + np.size(tensor)].reshape(np.shape(tensor))
+        view[...] = tensor
+        views[name] = view
+        start += view.size
+    return flat, MappingProxyType(views)
+
+
 @dataclass
 class ClassifierParams:
+    """Named parameter tensors, stored as views of the one vector `flat`."""
+
     arch: Architecture
-    tensors: dict[str, np.ndarray]
+    tensors: Mapping[str, np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.flat, self.tensors = _pack(self.tensors)
 
     def copy(self) -> "ClassifierParams":
-        return ClassifierParams(self.arch, {k: v.copy() for k, v in self.tensors.items()})
+        return ClassifierParams(self.arch, self.tensors)
 
 
 @dataclass
@@ -168,12 +203,19 @@ def backprop_logits(
 
 @dataclass
 class OptimizerState:
-    """Momentum SGD with weight decay added to the raw gradient."""
+    """Momentum SGD with weight decay added to the raw gradient.
+
+    The velocity tensors are views of the one vector `flat`, like the params'.
+    """
 
     learning_rate: float
     momentum: float = 0.9
     weight_decay: float = 0.0
-    velocity: dict[str, np.ndarray] = field(default_factory=dict)
+    velocity: Mapping[str, np.ndarray] = field(default_factory=dict)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.flat, self.velocity = _pack(self.velocity)
 
 
 def init_optimizer(
@@ -189,15 +231,27 @@ def init_optimizer(
 def apply_gradients(
     params: ClassifierParams, opt: OptimizerState, grads: dict[str, np.ndarray]
 ) -> None:
-    """One in-place momentum step; aborts on non-finite gradients."""
-    for name, grad in grads.items():
-        if not np.all(np.isfinite(grad)):
-            raise TrainingError(f"non-finite gradient in tensor {name!r}")
-        grad = grad + opt.weight_decay * params.tensors[name]
-        vel = opt.velocity[name]
-        vel *= opt.momentum
-        vel += grad
-        params.tensors[name] -= opt.learning_rate * vel
+    """One in-place momentum step on the flat vectors; aborts on non-finite gradients.
+
+    grads must name exactly the params' tensors, each in its shape.
+    """
+    tensors = params.tensors
+    if grads.keys() != tensors.keys() or any(
+        grads[name].shape != tensor.shape for name, tensor in tensors.items()
+    ):
+        expected = ", ".join(f"{name} {tensor.shape}" for name, tensor in tensors.items())
+        raise ParameterError(f"gradients must match the parameter tensors: {expected}")
+    if opt.flat.shape != params.flat.shape:
+        raise ParameterError("optimizer velocity does not match the parameters")
+    grad = np.concatenate([grads[name].ravel() for name in tensors])
+    if not np.isfinite(grad).all():
+        bad = next(name for name in tensors if not np.all(np.isfinite(grads[name])))
+        raise TrainingError(f"non-finite gradient in tensor {bad!r}")
+    grad = grad + opt.weight_decay * params.flat
+    vel = opt.flat
+    vel *= opt.momentum
+    vel += grad
+    params.flat -= opt.learning_rate * vel
 
 
 def loss_and_grads(
@@ -205,8 +259,11 @@ def loss_and_grads(
     features: np.ndarray,
     target_weights: np.ndarray,
     cfg: LossConfig,
+    *,
+    forward: tuple[np.ndarray, dict] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    probs, cache = _forward(params, features)
+    """Soft-target log-loss and its parameter gradients; forward is `_forward`'s output."""
+    probs, cache = _forward(params, features) if forward is None else forward
     loss, dprobs = soft_target_cross_entropy(probs, target_weights, cfg)
     dlogits = dlogits_from_dprobs(probs, dprobs)
     return loss, backprop_logits(params, features, cache, dlogits)
@@ -218,9 +275,15 @@ def sgd_step(
     features: np.ndarray,
     labels: np.ndarray,
     cfg: LossConfig,
+    *,
+    forward: tuple[np.ndarray, dict] | None = None,
 ) -> float:
-    """One minibatch step of clipped cross-entropy on hard labels; returns the loss."""
-    loss, grads = loss_and_grads(params, features, one_hot(labels, params.arch.n_classes), cfg)
+    """One minibatch step of clipped cross-entropy on hard labels; returns the loss.
+
+    forward, when given, is `_forward(params, features)`, reused instead of recomputed.
+    """
+    targets = one_hot(labels, params.arch.n_classes)
+    loss, grads = loss_and_grads(params, features, targets, cfg, forward=forward)
     if not np.isfinite(loss):
         raise TrainingError("non-finite training loss")
     apply_gradients(params, opt, grads)
@@ -233,9 +296,11 @@ def sgd_step_soft(
     features: np.ndarray,
     target_weights: np.ndarray,
     cfg: LossConfig,
+    *,
+    forward: tuple[np.ndarray, dict] | None = None,
 ) -> float:
     """Like sgd_step but with per-class target weights instead of hard labels."""
-    loss, grads = loss_and_grads(params, features, target_weights, cfg)
+    loss, grads = loss_and_grads(params, features, target_weights, cfg, forward=forward)
     if not np.isfinite(loss):
         raise TrainingError("non-finite training loss")
     apply_gradients(params, opt, grads)

@@ -255,9 +255,20 @@ def _run_seeds(cfg: dict, seeds: list[int], out: Path, base: Path | None) -> lis
     dirs = [out / f"seed_{seed}" for seed in seeds]
     workers = _worker_cap(len(seeds))
     if workers == 1:
-        return [run_experiment(cfg, seed, d, base) for seed, d in zip(seeds, dirs)]
+        return [
+            _naming_seed(seed, run_experiment, cfg, seed, d, base) for seed, d in zip(seeds, dirs)
+        ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_experiment, [cfg] * len(seeds), seeds, dirs, [base] * len(seeds)))
+        futures = [pool.submit(run_experiment, cfg, seed, d, base) for seed, d in zip(seeds, dirs)]
+        return [_naming_seed(seed, future.result) for seed, future in zip(seeds, futures)]
+
+
+def _naming_seed(seed: int, fn, *args):
+    """fn(*args); a failure that main reports is re-raised as its own type, prefixed "seed <n>: "."""
+    try:
+        return fn(*args)
+    except (ParameterError, TrainingError, InvariantError, OSError) as exc:
+        raise type(exc)(f"seed {seed}: {exc}") from exc
 
 
 def cmd_generate(args) -> int:

@@ -344,17 +344,19 @@ def train_bootstrap_hard(
     """Cross-entropy against a convex blend of the observed label and the model's own argmax.
 
     Target weights are beta on the observed label and (1 - beta) on the
-    current prediction's argmax, recomputed every step.
+    current prediction's argmax, recomputed every step; the step reuses the
+    forward pass that gave the argmax.
     """
     beta = cfg.bootstrap_beta
 
     def start(run: _Run) -> _Hooks:
         def batch(idx: np.ndarray) -> None:
             features = ds.features[idx]
-            pseudo = forward_proba(run.params, features).argmax(axis=1)
+            forward = _forward(run.params, features)
+            pseudo = forward[0].argmax(axis=1)
             weights = beta * one_hot(ds.noisy_labels[idx], ds.n_classes)
             weights += (1.0 - beta) * one_hot(pseudo, ds.n_classes)
-            sgd_step_soft(run.params, run.opt, features, weights, run.loss_cfg)
+            sgd_step_soft(run.params, run.opt, features, weights, run.loss_cfg, forward=forward)
 
         return _Hooks(batch)
 
@@ -534,7 +536,11 @@ def _train_latent(
     ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None,
     extra_class: bool, use_clean: bool,
 ) -> RunResult:
-    """Collapsed-Gibbs resampling of latent labels + SGD on the samples."""
+    """Collapsed-Gibbs resampling of latent labels + SGD on the samples.
+
+    Each batch is forwarded once: the sampler reads its probabilities and
+    the SGD step reuses it, since sampling leaves the parameters alone.
+    """
     k = ds.n_classes
     n_latent = k + 1 if extra_class else k
     if use_clean and not ds.clean_mask.any():
@@ -576,7 +582,8 @@ def _train_latent(
 
         def batch(idx: np.ndarray) -> tuple[float, float] | None:
             features = ds.features[idx]
-            probs = forward_proba(run.params, features)
+            forward = _forward(run.params, features)
+            probs = forward[0]
             resample = np.flatnonzero(~ds.clean_mask[idx]) if use_clean else np.arange(len(idx))
             moved = None
             if resample.size:
@@ -598,7 +605,8 @@ def _train_latent(
                     raise InvariantError("transition row moved beyond the per-batch update bound")
                 worst = int(np.argmax(cert.measured))
                 moved = float(cert.measured[worst]), float(cert.bound[worst])
-            sgd_step(run.params, run.opt, features, assignment.labels[idx], run.loss_cfg)
+            labels = assignment.labels[idx]
+            sgd_step(run.params, run.opt, features, labels, run.loss_cfg, forward=forward)
             return moved
 
         return _Hooks(batch, record=record, final_phi=current_phi)

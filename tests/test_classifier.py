@@ -9,6 +9,7 @@ from lccn_lab.classifier import (
     Architecture,
     LossConfig,
     OptimizerState,
+    _forward,
     apply_gradients,
     clipped_cross_entropy,
     dlogits_from_dprobs,
@@ -22,6 +23,7 @@ from lccn_lab.classifier import (
     pretrain_ce,
     save_checkpoint,
     sgd_step,
+    sgd_step_soft,
     soft_target_cross_entropy,
 )
 from lccn_lab.errors import ParameterError, TrainingError
@@ -155,6 +157,143 @@ def test_apply_gradients_rejects_nonfinite():
     opt = init_optimizer(params, learning_rate=0.1, momentum=0.0, weight_decay=0.0)
     with pytest.raises(TrainingError):
         apply_gradients(params, opt, {"w": np.array([[np.inf, 0.0]]), "b": np.zeros(2)})
+
+
+def test_apply_gradients_names_first_nonfinite_tensor_and_changes_nothing():
+    params, _, _ = make_instance("mlp")
+    opt = init_optimizer(params, learning_rate=0.1, momentum=0.9, weight_decay=0.1)
+    grads = {name: np.ones_like(tensor) for name, tensor in params.tensors.items()}
+    grads["w2"][1, 2] = np.nan
+    grads["b2"][0] = -np.inf
+    before = params.flat.copy()
+    with pytest.raises(TrainingError, match="'w2'"):
+        apply_gradients(params, opt, grads)
+    assert params.flat.tobytes() == before.tobytes()
+    assert not opt.flat.any()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda g: g.pop("b1"),
+        lambda g: g.update(extra=np.zeros(2)),
+        lambda g: g.update(w2=g["w2"].T),
+        lambda g: g.update(b2=np.zeros((1, 3))),
+    ],
+    ids=["missing", "extra", "transposed", "bad_shape"],
+)
+def test_apply_gradients_rejects_mismatched_gradients(change):
+    params, _, _ = make_instance("mlp")
+    opt = init_optimizer(params, learning_rate=0.1)
+    grads = {name: np.ones_like(tensor) for name, tensor in params.tensors.items()}
+    change(grads)
+    with pytest.raises(ParameterError):
+        apply_gradients(params, opt, grads)
+
+
+def test_apply_gradients_takes_gradients_in_any_order():
+    params, _, _ = make_instance("mlp")
+    twin = params.copy()
+    opt, twin_opt = init_optimizer(params, 0.1), init_optimizer(twin, 0.1)
+    grads = {name: np.full(t.shape, i + 1.0) for i, (name, t) in enumerate(params.tensors.items())}
+    apply_gradients(params, opt, grads)
+    apply_gradients(twin, twin_opt, dict(reversed(grads.items())))
+    assert params.flat.tobytes() == twin.flat.tobytes()
+
+
+def reference_apply_gradients(tensors, velocity, grads, lr, momentum, weight_decay):
+    """The per-tensor momentum loop that the fused update replaced, on plain dicts."""
+    for name, grad in grads.items():
+        if not np.all(np.isfinite(grad)):
+            raise TrainingError(f"non-finite gradient in tensor {name!r}")
+        grad = grad + weight_decay * tensors[name]
+        vel = velocity[name]
+        vel *= momentum
+        vel += grad
+        tensors[name] -= lr * vel
+
+
+@given(
+    kind=st.sampled_from(["linear", "mlp"]),
+    seed=st.integers(0, 2**16),
+    weight_decay=st.sampled_from([0.0, 0.05, 0.3]),
+    momentum=st.sampled_from([0.0, 0.9]),
+    learning_rate=st.floats(1e-4, 1.0),
+    grad_kinds=st.lists(st.sampled_from(["normal", "zero", "negative", "tiny"]),
+                        min_size=1, max_size=4),
+)
+@settings(max_examples=80, deadline=None)
+def test_fused_update_matches_per_tensor_loop_bit_for_bit(
+    kind, seed, weight_decay, momentum, learning_rate, grad_kinds
+):
+    params, _, _ = make_instance(kind, seed=seed)
+    opt = init_optimizer(params, learning_rate, momentum, weight_decay)
+    tensors = {name: t.copy() for name, t in params.tensors.items()}
+    velocity = {name: np.zeros_like(t) for name, t in tensors.items()}
+    rng = np.random.default_rng(seed)
+    for grad_kind in grad_kinds:
+        grads = {}
+        for name, tensor in tensors.items():
+            g = rng.normal(size=tensor.shape)
+            grads[name] = {"normal": g, "zero": np.zeros_like(g), "negative": -np.abs(g),
+                           "tiny": g * 1e-300}[grad_kind]
+        reference_apply_gradients(tensors, velocity, grads, learning_rate, momentum, weight_decay)
+        apply_gradients(params, opt, grads)
+    for name in tensors:
+        assert params.tensors[name].tobytes() == tensors[name].tobytes(), name
+        assert opt.velocity[name].tobytes() == velocity[name].tobytes(), name
+
+
+@pytest.mark.parametrize("kind,activation", [("linear", "relu"), ("mlp", "tanh")])
+def test_sgd_steps_reuse_a_given_forward_bit_for_bit(kind, activation):
+    params, features, labels = make_instance(kind, activation, n=8)
+    twin = params.copy()
+    opt = init_optimizer(params, 0.1, 0.9, 0.05)
+    twin_opt = init_optimizer(twin, 0.1, 0.9, 0.05)
+    weights = np.random.default_rng(1).dirichlet(np.ones(3), size=8)
+    for _ in range(3):
+        loss = sgd_step(params, opt, features, labels, LossConfig())
+        twin_loss = sgd_step(
+            twin, twin_opt, features, labels, LossConfig(), forward=_forward(twin, features)
+        )
+        assert loss == twin_loss
+        loss = sgd_step_soft(params, opt, features, weights, LossConfig())
+        twin_loss = sgd_step_soft(
+            twin, twin_opt, features, weights, LossConfig(), forward=_forward(twin, features)
+        )
+        assert loss == twin_loss
+    assert params.flat.tobytes() == twin.flat.tobytes()
+    assert opt.flat.tobytes() == twin_opt.flat.tobytes()
+
+
+def test_tensors_are_views_of_one_vector():
+    params, features, _ = make_instance("mlp", "tanh")
+    opt = init_optimizer(params, 0.1)
+    sizes = [t.size for t in params.tensors.values()]
+    assert params.flat.size == opt.flat.size == sum(sizes)
+    for tensor in [*params.tensors.values(), *opt.velocity.values()]:
+        assert tensor.base is not None
+    before = forward_proba(params, features)
+    params.tensors["b2"][:] = [5.0, 0.0, 0.0]
+    assert params.flat[-3] == 5.0
+    after = forward_proba(params, features)
+    assert np.all(after[:, 0] > before[:, 0])
+    params.tensors["w1"].ravel()[0] = 7.0
+    assert params.flat[0] == 7.0
+
+
+def test_copy_is_independent_and_entries_cannot_be_rebound():
+    params, _, _ = make_instance("mlp")
+    twin = params.copy()
+    assert list(twin.tensors) == list(params.tensors)
+    assert twin.flat.tobytes() == params.flat.tobytes()
+    twin.tensors["w1"][:] = 0.0
+    assert params.tensors["w1"].any()
+    assert not np.shares_memory(twin.flat, params.flat)
+    with pytest.raises(TypeError):
+        params.tensors["w1"] = np.zeros((3, 8))
+    with pytest.raises(TypeError):
+        init_optimizer(params, 0.1).velocity["b1"] = np.zeros(8)
 
 
 @given(n=st.integers(min_value=1, max_value=40), batch=st.integers(min_value=1, max_value=17))

@@ -117,6 +117,18 @@ def test_parallel_seeds_match_serial(tmp_path, lccn_config, monkeypatch):
         ).read_bytes()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_failing_seed_is_named(threads, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LCCN_LAB_THREADS", threads)
+    cfg = {**BASE_CFG, "train": {**BASE_CFG["train"], "oracle_phi": [[1.0]]}}
+    code = main(
+        ["train", "--config", write_cfg(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o"),
+         "--seeds", "5", "3"]
+    )
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: seed 5: oracle_phi must be (2, 2)\n"
+
+
 def test_bad_thread_cap_is_usage_error(tmp_path, lccn_config, monkeypatch, capsys):
     monkeypatch.setenv("LCCN_LAB_THREADS", "zippy")
     code = main(

@@ -4,9 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lccn_lab.datagen import NoiseSpec, apply_noise, make_gaussian_mixture, mark_clean_subset
-from lccn_lab.errors import InvariantError, ParameterError
+from lccn_lab.errors import InvariantError, ParameterError, TrainingError
 from lccn_lab.metrics import MetricsRecord
 from lccn_lab.trainers import (
     TRAINER_KINDS,
@@ -23,6 +25,7 @@ from lccn_lab.trainers import (
     train_s_adaptation,
 )
 from lccn_lab.noise_model import warmup_transition
+from lccn_lab.sampler import AnnealSchedule
 
 
 def records_equal(a, b):
@@ -270,3 +273,57 @@ def test_oracle_channel_shape_checked(blobs2_tiny):
                       batch_size=16, oracle_phi=np.eye(3), seed=0)
     with pytest.raises(ParameterError, match="oracle_phi"):
         train_forward_fixed(ds, cfg)
+
+
+# --- config fuzz -------------------------------------------------------------
+
+_FUZZ_CLEAN = make_gaussian_mixture(n_classes=3, dim=2, n_per_class=20, separation=4.0, seed=21)
+_FUZZ_NOISY, _ = apply_noise(
+    _FUZZ_CLEAN, NoiseSpec(kind="symmetric", ratio=0.3, ood_fraction=0.1, seed=22)
+)
+FUZZ_DS = mark_clean_subset(_FUZZ_NOISY, 8, 23)  # 60 samples, 8 trusted
+FUZZ_TEST = make_gaussian_mixture(n_classes=3, dim=2, n_per_class=10, separation=4.0, seed=24)
+
+_anneal = st.one_of(
+    st.just(AnnealSchedule()),
+    st.builds(AnnealSchedule, enabled=st.just(True), max_step=st.integers(1, 40),
+              target=st.sampled_from(["transition", "product"])),
+)
+_alpha = st.one_of(
+    st.floats(1e-300, 100.0),
+    st.lists(st.floats(1e-300, 10.0), min_size=3, max_size=3).map(tuple),
+)
+
+
+@given(
+    kind=st.sampled_from(TRAINER_KINDS),
+    anneal=_anneal,
+    warmup_kind=st.sampled_from(["predictions", "identity"]),
+    total_iterations=st.one_of(st.none(), st.integers(0, 3)),
+    batch_size=st.sampled_from([7, 16, 60, 75]),
+    alpha=_alpha,
+    epochs=st.integers(1, 2),
+    pretrain_epochs=st.integers(0, 1),
+    eval_every=st.integers(1, 4),
+    hidden_width=st.sampled_from([0, 3]),
+    activation=st.sampled_from(["relu", "tanh"]),
+    weight_decay=st.sampled_from([0.0, 0.05, 0.5]),
+    momentum=st.sampled_from([0.0, 0.5, 0.9]),
+    learning_rate=st.sampled_from([0.1, 30.0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_every_accepted_config_trains_or_fails_cleanly(**fields):
+    # A learning rate of 30 drives some runs to non-finite scores: TrainingError.
+    cfg = TrainConfig(seed=3, **fields)
+    try:
+        result = run_trainer(FUZZ_DS, cfg, FUZZ_TEST)
+    except (ParameterError, TrainingError):
+        return
+    result.validate_record_order()
+    assert result.records_for("train") and result.records_for("test")
+    if result.final_phi is not None:
+        phi = result.final_phi.matrix
+        assert np.all(phi >= 0.0)
+        np.testing.assert_allclose(phi.sum(axis=1), 1.0, atol=1e-9)
+    for variation in result.batch_variations:
+        assert not variation.measured > variation.bound + 1e-12
