@@ -7,7 +7,8 @@ Run from the repository root:
 This directory is outside the `testpaths` of pyproject.toml, so the Tier-1
 suite does not collect it. Shapes follow the two benchmark bundles: the
 recovery bundle (K=3, 2-d features, linear model, batch 8) and the ordering
-bundle (K=4, 2-d features, MLP-64 tanh, batch 32).
+bundle (K=4, 2-d features, MLP-64 tanh, batch 32). `update_bound` also runs
+at K=8 with a batch of 16, where its row sums go through numpy's reduction.
 """
 
 import numpy as np
@@ -77,7 +78,7 @@ def test_gibbs_sample_batch(benchmark, k, batch):
     )
 
 
-@pytest.mark.parametrize("k,batch", [(3, 8), (4, 32)])
+@pytest.mark.parametrize("k,batch", [(3, 8), (4, 32), (8, 16)])
 def test_update_bound(benchmark, k, batch):
     rng, observed, assignment, counts, prior = _chain(k, 1000)
     idx = np.arange(batch)

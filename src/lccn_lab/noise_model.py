@@ -279,8 +279,9 @@ def update_bound(
     rows_before = [rows_before[r] for r in touched]
     rows_after = [rows_after[r] for r in touched]
     deltas = [[a - b for a, b in zip(row_a, row_b)] for row_a, row_b in zip(rows_after, rows_before)]
-    nets = _row_sums(deltas)
-    churns = _row_sums([[abs(d) for d in delta] for delta in deltas])
+    # Integer deltas sum exactly in any order, so these need no numpy reduction.
+    nets = [sum(delta) for delta in deltas]
+    churns = [sum(abs(d) for d in delta) for delta in deltas]
     denoms = [totals_before[r] + total for r in touched]
     net_ratios = [net / denom for net, denom in zip(nets, denoms)]
     abs_ratios = [churn / denom for churn, denom in zip(churns, denoms)]
@@ -296,8 +297,9 @@ def update_bound(
             # round to -1; such rows take the equal form over the row's mass after the
             # batch, which may overflow to inf but never undercuts the measured change.
             bounds.append((abs(net) + churn) / (totals_after[r] + total))
-    phi_before = _smoothed_rows(rows_before, alpha)
-    phi_after = _smoothed_rows(rows_after, alpha)
+    # Before and after rows share each row-sum pass: a row's sum does not depend on its neighbours.
+    phi = _smoothed_rows(rows_before + rows_after, alpha)
+    phi_before, phi_after = phi[: len(touched)], phi[len(touched) :]
     moved = _row_sums(
         [[abs(a - b) for a, b in zip(row_a, row_b)] for row_a, row_b in zip(phi_after, phi_before)]
     )

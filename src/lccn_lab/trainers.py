@@ -540,6 +540,12 @@ def _train_latent(
 
     Each batch is forwarded once: the sampler reads its probabilities and
     the SGD step reuses it, since sampling leaves the parameters alone.
+
+    A batch whose draw gives every sample back its previous latent label
+    leaves the counts as they were, so it is recorded as `(0.0, 0.0)`
+    without calling `update_bound`: on equal count matrices the certificate
+    is 0.0 in every field and its worst row is row 0. A batch whose labels
+    moved is certified in full, even when its moves cancel in the counts.
     """
     k = ds.n_classes
     n_latent = k + 1 if extra_class else k
@@ -587,24 +593,31 @@ def _train_latent(
             resample = np.flatnonzero(~ds.clean_mask[idx]) if use_clean else np.arange(len(idx))
             moved = None
             if resample.size:
+                positions = idx[resample]
+                previous = assignment.labels[positions]
                 before = counts.copy()
-                gibbs_sample_batch(
+                sampled = gibbs_sample_batch(
                     probs[resample],
                     ds.noisy_labels[idx][resample],
                     counts,
                     prior,
                     assignment,
-                    idx[resample],
+                    positions,
                     run.gibbs_rng,
                     warmup_phi=channel_init if run.iteration <= warmup_steps else None,
                     anneal=schedule.coefficient(run.iteration),
                     anneal_target=schedule.target,
                 )
-                cert = update_bound(before, counts, prior)
-                if np.any(cert.measured > cert.bound + BOUND_SLACK):
-                    raise InvariantError("transition row moved beyond the per-batch update bound")
-                worst = int(np.argmax(cert.measured))
-                moved = float(cert.measured[worst]), float(cert.bound[worst])
+                if sampled.tolist() == previous.tolist():
+                    moved = 0.0, 0.0
+                else:
+                    cert = update_bound(before, counts, prior)
+                    if np.any(cert.measured > cert.bound + BOUND_SLACK):
+                        raise InvariantError(
+                            "transition row moved beyond the per-batch update bound"
+                        )
+                    worst = int(np.argmax(cert.measured))
+                    moved = float(cert.measured[worst]), float(cert.bound[worst])
             labels = assignment.labels[idx]
             sgd_step(run.params, run.opt, features, labels, run.loss_cfg, forward=forward)
             return moved

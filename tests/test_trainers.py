@@ -24,8 +24,14 @@ from lccn_lab.trainers import (
     train_lccn_star,
     train_s_adaptation,
 )
-from lccn_lab.noise_model import warmup_transition
-from lccn_lab.sampler import AnnealSchedule
+from lccn_lab.noise_model import (
+    ConfusionCounts,
+    DirichletPrior,
+    TransitionMatrix,
+    update_bound,
+    warmup_transition,
+)
+from lccn_lab.sampler import AnnealSchedule, LatentAssignment, gibbs_sample_batch
 
 
 def records_equal(a, b):
@@ -273,6 +279,138 @@ def test_oracle_channel_shape_checked(blobs2_tiny):
                       batch_size=16, oracle_phi=np.eye(3), seed=0)
     with pytest.raises(ParameterError, match="oracle_phi"):
         train_forward_fixed(ds, cfg)
+
+
+# --- certificate of batches that move no label -------------------------------
+
+
+@given(
+    n_observed=st.integers(2, 9),
+    extra_row=st.booleans(),
+    log_alpha=st.floats(-300.0, 1.0),
+    vector_alpha=st.booleans(),
+    warmup=st.booleans(),
+    clean_share=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_batch_that_moves_no_label_certifies_as_zero(
+    n_observed, extra_row, log_alpha, vector_alpha, warmup, clean_share, seed
+):
+    # `_train_latent` records such a batch as (0.0, 0.0) without calling
+    # update_bound; this is what the certificate would have given.
+    data = np.random.default_rng(seed)
+    n_latent = n_observed + extra_row
+    observed = data.integers(0, n_observed, size=40)
+    clean = data.random(40) < clean_share
+    clean[0] = False
+    assignment = LatentAssignment.from_labels(observed)
+    counts = ConfusionCounts.from_assignment(
+        assignment.labels, observed, n_latent, n_observed, exclude=clean
+    )
+    alpha = 10.0**log_alpha * (data.uniform(0.5, 2.0, size=n_observed) if vector_alpha else 1.0)
+    prior = DirichletPrior(np.broadcast_to(alpha, (n_observed,)))
+    warmup_phi = (
+        TransitionMatrix(data.dirichlet(np.ones(n_observed), size=n_latent)) if warmup else None
+    )
+    resample = np.flatnonzero(~clean)
+    for step in range(12):
+        positions = data.choice(resample, size=min(len(resample), 8), replace=False)
+        previous = assignment.labels[positions]
+        # A classifier sure of the current labels keeps them all (always in the
+        # first batch); a less sure one moves some.
+        eps = 0.0 if step == 0 else data.choice([0.0, 1e-3, 0.5])
+        probs = np.full((len(positions), n_latent), eps / n_latent)
+        probs[np.arange(len(positions)), previous] += 1.0 - eps
+        before = counts.copy()
+        sampled = gibbs_sample_batch(
+            probs, observed[positions], counts, prior, assignment, positions, data,
+            warmup_phi=warmup_phi,
+        )
+        if not np.array_equal(sampled, previous):
+            continue
+        assert np.array_equal(counts.counts, before.counts)
+        cert = update_bound(before, counts, prior)
+        for name in ("net_change", "abs_change", "net_ratio", "abs_ratio", "bound", "measured"):
+            assert getattr(cert, name).tobytes() == bytes(8 * n_latent), name
+        worst = int(np.argmax(cert.measured))
+        assert (float(cert.measured[worst]), float(cert.bound[worst])) == (0.0, 0.0)
+
+
+def test_label_swap_with_equal_counts_is_still_certified(blobs2_tiny, monkeypatch):
+    # One batch per epoch. The first moves one label; the second swaps it with
+    # a sample of the same observed label, so labels move but the counts end
+    # up equal; later batches move nothing.
+    ds = blobs2_tiny["noisy"]
+    certificates = []
+
+    def recording_bound(before, after, prior):
+        cert = update_bound(before, after, prior)
+        certificates.append((np.array_equal(before.counts, after.counts), cert))
+        return cert
+
+    scripted = []
+
+    def scripted_sampler(probs, observed, counts, prior, assignment, positions, rng, **_):
+        labels = assignment.labels
+        if not scripted:
+            s = positions[0]
+            o = ds.noisy_labels[s]
+            counts.decrement(o, o)
+            counts.increment(1 - o, o)
+            labels[s] = 1 - o
+            scripted.append(s)
+        elif len(scripted) == 1:
+            s = scripted[0]
+            o = ds.noisy_labels[s]
+            t = next(p for p in positions if p != s and ds.noisy_labels[p] == o)
+            labels[s], labels[t] = o, 1 - o
+            scripted.append(t)
+        return labels[positions].copy()
+
+    monkeypatch.setattr("lccn_lab.trainers.update_bound", recording_bound)
+    monkeypatch.setattr("lccn_lab.trainers.gibbs_sample_batch", scripted_sampler)
+    result = train_lccn(
+        ds, TrainConfig(kind="lccn", epochs=4, pretrain_epochs=1, batch_size=ds.n, seed=0)
+    )
+    assert [equal for equal, _ in certificates] == [False, True]
+    swap = certificates[1][1]
+    assert not swap.measured.any() and not swap.bound.any()
+    variations = [(v.measured, v.bound) for v in result.batch_variations]
+    assert len(variations) == 4
+    assert variations[0][0] > 0.0
+    assert variations[1:] == [(0.0, 0.0)] * 3
+
+
+@pytest.mark.parametrize("kind", ["lccn", "lccn_star", "lccn_plus"])
+def test_update_bound_runs_once_per_batch_that_moved_a_label(kind, monkeypatch):
+    clean = make_gaussian_mixture(n_classes=3, dim=2, n_per_class=40, separation=4.0, seed=5)
+    noisy, _ = apply_noise(clean, NoiseSpec(kind="symmetric", ratio=0.3, ood_fraction=0.1, seed=6))
+    ds = mark_clean_subset(noisy, 12, 7)
+    moved, bound_calls = [], []
+
+    def watching_sampler(probs, observed, counts, prior, assignment, positions, rng, **kwargs):
+        previous = assignment.labels[positions]
+        sampled = gibbs_sample_batch(
+            probs, observed, counts, prior, assignment, positions, rng, **kwargs
+        )
+        moved.append(not np.array_equal(sampled, previous))
+        return sampled
+
+    def counting_bound(before, after, prior):
+        bound_calls.append(1)
+        return update_bound(before, after, prior)
+
+    monkeypatch.setattr("lccn_lab.trainers.gibbs_sample_batch", watching_sampler)
+    monkeypatch.setattr("lccn_lab.trainers.update_bound", counting_bound)
+    cfg = TrainConfig(kind=kind, epochs=3, pretrain_epochs=2, batch_size=8, hidden_width=8,
+                      learning_rate=0.1, seed=0)
+    result = run_trainer(ds, cfg)
+    assert 0 < sum(moved) < len(moved)
+    assert len(bound_calls) == sum(moved)
+    assert len(result.batch_variations) == len(moved)
+    for label_moved, v in zip(moved, result.batch_variations):
+        assert label_moved or (v.measured, v.bound) == (0.0, 0.0)
 
 
 # --- config fuzz -------------------------------------------------------------
