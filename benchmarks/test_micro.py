@@ -7,8 +7,9 @@ Run from the repository root:
 This directory is outside the `testpaths` of pyproject.toml, so the Tier-1
 suite does not collect it. Shapes follow the two benchmark bundles: the
 recovery bundle (K=3, 2-d features, linear model, batch 8) and the ordering
-bundle (K=4, 2-d features, MLP-64 tanh, batch 32). `update_bound` also runs
-at K=8 with a batch of 16, where its row sums go through numpy's reduction.
+bundle (K=4, 2-d features, MLP-64 tanh, batch 32). `gibbs_sample_batch` and
+`update_bound` also run at K=8 with a batch of 16, where their row sums go
+through numpy's reduction; no benchmark workload reaches that path.
 """
 
 import numpy as np
@@ -68,7 +69,7 @@ def _chain(k: int, n: int, seed: int = 0):
     return rng, observed, assignment, counts, DirichletPrior.uniform(k)
 
 
-@pytest.mark.parametrize("k,batch", [(3, 8), (4, 32)])
+@pytest.mark.parametrize("k,batch", [(3, 8), (4, 32), (8, 16)])
 def test_gibbs_sample_batch(benchmark, k, batch):
     rng, observed, assignment, counts, prior = _chain(k, 1000)
     idx = np.arange(batch)

@@ -8,12 +8,17 @@ Usage, from the repository root:
 
 In the checkout (this repository by default) it runs `perfbench/run.py`
 untraced on every workload of BENCHMARK.json for each seed, for the
-benchmark's `run_seconds`; then `benchmarks/test_micro.py` with
-`--benchmark-json`; then the Tier-1 suite under a timer. It writes the
+benchmark's `run_seconds`; then each microbenchmark of
+`benchmarks/test_micro.py` in its own pytest process with `--benchmark-json`;
+then the Tier-1 suite under a timer. `calibration_sample` readings
+(perfbench/calibrate.py) taken just before and after each microbenchmark
+rescale its median to a fixed core speed, `norm_median_us`, with perfbench's
+formula, so that two files compare despite the host's drift. It writes the
 machine facts and every result to BENCH_<n>.json at the root of this
 repository and prints the deltas against the previous file (BENCH_<n-1>.json
-unless --previous names another). The runs go one after another, so that
-none competes with another for a core.
+unless --previous names another; calibrated medians only, n/a where the
+previous file has none). The runs go one after another, so that none
+competes with another for a core.
 """
 
 from __future__ import annotations
@@ -30,6 +35,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MICRO = "benchmarks/test_micro.py"
+# Readings of `calibration_sample` taken before and again after each microbenchmark.
+CALIBRATION_SAMPLES = 5
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+from calibrate import Calibrated, calibration_sample  # noqa: E402
 
 
 def _run(cmd: list[str], cwd: Path) -> subprocess.CompletedProcess:
@@ -70,27 +80,39 @@ def run_workload(checkout: Path, workload: str, seed: int, seconds: float) -> tu
     }, facts
 
 
+def _calibration_samples() -> list[float]:
+    return [calibration_sample() for _ in range(CALIBRATION_SAMPLES)]
+
+
 def run_micro(checkout: Path) -> dict:
-    """Median and quartiles, in microseconds, of every microbenchmark."""
+    """Median and quartiles, in microseconds, of every microbenchmark; the median also calibrated."""
+    pytest = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    listing = _run([*pytest, "--collect-only", MICRO], checkout)
+    nodes = [line for line in listing.stdout.splitlines() if "::" in line]
+    if listing.returncode != 0 or not nodes:
+        raise SystemExit(f"no microbenchmarks collected:\n{listing.stdout}{listing.stderr}")
+    micro = {}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "micro.json"
-        done = _run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", MICRO,
-             f"--benchmark-json={out}"],
-            checkout,
-        )
-        if done.returncode != 0:
-            raise SystemExit(f"microbenchmarks failed:\n{done.stdout}{done.stderr}")
-        report = json.loads(out.read_text())
-    return {
-        bench["name"]: {
-            "median_us": bench["stats"]["median"] * 1e6,
-            "q1_us": bench["stats"]["q1"] * 1e6,
-            "q3_us": bench["stats"]["q3"] * 1e6,
-            "rounds": bench["stats"]["rounds"],
-        }
-        for bench in report["benchmarks"]
-    }
+        for node in nodes:
+            samples = _calibration_samples()
+            done = _run([*pytest, node, f"--benchmark-json={out}"], checkout)
+            samples += _calibration_samples()
+            if done.returncode != 0:
+                raise SystemExit(f"microbenchmark {node} failed:\n{done.stdout}{done.stderr}")
+            (bench,) = json.loads(out.read_text())["benchmarks"]
+            stats = bench["stats"]
+            calibrated = Calibrated()
+            calibrated.record(stats["median"], samples)
+            micro[bench["name"]] = {
+                "median_us": stats["median"] * 1e6,
+                "norm_median_us": calibrated.scaled[0] * 1e6,
+                "q1_us": stats["q1"] * 1e6,
+                "q3_us": stats["q3"] * 1e6,
+                "rounds": stats["rounds"],
+                "calibration_sample_s": statistics.median(samples),
+            }
+    return micro
 
 
 def run_tier1(checkout: Path) -> dict:
@@ -119,8 +141,8 @@ def print_deltas(previous: dict, current: dict) -> None:
         for metric, value in result["median"].items():
             print(f"  {workload} {metric}: {_change(old.get(metric), value)}")
     for name, stats in current["micro"].items():
-        old = previous["micro"].get(name, {}).get("median_us")
-        print(f"  micro {name} us: {_change(old, stats['median_us'])}")
+        old = previous["micro"].get(name, {}).get("norm_median_us")
+        print(f"  micro {name} norm_median_us: {_change(old, stats.get('norm_median_us'))}")
     print(f"  tier1 s: {_change(previous['tier1']['seconds'], current['tier1']['seconds'])}"
           f" ({previous['tier1']['summary']} -> {current['tier1']['summary']})")
 

@@ -18,7 +18,7 @@ sampler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,26 +49,30 @@ def _row_sums(rows: list[list]) -> list[float]:
 
 @dataclass(frozen=True)
 class DirichletPrior:
-    """Per-observed-class concentration of the row-wise Dirichlet prior."""
+    """Per-observed-class concentration of the row-wise Dirichlet prior.
+
+    `concentration` is a read-only copy, so its sum `total` is taken once.
+    """
 
     concentration: np.ndarray
+    total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "concentration", np.asarray(self.concentration, dtype=np.float64)
-        )
-        if self.concentration.ndim != 1 or self.concentration.size < 1:
+        concentration = np.array(self.concentration, dtype=np.float64)
+        if concentration.ndim != 1 or concentration.size < 1:
             raise ParameterError("concentration must be a non-empty vector")
-        if np.any(self.concentration <= 0.0):
-            raise ParameterError("concentration entries must be strictly positive")
+        if not np.all(np.isfinite(concentration) & (concentration > 0.0)):
+            raise ParameterError(
+                "concentration entries must be finite and strictly positive, "
+                f"got {concentration.tolist()}"
+            )
+        concentration.setflags(write=False)
+        object.__setattr__(self, "concentration", concentration)
+        object.__setattr__(self, "total", float(concentration.sum()))
 
     @classmethod
     def uniform(cls, n_observed: int, value: float = 1.0) -> "DirichletPrior":
         return cls(np.full(n_observed, float(value)))
-
-    @property
-    def total(self) -> float:
-        return float(self.concentration.sum())
 
     @property
     def n_observed(self) -> int:

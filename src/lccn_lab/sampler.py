@@ -11,12 +11,12 @@ the same chain on plain Python floats and is bit-identical to replaying the
 reference draw by draw (`np.cumsum`/`np.searchsorted` on its output against
 one scalar `rng.random()` each): the same labels, the same counts and the
 same generator state after the batch. It draws the batch's uniforms with one
-`rng.random(M)` call (the same doubles as M scalar calls) and inverts the CDF
-with a running sum. Both share `_distribution`, so the scoring arithmetic
-exists once. Score sums follow numpy's order: left to right from -0.0 for
-fewer than 8 latent classes, numpy's own reduction from 8 on (see
-`noise_model`). The annealing exponent always goes through numpy's `**`,
-whose vectorized power may round differently from Python's.
+`rng.random(M)` call (the same doubles as M scalar calls); each draw takes
+one score list and its sum from `_scores`, which the reference uses too, and
+walks the CDF with `cumulative += score / norm`. Score sums follow numpy's
+order: left to right from -0.0 for fewer than 8 latent classes, numpy's own
+reduction from 8 on (see `noise_model`). The annealing exponent always goes
+through numpy's `**`, whose vectorized power may round differently from Python's.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from .noise_model import (
     DirichletPrior,
     TransitionMatrix,
     _row_sum,
-    conditional_transition_column,
 )
 
 UNASSIGNED = -1
+ANNEAL_TARGETS = ("transition", "product")
 
 
 @dataclass
@@ -76,7 +76,7 @@ class AnnealSchedule:
             raise ParameterError("floor must lie in (0, 1]")
         if self.decay <= 0.0:
             raise ParameterError("decay must be positive")
-        if self.target not in ("transition", "product"):
+        if self.target not in ANNEAL_TARGETS:
             raise ParameterError(f"unknown anneal target {self.target!r}")
 
     def coefficient(self, step: int) -> float:
@@ -92,22 +92,30 @@ def anneal_coefficient(step: int, schedule: AnnealSchedule) -> float:
     return max(math.exp(-step / schedule.max_step * schedule.decay), schedule.floor)
 
 
-def _distribution(probs_row: list, channel, anneal: float, anneal_target: str) -> list[float]:
-    """Normalized scores of one draw from a classifier row and a channel column."""
-    if anneal_target == "transition":
-        if anneal != 1.0:
-            channel = (np.array(channel, dtype=np.float64) ** anneal).tolist()
-        scores = [p * c for p, c in zip(probs_row, channel)]
-    elif anneal_target == "product":
-        scores = [p * c for p, c in zip(probs_row, channel)]
-        if anneal != 1.0:
-            scores = (np.array(scores) ** anneal).tolist()
+def _scores(
+    row: list, a: float, column: list, totals: list, alpha_total: float,
+    warmup: list | None, anneal: float, anneal_target: str,
+) -> tuple[list[float], float]:
+    """Unnormalized scores of one draw and their sum, which must be finite and positive.
+
+    A score is a classifier probability times the channel: the warmup column if
+    given, else the count column (a + c) / (alpha_total + t). `anneal` tempers
+    the channel ("transition") or the whole score ("product") through numpy's `**`.
+    """
+    if warmup is None and (anneal == 1.0 or anneal_target == "product"):
+        scores = [p * ((a + c) / (alpha_total + t)) for p, c, t in zip(row, column, totals)]
     else:
-        raise ParameterError(f"unknown anneal target {anneal_target!r}")
+        if warmup is None:
+            warmup = [(a + c) / (alpha_total + t) for c, t in zip(column, totals)]
+        if anneal != 1.0 and anneal_target == "transition":
+            warmup = (np.array(warmup, dtype=np.float64) ** anneal).tolist()
+        scores = [p * c for p, c in zip(row, warmup)]
+    if anneal != 1.0 and anneal_target == "product":
+        scores = (np.array(scores) ** anneal).tolist()
     norm = _row_sum(scores)
-    if not math.isfinite(norm) or norm <= 0.0:
+    if not 0.0 < norm < math.inf:  # also False for NaN
         raise TrainingError("sampling scores are non-finite or all zero")
-    return [score / norm for score in scores]
+    return scores, norm
 
 
 def sampling_distribution(
@@ -129,11 +137,15 @@ def sampling_distribution(
     probs_row = np.asarray(probs_row, dtype=np.float64)
     if probs_row.shape != (counts.n_latent,):
         raise ParameterError("probs_row must hold one probability per latent class")
-    if warmup_phi is not None:
-        channel = warmup_phi.matrix[:, observed_label]
-    else:
-        channel = conditional_transition_column(counts, prior, observed_label)
-    return np.array(_distribution(probs_row.tolist(), channel.tolist(), anneal, anneal_target))
+    if anneal_target not in ANNEAL_TARGETS:
+        raise ParameterError(f"unknown anneal target {anneal_target!r}")
+    scores, norm = _scores(
+        probs_row.tolist(), float(prior.concentration[observed_label]),
+        counts.counts[:, observed_label].tolist(), counts.row_totals.tolist(), prior.total,
+        None if warmup_phi is None else warmup_phi.matrix[:, observed_label].tolist(),
+        anneal, anneal_target,
+    )
+    return np.array([score / norm for score in scores])
 
 
 def gibbs_sample_batch(
@@ -153,10 +165,10 @@ def gibbs_sample_batch(
     Samples are processed sequentially: each draw removes the sample's old
     count (if assigned), scores every latent class against counts already
     updated by earlier draws in the batch, draws a new class, and books it.
-    The count columns of the batch's observed labels and the row totals are
-    mirrored as Python lists and written back when the batch ends, also when
-    it ends on an error. The batch's uniforms are drawn up front, so a batch
-    that fails part-way has consumed all of them.
+    The count matrix (column by column) and the row totals are mirrored as
+    Python lists and written back when the batch ends, also when it ends on
+    an error. The batch's uniforms are drawn up front, so a batch that fails
+    part-way has consumed all of them.
 
     Args:
         probs: (M, R) classifier probabilities for the batch samples.
@@ -174,47 +186,45 @@ def gibbs_sample_batch(
     observed_list = np.asarray(observed_labels).tolist()
     if observed_list and not 0 <= min(observed_list) <= max(observed_list) < counts.n_observed:
         raise ParameterError("observed labels out of range")
-    n_latent = counts.n_latent
+    if anneal_target not in ANNEAL_TARGETS:
+        raise ParameterError(f"unknown anneal target {anneal_target!r}")
     uniforms = rng.random(probs.shape[0]).tolist()
     alpha = prior.concentration.tolist()
     alpha_total = prior.total
-    warmup_columns = None if warmup_phi is None else warmup_phi.matrix.T.tolist()
+    warmup_columns = (
+        [None] * counts.n_observed if warmup_phi is None else warmup_phi.matrix.T.tolist()
+    )
     labels = assignment.labels
     totals = counts.row_totals.tolist()
-    columns: dict[int, list] = {}
+    columns = counts.counts.T.tolist()
     sampled = []
     try:
         for row, observed, position, u in zip(
             probs.tolist(), observed_list, np.asarray(batch_indices).tolist(), uniforms
         ):
-            column = columns.get(observed)
-            if column is None:
-                column = columns[observed] = counts.counts[:, observed].tolist()
-            old = int(labels[position])
+            column = columns[observed]
+            old = labels.item(position)
             if old != UNASSIGNED:
                 if column[old] <= 0:
                     raise InvariantError(f"decrement of empty count cell ({old}, {observed})")
                 column[old] -= 1
                 totals[old] -= 1
-            if warmup_columns is not None:
-                channel = warmup_columns[observed]
-            else:
-                a = alpha[observed]
-                channel = [(a + c) / (alpha_total + t) for c, t in zip(column, totals)]
-            new = n_latent - 1
+            scores, norm = _scores(
+                row, alpha[observed], column, totals, alpha_total, warmup_columns[observed],
+                anneal, anneal_target,
+            )
             cumulative = 0.0
-            for r, p in enumerate(_distribution(row, channel, anneal, anneal_target)):
-                cumulative += p
+            # Without a break, a uniform at or above the rounded total takes the last class.
+            for new, score in enumerate(scores):
+                cumulative += score / norm
                 if cumulative > u:
-                    new = r
                     break
             column[new] += 1
             totals[new] += 1
             labels[position] = new
             sampled.append(new)
     finally:
-        for observed, column in columns.items():
-            counts.counts[:, observed] = column
+        counts.counts.T[...] = columns
         counts.row_totals[:] = totals
     return np.array(sampled, dtype=np.int64)
 
@@ -351,36 +361,21 @@ def mixing_diagnostic(
         empirical = np.zeros((n, n_latent))
         empirical[np.arange(n), assignment.labels] = 1.0
         tv = total_variation_rows(empirical, reference)
-        return GibbsDiagnostics(
-            sweeps=0,
-            burn_in=burn_in,
-            empirical=empirical,
-            reference=reference,
-            trace=[(0, float(tv.max()), float(tv.mean()))],
-        )
+        trace = [(0, float(tv.max()), float(tv.mean()))]
+        return GibbsDiagnostics(0, burn_in, empirical, reference, trace)
     if checkpoints is None:
         checkpoints = _default_checkpoints(burn_in, sweeps)
     checkpoint_set = {int(c) for c in checkpoints}
     rng = np.random.default_rng(seed)
     tally = np.zeros((n, n_latent))
     trace: list[tuple[int, float, float]] = []
-    all_indices = np.arange(n)
-    sample_rows = np.arange(n)
+    rows = np.arange(n)
     for sweep in range(1, sweeps + 1):
-        gibbs_sample_batch(
-            probs, observed_labels, counts, prior, assignment, all_indices, rng
-        )
+        gibbs_sample_batch(probs, observed_labels, counts, prior, assignment, rows, rng)
         if sweep > burn_in:
-            tally[sample_rows, assignment.labels] += 1.0
+            tally[rows, assignment.labels] += 1.0
             if sweep in checkpoint_set:
                 empirical = tally / (sweep - burn_in)
                 tv = total_variation_rows(empirical, reference)
                 trace.append((sweep, float(tv.max()), float(tv.mean())))
-    empirical = tally / (sweeps - burn_in)
-    return GibbsDiagnostics(
-        sweeps=sweeps,
-        burn_in=burn_in,
-        empirical=empirical,
-        reference=reference,
-        trace=trace,
-    )
+    return GibbsDiagnostics(sweeps, burn_in, tally / (sweeps - burn_in), reference, trace)

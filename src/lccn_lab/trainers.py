@@ -129,6 +129,10 @@ class TrainConfig:
                 raise ParameterError(f"{f.name} must be {f.type}, got {value!r}")
         if np.asarray(self.alpha).dtype.kind not in "iuf" or np.ndim(self.alpha) > 1:
             raise ParameterError(f"alpha must be a number or a vector, got {self.alpha!r}")
+        try:
+            DirichletPrior(np.atleast_1d(self.alpha))  # range check
+        except ParameterError as exc:
+            raise ParameterError(f"alpha: {exc}") from None
         if not isinstance(self.anneal, AnnealSchedule):
             raise ParameterError(f"anneal must be an AnnealSchedule, got {self.anneal!r}")
         if self.hidden_width < 0:

@@ -333,6 +333,44 @@ def test_sweep_rejects_unknown_section(tmp_path, lccn_config, capsys):
     assert "section" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), [1.0, float("nan")]])
+def test_non_finite_alpha_is_usage_error_before_training(alpha, tmp_path, capsys):
+    # Python's json writes and reads these as NaN and Infinity.
+    cfg = {**BASE_CFG, "train": {**BASE_CFG["train"], "alpha": alpha}}
+    out = tmp_path / "o"
+    code = main(["train", "--config", write_cfg(tmp_path / "c.json", cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "alpha" in err and "Traceback" not in err
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_sweep_over_non_finite_alpha_is_usage_error(value, tmp_path, lccn_config, capsys):
+    out = tmp_path / "sweep"
+    code = main(
+        ["sweep", "--config", lccn_config, "--param", "alpha", "--values", value,
+         "--out", str(out)]
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "alpha" in err and "Traceback" not in err
+    assert not (out / f"alpha_{float(value)}" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_diagnose_mixing_non_finite_alpha_is_usage_error(alpha, tmp_path, capsys):
+    out = tmp_path / "mix"
+    code = main(
+        ["diagnose", "mixing", "--n", "4", "--k", "2", "--sweeps", "50", "--burn-in", "10",
+         "--alpha", alpha, "--out", str(out)]
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "finite" in err and "Traceback" not in err
+    assert not (out / "mixing.csv").exists()
+
+
 def test_diagnose_mixing_traces_to_csv(tmp_path):
     out = tmp_path / "mix"
     assert main(

@@ -45,6 +45,25 @@ def test_prior_rejects_nonpositive():
         DirichletPrior(np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_prior_rejects_non_finite(bad):
+    # NaN slips past a `<= 0.0` test, and inf makes every count channel 0 or NaN.
+    with pytest.raises(ParameterError, match="finite"):
+        DirichletPrior(np.array([1.0, bad, 1.0]))
+    with pytest.raises(ParameterError, match="finite"):
+        DirichletPrior.uniform(3, bad)
+
+
+def test_prior_total_is_the_sum_of_a_read_only_copy():
+    alpha = np.array([0.1, 0.2, 0.3])
+    prior = DirichletPrior(alpha)
+    assert prior.total == float(alpha.sum())
+    alpha[0] = 5.0  # the caller's array is not the prior's
+    assert prior.concentration.tolist() == [0.1, 0.2, 0.3]
+    with pytest.raises(ValueError):
+        prior.concentration[0] = 5.0
+
+
 # ---------------------------------------------------------------- counts
 
 

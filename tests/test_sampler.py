@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lccn_lab.errors import InvariantError, ParameterError, TrainingError
@@ -212,6 +212,33 @@ def batch_cases(draw):
     return probs, observed, labels, positions, DirichletPrior(alpha), warmup, anneal, target, seed
 
 
+def plain_case(n_latent, alpha, size=32, seed=0):
+    """A batch of the runs' own shape: uniform alpha, no warmup, anneal exactly 1."""
+    data = np.random.default_rng(seed)
+    n = size + 8
+    observed = data.integers(0, n_latent, size=n)
+    labels = data.integers(0, n_latent, size=n)
+    labels[:4] = UNASSIGNED
+    positions = data.permutation(n)[:size]
+    probs = data.dirichlet(np.ones(n_latent), size=size)
+    prior = DirichletPrior.uniform(n_latent, alpha)
+    return probs, observed, labels, positions, prior, None, 1.0, "transition", seed
+
+
+# The properties' own alpha is drawn from U(0.05, 5), so these pin the training
+# runs' all-ones prior at the benchmarks' K and at numpy's summation width
+# (K = 8), a tiny prior and an integer-valued one.
+PLAIN_CASES = [plain_case(3, 1.0), plain_case(4, 1.0), plain_case(8, 1.0),
+               plain_case(4, 1e-12, seed=1), plain_case(3, 2.0, seed=2)]
+
+
+def with_plain_cases(test):
+    for case in PLAIN_CASES:
+        test = example(case=case)(test)
+    return test
+
+
+@with_plain_cases
 @given(case=batch_cases())
 @settings(max_examples=300, deadline=None)
 def test_gibbs_batch_is_bit_identical_to_stepwise_replay(case):
@@ -238,6 +265,7 @@ def test_gibbs_batch_is_bit_identical_to_stepwise_replay(case):
     assert rng.bit_generator.state == replay_rng.bit_generator.state
 
 
+@with_plain_cases
 @given(case=batch_cases())
 @settings(max_examples=300, deadline=None)
 def test_sampling_distribution_is_bit_identical_to_numpy_formula(case):
@@ -315,6 +343,21 @@ def test_gibbs_batch_decrement_of_empty_cell_raises():
             assignment, np.array([0]), np.random.default_rng(0),
         )
     assert counts.counts.sum() == 0 and counts.row_totals.sum() == 0
+
+
+def test_gibbs_batch_rejects_unknown_anneal_target_before_drawing():
+    counts = counts_of([[1.0, 0.0], [0.0, 1.0]])
+    assignment = LatentAssignment.from_labels(np.array([0, 1]))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ParameterError, match="anneal target"):
+        gibbs_sample_batch(
+            np.array([[0.5, 0.5]]), np.array([0]), counts, DirichletPrior.uniform(2, 1.0),
+            assignment, np.array([0]), rng, anneal_target="bogus",
+        )
+    assert rng.bit_generator.state == state
+    assert counts.counts.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert assignment.labels.tolist() == [0, 1]
 
 
 def test_gibbs_batch_shape_validation():

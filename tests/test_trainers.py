@@ -244,6 +244,10 @@ def test_milestones_change_learning_rate(blobs2_tiny):
         dict(momentum="x"),
         dict(grad_clip=[0.1]),
         dict(alpha="x"),
+        dict(alpha=float("nan")),
+        dict(alpha=float("inf")),
+        dict(alpha=(1.0, float("-inf"), 1.0)),
+        dict(alpha=0.0),
         dict(hidden_width=-3),
     ],
 )
