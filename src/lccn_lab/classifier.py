@@ -167,13 +167,6 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
-def clipped_cross_entropy(
-    probs: np.ndarray, targets: np.ndarray, cfg: LossConfig
-) -> tuple[float, np.ndarray]:
-    """Mean -ln(clip(p_target)); bounded above by -ln(clip). Returns (loss, dL/dprobs)."""
-    return soft_target_cross_entropy(probs, one_hot(targets, probs.shape[1]), cfg)
-
-
 def dlogits_from_dprobs(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
     """Pull a probability-space gradient back through the softmax."""
     inner = np.sum(probs * dprobs, axis=1, keepdims=True)

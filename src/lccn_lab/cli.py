@@ -210,17 +210,25 @@ def build_datasets(cfg: dict, base: Path | None = None):
     return ds, test_ds, report, reference_phi
 
 
-def run_experiment(cfg: dict, seed: int, out_dir: Path, base: Path | None = None) -> dict:
-    """One seed of one experiment config; writes all run artifacts into out_dir."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _resolve(cfg: dict, base: Path | None):
+    """A config's data sections and its train section, with the generated channel wired in.
+
+    Returns (train_ds, test_ds, noise_report, train_dict).
+    """
     ds, test_ds, report, reference_phi = build_datasets(cfg, base)
     train_dict = cfg.get("train")
     if not isinstance(train_dict, dict):
         raise ParameterError("config must contain a 'train' section")
     if reference_phi is not None and train_dict.get("reference_phi") is None:
         train_dict = {**train_dict, "reference_phi": reference_phi.tolist()}
-    tc = build_train_config(train_dict, seed=seed, base=base)
-    result = run_trainer(ds, tc, test_ds)
+    return ds, test_ds, report, train_dict
+
+
+def run_experiment(cfg: dict, seed: int, out_dir: Path, base: Path | None = None) -> dict:
+    """One seed of one experiment config; writes all run artifacts into out_dir."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    ds, test_ds, report, train_dict = _resolve(cfg, base)
+    result = run_trainer(ds, build_train_config(train_dict, seed=seed, base=base), test_ds)
 
     echo = {k: v for k, v in cfg.items() if k != "seeds"}
     echo["train"] = {**train_dict, "seed": seed}
@@ -321,7 +329,10 @@ def _coerce_sweep_value(value: str):
     try:
         return json.loads(value)
     except json.JSONDecodeError as exc:
-        raise ParameterError(f"sweep value {value!r} is not a number") from exc
+        raise ParameterError(
+            f"sweep value {value!r} is not valid JSON; each value is parsed as JSON, "
+            f"so quote strings: '\"{value}\"'"
+        ) from exc
 
 
 _SWEEPABLE_SECTIONS = ("generator", "noise", "test", "clean", "train")
@@ -356,12 +367,20 @@ def cmd_sweep(args) -> int:
     section, key = _resolve_sweep_target(args.param)
     seeds = list(args.seeds) if args.seeds is not None else _seed_list(cfg.get("seeds", [0]))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
+    points = {}  # every point is resolved before the first one trains
     for value in values:
+        point_dir = out / f"{key}_{value}"
+        if point_dir in points:
+            raise ParameterError(f"sweep values must be distinct, {point_dir.name!r} repeats")
         point_cfg = json.loads(json.dumps(cfg))  # deep copy
         point_cfg.setdefault(section, {})[key] = value
-        point_dir = out / f"{key}_{value}"
+        train_dict = _resolve(point_cfg, base)[3]
+        for seed in seeds:
+            build_train_config(train_dict, seed=seed, base=base)
+        points[point_dir] = value, point_cfg
+    out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for point_dir, (value, point_cfg) in points.items():
         accuracy = _median_test_accuracy(_run_seeds(point_cfg, seeds, point_dir, base))
         if accuracy is None:
             raise ParameterError("sweep requires a test split to aggregate accuracy")
@@ -376,6 +395,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_diagnose_mixing(args) -> int:
+    if args.n < 1 or args.k < 1:
+        raise ParameterError(f"--n and --k must be >= 1, got {args.n} and {args.k}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
@@ -504,7 +525,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="repeat an experiment over a parameter grid")
     sweep.add_argument("--config", required=True)
     sweep.add_argument("--param", required=True)
-    sweep.add_argument("--values", nargs="*", default=[])
+    sweep.add_argument(
+        "--values", nargs="*", default=[],
+        help="grid values, each parsed as JSON: quote strings, e.g. '\"lccn\"'",
+    )
     sweep.add_argument("--seeds", type=int, nargs="+", default=None)
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=cmd_sweep)

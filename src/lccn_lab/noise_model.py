@@ -164,26 +164,16 @@ class TransitionMatrix:
         return self.matrix.shape[1]
 
 
-def transition_from_counts(
-    counts: ConfusionCounts, prior: DirichletPrior, smoothed: bool = True
-) -> TransitionMatrix:
+def transition_from_counts(counts: ConfusionCounts, prior: DirichletPrior) -> TransitionMatrix:
     """Row-normalized transition estimate from the current counts.
 
-    The default adds the prior concentration to every cell before normalizing,
-    so rows are always well defined. With smoothed=False the raw counts are
-    normalized and empty rows fall back to the normalized prior.
+    The prior concentration is added to every cell before normalizing, so
+    rows are always well defined.
     """
     if prior.n_observed != counts.n_observed:
         raise ParameterError("prior size must match the observed-label count")
-    alpha = prior.concentration
-    if smoothed:
-        numer = counts.counts + alpha
-        return TransitionMatrix(numer / numer.sum(axis=1, keepdims=True))
-    matrix = np.empty(counts.counts.shape, dtype=np.float64)
-    empty = counts.row_totals == 0
-    matrix[~empty] = counts.counts[~empty] / counts.row_totals[~empty, None]
-    matrix[empty] = alpha / prior.total
-    return TransitionMatrix(matrix)
+    numer = counts.counts + prior.concentration
+    return TransitionMatrix(numer / numer.sum(axis=1, keepdims=True))
 
 
 def warmup_transition(
@@ -213,24 +203,13 @@ def warmup_transition(
     return TransitionMatrix(matrix)
 
 
-def conditional_transition(
-    counts: ConfusionCounts, prior: DirichletPrior, latent: int, observed: int
-) -> float:
-    """Leave-one-out predictive probability of `observed` under latent class `latent`.
-
-    `counts` must already exclude the sample being resampled.
-    """
-    alpha = prior.concentration
-    return float(
-        (alpha[observed] + counts.counts[latent, observed])
-        / (prior.total + counts.row_totals[latent])
-    )
-
-
 def conditional_transition_column(
     counts: ConfusionCounts, prior: DirichletPrior, observed: int
 ) -> np.ndarray:
-    """conditional_transition for every latent class at once."""
+    """Leave-one-out predictive probability of `observed` under every latent class.
+
+    `counts` must already exclude the sample being resampled.
+    """
     alpha = prior.concentration
     return (alpha[observed] + counts.counts[:, observed]) / (
         prior.total + counts.row_totals

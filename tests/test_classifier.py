@@ -11,7 +11,6 @@ from lccn_lab.classifier import (
     OptimizerState,
     _forward,
     apply_gradients,
-    clipped_cross_entropy,
     dlogits_from_dprobs,
     forward_proba,
     init_optimizer,
@@ -78,16 +77,6 @@ def test_forward_rows_are_distributions():
     assert probs.shape == (6, 3)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     assert probs.min() >= 0.0
-
-
-def test_soft_target_equals_hard_ce_on_onehot():
-    params, features, labels = make_instance()
-    cfg = LossConfig()
-    probs = forward_proba(params, features)
-    hard_loss, hard_dprobs = clipped_cross_entropy(probs, labels, cfg)
-    soft_loss, soft_dprobs = soft_target_cross_entropy(probs, one_hot(labels, 3), cfg)
-    assert hard_loss == soft_loss
-    np.testing.assert_array_equal(hard_dprobs, soft_dprobs)
 
 
 def test_clip_bounds_loss_and_zeroes_gradient():

@@ -358,6 +358,46 @@ def test_sweep_over_non_finite_alpha_is_usage_error(value, tmp_path, lccn_config
     assert not (out / f"alpha_{float(value)}" / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "param, values",
+    [("alpha", ["1", "NaN"]), ("noise.ratio", ["0.1", "1.5"]), ("alpha", ["1", "1"])],
+    ids=["non_finite_alpha", "ratio_out_of_range", "repeated_value"],
+)
+def test_sweep_grid_is_checked_before_any_point_trains(param, values, tmp_path, lccn_config, capsys):
+    code = main(
+        ["sweep", "--config", lccn_config, "--param", param, "--values", *values,
+         "--out", str(tmp_path / "sweep")]
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.rglob("metrics.csv"))
+
+
+def test_sweep_values_are_json_so_strings_are_quoted(tmp_path, lccn_config, capsys):
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", lccn_config, "--param", "kind", "--out", str(out), "--values"]
+    assert main([*argv, '"forward_fixed"']) == EXIT_OK
+    assert (out / "kind_forward_fixed" / "summary.json").exists()
+    capsys.readouterr()
+    assert main([*argv, "lccn"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "parsed as JSON" in err and """'"lccn"'""" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "0"), ("--n", "-1"), ("--k", "0"), ("--k", "-2")])
+def test_diagnose_mixing_non_positive_size_is_usage_error(flag, value, tmp_path, capsys):
+    out = tmp_path / "mix"
+    code = main(
+        ["diagnose", "mixing", "--n", "4", "--k", "2", flag, value, "--sweeps", "50",
+         "--burn-in", "10", "--out", str(out)]
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("alpha", ["nan", "inf"])
 def test_diagnose_mixing_non_finite_alpha_is_usage_error(alpha, tmp_path, capsys):
     out = tmp_path / "mix"

@@ -16,7 +16,6 @@ from lccn_lab.noise_model import (
     ConfusionCounts,
     DirichletPrior,
     TransitionMatrix,
-    conditional_transition,
     conditional_transition_column,
     transition_from_counts,
     update_bound,
@@ -103,23 +102,9 @@ def test_decrement_empty_cell_raises():
 def test_smoothed_transition_frozen_example():
     counts = make_counts(COUNTS_2X2)
     prior = DirichletPrior.uniform(2, 1.0)
-    phi = transition_from_counts(counts, prior, smoothed=True)
+    phi = transition_from_counts(counts, prior)
     expected = [[4 / 6, 2 / 6], [1 / 6, 5 / 6]]
     np.testing.assert_allclose(phi.matrix, expected, rtol=0, atol=1e-15)
-
-
-def test_unsmoothed_transition_frozen_example():
-    counts = make_counts(COUNTS_2X2)
-    prior = DirichletPrior.uniform(2, 1.0)
-    phi = transition_from_counts(counts, prior, smoothed=False)
-    np.testing.assert_allclose(phi.matrix, [[0.75, 0.25], [0.0, 1.0]], atol=1e-15)
-
-
-def test_unsmoothed_empty_row_falls_back_to_prior():
-    counts = make_counts([[0.0, 0.0], [2.0, 2.0]])
-    prior = DirichletPrior(np.array([1.0, 3.0]))
-    phi = transition_from_counts(counts, prior, smoothed=False)
-    np.testing.assert_allclose(phi.matrix[0], [0.25, 0.75], atol=1e-15)
 
 
 def test_conditional_column_frozen_example():
@@ -127,15 +112,6 @@ def test_conditional_column_frozen_example():
     prior = DirichletPrior.uniform(2, 1.0)
     column = conditional_transition_column(counts, prior, 0)
     np.testing.assert_allclose(column, [4 / 6, 1 / 6], atol=1e-15)
-
-
-def test_conditional_scalar_matches_column_entries():
-    counts = make_counts(COUNTS_2X2)
-    prior = DirichletPrior.uniform(2, 1.0)
-    for j in range(2):
-        column = conditional_transition_column(counts, prior, j)
-        for k in range(2):
-            assert conditional_transition(counts, prior, k, j) == column[k]
 
 
 def test_warmup_transition_frozen_example():
