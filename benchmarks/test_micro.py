@@ -5,7 +5,9 @@ Run from the repository root:
     PYTHONPATH=src python -m pytest benchmarks/test_micro.py
 
 This directory is outside the `testpaths` of pyproject.toml, so the Tier-1
-suite does not collect it. Shapes follow the two benchmark bundles: the
+suite does not collect it; `tests/test_benchmark_hooks.py` runs every body
+here once with a stand-in `benchmark`, so an API change that breaks these
+benchmarks fails Tier-1 instead of `scripts/bench.py`. Shapes follow the two benchmark bundles: the
 recovery bundle (K=3, 2-d features, linear model, batch 8) and the ordering
 bundle (K=4, 2-d features, MLP-64 tanh, batch 32). `gibbs_sample_batch` and
 `update_bound` also run at K=8 with a batch of 16, where their row sums go
@@ -25,8 +27,8 @@ from lccn_lab.classifier import (
     one_hot,
     sgd_step,
 )
-from lccn_lab.noise_model import ConfusionCounts, DirichletPrior, update_bound
-from lccn_lab.sampler import LatentAssignment, gibbs_sample_batch
+from lccn_lab.noise_model import DirichletPrior, confusion_counts, update_bound
+from lccn_lab.sampler import gibbs_sample_batch
 
 SHAPES = {
     "linear-batch8": (Architecture("linear", 2, 3), 8),
@@ -64,26 +66,24 @@ def _chain(k: int, n: int, seed: int = 0):
     """A latent-label chain over n samples with K=k, started from the observed labels."""
     rng = np.random.default_rng(seed)
     observed = rng.integers(0, k, size=n)
-    assignment = LatentAssignment.from_labels(observed)
-    counts = ConfusionCounts.from_assignment(assignment.labels, observed, k, k)
-    return rng, observed, assignment, counts, DirichletPrior.uniform(k)
+    labels = observed.copy()
+    counts = confusion_counts(labels, observed, k, k)
+    return rng, observed, labels, counts, DirichletPrior.uniform(k)
 
 
 @pytest.mark.parametrize("k,batch", [(3, 8), (4, 32), (8, 16)])
 def test_gibbs_sample_batch(benchmark, k, batch):
-    rng, observed, assignment, counts, prior = _chain(k, 1000)
+    rng, observed, labels, counts, prior = _chain(k, 1000)
     idx = np.arange(batch)
     probs = rng.dirichlet(np.ones(k), size=batch)
-    benchmark(
-        gibbs_sample_batch, probs, observed[idx], counts, prior, assignment, idx, rng
-    )
+    benchmark(gibbs_sample_batch, probs, observed[idx], counts, prior, labels, idx, rng)
 
 
 @pytest.mark.parametrize("k,batch", [(3, 8), (4, 32), (8, 16)])
 def test_update_bound(benchmark, k, batch):
-    rng, observed, assignment, counts, prior = _chain(k, 1000)
+    rng, observed, labels, counts, prior = _chain(k, 1000)
     idx = np.arange(batch)
     before = counts.copy()
     probs = rng.dirichlet(np.ones(k), size=batch)
-    gibbs_sample_batch(probs, observed[idx], counts, prior, assignment, idx, rng)
+    gibbs_sample_batch(probs, observed[idx], counts, prior, labels, idx, rng)
     benchmark(update_bound, before, counts, prior)

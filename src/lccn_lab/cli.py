@@ -100,6 +100,20 @@ def _seed_list(values) -> list[int]:
     return [int(v) for v in values]
 
 
+def _resolve_seeds(args, cfg: dict) -> list[int]:
+    """The training seeds of `train` and `sweep`.
+
+    `--seeds` wins; else the config's non-empty `seeds` list; else the train
+    section's `seed` (0 if unset).
+    """
+    if args.seeds is not None:
+        return list(args.seeds)
+    if cfg.get("seeds"):
+        return _seed_list(cfg["seeds"])
+    train = cfg.get("train")
+    return _seed_list([train.get("seed", 0) if isinstance(train, dict) else 0])
+
+
 def _load_config(path: str) -> tuple[dict, Path]:
     """An experiment config and the directory its relative paths resolve against."""
     cfg = _load_json(path)
@@ -306,13 +320,7 @@ def cmd_train(args) -> int:
     cfg, base = _load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.seeds is not None:
-        seeds = list(args.seeds)
-    elif cfg.get("seeds"):
-        seeds = _seed_list(cfg["seeds"])
-    else:
-        train = cfg.get("train", {})
-        seeds = _seed_list([train.get("seed", 0) if isinstance(train, dict) else 0])
+    seeds = _resolve_seeds(args, cfg)
     summaries = _run_seeds(cfg, seeds, out, base)
     aggregate = {
         "seeds": seeds,
@@ -365,7 +373,7 @@ def cmd_sweep(args) -> int:
         raise ParameterError("values: sweep grid must not be empty")
     values = [_coerce_sweep_value(v) for v in args.values]
     section, key = _resolve_sweep_target(args.param)
-    seeds = list(args.seeds) if args.seeds is not None else _seed_list(cfg.get("seeds", [0]))
+    seeds = _resolve_seeds(args, cfg)
     out = Path(args.out)
     points = {}  # every point is resolved before the first one trains
     for value in values:
@@ -434,11 +442,15 @@ def cmd_diagnose_transition(args) -> int:
     )
     payload = {"rows": phi.shape[0], "cols": phi.shape[1]}
     if args.oracle:
+        # An lccn_star run's phi has an outlier row past its K x K block.
+        k = phi.shape[1]
         oracle = _phi_from_value(args.oracle)
-        if oracle.shape != phi.shape:
-            oracle = oracle[: phi.shape[0], : phi.shape[1]]
-            if oracle.shape != phi.shape:
-                raise ParameterError("oracle transition shape does not match the run's")
+        if oracle.shape != (k, k) or phi.shape[0] < k:
+            raise ParameterError(
+                f"oracle transition shape {oracle.shape} does not match the run's "
+                f"{k} x {k} block of phi {phi.shape}"
+            )
+        phi = phi[:k]
         per_row = np.abs(phi - oracle).sum(axis=1).tolist()
         write_csv(
             out / "transition_errors.csv",

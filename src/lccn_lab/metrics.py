@@ -55,13 +55,8 @@ def top1_accuracy(probs: np.ndarray, labels: np.ndarray, n_classes: int | None =
     return float(np.mean(probs.argmax(axis=1) == labels))
 
 
-def correction_ratio(assignment_labels, true_labels: np.ndarray) -> float:
-    """Share of in-distribution samples whose latent label matches the truth.
-
-    Accepts either a LatentAssignment or a plain label array.
-    """
-    if hasattr(assignment_labels, "labels"):
-        assignment_labels = assignment_labels.labels
+def correction_ratio(assignment_labels: np.ndarray, true_labels: np.ndarray) -> float:
+    """Share of in-distribution samples whose latent label matches the truth."""
     assignment_labels = np.asarray(assignment_labels, dtype=np.int64)
     true_labels = np.asarray(true_labels, dtype=np.int64)
     if assignment_labels.shape != true_labels.shape:

@@ -1,7 +1,10 @@
 """Dirichlet-multinomial model of the latent-class to observed-label channel.
 
 The channel is summarized by a count matrix over (latent class, observed
-label) pairs. A Dirichlet prior over each latent class's row yields closed
+label) pairs: a plain int64 ndarray of shape (n_latent, n_observed), built by
+`confusion_counts` and updated in place by the sampler. No row totals are
+cached; whoever needs them sums the rows, which is exact for integers in any
+order. A Dirichlet prior over each latent class's row yields closed
 forms for the smoothed transition estimate, the leave-one-out predictive
 probability used by the collapsed Gibbs sampler, and a per-batch bound on how
 far one batch of reassignments can move any transition row.
@@ -79,66 +82,31 @@ class DirichletPrior:
         return self.concentration.size
 
 
-@dataclass
-class ConfusionCounts:
-    """Integer co-occurrence counts of latent class (row) vs observed label (column)."""
+def confusion_counts(
+    labels: np.ndarray,
+    observed_labels: np.ndarray,
+    n_latent: int,
+    n_observed: int,
+    exclude: np.ndarray | None = None,
+) -> np.ndarray:
+    """(n_latent, n_observed) int64 tally of latent label (row) vs observed label (column).
 
-    counts: np.ndarray
-    row_totals: np.ndarray
+    Unassigned samples (negative labels) and those masked by `exclude` stay out.
+    """
+    counts = np.zeros((n_latent, n_observed), dtype=np.int64)
+    keep = labels >= 0
+    if exclude is not None:
+        keep &= ~exclude
+    np.add.at(counts, (labels[keep], observed_labels[keep]), 1)
+    return counts
 
-    @classmethod
-    def zeros(cls, n_latent: int, n_observed: int) -> "ConfusionCounts":
-        return cls(
-            counts=np.zeros((n_latent, n_observed), dtype=np.int64),
-            row_totals=np.zeros(n_latent, dtype=np.int64),
-        )
 
-    @classmethod
-    def from_assignment(
-        cls,
-        assignment: np.ndarray,
-        observed_labels: np.ndarray,
-        n_latent: int,
-        n_observed: int,
-        exclude: np.ndarray | None = None,
-    ) -> "ConfusionCounts":
-        """Tally all assigned samples; `exclude` masks samples kept out of the counts."""
-        out = cls.zeros(n_latent, n_observed)
-        keep = assignment >= 0
-        if exclude is not None:
-            keep &= ~exclude
-        np.add.at(out.counts, (assignment[keep], observed_labels[keep]), 1)
-        out.row_totals = out.counts.sum(axis=1)
-        return out
-
-    @property
-    def n_latent(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def n_observed(self) -> int:
-        return self.counts.shape[1]
-
-    def copy(self) -> "ConfusionCounts":
-        return ConfusionCounts(self.counts.copy(), self.row_totals.copy())
-
-    def increment(self, latent: int, observed: int) -> None:
-        self.counts[latent, observed] += 1
-        self.row_totals[latent] += 1
-
-    def decrement(self, latent: int, observed: int) -> None:
-        if self.counts[latent, observed] <= 0:
-            raise InvariantError(
-                f"decrement of empty count cell ({latent}, {observed})"
-            )
-        self.counts[latent, observed] -= 1
-        self.row_totals[latent] -= 1
-
-    def check_consistent(self) -> None:
-        if np.any(self.counts < 0):
-            raise InvariantError("negative confusion count")
-        if np.any(self.row_totals != self.counts.sum(axis=1)):
-            raise InvariantError("row_totals cache out of sync with counts")
+def _check_counts(counts, prior: DirichletPrior) -> None:
+    """A count matrix must be a 2-d ndarray with one column per prior entry."""
+    if not isinstance(counts, np.ndarray) or counts.ndim != 2:
+        raise ParameterError("counts must be a 2-d count matrix (n_latent, n_observed)")
+    if prior.n_observed != counts.shape[1]:
+        raise ParameterError("prior size must match the observed-label count")
 
 
 @dataclass
@@ -164,15 +132,14 @@ class TransitionMatrix:
         return self.matrix.shape[1]
 
 
-def transition_from_counts(counts: ConfusionCounts, prior: DirichletPrior) -> TransitionMatrix:
+def transition_from_counts(counts: np.ndarray, prior: DirichletPrior) -> TransitionMatrix:
     """Row-normalized transition estimate from the current counts.
 
     The prior concentration is added to every cell before normalizing, so
     rows are always well defined.
     """
-    if prior.n_observed != counts.n_observed:
-        raise ParameterError("prior size must match the observed-label count")
-    numer = counts.counts + prior.concentration
+    _check_counts(counts, prior)
+    numer = counts + prior.concentration
     return TransitionMatrix(numer / numer.sum(axis=1, keepdims=True))
 
 
@@ -204,15 +171,15 @@ def warmup_transition(
 
 
 def conditional_transition_column(
-    counts: ConfusionCounts, prior: DirichletPrior, observed: int
+    counts: np.ndarray, prior: DirichletPrior, observed: int
 ) -> np.ndarray:
     """Leave-one-out predictive probability of `observed` under every latent class.
 
     `counts` must already exclude the sample being resampled.
     """
-    alpha = prior.concentration
-    return (alpha[observed] + counts.counts[:, observed]) / (
-        prior.total + counts.row_totals
+    _check_counts(counts, prior)
+    return (prior.concentration[observed] + counts[:, observed]) / (
+        prior.total + counts.sum(axis=1)
     )
 
 
@@ -237,7 +204,7 @@ class TransitionUpdateBound:
 
 
 def update_bound(
-    before: ConfusionCounts, after: ConfusionCounts, prior: DirichletPrior
+    before: np.ndarray, after: np.ndarray, prior: DirichletPrior
 ) -> TransitionUpdateBound:
     """Bound and measure the per-row L1 change of the smoothed transition between two states.
 
@@ -249,27 +216,28 @@ def update_bound(
     before and after must pass the same row-stochastic check as a
     `TransitionMatrix`.
     """
-    if before.counts.shape != after.counts.shape:
+    _check_counts(before, prior)
+    if not isinstance(after, np.ndarray) or after.shape != before.shape:
         raise ParameterError("count matrices must have the same shape")
-    if prior.n_observed != before.n_observed:
-        raise ParameterError("prior size must match the observed-label count")
     alpha = prior.concentration.tolist()
     total = prior.total
-    totals_before = before.row_totals.tolist()
-    totals_after = after.row_totals.tolist()
-    rows_before, rows_after = before.counts.tolist(), after.counts.tolist()
+    rows_before, rows_after = before.tolist(), after.tolist()
+    # Integer sums are exact in any order, so totals and deltas need no numpy reduction.
+    totals_before = [sum(row) for row in rows_before]
     touched = [r for r, (b, a) in enumerate(zip(rows_before, rows_after)) if b != a]
     rows_before = [rows_before[r] for r in touched]
     rows_after = [rows_after[r] for r in touched]
     deltas = [[a - b for a, b in zip(row_a, row_b)] for row_a, row_b in zip(rows_after, rows_before)]
-    # Integer deltas sum exactly in any order, so these need no numpy reduction.
     nets = [sum(delta) for delta in deltas]
     churns = [sum(abs(d) for d in delta) for delta in deltas]
     denoms = [totals_before[r] + total for r in touched]
     net_ratios = [net / denom for net, denom in zip(nets, denoms)]
     abs_ratios = [churn / denom for churn, denom in zip(churns, denoms)]
-    if not all(1.0 + ratio > 0.0 for ratio in net_ratios) and any(t < 0 for t in totals_after):
-        raise InvariantError("net count change cannot remove more mass than a row holds")
+    totals_after = None  # needed only where a row loses its whole mass, or more
+    if not all(1.0 + ratio > 0.0 for ratio in net_ratios):
+        totals_after = after.sum(axis=1).tolist()
+        if any(t < 0 for t in totals_after):
+            raise InvariantError("net count change cannot remove more mass than a row holds")
     bounds = []
     for r, net, churn, net_ratio, abs_ratio in zip(touched, nets, churns, net_ratios, abs_ratios):
         shrink = 1.0 + net_ratio

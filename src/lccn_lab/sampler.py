@@ -4,7 +4,10 @@ Each sample's latent label is resampled from the product of two factors: the
 classifier's probability for that class, and the leave-one-out predictive
 probability of the observed label given the class (from the Dirichlet-
 multinomial channel). Enumerating all joint assignments gives an exact
-posterior for small instances, used to validate the chain.
+posterior for small instances, used to validate the chain. The chain's state
+is two plain arrays, both updated in place: the int64 latent label of every
+sample (UNASSIGNED before its first draw) and the count matrix of
+`noise_model.confusion_counts`.
 
 `sampling_distribution` is the one-draw reference. `gibbs_sample_batch` runs
 the same chain on plain Python floats and is bit-identical to replaying the
@@ -29,28 +32,15 @@ from scipy.special import gammaln, logsumexp
 
 from .errors import InvariantError, ParameterError, TrainingError
 from .noise_model import (
-    ConfusionCounts,
     DirichletPrior,
     TransitionMatrix,
+    _check_counts,
     _row_sum,
+    confusion_counts,
 )
 
 UNASSIGNED = -1
 ANNEAL_TARGETS = ("transition", "product")
-
-
-@dataclass
-class LatentAssignment:
-    """Current latent label of every sample; UNASSIGNED before the first draw."""
-
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-
-    @classmethod
-    def from_labels(cls, labels: np.ndarray) -> "LatentAssignment":
-        return cls(np.array(labels, dtype=np.int64))
 
 
 @dataclass
@@ -121,7 +111,7 @@ def _scores(
 def sampling_distribution(
     probs_row: np.ndarray,
     observed_label: int,
-    counts: ConfusionCounts,
+    counts: np.ndarray,
     prior: DirichletPrior,
     warmup_phi: TransitionMatrix | None = None,
     anneal: float = 1.0,
@@ -134,14 +124,17 @@ def sampling_distribution(
     classifier factor still applies. Scores are invariant to positive scaling
     of probs_row.
     """
+    _check_counts(counts, prior)
     probs_row = np.asarray(probs_row, dtype=np.float64)
-    if probs_row.shape != (counts.n_latent,):
+    if probs_row.shape != (counts.shape[0],):
         raise ParameterError("probs_row must hold one probability per latent class")
+    if not 0 <= observed_label < counts.shape[1]:
+        raise ParameterError("observed label out of range")
     if anneal_target not in ANNEAL_TARGETS:
         raise ParameterError(f"unknown anneal target {anneal_target!r}")
     scores, norm = _scores(
         probs_row.tolist(), float(prior.concentration[observed_label]),
-        counts.counts[:, observed_label].tolist(), counts.row_totals.tolist(), prior.total,
+        counts[:, observed_label].tolist(), counts.sum(axis=1).tolist(), prior.total,
         None if warmup_phi is None else warmup_phi.matrix[:, observed_label].tolist(),
         anneal, anneal_target,
     )
@@ -151,40 +144,45 @@ def sampling_distribution(
 def gibbs_sample_batch(
     probs: np.ndarray,
     observed_labels: np.ndarray,
-    counts: ConfusionCounts,
+    counts: np.ndarray,
     prior: DirichletPrior,
-    assignment: LatentAssignment,
+    labels: np.ndarray,
     batch_indices: np.ndarray,
     rng: np.random.Generator,
     warmup_phi: TransitionMatrix | None = None,
     anneal: float = 1.0,
     anneal_target: str = "transition",
 ) -> np.ndarray:
-    """Resample the latent labels of one batch, updating counts and assignment in place.
+    """Resample the latent labels of one batch, updating `counts` and `labels` in place.
 
     Samples are processed sequentially: each draw removes the sample's old
     count (if assigned), scores every latent class against counts already
     updated by earlier draws in the batch, draws a new class, and books it.
-    The count matrix (column by column) and the row totals are mirrored as
-    Python lists and written back when the batch ends, also when it ends on
-    an error. The batch's uniforms are drawn up front, so a batch that fails
-    part-way has consumed all of them.
+    The count matrix is mirrored column by column as Python lists, with its
+    row totals summed once from those lists, and written back when the batch
+    ends, also when it ends on an error. The batch's uniforms are drawn up
+    front, so a batch that fails part-way has consumed all of them.
 
     Args:
         probs: (M, R) classifier probabilities for the batch samples.
         observed_labels: (M,) observed labels of the batch samples.
-        batch_indices: (M,) positions of the batch samples in `assignment`.
+        counts: (R, K) count matrix of latent vs observed labels.
+        labels: (N,) integer latent label of every sample, UNASSIGNED if none.
+        batch_indices: (M,) positions of the batch samples in `labels`.
 
     Returns:
         (M,) newly sampled latent labels, in batch order.
     """
+    _check_counts(counts, prior)
+    if not isinstance(labels, np.ndarray) or labels.ndim != 1 or labels.dtype.kind not in "iu":
+        raise ParameterError("labels must be a 1-d integer array")
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2 or probs.shape[1] != counts.n_latent:
+    if probs.ndim != 2 or probs.shape[1] != counts.shape[0]:
         raise ParameterError("probs must be (batch, n_latent)")
     if len(observed_labels) != probs.shape[0] or len(batch_indices) != probs.shape[0]:
         raise ParameterError("batch arrays must have matching lengths")
     observed_list = np.asarray(observed_labels).tolist()
-    if observed_list and not 0 <= min(observed_list) <= max(observed_list) < counts.n_observed:
+    if observed_list and not 0 <= min(observed_list) <= max(observed_list) < counts.shape[1]:
         raise ParameterError("observed labels out of range")
     if anneal_target not in ANNEAL_TARGETS:
         raise ParameterError(f"unknown anneal target {anneal_target!r}")
@@ -192,11 +190,10 @@ def gibbs_sample_batch(
     alpha = prior.concentration.tolist()
     alpha_total = prior.total
     warmup_columns = (
-        [None] * counts.n_observed if warmup_phi is None else warmup_phi.matrix.T.tolist()
+        [None] * counts.shape[1] if warmup_phi is None else warmup_phi.matrix.T.tolist()
     )
-    labels = assignment.labels
-    totals = counts.row_totals.tolist()
-    columns = counts.counts.T.tolist()
+    columns = counts.T.tolist()
+    totals = [sum(row) for row in zip(*columns)]
     sampled = []
     try:
         for row, observed, position, u in zip(
@@ -224,8 +221,7 @@ def gibbs_sample_batch(
             labels[position] = new
             sampled.append(new)
     finally:
-        counts.counts.T[...] = columns
-        counts.row_totals[:] = totals
+        counts.T[...] = columns
     return np.array(sampled, dtype=np.int64)
 
 
@@ -321,13 +317,6 @@ class GibbsDiagnostics:
         return float(self.per_sample_tv.mean())
 
 
-def _default_checkpoints(burn_in: int, sweeps: int, n_points: int = 8) -> list[int]:
-    grid = np.unique(
-        np.geomspace(burn_in + 1, sweeps, num=n_points).round().astype(int)
-    )
-    return [int(s) for s in grid]
-
-
 def mixing_diagnostic(
     probs: np.ndarray,
     observed_labels: np.ndarray,
@@ -335,14 +324,13 @@ def mixing_diagnostic(
     sweeps: int,
     burn_in: int,
     seed: int = 0,
-    checkpoints: list[int] | None = None,
-    initial: np.ndarray | None = None,
 ) -> GibbsDiagnostics:
     """Run a frozen-classifier chain and compare empirical marginals to the exact ones.
 
-    Post-burn-in states are tallied into per-sample empirical marginals; the
-    trace records (sweep, max_tv, mean_tv) at each checkpoint. With sweeps=0
-    the "empirical marginal" is the point mass of the initial state.
+    The chain starts from the observed labels. Post-burn-in states are tallied
+    into per-sample empirical marginals; the trace records (sweep, max_tv,
+    mean_tv) at up to 8 geometrically spaced sweeps. With sweeps=0 the
+    "empirical marginal" is the point mass of the initial state.
     """
     probs = np.asarray(probs, dtype=np.float64)
     observed_labels = np.asarray(observed_labels, dtype=np.int64)
@@ -352,29 +340,24 @@ def mixing_diagnostic(
     if sweeps > 0 and burn_in >= sweeps:
         raise ParameterError("burn_in must be smaller than sweeps")
     reference = exact_posterior_bruteforce(probs, observed_labels, prior)
-    start = observed_labels if initial is None else np.asarray(initial, dtype=np.int64)
-    assignment = LatentAssignment.from_labels(start)
-    counts = ConfusionCounts.from_assignment(
-        assignment.labels, observed_labels, n_latent, prior.n_observed
-    )
     if sweeps == 0:
         empirical = np.zeros((n, n_latent))
-        empirical[np.arange(n), assignment.labels] = 1.0
+        empirical[np.arange(n), observed_labels] = 1.0
         tv = total_variation_rows(empirical, reference)
         trace = [(0, float(tv.max()), float(tv.mean()))]
         return GibbsDiagnostics(0, burn_in, empirical, reference, trace)
-    if checkpoints is None:
-        checkpoints = _default_checkpoints(burn_in, sweeps)
-    checkpoint_set = {int(c) for c in checkpoints}
+    labels = observed_labels.copy()
+    counts = confusion_counts(labels, observed_labels, n_latent, prior.n_observed)
+    checkpoints = set(np.geomspace(burn_in + 1, sweeps, num=8).round().astype(int).tolist())
     rng = np.random.default_rng(seed)
     tally = np.zeros((n, n_latent))
     trace: list[tuple[int, float, float]] = []
     rows = np.arange(n)
     for sweep in range(1, sweeps + 1):
-        gibbs_sample_batch(probs, observed_labels, counts, prior, assignment, rows, rng)
+        gibbs_sample_batch(probs, observed_labels, counts, prior, labels, rows, rng)
         if sweep > burn_in:
-            tally[rows, assignment.labels] += 1.0
-            if sweep in checkpoint_set:
+            tally[rows, labels] += 1.0
+            if sweep in checkpoints:
                 empirical = tally / (sweep - burn_in)
                 tv = total_variation_rows(empirical, reference)
                 trace.append((sweep, float(tv.max()), float(tv.mean())))

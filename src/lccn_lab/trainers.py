@@ -54,14 +54,14 @@ from .metrics import (
     transition_l1_error,
 )
 from .noise_model import (
-    ConfusionCounts,
     DirichletPrior,
     TransitionMatrix,
+    confusion_counts,
     transition_from_counts,
     update_bound,
     warmup_transition,
 )
-from .sampler import AnnealSchedule, LatentAssignment, gibbs_sample_batch
+from .sampler import AnnealSchedule, gibbs_sample_batch
 
 BOUND_SLACK = 1e-12
 # TrainConfig checks each field declared `int` or `float` (or `... | None`)
@@ -561,25 +561,23 @@ def _train_latent(
         use_clean = False
     prior = _prior_for(cfg, k)
     exclude = ds.clean_mask if use_clean else None
-    assignment = LatentAssignment.from_labels(ds.noisy_labels)
-    counts = ConfusionCounts.from_assignment(
-        assignment.labels, ds.noisy_labels, n_latent, k, exclude=exclude
-    )
+    labels = ds.noisy_labels.copy()
+
+    def tally() -> np.ndarray:
+        return confusion_counts(labels, ds.noisy_labels, n_latent, k, exclude=exclude)
+
+    counts = tally()
 
     def current_phi() -> TransitionMatrix:
         return transition_from_counts(counts, prior)
 
     def record() -> dict:
         # The books are checked at every eval, and the run always ends on one.
-        counts.check_consistent()
-        expected = ConfusionCounts.from_assignment(
-            assignment.labels, ds.noisy_labels, n_latent, k, exclude=exclude
-        )
-        if np.any(expected.counts != counts.counts):
+        if np.any(tally() != counts):
             raise InvariantError("confusion counts drifted from the assignment")
         phi = current_phi().matrix[:k] if cfg.reference_phi is not None else None
         return {
-            "correction_ratio": correction_ratio(assignment.labels, ds.true_labels),
+            "correction_ratio": correction_ratio(labels, ds.true_labels),
             "phi_l1_error": _phi_error(cfg, phi),
         }
 
@@ -598,14 +596,14 @@ def _train_latent(
             moved = None
             if resample.size:
                 positions = idx[resample]
-                previous = assignment.labels[positions]
+                previous = labels[positions]
                 before = counts.copy()
                 sampled = gibbs_sample_batch(
                     probs[resample],
                     ds.noisy_labels[idx][resample],
                     counts,
                     prior,
-                    assignment,
+                    labels,
                     positions,
                     run.gibbs_rng,
                     warmup_phi=channel_init if run.iteration <= warmup_steps else None,
@@ -622,8 +620,7 @@ def _train_latent(
                         )
                     worst = int(np.argmax(cert.measured))
                     moved = float(cert.measured[worst]), float(cert.bound[worst])
-            labels = assignment.labels[idx]
-            sgd_step(run.params, run.opt, features, labels, run.loss_cfg, forward=forward)
+            sgd_step(run.params, run.opt, features, labels[idx], run.loss_cfg, forward=forward)
             return moved
 
         return _Hooks(batch, record=record, final_phi=current_phi)
@@ -632,7 +629,7 @@ def _train_latent(
         ds, cfg, test_ds, start, extra_class=extra_class, total_iterations=cfg.total_iterations
     )
     if extra_class and ds.ood_mask.any():
-        result.outlier_recall = float(np.mean(assignment.labels[ds.ood_mask] == k))
+        result.outlier_recall = float(np.mean(labels[ds.ood_mask] == k))
     return result
 
 

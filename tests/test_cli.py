@@ -290,6 +290,25 @@ def test_sweep_over_concentration(tmp_path, lccn_config):
     assert (out / "alpha_1000" / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("seeds", [[], None])
+def test_sweep_and_train_take_the_same_default_seed(seeds, tmp_path):
+    # Without --seeds and without a non-empty `seeds` list, both commands run train.seed.
+    cfg = {**BASE_CFG, "train": {**BASE_CFG["train"], "seed": 3}}
+    if seeds is not None:
+        cfg["seeds"] = seeds
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == EXIT_OK
+    assert main(
+        ["sweep", "--config", path, "--param", "alpha", "--values", "1",
+         "--out", str(tmp_path / "sweep")]
+    ) == EXIT_OK
+    assert json.loads((tmp_path / "run" / "summary.json").read_text())["seeds"] == [3]
+    assert json.loads((tmp_path / "sweep" / "sweep_config.json").read_text())["seeds"] == [3]
+    point = tmp_path / "sweep" / "alpha_1"
+    assert json.loads((point / "config.json").read_text())["train"]["seed"] == 3
+    assert (point / "metrics.csv").read_bytes() == (tmp_path / "run" / "metrics.csv").read_bytes()
+
+
 def test_sweep_ratio_targets_noise_section(tmp_path, lccn_config):
     out = tmp_path / "sweep"
     assert main(
@@ -438,6 +457,46 @@ def test_diagnose_transition_against_oracle(tmp_path, lccn_run):
         assert len(list(csv.DictReader(handle))) == 2
     summary = json.loads((out / "transition_summary.json").read_text())
     assert summary["max_row_l1_error"] >= 0.0
+
+
+@pytest.fixture(scope="module")
+def lccn_star_run(workdir):
+    cfg = {**BASE_CFG, "train": {**BASE_CFG["train"], "kind": "lccn_star"}}
+    out = workdir / "lccn_star_run"
+    assert main(["train", "--config", write_cfg(workdir / "star.json", cfg), "--out", str(out)]) == EXIT_OK
+    return out
+
+
+def test_diagnose_transition_compares_the_k_by_k_block_of_lccn_star(tmp_path, lccn_star_run):
+    # phi has K + 1 = 3 rows (the outlier row last); the oracle is K x K.
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text(json.dumps({"matrix": [[0.7, 0.3], [0.3, 0.7]]}))
+    out = tmp_path / "diag"
+    assert main(
+        ["diagnose", "transition", "--run", str(lccn_star_run), "--oracle", str(oracle),
+         "--out", str(out)]
+    ) == EXIT_OK
+    with open(out / "transition_colormap.csv", newline="") as handle:
+        assert len(list(csv.DictReader(handle))) == 6
+    with open(out / "transition_errors.csv", newline="") as handle:
+        errors = [float(row["l1_error"]) for row in csv.DictReader(handle)]
+    phi = np.array(json.loads((lccn_star_run / "phi_final.json").read_text())["matrix"])
+    assert phi.shape == (3, 2)
+    assert errors == np.abs(phi[:2] - [[0.7, 0.3], [0.3, 0.7]]).sum(axis=1).tolist()
+
+
+@pytest.mark.parametrize(
+    "matrix", [[[1.0]], [[0.7, 0.3, 0.0], [0.3, 0.7, 0.0], [0.0, 0.0, 1.0]], [[0.5, 0.5]]]
+)
+def test_diagnose_transition_rejects_other_oracle_shapes(matrix, tmp_path, lccn_star_run, capsys):
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text(json.dumps({"matrix": matrix}))
+    code = main(
+        ["diagnose", "transition", "--run", str(lccn_star_run), "--oracle", str(oracle),
+         "--out", str(tmp_path / "diag")]
+    )
+    assert code == EXIT_USAGE
+    assert "oracle transition shape" in capsys.readouterr().err
 
 
 def test_diagnose_transition_needs_phi_artifact(tmp_path, capsys):

@@ -18,7 +18,6 @@ from lccn_lab.metrics import (
     write_metrics_csv,
 )
 from lccn_lab.metrics import test_accuracy as accuracy_of
-from lccn_lab.sampler import LatentAssignment
 
 
 def known_linear_params(weights, biases):
@@ -82,10 +81,8 @@ def test_correction_ratio_hand_example():
     assert correction_ratio(latent, true) == pytest.approx(2 / 3)
 
 
-def test_correction_ratio_accepts_assignment_object():
-    assignment = LatentAssignment.from_labels(np.array([0, 1, 1]))
-    true = np.array([0, 1, 0])
-    assert correction_ratio(assignment, true) == pytest.approx(2 / 3)
+def test_correction_ratio_accepts_label_list():
+    assert correction_ratio([0, 1, 1], [0, 1, 0]) == pytest.approx(2 / 3)
 
 
 def test_correction_ratio_empty_raises():

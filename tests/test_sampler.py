@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 
 from lccn_lab.errors import InvariantError, ParameterError, TrainingError
 from lccn_lab.noise_model import (
-    ConfusionCounts,
     DirichletPrior,
     TransitionMatrix,
     conditional_transition_column,
+    confusion_counts,
 )
 from lccn_lab.sampler import (
     UNASSIGNED,
     AnnealSchedule,
-    LatentAssignment,
     anneal_coefficient,
     exact_posterior_bruteforce,
     gibbs_sample_batch,
@@ -28,8 +27,7 @@ from lccn_lab.sampler import (
 
 
 def counts_of(matrix):
-    matrix = np.asarray(matrix, dtype=np.float64)
-    return ConfusionCounts(matrix.copy(), matrix.sum(axis=1))
+    return np.array(matrix, dtype=np.int64)
 
 
 # ------------------------------------------------------------- annealing
@@ -117,26 +115,26 @@ def test_gibbs_batch_updates_counts_incrementally(rng):
     # exact sequential arithmetic.
     probs = np.array([[0.5, 0.5], [0.5, 0.5]])
     observed = np.array([0, 0])
-    assignment = LatentAssignment.from_labels(np.array([0, 0]))
-    counts = ConfusionCounts.from_assignment(assignment.labels, observed, 2, 2)
+    latent = np.array([0, 0])
+    counts = confusion_counts(latent, observed, 2, 2)
     prior = DirichletPrior.uniform(2, 1.0)
     replay = np.random.default_rng(42)
     sampled = gibbs_sample_batch(
-        probs, observed, counts, prior, assignment, np.array([0, 1]), np.random.default_rng(42)
+        probs, observed, counts, prior, latent, np.array([0, 1]), np.random.default_rng(42)
     )
     # manual replay of the two sequential draws
-    work = ConfusionCounts.from_assignment(np.array([0, 0]), observed, 2, 2)
+    work = confusion_counts(np.array([0, 0]), observed, 2, 2)
     labels = [0, 0]
     for i in range(2):
-        work.decrement(labels[i], 0)
+        work[labels[i], 0] -= 1
         dist = sampling_distribution(probs[i], 0, work, prior)
         draw = int(np.searchsorted(np.cumsum(dist), replay.random(), side="right"))
         draw = min(draw, 1)
-        work.increment(draw, 0)
+        work[draw, 0] += 1
         labels[i] = draw
     assert sampled.tolist() == labels
-    np.testing.assert_array_equal(counts.counts, work.counts)
-    assert assignment.labels.tolist() == labels
+    np.testing.assert_array_equal(counts, work)
+    assert latent.tolist() == labels
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -145,16 +143,12 @@ def test_gibbs_batch_labels_in_range(seed):
     rng = np.random.default_rng(seed)
     probs = rng.dirichlet(np.ones(3), size=5)
     observed = rng.integers(0, 3, size=5)
-    assignment = LatentAssignment.from_labels(observed.copy())
-    counts = ConfusionCounts.from_assignment(assignment.labels, observed, 3, 3)
+    latent = observed.copy()
+    counts = confusion_counts(latent, observed, 3, 3)
     prior = DirichletPrior.uniform(3, 0.5)
-    sampled = gibbs_sample_batch(
-        probs, observed, counts, prior, assignment, np.arange(5), rng
-    )
+    sampled = gibbs_sample_batch(probs, observed, counts, prior, latent, np.arange(5), rng)
     assert sampled.min() >= 0 and sampled.max() < 3
-    counts.check_consistent()
-    rebuilt = ConfusionCounts.from_assignment(assignment.labels, observed, 3, 3)
-    np.testing.assert_array_equal(counts.counts, rebuilt.counts)
+    np.testing.assert_array_equal(counts, confusion_counts(latent, observed, 3, 3))
 
 
 def _numpy_distribution(probs_row, observed, counts, prior, warmup_phi, anneal, target):
@@ -173,15 +167,15 @@ def _numpy_distribution(probs_row, observed, counts, prior, warmup_phi, anneal, 
 
 def _replay(probs, observed, counts, prior, labels, positions, rng, warmup_phi, anneal, target):
     """Step-by-step reference chain: one reference draw and one scalar uniform per sample."""
-    n_latent = counts.n_latent
+    n_latent = counts.shape[0]
     sampled = []
     for row, obs, position in zip(probs, observed, positions):
         if labels[position] != UNASSIGNED:
-            counts.decrement(int(labels[position]), int(obs))
+            counts[labels[position], obs] -= 1
         dist = sampling_distribution(row, int(obs), counts, prior, warmup_phi, anneal, target)
         new = int(np.searchsorted(np.cumsum(dist), rng.random(), side="right"))
         new = min(new, n_latent - 1)
-        counts.increment(new, int(obs))
+        counts[new, obs] += 1
         labels[position] = new
         sampled.append(new)
     return sampled
@@ -244,14 +238,14 @@ def with_plain_cases(test):
 def test_gibbs_batch_is_bit_identical_to_stepwise_replay(case):
     probs, observed, labels, positions, prior, warmup, anneal, target, seed = case
     n_latent, n_observed = probs.shape[1], prior.n_observed
-    counts = ConfusionCounts.from_assignment(labels, observed, n_latent, n_observed)
+    counts = confusion_counts(labels, observed, n_latent, n_observed)
     work = counts.copy()
-    assignment = LatentAssignment.from_labels(labels)
+    latent = labels.copy()
     replay_labels = labels.copy()
     rng, replay_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     batch_observed = observed[positions]
     sampled = gibbs_sample_batch(
-        probs, batch_observed, counts, prior, assignment, positions, rng,
+        probs, batch_observed, counts, prior, latent, positions, rng,
         warmup_phi=warmup, anneal=anneal, anneal_target=target,
     )
     expected = _replay(
@@ -259,9 +253,8 @@ def test_gibbs_batch_is_bit_identical_to_stepwise_replay(case):
         warmup, anneal, target,
     )
     assert sampled.tolist() == expected
-    assert np.array_equal(counts.counts, work.counts)
-    assert np.array_equal(counts.row_totals, work.row_totals)
-    assert np.array_equal(assignment.labels, replay_labels)
+    assert np.array_equal(counts, work)
+    assert np.array_equal(latent, replay_labels)
     assert rng.bit_generator.state == replay_rng.bit_generator.state
 
 
@@ -270,7 +263,7 @@ def test_gibbs_batch_is_bit_identical_to_stepwise_replay(case):
 @settings(max_examples=300, deadline=None)
 def test_sampling_distribution_is_bit_identical_to_numpy_formula(case):
     probs, observed, labels, _, prior, warmup, anneal, target, _ = case
-    counts = ConfusionCounts.from_assignment(labels, observed, probs.shape[1], prior.n_observed)
+    counts = confusion_counts(labels, observed, probs.shape[1], prior.n_observed)
     for row, obs in zip(probs, observed):
         dist = sampling_distribution(row, int(obs), counts, prior, warmup, anneal, target)
         reference = _numpy_distribution(row, int(obs), counts, prior, warmup, anneal, target)
@@ -292,11 +285,10 @@ class _GivenUniforms:
 
 def _one_draw(probs_row, u):
     n_latent = len(probs_row)
-    counts = ConfusionCounts.zeros(n_latent, n_latent)
-    assignment = LatentAssignment.from_labels(np.array([UNASSIGNED]))
+    counts = np.zeros((n_latent, n_latent), dtype=np.int64)
     sampled = gibbs_sample_batch(
         np.array([probs_row]), np.array([0]), counts, DirichletPrior.uniform(n_latent, 1.0),
-        assignment, np.array([0]), _GivenUniforms([u]),
+        np.array([UNASSIGNED]), np.array([0]), _GivenUniforms([u]),
     )
     return int(sampled[0])
 
@@ -309,7 +301,7 @@ def test_gibbs_batch_cdf_edges_match_searchsorted():
     prior = DirichletPrior.uniform(3, 1.0)
     row = next(
         r for r in data.dirichlet(np.ones(3), size=1000)
-        if np.cumsum(sampling_distribution(r, 0, ConfusionCounts.zeros(3, 3), prior))[-1] < 1.0
+        if np.cumsum(sampling_distribution(r, 0, np.zeros((3, 3), dtype=np.int64), prior))[-1] < 1.0
     )
     assert _one_draw(row.tolist(), np.nextafter(1.0, 0.0)) == 2
 
@@ -319,56 +311,90 @@ def test_gibbs_batch_failure_writes_counts_back():
     # sample's removal stay booked, as with per-draw updates of the counts.
     probs = np.array([[0.5, 0.5], [0.0, 0.0]])
     observed = np.array([0, 1])
-    assignment = LatentAssignment.from_labels(np.array([0, 1]))
-    counts = ConfusionCounts.from_assignment(assignment.labels, observed, 2, 2)
+    latent = np.array([0, 1])
+    counts = confusion_counts(latent, observed, 2, 2)
     prior = DirichletPrior.uniform(2, 1.0)
     with pytest.raises(TrainingError):
         gibbs_sample_batch(
-            probs, observed, counts, prior, assignment, np.array([0, 1]), np.random.default_rng(3)
+            probs, observed, counts, prior, latent, np.array([0, 1]), np.random.default_rng(3)
         )
-    first = int(assignment.labels[0])
     expected = np.zeros((2, 2), dtype=np.int64)
-    expected[first, 0] = 1
-    np.testing.assert_array_equal(counts.counts, expected)
-    np.testing.assert_array_equal(counts.row_totals, expected.sum(axis=1))
+    expected[latent[0], 0] = 1
+    np.testing.assert_array_equal(counts, expected)
 
 
 def test_gibbs_batch_decrement_of_empty_cell_raises():
     # the assignment claims a label the counts do not hold
-    counts = ConfusionCounts.zeros(2, 2)
-    assignment = LatentAssignment.from_labels(np.array([1]))
+    counts = np.zeros((2, 2), dtype=np.int64)
     with pytest.raises(InvariantError):
         gibbs_sample_batch(
             np.array([[0.5, 0.5]]), np.array([0]), counts, DirichletPrior.uniform(2, 1.0),
-            assignment, np.array([0]), np.random.default_rng(0),
+            np.array([1]), np.array([0]), np.random.default_rng(0),
         )
-    assert counts.counts.sum() == 0 and counts.row_totals.sum() == 0
+    assert counts.sum() == 0
 
 
 def test_gibbs_batch_rejects_unknown_anneal_target_before_drawing():
-    counts = counts_of([[1.0, 0.0], [0.0, 1.0]])
-    assignment = LatentAssignment.from_labels(np.array([0, 1]))
+    counts = counts_of([[1, 0], [0, 1]])
+    latent = np.array([0, 1])
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(ParameterError, match="anneal target"):
         gibbs_sample_batch(
             np.array([[0.5, 0.5]]), np.array([0]), counts, DirichletPrior.uniform(2, 1.0),
-            assignment, np.array([0]), rng, anneal_target="bogus",
+            latent, np.array([0]), rng, anneal_target="bogus",
         )
     assert rng.bit_generator.state == state
-    assert counts.counts.tolist() == [[1.0, 0.0], [0.0, 1.0]]
-    assert assignment.labels.tolist() == [0, 1]
+    assert counts.tolist() == [[1, 0], [0, 1]]
+    assert latent.tolist() == [0, 1]
 
 
 def test_gibbs_batch_shape_validation():
     prior = DirichletPrior.uniform(2, 1.0)
-    counts = counts_of([[1.0, 0.0], [0.0, 1.0]])
-    assignment = LatentAssignment.from_labels(np.array([0, 1]))
+    counts = counts_of([[1, 0], [0, 1]])
     with pytest.raises(ParameterError):
         gibbs_sample_batch(
-            np.array([0.5, 0.5]), np.array([0]), counts, prior, assignment,
+            np.array([0.5, 0.5]), np.array([0]), counts, prior, np.array([0, 1]),
             np.array([0]), np.random.default_rng(0),
         )
+
+
+BAD_SAMPLER_INPUTS = {
+    # A prior longer than the count columns used to be sampled under silently.
+    "prior_too_long": {"prior": DirichletPrior.uniform(5, 1.0)},
+    "prior_too_short": {"prior": DirichletPrior.uniform(1, 1.0)},
+    "counts_as_list": {"counts": [[1, 0], [0, 1]]},
+    "counts_1d": {"counts": np.array([1, 1])},
+    "labels_as_list": {"labels": [0, 1]},
+    "labels_2d": {"labels": np.array([[0, 1]])},
+    "labels_float": {"labels": np.array([0.0, 1.0])},
+}
+
+
+@pytest.mark.parametrize("case", BAD_SAMPLER_INPUTS)
+def test_gibbs_batch_rejects_bad_state_before_drawing(case):
+    args = {"counts": counts_of([[1, 0], [0, 1]]), "prior": DirichletPrior.uniform(2, 1.0),
+            "labels": np.array([0, 1]), **BAD_SAMPLER_INPUTS[case]}
+    counts, labels = np.array(args["counts"]), np.array(args["labels"])
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ParameterError):
+        gibbs_sample_batch(
+            np.array([[0.5, 0.5]]), np.array([0]), args["counts"], args["prior"],
+            args["labels"], np.array([0]), rng,
+        )
+    assert rng.bit_generator.state == state
+    assert np.array_equal(args["counts"], counts) and np.array_equal(args["labels"], labels)
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in BAD_SAMPLER_INPUTS if not c.startswith("labels")] + ["observed_out_of_range"]
+)
+def test_sampling_distribution_rejects_bad_state(case):
+    args = {"counts": counts_of([[1, 0], [0, 1]]), "prior": DirichletPrior.uniform(2, 1.0),
+            "observed": 0, **BAD_SAMPLER_INPUTS.get(case, {"observed": 2})}
+    with pytest.raises(ParameterError):
+        sampling_distribution(np.array([0.5, 0.5]), args["observed"], args["counts"], args["prior"])
 
 
 # --------------------------------------------------------- exact posterior

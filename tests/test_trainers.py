@@ -25,13 +25,13 @@ from lccn_lab.trainers import (
     train_s_adaptation,
 )
 from lccn_lab.noise_model import (
-    ConfusionCounts,
     DirichletPrior,
     TransitionMatrix,
+    confusion_counts,
     update_bound,
     warmup_transition,
 )
-from lccn_lab.sampler import AnnealSchedule, LatentAssignment, gibbs_sample_batch
+from lccn_lab.sampler import AnnealSchedule, gibbs_sample_batch
 
 
 def records_equal(a, b):
@@ -308,10 +308,8 @@ def test_batch_that_moves_no_label_certifies_as_zero(
     observed = data.integers(0, n_observed, size=40)
     clean = data.random(40) < clean_share
     clean[0] = False
-    assignment = LatentAssignment.from_labels(observed)
-    counts = ConfusionCounts.from_assignment(
-        assignment.labels, observed, n_latent, n_observed, exclude=clean
-    )
+    latent = observed.copy()
+    counts = confusion_counts(latent, observed, n_latent, n_observed, exclude=clean)
     alpha = 10.0**log_alpha * (data.uniform(0.5, 2.0, size=n_observed) if vector_alpha else 1.0)
     prior = DirichletPrior(np.broadcast_to(alpha, (n_observed,)))
     warmup_phi = (
@@ -320,7 +318,7 @@ def test_batch_that_moves_no_label_certifies_as_zero(
     resample = np.flatnonzero(~clean)
     for step in range(12):
         positions = data.choice(resample, size=min(len(resample), 8), replace=False)
-        previous = assignment.labels[positions]
+        previous = latent[positions]
         # A classifier sure of the current labels keeps them all (always in the
         # first batch); a less sure one moves some.
         eps = 0.0 if step == 0 else data.choice([0.0, 1e-3, 0.5])
@@ -328,12 +326,12 @@ def test_batch_that_moves_no_label_certifies_as_zero(
         probs[np.arange(len(positions)), previous] += 1.0 - eps
         before = counts.copy()
         sampled = gibbs_sample_batch(
-            probs, observed[positions], counts, prior, assignment, positions, data,
+            probs, observed[positions], counts, prior, latent, positions, data,
             warmup_phi=warmup_phi,
         )
         if not np.array_equal(sampled, previous):
             continue
-        assert np.array_equal(counts.counts, before.counts)
+        assert np.array_equal(counts, before)
         cert = update_bound(before, counts, prior)
         for name in ("net_change", "abs_change", "net_ratio", "abs_ratio", "bound", "measured"):
             assert getattr(cert, name).tobytes() == bytes(8 * n_latent), name
@@ -350,18 +348,17 @@ def test_label_swap_with_equal_counts_is_still_certified(blobs2_tiny, monkeypatc
 
     def recording_bound(before, after, prior):
         cert = update_bound(before, after, prior)
-        certificates.append((np.array_equal(before.counts, after.counts), cert))
+        certificates.append((np.array_equal(before, after), cert))
         return cert
 
     scripted = []
 
-    def scripted_sampler(probs, observed, counts, prior, assignment, positions, rng, **_):
-        labels = assignment.labels
+    def scripted_sampler(probs, observed, counts, prior, labels, positions, rng, **_):
         if not scripted:
             s = positions[0]
             o = ds.noisy_labels[s]
-            counts.decrement(o, o)
-            counts.increment(1 - o, o)
+            counts[o, o] -= 1
+            counts[1 - o, o] += 1
             labels[s] = 1 - o
             scripted.append(s)
         elif len(scripted) == 1:
@@ -393,11 +390,9 @@ def test_update_bound_runs_once_per_batch_that_moved_a_label(kind, monkeypatch):
     ds = mark_clean_subset(noisy, 12, 7)
     moved, bound_calls = [], []
 
-    def watching_sampler(probs, observed, counts, prior, assignment, positions, rng, **kwargs):
-        previous = assignment.labels[positions]
-        sampled = gibbs_sample_batch(
-            probs, observed, counts, prior, assignment, positions, rng, **kwargs
-        )
+    def watching_sampler(probs, observed, counts, prior, labels, positions, rng, **kwargs):
+        previous = labels[positions]
+        sampled = gibbs_sample_batch(probs, observed, counts, prior, labels, positions, rng, **kwargs)
         moved.append(not np.array_equal(sampled, previous))
         return sampled
 
