@@ -9,7 +9,10 @@ suite does not collect it; `tests/test_benchmark_hooks.py` runs every body
 here once with a stand-in `benchmark`, so an API change that breaks these
 benchmarks fails Tier-1 instead of `scripts/bench.py`. Shapes follow the two benchmark bundles: the
 recovery bundle (K=3, 2-d features, linear model, batch 8) and the ordering
-bundle (K=4, 2-d features, MLP-64 tanh, batch 32). `gibbs_sample_batch` and
+bundle (K=4, 2-d features, MLP-64 tanh, batch 32). The classifier benchmarks
+time the hard-label, soft-target and composed-channel steps, a forward pass,
+and `apply_gradients` on a plain dict of gradients (the checked, copying
+path; the steps themselves hand it the optimizer's own vector). `gibbs_sample_batch` and
 `update_bound` also run at K=8 with a batch of 16, where their row sums go
 through numpy's reduction; no benchmark workload reaches that path.
 """
@@ -21,14 +24,18 @@ from lccn_lab.classifier import (
     Architecture,
     LossConfig,
     apply_gradients,
+    forward_proba,
     init_optimizer,
     init_params,
     loss_and_grads,
     one_hot,
     sgd_step,
+    sgd_step_soft,
 )
+from lccn_lab.datagen import LabeledDataset
 from lccn_lab.noise_model import DirichletPrior, confusion_counts, update_bound
 from lccn_lab.sampler import gibbs_sample_batch
+from lccn_lab.trainers import _composed_step, _Run
 
 SHAPES = {
     "linear-batch8": (Architecture("linear", 2, 3), 8),
@@ -50,6 +57,37 @@ def test_sgd_step(benchmark, shape):
     opt = init_optimizer(params, learning_rate=0.01)
     features, labels = _batch(arch, batch)
     benchmark(sgd_step, params, opt, features, labels, LossConfig())
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_sgd_step_soft(benchmark, shape):
+    arch, batch = SHAPES[shape]
+    params = init_params(arch, 0)
+    opt = init_optimizer(params, learning_rate=0.01)
+    features, _ = _batch(arch, batch)
+    weights = np.random.default_rng(1).dirichlet(np.ones(arch.n_classes), size=batch)
+    benchmark(sgd_step_soft, params, opt, features, weights, LossConfig())
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_composed_step(benchmark, shape):
+    """The forward_fixed / s_adaptation step through a fixed channel."""
+    arch, batch = SHAPES[shape]
+    params = init_params(arch, 0)
+    features, labels = _batch(arch, batch)
+    no_mask = np.zeros(batch, dtype=bool)
+    ds = LabeledDataset(features, labels, labels, no_mask, no_mask, arch.n_classes)
+    run = _Run(params, init_optimizer(params, 0.01), LossConfig(), np.random.default_rng(0), 1, 1)
+    phi = np.full((arch.n_classes, arch.n_classes), 0.1 / (arch.n_classes - 1))
+    np.fill_diagonal(phi, 0.9)
+    benchmark(_composed_step, run, ds, np.arange(batch), phi)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_forward_proba(benchmark, shape):
+    arch, batch = SHAPES[shape]
+    features, _ = _batch(arch, batch)
+    benchmark(forward_proba, init_params(arch, 0), features)
 
 
 @pytest.mark.parametrize("shape", SHAPES)

@@ -12,17 +12,38 @@ each (`.flat`), packed in the mapping's key order when the object is built
 the vector; rebinding an entry raises TypeError, because a new array would
 no longer be part of the vector.
 
-`apply_gradients` joins the gradients in the params' tensor order and runs
-the momentum step once on the flat vectors. Every element goes through the
-same float operations, in the same order, as a per-tensor loop would give
-it, so the result is bit for bit the same. The SGD steps take an optional
-`forward=(probs, cache)` from `_forward` on the same params and features,
-so a caller that already needed the probabilities does not forward twice.
+One loss-and-gradient path: `soft_target_cross_entropy`,
+`dlogits_from_dprobs` and `backprop_logits`, chained by `loss_and_grads` for
+the hard-label and soft-target steps and around the channel by the trainers'
+composed step; `apply_gradients` is the one momentum update. The steps pass the
+optimizer's own gradient views (`OptimizerState.grads`, views of one vector
+`grad` in the params' layout) as `out`, so `backprop_logits` writes each
+gradient product straight into that vector and `apply_gradients` runs the
+momentum step on it in place: no concatenate, no per-tensor checks, no fresh
+arrays. A plain dict of gradients is checked and copied into `grad` first.
+The SGD steps take an optional `forward=(probs, cache)` from `_forward` on
+the same params and features, so a caller that already needed the
+probabilities does not forward twice.
+
+Bit for bit: every float operation is the one the plain numpy formulas
+(`np.clip`, `np.sum`, `one_hot` by zeros and scatter, fresh gradient arrays
+joined by a concatenate) perform, on the same operands in the same order,
+so each element of the params and velocity gets the same bits. The calls
+differ only where a substitute is exact: one-hot rows are taken from a
+cached identity matrix (the same 0.0 and 1.0 entries); the clip is
+`minimum(maximum(p, clip), 1 - clip)`, which is `np.clip`'s own formula for
+a positive clip; `np.add.reduce` and `np.maximum.reduce` are what `np.sum`,
+`.sum()` and `.max()` call behind their Python wrappers, over the same axes
+and layouts; and results written with `out=` into views or temporaries are
+the ones a fresh array would hold. The loss keeps its dense sum over every
+entry, so numpy's blocked summation order is unchanged.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -54,15 +75,22 @@ class Architecture:
             raise ParameterError("input_dim must be >= 1 and n_classes >= 2")
 
 
+def _views(flat: np.ndarray, like: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Reshaped views of consecutive slices of flat, one per tensor of like, in its key order."""
+    views, start = {}, 0
+    for name, tensor in like.items():
+        size = np.size(tensor)
+        views[name] = flat[start : start + size].reshape(np.shape(tensor))
+        start += size
+    return views
+
+
 def _pack(tensors: Mapping[str, np.ndarray]) -> tuple[np.ndarray, Mapping[str, np.ndarray]]:
     """Copy tensors into one float64 vector; return it and read-only views of it by name."""
     flat = np.empty(sum(np.size(t) for t in tensors.values()))
-    views, start = {}, 0
+    views = _views(flat, tensors)
     for name, tensor in tensors.items():
-        view = flat[start : start + np.size(tensor)].reshape(np.shape(tensor))
-        view[...] = tensor
-        views[name] = view
-        start += view.size
+        views[name][...] = tensor
     return flat, MappingProxyType(views)
 
 
@@ -111,20 +139,23 @@ def init_params(arch: Architecture, seed: int) -> ClassifierParams:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expz = np.exp(shifted)
-    return expz / expz.sum(axis=1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    expz = np.exp(shifted, out=shifted)
+    return np.divide(expz, np.add.reduce(expz, axis=1, keepdims=True), out=expz)
 
 
 def _forward(params: ClassifierParams, features: np.ndarray) -> tuple[np.ndarray, dict]:
     t = params.tensors
     if params.arch.kind == "linear":
-        logits = features @ t["w"] + t["b"]
+        logits = np.matmul(features, t["w"])
+        logits += t["b"]
         cache = {}
     else:
-        pre = features @ t["w1"] + t["b1"]
+        pre = np.matmul(features, t["w1"])
+        pre += t["b1"]
         hidden = np.maximum(pre, 0.0) if params.arch.activation == "relu" else np.tanh(pre)
-        logits = hidden @ t["w2"] + t["b2"]
+        logits = np.matmul(hidden, t["w2"])
+        logits += t["b2"]
         cache = {"pre": pre, "hidden": hidden}
     return _softmax(logits), cache
 
@@ -151,47 +182,76 @@ def soft_target_cross_entropy(
     if probs.shape != target_weights.shape:
         raise ParameterError("probs and target_weights must have the same shape")
     n = probs.shape[0]
-    clipped = np.clip(probs, cfg.clip, 1.0 - cfg.clip)
-    loss = float(np.sum(target_weights * -np.log(clipped)) / n)
-    inside = (probs > cfg.clip) & (probs < 1.0 - cfg.clip)
-    dprobs = np.where(inside, -target_weights / clipped / n, 0.0)
-    return loss, dprobs
+    low, high = cfg.clip, 1.0 - cfg.clip
+    clipped = np.minimum(np.maximum(probs, low), high)
+    terms = np.log(clipped)
+    np.negative(terms, out=terms)
+    np.multiply(target_weights, terms, out=terms)
+    loss = float(np.add.reduce(terms, axis=None) / n)
+    inside = np.greater(probs, low)
+    inside &= np.less(probs, high)
+    scaled = np.negative(target_weights, dtype=np.float64)
+    np.divide(scaled, clipped, out=scaled)
+    np.divide(scaled, n, out=scaled)
+    return loss, np.where(inside, scaled, 0.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _eye(n_classes: int) -> np.ndarray:
+    """A read-only identity; `one_hot` takes copies of its rows."""
+    eye = np.eye(n_classes)
+    eye.flags.writeable = False
+    return eye
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """(n, n_classes) one-hot rows of 1-d integer labels: fresh rows of a cached identity."""
     labels = np.asarray(labels, dtype=np.int64)
-    if np.any((labels < 0) | (labels >= n_classes)):
+    listed = labels.tolist()
+    if listed and (min(listed) < 0 or max(listed) >= n_classes):
         raise ParameterError("labels out of range")
-    out = np.zeros((labels.size, n_classes))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
+    return _eye(n_classes).take(labels, axis=0)
 
 
 def dlogits_from_dprobs(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
     """Pull a probability-space gradient back through the softmax."""
-    inner = np.sum(probs * dprobs, axis=1, keepdims=True)
-    return probs * (dprobs - inner)
+    out = np.multiply(probs, dprobs)
+    inner = np.add.reduce(out, axis=1, keepdims=True)
+    np.subtract(dprobs, inner, out=out)
+    return np.multiply(probs, out, out=out)
 
 
 def backprop_logits(
-    params: ClassifierParams, features: np.ndarray, cache: dict, dlogits: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Gradients of all parameter tensors given the logit-space gradient."""
-    t = params.tensors
+    params: ClassifierParams,
+    features: np.ndarray,
+    cache: dict,
+    dlogits: np.ndarray,
+    out: Mapping[str, np.ndarray] | None = None,
+) -> Mapping[str, np.ndarray]:
+    """Gradients of all parameter tensors given the logit-space gradient.
+
+    They are written into out (arrays shaped like the params' tensors, by
+    name), or into views of one fresh vector when out is None; returns out.
+    """
+    if out is None:
+        out = _views(np.empty(params.flat.size), params.tensors)
     if params.arch.kind == "linear":
-        return {"w": features.T @ dlogits, "b": dlogits.sum(axis=0)}
+        np.matmul(features.T, dlogits, out=out["w"])
+        np.add.reduce(dlogits, axis=0, out=out["b"])
+        return out
     hidden, pre = cache["hidden"], cache["pre"]
-    dhidden = dlogits @ t["w2"].T
+    dpre = np.matmul(dlogits, params.tensors["w2"].T)
     if params.arch.activation == "relu":
-        dpre = dhidden * (pre > 0.0)
+        np.multiply(dpre, np.greater(pre, 0.0), out=dpre)
     else:
-        dpre = dhidden * (1.0 - hidden**2)
-    return {
-        "w1": features.T @ dpre,
-        "b1": dpre.sum(axis=0),
-        "w2": hidden.T @ dlogits,
-        "b2": dlogits.sum(axis=0),
-    }
+        slope = np.square(hidden)
+        np.subtract(1.0, slope, out=slope)
+        np.multiply(dpre, slope, out=dpre)
+    np.matmul(features.T, dpre, out=out["w1"])
+    np.add.reduce(dpre, axis=0, out=out["b1"])
+    np.matmul(hidden.T, dlogits, out=out["w2"])
+    np.add.reduce(dlogits, axis=0, out=out["b2"])
+    return out
 
 
 @dataclass
@@ -199,6 +259,9 @@ class OptimizerState:
     """Momentum SGD with weight decay added to the raw gradient.
 
     The velocity tensors are views of the one vector `flat`, like the params'.
+    `grad` is the optimizer's gradient vector in the same layout, and
+    `grads` its views by name: the SGD steps write their gradients there and
+    `apply_gradients` reads them in place.
     """
 
     learning_rate: float
@@ -206,9 +269,13 @@ class OptimizerState:
     weight_decay: float = 0.0
     velocity: Mapping[str, np.ndarray] = field(default_factory=dict)
     flat: np.ndarray = field(init=False, repr=False, compare=False)
+    grad: np.ndarray = field(init=False, repr=False, compare=False)
+    grads: Mapping[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.flat, self.velocity = _pack(self.velocity)
+        self.grad = np.zeros_like(self.flat)
+        self.grads = MappingProxyType(_views(self.grad, self.velocity))
 
 
 def init_optimizer(
@@ -221,30 +288,39 @@ def init_optimizer(
     return OptimizerState(learning_rate, momentum, weight_decay, velocity)
 
 
+def _check_optimizer(params: ClassifierParams, opt: OptimizerState) -> None:
+    if opt.flat.shape != params.flat.shape:
+        raise ParameterError("optimizer velocity does not match the parameters")
+
+
 def apply_gradients(
-    params: ClassifierParams, opt: OptimizerState, grads: dict[str, np.ndarray]
+    params: ClassifierParams, opt: OptimizerState, grads: Mapping[str, np.ndarray]
 ) -> None:
     """One in-place momentum step on the flat vectors; aborts on non-finite gradients.
 
-    grads must name exactly the params' tensors, each in its shape.
+    grads is either `opt.grads`, already filled in, which is used in place,
+    or a mapping that names exactly the params' tensors, each in its shape,
+    which is copied into `opt.grad` first.
     """
     tensors = params.tensors
-    if grads.keys() != tensors.keys() or any(
-        grads[name].shape != tensor.shape for name, tensor in tensors.items()
-    ):
-        expected = ", ".join(f"{name} {tensor.shape}" for name, tensor in tensors.items())
-        raise ParameterError(f"gradients must match the parameter tensors: {expected}")
-    if opt.flat.shape != params.flat.shape:
-        raise ParameterError("optimizer velocity does not match the parameters")
-    grad = np.concatenate([grads[name].ravel() for name in tensors])
+    _check_optimizer(params, opt)
+    if grads is not opt.grads:
+        if grads.keys() != tensors.keys() or any(
+            grads[name].shape != tensor.shape for name, tensor in tensors.items()
+        ):
+            expected = ", ".join(f"{name} {tensor.shape}" for name, tensor in tensors.items())
+            raise ParameterError(f"gradients must match the parameter tensors: {expected}")
+        np.concatenate([grads[name].ravel() for name in tensors], out=opt.grad)
+    grad = opt.grad
     if not np.isfinite(grad).all():
-        bad = next(name for name in tensors if not np.all(np.isfinite(grads[name])))
+        bad = next(name for name in tensors if not np.isfinite(opt.grads[name]).all())
         raise TrainingError(f"non-finite gradient in tensor {bad!r}")
-    grad = grad + opt.weight_decay * params.flat
+    grad += opt.weight_decay * params.flat
     vel = opt.flat
     vel *= opt.momentum
     vel += grad
-    params.flat -= opt.learning_rate * vel
+    np.multiply(opt.learning_rate, vel, out=grad)
+    params.flat -= grad
 
 
 def loss_and_grads(
@@ -254,12 +330,36 @@ def loss_and_grads(
     cfg: LossConfig,
     *,
     forward: tuple[np.ndarray, dict] | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Soft-target log-loss and its parameter gradients; forward is `_forward`'s output."""
+    out: Mapping[str, np.ndarray] | None = None,
+) -> tuple[float, Mapping[str, np.ndarray]]:
+    """Soft-target log-loss and its parameter gradients; forward is `_forward`'s output.
+
+    The gradients go into out when given (see `backprop_logits`), else into
+    fresh arrays.
+    """
     probs, cache = _forward(params, features) if forward is None else forward
     loss, dprobs = soft_target_cross_entropy(probs, target_weights, cfg)
     dlogits = dlogits_from_dprobs(probs, dprobs)
-    return loss, backprop_logits(params, features, cache, dlogits)
+    return loss, backprop_logits(params, features, cache, dlogits, out)
+
+
+def _step(
+    params: ClassifierParams,
+    opt: OptimizerState,
+    features: np.ndarray,
+    target_weights: np.ndarray,
+    cfg: LossConfig,
+    forward: tuple[np.ndarray, dict] | None,
+) -> float:
+    """Gradients into the optimizer's vector, then one momentum step; returns the loss."""
+    _check_optimizer(params, opt)
+    loss, grads = loss_and_grads(
+        params, features, target_weights, cfg, forward=forward, out=opt.grads
+    )
+    if not math.isfinite(loss):
+        raise TrainingError("non-finite training loss")
+    apply_gradients(params, opt, grads)
+    return loss
 
 
 def sgd_step(
@@ -276,11 +376,7 @@ def sgd_step(
     forward, when given, is `_forward(params, features)`, reused instead of recomputed.
     """
     targets = one_hot(labels, params.arch.n_classes)
-    loss, grads = loss_and_grads(params, features, targets, cfg, forward=forward)
-    if not np.isfinite(loss):
-        raise TrainingError("non-finite training loss")
-    apply_gradients(params, opt, grads)
-    return loss
+    return _step(params, opt, features, targets, cfg, forward)
 
 
 def sgd_step_soft(
@@ -293,11 +389,7 @@ def sgd_step_soft(
     forward: tuple[np.ndarray, dict] | None = None,
 ) -> float:
     """Like sgd_step but with per-class target weights instead of hard labels."""
-    loss, grads = loss_and_grads(params, features, target_weights, cfg, forward=forward)
-    if not np.isfinite(loss):
-        raise TrainingError("non-finite training loss")
-    apply_gradients(params, opt, grads)
-    return loss
+    return _step(params, opt, features, target_weights, cfg, forward)
 
 
 def minibatch_indices(rng: np.random.Generator, n: int, batch_size: int):

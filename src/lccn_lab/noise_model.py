@@ -123,14 +123,6 @@ class TransitionMatrix:
         if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL) or np.any(self.matrix < 0.0):
             raise ParameterError("transition rows must be nonnegative and sum to 1")
 
-    @property
-    def n_latent(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_observed(self) -> int:
-        return self.matrix.shape[1]
-
 
 def transition_from_counts(counts: np.ndarray, prior: DirichletPrior) -> TransitionMatrix:
     """Row-normalized transition estimate from the current counts.

@@ -20,7 +20,7 @@ import itertools
 import math
 import numbers
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -373,29 +373,27 @@ def _composed_loss_grads(
     observed: np.ndarray,
     phi: np.ndarray,
     loss_cfg: LossConfig,
-) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
+    out: Mapping[str, np.ndarray] | None = None,
+) -> tuple[float, Mapping[str, np.ndarray], np.ndarray]:
     """Clipped log-loss of the channel-mixed prediction q = probs @ phi.
 
-    Returns (loss, classifier gradients, gradient with respect to phi).
+    Returns (loss, classifier gradients, gradient with respect to phi); the
+    classifier gradients go into out when given (see `backprop_logits`).
     """
     probs, cache = _forward(params, features)
-    mixture = probs @ phi
-    loss, dmix = soft_target_cross_entropy(
-        mixture, one_hot(observed, phi.shape[1]), loss_cfg
-    )
-    dprobs = dmix @ phi.T
-    dlogits = dlogits_from_dprobs(probs, dprobs)
-    grads = backprop_logits(params, features, cache, dlogits)
-    dphi = probs.T @ dmix
-    return loss, grads, dphi
+    mixture = np.matmul(probs, phi)
+    loss, dmix = soft_target_cross_entropy(mixture, one_hot(observed, phi.shape[1]), loss_cfg)
+    dlogits = dlogits_from_dprobs(probs, np.matmul(dmix, phi.T))
+    grads = backprop_logits(params, features, cache, dlogits, out)
+    return loss, grads, np.matmul(probs.T, dmix)
 
 
 def _composed_step(run: _Run, ds: LabeledDataset, idx: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """One classifier step through the channel phi; returns the gradient with respect to phi."""
     loss, grads, dphi = _composed_loss_grads(
-        run.params, ds.features[idx], ds.noisy_labels[idx], phi, run.loss_cfg
+        run.params, ds.features[idx], ds.noisy_labels[idx], phi, run.loss_cfg, run.opt.grads
     )
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise TrainingError("non-finite training loss")
     apply_gradients(run.params, run.opt, grads)
     return dphi

@@ -25,7 +25,9 @@ from lccn_lab.classifier import (
     sgd_step_soft,
     soft_target_cross_entropy,
 )
+from lccn_lab.datagen import LabeledDataset
 from lccn_lab.errors import ParameterError, TrainingError
+from lccn_lab.trainers import _composed_loss_grads, _composed_step, _Run
 
 
 def make_instance(kind="linear", activation="relu", n=6, d=3, k=3, seed=0):
@@ -327,3 +329,207 @@ def test_architecture_validation():
         Architecture(kind="cnn", input_dim=2, n_classes=2, hidden_width=0)
     with pytest.raises(ParameterError):
         Architecture(kind="mlp", input_dim=2, n_classes=2, hidden_width=0)
+
+
+# --- the in-place step against the step it replaced ---------------------------
+#
+# The reference below is the SGD step as it was before the gradients moved into
+# the optimizer's flat vector: `one_hot`'s zeros-and-scatter targets, the dense
+# loss through `np.clip` and `np.sum`, fresh per-tensor gradient arrays and a
+# concatenate before the momentum update. The new steps must give the same bytes.
+
+
+def _ref_one_hot(labels, n_classes):
+    labels = np.asarray(labels, dtype=np.int64)
+    if np.any((labels < 0) | (labels >= n_classes)):
+        raise ParameterError("labels out of range")
+    out = np.zeros((labels.size, n_classes))
+    out[np.arange(labels.size), labels] = 1.0
+    return out
+
+
+def _ref_forward(params, features):
+    t = params.tensors
+    if params.arch.kind == "linear":
+        logits = features @ t["w"] + t["b"]
+        cache = {}
+    else:
+        pre = features @ t["w1"] + t["b1"]
+        hidden = np.maximum(pre, 0.0) if params.arch.activation == "relu" else np.tanh(pre)
+        logits = hidden @ t["w2"] + t["b2"]
+        cache = {"pre": pre, "hidden": hidden}
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    expz = np.exp(shifted)
+    return expz / expz.sum(axis=1, keepdims=True), cache
+
+
+def _ref_soft_target_cross_entropy(probs, target_weights, clip):
+    n = probs.shape[0]
+    clipped = np.clip(probs, clip, 1.0 - clip)
+    loss = float(np.sum(target_weights * -np.log(clipped)) / n)
+    inside = (probs > clip) & (probs < 1.0 - clip)
+    return loss, np.where(inside, -target_weights / clipped / n, 0.0)
+
+
+def _ref_dlogits(probs, dprobs):
+    inner = np.sum(probs * dprobs, axis=1, keepdims=True)
+    return probs * (dprobs - inner)
+
+
+def _ref_backprop(params, features, cache, dlogits):
+    t = params.tensors
+    if params.arch.kind == "linear":
+        return {"w": features.T @ dlogits, "b": dlogits.sum(axis=0)}
+    hidden, pre = cache["hidden"], cache["pre"]
+    dhidden = dlogits @ t["w2"].T
+    if params.arch.activation == "relu":
+        dpre = dhidden * (pre > 0.0)
+    else:
+        dpre = dhidden * (1.0 - hidden**2)
+    return {
+        "w1": features.T @ dpre,
+        "b1": dpre.sum(axis=0),
+        "w2": hidden.T @ dlogits,
+        "b2": dlogits.sum(axis=0),
+    }
+
+
+def _ref_momentum(params, velocity, grads, opt):
+    grad = np.concatenate([grads[name].ravel() for name in params.tensors])
+    if not np.isfinite(grad).all():
+        bad = next(name for name in params.tensors if not np.all(np.isfinite(grads[name])))
+        raise TrainingError(f"non-finite gradient in tensor {bad!r}")
+    grad = grad + opt.weight_decay * params.flat
+    velocity *= opt.momentum
+    velocity += grad
+    params.flat -= opt.learning_rate * velocity
+
+
+def _ref_step(params, velocity, opt, features, targets, clip, phi=None):
+    """One reference step; returns (loss, dphi or None). phi routes it through a channel."""
+    probs, cache = _ref_forward(params, features)
+    scored = probs if phi is None else probs @ phi
+    loss, dscored = _ref_soft_target_cross_entropy(scored, targets, clip)
+    dprobs = dscored if phi is None else dscored @ phi.T
+    grads = _ref_backprop(params, features, cache, _ref_dlogits(probs, dprobs))
+    dphi = None if phi is None else probs.T @ dscored
+    if not np.isfinite(loss):
+        raise TrainingError("non-finite training loss")
+    _ref_momentum(params, velocity, grads, opt)
+    return loss, dphi
+
+
+def _composed_run(params, opt, features, labels, clip):
+    """A trainer run and dataset around one batch, for `trainers._composed_step`."""
+    n = features.shape[0]
+    ds = LabeledDataset(features, labels, labels, np.zeros(n, bool), np.zeros(n, bool),
+                        params.arch.n_classes)
+    run = _Run(params, opt, LossConfig(clip), np.random.default_rng(0), 1, 1)
+    return run, ds, np.arange(n)
+
+
+@given(
+    kind=st.sampled_from(["linear", "mlp"]),
+    activation=st.sampled_from(["relu", "tanh"]),
+    k=st.integers(2, 9),
+    n=st.integers(1, 45),
+    seed=st.integers(0, 2**16),
+    scale=st.sampled_from([1.0, 30.0, 1e3]),
+    clip_edge=st.booleans(),
+    weight_decay=st.sampled_from([0.0, 0.3]),
+    momentum=st.sampled_from([0.0, 0.9]),
+    steps=st.lists(st.sampled_from(["hard", "soft", "composed"]), min_size=1, max_size=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_in_place_steps_match_the_replaced_step_bit_for_bit(
+    kind, activation, k, n, seed, scale, clip_edge, weight_decay, momentum, steps
+):
+    # scale 1e3 saturates probabilities to exactly 0.0 and 1.0; 1.0 - 1e-20 is 1.0,
+    # so a saturated 1.0 sits on the upper clip edge. clip_edge moves the lower
+    # edge onto the batch's smallest positive probability.
+    params, features, labels = make_instance(kind, activation, n=n, k=k, seed=seed)
+    features = features * scale
+    clip = 1e-20
+    if clip_edge:
+        probs, _ = _ref_forward(params, features)
+        positive = probs[(probs > 0.0) & (probs < 0.5)]
+        if positive.size:
+            clip = float(positive.min())
+    ref = params.copy()
+    ref_velocity = np.zeros_like(ref.flat)
+    opt = init_optimizer(params, 0.05, momentum, weight_decay)
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(k), size=n)
+    weights[rng.random(n) < 0.3] = _ref_one_hot(rng.integers(0, k, size=n), k)[0]
+    phi = rng.dirichlet(np.ones(k) * 0.5, size=k)
+    run, ds, idx = _composed_run(params, opt, features, labels, clip)
+    targets = {"hard": _ref_one_hot(labels, k), "soft": weights, "composed": _ref_one_hot(labels, k)}
+    new_steps = {
+        "hard": lambda: (sgd_step(params, opt, features, labels, LossConfig(clip)), None),
+        "soft": lambda: (sgd_step_soft(params, opt, features, weights, LossConfig(clip)), None),
+        "composed": lambda: (
+            _composed_loss_grads(params.copy(), features, labels, phi, LossConfig(clip))[0],
+            _composed_step(run, ds, idx, phi),
+        ),
+    }
+    for step in steps:
+        # An edge clip of a subnormal probability can overflow a gradient; then
+        # both steps must fail alike and leave the state alone.
+        outcomes = []
+        for take in (
+            new_steps[step],
+            lambda: _ref_step(ref, ref_velocity, opt, features, targets[step], clip,
+                              phi if step == "composed" else None),
+        ):
+            try:
+                loss, dphi = take()
+                outcomes.append((np.float64(loss).tobytes(), dphi is None or dphi.tobytes()))
+            except TrainingError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], step
+        assert params.flat.tobytes() == ref.flat.tobytes(), step
+        assert opt.flat.tobytes() == ref_velocity.tobytes(), step
+
+
+@pytest.mark.parametrize("kind,activation", [("linear", "relu"), ("mlp", "tanh")])
+def test_in_place_steps_reject_nan_probabilities_and_change_nothing(kind, activation):
+    params, features, labels = make_instance(kind, activation, n=8)
+    opt = init_optimizer(params, 0.1, 0.9, 0.3)
+    run, ds, idx = _composed_run(params, opt, features, labels, 1e-20)
+    probs, cache = _forward(params, features)
+    probs[2, 1] = np.nan
+    weights = np.full((8, 3), 1.0 / 3.0)
+    before = params.flat.copy()
+    steps = [
+        lambda: sgd_step(params, opt, features, labels, LossConfig(), forward=(probs, cache)),
+        lambda: sgd_step_soft(params, opt, features, weights, LossConfig(), forward=(probs, cache)),
+    ]
+    params.tensors["b2" if kind == "mlp" else "b"][0] = np.nan
+    nan_params = params.flat.copy()
+    steps.append(lambda: _composed_step(run, ds, idx, np.eye(3)))
+    for step in steps:
+        with pytest.raises(TrainingError, match="non-finite training loss"):
+            step()
+        assert params.flat.tobytes() == nan_params.tobytes()
+        assert not opt.flat.any()
+    assert np.isnan(before).sum() == 0
+
+
+@pytest.mark.parametrize("kind,first", [("linear", "'w'"), ("mlp", "'w1'")])
+def test_in_place_steps_name_the_first_nonfinite_gradient_and_change_nothing(kind, first):
+    params, features, labels = make_instance(kind, "tanh", n=8)
+    opt = init_optimizer(params, 0.1, 0.9, 0.3)
+    sgd_step(params, opt, features, labels, LossConfig())
+    forward = _forward(params, features)
+    weights = np.full((8, 3), 1.0 / 3.0)
+    bad = features.copy()
+    bad[3, 0] = np.inf  # the loss comes from the given forward and stays finite
+    before, velocity = params.flat.copy(), opt.flat.copy()
+    for step in (
+        lambda: sgd_step(params, opt, bad, labels, LossConfig(), forward=forward),
+        lambda: sgd_step_soft(params, opt, bad, weights, LossConfig(), forward=forward),
+    ):
+        with pytest.raises(TrainingError, match=f"non-finite gradient in tensor {first}"):
+            step()
+        assert params.flat.tobytes() == before.tobytes()
+        assert opt.flat.tobytes() == velocity.tobytes()

@@ -2,11 +2,18 @@
 
 import csv
 import json
+import os
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lccn_lab.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from lccn_lab.trainers import TRAINER_KINDS
 
 BASE_CFG = {
     "generator": {"k": 2, "n_per_class": 12, "separation": 5.0, "seed": 1},
@@ -614,3 +621,74 @@ def test_diagnose_correction_missing_run_dir_is_usage_error(tmp_path, capsys):
     )
     assert code == EXIT_USAGE
     assert "not found" in capsys.readouterr().err
+
+
+# --- the TrainConfig fuzz, through main ----------------------------------------
+
+FUZZ_DATA = {
+    "generator": {"k": 3, "n_per_class": 20, "separation": 4.0, "seed": 21},
+    "noise": {"kind": "symmetric", "ratio": 0.3, "ood_fraction": 0.1, "seed": 22},
+    "clean": {"n_clean": 8, "seed": 23},
+    "test": {"n_per_class": 10, "seed": 24},
+}
+
+
+@given(
+    threads=st.sampled_from(["1", "2"]),
+    kind=st.sampled_from(TRAINER_KINDS),
+    warmup_kind=st.sampled_from(["predictions", "identity"]),
+    batch_size=st.sampled_from([7, 16, 60, 75]),
+    alpha=st.one_of(st.floats(1e-300, 100.0), st.lists(st.floats(1e-300, 10.0), min_size=3,
+                                                        max_size=3)),
+    epochs=st.integers(1, 2),
+    pretrain_epochs=st.integers(0, 1),
+    hidden_width=st.sampled_from([0, 3]),
+    activation=st.sampled_from(["relu", "tanh"]),
+    weight_decay=st.sampled_from([0.0, 0.05, 0.5]),
+    momentum=st.sampled_from([0.0, 0.5, 0.9]),
+    learning_rate=st.sampled_from([0.1, 30.0]),
+)
+@settings(max_examples=24, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_train_configs_exit_cleanly_through_main(capfd, threads, **train):
+    cfg = {**FUZZ_DATA, "train": {**train, "eval_every": 1}}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(
+        os.environ, {"LCCN_LAB_THREADS": threads}
+    ):
+        config = write_cfg(Path(tmp) / "config.json", cfg)
+        code = main(["train", "--config", config, "--out", str(Path(tmp) / "out"),
+                     "--seeds", "3", "4"])
+    out, err = capfd.readouterr()
+    assert code in (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE)
+    assert "Traceback" not in out + err
+    if code != EXIT_OK:
+        assert err.startswith("error: seed ")
+
+
+_RUNAWAY = {"batch_size": 7, "epochs": 1, "pretrain_epochs": 1, "weight_decay": 0.5,
+            "momentum": 0.9}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize(
+    "train, message",
+    [
+        # A learning rate of 30 drives the latent chain to non-finite sampling scores,
+        ({"kind": "lccn", "learning_rate": 30.0, **_RUNAWAY, "epochs": 2},
+         "seed 4: sampling scores are non-finite or all zero"),
+        # and one of 1e100 drives the SGD step itself to a non-finite loss.
+        ({"kind": "ce", "learning_rate": 1e100, "hidden_width": 3, **_RUNAWAY},
+         "seed 3: non-finite training loss"),
+    ],
+    ids=["sampler", "sgd_step"],
+)
+def test_runaway_learning_rate_exits_1_through_main(train, message, threads, tmp_path,
+                                                      monkeypatch, capfd):
+    monkeypatch.setenv("LCCN_LAB_THREADS", threads)
+    config = write_cfg(tmp_path / "config.json", {**FUZZ_DATA, "train": train})
+    code = main(["train", "--config", config, "--out", str(tmp_path / "out"),
+                 "--seeds", "3", "4"])
+    out, err = capfd.readouterr()
+    assert code == EXIT_RUNTIME
+    assert f"error: {message}\n" in err
+    assert "Traceback" not in out + err
