@@ -29,7 +29,6 @@ from .datagen import (
     inject_asymmetric_pairflip,
     inject_openset,
     inject_symmetric,
-    load_dataset,
     make_gaussian_mixture,
     mark_clean_subset,
     save_dataset,
@@ -58,7 +57,6 @@ from .noise_model import (
 from .sampler import (
     AnnealSchedule,
     GibbsDiagnostics,
-    anneal_coefficient,
     exact_posterior_bruteforce,
     gibbs_sample_batch,
     mixing_diagnostic,
@@ -70,16 +68,7 @@ from .trainers import (
     BatchVariation,
     RunResult,
     TrainConfig,
-    em_e_step,
     run_trainer,
-    train_bootstrap_hard,
-    train_ce,
-    train_em_reference,
-    train_forward_fixed,
-    train_lccn,
-    train_lccn_plus,
-    train_lccn_star,
-    train_s_adaptation,
 )
 
 __version__ = "0.1.0"
@@ -106,11 +95,9 @@ __all__ = [
     "TrainingError",
     "TransitionMatrix",
     "TransitionUpdateBound",
-    "anneal_coefficient",
     "apply_noise",
     "confusion_counts",
     "correction_ratio",
-    "em_e_step",
     "exact_posterior_bruteforce",
     "forward_proba",
     "gibbs_sample_batch",
@@ -119,7 +106,6 @@ __all__ = [
     "inject_openset",
     "inject_symmetric",
     "load_checkpoint",
-    "load_dataset",
     "make_gaussian_mixture",
     "mark_clean_subset",
     "mixing_diagnostic",
@@ -132,14 +118,6 @@ __all__ = [
     "soft_target_cross_entropy",
     "test_accuracy",
     "total_variation_rows",
-    "train_bootstrap_hard",
-    "train_ce",
-    "train_em_reference",
-    "train_forward_fixed",
-    "train_lccn",
-    "train_lccn_plus",
-    "train_lccn_star",
-    "train_s_adaptation",
     "transition_from_counts",
     "transition_frobenius_error",
     "transition_l1_error",

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParameterError
+from .noise_model import confusion_counts
 
 # Sentinel true label for out-of-distribution samples whose original class
 # no longer describes their features.
@@ -61,6 +62,8 @@ class LabeledDataset:
         n = self.features.shape[0]
         if self.features.ndim != 2:
             raise ParameterError("features must be a 2-d matrix")
+        if not np.all(np.isfinite(self.features)):
+            raise ParameterError("features must be finite")
         if self.n_classes < 2:
             raise ParameterError("n_classes must be at least 2")
         for name in ("true_labels", "noisy_labels", "clean_mask", "ood_mask"):
@@ -116,10 +119,6 @@ class LabeledDataset:
 
 def save_dataset(ds: LabeledDataset, path: str | Path) -> None:
     Path(path).write_text(json.dumps(ds.to_json_dict()))
-
-
-def load_dataset(path: str | Path) -> LabeledDataset:
-    return LabeledDataset.from_json_dict(json.loads(Path(path).read_text()))
 
 
 def default_pair_map(n_classes: int) -> tuple[int, ...]:
@@ -243,8 +242,8 @@ def make_gaussian_mixture(
         raise ParameterError("dim must be at least 1")
     if n_per_class < 1:
         raise ParameterError("n_per_class must be at least 1")
-    if separation <= 0:
-        raise ParameterError("separation must be positive")
+    if not 0.0 < separation < math.inf:  # also False for NaN
+        raise ParameterError("separation must be positive and finite")
     rng = np.random.default_rng(seed)
     means = _class_means(n_classes, dim, separation)
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
@@ -259,21 +258,12 @@ def make_gaussian_mixture(
     )
 
 
-def _confusion(ds: LabeledDataset) -> np.ndarray:
-    """Count matrix of (true class, observed class) over in-distribution samples."""
-    k = ds.n_classes
-    counts = np.zeros((k, k), dtype=np.int64)
-    keep = ~ds.ood_mask
-    np.add.at(counts, (ds.true_labels[keep], ds.noisy_labels[keep]), 1)
-    return counts
-
-
 def _report(ds: LabeledDataset) -> NoiseInjectionReport:
-    keep = ~ds.ood_mask
-    n_kept = int(keep.sum())
-    flipped = np.count_nonzero(ds.noisy_labels[keep] != ds.true_labels[keep])
-    fraction = flipped / n_kept if n_kept else 0.0
-    return NoiseInjectionReport(fraction, _confusion(ds))
+    k = ds.n_classes
+    confusion = confusion_counts(ds.true_labels, ds.noisy_labels, k, k, exclude=ds.ood_mask)
+    n_kept = int(confusion.sum())
+    fraction = (n_kept - int(np.trace(confusion))) / n_kept if n_kept else 0.0
+    return NoiseInjectionReport(fraction, confusion)
 
 
 def inject_symmetric(

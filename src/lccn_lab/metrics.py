@@ -98,17 +98,12 @@ class Histogram:
     counts: np.ndarray
 
 
-def variation_histogram(run_or_values, bins: int = 50) -> Histogram:
-    """Histogram of per-batch max-row transition variations from a finished run.
+def variation_histogram(values: Sequence[float], bins: int = 50) -> Histogram:
+    """Histogram of per-batch max-row transition variations.
 
-    Accepts a RunResult (reads its batch_variations) or a plain sequence of
-    values. A degenerate value range collapses to a single bin.
+    A degenerate value range collapses to a single bin.
     """
-    values = getattr(run_or_values, "batch_variations", run_or_values)
-    measured = np.asarray(
-        [v.measured if hasattr(v, "measured") else float(v) for v in values],
-        dtype=np.float64,
-    )
+    measured = np.asarray(values, dtype=np.float64)
     if measured.size == 0:
         raise ParameterError("no variation values were logged")
     if bins < 1:

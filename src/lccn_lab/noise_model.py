@@ -120,8 +120,9 @@ class TransitionMatrix:
         if self.matrix.ndim != 2:
             raise ParameterError("transition matrix must be 2-d")
         row_sums = self.matrix.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL) or np.any(self.matrix < 0.0):
-            raise ParameterError("transition rows must be nonnegative and sum to 1")
+        # Written so that a NaN entry fails: every comparison with NaN is False.
+        if not (np.all(np.abs(row_sums - 1.0) <= ROW_SUM_TOL) and np.all(self.matrix >= 0.0)):
+            raise ParameterError("transition rows must be finite, nonnegative and sum to 1")
 
 
 def transition_from_counts(counts: np.ndarray, prior: DirichletPrior) -> TransitionMatrix:
@@ -160,19 +161,6 @@ def warmup_transition(
     matrix[~degenerate] = numer[~degenerate] / denom[~degenerate, None]
     matrix[degenerate] = 1.0 / k
     return TransitionMatrix(matrix)
-
-
-def conditional_transition_column(
-    counts: np.ndarray, prior: DirichletPrior, observed: int
-) -> np.ndarray:
-    """Leave-one-out predictive probability of `observed` under every latent class.
-
-    `counts` must already exclude the sample being resampled.
-    """
-    _check_counts(counts, prior)
-    return (prior.concentration[observed] + counts[:, observed]) / (
-        prior.total + counts.sum(axis=1)
-    )
 
 
 @dataclass
@@ -258,10 +246,10 @@ def _smoothed_rows(count_rows: list[list], alpha: list) -> list[list[float]]:
     numers = [[c + a for c, a in zip(row, alpha)] for row in count_rows]
     norms = _row_sums(numers)
     if 0.0 in norms:
-        raise ParameterError("transition rows must be nonnegative and sum to 1")
+        raise ParameterError("transition rows must be finite, nonnegative and sum to 1")
     rows = [[x / norm for x in numer] for numer, norm in zip(numers, norms)]
-    if any(abs(total - 1.0) > ROW_SUM_TOL for total in _row_sums(rows)) or any(
+    if not all(abs(total - 1.0) <= ROW_SUM_TOL for total in _row_sums(rows)) or any(
         x < 0.0 for row in rows for x in row
     ):
-        raise ParameterError("transition rows must be nonnegative and sum to 1")
+        raise ParameterError("transition rows must be finite, nonnegative and sum to 1")
     return rows

@@ -60,26 +60,23 @@ class AnnealSchedule:
     target: str = "transition"
 
     def __post_init__(self) -> None:
-        if self.max_step < 1:
+        # Each check is written so that NaN fails it.
+        if not self.max_step >= 1:
             raise ParameterError("max_step must be >= 1")
         if not 0.0 < self.floor <= 1.0:
             raise ParameterError("floor must lie in (0, 1]")
-        if self.decay <= 0.0:
+        if not self.decay > 0.0:
             raise ParameterError("decay must be positive")
         if self.target not in ANNEAL_TARGETS:
             raise ParameterError(f"unknown anneal target {self.target!r}")
 
     def coefficient(self, step: int) -> float:
-        return anneal_coefficient(step, self)
-
-
-def anneal_coefficient(step: int, schedule: AnnealSchedule) -> float:
-    """Annealing exponent at a given step; 1.0 when the schedule is disabled."""
-    if step < 0:
-        raise ParameterError("step must be nonnegative")
-    if not schedule.enabled:
-        return 1.0
-    return max(math.exp(-step / schedule.max_step * schedule.decay), schedule.floor)
+        """Annealing exponent at a given step; 1.0 when the schedule is disabled."""
+        if step < 0:
+            raise ParameterError("step must be nonnegative")
+        if not self.enabled:
+            return 1.0
+        return max(math.exp(-step / self.max_step * self.decay), self.floor)
 
 
 def _scores(

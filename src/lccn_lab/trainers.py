@@ -1,7 +1,9 @@
 """Training procedures: plain and noise-robust baselines, and latent-label regression.
 
-All trainers share one contract: (train dataset, config, optional test
-dataset) -> RunResult with per-checkpoint metric records, the final model,
+`run_trainer(train dataset, config, optional test dataset)` is the one way
+to run a trainer: it looks `cfg.kind` up in `TRAINERS`, the table of the
+eight kinds, and checks the order of the result's records. Every kind
+returns a RunResult with per-checkpoint metric records, the final model,
 and, where the method maintains one, the final estimate of the label
 transition channel. Runs are bit-reproducible for a fixed config.
 
@@ -12,6 +14,8 @@ on the `eval_every` cadence and assembles the RunResult. A kind supplies
 only a `_Hooks` bundle: its per-batch step (hard target, self-blended
 target, composed channel, EM responsibilities or latent resample) plus
 views of its own state for the metric records and the final transition.
+The three latent kinds are one function, `_train_latent`: lccn_star adds an
+outlier latent class and lccn_plus pins the trusted samples.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numbers
 import warnings
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -153,6 +158,13 @@ class TrainConfig:
             raise ParameterError("eval_every must be >= 1")
         if self.em_m_epochs < 1:
             raise ParameterError("em_m_epochs must be >= 1")
+        if self.grad_clip is not None and not self.grad_clip > 0.0:
+            raise ParameterError("grad_clip must be positive")
+        if self.oracle_phi is not None:
+            try:
+                TransitionMatrix(self.oracle_phi)  # range check; the shape waits for the data
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(f"oracle_phi: {exc}") from None
         LossConfig(self.clip)  # range check
 
 
@@ -328,7 +340,7 @@ def _fit(
     return RunResult(records, params, hooks.final_phi(), variations)
 
 
-def train_ce(
+def _train_ce(
     ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None = None
 ) -> RunResult:
     """Plain clipped cross-entropy on the observed labels."""
@@ -342,7 +354,7 @@ def train_ce(
     return _fit(ds, cfg, test_ds, start, pretrain=False)
 
 
-def train_bootstrap_hard(
+def _train_bootstrap_hard(
     ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None = None
 ) -> RunResult:
     """Cross-entropy against a convex blend of the observed label and the model's own argmax.
@@ -419,7 +431,7 @@ def _initial_channel(
     return TransitionMatrix(matrix)
 
 
-def train_forward_fixed(
+def _train_forward_fixed(
     ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None = None
 ) -> RunResult:
     """Train through a frozen transition: fit q = probs @ phi to the observed labels."""
@@ -436,7 +448,7 @@ def train_forward_fixed(
     return _fit(ds, cfg, test_ds, start)
 
 
-def train_s_adaptation(
+def _train_s_adaptation(
     ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None = None
 ) -> RunResult:
     """Train through a learnable row-softmax transition layer, jointly with the classifier.
@@ -484,7 +496,7 @@ def train_s_adaptation(
     return _fit(ds, cfg, test_ds, start)
 
 
-def train_em_reference(
+def _train_em_reference(
     ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None = None
 ) -> RunResult:
     """Alternate closed-form transition re-estimates with soft-target classifier epochs.
@@ -513,7 +525,7 @@ def train_em_reference(
                 responsibilities = np.where(
                     denom > 0.0, raw / np.maximum(denom, 1e-300), predictions
                 )
-            phi_bar = em_e_step(responsibilities, ds.noisy_labels, ds.n_classes)
+            phi_bar = warmup_transition(responsibilities, ds.noisy_labels, ds.n_classes)
 
         def batch(idx: np.ndarray) -> None:
             targets = responsibilities[idx]
@@ -527,18 +539,16 @@ def train_em_reference(
     return _fit(ds, cfg, test_ds, start, passes=cfg.em_m_epochs)
 
 
-def em_e_step(
-    predictions: np.ndarray, observed_labels: np.ndarray, n_observed: int
-) -> TransitionMatrix:
-    """Expected transition given fixed predictions; same estimator as warmup_transition."""
-    return warmup_transition(predictions, observed_labels, n_observed)
-
-
 def _train_latent(
     ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None,
-    extra_class: bool, use_clean: bool,
+    *, extra_class: bool, use_clean: bool,
 ) -> RunResult:
     """Collapsed-Gibbs resampling of latent labels + SGD on the samples.
+
+    extra_class adds one latent class that acts as an outlier bucket
+    (lccn_star). use_clean pins the clean-masked samples to their labels
+    (lccn_plus): they are never resampled and stay out of the confusion
+    counts, but still take part in the SGD steps.
 
     Each batch is forwarded once: the sampler reads its probabilities and
     the SGD step reuses it, since sampling leaves the parameters alone.
@@ -589,16 +599,17 @@ def _train_latent(
         def batch(idx: np.ndarray) -> tuple[float, float] | None:
             features = ds.features[idx]
             forward = _forward(run.params, features)
-            probs = forward[0]
-            resample = np.flatnonzero(~ds.clean_mask[idx]) if use_clean else np.arange(len(idx))
+            positions, probs, observed = idx, forward[0], ds.noisy_labels[idx]
+            if use_clean:
+                resample = np.flatnonzero(~ds.clean_mask[idx])
+                positions, probs, observed = idx[resample], probs[resample], observed[resample]
             moved = None
-            if resample.size:
-                positions = idx[resample]
+            if positions.size:
                 previous = labels[positions]
                 before = counts.copy()
                 sampled = gibbs_sample_batch(
-                    probs[resample],
-                    ds.noisy_labels[idx][resample],
+                    probs,
+                    observed,
                     counts,
                     prior,
                     labels,
@@ -631,40 +642,15 @@ def _train_latent(
     return result
 
 
-def train_lccn(
-    ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None = None
-) -> RunResult:
-    """Latent-label regression: Gibbs-resample true labels, fit the classifier to them."""
-    return _train_latent(ds, cfg, test_ds, extra_class=False, use_clean=False)
-
-
-def train_lccn_star(
-    ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None = None
-) -> RunResult:
-    """Latent-label regression with one extra latent class acting as an outlier bucket."""
-    return _train_latent(ds, cfg, test_ds, extra_class=True, use_clean=False)
-
-
-def train_lccn_plus(
-    ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None = None
-) -> RunResult:
-    """Latent-label regression that pins trusted samples to their labels.
-
-    Clean-masked samples are never resampled and stay out of the confusion
-    counts; they still contribute supervised gradient steps.
-    """
-    return _train_latent(ds, cfg, test_ds, extra_class=False, use_clean=True)
-
-
 TRAINERS = {
-    "ce": train_ce,
-    "bootstrap_hard": train_bootstrap_hard,
-    "forward_fixed": train_forward_fixed,
-    "s_adaptation": train_s_adaptation,
-    "em_reference": train_em_reference,
-    "lccn": train_lccn,
-    "lccn_star": train_lccn_star,
-    "lccn_plus": train_lccn_plus,
+    "ce": _train_ce,
+    "bootstrap_hard": _train_bootstrap_hard,
+    "forward_fixed": _train_forward_fixed,
+    "s_adaptation": _train_s_adaptation,
+    "em_reference": _train_em_reference,
+    "lccn": partial(_train_latent, extra_class=False, use_clean=False),
+    "lccn_star": partial(_train_latent, extra_class=True, use_clean=False),
+    "lccn_plus": partial(_train_latent, extra_class=False, use_clean=True),
 }
 TRAINER_KINDS = tuple(TRAINERS)
 

@@ -1,4 +1,4 @@
-"""Shared fixtures: small deterministic datasets reused across test modules."""
+"""Shared fixtures and reference formulas reused across test modules."""
 
 import numpy as np
 import pytest
@@ -29,3 +29,14 @@ def blobs2_tiny():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+def conditional_transition_column(counts, prior, observed):
+    """Leave-one-out predictive probability of `observed` under every latent class.
+
+    The sampler's reference formula; `counts` must already exclude the sample
+    being resampled.
+    """
+    return (prior.concentration[observed] + counts[:, observed]) / (
+        prior.total + counts.sum(axis=1)
+    )

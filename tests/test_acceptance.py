@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from lccn_lab.classifier import Architecture, LossConfig, init_params, loss_and_grads
+from lccn_lab.classifier import Architecture, LossConfig, forward_proba, init_params, loss_and_grads
 from lccn_lab.cli import main as cli_main
 from lccn_lab.datagen import NoiseSpec, apply_noise, make_gaussian_mixture
 from lccn_lab.metrics import transition_l1_error
@@ -22,12 +22,7 @@ from lccn_lab.trainers import (
     TrainConfig,
     _composed_loss_grads,
     _row_softmax,
-    em_e_step,
-    train_ce,
-    train_em_reference,
-    train_forward_fixed,
-    train_lccn,
-    train_s_adaptation,
+    run_trainer,
 )
 
 
@@ -51,12 +46,12 @@ def recovery_bundle():
     shared = dict(epochs=30, batch_size=8, learning_rate=0.01, pretrain_epochs=10, eval_every=10)
     start = time.perf_counter()
     latent = [
-        train_lccn(noisy, TrainConfig(kind="lccn", seed=s, reference_phi=phi_star, **shared), test)
+        run_trainer(noisy, TrainConfig(kind="lccn", seed=s, reference_phi=phi_star, **shared), test)
         for s in range(5)
     ]
     latent_seconds = time.perf_counter() - start
     adapted = [
-        train_s_adaptation(
+        run_trainer(
             noisy,
             TrainConfig(
                 kind="s_adaptation", seed=s, transition_lr=0.1, reference_phi=phi_star, **shared
@@ -87,11 +82,11 @@ def ordering_bundle():
         batch_size=32, learning_rate=0.02, hidden_width=64, activation="tanh", eval_every=15
     )
     ce = [
-        train_ce(noisy, TrainConfig(kind="ce", epochs=90, seed=s, **shared), test)
+        run_trainer(noisy, TrainConfig(kind="ce", epochs=90, seed=s, **shared), test)
         for s in range(5)
     ]
     latent = [
-        train_lccn(
+        run_trainer(
             noisy,
             TrainConfig(kind="lccn", epochs=60, pretrain_epochs=30, seed=s, **shared),
             test,
@@ -99,7 +94,7 @@ def ordering_bundle():
         for s in range(5)
     ]
     composed = [
-        train_forward_fixed(
+        run_trainer(
             noisy,
             TrainConfig(kind="forward_fixed", epochs=60, pretrain_epochs=30, seed=s, **shared),
             test,
@@ -107,7 +102,7 @@ def ordering_bundle():
         for s in range(5)
     ]
     heavy_prior = [
-        train_lccn(
+        run_trainer(
             noisy,
             TrainConfig(
                 kind="lccn", epochs=60, pretrain_epochs=30, alpha=1000.0, seed=s, **shared
@@ -130,11 +125,11 @@ def em_bundle(blobs2_tiny):
     noisy, test = blobs2_tiny["noisy"], blobs2_tiny["test"]
     shared = dict(epochs=20, batch_size=8, learning_rate=0.02, pretrain_epochs=10, eval_every=5)
     em = [
-        train_em_reference(noisy, TrainConfig(kind="em_reference", seed=s, **shared), test)
+        run_trainer(noisy, TrainConfig(kind="em_reference", seed=s, **shared), test)
         for s in range(5)
     ]
     latent = [
-        train_lccn(noisy, TrainConfig(kind="lccn", seed=s, **shared), test) for s in range(5)
+        run_trainer(noisy, TrainConfig(kind="lccn", seed=s, **shared), test) for s in range(5)
     ]
     return {"em": em, "latent": latent}
 
@@ -223,7 +218,7 @@ def test_criterion_03_sampler_matches_hand_distribution():
 
 
 def test_criterion_04_transition_recovery(recovery_bundle):
-    clean_probe = train_ce(
+    clean_probe = run_trainer(
         recovery_bundle["clean"],
         TrainConfig(kind="ce", epochs=20, batch_size=32, learning_rate=0.05, seed=0),
         recovery_bundle["test"],
@@ -287,13 +282,18 @@ def test_criterion_07_correction_ratio_improves(ordering_bundle):
     )
 
 
-def test_criterion_08_explicit_em_agrees(em_bundle, rng):
-    logits = rng.normal(size=(50, 3))
-    predictions = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-    observed = rng.integers(0, 3, size=50)
+def test_criterion_08_explicit_em_agrees(em_bundle, blobs2_tiny):
+    # A one-epoch EM run keeps its first expectation step, taken on the
+    # pretrained model, which CE over the pretraining budget reproduces.
+    noisy = blobs2_tiny["noisy"]
+    common = dict(batch_size=8, learning_rate=0.02, seed=0)
+    first = run_trainer(
+        noisy, TrainConfig(kind="em_reference", epochs=1, pretrain_epochs=10, **common)
+    )
+    pretrained = run_trainer(noisy, TrainConfig(kind="ce", epochs=10, **common))
+    predictions = forward_proba(pretrained.final_params, noisy.features)
     bit_match = np.array_equal(
-        em_e_step(predictions, observed, 3).matrix,
-        warmup_transition(predictions, observed, 3).matrix,
+        first.final_phi.matrix, warmup_transition(predictions, noisy.noisy_labels, 2).matrix
     )
     diffs = [
         transition_l1_error(latent_run.final_phi.matrix, em_run.final_phi.matrix)

@@ -7,8 +7,13 @@ outside `testpaths`; every one of its bodies runs here once, with a stand-in
 for pytest-benchmark's fixture, so an API change that breaks `scripts/bench.py`
 fails here too. Both files are loaded read-only, without registering them in
 `sys.modules`.
+
+Every public name must be used by the program itself: a name in
+`lccn_lab.__all__` that only tests or the package's own `__init__.py` refer
+to is dead, unless `PUBLIC_WITHOUT_CALLER` names it with its reason.
 """
 
+import ast
 import importlib
 import importlib.util
 import itertools
@@ -17,6 +22,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PROGRAM_DIRS = ("src", "scripts", "benchmarks", "perfbench")
+PUBLIC_WITHOUT_CALLER = {
+    # Reads back what `save_checkpoint` writes; the only reader of checkpoint.json.
+    "load_checkpoint",
+    # The sampler's one-draw reference, which `gibbs_sample_batch` replays bit for bit.
+    "sampling_distribution",
+}
 
 
 def _load(relative: str, name: str):
@@ -65,3 +77,27 @@ def test_microbenchmark_runs_once(body, kwargs):
 
     body(benchmark, **kwargs)
     assert len(calls) == 1
+
+
+def _program_references() -> set[str]:
+    """Every name, attribute and identifier-like string in the program, outside __init__.py."""
+    found = set()
+    for folder in PROGRAM_DIRS:
+        for path in (ROOT / folder).rglob("*.py"):
+            if path.name == "__init__.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    found.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    found.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    if node.value.isidentifier():
+                        found.add(node.value)
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    public = set(importlib.import_module("lccn_lab").__all__)
+    assert PUBLIC_WITHOUT_CALLER <= public
+    assert sorted(public - PUBLIC_WITHOUT_CALLER - _program_references()) == []

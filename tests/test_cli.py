@@ -77,6 +77,18 @@ def test_generate_rejects_out_of_range_ratio(tmp_path, capsys):
     assert "ratio" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("separation", ["nan", "inf"])
+def test_generate_rejects_non_finite_separation(separation, tmp_path, capsys):
+    code = main(
+        ["generate", "--k", "2", "--n-per-class", "10", "--separation", separation,
+         "--out", str(tmp_path)]
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "dataset.json").exists()
+
+
 def test_train_writes_all_artifacts(lccn_run):
     for name in (
         "config.json", "metrics.csv", "checkpoint.json", "phi_final.json",
@@ -185,6 +197,7 @@ RAGGED_DATASET = {
     "features": [[0.0, 1.0], [2.0]], "true_labels": [0, 1], "noisy_labels": [0, 1],
     "clean_mask": [False, False], "ood_mask": [False, False], "K": 2,
 }
+NAN_FEATURE_DATASET = {**RAGGED_DATASET, "features": [[0.0, 1.0], [2.0, float("nan")]]}
 
 # name -> (files written beside the config, config sections to override)
 BAD_INPUTS = {
@@ -194,6 +207,15 @@ BAD_INPUTS = {
     "phi_file_without_matrix": ({"phi.json": json.dumps({"rows": 2})},
                                 {"train": {"oracle_phi": "phi.json"}}),
     "ragged_inline_oracle_phi": ({}, {"train": {"oracle_phi": [[1.0], [0.5, 0.5]]}}),
+    "nan_oracle_phi": ({}, {"train": {"kind": "forward_fixed",
+                                       "oracle_phi": [[float("nan"), 0.0], [0.0, 1.0]]}}),
+    "dataset_nan_feature": ({"data.json": json.dumps(NAN_FEATURE_DATASET)},
+                            {"dataset": "data.json"}),
+    "zero_grad_clip": ({}, {"train": {"kind": "s_adaptation", "grad_clip": 0.0}}),
+    "negative_grad_clip": ({}, {"train": {"kind": "s_adaptation", "grad_clip": -0.5}}),
+    "nan_anneal_decay": ({}, {"train": {"anneal": {"enabled": True, "decay": float("nan")}}}),
+    "nan_anneal_max_step": ({}, {"train": {"anneal": {"enabled": True,
+                                                      "max_step": float("nan")}}}),
     "anneal_not_an_object": ({}, {"train": {"anneal": True}}),
     "lr_milestone_not_a_number": ({}, {"train": {"lr_milestones": [["x", 0.1]]}}),
     "alpha_vector_of_strings": ({}, {"train": {"alpha": ["a", "b", "c"]}}),
@@ -386,8 +408,9 @@ def test_sweep_over_non_finite_alpha_is_usage_error(value, tmp_path, lccn_config
 
 @pytest.mark.parametrize(
     "param, values",
-    [("alpha", ["1", "NaN"]), ("noise.ratio", ["0.1", "1.5"]), ("alpha", ["1", "1"])],
-    ids=["non_finite_alpha", "ratio_out_of_range", "repeated_value"],
+    [("alpha", ["1", "NaN"]), ("noise.ratio", ["0.1", "1.5"]), ("alpha", ["1", "1"]),
+     ("oracle_phi", ["[[1, 0], [0, 1]]", "[[NaN, 0], [0, 1]]"])],
+    ids=["non_finite_alpha", "ratio_out_of_range", "repeated_value", "non_finite_oracle"],
 )
 def test_sweep_grid_is_checked_before_any_point_trains(param, values, tmp_path, lccn_config, capsys):
     code = main(

@@ -195,7 +195,7 @@ def test_dataset_roundtrip_and_byte_stability(tmp_path):
     L.save_dataset(noisy, p1)
     L.save_dataset(noisy, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    loaded = L.load_dataset(p1)
+    loaded = L.LabeledDataset.from_json_dict(json.loads(p1.read_text()))
     np.testing.assert_array_equal(loaded.features, noisy.features)
     np.testing.assert_array_equal(loaded.true_labels, noisy.true_labels)
     np.testing.assert_array_equal(loaded.noisy_labels, noisy.noisy_labels)
@@ -218,7 +218,7 @@ def test_load_dataset_missing_field_raises(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"features": [[0.0]], "K": 2}))
     with pytest.raises(ParameterError):
-        L.load_dataset(path)
+        L.LabeledDataset.from_json_dict(json.loads(path.read_text()))
 
 
 @pytest.mark.parametrize(
@@ -232,7 +232,7 @@ def test_load_dataset_malformed_field_raises(field, value, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(ParameterError, match="malformed"):
-        L.load_dataset(path)
+        L.LabeledDataset.from_json_dict(json.loads(path.read_text()))
 
 
 @given(

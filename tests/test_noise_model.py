@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import conditional_transition_column
 from lccn_lab.errors import InvariantError, ParameterError
 from lccn_lab.noise_model import (
     DirichletPrior,
     TransitionMatrix,
-    conditional_transition_column,
     confusion_counts,
     transition_from_counts,
     update_bound,

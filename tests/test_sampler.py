@@ -7,17 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import conditional_transition_column
 from lccn_lab.errors import InvariantError, ParameterError, TrainingError
 from lccn_lab.noise_model import (
     DirichletPrior,
     TransitionMatrix,
-    conditional_transition_column,
     confusion_counts,
 )
 from lccn_lab.sampler import (
     UNASSIGNED,
     AnnealSchedule,
-    anneal_coefficient,
     exact_posterior_bruteforce,
     gibbs_sample_batch,
     mixing_diagnostic,
@@ -34,21 +33,21 @@ def counts_of(matrix):
 
 
 def test_anneal_disabled_is_identity():
-    assert anneal_coefficient(0, AnnealSchedule()) == 1.0
-    assert anneal_coefficient(10_000, AnnealSchedule()) == 1.0
+    assert AnnealSchedule().coefficient(0) == 1.0
+    assert AnnealSchedule().coefficient(10_000) == 1.0
 
 
 def test_anneal_frozen_values():
     sched = AnnealSchedule(enabled=True, max_step=200, floor=0.5, decay=0.8)
-    assert anneal_coefficient(0, sched) == pytest.approx(1.0)
-    assert anneal_coefficient(100, sched) == pytest.approx(math.exp(-0.4), abs=1e-15)
+    assert sched.coefficient(0) == pytest.approx(1.0)
+    assert sched.coefficient(100) == pytest.approx(math.exp(-0.4), abs=1e-15)
     # exp(-0.8) = 0.449... falls below the floor
-    assert anneal_coefficient(200, sched) == 0.5
+    assert sched.coefficient(200) == 0.5
 
 
 def test_anneal_monotone_until_floor():
     sched = AnnealSchedule(enabled=True, max_step=1000, floor=0.5, decay=0.8)
-    values = [anneal_coefficient(s, sched) for s in range(0, 1001, 50)]
+    values = [sched.coefficient(s) for s in range(0, 1001, 50)]
     assert all(a >= b for a, b in zip(values, values[1:]))
     assert min(values) >= 0.5
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lccn_lab.classifier import forward_proba
 from lccn_lab.datagen import NoiseSpec, apply_noise, make_gaussian_mixture, mark_clean_subset
 from lccn_lab.errors import InvariantError, ParameterError, TrainingError
 from lccn_lab.metrics import MetricsRecord
@@ -14,15 +15,7 @@ from lccn_lab.trainers import (
     TRAINER_KINDS,
     RunResult,
     TrainConfig,
-    em_e_step,
     run_trainer,
-    train_bootstrap_hard,
-    train_ce,
-    train_forward_fixed,
-    train_lccn,
-    train_lccn_plus,
-    train_lccn_star,
-    train_s_adaptation,
 )
 from lccn_lab.noise_model import (
     DirichletPrior,
@@ -50,8 +43,8 @@ def params_equal(pa, pb):
 def test_identity_channel_reduces_to_plain_ce(blobs2_tiny):
     ds, test = blobs2_tiny["noisy"], blobs2_tiny["test"]
     common = dict(epochs=3, batch_size=16, learning_rate=0.05, seed=5, eval_every=1)
-    ce = train_ce(ds, TrainConfig(kind="ce", **common), test)
-    ff = train_forward_fixed(
+    ce = run_trainer(ds, TrainConfig(kind="ce", **common), test)
+    ff = run_trainer(
         ds,
         TrainConfig(kind="forward_fixed", pretrain_epochs=0, oracle_phi=np.eye(2), **common),
         test,
@@ -64,8 +57,8 @@ def test_identity_channel_reduces_to_plain_ce(blobs2_tiny):
 def test_full_weight_bootstrap_reduces_to_plain_ce(blobs2_tiny):
     ds, test = blobs2_tiny["noisy"], blobs2_tiny["test"]
     common = dict(epochs=3, batch_size=16, learning_rate=0.05, seed=5, eval_every=1)
-    ce = train_ce(ds, TrainConfig(kind="ce", **common), test)
-    boot = train_bootstrap_hard(
+    ce = run_trainer(ds, TrainConfig(kind="ce", **common), test)
+    boot = run_trainer(
         ds, TrainConfig(kind="bootstrap_hard", bootstrap_beta=1.0, **common), test
     )
     assert records_equal(ce.records, boot.records)
@@ -78,31 +71,34 @@ def test_all_pinned_latent_run_reduces_to_plain_ce(blobs2_tiny):
     ds = dataclasses.replace(
         blobs2_tiny["noisy"], clean_mask=np.ones(blobs2_tiny["noisy"].n, dtype=bool)
     )
-    plus = train_lccn_plus(
+    plus = run_trainer(
         ds, TrainConfig(kind="lccn_plus", epochs=2, pretrain_epochs=2, batch_size=16,
                         learning_rate=0.05, seed=9)
     )
-    ce = train_ce(
+    ce = run_trainer(
         ds, TrainConfig(kind="ce", epochs=4, batch_size=16, learning_rate=0.05, seed=9)
     )
     assert params_equal(ce.final_params, plus.final_params)
     assert plus.batch_variations == []
 
 
-def test_em_expectation_matches_warmup_estimator(rng):
-    logits = rng.normal(size=(40, 3))
-    predictions = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-    observed = rng.integers(0, 3, size=40)
+def test_em_expectation_matches_warmup_estimator(blobs2_tiny):
+    # A one-epoch em_reference run keeps its first expectation step: the warmup
+    # estimator on the pretrained model, which CE over the pretraining budget gives.
+    ds = blobs2_tiny["noisy"]
+    common = dict(batch_size=16, learning_rate=0.05, seed=5)
+    em = run_trainer(ds, TrainConfig(kind="em_reference", epochs=1, pretrain_epochs=2, **common))
+    ce = run_trainer(ds, TrainConfig(kind="ce", epochs=2, **common))
+    predictions = forward_proba(ce.final_params, ds.features)
     assert np.array_equal(
-        em_e_step(predictions, observed, 3).matrix,
-        warmup_transition(predictions, observed, 3).matrix,
+        em.final_phi.matrix, warmup_transition(predictions, ds.noisy_labels, 2).matrix
     )
 
 
 def test_frozen_adaptation_layer_keeps_initial_channel(blobs2_tiny):
     ds = blobs2_tiny["noisy"]
     start = np.array([[0.7, 0.3], [0.4, 0.6]])
-    result = train_s_adaptation(
+    result = run_trainer(
         ds,
         TrainConfig(
             kind="s_adaptation", epochs=2, pretrain_epochs=1, batch_size=16,
@@ -120,19 +116,19 @@ def test_same_seed_reproduces_run_bitwise(blobs2_tiny):
     ds, test = blobs2_tiny["noisy"], blobs2_tiny["test"]
     cfg = TrainConfig(kind="lccn", epochs=2, pretrain_epochs=1, batch_size=16,
                       learning_rate=0.02, seed=0, eval_every=1)
-    first = train_lccn(ds, cfg, test)
-    second = train_lccn(ds, cfg, test)
+    first = run_trainer(ds, cfg, test)
+    second = run_trainer(ds, cfg, test)
     assert records_equal(first.records, second.records)
     assert params_equal(first.final_params, second.final_params)
     assert first.batch_variations == second.batch_variations
 
-    other = train_lccn(ds, dataclasses.replace(cfg, seed=1), test)
+    other = run_trainer(ds, dataclasses.replace(cfg, seed=1), test)
     assert not params_equal(first.final_params, other.final_params)
 
 
 def test_latent_run_emits_stochastic_transition(blobs2_tiny):
     ds = blobs2_tiny["noisy"]
-    result = train_lccn(
+    result = run_trainer(
         ds, TrainConfig(kind="lccn", epochs=2, pretrain_epochs=1, batch_size=16,
                         learning_rate=0.02, seed=4)
     )
@@ -144,7 +140,7 @@ def test_latent_run_emits_stochastic_transition(blobs2_tiny):
 
 def test_iteration_cap_limits_sampling_phase(blobs2_tiny):
     ds = blobs2_tiny["noisy"]
-    result = train_lccn(
+    result = run_trainer(
         ds, TrainConfig(kind="lccn", epochs=10, pretrain_epochs=0, batch_size=16,
                         learning_rate=0.02, seed=4, total_iterations=3)
     )
@@ -154,7 +150,7 @@ def test_iteration_cap_limits_sampling_phase(blobs2_tiny):
 def test_outlier_bucket_has_extra_row(blobs2_tiny):
     spec = NoiseSpec(kind="openset", ratio=0.3, ood_fraction=0.25, seed=5)
     ds, _ = apply_noise(blobs2_tiny["clean"], spec)
-    result = train_lccn_star(
+    result = run_trainer(
         ds, TrainConfig(kind="lccn_star", epochs=2, pretrain_epochs=1, batch_size=16,
                         learning_rate=0.02, seed=4)
     )
@@ -167,7 +163,7 @@ def test_pinned_trainer_warns_without_trusted_samples(blobs2_tiny):
     ds = blobs2_tiny["noisy"]
     assert not ds.clean_mask.any()
     with pytest.warns(UserWarning, match="clean subset"):
-        train_lccn_plus(
+        run_trainer(
             ds, TrainConfig(kind="lccn_plus", epochs=1, pretrain_epochs=0, batch_size=16,
                             learning_rate=0.02, seed=4)
         )
@@ -218,8 +214,8 @@ def test_milestones_change_learning_rate(blobs2_tiny):
     # a drastic late-epoch rate blows past the plain run's parameters
     ds = blobs2_tiny["noisy"]
     base = TrainConfig(kind="ce", epochs=4, batch_size=16, learning_rate=0.01, seed=2)
-    plain = train_ce(ds, base)
-    stepped = train_ce(ds, dataclasses.replace(base, lr_milestones=((2, 0.2),)))
+    plain = run_trainer(ds, base)
+    stepped = run_trainer(ds, dataclasses.replace(base, lr_milestones=((2, 0.2),)))
     assert not params_equal(plain.final_params, stepped.final_params)
 
 
@@ -274,7 +270,7 @@ def test_alpha_vector_must_match_class_count(blobs2_tiny):
     cfg = TrainConfig(kind="lccn", epochs=1, pretrain_epochs=0, batch_size=16,
                       alpha=(1.0, 1.0, 1.0), seed=0)
     with pytest.raises(ParameterError, match="alpha"):
-        train_lccn(ds, cfg)
+        run_trainer(ds, cfg)
 
 
 def test_oracle_channel_shape_checked(blobs2_tiny):
@@ -282,7 +278,7 @@ def test_oracle_channel_shape_checked(blobs2_tiny):
     cfg = TrainConfig(kind="forward_fixed", epochs=1, pretrain_epochs=0,
                       batch_size=16, oracle_phi=np.eye(3), seed=0)
     with pytest.raises(ParameterError, match="oracle_phi"):
-        train_forward_fixed(ds, cfg)
+        run_trainer(ds, cfg)
 
 
 # --- certificate of batches that move no label -------------------------------
@@ -371,7 +367,7 @@ def test_label_swap_with_equal_counts_is_still_certified(blobs2_tiny, monkeypatc
 
     monkeypatch.setattr("lccn_lab.trainers.update_bound", recording_bound)
     monkeypatch.setattr("lccn_lab.trainers.gibbs_sample_batch", scripted_sampler)
-    result = train_lccn(
+    result = run_trainer(
         ds, TrainConfig(kind="lccn", epochs=4, pretrain_epochs=1, batch_size=ds.n, seed=0)
     )
     assert [equal for equal, _ in certificates] == [False, True]
