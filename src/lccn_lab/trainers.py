@@ -160,11 +160,23 @@ class TrainConfig:
             raise ParameterError("em_m_epochs must be >= 1")
         if self.grad_clip is not None and not self.grad_clip > 0.0:
             raise ParameterError("grad_clip must be positive")
-        if self.oracle_phi is not None:
-            try:
-                TransitionMatrix(self.oracle_phi)  # range check; the shape waits for the data
-            except (TypeError, ValueError) as exc:
-                raise ParameterError(f"oracle_phi: {exc}") from None
+        # Each range is written so that NaN fails it: every comparison with NaN is False.
+        rates = [("learning_rate", self.learning_rate), ("transition_lr", self.transition_lr)]
+        rates += [(f"lr_milestones rate at epoch {e}", r) for e, r in self.lr_milestones]
+        for name, rate in rates:
+            if rate is not None and not 0.0 < rate < math.inf:
+                raise ParameterError(f"{name} must be finite and positive, got {rate!r}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ParameterError(f"momentum must lie in [0, 1), got {self.momentum!r}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ParameterError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
+        for name in ("oracle_phi", "reference_phi"):
+            matrix = getattr(self, name)
+            if matrix is not None:
+                try:
+                    TransitionMatrix(matrix)  # range check; the shape waits for the data
+                except (TypeError, ValueError) as exc:
+                    raise ParameterError(f"{name}: {exc}") from None
         LossConfig(self.clip)  # range check
 
 

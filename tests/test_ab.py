@@ -1,0 +1,104 @@
+"""The pair and claim logic of `scripts/ab.py`, on synthetic numbers: no benchmark runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("_ab_script", ROOT / "scripts" / "ab.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+# Ten base readings with quartiles 1.0225 and 1.0675: an IQR of 0.045.
+BASE = [1.0 + 0.01 * i for i in range(10)]
+NO_FAILURES = {"base": 0.0, "rev": 0.0}
+
+
+def summarize(base, rev, better, failed_share=NO_FAILURES, fingerprints_match=True):
+    return ab.summarize(base, rev, better, failed_share, fingerprints_match)
+
+
+def test_pairs_alternate_which_side_runs_first():
+    assert [ab.pair_order(i) for i in range(4)] == [("base", "rev"), ("rev", "base")] * 2
+
+
+def test_iqr_interpolates_between_order_statistics():
+    assert ab.iqr([5.0, 1.0, 3.0, 2.0, 4.0]) == 2.0
+    assert ab.iqr(BASE) == pytest.approx(0.045)
+    assert ab.iqr([7.0]) == 0.0
+
+
+def test_claim_holds_with_nine_wins_and_a_gap_above_the_iqr():
+    rev = [b - 0.1 for b in BASE]
+    rev[3] = BASE[3] + 0.5  # one loss
+    summary = summarize(BASE, rev, "lower")
+    assert (summary["wins"], summary["pairs"]) == (9, 10)
+    assert summary["base_iqr"] == pytest.approx(0.045)
+    assert summary["claim_holds"]
+
+
+def test_claim_fails_when_rev_fails_a_larger_share_of_training_runs():
+    rev = [b - 0.1 for b in BASE]
+    assert summarize(BASE, rev, "lower", {"base": 0.01, "rev": 0.01})["claim_holds"]
+    summary = summarize(BASE, rev, "lower", {"base": 0.0, "rev": 0.01})
+    assert summary["wins"] == 10 and not summary["claim_holds"]
+
+
+def test_claim_fails_when_any_pair_wrote_other_fingerprints():
+    rev = [b - 0.1 for b in BASE]
+    summary = summarize(BASE, rev, "lower", fingerprints_match=False)
+    assert summary["wins"] == 10 and not summary["claim_holds"]
+
+
+def test_claim_fails_with_eight_wins():
+    rev = [b - 0.1 for b in BASE]
+    rev[3] = rev[7] = 2.0
+    summary = summarize(BASE, rev, "lower")
+    assert summary["wins"] == 8 and not summary["claim_holds"]
+
+
+def test_claim_fails_when_the_median_gap_is_inside_the_base_iqr():
+    rev = [b - 0.02 for b in BASE]
+    summary = summarize(BASE, rev, "lower")
+    assert summary["wins"] == 10
+    assert summary["base_median"] - summary["rev_median"] < summary["base_iqr"]
+    assert not summary["claim_holds"]
+
+
+def test_ties_count_for_neither_side():
+    summary = summarize(BASE, list(BASE), "lower")
+    assert summary["wins"] == 0 and not summary["claim_holds"]
+    assert ab.wins(BASE, list(BASE), "higher") == 0
+
+
+def test_higher_is_better_metrics_win_upwards():
+    rev = [b + 0.1 for b in BASE]
+    assert summarize(BASE, rev, "higher")["claim_holds"]
+    assert summarize(BASE, rev, "lower")["wins"] == 0
+
+
+def test_claim_needs_ten_pairs():
+    rev = [b - 0.5 for b in BASE]
+    assert summarize(BASE[:9], rev[:9], "lower")["wins"] == 9
+    assert not summarize(BASE[:9], rev[:9], "lower")["claim_holds"]
+
+
+def _tree(root: Path, files: dict[str, str]) -> Path:
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+def test_benchmark_differs_names_every_changed_or_lone_benchmark_file(tmp_path):
+    files = {"BENCHMARK.json": "{}", "perfbench/run.py": "x", "perfbench/sub/a.json": "1",
+             "src/lccn_lab/cli.py": "a"}
+    base = _tree(tmp_path / "base", files)
+    same = _tree(tmp_path / "same", {**files, "src/lccn_lab/cli.py": "b"})
+    assert ab.benchmark_differs(base, same) == []
+    other = _tree(tmp_path / "other", {**files, "BENCHMARK.json": "[]", "perfbench/run.py": "y",
+                                       "perfbench/new.py": ""})
+    assert ab.benchmark_differs(base, other) == [
+        "BENCHMARK.json", "perfbench/new.py", "perfbench/run.py",
+    ]

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import lccn_lab
 from lccn_lab.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from lccn_lab.trainers import TRAINER_KINDS
 
@@ -209,6 +212,19 @@ BAD_INPUTS = {
     "ragged_inline_oracle_phi": ({}, {"train": {"oracle_phi": [[1.0], [0.5, 0.5]]}}),
     "nan_oracle_phi": ({}, {"train": {"kind": "forward_fixed",
                                        "oracle_phi": [[float("nan"), 0.0], [0.0, 1.0]]}}),
+    "nan_reference_phi": ({}, {"train": {"kind": "forward_fixed",
+                                          "reference_phi": [[float("nan"), 0.0], [0.0, 1.0]]}}),
+    "nan_learning_rate": ({}, {"train": {"learning_rate": float("nan")}}),
+    "negative_learning_rate": ({}, {"train": {"learning_rate": -0.1}}),
+    "infinite_learning_rate": ({}, {"train": {"learning_rate": float("inf")}}),
+    "nan_lr_milestone_rate": ({}, {"train": {"lr_milestones": [[1, float("nan")]]}}),
+    "zero_lr_milestone_rate": ({}, {"train": {"lr_milestones": [[1, 0.0]]}}),
+    "nan_transition_lr": ({}, {"train": {"kind": "s_adaptation", "transition_lr": float("nan")}}),
+    "nan_momentum": ({}, {"train": {"momentum": float("nan")}}),
+    "negative_momentum": ({}, {"train": {"momentum": -0.5}}),
+    "momentum_of_one": ({}, {"train": {"momentum": 1.0}}),
+    "nan_weight_decay": ({}, {"train": {"kind": "ce", "weight_decay": float("nan")}}),
+    "negative_weight_decay": ({}, {"train": {"weight_decay": -0.1}}),
     "dataset_nan_feature": ({"data.json": json.dumps(NAN_FEATURE_DATASET)},
                             {"dataset": "data.json"}),
     "zero_grad_clip": ({}, {"train": {"kind": "s_adaptation", "grad_clip": 0.0}}),
@@ -715,3 +731,54 @@ def test_runaway_learning_rate_exits_1_through_main(train, message, threads, tmp
     assert code == EXIT_RUNTIME
     assert f"error: {message}\n" in err
     assert "Traceback" not in out + err
+
+
+def _fresh_interpreter(code: str, *args: str, **env: str) -> list:
+    """Run `code` with argv `args` in a new Python process that can import the package.
+
+    Returns the last line it prints, parsed as JSON.
+    """
+    path = [str(Path(lccn_lab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+# Training must load neither scipy, which only the exact-enumeration reference
+# needs, nor the process pool, which only runs more than one worker. The
+# second train runs two seeds on one worker.
+_COLD_START_CODE = """
+import json, sys
+from lccn_lab.cli import main
+config, out = sys.argv[1:]
+for extra in ([], ["--seeds", "0", "1"]):
+    code = main(["train", "--config", config, "--out", out + str(len(extra)), *extra])
+    assert code == 0, code
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "scipy" or m == "concurrent.futures.process")))
+"""
+
+
+def test_training_loads_neither_scipy_nor_a_process_pool(tmp_path):
+    config = write_cfg(tmp_path / "c.json", BASE_CFG)
+    out = str(tmp_path / "out")
+    assert _fresh_interpreter(_COLD_START_CODE, config, out, LCCN_LAB_THREADS="1") == []
+
+
+def test_exact_reference_imports_scipy_on_first_use():
+    code = """
+import json, sys
+import numpy as np
+from lccn_lab.noise_model import DirichletPrior
+from lccn_lab.sampler import exact_posterior_bruteforce
+before = "scipy" in sys.modules
+probs = np.array([[0.7, 0.3], [0.4, 0.6], [0.5, 0.5]])
+prior = DirichletPrior.uniform(2, 1.0)
+marginals = exact_posterior_bruteforce(probs, np.array([0, 1, 1]), prior)
+print(json.dumps([before, "scipy.special" in sys.modules, marginals.sum(axis=1).tolist()]))
+"""
+    before, after, row_sums = _fresh_interpreter(code)
+    assert (before, after) == (False, True)
+    assert np.allclose(row_sums, 1.0)
