@@ -11,8 +11,7 @@ benchmarks fails Tier-1 instead of `scripts/bench.py`. Shapes follow the two ben
 recovery bundle (K=3, 2-d features, linear model, batch 8) and the ordering
 bundle (K=4, 2-d features, MLP-64 tanh, batch 32). The classifier benchmarks
 time the hard-label, soft-target and composed-channel steps, a forward pass,
-and `apply_gradients` on a plain dict of gradients (the checked, copying
-path; the steps themselves hand it the optimizer's own vector). `gibbs_sample_batch` and
+and the momentum update `apply_gradients` that ends each step. `gibbs_sample_batch` and
 `update_bound` also run at K=8 with a batch of 16, where their row sums go
 through numpy's reduction; no benchmark workload reaches that path.
 """
@@ -94,10 +93,13 @@ def test_forward_proba(benchmark, shape):
 def test_apply_gradients(benchmark, shape):
     arch, batch = SHAPES[shape]
     params = init_params(arch, 0)
-    opt = init_optimizer(params, learning_rate=1e-6)
+    # Each call leaves learning_rate * velocity in opt.grad as the next call's
+    # gradient, so the velocity scales by momentum + learning_rate per call: a
+    # sum of 1 keeps it (and the timing) away from overflow and subnormals.
+    opt = init_optimizer(params, learning_rate=0.1, momentum=0.9)
     features, labels = _batch(arch, batch)
-    _, grads = loss_and_grads(params, features, one_hot(labels, arch.n_classes), LossConfig())
-    benchmark(apply_gradients, params, opt, grads)
+    loss_and_grads(params, features, one_hot(labels, arch.n_classes), LossConfig(), opt.grads)
+    benchmark(apply_gradients, params, opt)
 
 
 def _chain(k: int, n: int, seed: int = 0):

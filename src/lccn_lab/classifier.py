@@ -1,42 +1,21 @@
-"""Desk-scale softmax classifiers: linear and one-hidden-layer MLP.
+"""Desk-scale softmax classifiers, linear and one-hidden-layer MLP, in plain numpy.
 
-Everything is plain numpy. Losses return gradients with respect to the
-predicted probabilities so that composed objectives (transition-adjusted
-likelihoods, soft targets) can reuse one softmax backward pass.
+Layout: `ClassifierParams.tensors` is a read-only mapping of reshaped views
+into one float64 vector `flat`, in the mapping's key order. `OptimizerState`
+keeps its `velocity` and `grad` as vectors in that layout, and `grads` names
+the views of `grad`: every step writes its gradients there, and
+`apply_gradients` updates the vectors in place. A write into a view changes
+its vector; rebinding an entry raises TypeError.
 
-Flat layout: `ClassifierParams.tensors` and `OptimizerState.velocity` are
-read-only mappings of reshaped views into one contiguous float64 vector
-each (`.flat`), packed in the mapping's key order when the object is built
-(`copy()` and `load_checkpoint` included). A write into a view, such as
-`tensors["w"][:] = ...` or a write through `tensors["w"].ravel()`, changes
-the vector; rebinding an entry raises TypeError, because a new array would
-no longer be part of the vector.
-
-One loss-and-gradient path: `soft_target_cross_entropy`,
-`dlogits_from_dprobs` and `backprop_logits`, chained by `loss_and_grads` for
-the hard-label and soft-target steps and around the channel by the trainers'
-composed step; `apply_gradients` is the one momentum update. The steps pass the
-optimizer's own gradient views (`OptimizerState.grads`, views of one vector
-`grad` in the params' layout) as `out`, so `backprop_logits` writes each
-gradient product straight into that vector and `apply_gradients` runs the
-momentum step on it in place: no concatenate, no per-tensor checks, no fresh
-arrays. A plain dict of gradients is checked and copied into `grad` first.
-The SGD steps take an optional `forward=(probs, cache)` from `_forward` on
-the same params and features, so a caller that already needed the
-probabilities does not forward twice.
-
-Bit for bit: every float operation is the one the plain numpy formulas
-(`np.clip`, `np.sum`, `one_hot` by zeros and scatter, fresh gradient arrays
-joined by a concatenate) perform, on the same operands in the same order,
-so each element of the params and velocity gets the same bits. The calls
-differ only where a substitute is exact: one-hot rows are taken from a
-cached identity matrix (the same 0.0 and 1.0 entries); the clip is
-`minimum(maximum(p, clip), 1 - clip)`, which is `np.clip`'s own formula for
-a positive clip; `np.add.reduce` and `np.maximum.reduce` are what `np.sum`,
-`.sum()` and `.max()` call behind their Python wrappers, over the same axes
-and layouts; and results written with `out=` into views or temporaries are
-the ones a fresh array would hold. The loss keeps its dense sum over every
-entry, so numpy's blocked summation order is unchanged.
+Exact substitutions: a step gives the bits of the plain numpy formulas
+(`np.clip`, `np.sum`, one-hot rows by zeros and scatter, fresh gradient
+arrays joined by a concatenate). One-hot rows are taken from a cached
+identity (the same 0.0 and 1.0 entries); the clip is
+`minimum(maximum(p, clip), 1 - clip)`, `np.clip`'s own formula for a positive
+clip; `np.add.reduce` and `np.maximum.reduce` are what `np.sum`, `.sum()` and
+`.max()` call, over the same axes; a result written with `out=` holds what a
+fresh array would. The loss keeps its dense sum over every entry, so numpy's
+blocked summation order is unchanged.
 """
 
 from __future__ import annotations
@@ -45,7 +24,7 @@ import functools
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 
@@ -85,25 +64,20 @@ def _views(flat: np.ndarray, like: Mapping[str, np.ndarray]) -> dict[str, np.nda
     return views
 
 
-def _pack(tensors: Mapping[str, np.ndarray]) -> tuple[np.ndarray, Mapping[str, np.ndarray]]:
-    """Copy tensors into one float64 vector; return it and read-only views of it by name."""
-    flat = np.empty(sum(np.size(t) for t in tensors.values()))
-    views = _views(flat, tensors)
-    for name, tensor in tensors.items():
-        views[name][...] = tensor
-    return flat, MappingProxyType(views)
-
-
 @dataclass
 class ClassifierParams:
-    """Named parameter tensors, stored as views of the one vector `flat`."""
+    """Named parameter tensors, copied into views of the one vector `flat`."""
 
     arch: Architecture
     tensors: Mapping[str, np.ndarray]
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.flat, self.tensors = _pack(self.tensors)
+        self.flat = np.empty(sum(np.size(t) for t in self.tensors.values()))
+        views = _views(self.flat, self.tensors)
+        for name, tensor in self.tensors.items():
+            views[name][...] = tensor
+        self.tensors = MappingProxyType(views)
 
     def copy(self) -> "ClassifierParams":
         return ClassifierParams(self.arch, self.tensors)
@@ -226,19 +200,16 @@ def backprop_logits(
     features: np.ndarray,
     cache: dict,
     dlogits: np.ndarray,
-    out: Mapping[str, np.ndarray] | None = None,
-) -> Mapping[str, np.ndarray]:
-    """Gradients of all parameter tensors given the logit-space gradient.
+    out: Mapping[str, np.ndarray],
+) -> None:
+    """Write the gradients of all parameter tensors, given the logit-space gradient, into out.
 
-    They are written into out (arrays shaped like the params' tensors, by
-    name), or into views of one fresh vector when out is None; returns out.
+    out maps each tensor's name to an array of its shape, such as `OptimizerState.grads`.
     """
-    if out is None:
-        out = _views(np.empty(params.flat.size), params.tensors)
     if params.arch.kind == "linear":
         np.matmul(features.T, dlogits, out=out["w"])
         np.add.reduce(dlogits, axis=0, out=out["b"])
-        return out
+        return
     hidden, pre = cache["hidden"], cache["pre"]
     dpre = np.matmul(dlogits, params.tensors["w2"].T)
     if params.arch.activation == "relu":
@@ -251,31 +222,29 @@ def backprop_logits(
     np.add.reduce(dpre, axis=0, out=out["b1"])
     np.matmul(hidden.T, dlogits, out=out["w2"])
     np.add.reduce(dlogits, axis=0, out=out["b2"])
-    return out
 
 
 @dataclass
 class OptimizerState:
     """Momentum SGD with weight decay added to the raw gradient.
 
-    The velocity tensors are views of the one vector `flat`, like the params'.
-    `grad` is the optimizer's gradient vector in the same layout, and
-    `grads` its views by name: the SGD steps write their gradients there and
-    `apply_gradients` reads them in place.
+    `velocity` and `grad` are vectors laid out like the `ClassifierParams.flat`
+    of the tensors given at construction, and `grads` is a read-only mapping
+    of `grad`'s views by tensor name.
     """
 
+    tensors: InitVar[Mapping[str, np.ndarray]]
     learning_rate: float
     momentum: float = 0.9
     weight_decay: float = 0.0
-    velocity: Mapping[str, np.ndarray] = field(default_factory=dict)
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    velocity: np.ndarray = field(init=False, repr=False, compare=False)
     grad: np.ndarray = field(init=False, repr=False, compare=False)
     grads: Mapping[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.flat, self.velocity = _pack(self.velocity)
-        self.grad = np.zeros_like(self.flat)
-        self.grads = MappingProxyType(_views(self.grad, self.velocity))
+    def __post_init__(self, tensors: Mapping[str, np.ndarray]) -> None:
+        self.velocity = np.zeros(sum(np.size(t) for t in tensors.values()))
+        self.grad = np.zeros_like(self.velocity)
+        self.grads = MappingProxyType(_views(self.grad, tensors))
 
 
 def init_optimizer(
@@ -284,39 +253,23 @@ def init_optimizer(
     momentum: float = 0.9,
     weight_decay: float = 0.0,
 ) -> OptimizerState:
-    velocity = {name: np.zeros_like(tensor) for name, tensor in params.tensors.items()}
-    return OptimizerState(learning_rate, momentum, weight_decay, velocity)
+    return OptimizerState(params.tensors, learning_rate, momentum, weight_decay)
 
 
 def _check_optimizer(params: ClassifierParams, opt: OptimizerState) -> None:
-    if opt.flat.shape != params.flat.shape:
+    if opt.velocity.shape != params.flat.shape:
         raise ParameterError("optimizer velocity does not match the parameters")
 
 
-def apply_gradients(
-    params: ClassifierParams, opt: OptimizerState, grads: Mapping[str, np.ndarray]
-) -> None:
-    """One in-place momentum step on the flat vectors; aborts on non-finite gradients.
-
-    grads is either `opt.grads`, already filled in, which is used in place,
-    or a mapping that names exactly the params' tensors, each in its shape,
-    which is copied into `opt.grad` first.
-    """
-    tensors = params.tensors
+def apply_gradients(params: ClassifierParams, opt: OptimizerState) -> None:
+    """One in-place momentum step with the gradients in `opt.grads`; aborts on non-finite ones."""
     _check_optimizer(params, opt)
-    if grads is not opt.grads:
-        if grads.keys() != tensors.keys() or any(
-            grads[name].shape != tensor.shape for name, tensor in tensors.items()
-        ):
-            expected = ", ".join(f"{name} {tensor.shape}" for name, tensor in tensors.items())
-            raise ParameterError(f"gradients must match the parameter tensors: {expected}")
-        np.concatenate([grads[name].ravel() for name in tensors], out=opt.grad)
     grad = opt.grad
     if not np.isfinite(grad).all():
-        bad = next(name for name in tensors if not np.isfinite(opt.grads[name]).all())
+        bad = next(name for name, view in opt.grads.items() if not np.isfinite(view).all())
         raise TrainingError(f"non-finite gradient in tensor {bad!r}")
     grad += opt.weight_decay * params.flat
-    vel = opt.flat
+    vel = opt.velocity
     vel *= opt.momentum
     vel += grad
     np.multiply(opt.learning_rate, vel, out=grad)
@@ -328,19 +281,18 @@ def loss_and_grads(
     features: np.ndarray,
     target_weights: np.ndarray,
     cfg: LossConfig,
+    out: Mapping[str, np.ndarray],
     *,
     forward: tuple[np.ndarray, dict] | None = None,
-    out: Mapping[str, np.ndarray] | None = None,
-) -> tuple[float, Mapping[str, np.ndarray]]:
-    """Soft-target log-loss and its parameter gradients; forward is `_forward`'s output.
+) -> float:
+    """Soft-target log-loss; its parameter gradients go into out (see `backprop_logits`).
 
-    The gradients go into out when given (see `backprop_logits`), else into
-    fresh arrays.
+    forward, when given, is `_forward(params, features)`, reused instead of recomputed.
     """
     probs, cache = _forward(params, features) if forward is None else forward
     loss, dprobs = soft_target_cross_entropy(probs, target_weights, cfg)
-    dlogits = dlogits_from_dprobs(probs, dprobs)
-    return loss, backprop_logits(params, features, cache, dlogits, out)
+    backprop_logits(params, features, cache, dlogits_from_dprobs(probs, dprobs), out)
+    return loss
 
 
 def _step(
@@ -350,16 +302,13 @@ def _step(
     target_weights: np.ndarray,
     cfg: LossConfig,
     forward: tuple[np.ndarray, dict] | None,
-) -> float:
-    """Gradients into the optimizer's vector, then one momentum step; returns the loss."""
+) -> None:
+    """Gradients into the optimizer's vector, then one momentum step."""
     _check_optimizer(params, opt)
-    loss, grads = loss_and_grads(
-        params, features, target_weights, cfg, forward=forward, out=opt.grads
-    )
+    loss = loss_and_grads(params, features, target_weights, cfg, opt.grads, forward=forward)
     if not math.isfinite(loss):
         raise TrainingError("non-finite training loss")
-    apply_gradients(params, opt, grads)
-    return loss
+    apply_gradients(params, opt)
 
 
 def sgd_step(
@@ -370,13 +319,9 @@ def sgd_step(
     cfg: LossConfig,
     *,
     forward: tuple[np.ndarray, dict] | None = None,
-) -> float:
-    """One minibatch step of clipped cross-entropy on hard labels; returns the loss.
-
-    forward, when given, is `_forward(params, features)`, reused instead of recomputed.
-    """
-    targets = one_hot(labels, params.arch.n_classes)
-    return _step(params, opt, features, targets, cfg, forward)
+) -> None:
+    """One minibatch step of clipped cross-entropy on hard labels; forward as in loss_and_grads."""
+    _step(params, opt, features, one_hot(labels, params.arch.n_classes), cfg, forward)
 
 
 def sgd_step_soft(
@@ -387,9 +332,9 @@ def sgd_step_soft(
     cfg: LossConfig,
     *,
     forward: tuple[np.ndarray, dict] | None = None,
-) -> float:
+) -> None:
     """Like sgd_step but with per-class target weights instead of hard labels."""
-    return _step(params, opt, features, target_weights, cfg, forward)
+    _step(params, opt, features, target_weights, cfg, forward)
 
 
 def minibatch_indices(rng: np.random.Generator, n: int, batch_size: int):
@@ -410,16 +355,11 @@ def pretrain_ce(
     batch_size: int,
     cfg: LossConfig,
     rng: np.random.Generator,
-) -> list[float]:
-    """Fit the classifier to the observed labels; returns per-epoch mean losses."""
-    history = []
+) -> None:
+    """Fit the classifier to the observed labels by epochs of hard-label SGD steps."""
     for _ in range(epochs):
-        losses = [
+        for idx in minibatch_indices(rng, features.shape[0], batch_size):
             sgd_step(params, opt, features[idx], labels[idx], cfg)
-            for idx in minibatch_indices(rng, features.shape[0], batch_size)
-        ]
-        history.append(float(np.mean(losses)))
-    return history
 
 
 def save_checkpoint(params: ClassifierParams, path: str | Path) -> None:

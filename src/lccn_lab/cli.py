@@ -145,14 +145,12 @@ def build_train_config(train_dict: dict, seed: int | None = None, base: Path | N
         if isinstance(payload.get("anneal"), dict):
             payload["anneal"] = AnnealSchedule(**payload["anneal"])
         if "lr_milestones" in payload:
-            payload["lr_milestones"] = tuple(
-                (int(e), float(lr)) for e, lr in payload["lr_milestones"]
-            )
+            payload["lr_milestones"] = tuple(tuple(m) for m in payload["lr_milestones"])
         for key in ("oracle_phi", "reference_phi"):
             if payload.get(key) is not None:
                 payload[key] = _phi_from_value(payload[key], base)
         if isinstance(payload.get("alpha"), list):
-            payload["alpha"] = tuple(float(a) for a in payload["alpha"])
+            payload["alpha"] = tuple(payload["alpha"])
         if seed is not None:
             payload["seed"] = seed
         return TrainConfig(**payload)
@@ -160,34 +158,52 @@ def build_train_config(train_dict: dict, seed: int | None = None, base: Path | N
         raise ParameterError(f"bad train section: {exc}") from exc
 
 
+def _number(value, what: str, kind: type = numbers.Integral):
+    """value itself if it is an integer (a real number for kind numbers.Real); a bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a number"
+        raise ParameterError(f"{what} must be {noun}, got {value!r}")
+    return value
+
+
 def _generate_data(generator: dict, noise: dict | None = None, clean: dict | None = None):
     """The one data recipe: Gaussian mixture, then label/open-set noise, then a clean subset.
 
     Returns (dataset, noise report or None, noise spec or None); the noise
-    step runs only when a noise section is given.
+    step runs only when a noise section is given. Numbers are taken as given:
+    a count or seed that is not an integer, or a rate that is not a number,
+    is a usage error.
     """
     report = spec = None
     try:
         ds = make_gaussian_mixture(
-            n_classes=int(generator["k"]),
-            dim=int(generator.get("d", 2)),
-            n_per_class=int(generator["n_per_class"]),
-            separation=float(generator.get("separation", 4.0)),
-            seed=int(generator.get("seed", 0)),
+            n_classes=_number(generator["k"], "generator k"),
+            dim=_number(generator.get("d", 2), "generator d"),
+            n_per_class=_number(generator["n_per_class"], "generator n_per_class"),
+            separation=_number(generator.get("separation", 4.0), "generator separation",
+                               numbers.Real),
+            seed=_number(generator.get("seed", 0), "generator seed"),
         )
         if noise:
-            pair_map = noise.get("pair_map")
-            if pair_map is not None:
-                noise = {**noise, "pair_map": tuple(int(p) for p in pair_map)}
+            noise = dict(noise)
+            for key, kind in (("seed", numbers.Integral), ("ratio", numbers.Real),
+                              ("ood_fraction", numbers.Real)):
+                if key in noise:
+                    _number(noise[key], f"noise {key}", kind)
+            if noise.get("pair_map") is not None:
+                noise["pair_map"] = tuple(
+                    _number(p, "noise pair_map entry") for p in noise["pair_map"]
+                )
             spec = NoiseSpec(**noise)
             ds, report = apply_noise(ds, spec)
         if clean:
-            ds = mark_clean_subset(ds, int(clean["n_clean"]), int(clean.get("seed", 0)))
+            ds = mark_clean_subset(ds, _number(clean["n_clean"], "clean n_clean"),
+                                   _number(clean.get("seed", 0), "clean seed"))
     except ParameterError:
         raise
     except KeyError as exc:
         raise ParameterError(f"data section is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"bad data section: {exc}") from exc
     return ds, report, spec
 
@@ -216,9 +232,12 @@ def build_datasets(cfg: dict, base: Path | None = None):
     test_gen = {
         **gen,
         "n_per_class": test.get("n_per_class", gen["n_per_class"]),
-        "seed": test.get("seed", int(gen.get("seed", 0)) + TEST_SEED_OFFSET),
+        "seed": test.get("seed", gen.get("seed", 0) + TEST_SEED_OFFSET),
     }
-    test_ds = _generate_data(test_gen)[0]
+    try:
+        test_ds = _generate_data(test_gen)[0]
+    except ParameterError as exc:  # the generator's own fields passed above
+        raise ParameterError(f"test section: {exc}") from None
     reference_phi = spec.true_transition(ds.n_classes) if spec is not None else None
     return ds, test_ds, report, reference_phi
 

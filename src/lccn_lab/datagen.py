@@ -178,16 +178,6 @@ class NoiseInjectionReport:
     realized_flip_fraction: float
     realized_confusion: np.ndarray
 
-    def realized_transition(self) -> np.ndarray:
-        """Row-normalized confusion: the transition the injection actually realized.
-
-        Classes with no in-distribution samples get a uniform row.
-        """
-        counts = self.realized_confusion.astype(np.float64)
-        totals = counts.sum(axis=1, keepdims=True)
-        k = counts.shape[1]
-        return np.where(totals > 0, counts / np.maximum(totals, 1.0), 1.0 / k)
-
     def to_json_dict(self) -> dict:
         return {
             "realized_flip_fraction": float(self.realized_flip_fraction),

@@ -137,7 +137,7 @@ def transition_from_counts(counts: np.ndarray, prior: DirichletPrior) -> Transit
 
 
 def warmup_transition(
-    predictions: np.ndarray, observed_labels: np.ndarray, n_observed: int | None = None
+    predictions: np.ndarray, observed_labels: np.ndarray, n_observed: int
 ) -> TransitionMatrix:
     """Prediction-weighted transition estimate used before counts are trustworthy.
 
@@ -149,7 +149,7 @@ def warmup_transition(
     observed_labels = np.asarray(observed_labels, dtype=np.int64)
     if predictions.ndim != 2 or predictions.shape[0] != observed_labels.size:
         raise ParameterError("predictions must be (n, n_latent) matching observed_labels")
-    k = int(n_observed) if n_observed is not None else int(observed_labels.max()) + 1
+    k = n_observed
     if np.any((observed_labels < 0) | (observed_labels >= k)):
         raise ParameterError("observed labels out of range")
     onehot = np.zeros((observed_labels.size, k))

@@ -160,9 +160,22 @@ class TrainConfig:
             raise ParameterError("em_m_epochs must be >= 1")
         if self.grad_clip is not None and not self.grad_clip > 0.0:
             raise ParameterError("grad_clip must be positive")
+        try:
+            milestones = [(epoch, rate) for epoch, rate in self.lr_milestones]
+        except (TypeError, ValueError):
+            raise ParameterError(
+                f"lr_milestones must be (epoch, learning_rate) pairs, got {self.lr_milestones!r}"
+            ) from None
+        for epoch, rate in milestones:
+            if isinstance(epoch, bool) or not isinstance(epoch, numbers.Integral) or epoch < 0:
+                raise ParameterError(
+                    f"lr_milestones epoch must be a nonnegative integer, got {epoch!r}"
+                )
+            if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+                raise ParameterError(f"lr_milestones rate must be a number, got {rate!r}")
         # Each range is written so that NaN fails it: every comparison with NaN is False.
         rates = [("learning_rate", self.learning_rate), ("transition_lr", self.transition_lr)]
-        rates += [(f"lr_milestones rate at epoch {e}", r) for e, r in self.lr_milestones]
+        rates += [(f"lr_milestones rate at epoch {e}", r) for e, r in milestones]
         for name, rate in rates:
             if rate is not None and not 0.0 < rate < math.inf:
                 raise ParameterError(f"{name} must be finite and positive, got {rate!r}")
@@ -397,29 +410,29 @@ def _composed_loss_grads(
     observed: np.ndarray,
     phi: np.ndarray,
     loss_cfg: LossConfig,
-    out: Mapping[str, np.ndarray] | None = None,
-) -> tuple[float, Mapping[str, np.ndarray], np.ndarray]:
+    out: Mapping[str, np.ndarray],
+) -> tuple[float, np.ndarray]:
     """Clipped log-loss of the channel-mixed prediction q = probs @ phi.
 
-    Returns (loss, classifier gradients, gradient with respect to phi); the
-    classifier gradients go into out when given (see `backprop_logits`).
+    The classifier gradients go into out (see `backprop_logits`); returns
+    (loss, gradient with respect to phi).
     """
     probs, cache = _forward(params, features)
     mixture = np.matmul(probs, phi)
     loss, dmix = soft_target_cross_entropy(mixture, one_hot(observed, phi.shape[1]), loss_cfg)
     dlogits = dlogits_from_dprobs(probs, np.matmul(dmix, phi.T))
-    grads = backprop_logits(params, features, cache, dlogits, out)
-    return loss, grads, np.matmul(probs.T, dmix)
+    backprop_logits(params, features, cache, dlogits, out)
+    return loss, np.matmul(probs.T, dmix)
 
 
 def _composed_step(run: _Run, ds: LabeledDataset, idx: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """One classifier step through the channel phi; returns the gradient with respect to phi."""
-    loss, grads, dphi = _composed_loss_grads(
+    loss, dphi = _composed_loss_grads(
         run.params, ds.features[idx], ds.noisy_labels[idx], phi, run.loss_cfg, run.opt.grads
     )
     if not math.isfinite(loss):
         raise TrainingError("non-finite training loss")
-    apply_gradients(run.params, run.opt, grads)
+    apply_gradients(run.params, run.opt)
     return dphi
 
 

@@ -12,7 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from lccn_lab.classifier import Architecture, LossConfig, forward_proba, init_params, loss_and_grads
+from lccn_lab.classifier import (
+    Architecture,
+    LossConfig,
+    forward_proba,
+    init_optimizer,
+    init_params,
+    loss_and_grads,
+)
 from lccn_lab.cli import main as cli_main
 from lccn_lab.datagen import NoiseSpec, apply_noise, make_gaussian_mixture
 from lccn_lab.metrics import transition_l1_error
@@ -356,10 +363,11 @@ def test_criterion_10_gradients_match_finite_differences():
         params = init_params(arch, int(rng.integers(0, 10000)))
         features = rng.normal(size=(int(rng.integers(1, 6)), d))
         targets = rng.dirichlet(np.ones(k), size=features.shape[0])
-        _, grads = loss_and_grads(params, features, targets, loss_cfg)
+        grads, scratch = init_optimizer(params, 0.1).grads, init_optimizer(params, 0.1).grads
+        loss_and_grads(params, features, targets, loss_cfg, grads)
         for name, tensor in params.tensors.items():
             numeric = _numeric_grad(
-                lambda: loss_and_grads(params, features, targets, loss_cfg)[0], tensor
+                lambda: loss_and_grads(params, features, targets, loss_cfg, scratch), tensor
             )
             worst = max(worst, _relative_gap(grads[name], numeric))
         trials += 1
@@ -374,13 +382,14 @@ def test_criterion_10_gradients_match_finite_differences():
         layer_logits = rng.normal(size=(k, k))
 
         phi = _row_softmax(layer_logits)
-        _, _, dphi = _composed_loss_grads(params, features, observed, phi, loss_cfg)
+        scratch = init_optimizer(params, 0.1).grads
+        _, dphi = _composed_loss_grads(params, features, observed, phi, loss_cfg, scratch)
         inner = (phi * dphi).sum(axis=1, keepdims=True)
         analytic = phi * (dphi - inner)
 
         def layer_loss():
             return _composed_loss_grads(
-                params, features, observed, _row_softmax(layer_logits), loss_cfg
+                params, features, observed, _row_softmax(layer_logits), loss_cfg, scratch
             )[0]
 
         numeric = _numeric_grad(layer_loss, layer_logits)

@@ -8,6 +8,10 @@ for pytest-benchmark's fixture, so an API change that breaks `scripts/bench.py`
 fails here too. Both files are loaded read-only, without registering them in
 `sys.modules`.
 
+Every traced function must also run: the eight trainer kinds on the golden
+config call each of them, except those that `SILENT_TRACED` names with its
+reason, and they make one momentum update per classifier step.
+
 Every public name must be used by the program itself: a name in
 `lccn_lab.__all__` that only tests or the package's own `__init__.py` refer
 to is dead, unless `PUBLIC_WITHOUT_CALLER` names it with its reason.
@@ -20,6 +24,10 @@ import itertools
 from pathlib import Path
 
 import pytest
+from test_golden import BASE_CFG
+
+from lccn_lab import cli
+from lccn_lab.trainers import TRAINER_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
 PROGRAM_DIRS = ("src", "scripts", "benchmarks", "perfbench")
@@ -28,6 +36,13 @@ PUBLIC_WITHOUT_CALLER = {
     "load_checkpoint",
     # The sampler's one-draw reference, which `gibbs_sample_batch` replays bit for bit.
     "sampling_distribution",
+}
+
+
+SILENT_TRACED = {
+    # Dead: the eval loop scores with `top1_accuracy`. Removing it also removes
+    # its per-layer benchmark metric, so it goes with the next benchmark change.
+    "metrics.test_accuracy",
 }
 
 
@@ -46,6 +61,18 @@ def _traced_hooks():
 @pytest.mark.parametrize("module, function", _traced_hooks())
 def test_traced_function_resolves(module, function):
     assert callable(getattr(importlib.import_module(f"lccn_lab.{module}"), function, None))
+
+
+def test_every_traced_layer_runs_and_each_step_updates_once(tmp_path):
+    tracer = _load("perfbench/tracer.py", "_perfbench_tracer").Tracer()
+    with tracer:
+        for kind in TRAINER_KINDS:
+            cfg = {**BASE_CFG, "train": {**BASE_CFG["train"], "kind": kind}}
+            cli.run_experiment(cfg, 0, tmp_path / kind)
+    calls = {key: stat.calls for key, stat in tracer.stats.items()}
+    assert {key for key, n in calls.items() if n == 0} == SILENT_TRACED
+    steps = ("classifier.sgd_step", "classifier.sgd_step_soft", "trainers._composed_loss_grads")
+    assert calls["classifier.apply_gradients"] == sum(calls[key] for key in steps)
 
 
 def _micro_cases():

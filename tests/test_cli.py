@@ -234,8 +234,24 @@ BAD_INPUTS = {
                                                       "max_step": float("nan")}}}),
     "anneal_not_an_object": ({}, {"train": {"anneal": True}}),
     "lr_milestone_not_a_number": ({}, {"train": {"lr_milestones": [["x", 0.1]]}}),
+    # Numbers are taken as given, never truncated or parsed from strings.
+    "lr_milestone_fractional_epoch": ({}, {"train": {"lr_milestones": [[1.5, 0.05]]}}),
+    "lr_milestone_rate_a_string": ({}, {"train": {"lr_milestones": [[1, "0.05"]]}}),
+    "lr_milestone_epoch_a_bool": ({}, {"train": {"lr_milestones": [[True, 0.05]]}}),
     "alpha_vector_of_strings": ({}, {"train": {"alpha": ["a", "b", "c"]}}),
+    "alpha_vector_of_numeric_strings": ({}, {"train": {"alpha": ["1", "2"]}}),
+    "alpha_vector_of_bools": ({}, {"train": {"alpha": [True, True]}}),
     "generator_k_not_a_number": ({}, {"generator": {"k": "x"}}),
+    "generator_k_fractional": ({}, {"generator": {"k": 2.9}}),
+    "generator_k_numeric_string": ({}, {"generator": {"k": "3"}}),
+    "generator_n_per_class_fractional": ({}, {"generator": {"n_per_class": 10.7}}),
+    "generator_separation_a_string": ({}, {"generator": {"separation": "4"}}),
+    "generator_separation_beyond_float": ({}, {"generator": {"separation": 10**400}}),
+    "generator_seed_a_bool": ({}, {"generator": {"seed": True}}),
+    "test_n_per_class_fractional": ({}, {"test": {"n_per_class": 10.5}}),
+    "zero_clip": ({}, {"train": {"clip": 0.0}}),
+    "clip_of_one_half": ({}, {"train": {"clip": 0.5}}),
+    "nan_clip": ({}, {"train": {"clip": float("nan")}}),
     "momentum_not_a_number": ({}, {"train": {"momentum": "x"}}),
     "batch_size_not_an_integer": ({}, {"train": {"batch_size": 8.5}}),
     "negative_hidden_width": ({}, {"train": {"hidden_width": -3}}),
@@ -262,6 +278,16 @@ def test_malformed_config_or_input_file_is_usage_error(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_clip_changes_the_run_through_main(tmp_path, lccn_run):
+    cfg = {**BASE_CFG, "train": {**BASE_CFG["train"], "clip": 0.2}}
+    out = tmp_path / "clipped"
+    assert main(
+        ["train", "--config", write_cfg(tmp_path / "c.json", cfg), "--out", str(out)]
+    ) == EXIT_OK
+    for name in ("metrics.csv", "checkpoint.json"):
+        assert (out / name).read_bytes() != (lccn_run / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("seeds", [["x"], [1.5], "0"])

@@ -179,12 +179,6 @@ def test_apply_noise_openset_uses_ratio_fallback():
     assert out.ood_mask.sum() == round(0.25 * 120)
 
 
-def test_report_realized_transition_rows_sum_to_one():
-    ds = L.make_gaussian_mixture(n_classes=3, dim=2, n_per_class=50, separation=4.0, seed=3)
-    _, report = L.inject_symmetric(ds, ratio=0.3, seed=4)
-    np.testing.assert_allclose(report.realized_transition().sum(axis=1), 1.0, atol=1e-12)
-
-
 # ---------------------------------------------------------- serialization
 
 

@@ -245,6 +245,14 @@ def test_milestones_change_learning_rate(blobs2_tiny):
         dict(alpha=(1.0, float("-inf"), 1.0)),
         dict(alpha=0.0),
         dict(hidden_width=-3),
+        dict(lr_milestones=(("x", 0.1),)),
+        dict(lr_milestones=((1, "x"),)),
+        dict(lr_milestones=((1.5, 0.05),)),
+        dict(lr_milestones=((True, 0.05),)),
+        dict(lr_milestones=((-1, 0.05),)),
+        dict(lr_milestones=((1, True),)),
+        dict(lr_milestones=((1,),)),
+        dict(lr_milestones=3),
     ],
 )
 def test_config_rejects_bad_values(bad):
