@@ -21,7 +21,6 @@ import pytest
 
 from lccn_lab.classifier import (
     Architecture,
-    LossConfig,
     apply_gradients,
     forward_proba,
     init_optimizer,
@@ -36,6 +35,7 @@ from lccn_lab.noise_model import DirichletPrior, confusion_counts, update_bound
 from lccn_lab.sampler import gibbs_sample_batch
 from lccn_lab.trainers import _composed_step, _Run
 
+CLIP = 1e-20  # TrainConfig's default
 SHAPES = {
     "linear-batch8": (Architecture("linear", 2, 3), 8),
     "mlp64-tanh-batch32": (Architecture("mlp", 2, 4, 64, "tanh"), 32),
@@ -55,7 +55,7 @@ def test_sgd_step(benchmark, shape):
     params = init_params(arch, 0)
     opt = init_optimizer(params, learning_rate=0.01)
     features, labels = _batch(arch, batch)
-    benchmark(sgd_step, params, opt, features, labels, LossConfig())
+    benchmark(sgd_step, params, opt, features, labels, CLIP)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -65,7 +65,7 @@ def test_sgd_step_soft(benchmark, shape):
     opt = init_optimizer(params, learning_rate=0.01)
     features, _ = _batch(arch, batch)
     weights = np.random.default_rng(1).dirichlet(np.ones(arch.n_classes), size=batch)
-    benchmark(sgd_step_soft, params, opt, features, weights, LossConfig())
+    benchmark(sgd_step_soft, params, opt, features, weights, CLIP)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -76,7 +76,7 @@ def test_composed_step(benchmark, shape):
     features, labels = _batch(arch, batch)
     no_mask = np.zeros(batch, dtype=bool)
     ds = LabeledDataset(features, labels, labels, no_mask, no_mask, arch.n_classes)
-    run = _Run(params, init_optimizer(params, 0.01), LossConfig(), np.random.default_rng(0), 1, 1)
+    run = _Run(params, init_optimizer(params, 0.01), CLIP, np.random.default_rng(0), 1, 1)
     phi = np.full((arch.n_classes, arch.n_classes), 0.1 / (arch.n_classes - 1))
     np.fill_diagonal(phi, 0.9)
     benchmark(_composed_step, run, ds, np.arange(batch), phi)
@@ -98,7 +98,7 @@ def test_apply_gradients(benchmark, shape):
     # sum of 1 keeps it (and the timing) away from overflow and subnormals.
     opt = init_optimizer(params, learning_rate=0.1, momentum=0.9)
     features, labels = _batch(arch, batch)
-    loss_and_grads(params, features, one_hot(labels, arch.n_classes), LossConfig(), opt.grads)
+    loss_and_grads(params, features, one_hot(labels, arch.n_classes), CLIP, opt.grads)
     benchmark(apply_gradients, params, opt)
 
 

@@ -5,6 +5,7 @@ Usage, from the repository root:
 
     python3 scripts/ab.py HEAD~1
     python3 scripts/ab.py HEAD~1 HEAD --workload latent-ordering --seeds 1 2 --pairs 10
+    python3 scripts/ab.py HEAD~1 --micro "test_gibbs_sample_batch[3-8]"
 
 BASE and REV name git revisions; REV defaults to the working tree. Each side
 is exported into its own temporary directory: a revision with a local
@@ -24,6 +25,14 @@ a median gap in REV's favour larger than the base's interquartile range, no
 larger share of failed training runs on REV than on the base (runs last a
 fixed time, so the two sides may attempt different numbers), and the same
 fingerprints on both sides in every pair.
+
+`--micro NODE` times one microbenchmark of benchmarks/test_micro.py instead,
+named by its pytest node id or its bare test id (`test_sgd_step[linear-batch8]`).
+Each side of a pair is one run of `scripts/bench.py`'s `run_micro` in the
+side's tree: a pytest-benchmark process with `calibration_sample` readings
+before and after it, whose calibrated median `norm_median_us` is the pair's
+reading. The summary is the same, for that one reading, with no failures or
+fingerprints to compare.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
-from bench import run_workload  # noqa: E402
+from bench import MICRO, run_micro, run_workload  # noqa: E402
 
 BENCHMARK_FILES = ("BENCHMARK.json", "perfbench")
 CLAIM_PAIRS = 10
@@ -131,20 +140,93 @@ def _resolve(rev: str) -> str:
     return _git("rev-parse", "--verify", f"{rev}^{{commit}}", text=True).stdout.strip()
 
 
-def main(argv=None) -> int:
+def micro_node(name: str) -> str:
+    """The pytest node id of a microbenchmark given by its node id or its bare test id."""
+    node = name if "::" in name else f"{MICRO}::{name}"
+    if node.partition("::")[0] != MICRO or not node.partition("::")[2]:
+        raise argparse.ArgumentTypeError(f"{name!r} is no test of {MICRO}")
+    return node
+
+
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="git revision of the base side")
     parser.add_argument("rev", nargs="?", help="git revision of the other side (working tree)")
-    parser.add_argument("--workload", help="workload of BENCHMARK.json (its first one)")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0])
+    what = parser.add_mutually_exclusive_group()
+    what.add_argument("--workload", help="workload of BENCHMARK.json (its first one)")
+    what.add_argument("--micro", type=micro_node, metavar="NODE",
+                      help=f"time one microbenchmark of {MICRO} instead of a workload")
+    parser.add_argument("--seeds", type=int, nargs="+", help="workload seeds (0)")
     parser.add_argument("--pairs", type=int, default=CLAIM_PAIRS)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.micro and args.seeds is not None:
+        parser.error("--seeds applies to workload runs only, not to --micro")
+    args.seeds = args.seeds or [0]
+    return args
+
+
+def print_summary(name: str, unit: str, better: str, s: dict) -> None:
+    change = (s["rev_median"] - s["base_median"]) / s["base_median"] if s["base_median"] else 0
+    print(f"{name} [{unit}, {better} is better]: median "
+          f"{s['base_median']:.4g} -> {s['rev_median']:.4g} ({change:+.1%}), "
+          f"base IQR {s['base_iqr']:.4g}, wins {s['wins']}/{s['pairs']}, "
+          f"claim holds: {'yes' if s['claim_holds'] else 'no'}")
+
+
+def micro_pairs(trees: dict[str, Path], node: str, pairs: int) -> None:
+    readings = {"base": [], "rev": []}
+    for pair in range(pairs):
+        for side in pair_order(pair):
+            (stats,) = run_micro(trees[side], [node]).values()
+            readings[side].append(stats["norm_median_us"])
+        print(f"pair {pair + 1} ({pair_order(pair)[0]} first): norm_median_us "
+              f"{readings['base'][-1]:.4g} -> {readings['rev'][-1]:.4g}", flush=True)
+    summary = summarize(readings["base"], readings["rev"], "lower", {"base": 0.0, "rev": 0.0}, True)
+    print_summary("norm_median_us", "us", "lower", summary)
+
+
+def workload_pairs(trees: dict[str, Path], spec: dict, workload: str, seeds: list[int],
+                   pairs: int) -> None:
+    metrics = spec["end_to_end"]
+    runs = {"base": [], "rev": []}
+    fingerprints_match = True
+    for pair in range(pairs):
+        seed = seeds[pair % len(seeds)]
+        for side in pair_order(pair):
+            runs[side].append(run_workload(trees[side], workload, seed, spec["run_seconds"])[0])
+        base, rev = runs["base"][-1], runs["rev"][-1]
+        cells = ", ".join(
+            f"{m['name']} {base['end_to_end'][m['name']]:.4g} -> "
+            f"{rev['end_to_end'][m['name']]:.4g}"
+            for m in metrics
+        )
+        same = base["fingerprints"] == rev["fingerprints"]
+        fingerprints_match = fingerprints_match and same
+        print(f"pair {pair + 1} seed {seed} ({pair_order(pair)[0]} first): {cells}; "
+              f"fingerprints {'identical' if same else 'DIFFER'}", flush=True)
+
+    failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
+    attempted = {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()}
+    print(f"# failed training runs: base {failed['base']}/{attempted['base']}, "
+          f"rev {failed['rev']}/{attempted['rev']}")
+    failed_share = {side: failed[side] / max(attempted[side], 1) for side in runs}
+    for metric in metrics:
+        name = metric["name"]
+        summary = summarize([r["end_to_end"][name] for r in runs["base"]],
+                            [r["end_to_end"][name] for r in runs["rev"]], metric["better"],
+                            failed_share, fingerprints_match)
+        print_summary(name, metric["unit"], metric["better"], summary)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     try:
         revs = {"base": _resolve(args.base), "rev": args.rev and _resolve(args.rev)}
     except subprocess.CalledProcessError as exc:
-        parser.error(f"unknown revision: {exc.stderr.strip()}")
+        print(f"error: unknown revision: {exc.stderr.strip()}", file=sys.stderr)
+        return 2
 
     with tempfile.TemporaryDirectory(prefix="lccn-ab-") as tmp:
         trees = {side: Path(tmp) / side for side in revs}
@@ -156,44 +238,14 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         spec = json.loads((trees["base"] / "BENCHMARK.json").read_text())
-        workload = args.workload or spec["workloads"][0]["name"]
-        seconds = spec["run_seconds"]
-        metrics = spec["end_to_end"]
-        print(f"# {workload}: base {revs['base'][:12]} against rev "
-              f"{(revs['rev'] or 'working tree')[:12]}, {args.pairs} pairs of {seconds:g} s")
-
-        runs = {"base": [], "rev": []}
-        fingerprints_match = True
-        for pair in range(args.pairs):
-            seed = args.seeds[pair % len(args.seeds)]
-            for side in pair_order(pair):
-                runs[side].append(run_workload(trees[side], workload, seed, seconds)[0])
-            base, rev = runs["base"][-1], runs["rev"][-1]
-            cells = ", ".join(
-                f"{m['name']} {base['end_to_end'][m['name']]:.4g} -> "
-                f"{rev['end_to_end'][m['name']]:.4g}"
-                for m in metrics
-            )
-            same = base["fingerprints"] == rev["fingerprints"]
-            fingerprints_match = fingerprints_match and same
-            print(f"pair {pair + 1} seed {seed} ({pair_order(pair)[0]} first): {cells}; "
-                  f"fingerprints {'identical' if same else 'DIFFER'}", flush=True)
-
-    failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
-    attempted = {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()}
-    print(f"# failed training runs: base {failed['base']}/{attempted['base']}, "
-          f"rev {failed['rev']}/{attempted['rev']}")
-    failed_share = {side: failed[side] / max(attempted[side], 1) for side in runs}
-    for metric in metrics:
-        name = metric["name"]
-        s = summarize([r["end_to_end"][name] for r in runs["base"]],
-                      [r["end_to_end"][name] for r in runs["rev"]], metric["better"],
-                      failed_share, fingerprints_match)
-        change = (s["rev_median"] - s["base_median"]) / s["base_median"] if s["base_median"] else 0
-        print(f"{name} [{metric['unit']}, {metric['better']} is better]: median "
-              f"{s['base_median']:.4g} -> {s['rev_median']:.4g} ({change:+.1%}), "
-              f"base IQR {s['base_iqr']:.4g}, wins {s['wins']}/{s['pairs']}, "
-              f"claim holds: {'yes' if s['claim_holds'] else 'no'}")
+        what = args.micro or args.workload or spec["workloads"][0]["name"]
+        print(f"# {what}: base {revs['base'][:12]} against rev "
+              f"{(revs['rev'] or 'working tree')[:12]}, {args.pairs} pairs"
+              + ("" if args.micro else f" of {spec['run_seconds']:g} s"))
+        if args.micro:
+            micro_pairs(trees, args.micro, args.pairs)
+        else:
+            workload_pairs(trees, spec, what, args.seeds, args.pairs)
     return 0
 
 

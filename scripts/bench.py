@@ -84,13 +84,17 @@ def _calibration_samples() -> list[float]:
     return [calibration_sample() for _ in range(CALIBRATION_SAMPLES)]
 
 
-def run_micro(checkout: Path) -> dict:
-    """Median and quartiles, in microseconds, of every microbenchmark; the median also calibrated."""
+def run_micro(checkout: Path, nodes: list[str] | None = None) -> dict:
+    """Median and quartiles, in microseconds, of every microbenchmark; the median also calibrated.
+
+    nodes, when given, are the pytest node ids to run instead of all of MICRO's.
+    """
     pytest = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
-    listing = _run([*pytest, "--collect-only", MICRO], checkout)
-    nodes = [line for line in listing.stdout.splitlines() if "::" in line]
-    if listing.returncode != 0 or not nodes:
-        raise SystemExit(f"no microbenchmarks collected:\n{listing.stdout}{listing.stderr}")
+    if nodes is None:
+        listing = _run([*pytest, "--collect-only", MICRO], checkout)
+        nodes = [line for line in listing.stdout.splitlines() if "::" in line]
+        if listing.returncode != 0 or not nodes:
+            raise SystemExit(f"no microbenchmarks collected:\n{listing.stdout}{listing.stderr}")
     micro = {}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "micro.json"

@@ -11,7 +11,6 @@ directly comparable.
 from .classifier import (
     Architecture,
     ClassifierParams,
-    LossConfig,
     OptimizerState,
     forward_proba,
     init_params,
@@ -47,8 +46,6 @@ from .metrics import (
 )
 from .noise_model import (
     DirichletPrior,
-    TransitionMatrix,
-    TransitionUpdateBound,
     confusion_counts,
     transition_from_counts,
     update_bound,
@@ -82,7 +79,6 @@ __all__ = [
     "GibbsDiagnostics",
     "InvariantError",
     "LabeledDataset",
-    "LossConfig",
     "MetricsRecord",
     "NoiseInjectionReport",
     "NoiseSpec",
@@ -93,8 +89,6 @@ __all__ = [
     "TRAINER_KINDS",
     "TrainConfig",
     "TrainingError",
-    "TransitionMatrix",
-    "TransitionUpdateBound",
     "apply_noise",
     "confusion_counts",
     "correction_ratio",

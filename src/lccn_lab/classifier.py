@@ -5,7 +5,8 @@ into one float64 vector `flat`, in the mapping's key order. `OptimizerState`
 keeps its `velocity` and `grad` as vectors in that layout, and `grads` names
 the views of `grad`: every step writes its gradients there, and
 `apply_gradients` updates the vectors in place. A write into a view changes
-its vector; rebinding an entry raises TypeError.
+its vector; rebinding an entry raises TypeError. The log-loss clip is a
+plain float in (0, 0.5), which `soft_target_cross_entropy` checks.
 
 Exact substitutions: a step gives the bits of the plain numpy formulas
 (`np.clip`, `np.sum`, one-hot rows by zeros and scatter, fresh gradient
@@ -83,17 +84,6 @@ class ClassifierParams:
         return ClassifierParams(self.arch, self.tensors)
 
 
-@dataclass
-class LossConfig:
-    """Numerical guards for the log-loss: probabilities are clipped to [clip, 1 - clip]."""
-
-    clip: float = 1e-20
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.clip < 0.5:
-            raise ParameterError("clip must lie strictly between 0 and 0.5")
-
-
 def init_params(arch: Architecture, seed: int) -> ClassifierParams:
     """Small uniform init (+-1/sqrt(fan_in)) for weights, zeros for biases."""
     rng = np.random.default_rng(seed)
@@ -146,17 +136,20 @@ def forward_proba(params: ClassifierParams, features: np.ndarray) -> np.ndarray:
 
 
 def soft_target_cross_entropy(
-    probs: np.ndarray, target_weights: np.ndarray, cfg: LossConfig
+    probs: np.ndarray, target_weights: np.ndarray, clip: float
 ) -> tuple[float, np.ndarray]:
     """Weighted log-loss mean_n sum_k -w_nk * ln(clip(p_nk)) and its probability gradient.
 
-    The gradient is exactly zero wherever the clip is active, matching the
+    Probabilities are clipped to [clip, 1 - clip], with 0 < clip < 0.5. The
+    gradient is exactly zero wherever the clip is active, matching the
     piecewise-constant forward value there.
     """
+    if not 0.0 < clip < 0.5:  # also False for NaN
+        raise ParameterError(f"clip must lie strictly between 0 and 0.5, got {clip!r}")
     if probs.shape != target_weights.shape:
         raise ParameterError("probs and target_weights must have the same shape")
     n = probs.shape[0]
-    low, high = cfg.clip, 1.0 - cfg.clip
+    low, high = clip, 1.0 - clip
     clipped = np.minimum(np.maximum(probs, low), high)
     terms = np.log(clipped)
     np.negative(terms, out=terms)
@@ -280,7 +273,7 @@ def loss_and_grads(
     params: ClassifierParams,
     features: np.ndarray,
     target_weights: np.ndarray,
-    cfg: LossConfig,
+    clip: float,
     out: Mapping[str, np.ndarray],
     *,
     forward: tuple[np.ndarray, dict] | None = None,
@@ -290,7 +283,7 @@ def loss_and_grads(
     forward, when given, is `_forward(params, features)`, reused instead of recomputed.
     """
     probs, cache = _forward(params, features) if forward is None else forward
-    loss, dprobs = soft_target_cross_entropy(probs, target_weights, cfg)
+    loss, dprobs = soft_target_cross_entropy(probs, target_weights, clip)
     backprop_logits(params, features, cache, dlogits_from_dprobs(probs, dprobs), out)
     return loss
 
@@ -300,12 +293,12 @@ def _step(
     opt: OptimizerState,
     features: np.ndarray,
     target_weights: np.ndarray,
-    cfg: LossConfig,
+    clip: float,
     forward: tuple[np.ndarray, dict] | None,
 ) -> None:
     """Gradients into the optimizer's vector, then one momentum step."""
     _check_optimizer(params, opt)
-    loss = loss_and_grads(params, features, target_weights, cfg, opt.grads, forward=forward)
+    loss = loss_and_grads(params, features, target_weights, clip, opt.grads, forward=forward)
     if not math.isfinite(loss):
         raise TrainingError("non-finite training loss")
     apply_gradients(params, opt)
@@ -316,12 +309,12 @@ def sgd_step(
     opt: OptimizerState,
     features: np.ndarray,
     labels: np.ndarray,
-    cfg: LossConfig,
+    clip: float,
     *,
     forward: tuple[np.ndarray, dict] | None = None,
 ) -> None:
     """One minibatch step of clipped cross-entropy on hard labels; forward as in loss_and_grads."""
-    _step(params, opt, features, one_hot(labels, params.arch.n_classes), cfg, forward)
+    _step(params, opt, features, one_hot(labels, params.arch.n_classes), clip, forward)
 
 
 def sgd_step_soft(
@@ -329,12 +322,12 @@ def sgd_step_soft(
     opt: OptimizerState,
     features: np.ndarray,
     target_weights: np.ndarray,
-    cfg: LossConfig,
+    clip: float,
     *,
     forward: tuple[np.ndarray, dict] | None = None,
 ) -> None:
     """Like sgd_step but with per-class target weights instead of hard labels."""
-    _step(params, opt, features, target_weights, cfg, forward)
+    _step(params, opt, features, target_weights, clip, forward)
 
 
 def minibatch_indices(rng: np.random.Generator, n: int, batch_size: int):
@@ -353,13 +346,13 @@ def pretrain_ce(
     labels: np.ndarray,
     epochs: int,
     batch_size: int,
-    cfg: LossConfig,
+    clip: float,
     rng: np.random.Generator,
 ) -> None:
     """Fit the classifier to the observed labels by epochs of hard-label SGD steps."""
     for _ in range(epochs):
         for idx in minibatch_indices(rng, features.shape[0], batch_size):
-            sgd_step(params, opt, features[idx], labels[idx], cfg)
+            sgd_step(params, opt, features[idx], labels[idx], clip)
 
 
 def save_checkpoint(params: ClassifierParams, path: str | Path) -> None:

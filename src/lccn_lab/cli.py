@@ -186,10 +186,6 @@ def _generate_data(generator: dict, noise: dict | None = None, clean: dict | Non
         )
         if noise:
             noise = dict(noise)
-            for key, kind in (("seed", numbers.Integral), ("ratio", numbers.Real),
-                              ("ood_fraction", numbers.Real)):
-                if key in noise:
-                    _number(noise[key], f"noise {key}", kind)
             if noise.get("pair_map") is not None:
                 noise["pair_map"] = tuple(
                     _number(p, "noise pair_map entry") for p in noise["pair_map"]
@@ -268,7 +264,7 @@ def run_experiment(cfg: dict, seed: int, out_dir: Path, base: Path | None = None
     write_metrics_csv(result.records, out_dir / "metrics.csv")
     save_checkpoint(result.final_params, out_dir / "checkpoint.json")
     if result.final_phi is not None:
-        _write_json({"matrix": result.final_phi.matrix.tolist()}, out_dir / "phi_final.json")
+        _write_json({"matrix": result.final_phi.tolist()}, out_dir / "phi_final.json")
     if result.batch_variations:
         write_csv(
             out_dir / "variations.csv",

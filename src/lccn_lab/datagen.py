@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_field_types
 from .noise_model import confusion_counts
 
 # Sentinel true label for out-of-distribution samples whose original class
@@ -143,6 +143,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.kind not in ("none", "symmetric", "asymmetric", "openset"):
             raise ParameterError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.ratio <= 1.0:

@@ -12,7 +12,6 @@ import numpy as np
 from .classifier import ClassifierParams, forward_proba
 from .datagen import OOD_LABEL, LabeledDataset
 from .errors import ParameterError
-from .noise_model import TransitionMatrix
 
 
 @dataclass
@@ -69,15 +68,9 @@ def correction_ratio(assignment_labels: np.ndarray, true_labels: np.ndarray) -> 
     return float(np.mean(assignment_labels[keep] == true_labels[keep]))
 
 
-def _as_matrix(phi) -> np.ndarray:
-    if isinstance(phi, TransitionMatrix):
-        return phi.matrix
-    return np.asarray(phi, dtype=np.float64)
-
-
 def transition_l1_error(phi_a, phi_b) -> float:
     """Largest per-row L1 distance between two transition matrices (symmetric)."""
-    a, b = _as_matrix(phi_a), _as_matrix(phi_b)
+    a, b = np.asarray(phi_a, dtype=np.float64), np.asarray(phi_b, dtype=np.float64)
     if a.shape != b.shape:
         raise ParameterError("transition matrices must have the same shape")
     return float(np.abs(a - b).sum(axis=1).max())
@@ -85,7 +78,7 @@ def transition_l1_error(phi_a, phi_b) -> float:
 
 def transition_frobenius_error(phi_a, phi_b) -> float:
     """Frobenius-norm distance between two transition matrices."""
-    a, b = _as_matrix(phi_a), _as_matrix(phi_b)
+    a, b = np.asarray(phi_a, dtype=np.float64), np.asarray(phi_b, dtype=np.float64)
     if a.shape != b.shape:
         raise ParameterError("transition matrices must have the same shape")
     return float(np.sqrt(((a - b) ** 2).sum()))

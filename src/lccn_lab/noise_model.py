@@ -4,14 +4,17 @@ The channel is summarized by a count matrix over (latent class, observed
 label) pairs: a plain int64 ndarray of shape (n_latent, n_observed), built by
 `confusion_counts` and updated in place by the sampler. No row totals are
 cached; whoever needs them sums the rows, which is exact for integers in any
-order. A Dirichlet prior over each latent class's row yields closed
-forms for the smoothed transition estimate, the leave-one-out predictive
-probability used by the collapsed Gibbs sampler, and a per-batch bound on how
-far one batch of reassignments can move any transition row.
+order. A transition estimate is a plain float64 ndarray of the same shape
+whose rows `check_transition` has held to the row-stochastic check. A
+Dirichlet prior over each latent class's row yields closed forms for the
+smoothed transition estimate, the leave-one-out predictive probability used
+by the collapsed Gibbs sampler, and a per-batch bound on how far one batch
+of reassignments can move any transition row.
 
 `update_bound` computes only the rows a batch touched, on plain Python
 floats, and returns exactly the bits of the whole-matrix numpy formula
-(`transition_from_counts` before and after, differenced and summed per row).
+(`transition_from_counts` before and after, differenced and summed per row)
+with the bound beside it, as two per-row arrays.
 Sums over a row follow numpy's order: a row of fewer than 8 entries is summed
 left to right from -0.0, which is what numpy does for such rows, and a row
 of 8 or more entries goes through numpy's own (unrolled, pairwise)
@@ -91,13 +94,16 @@ def confusion_counts(
 ) -> np.ndarray:
     """(n_latent, n_observed) int64 tally of latent label (row) vs observed label (column).
 
-    Unassigned samples (negative labels) and those masked by `exclude` stay out.
+    Samples masked by `exclude` stay out; every other label must lie in its range.
     """
-    counts = np.zeros((n_latent, n_observed), dtype=np.int64)
-    keep = labels >= 0
     if exclude is not None:
-        keep &= ~exclude
-    np.add.at(counts, (labels[keep], observed_labels[keep]), 1)
+        labels, observed_labels = labels[~exclude], observed_labels[~exclude]
+    ranges = (("latent", labels, n_latent), ("observed", observed_labels, n_observed))
+    for what, values, size in ranges:
+        if values.size and not 0 <= values.min() <= values.max() < size:
+            raise ParameterError(f"{what} labels must lie in [0, {size})")
+    counts = np.zeros((n_latent, n_observed), dtype=np.int64)
+    np.add.at(counts, (labels, observed_labels), 1)
     return counts
 
 
@@ -109,23 +115,19 @@ def _check_counts(counts, prior: DirichletPrior) -> None:
         raise ParameterError("prior size must match the observed-label count")
 
 
-@dataclass
-class TransitionMatrix:
-    """Row-stochastic matrix: P(observed label | latent class)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        if self.matrix.ndim != 2:
-            raise ParameterError("transition matrix must be 2-d")
-        row_sums = self.matrix.sum(axis=1)
-        # Written so that a NaN entry fails: every comparison with NaN is False.
-        if not (np.all(np.abs(row_sums - 1.0) <= ROW_SUM_TOL) and np.all(self.matrix >= 0.0)):
-            raise ParameterError("transition rows must be finite, nonnegative and sum to 1")
+def check_transition(values) -> np.ndarray:
+    """values as a float64 row-stochastic matrix, P(observed label | latent class)."""
+    matrix = np.asarray(values, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise ParameterError("transition matrix must be 2-d")
+    row_sums = matrix.sum(axis=1)
+    # Written so that a NaN entry fails: every comparison with NaN is False.
+    if not (np.all(np.abs(row_sums - 1.0) <= ROW_SUM_TOL) and np.all(matrix >= 0.0)):
+        raise ParameterError("transition rows must be finite, nonnegative and sum to 1")
+    return matrix
 
 
-def transition_from_counts(counts: np.ndarray, prior: DirichletPrior) -> TransitionMatrix:
+def transition_from_counts(counts: np.ndarray, prior: DirichletPrior) -> np.ndarray:
     """Row-normalized transition estimate from the current counts.
 
     The prior concentration is added to every cell before normalizing, so
@@ -133,12 +135,12 @@ def transition_from_counts(counts: np.ndarray, prior: DirichletPrior) -> Transit
     """
     _check_counts(counts, prior)
     numer = counts + prior.concentration
-    return TransitionMatrix(numer / numer.sum(axis=1, keepdims=True))
+    return check_transition(numer / numer.sum(axis=1, keepdims=True))
 
 
 def warmup_transition(
     predictions: np.ndarray, observed_labels: np.ndarray, n_observed: int
-) -> TransitionMatrix:
+) -> np.ndarray:
     """Prediction-weighted transition estimate used before counts are trustworthy.
 
     Cell (r, k) is the prediction mass for latent class r among samples
@@ -160,41 +162,24 @@ def warmup_transition(
     degenerate = denom < 1e-12
     matrix[~degenerate] = numer[~degenerate] / denom[~degenerate, None]
     matrix[degenerate] = 1.0 / k
-    return TransitionMatrix(matrix)
-
-
-@dataclass
-class TransitionUpdateBound:
-    """Per-row certificate for how far one batch moved the smoothed transition.
-
-    For each latent row: row_count_before is the pre-batch count total,
-    net_change / abs_change are the signed and absolute count deltas, and the
-    measured L1 row variation is guaranteed to be at most
-    (|net_ratio| + abs_ratio) / (1 + net_ratio), which equals
-    (|net_change| + abs_change) / (row total after + prior total).
-    """
-
-    row_count_before: np.ndarray
-    net_change: np.ndarray
-    abs_change: np.ndarray
-    net_ratio: np.ndarray
-    abs_ratio: np.ndarray
-    bound: np.ndarray
-    measured: np.ndarray
+    return check_transition(matrix)
 
 
 def update_bound(
     before: np.ndarray, after: np.ndarray, prior: DirichletPrior
-) -> TransitionUpdateBound:
-    """Bound and measure the per-row L1 change of the smoothed transition between two states.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row L1 change of the smoothed transition between two states, and its bound.
 
-    The bound divides by row total plus prior total, so it certifies only the
-    smoothed (posterior-mean) estimator that the latent trainers use. Rows the
-    batch did not touch get exactly 0.0 everywhere except `row_count_before`;
-    every touched row is computed from plain floats with numpy's arithmetic
-    and summation order (see the module docstring), and its smoothed rows
-    before and after must pass the same row-stochastic check as a
-    `TransitionMatrix`.
+    Returns (measured, bound). A row's count totals n before and n' after,
+    its net count change d = n' - n and its absolute change c (summed over
+    the row's cells) give bound (|d| + c) / (n' + prior total), computed as
+    (|d / D| + c / D) / (1 + d / D) with D = n + prior total. The bound
+    divides by the prior total, so it certifies only the smoothed
+    (posterior-mean) estimator that the latent trainers use. Rows the batch
+    did not touch read exactly 0.0 in both arrays; every touched row is
+    computed from plain floats with numpy's arithmetic and summation order
+    (see the module docstring), and its smoothed rows before and after must
+    pass `check_transition`'s row check.
     """
     _check_counts(before, prior)
     if not isinstance(after, np.ndarray) or after.shape != before.shape:
@@ -202,15 +187,14 @@ def update_bound(
     alpha = prior.concentration.tolist()
     total = prior.total
     rows_before, rows_after = before.tolist(), after.tolist()
-    # Integer sums are exact in any order, so totals and deltas need no numpy reduction.
-    totals_before = [sum(row) for row in rows_before]
     touched = [r for r, (b, a) in enumerate(zip(rows_before, rows_after)) if b != a]
     rows_before = [rows_before[r] for r in touched]
     rows_after = [rows_after[r] for r in touched]
+    # Integer sums are exact in any order, so totals and deltas need no numpy reduction.
     deltas = [[a - b for a, b in zip(row_a, row_b)] for row_a, row_b in zip(rows_after, rows_before)]
     nets = [sum(delta) for delta in deltas]
     churns = [sum(abs(d) for d in delta) for delta in deltas]
-    denoms = [totals_before[r] + total for r in touched]
+    denoms = [sum(row) + total for row in rows_before]
     net_ratios = [net / denom for net, denom in zip(nets, denoms)]
     abs_ratios = [churn / denom for churn, denom in zip(churns, denoms)]
     totals_after = None  # needed only where a row loses its whole mass, or more
@@ -234,15 +218,13 @@ def update_bound(
     moved = _row_sums(
         [[abs(a - b) for a, b in zip(row_a, row_b)] for row_a, row_b in zip(phi_after, phi_before)]
     )
-    # One row per TransitionUpdateBound field, in declaration order.
-    values = np.zeros((7, len(totals_before)))
-    values[0] = totals_before
-    values[1:, touched] = [nets, churns, net_ratios, abs_ratios, bounds, moved]
-    return TransitionUpdateBound(*values)
+    measured, bound = np.zeros((2, before.shape[0]))
+    measured[touched], bound[touched] = moved, bounds
+    return measured, bound
 
 
 def _smoothed_rows(count_rows: list[list], alpha: list) -> list[list[float]]:
-    """Rows of `transition_from_counts`, held to the `TransitionMatrix` row check."""
+    """Rows of `transition_from_counts`, held to `check_transition`'s row check."""
     numers = [[c + a for c, a in zip(row, alpha)] for row in count_rows]
     norms = _row_sums(numers)
     if 0.0 in norms:

@@ -6,8 +6,9 @@ probability of the observed label given the class (from the Dirichlet-
 multinomial channel). Enumerating all joint assignments gives an exact
 posterior for small instances, used to validate the chain. The chain's state
 is two plain arrays, both updated in place: the int64 latent label of every
-sample (UNASSIGNED before its first draw) and the count matrix of
-`noise_model.confusion_counts`.
+sample, which every sample always holds (a chain starts from the observed
+labels), and the count matrix of `noise_model.confusion_counts`. A warmup
+channel is a plain array of the count matrix's shape (`check_transition`).
 
 `sampling_distribution` is the one-draw reference. `gibbs_sample_batch` runs
 the same chain on plain Python floats and is bit-identical to replaying the
@@ -29,16 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantError, ParameterError, TrainingError
-from .noise_model import (
-    DirichletPrior,
-    TransitionMatrix,
-    _check_counts,
-    _row_sum,
-    confusion_counts,
-)
+from .errors import InvariantError, ParameterError, TrainingError, check_field_types
+from .noise_model import DirichletPrior, _check_counts, _row_sum, confusion_counts
 
-UNASSIGNED = -1
 ANNEAL_TARGETS = ("transition", "product")
 
 
@@ -59,6 +53,7 @@ class AnnealSchedule:
     target: str = "transition"
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         # Each check is written so that NaN fails it.
         if not self.max_step >= 1:
             raise ParameterError("max_step must be >= 1")
@@ -104,12 +99,21 @@ def _scores(
     return scores, norm
 
 
+def _check_anneal_and_warmup(anneal_target: str, warmup_phi, counts: np.ndarray) -> None:
+    if anneal_target not in ANNEAL_TARGETS:
+        raise ParameterError(f"unknown anneal target {anneal_target!r}")
+    if warmup_phi is not None and np.shape(warmup_phi) != counts.shape:
+        raise ParameterError(
+            f"warmup_phi has shape {np.shape(warmup_phi)}, the counts {counts.shape}"
+        )
+
+
 def sampling_distribution(
     probs_row: np.ndarray,
     observed_label: int,
     counts: np.ndarray,
     prior: DirichletPrior,
-    warmup_phi: TransitionMatrix | None = None,
+    warmup_phi: np.ndarray | None = None,
     anneal: float = 1.0,
     anneal_target: str = "transition",
 ) -> np.ndarray:
@@ -126,12 +130,11 @@ def sampling_distribution(
         raise ParameterError("probs_row must hold one probability per latent class")
     if not 0 <= observed_label < counts.shape[1]:
         raise ParameterError("observed label out of range")
-    if anneal_target not in ANNEAL_TARGETS:
-        raise ParameterError(f"unknown anneal target {anneal_target!r}")
+    _check_anneal_and_warmup(anneal_target, warmup_phi, counts)
     scores, norm = _scores(
         probs_row.tolist(), float(prior.concentration[observed_label]),
         counts[:, observed_label].tolist(), counts.sum(axis=1).tolist(), prior.total,
-        None if warmup_phi is None else warmup_phi.matrix[:, observed_label].tolist(),
+        None if warmup_phi is None else warmup_phi[:, observed_label].tolist(),
         anneal, anneal_target,
     )
     return np.array([score / norm for score in scores])
@@ -145,14 +148,14 @@ def gibbs_sample_batch(
     labels: np.ndarray,
     batch_indices: np.ndarray,
     rng: np.random.Generator,
-    warmup_phi: TransitionMatrix | None = None,
+    warmup_phi: np.ndarray | None = None,
     anneal: float = 1.0,
     anneal_target: str = "transition",
 ) -> np.ndarray:
     """Resample the latent labels of one batch, updating `counts` and `labels` in place.
 
     Samples are processed sequentially: each draw removes the sample's old
-    count (if assigned), scores every latent class against counts already
+    count, scores every latent class against counts already
     updated by earlier draws in the batch, draws a new class, and books it.
     The count matrix is mirrored column by column as Python lists, with its
     row totals summed once from those lists, and written back when the batch
@@ -163,7 +166,8 @@ def gibbs_sample_batch(
         probs: (M, R) classifier probabilities for the batch samples.
         observed_labels: (M,) observed labels of the batch samples.
         counts: (R, K) count matrix of latent vs observed labels.
-        labels: (N,) integer latent label of every sample, UNASSIGNED if none.
+        labels: (N,) integer latent label of every sample, each in [0, R) with a
+            nonempty count cell against its observed label.
         batch_indices: (M,) positions of the batch samples in `labels`.
 
     Returns:
@@ -180,16 +184,16 @@ def gibbs_sample_batch(
     observed_list = np.asarray(observed_labels).tolist()
     if observed_list and not 0 <= min(observed_list) <= max(observed_list) < counts.shape[1]:
         raise ParameterError("observed labels out of range")
-    if anneal_target not in ANNEAL_TARGETS:
-        raise ParameterError(f"unknown anneal target {anneal_target!r}")
+    _check_anneal_and_warmup(anneal_target, warmup_phi, counts)
     uniforms = rng.random(probs.shape[0]).tolist()
     alpha = prior.concentration.tolist()
     alpha_total = prior.total
     warmup_columns = (
-        [None] * counts.shape[1] if warmup_phi is None else warmup_phi.matrix.T.tolist()
+        [None] * counts.shape[1] if warmup_phi is None else warmup_phi.T.tolist()
     )
     columns = counts.T.tolist()
     totals = [sum(row) for row in zip(*columns)]
+    n_latent = len(totals)
     sampled = []
     try:
         for row, observed, position, u in zip(
@@ -197,11 +201,14 @@ def gibbs_sample_batch(
         ):
             column = columns[observed]
             old = labels.item(position)
-            if old != UNASSIGNED:
-                if column[old] <= 0:
-                    raise InvariantError(f"decrement of empty count cell ({old}, {observed})")
-                column[old] -= 1
-                totals[old] -= 1
+            # Range first: a negative label would index the column from its end.
+            if not (0 <= old < n_latent and column[old] > 0):
+                raise InvariantError(
+                    f"latent label {old} of sample {position} has no count in cell "
+                    f"({old}, {observed})"
+                )
+            column[old] -= 1
+            totals[old] -= 1
             scores, norm = _scores(
                 row, alpha[observed], column, totals, alpha_total, warmup_columns[observed],
                 anneal, anneal_target,

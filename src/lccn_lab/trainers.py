@@ -25,7 +25,7 @@ import math
 import numbers
 import warnings
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -33,7 +33,6 @@ import numpy as np
 from .classifier import (
     Architecture,
     ClassifierParams,
-    LossConfig,
     OptimizerState,
     _forward,
     _softmax as _row_softmax,
@@ -51,7 +50,7 @@ from .classifier import (
     soft_target_cross_entropy,
 )
 from .datagen import LabeledDataset
-from .errors import InvariantError, ParameterError, TrainingError
+from .errors import InvariantError, ParameterError, TrainingError, check_field_types
 from .metrics import (
     MetricsRecord,
     correction_ratio,
@@ -60,7 +59,7 @@ from .metrics import (
 )
 from .noise_model import (
     DirichletPrior,
-    TransitionMatrix,
+    check_transition,
     confusion_counts,
     transition_from_counts,
     update_bound,
@@ -69,9 +68,6 @@ from .noise_model import (
 from .sampler import AnnealSchedule, gibbs_sample_batch
 
 BOUND_SLACK = 1e-12
-# TrainConfig checks each field declared `int` or `float` (or `... | None`)
-# against these; the declarations are strings under postponed annotations.
-_NUMBER_TYPES = {"int": numbers.Integral, "float": numbers.Real}
 
 
 @dataclass
@@ -125,13 +121,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.kind not in TRAINER_KINDS:
             raise ParameterError(f"unknown trainer kind {self.kind!r}")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            wanted = _NUMBER_TYPES.get(f.type.removesuffix(" | None"))
-            if wanted is None or (value is None and f.type.endswith(" | None")):
-                continue
-            if isinstance(value, bool) or not isinstance(value, wanted):
-                raise ParameterError(f"{f.name} must be {f.type}, got {value!r}")
+        check_field_types(self)
         if np.asarray(self.alpha).dtype.kind not in "iuf" or np.ndim(self.alpha) > 1:
             raise ParameterError(f"alpha must be a number or a vector, got {self.alpha!r}")
         try:
@@ -183,14 +173,15 @@ class TrainConfig:
             raise ParameterError(f"momentum must lie in [0, 1), got {self.momentum!r}")
         if not 0.0 <= self.weight_decay < math.inf:
             raise ParameterError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
+        if not 0.0 < self.clip < 0.5:
+            raise ParameterError(f"clip must lie strictly between 0 and 0.5, got {self.clip!r}")
         for name in ("oracle_phi", "reference_phi"):
             matrix = getattr(self, name)
             if matrix is not None:
                 try:
-                    TransitionMatrix(matrix)  # range check; the shape waits for the data
+                    check_transition(matrix)  # range check; the shape waits for the data
                 except (TypeError, ValueError) as exc:
                     raise ParameterError(f"{name}: {exc}") from None
-        LossConfig(self.clip)  # range check
 
 
 @dataclass
@@ -211,7 +202,7 @@ class BatchVariation:
 class RunResult:
     records: list[MetricsRecord]
     final_params: ClassifierParams
-    final_phi: TransitionMatrix | None
+    final_phi: np.ndarray | None
     batch_variations: list[BatchVariation] = field(default_factory=list)
     outlier_recall: float | None = None
 
@@ -260,7 +251,7 @@ class _Run:
 
     params: ClassifierParams
     opt: OptimizerState
-    loss_cfg: LossConfig
+    clip: float
     gibbs_rng: np.random.Generator
     n_batches: int
     total: int
@@ -280,7 +271,7 @@ class _Hooks:
     batch: Callable[[np.ndarray], tuple[float, float] | None]
     epoch_start: Callable[[], None] = lambda: None
     record: Callable[[], dict] = dict
-    final_phi: Callable[[], TransitionMatrix | None] = lambda: None
+    final_phi: Callable[[], np.ndarray | None] = lambda: None
 
 
 def _fit(
@@ -307,18 +298,17 @@ def _fit(
         arch = Architecture("linear", ds.dim, n_out, activation=cfg.activation)
     params = init_params(arch, int(ss_init.generate_state(1)[0]))
     opt = init_optimizer(params, _lr_at(cfg, 0), cfg.momentum, cfg.weight_decay)
-    loss_cfg = LossConfig(cfg.clip)
     n_batches = math.ceil(ds.n / cfg.batch_size)
     offset = 0
     if pretrain:
         pretrain_ce(
             params, opt, ds.features, ds.noisy_labels,
-            cfg.pretrain_epochs, cfg.batch_size, loss_cfg, data_rng,
+            cfg.pretrain_epochs, cfg.batch_size, cfg.clip, data_rng,
         )
         offset = cfg.pretrain_epochs * n_batches
     per_epoch = passes * n_batches
     total = cfg.epochs * per_epoch if total_iterations is None else total_iterations
-    run = _Run(params, opt, loss_cfg, gibbs_rng, n_batches, total)
+    run = _Run(params, opt, cfg.clip, gibbs_rng, n_batches, total)
     hooks = start(run)
     n_scored = ds.n_classes if extra_class else None
     records: list[MetricsRecord] = []
@@ -331,7 +321,7 @@ def _fit(
         worst = max(window, key=lambda v: v.measured) if window else None
         step = offset + run.iteration
         probs = forward_proba(params, ds.features)
-        loss, _ = soft_target_cross_entropy(probs, one_hot(ds.noisy_labels, n_out), loss_cfg)
+        loss, _ = soft_target_cross_entropy(probs, one_hot(ds.noisy_labels, n_out), cfg.clip)
         records.append(MetricsRecord(
             step, "train", top1_accuracy(probs, ds.noisy_labels, n_scored), loss,
             max_phi_row_variation=None if worst is None else worst.measured,
@@ -343,7 +333,7 @@ def _fit(
             keep = ~test_ds.ood_mask
             test_probs = forward_proba(params, test_ds.features[keep])
             truth = test_ds.true_labels[keep]
-            loss, _ = soft_target_cross_entropy(test_probs, one_hot(truth, n_out), loss_cfg)
+            loss, _ = soft_target_cross_entropy(test_probs, one_hot(truth, n_out), cfg.clip)
             records.append(
                 MetricsRecord(step, "test", top1_accuracy(test_probs, truth, n_scored), loss)
             )
@@ -372,7 +362,7 @@ def _train_ce(
 
     def start(run: _Run) -> _Hooks:
         def batch(idx: np.ndarray) -> None:
-            sgd_step(run.params, run.opt, ds.features[idx], ds.noisy_labels[idx], run.loss_cfg)
+            sgd_step(run.params, run.opt, ds.features[idx], ds.noisy_labels[idx], run.clip)
 
         return _Hooks(batch)
 
@@ -397,7 +387,7 @@ def _train_bootstrap_hard(
             pseudo = forward[0].argmax(axis=1)
             weights = beta * one_hot(ds.noisy_labels[idx], ds.n_classes)
             weights += (1.0 - beta) * one_hot(pseudo, ds.n_classes)
-            sgd_step_soft(run.params, run.opt, features, weights, run.loss_cfg, forward=forward)
+            sgd_step_soft(run.params, run.opt, features, weights, run.clip, forward=forward)
 
         return _Hooks(batch)
 
@@ -409,7 +399,7 @@ def _composed_loss_grads(
     features: np.ndarray,
     observed: np.ndarray,
     phi: np.ndarray,
-    loss_cfg: LossConfig,
+    clip: float,
     out: Mapping[str, np.ndarray],
 ) -> tuple[float, np.ndarray]:
     """Clipped log-loss of the channel-mixed prediction q = probs @ phi.
@@ -419,7 +409,7 @@ def _composed_loss_grads(
     """
     probs, cache = _forward(params, features)
     mixture = np.matmul(probs, phi)
-    loss, dmix = soft_target_cross_entropy(mixture, one_hot(observed, phi.shape[1]), loss_cfg)
+    loss, dmix = soft_target_cross_entropy(mixture, one_hot(observed, phi.shape[1]), clip)
     dlogits = dlogits_from_dprobs(probs, np.matmul(dmix, phi.T))
     backprop_logits(params, features, cache, dlogits, out)
     return loss, np.matmul(probs.T, dmix)
@@ -428,7 +418,7 @@ def _composed_loss_grads(
 def _composed_step(run: _Run, ds: LabeledDataset, idx: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """One classifier step through the channel phi; returns the gradient with respect to phi."""
     loss, dphi = _composed_loss_grads(
-        run.params, ds.features[idx], ds.noisy_labels[idx], phi, run.loss_cfg, run.opt.grads
+        run.params, ds.features[idx], ds.noisy_labels[idx], phi, run.clip, run.opt.grads
     )
     if not math.isfinite(loss):
         raise TrainingError("non-finite training loss")
@@ -438,7 +428,7 @@ def _composed_step(run: _Run, ds: LabeledDataset, idx: np.ndarray, phi: np.ndarr
 
 def _initial_channel(
     ds: LabeledDataset, cfg: TrainConfig, params: ClassifierParams, n_latent: int
-) -> TransitionMatrix:
+) -> np.ndarray:
     """Transition estimate available before counts exist: oracle, identity, or predictions."""
     k = ds.n_classes
     if cfg.oracle_phi is not None:
@@ -453,7 +443,7 @@ def _initial_channel(
         return warmup_transition(predictions, ds.noisy_labels, k)
     if n_latent > k:
         matrix = np.vstack([matrix, np.full((n_latent - k, k), 1.0 / k)])
-    return TransitionMatrix(matrix)
+    return check_transition(matrix)
 
 
 def _train_forward_fixed(
@@ -463,10 +453,10 @@ def _train_forward_fixed(
 
     def start(run: _Run) -> _Hooks:
         channel = _initial_channel(ds, cfg, run.params, ds.n_classes)
-        phi_err = _phi_error(cfg, channel.matrix)
+        phi_err = _phi_error(cfg, channel)
 
         def batch(idx: np.ndarray) -> None:
-            _composed_step(run, ds, idx, channel.matrix)
+            _composed_step(run, ds, idx, channel)
 
         return _Hooks(batch, record=lambda: {"phi_l1_error": phi_err}, final_phi=lambda: channel)
 
@@ -487,12 +477,12 @@ def _train_s_adaptation(
     def start(run: _Run) -> _Hooks:
         warmup_steps = cfg.warmup_steps if cfg.warmup_steps is not None else run.n_batches
         channel_init = _initial_channel(ds, cfg, run.params, ds.n_classes)
-        layer_logits = np.log(np.maximum(channel_init.matrix, 1e-8))
+        layer_logits = np.log(np.maximum(channel_init, 1e-8))
         layer_velocity = np.zeros_like(layer_logits)
 
         def current_phi() -> np.ndarray:
             if run.iteration <= warmup_steps:
-                return channel_init.matrix
+                return channel_init
             return _row_softmax(layer_logits)
 
         def batch(idx: np.ndarray) -> tuple[float, float] | None:
@@ -516,7 +506,7 @@ def _train_s_adaptation(
         def record() -> dict:
             return {"phi_l1_error": _phi_error(cfg, current_phi())}
 
-        return _Hooks(batch, record=record, final_phi=lambda: TransitionMatrix(current_phi()))
+        return _Hooks(batch, record=record, final_phi=lambda: check_transition(current_phi()))
 
     return _fit(ds, cfg, test_ds, start)
 
@@ -534,7 +524,7 @@ def _train_em_reference(
     """
 
     def start(run: _Run) -> _Hooks:
-        phi_bar: TransitionMatrix | None = None
+        phi_bar: np.ndarray | None = None
         responsibilities: np.ndarray | None = None
 
         def epoch_start() -> None:
@@ -543,7 +533,7 @@ def _train_em_reference(
             if phi_bar is None:
                 responsibilities = predictions
             else:
-                raw = predictions * phi_bar.matrix[:, ds.noisy_labels].T
+                raw = predictions * phi_bar[:, ds.noisy_labels].T
                 denom = raw.sum(axis=1, keepdims=True)
                 # Rows where prediction mass and transition column cancel exactly
                 # carry no signal; fall back to the bare prediction there.
@@ -554,7 +544,7 @@ def _train_em_reference(
 
         def batch(idx: np.ndarray) -> None:
             targets = responsibilities[idx]
-            sgd_step_soft(run.params, run.opt, ds.features[idx], targets, run.loss_cfg)
+            sgd_step_soft(run.params, run.opt, ds.features[idx], targets, run.clip)
 
         def record() -> dict:
             return {"phi_l1_error": _phi_error(cfg, phi_bar)}
@@ -580,8 +570,8 @@ def _train_latent(
 
     A batch whose draw gives every sample back its previous latent label
     leaves the counts as they were, so it is recorded as `(0.0, 0.0)`
-    without calling `update_bound`: on equal count matrices the certificate
-    is 0.0 in every field and its worst row is row 0. A batch whose labels
+    without calling `update_bound`: on equal count matrices both of its
+    arrays are 0.0 and the worst row is row 0. A batch whose labels
     moved is certified in full, even when its moves cancel in the counts.
     """
     k = ds.n_classes
@@ -601,14 +591,14 @@ def _train_latent(
 
     counts = tally()
 
-    def current_phi() -> TransitionMatrix:
+    def current_phi() -> np.ndarray:
         return transition_from_counts(counts, prior)
 
     def record() -> dict:
         # The books are checked at every eval, and the run always ends on one.
         if np.any(tally() != counts):
             raise InvariantError("confusion counts drifted from the assignment")
-        phi = current_phi().matrix[:k] if cfg.reference_phi is not None else None
+        phi = current_phi()[:k] if cfg.reference_phi is not None else None
         return {
             "correction_ratio": correction_ratio(labels, ds.true_labels),
             "phi_l1_error": _phi_error(cfg, phi),
@@ -647,14 +637,14 @@ def _train_latent(
                 if sampled.tolist() == previous.tolist():
                     moved = 0.0, 0.0
                 else:
-                    cert = update_bound(before, counts, prior)
-                    if np.any(cert.measured > cert.bound + BOUND_SLACK):
+                    measured, bound = update_bound(before, counts, prior)
+                    if np.any(measured > bound + BOUND_SLACK):
                         raise InvariantError(
                             "transition row moved beyond the per-batch update bound"
                         )
-                    worst = int(np.argmax(cert.measured))
-                    moved = float(cert.measured[worst]), float(cert.bound[worst])
-            sgd_step(run.params, run.opt, features, labels[idx], run.loss_cfg, forward=forward)
+                    worst = int(np.argmax(measured))
+                    moved = float(measured[worst]), float(bound[worst])
+            sgd_step(run.params, run.opt, features, labels[idx], run.clip, forward=forward)
             return moved
 
         return _Hooks(batch, record=record, final_phi=current_phi)

@@ -102,3 +102,41 @@ def test_benchmark_differs_names_every_changed_or_lone_benchmark_file(tmp_path):
     assert ab.benchmark_differs(base, other) == [
         "BENCHMARK.json", "perfbench/new.py", "perfbench/run.py",
     ]
+
+
+def test_micro_takes_a_node_id_or_a_bare_test_id():
+    node = "benchmarks/test_micro.py::test_update_bound[3-8]"
+    assert ab.micro_node(node) == node
+    assert ab.micro_node("test_update_bound[3-8]") == node
+    args = ab.parse_args(["HEAD~1", "--micro", "test_sgd_step[linear-batch8]", "--pairs", "4"])
+    assert args.micro == "benchmarks/test_micro.py::test_sgd_step[linear-batch8]"
+    assert (args.base, args.rev, args.pairs, args.workload) == ("HEAD~1", None, 4, None)
+
+
+def test_workload_runs_default_to_seed_zero():
+    args = ab.parse_args(["HEAD~1", "HEAD", "--workload", "latent-ordering"])
+    assert (args.rev, args.workload, args.seeds) == ("HEAD", "latent-ordering", [0])
+    assert args.micro is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["HEAD", "--micro", "tests/test_ab.py::test_iqr_interpolates_between_order_statistics"],
+        ["HEAD", "--micro", "benchmarks/test_micro.py::"],
+        ["HEAD", "--micro", "test_sgd_step[linear-batch8]", "--workload", "latent-recovery"],
+        ["HEAD", "--micro", "test_sgd_step[linear-batch8]", "--seeds", "1"],
+        ["HEAD", "--micro", "test_sgd_step[linear-batch8]", "--pairs", "0"],
+    ],
+)
+def test_bad_arguments_exit_2_before_any_run(argv, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run was started")
+
+    monkeypatch.setattr(ab, "run_micro", no_run)
+    monkeypatch.setattr(ab, "run_workload", no_run)
+    monkeypatch.setattr(ab, "export", no_run)
+    with pytest.raises(SystemExit) as exit_info:
+        ab.main(argv)
+    assert exit_info.value.code == 2
+    assert "error:" in capsys.readouterr().err

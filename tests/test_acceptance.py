@@ -14,7 +14,6 @@ import pytest
 
 from lccn_lab.classifier import (
     Architecture,
-    LossConfig,
     forward_proba,
     init_optimizer,
     init_params,
@@ -186,8 +185,10 @@ def test_criterion_02_update_bound_never_violated(recovery_bundle):
                 i, j = occupied[rng.integers(len(occupied))]
                 after_counts[i, j] -= 1
             after_counts[rng.integers(k), rng.integers(k)] += 1
-        cert = update_bound(after=after_counts, before=base, prior=DirichletPrior.uniform(k, 1.0))
-        if np.any(cert.measured > cert.bound + 1e-12):
+        measured, bound = update_bound(
+            after=after_counts, before=base, prior=DirichletPrior.uniform(k, 1.0)
+        )
+        if np.any(measured > bound + 1e-12):
             synth_violations += 1
 
     ok = n_batches >= 10000 and run_violations == 0 and synth_violations == 0
@@ -232,7 +233,7 @@ def test_criterion_04_transition_recovery(recovery_bundle):
     )
     clean_acc = clean_probe.final_test_accuracy()
     errors = [
-        transition_l1_error(run.final_phi.matrix, recovery_bundle["phi_star"])
+        transition_l1_error(run.final_phi, recovery_bundle["phi_star"])
         for run in recovery_bundle["latent"]
     ]
     med = statistics.median(errors)
@@ -300,10 +301,10 @@ def test_criterion_08_explicit_em_agrees(em_bundle, blobs2_tiny):
     pretrained = run_trainer(noisy, TrainConfig(kind="ce", epochs=10, **common))
     predictions = forward_proba(pretrained.final_params, noisy.features)
     bit_match = np.array_equal(
-        first.final_phi.matrix, warmup_transition(predictions, noisy.noisy_labels, 2).matrix
+        first.final_phi, warmup_transition(predictions, noisy.noisy_labels, 2)
     )
     diffs = [
-        transition_l1_error(latent_run.final_phi.matrix, em_run.final_phi.matrix)
+        transition_l1_error(latent_run.final_phi, em_run.final_phi)
         for latent_run, em_run in zip(em_bundle["latent"], em_bundle["em"])
     ]
     med = statistics.median(diffs)
@@ -349,7 +350,7 @@ def _relative_gap(analytic, numeric):
 
 def test_criterion_10_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
-    loss_cfg = LossConfig(1e-20)
+    clip = 1e-20
     worst = 0.0
     trials = 0
 
@@ -364,10 +365,10 @@ def test_criterion_10_gradients_match_finite_differences():
         features = rng.normal(size=(int(rng.integers(1, 6)), d))
         targets = rng.dirichlet(np.ones(k), size=features.shape[0])
         grads, scratch = init_optimizer(params, 0.1).grads, init_optimizer(params, 0.1).grads
-        loss_and_grads(params, features, targets, loss_cfg, grads)
+        loss_and_grads(params, features, targets, clip, grads)
         for name, tensor in params.tensors.items():
             numeric = _numeric_grad(
-                lambda: loss_and_grads(params, features, targets, loss_cfg, scratch), tensor
+                lambda: loss_and_grads(params, features, targets, clip, scratch), tensor
             )
             worst = max(worst, _relative_gap(grads[name], numeric))
         trials += 1
@@ -383,13 +384,13 @@ def test_criterion_10_gradients_match_finite_differences():
 
         phi = _row_softmax(layer_logits)
         scratch = init_optimizer(params, 0.1).grads
-        _, dphi = _composed_loss_grads(params, features, observed, phi, loss_cfg, scratch)
+        _, dphi = _composed_loss_grads(params, features, observed, phi, clip, scratch)
         inner = (phi * dphi).sum(axis=1, keepdims=True)
         analytic = phi * (dphi - inner)
 
         def layer_loss():
             return _composed_loss_grads(
-                params, features, observed, _row_softmax(layer_logits), loss_cfg, scratch
+                params, features, observed, _row_softmax(layer_logits), clip, scratch
             )[0]
 
         numeric = _numeric_grad(layer_loss, layer_logits)
@@ -423,7 +424,7 @@ def test_criterion_11_bookkeeping_invariants(
 
     # every transition any trainer emitted is row-stochastic
     emitted = [
-        run.final_phi.matrix
+        run.final_phi
         for bundle in (recovery_bundle, ordering_bundle, em_bundle)
         for key in ("latent", "adapted", "composed", "heavy_prior", "em")
         if key in bundle

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from lccn_lab.classifier import (
     Architecture,
-    LossConfig,
     _forward,
     apply_gradients,
     dlogits_from_dprobs,
@@ -28,6 +27,8 @@ from lccn_lab.datagen import LabeledDataset
 from lccn_lab.errors import ParameterError, TrainingError
 from lccn_lab.trainers import _composed_loss_grads, _composed_step, _Run
 
+CLIP = 1e-20  # TrainConfig's default
+
 
 def make_instance(kind="linear", activation="relu", n=6, d=3, k=3, seed=0):
     rng = np.random.default_rng(seed)
@@ -39,7 +40,7 @@ def make_instance(kind="linear", activation="relu", n=6, d=3, k=3, seed=0):
     return params, features, labels
 
 
-def numerical_grads(params, features, weights, cfg, h=1e-6):
+def numerical_grads(params, features, weights, clip, h=1e-6):
     grads, scratch = {}, init_optimizer(params, 0.1).grads
     for name, tensor in params.tensors.items():
         g = np.zeros_like(tensor)
@@ -47,9 +48,9 @@ def numerical_grads(params, features, weights, cfg, h=1e-6):
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + h
-            up = loss_and_grads(params, features, weights, cfg, scratch)
+            up = loss_and_grads(params, features, weights, clip, scratch)
             flat[i] = keep - h
-            down = loss_and_grads(params, features, weights, cfg, scratch)
+            down = loss_and_grads(params, features, weights, clip, scratch)
             flat[i] = keep
             g.ravel()[i] = (up - down) / (2 * h)
         grads[name] = g
@@ -62,11 +63,10 @@ def numerical_grads(params, features, weights, cfg, h=1e-6):
 )
 def test_gradients_match_central_differences(kind, activation):
     params, features, labels = make_instance(kind, activation)
-    cfg = LossConfig()
     weights = one_hot(labels, 3)
     analytic = init_optimizer(params, 0.1).grads
-    loss_and_grads(params, features, weights, cfg, analytic)
-    numeric = numerical_grads(params, features, weights, cfg)
+    loss_and_grads(params, features, weights, CLIP, analytic)
+    numeric = numerical_grads(params, features, weights, CLIP)
     for name in analytic:
         scale = np.maximum(np.abs(numeric[name]), 1e-8)
         rel = np.abs(analytic[name] - numeric[name]) / scale
@@ -82,19 +82,18 @@ def test_forward_rows_are_distributions():
 
 
 def test_clip_bounds_loss_and_zeroes_gradient():
-    cfg = LossConfig(clip=1e-20)
     probs = np.array([[1e-30, 1.0 - 1e-30]])
     weights = np.array([[1.0, 0.0]])
-    loss, dprobs = soft_target_cross_entropy(probs, weights, cfg)
+    loss, dprobs = soft_target_cross_entropy(probs, weights, 1e-20)
     assert loss == pytest.approx(-np.log(1e-20))
     assert dprobs[0, 0] == 0.0  # clipped entry carries no gradient
 
 
-def test_loss_config_rejects_bad_clip():
-    with pytest.raises(ParameterError):
-        LossConfig(clip=0.0)
-    with pytest.raises(ParameterError):
-        LossConfig(clip=0.6)
+def test_soft_target_cross_entropy_rejects_bad_clip():
+    probs, weights = np.array([[0.25, 0.75]]), np.array([[1.0, 0.0]])
+    for clip in (0.0, -1e-20, 0.5, 0.6, float("nan")):
+        with pytest.raises(ParameterError, match="clip"):
+            soft_target_cross_entropy(probs, weights, clip)
 
 
 def test_dlogits_from_dprobs_chain_rule():
@@ -128,7 +127,7 @@ def test_sgd_step_hand_computed_momentum():
     x = np.array([[1.0]])
     y = np.array([0])
     # logits are (0,0) -> p=(0.5,0.5); dlogits = (p - onehot)/n = (-0.5, 0.5)
-    sgd_step(params, opt, x, y, LossConfig())
+    sgd_step(params, opt, x, y, CLIP)
     np.testing.assert_allclose(params.tensors["w"], [[0.05, -0.05]], atol=1e-12)
     np.testing.assert_allclose(params.tensors["b"], [0.05, -0.05], atol=1e-12)
 
@@ -225,11 +224,11 @@ def test_sgd_steps_reuse_a_given_forward_bit_for_bit(kind, activation):
     twin_opt = init_optimizer(twin, 0.1, 0.9, 0.05)
     weights = np.random.default_rng(1).dirichlet(np.ones(3), size=8)
     for _ in range(3):
-        sgd_step(params, opt, features, labels, LossConfig())
-        sgd_step(twin, twin_opt, features, labels, LossConfig(), forward=_forward(twin, features))
-        sgd_step_soft(params, opt, features, weights, LossConfig())
+        sgd_step(params, opt, features, labels, CLIP)
+        sgd_step(twin, twin_opt, features, labels, CLIP, forward=_forward(twin, features))
+        sgd_step_soft(params, opt, features, weights, CLIP)
         sgd_step_soft(
-            twin, twin_opt, features, weights, LossConfig(), forward=_forward(twin, features)
+            twin, twin_opt, features, weights, CLIP, forward=_forward(twin, features)
         )
     assert params.flat.tobytes() == twin.flat.tobytes()
     assert opt.velocity.tobytes() == twin_opt.velocity.tobytes()
@@ -280,9 +279,9 @@ def test_pretrain_reduces_loss():
     # labels correlated with features via a fixed projection so loss can drop
     labels = (features[:, 0] > 0).astype(np.int64)
     targets = one_hot(labels, 3)
-    before, _ = soft_target_cross_entropy(forward_proba(params, features), targets, LossConfig())
-    pretrain_ce(params, opt, features, labels, 30, 8, LossConfig(), rng)
-    after, _ = soft_target_cross_entropy(forward_proba(params, features), targets, LossConfig())
+    before, _ = soft_target_cross_entropy(forward_proba(params, features), targets, CLIP)
+    pretrain_ce(params, opt, features, labels, 30, 8, CLIP, rng)
+    after, _ = soft_target_cross_entropy(forward_proba(params, features), targets, CLIP)
     assert after < before
 
 
@@ -405,7 +404,7 @@ def _composed_run(params, opt, features, labels, clip):
     n = features.shape[0]
     ds = LabeledDataset(features, labels, labels, np.zeros(n, bool), np.zeros(n, bool),
                         params.arch.n_classes)
-    run = _Run(params, opt, LossConfig(clip), np.random.default_rng(0), 1, 1)
+    run = _Run(params, opt, clip, np.random.default_rng(0), 1, 1)
     return run, ds, np.arange(n)
 
 
@@ -450,16 +449,16 @@ def test_in_place_steps_match_the_replaced_step_bit_for_bit(
     # The steps return no loss; it is read off the same loss path on a copy first.
     new_steps = {
         "hard": lambda: (
-            loss_and_grads(params.copy(), features, hard, LossConfig(clip), scratch),
-            sgd_step(params, opt, features, labels, LossConfig(clip)),
+            loss_and_grads(params.copy(), features, hard, clip, scratch),
+            sgd_step(params, opt, features, labels, clip),
         ),
         "soft": lambda: (
-            loss_and_grads(params.copy(), features, weights, LossConfig(clip), scratch),
-            sgd_step_soft(params, opt, features, weights, LossConfig(clip)),
+            loss_and_grads(params.copy(), features, weights, clip, scratch),
+            sgd_step_soft(params, opt, features, weights, clip),
         ),
         "composed": lambda: (
             _composed_loss_grads(
-                params.copy(), features, labels, phi, LossConfig(clip), scratch
+                params.copy(), features, labels, phi, clip, scratch
             )[0],
             _composed_step(run, ds, idx, phi),
         ),
@@ -496,8 +495,8 @@ def test_in_place_steps_reject_nan_probabilities_and_change_nothing(kind, activa
     before = params.flat.copy()
     forward = (probs, cache)
     for step in (
-        lambda: sgd_step(params, opt, features, labels, LossConfig(), forward=forward),
-        lambda: sgd_step_soft(params, opt, features, weights, LossConfig(), forward=forward),
+        lambda: sgd_step(params, opt, features, labels, CLIP, forward=forward),
+        lambda: sgd_step_soft(params, opt, features, weights, CLIP, forward=forward),
         lambda: _composed_step(run, ds, idx, np.eye(3)),
     ):
         with pytest.raises(TrainingError, match="non-finite training loss"):
@@ -510,15 +509,15 @@ def test_in_place_steps_reject_nan_probabilities_and_change_nothing(kind, activa
 def test_in_place_steps_name_the_first_nonfinite_gradient_and_change_nothing(kind, first):
     params, features, labels = make_instance(kind, "tanh", n=8)
     opt = init_optimizer(params, 0.1, 0.9, 0.3)
-    sgd_step(params, opt, features, labels, LossConfig())
+    sgd_step(params, opt, features, labels, CLIP)
     forward = _forward(params, features)
     weights = np.full((8, 3), 1.0 / 3.0)
     bad = features.copy()
     bad[3, 0] = np.inf  # the loss comes from the given forward and stays finite
     before, velocity = params.flat.copy(), opt.velocity.copy()
     for step in (
-        lambda: sgd_step(params, opt, bad, labels, LossConfig(), forward=forward),
-        lambda: sgd_step_soft(params, opt, bad, weights, LossConfig(), forward=forward),
+        lambda: sgd_step(params, opt, bad, labels, CLIP, forward=forward),
+        lambda: sgd_step_soft(params, opt, bad, weights, CLIP, forward=forward),
     ):
         with pytest.raises(TrainingError, match=f"non-finite gradient in tensor {first}"):
             step()

@@ -233,6 +233,10 @@ BAD_INPUTS = {
     "nan_anneal_max_step": ({}, {"train": {"anneal": {"enabled": True,
                                                       "max_step": float("nan")}}}),
     "anneal_not_an_object": ({}, {"train": {"anneal": True}}),
+    # The string "false" is truthy, and a fractional max_step is no step count.
+    "anneal_enabled_a_string": ({}, {"train": {"anneal": {"enabled": "false"}}}),
+    "anneal_max_step_fractional": ({}, {"train": {"anneal": {"enabled": True, "max_step": 2.5}}}),
+    "anneal_decay_a_bool": ({}, {"train": {"anneal": {"enabled": True, "decay": True}}}),
     "lr_milestone_not_a_number": ({}, {"train": {"lr_milestones": [["x", 0.1]]}}),
     # Numbers are taken as given, never truncated or parsed from strings.
     "lr_milestone_fractional_epoch": ({}, {"train": {"lr_milestones": [[1.5, 0.05]]}}),
@@ -335,12 +339,9 @@ def test_train_from_saved_dataset_files(tmp_path):
 
 
 def test_invariant_violation_is_runtime_error(tmp_path, lccn_config, monkeypatch, capsys):
-    class FakeCertificate:
-        measured = np.array([1.0])
-        bound = np.array([0.0])
-
+    # measured 1.0 against a bound of 0.0
     monkeypatch.setattr(
-        "lccn_lab.trainers.update_bound", lambda *a, **k: FakeCertificate
+        "lccn_lab.trainers.update_bound", lambda *a, **k: (np.array([1.0]), np.array([0.0]))
     )
     code = main(["train", "--config", lccn_config, "--out", str(tmp_path / "o")])
     assert code == EXIT_RUNTIME

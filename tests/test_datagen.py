@@ -158,6 +158,14 @@ def test_noise_spec_validation_names_field():
         L.NoiseSpec(kind="openset", ratio=0.1, ood_fraction=-0.2)
 
 
+@pytest.mark.parametrize(
+    "bad", [{"ratio": "0.3"}, {"ratio": True}, {"seed": 1.5}, {"kind": 3}, {"ood_fraction": None}]
+)
+def test_noise_spec_checks_its_field_types(bad):
+    with pytest.raises(ParameterError, match=next(iter(bad))):
+        L.NoiseSpec(**{"kind": "symmetric", **bad})
+
+
 def test_true_transition_symmetric():
     spec = L.NoiseSpec(kind="symmetric", ratio=0.3)
     phi = spec.true_transition(3)

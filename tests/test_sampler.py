@@ -9,13 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import conditional_transition_column
 from lccn_lab.errors import InvariantError, ParameterError, TrainingError
-from lccn_lab.noise_model import (
-    DirichletPrior,
-    TransitionMatrix,
-    confusion_counts,
-)
+from lccn_lab.noise_model import DirichletPrior, check_transition, confusion_counts
 from lccn_lab.sampler import (
-    UNASSIGNED,
     AnnealSchedule,
     exact_posterior_bruteforce,
     gibbs_sample_batch,
@@ -50,6 +45,17 @@ def test_anneal_monotone_until_floor():
     values = [sched.coefficient(s) for s in range(0, 1001, 50)]
     assert all(a >= b for a, b in zip(values, values[1:]))
     assert min(values) >= 0.5
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"enabled": "false"}, {"enabled": 1}, {"max_step": 2.5}, {"max_step": True},
+     {"decay": True}, {"floor": "0.5"}, {"target": 5}],
+)
+def test_anneal_schedule_checks_its_field_types(bad):
+    # The string "false" is truthy: it would turn annealing on.
+    with pytest.raises(ParameterError, match=next(iter(bad))):
+        AnnealSchedule(**bad)
 
 
 # ------------------------------------------------- sampling distribution
@@ -93,7 +99,7 @@ def test_sampling_distribution_product_target():
 def test_sampling_distribution_warmup_column_overrides_counts():
     counts = counts_of([[100.0, 0.0], [0.0, 100.0]])
     prior = DirichletPrior.uniform(2, 1.0)
-    warm = TransitionMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    warm = np.array([[0.5, 0.5], [0.5, 0.5]])
     dist = sampling_distribution(np.array([0.6, 0.4]), 0, counts, prior, warmup_phi=warm)
     np.testing.assert_allclose(dist, [0.6, 0.4], atol=1e-15)
 
@@ -153,7 +159,7 @@ def test_gibbs_batch_labels_in_range(seed):
 def _numpy_distribution(probs_row, observed, counts, prior, warmup_phi, anneal, target):
     """The whole-array formula `sampling_distribution` was first written with."""
     if warmup_phi is not None:
-        channel = warmup_phi.matrix[:, observed]
+        channel = warmup_phi[:, observed]
     else:
         channel = conditional_transition_column(counts, prior, observed)
     if target == "transition":
@@ -169,8 +175,7 @@ def _replay(probs, observed, counts, prior, labels, positions, rng, warmup_phi, 
     n_latent = counts.shape[0]
     sampled = []
     for row, obs, position in zip(probs, observed, positions):
-        if labels[position] != UNASSIGNED:
-            counts[labels[position], obs] -= 1
+        counts[labels[position], obs] -= 1
         dist = sampling_distribution(row, int(obs), counts, prior, warmup_phi, anneal, target)
         new = int(np.searchsorted(np.cumsum(dist), rng.random(), side="right"))
         new = min(new, n_latent - 1)
@@ -193,13 +198,12 @@ def batch_cases(draw):
     pool = data.choice(n_observed, size=min(n_observed, int(data.integers(1, 4))), replace=False)
     observed = data.choice(pool, size=n)
     labels = data.integers(0, n_latent, size=n)
-    labels[data.random(n) < 0.2] = UNASSIGNED
     positions = data.permutation(n)[:size]
     probs = data.dirichlet(np.full(n_latent, 0.7), size=size)
     alpha = data.uniform(0.05, 5.0, size=n_observed)
     warmup = None
     if draw(st.booleans()):
-        warmup = TransitionMatrix(data.dirichlet(np.ones(n_observed), size=n_latent))
+        warmup = check_transition(data.dirichlet(np.ones(n_observed), size=n_latent))
     anneal = draw(st.sampled_from([1.0, 0.5]) | st.floats(min_value=0.2, max_value=1.5))
     target = draw(st.sampled_from(["transition", "product"]))
     return probs, observed, labels, positions, DirichletPrior(alpha), warmup, anneal, target, seed
@@ -211,7 +215,6 @@ def plain_case(n_latent, alpha, size=32, seed=0):
     n = size + 8
     observed = data.integers(0, n_latent, size=n)
     labels = data.integers(0, n_latent, size=n)
-    labels[:4] = UNASSIGNED
     positions = data.permutation(n)[:size]
     probs = data.dirichlet(np.ones(n_latent), size=size)
     prior = DirichletPrior.uniform(n_latent, alpha)
@@ -283,11 +286,13 @@ class _GivenUniforms:
 
 
 def _one_draw(probs_row, u):
+    # The sample's own count is removed before the draw, which then sees all-zero counts.
     n_latent = len(probs_row)
     counts = np.zeros((n_latent, n_latent), dtype=np.int64)
+    counts[0, 0] = 1
     sampled = gibbs_sample_batch(
         np.array([probs_row]), np.array([0]), counts, DirichletPrior.uniform(n_latent, 1.0),
-        np.array([UNASSIGNED]), np.array([0]), _GivenUniforms([u]),
+        np.array([0]), np.array([0]), _GivenUniforms([u]),
     )
     return int(sampled[0])
 
@@ -384,6 +389,36 @@ def test_gibbs_batch_rejects_bad_state_before_drawing(case):
         )
     assert rng.bit_generator.state == state
     assert np.array_equal(args["counts"], counts) and np.array_equal(args["labels"], labels)
+
+
+@pytest.mark.parametrize("label", [-2, -1, 2])
+def test_gibbs_batch_rejects_a_label_outside_the_latent_range(label):
+    # A negative label would index the count column from its end, and 2 past it.
+    counts = counts_of([[1, 0], [0, 1]])
+    labels = np.array([label, 1])
+    with pytest.raises(InvariantError, match=f"latent label {label} "):
+        gibbs_sample_batch(
+            np.array([[0.5, 0.5]]), np.array([0]), counts, DirichletPrior.uniform(2, 1.0),
+            labels, np.array([0]), np.random.default_rng(0),
+        )
+    assert counts.tolist() == [[1, 0], [0, 1]] and labels.tolist() == [label, 1]
+
+
+def test_warmup_channel_must_have_the_counts_shape():
+    # A 2 x 2 channel against 3 latent classes would never let class 2 be drawn.
+    counts = counts_of([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    prior = DirichletPrior.uniform(3, 1.0)
+    warm = np.full((2, 2), 0.5)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ParameterError, match="warmup_phi"):
+        gibbs_sample_batch(
+            np.full((1, 3), 1 / 3), np.array([0]), counts, prior, np.array([0, 1, 2]),
+            np.array([0]), rng, warmup_phi=warm,
+        )
+    assert rng.bit_generator.state == state and counts.trace() == 3
+    with pytest.raises(ParameterError, match="warmup_phi"):
+        sampling_distribution(np.full(3, 1 / 3), 0, counts, prior, warmup_phi=warm)
 
 
 @pytest.mark.parametrize(
