@@ -12,10 +12,10 @@ speed-up that keeps these hashes keeps the trainers' arithmetic and RNG
 streams exactly.
 
 The `cli/<case>` entries pin every file that one or more `lccn-lab`
-commands write (generate, train with one and two seeds, train from saved
-files, sweep and the four diagnose commands). They run inside a fresh
-directory with relative paths, because some outputs echo the paths they
-were given.
+commands write (generate under each noise kind, train with one and two
+seeds, train from saved files, sweep and the four diagnose commands). They
+run inside a fresh directory with relative paths, because some outputs echo
+the paths they were given.
 
 The hashes are specific to the numpy/OpenBLAS build they were recorded
 with (numpy 2.4.6 with scipy-openblas 0.3.31, a DYNAMIC_ARCH build, on
@@ -123,11 +123,23 @@ GENERATE = [
     "generate", "--k", "3", "--n-per-class", "12", "--noise", "asymmetric", "--ratio", "0.3",
     "--ood-fraction", "0.1", "--n-clean", "4", "--seed", "9", "--out", "gen",
 ]
+# The data recipe of each noise kind that GENERATE leaves out.
+GENERATE_KINDS = {
+    "generate_symmetric": ["--noise", "symmetric", "--ratio", "0.3"],
+    "generate_openset_ratio": ["--d", "3", "--noise", "openset", "--ratio", "0.2"],
+    "generate_openset_ood_fraction": ["--d", "3", "--noise", "openset", "--ood-fraction", "0.25"],
+    "generate_none_clean": ["--noise", "none", "--n-clean", "5"],
+}
 TRAIN = ["train", "--config", "cfg.json", "--out", "run"]
 TRAIN_2 = ["train", "--config", "cfg.json", "--out", "runs", "--seeds", "0", "1"]
 
 CLI_CASES = {
     "generate": [GENERATE],
+    **{
+        case: [["generate", "--k", "3", "--n-per-class", "12", *flags, "--seed", "9",
+                "--out", "gen"]]
+        for case, flags in GENERATE_KINDS.items()
+    },
     "train_1seed": [TRAIN],
     "train_2seeds": [TRAIN_2],
     "train_from_files": [GENERATE, ["train", "--config", "files.json", "--out", "filerun"]],
