@@ -25,9 +25,6 @@ from .datagen import (
     NoiseInjectionReport,
     NoiseSpec,
     apply_noise,
-    inject_asymmetric_pairflip,
-    inject_openset,
-    inject_symmetric,
     make_gaussian_mixture,
     mark_clean_subset,
     save_dataset,
@@ -96,9 +93,6 @@ __all__ = [
     "forward_proba",
     "gibbs_sample_batch",
     "init_params",
-    "inject_asymmetric_pairflip",
-    "inject_openset",
-    "inject_symmetric",
     "load_checkpoint",
     "make_gaussian_mixture",
     "mark_clean_subset",

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import os
 import statistics
 import sys
@@ -34,7 +33,7 @@ from .datagen import (
     save_dataset,
     save_report,
 )
-from .errors import InvariantError, ParameterError, TrainingError
+from .errors import InvariantError, ParameterError, TrainingError, check_type
 from .metrics import (
     read_csv,
     read_metrics_csv,
@@ -92,11 +91,9 @@ def _load_json(path, base: Path | None = None):
 
 def _seed_list(values) -> list[int]:
     """Training seeds as given by a config; anything but a list of integers is a usage error."""
-    if not isinstance(values, list) or not all(
-        isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values
-    ):
+    if not isinstance(values, list):
         raise ParameterError(f"seeds must be a list of integers, got {values!r}")
-    return [int(v) for v in values]
+    return [int(check_type(v, "int", "seeds entry")) for v in values]
 
 
 def _resolve_seeds(args, cfg: dict) -> list[int]:
@@ -158,43 +155,27 @@ def build_train_config(train_dict: dict, seed: int | None = None, base: Path | N
         raise ParameterError(f"bad train section: {exc}") from exc
 
 
-def _number(value, what: str, kind: type = numbers.Integral):
-    """value itself if it is an integer (a real number for kind numbers.Real); a bool is neither."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "an integer" if kind is numbers.Integral else "a number"
-        raise ParameterError(f"{what} must be {noun}, got {value!r}")
-    return value
-
-
 def _generate_data(generator: dict, noise: dict | None = None, clean: dict | None = None):
     """The one data recipe: Gaussian mixture, then label/open-set noise, then a clean subset.
 
     Returns (dataset, noise report or None, noise spec or None); the noise
-    step runs only when a noise section is given. Numbers are taken as given:
-    a count or seed that is not an integer, or a rate that is not a number,
-    is a usage error.
+    step runs only when a noise section is given. Values are passed on as
+    given: the datagen functions check each one's type and range.
     """
     report = spec = None
     try:
         ds = make_gaussian_mixture(
-            n_classes=_number(generator["k"], "generator k"),
-            dim=_number(generator.get("d", 2), "generator d"),
-            n_per_class=_number(generator["n_per_class"], "generator n_per_class"),
-            separation=_number(generator.get("separation", 4.0), "generator separation",
-                               numbers.Real),
-            seed=_number(generator.get("seed", 0), "generator seed"),
+            n_classes=generator["k"],
+            dim=generator.get("d", 2),
+            n_per_class=generator["n_per_class"],
+            separation=generator.get("separation", 4.0),
+            seed=generator.get("seed", 0),
         )
         if noise:
-            noise = dict(noise)
-            if noise.get("pair_map") is not None:
-                noise["pair_map"] = tuple(
-                    _number(p, "noise pair_map entry") for p in noise["pair_map"]
-                )
             spec = NoiseSpec(**noise)
             ds, report = apply_noise(ds, spec)
         if clean:
-            ds = mark_clean_subset(ds, _number(clean["n_clean"], "clean n_clean"),
-                                   _number(clean.get("seed", 0), "clean seed"))
+            ds = mark_clean_subset(ds, clean["n_clean"], clean.get("seed", 0))
     except ParameterError:
         raise
     except KeyError as exc:
@@ -365,10 +346,11 @@ _SWEEPABLE_SECTIONS = ("generator", "noise", "test", "clean", "train")
 def _resolve_sweep_target(param: str) -> tuple[str, str]:
     """Map a --param name to the (section, key) it should override.
 
-    Bare names keep the shorthand behaviour: "ratio" targets the noise
-    section, anything else the train section.  A dotted "section.key"
-    form addresses any config section explicitly.
+    A bare name targets the train section; a dotted "section.key" form
+    addresses any config section. The training seed is no grid axis: each
+    run takes its seed from --seeds.
     """
+    section, key = "train", param
     if "." in param:
         section, _, key = param.partition(".")
         if not key or "." in key:
@@ -377,10 +359,9 @@ def _resolve_sweep_target(param: str) -> tuple[str, str]:
             raise ParameterError(
                 f"param section {section!r} is not one of {', '.join(_SWEEPABLE_SECTIONS)}"
             )
-        return section, key
-    if param == "ratio":
-        return "noise", param
-    return "train", param
+    if (section, key) == ("train", "seed"):
+        raise ParameterError(f"param {param!r} cannot be swept; give training seeds with --seeds")
+    return section, key
 
 
 def cmd_sweep(args) -> int:
@@ -398,9 +379,9 @@ def cmd_sweep(args) -> int:
             raise ParameterError(f"sweep values must be distinct, {point_dir.name!r} repeats")
         point_cfg = json.loads(json.dumps(cfg))  # deep copy
         point_cfg.setdefault(section, {})[key] = value
-        train_dict = _resolve(point_cfg, base)[3]
+        ds, _, _, train_dict = _resolve(point_cfg, base)
         for seed in seeds:
-            build_train_config(train_dict, seed=seed, base=base)
+            build_train_config(train_dict, seed=seed, base=base).check_channels(ds.n_classes)
         points[point_dir] = value, point_cfg
     out.mkdir(parents=True, exist_ok=True)
     rows = []

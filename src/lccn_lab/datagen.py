@@ -1,20 +1,28 @@
 """Synthetic Gaussian-mixture datasets and controlled label/feature corruption.
 
-All generators and injectors are pure: they return new dataset objects and
-never mutate their inputs. Every stochastic operation takes an explicit seed
-and is bit-reproducible for a fixed seed.
+`apply_noise(dataset, NoiseSpec)` is the one way to corrupt a dataset. Label
+noise (kinds "symmetric" and "asymmetric") draws from `default_rng(seed)`:
+`random(N)` picks the hit samples, then kind "symmetric" alone draws
+`integers(0, K, N)` to resample them. Open-set noise (kind "openset", or
+ood_fraction with any kind) draws from `default_rng(seed + 1)`: one `choice`
+of the outlier rows, then one `permutation` per chosen row, in order. Kind
+"none" draws nothing.
+
+Every function here is pure and bit-reproducible for a fixed seed, and
+checks the type and range of each data argument (ParameterError).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, check_field_types
+from .errors import ParameterError, check_field_types, check_type
 from .noise_model import confusion_counts
 
 # Sentinel true label for out-of-distribution samples whose original class
@@ -131,8 +139,8 @@ class NoiseSpec:
     """Declarative description of a corruption to apply to a clean dataset.
 
     kind is one of "none", "symmetric", "asymmetric", "openset".
-    ratio is the corruption probability; pair_map (asymmetric only) maps each
-    class to the class it is flipped into; ood_fraction is the share of
+    ratio is the corruption probability (0 for "none"); pair_map (asymmetric
+    only) maps each class to its flip class; ood_fraction is the share of
     samples turned into feature-corrupted outliers.
     """
 
@@ -150,6 +158,25 @@ class NoiseSpec:
             raise ParameterError("ratio must lie in [0, 1]")
         if not 0.0 <= self.ood_fraction <= 1.0:
             raise ParameterError("ood_fraction must lie in [0, 1]")
+        if self.kind == "none" and self.ratio != 0.0:
+            raise ParameterError("ratio must be 0 for noise kind 'none'")
+        if self.pair_map is not None:
+            if self.kind != "asymmetric":
+                raise ParameterError(f"pair_map is for asymmetric noise only, not {self.kind!r}")
+            try:
+                pair_map = tuple(self.pair_map)
+            except TypeError:
+                raise ParameterError(f"pair_map must list classes, got {self.pair_map!r}") from None
+            for p in pair_map:
+                check_type(p, "int", "pair_map entry")
+            object.__setattr__(self, "pair_map", pair_map)
+
+    def _flip_targets(self, n_classes: int) -> tuple[int, ...]:
+        """pair_map, or the default cycle, checked against the data's class count."""
+        pair = self.pair_map if self.pair_map is not None else default_pair_map(n_classes)
+        if len(pair) != n_classes or any(not 0 <= p < n_classes for p in pair):
+            raise ParameterError("pair_map must map every class to a valid class")
+        return pair
 
     def true_transition(self, n_classes: int) -> np.ndarray | None:
         """Ground-truth label transition matrix implied by this spec, if defined."""
@@ -158,9 +185,8 @@ class NoiseSpec:
             # Uniform resampling keeps the original class with probability 1/K.
             return (1.0 - self.ratio) * np.eye(k) + self.ratio / k * np.ones((k, k))
         if self.kind == "asymmetric":
-            pair = self.pair_map if self.pair_map is not None else default_pair_map(k)
             phi = np.zeros((k, k))
-            for src, dst in enumerate(pair):
+            for src, dst in enumerate(self._flip_targets(k)):
                 phi[src, src] += 1.0 - self.ratio
                 phi[src, dst] += self.ratio
             return phi
@@ -227,13 +253,18 @@ def make_gaussian_mixture(
     different seeds are independent samples from the same population. Observed
     labels start out equal to the true labels.
     """
+    check_type(n_classes, "int", "n_classes")
+    check_type(dim, "int", "dim")
+    check_type(n_per_class, "int", "n_per_class")
+    check_type(separation, "float", "separation")
+    check_type(seed, "int", "seed")
     if n_classes < 2:
         raise ParameterError("n_classes must be at least 2")
     if dim < 1:
         raise ParameterError("dim must be at least 1")
     if n_per_class < 1:
         raise ParameterError("n_per_class must be at least 1")
-    if not 0.0 < separation < math.inf:  # also False for NaN
+    if not 0.0 < separation <= sys.float_info.max:  # also False for NaN and huge ints
         raise ParameterError("separation must be positive and finite")
     rng = np.random.default_rng(seed)
     means = _class_means(n_classes, dim, separation)
@@ -249,91 +280,17 @@ def make_gaussian_mixture(
     )
 
 
-def _report(ds: LabeledDataset) -> NoiseInjectionReport:
-    k = ds.n_classes
-    confusion = confusion_counts(ds.true_labels, ds.noisy_labels, k, k, exclude=ds.ood_mask)
-    n_kept = int(confusion.sum())
-    fraction = (n_kept - int(np.trace(confusion))) / n_kept if n_kept else 0.0
-    return NoiseInjectionReport(fraction, confusion)
-
-
-def inject_symmetric(
-    ds: LabeledDataset, ratio: float, seed: int
-) -> tuple[LabeledDataset, NoiseInjectionReport]:
-    """Resample each observed label uniformly over all classes with probability ratio.
-
-    The uniform draw may land on the original class, so the expected realized
-    flip fraction is ratio * (K - 1) / K. Out-of-distribution samples are left
-    untouched. True labels are never modified.
-    """
-    if not 0.0 <= ratio <= 1.0:
-        raise ParameterError("ratio must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    out = ds.copy()
-    hit = (rng.random(ds.n) < ratio) & ~ds.ood_mask
-    resampled = rng.integers(0, ds.n_classes, size=ds.n, dtype=np.int64)
-    out.noisy_labels[hit] = resampled[hit]
-    return out, _report(out)
-
-
-def inject_asymmetric_pairflip(
-    ds: LabeledDataset,
-    ratio: float,
-    seed: int,
-    pair_map: tuple[int, ...] | None = None,
-) -> tuple[LabeledDataset, NoiseInjectionReport]:
-    """Flip each observed label to its paired class with probability ratio.
-
-    The flip target of class k is pair_map[k] (default: (k + 1) mod K). Flips
-    are applied in a single pass from the current labels, so a flipped label
-    is never flipped again. Out-of-distribution samples are left untouched.
-    """
-    if not 0.0 <= ratio <= 1.0:
-        raise ParameterError("ratio must lie in [0, 1]")
-    pair = pair_map if pair_map is not None else default_pair_map(ds.n_classes)
-    if len(pair) != ds.n_classes or any(not 0 <= p < ds.n_classes for p in pair):
-        raise ParameterError("pair_map must map every class to a valid class")
-    rng = np.random.default_rng(seed)
-    out = ds.copy()
-    hit = (rng.random(ds.n) < ratio) & ~ds.ood_mask
-    pair_arr = np.asarray(pair, dtype=np.int64)
-    out.noisy_labels[hit] = pair_arr[out.noisy_labels[hit]]
-    return out, _report(out)
-
-
-def inject_openset(ds: LabeledDataset, ood_fraction: float, seed: int) -> LabeledDataset:
-    """Turn an exact share of samples into outliers by permuting their features.
-
-    Exactly round(ood_fraction * N) samples are chosen; each gets its own
-    feature entries randomly reordered (the multiset of values is preserved),
-    its ood_mask bit set, and its true label replaced by the sentinel. The
-    observed label is kept as-is and now lies about the features.
-    """
-    if not 0.0 <= ood_fraction <= 1.0:
-        raise ParameterError("ood_fraction must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    out = ds.copy()
-    n_ood = round(ood_fraction * ds.n)
-    chosen = rng.choice(ds.n, size=n_ood, replace=False)
-    for idx in chosen:
-        out.features[idx] = out.features[idx, rng.permutation(ds.dim)]
-    out.ood_mask[chosen] = True
-    out.true_labels[chosen] = OOD_LABEL
-    out.clean_mask[chosen] = False
-    return out
-
-
 def mark_clean_subset(ds: LabeledDataset, n_clean: int, seed: int) -> LabeledDataset:
     """Reveal the true label of n_clean random in-distribution samples.
 
     Chosen samples get clean_mask set and their observed label overwritten
     with the true label, modeling a small trusted subset.
     """
+    check_type(n_clean, "int", "n_clean")
+    check_type(seed, "int", "seed")
     eligible = np.flatnonzero(~ds.ood_mask)
     if n_clean < 0 or n_clean > eligible.size:
-        raise ParameterError(
-            f"n_clean must lie in [0, {eligible.size}] for this dataset"
-        )
+        raise ParameterError(f"n_clean must lie in [0, {eligible.size}] for this dataset")
     rng = np.random.default_rng(seed)
     out = ds.copy()
     chosen = rng.choice(eligible, size=n_clean, replace=False)
@@ -343,22 +300,38 @@ def mark_clean_subset(ds: LabeledDataset, n_clean: int, seed: int) -> LabeledDat
 
 
 def apply_noise(ds: LabeledDataset, spec: NoiseSpec) -> tuple[LabeledDataset, NoiseInjectionReport]:
-    """Apply one NoiseSpec: label noise first, then open-set feature corruption.
+    """Label noise first, then open-set corruption; returns the copy and its report.
 
-    For kind "openset" the corrupted share is ood_fraction, falling back to
-    ratio when ood_fraction is zero; other kinds treat ood_fraction as an
-    additional, independent open-set corruption on top of the label noise.
+    A hit never touches an out-of-distribution sample or a true label. A
+    symmetric hit may land on its own class, so the expected flip fraction is
+    ratio * (K - 1) / K; an asymmetric hit flips class k to pair_map[k]
+    (default (k + 1) mod K), once. Open-set noise reorders the features of
+    exactly round(fraction * N) samples, marks them out-of-distribution with
+    the sentinel true label and keeps their observed label. The fraction is
+    ood_fraction, or for kind "openset" ratio when ood_fraction is zero.
     """
-    report = _report(ds)
-    out = ds
-    if spec.kind == "symmetric":
-        out, report = inject_symmetric(out, spec.ratio, spec.seed)
-    elif spec.kind == "asymmetric":
-        out, report = inject_asymmetric_pairflip(out, spec.ratio, spec.seed, spec.pair_map)
+    k = ds.n_classes
+    out = ds.copy()
+    if spec.kind in ("symmetric", "asymmetric"):
+        rng = np.random.default_rng(spec.seed)
+        hit = (rng.random(ds.n) < spec.ratio) & ~ds.ood_mask
+        if spec.kind == "symmetric":
+            out.noisy_labels[hit] = rng.integers(0, k, size=ds.n, dtype=np.int64)[hit]
+        else:
+            pair = np.asarray(spec._flip_targets(k), dtype=np.int64)
+            out.noisy_labels[hit] = pair[out.noisy_labels[hit]]
     fraction = spec.ood_fraction
     if spec.kind == "openset" and fraction == 0.0:
         fraction = spec.ratio
     if fraction > 0.0:
-        out = inject_openset(out, fraction, spec.seed + 1)
-        report = _report(out)
-    return out, report
+        rng = np.random.default_rng(spec.seed + 1)
+        chosen = rng.choice(ds.n, size=round(fraction * ds.n), replace=False)
+        for idx in chosen:
+            out.features[idx] = out.features[idx, rng.permutation(ds.dim)]
+        out.ood_mask[chosen] = True
+        out.true_labels[chosen] = OOD_LABEL
+        out.clean_mask[chosen] = False
+    confusion = confusion_counts(out.true_labels, out.noisy_labels, k, k, exclude=out.ood_mask)
+    n_kept = int(confusion.sum())
+    flipped = (n_kept - int(np.trace(confusion))) / n_kept if n_kept else 0.0
+    return out, NoiseInjectionReport(flipped, confusion)

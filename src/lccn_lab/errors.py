@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the field-type check of its configs.
+"""Exception types shared across the package, and the one type check of its data and configs.
 
 ParameterError maps to CLI exit code 2 (bad usage or config), TrainingError
 and InvariantError map to exit code 1 (runtime failure).
@@ -8,7 +8,7 @@ import dataclasses
 import numbers
 
 # Keyed by declaration strings: the checked dataclasses use postponed annotations.
-_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
+_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
 
 
 class ParameterError(ValueError):
@@ -23,15 +23,21 @@ class InvariantError(RuntimeError):
     """An internal bookkeeping invariant was violated; state is untrustworthy."""
 
 
-def check_field_types(config) -> None:
-    """ParameterError unless each `int`, `float`, `bool` or `str` field of a dataclass holds one.
+def check_type(value, kind: str, name: str):
+    """value itself if it is a `kind`: "int", "float", "bool" or "str"; else ParameterError.
 
-    A bool is neither an int nor a float here; a field declared `... | None` may be None.
+    A bool is neither an int nor a float here; a kind that ends in " | None" also admits None.
     """
+    if value is None and kind.endswith(" | None"):
+        return value
+    wanted = _TYPES[kind.removesuffix(" | None")]
+    if not isinstance(value, wanted) or (isinstance(value, bool) and wanted is not bool):
+        raise ParameterError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
+def check_field_types(config) -> None:
+    """`check_type` on each field of a dataclass declared as one of its kinds."""
     for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        wanted = _FIELD_TYPES.get(f.type.removesuffix(" | None"))
-        if wanted is None or (value is None and f.type.endswith(" | None")):
-            continue
-        if not isinstance(value, wanted) or (isinstance(value, bool) and wanted is not bool):
-            raise ParameterError(f"{f.name} must be {f.type}, got {value!r}")
+        if f.type.removesuffix(" | None") in _TYPES:
+            check_type(getattr(config, f.name), f.type, f.name)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import warnings
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
@@ -50,7 +49,7 @@ from .classifier import (
     soft_target_cross_entropy,
 )
 from .datagen import LabeledDataset
-from .errors import InvariantError, ParameterError, TrainingError, check_field_types
+from .errors import InvariantError, ParameterError, TrainingError, check_field_types, check_type
 from .metrics import (
     MetricsRecord,
     correction_ratio,
@@ -157,12 +156,9 @@ class TrainConfig:
                 f"lr_milestones must be (epoch, learning_rate) pairs, got {self.lr_milestones!r}"
             ) from None
         for epoch, rate in milestones:
-            if isinstance(epoch, bool) or not isinstance(epoch, numbers.Integral) or epoch < 0:
-                raise ParameterError(
-                    f"lr_milestones epoch must be a nonnegative integer, got {epoch!r}"
-                )
-            if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
-                raise ParameterError(f"lr_milestones rate must be a number, got {rate!r}")
+            if check_type(epoch, "int", "lr_milestones epoch") < 0:
+                raise ParameterError(f"lr_milestones epoch must be nonnegative, got {epoch!r}")
+            check_type(rate, "float", "lr_milestones rate")
         # Each range is written so that NaN fails it: every comparison with NaN is False.
         rates = [("learning_rate", self.learning_rate), ("transition_lr", self.transition_lr)]
         rates += [(f"lr_milestones rate at epoch {e}", r) for e, r in milestones]
@@ -182,6 +178,17 @@ class TrainConfig:
                     check_transition(matrix)  # range check; the shape waits for the data
                 except (TypeError, ValueError) as exc:
                     raise ParameterError(f"{name}: {exc}") from None
+
+    def check_channels(self, n_classes: int) -> None:
+        """ParameterError unless oracle_phi and reference_phi, where given, are K x K.
+
+        K is the class count of the data; `run_trainer` calls this for every
+        kind before anything trains.
+        """
+        for name in ("oracle_phi", "reference_phi"):
+            matrix = getattr(self, name)
+            if matrix is not None and np.shape(matrix) != (n_classes, n_classes):
+                raise ParameterError(f"{name} must be ({n_classes}, {n_classes})")
 
 
 @dataclass
@@ -432,10 +439,7 @@ def _initial_channel(
     """Transition estimate available before counts exist: oracle, identity, or predictions."""
     k = ds.n_classes
     if cfg.oracle_phi is not None:
-        oracle = np.asarray(cfg.oracle_phi, dtype=np.float64)
-        if oracle.shape != (k, k):
-            raise ParameterError(f"oracle_phi must be ({k}, {k})")
-        matrix = oracle
+        matrix = np.asarray(cfg.oracle_phi, dtype=np.float64)
     elif cfg.warmup_kind == "identity":
         matrix = np.eye(k)
     else:
@@ -673,7 +677,8 @@ TRAINER_KINDS = tuple(TRAINERS)
 def run_trainer(
     ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None = None
 ) -> RunResult:
-    """Dispatch on cfg.kind; validates the result's record ordering."""
+    """Check the channel shapes, dispatch on cfg.kind and validate the result's record order."""
+    cfg.check_channels(ds.n_classes)
     result = TRAINERS[cfg.kind](ds, cfg, test_ds)
     result.validate_record_order()
     return result

@@ -80,6 +80,20 @@ def test_generate_rejects_out_of_range_ratio(tmp_path, capsys):
     assert "ratio" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--noise", "symmetric", "--ratio", "0.3", "--pair-map", "1", "0"],
+     ["--noise", "none", "--ratio", "0.3"]],
+    ids=["pair_map_for_symmetric", "ratio_for_none"],
+)
+def test_generate_rejects_noise_fields_its_kind_ignores(flags, tmp_path, capsys):
+    code = main(["generate", "--k", "2", "--n-per-class", "10", *flags, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "dataset.json").exists()
+
+
 @pytest.mark.parametrize("separation", ["nan", "inf"])
 def test_generate_rejects_non_finite_separation(separation, tmp_path, capsys):
     code = main(
@@ -263,6 +277,8 @@ BAD_INPUTS = {
     "seeds_not_a_list": ({}, {"seeds": 3}),
     "train_seed_not_an_integer": ({}, {"train": {"seed": "x"}}),
     "train_section_not_an_object": ({}, {"train": []}),
+    # Symmetric noise never reads a pair map.
+    "noise_pair_map_for_symmetric_noise": ({}, {"noise": {"pair_map": [1, 0]}}),
 }
 
 
@@ -384,7 +400,7 @@ def test_sweep_and_train_take_the_same_default_seed(seeds, tmp_path):
 def test_sweep_ratio_targets_noise_section(tmp_path, lccn_config):
     out = tmp_path / "sweep"
     assert main(
-        ["sweep", "--config", lccn_config, "--param", "ratio", "--values", "0.1", "0.4",
+        ["sweep", "--config", lccn_config, "--param", "noise.ratio", "--values", "0.1", "0.4",
          "--seeds", "0", "--out", str(out)]
     ) == EXIT_OK
     reports = [
@@ -392,6 +408,19 @@ def test_sweep_ratio_targets_noise_section(tmp_path, lccn_config):
         for v in ("0.1", "0.4")
     ]
     assert reports[0]["realized_flip_fraction"] < reports[1]["realized_flip_fraction"]
+
+
+@pytest.mark.parametrize("param", ["seed", "train.seed"])
+def test_sweep_over_the_training_seed_is_usage_error(param, tmp_path, lccn_config, capsys):
+    # run_experiment sets each run's seed, so every point would train the same seed.
+    code = main(
+        ["sweep", "--config", lccn_config, "--param", param, "--values", "1", "2",
+         "--out", str(tmp_path / "sweep")]
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "--seeds" in err and "Traceback" not in err
+    assert not list(tmp_path.rglob("metrics.csv"))
 
 
 def test_sweep_requires_values(tmp_path, lccn_config, capsys):
@@ -452,8 +481,9 @@ def test_sweep_over_non_finite_alpha_is_usage_error(value, tmp_path, lccn_config
 @pytest.mark.parametrize(
     "param, values",
     [("alpha", ["1", "NaN"]), ("noise.ratio", ["0.1", "1.5"]), ("alpha", ["1", "1"]),
-     ("oracle_phi", ["[[1, 0], [0, 1]]", "[[NaN, 0], [0, 1]]"])],
-    ids=["non_finite_alpha", "ratio_out_of_range", "repeated_value", "non_finite_oracle"],
+     ("oracle_phi", ["[[1, 0], [0, 1]]", "[[NaN, 0], [0, 1]]"]), ("ratio", ["0.1", "0.4"])],
+    ids=["non_finite_alpha", "ratio_out_of_range", "repeated_value", "non_finite_oracle",
+         "bare_ratio_is_no_alias"],
 )
 def test_sweep_grid_is_checked_before_any_point_trains(param, values, tmp_path, lccn_config, capsys):
     code = main(
@@ -464,6 +494,37 @@ def test_sweep_grid_is_checked_before_any_point_trains(param, values, tmp_path, 
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and "Traceback" not in err
     assert not list(tmp_path.rglob("metrics.csv"))
+
+
+@pytest.mark.parametrize("kind", ["forward_fixed", "lccn"])
+@pytest.mark.parametrize("field", ["oracle_phi", "reference_phi"])
+def test_channel_of_the_wrong_shape_fails_before_pretraining(
+    kind, field, tmp_path, monkeypatch, capsys
+):
+    def no_pretraining(*args, **kwargs):
+        raise AssertionError("pretrained before the channel shape was checked")
+
+    monkeypatch.setattr("lccn_lab.trainers.pretrain_ce", no_pretraining)
+    cfg = {
+        **BASE_CFG, "generator": {**BASE_CFG["generator"], "k": 3},
+        "train": {**BASE_CFG["train"], "kind": kind, field: [[0.9, 0.1], [0.1, 0.9]]},
+    }
+    code = main(
+        ["train", "--config", write_cfg(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")]
+    )
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {field} must be (3, 3)\n"
+
+
+def test_sweep_checks_each_point_channel_shape_before_any_point_trains(tmp_path, capsys):
+    cfg = {**BASE_CFG, "train": {**BASE_CFG["train"], "oracle_phi": [[0.9, 0.1], [0.1, 0.9]]}}
+    code = main(
+        ["sweep", "--config", write_cfg(tmp_path / "c.json", cfg), "--param", "generator.k",
+         "--values", "2", "3", "--out", str(tmp_path / "sweep")]
+    )
+    assert code == EXIT_USAGE
+    assert "oracle_phi must be (3, 3)" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_sweep_values_are_json_so_strings_are_quoted(tmp_path, lccn_config, capsys):

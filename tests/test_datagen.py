@@ -67,6 +67,20 @@ def test_make_gaussian_mixture_validation():
         L.make_gaussian_mixture(n_classes=1, dim=2, n_per_class=5, separation=1.0, seed=0)
     with pytest.raises(ParameterError):
         L.make_gaussian_mixture(n_classes=2, dim=2, n_per_class=5, separation=-1.0, seed=0)
+    with pytest.raises(ParameterError, match="separation"):  # no float holds it
+        L.make_gaussian_mixture(n_classes=2, dim=2, n_per_class=5, separation=10**400, seed=0)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"n_per_class": True}, {"n_classes": 2.0}, {"dim": "2"}, {"separation": "4"},
+     {"seed": 1.5}],
+)
+def test_make_gaussian_mixture_checks_its_argument_types(bad):
+    # A bool is no count: n_per_class=True used to build a 2-sample set.
+    args = {"n_classes": 2, "dim": 2, "n_per_class": 5, "separation": 4.0, "seed": 0, **bad}
+    with pytest.raises(ParameterError, match=next(iter(bad))):
+        L.make_gaussian_mixture(**args)
 
 
 # ------------------------------------------------------------- injection
@@ -74,7 +88,7 @@ def test_make_gaussian_mixture_validation():
 
 def test_symmetric_injection_report_is_exact():
     ds = L.make_gaussian_mixture(n_classes=4, dim=2, n_per_class=200, separation=4.0, seed=1)
-    out, report = L.inject_symmetric(ds, ratio=0.4, seed=2)
+    out, report = L.apply_noise(ds, L.NoiseSpec(kind="symmetric", ratio=0.4, seed=2))
     realized = (out.noisy_labels != out.true_labels).mean()
     assert report.realized_flip_fraction == pytest.approx(realized)
     # uniform resampling keeps 1/K of the hits, so the realized fraction sits
@@ -86,7 +100,7 @@ def test_symmetric_injection_report_is_exact():
 
 def test_asymmetric_injection_flips_only_to_pair():
     ds = L.make_gaussian_mixture(n_classes=3, dim=2, n_per_class=100, separation=4.0, seed=4)
-    out, report = L.inject_asymmetric_pairflip(ds, ratio=0.4, seed=5)
+    out, report = L.apply_noise(ds, L.NoiseSpec(kind="asymmetric", ratio=0.4, seed=5))
     flipped = out.noisy_labels != out.true_labels
     pair = np.array(default_pair_map(3))
     np.testing.assert_array_equal(out.noisy_labels[flipped], pair[out.true_labels[flipped]])
@@ -99,7 +113,8 @@ def test_default_pair_map_cycles():
 
 def test_custom_pair_map_is_respected():
     ds = L.make_gaussian_mixture(n_classes=3, dim=2, n_per_class=60, separation=4.0, seed=6)
-    out, _ = L.inject_asymmetric_pairflip(ds, ratio=0.5, seed=7, pair_map=(2, 0, 1))
+    spec = L.NoiseSpec(kind="asymmetric", ratio=0.5, pair_map=(2, 0, 1), seed=7)
+    out, _ = L.apply_noise(ds, spec)
     flipped = out.noisy_labels != out.true_labels
     expected = np.array([2, 0, 1])[out.true_labels[flipped]]
     np.testing.assert_array_equal(out.noisy_labels[flipped], expected)
@@ -107,7 +122,7 @@ def test_custom_pair_map_is_respected():
 
 def test_openset_injection_exact_count_and_sentinel():
     ds = L.make_gaussian_mixture(n_classes=3, dim=4, n_per_class=50, separation=4.0, seed=8)
-    out = L.inject_openset(ds, ood_fraction=0.2, seed=9)
+    out, _ = L.apply_noise(ds, L.NoiseSpec(kind="openset", ood_fraction=0.2, seed=8))
     assert out.ood_mask.sum() == round(0.2 * 150)
     assert (out.true_labels[out.ood_mask] == L.OOD_LABEL).all()
     assert (out.true_labels[~out.ood_mask] >= 0).all()
@@ -122,7 +137,7 @@ def test_openset_injection_exact_count_and_sentinel():
 
 def test_mark_clean_subset_pins_truth():
     ds = L.make_gaussian_mixture(n_classes=3, dim=2, n_per_class=40, separation=4.0, seed=10)
-    noisy, _ = L.inject_symmetric(ds, ratio=0.5, seed=11)
+    noisy, _ = L.apply_noise(ds, L.NoiseSpec(kind="symmetric", ratio=0.5, seed=11))
     out = L.mark_clean_subset(noisy, 30, seed=12)
     assert out.clean_mask.sum() == 30
     np.testing.assert_array_equal(
@@ -138,12 +153,28 @@ def test_mark_clean_subset_rejects_oversized_request():
         L.mark_clean_subset(ds, 11, seed=0)
 
 
+@pytest.mark.parametrize("n_clean, seed", [(2.5, 0), (True, 0), (2, "0")])
+def test_mark_clean_subset_checks_its_argument_types(n_clean, seed):
+    ds = L.make_gaussian_mixture(n_classes=2, dim=2, n_per_class=5, separation=4.0, seed=0)
+    with pytest.raises(ParameterError):
+        L.mark_clean_subset(ds, n_clean, seed)
+
+
 def test_injectors_skip_ood_samples():
     ds = L.make_gaussian_mixture(n_classes=3, dim=3, n_per_class=60, separation=4.0, seed=13)
-    with_ood = L.inject_openset(ds, ood_fraction=0.25, seed=14)
+    with_ood, _ = L.apply_noise(ds, L.NoiseSpec(kind="openset", ood_fraction=0.25, seed=13))
     before = with_ood.noisy_labels[with_ood.ood_mask].copy()
-    after, _ = L.inject_symmetric(with_ood, ratio=1.0, seed=15)
+    after, _ = L.apply_noise(with_ood, L.NoiseSpec(kind="symmetric", ratio=1.0, seed=15))
     np.testing.assert_array_equal(after.noisy_labels[after.ood_mask], before)
+
+
+def test_no_noise_returns_an_equal_copy():
+    ds = L.make_gaussian_mixture(n_classes=2, dim=2, n_per_class=5, separation=4.0, seed=0)
+    out, report = L.apply_noise(ds, L.NoiseSpec())
+    assert out is not ds and not np.shares_memory(out.noisy_labels, ds.noisy_labels)
+    np.testing.assert_array_equal(out.features, ds.features)
+    np.testing.assert_array_equal(out.noisy_labels, ds.noisy_labels)
+    assert report.realized_flip_fraction == 0.0
 
 
 # ------------------------------------------------------------- NoiseSpec
@@ -164,6 +195,41 @@ def test_noise_spec_validation_names_field():
 def test_noise_spec_checks_its_field_types(bad):
     with pytest.raises(ParameterError, match=next(iter(bad))):
         L.NoiseSpec(**{"kind": "symmetric", **bad})
+
+
+@pytest.mark.parametrize("entry", [1.5, True, "1"])
+def test_noise_spec_checks_each_pair_map_entry(entry):
+    # pair_map=(True, False) used to pass, and true_transition gave a row summing to 1.5.
+    with pytest.raises(ParameterError, match="pair_map entry"):
+        L.NoiseSpec(kind="asymmetric", ratio=0.5, pair_map=(entry, 0))
+
+
+def test_noise_spec_stores_pair_map_as_a_tuple():
+    assert L.NoiseSpec(kind="asymmetric", ratio=0.5, pair_map=[1, 0]).pair_map == (1, 0)
+    with pytest.raises(ParameterError, match="pair_map"):
+        L.NoiseSpec(kind="asymmetric", ratio=0.5, pair_map=3)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"kind": "symmetric", "ratio": 0.3, "pair_map": (1, 0)},
+     {"kind": "openset", "ratio": 0.3, "pair_map": (1, 0)},
+     {"kind": "none", "pair_map": (1, 0)},
+     {"kind": "none", "ratio": 0.3}],
+)
+def test_noise_spec_rejects_fields_its_kind_ignores(spec):
+    with pytest.raises(ParameterError, match="pair_map" if "pair_map" in spec else "ratio"):
+        L.NoiseSpec(**spec)
+
+
+@pytest.mark.parametrize("pair_map", [(1, 0), (1, 2, 0, 1), (1, 2, 3), (1, 2, -1)])
+def test_pair_map_must_fit_the_class_count(pair_map):
+    ds = L.make_gaussian_mixture(n_classes=3, dim=2, n_per_class=5, separation=4.0, seed=0)
+    spec = L.NoiseSpec(kind="asymmetric", ratio=0.5, pair_map=pair_map)
+    with pytest.raises(ParameterError, match="pair_map"):
+        L.apply_noise(ds, spec)
+    with pytest.raises(ParameterError, match="pair_map"):  # (1, 0) used to leave a zero row
+        spec.true_transition(3)
 
 
 def test_true_transition_symmetric():
@@ -192,7 +258,7 @@ def test_apply_noise_openset_uses_ratio_fallback():
 
 def test_dataset_roundtrip_and_byte_stability(tmp_path):
     ds = L.make_gaussian_mixture(n_classes=2, dim=2, n_per_class=8, separation=3.0, seed=5)
-    noisy = L.inject_openset(ds, ood_fraction=0.25, seed=6)
+    noisy, _ = L.apply_noise(ds, L.NoiseSpec(kind="openset", ood_fraction=0.25, seed=5))
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     L.save_dataset(noisy, p1)
     L.save_dataset(noisy, p2)
@@ -207,7 +273,7 @@ def test_dataset_roundtrip_and_byte_stability(tmp_path):
 
 def test_dataset_json_uses_sentinel_for_ood(tmp_path):
     ds = L.make_gaussian_mixture(n_classes=2, dim=2, n_per_class=10, separation=3.0, seed=7)
-    noisy = L.inject_openset(ds, ood_fraction=0.2, seed=8)
+    noisy, _ = L.apply_noise(ds, L.NoiseSpec(kind="openset", ood_fraction=0.2, seed=7))
     path = tmp_path / "ds.json"
     L.save_dataset(noisy, path)
     payload = json.loads(path.read_text())
@@ -245,7 +311,7 @@ def test_load_dataset_malformed_field_raises(field, value, tmp_path):
 @settings(max_examples=40, deadline=None)
 def test_symmetric_injection_properties(k, ratio, seed):
     ds = L.make_gaussian_mixture(n_classes=k, dim=2, n_per_class=20, separation=3.0, seed=0)
-    out, report = L.inject_symmetric(ds, ratio=ratio, seed=seed)
+    out, report = L.apply_noise(ds, L.NoiseSpec(kind="symmetric", ratio=ratio, seed=seed))
     assert out.noisy_labels.min() >= 0 and out.noisy_labels.max() < k
     np.testing.assert_array_equal(out.true_labels, ds.true_labels)
     assert 0.0 <= report.realized_flip_fraction <= 1.0

@@ -289,6 +289,15 @@ def test_oracle_channel_shape_checked(blobs2_tiny):
         run_trainer(ds, cfg)
 
 
+@pytest.mark.parametrize("kind", TRAINER_KINDS)
+@pytest.mark.parametrize("field", ["oracle_phi", "reference_phi"])
+def test_channel_shape_checked_for_every_kind(kind, field, blobs2_tiny):
+    cfg = TrainConfig(kind=kind, epochs=1, pretrain_epochs=0, batch_size=16, seed=0,
+                      **{field: np.eye(3)})
+    with pytest.raises(ParameterError, match=rf"{field} must be \(2, 2\)"):
+        run_trainer(blobs2_tiny["noisy"], cfg)
+
+
 # --- certificate of batches that move no label -------------------------------
 
 
