@@ -49,7 +49,6 @@ from .noise_model import (
     warmup_transition,
 )
 from .sampler import (
-    AnnealSchedule,
     GibbsDiagnostics,
     exact_posterior_bruteforce,
     gibbs_sample_batch,
@@ -69,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Architecture",
-    "AnnealSchedule",
     "BatchVariation",
     "ClassifierParams",
     "DirichletPrior",

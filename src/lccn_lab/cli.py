@@ -45,7 +45,7 @@ from .metrics import (
     write_metrics_csv,
 )
 from .noise_model import DirichletPrior
-from .sampler import AnnealSchedule, mixing_diagnostic
+from .sampler import mixing_diagnostic
 from .trainers import TrainConfig, run_trainer
 
 EXIT_OK = 0
@@ -139,8 +139,6 @@ def build_train_config(train_dict: dict, seed: int | None = None, base: Path | N
     """Translate the JSON 'train' section into a TrainConfig."""
     payload = dict(train_dict)
     try:
-        if isinstance(payload.get("anneal"), dict):
-            payload["anneal"] = AnnealSchedule(**payload["anneal"])
         if "lr_milestones" in payload:
             payload["lr_milestones"] = tuple(tuple(m) for m in payload["lr_milestones"])
         for key in ("oracle_phi", "reference_phi"):

@@ -99,6 +99,8 @@ def variation_histogram(values: Sequence[float], bins: int = 50) -> Histogram:
     measured = np.asarray(values, dtype=np.float64)
     if measured.size == 0:
         raise ParameterError("no variation values were logged")
+    if not np.isfinite(measured).all():
+        raise ParameterError("variation values must be finite")
     if bins < 1:
         raise ParameterError("bins must be >= 1")
     lo, hi = float(measured.min()), float(measured.max())

@@ -9,6 +9,10 @@ is two plain arrays, both updated in place: the int64 latent label of every
 sample, which every sample always holds (a chain starts from the observed
 labels), and the count matrix of `noise_model.confusion_counts`. A warmup
 channel is a plain array of the count matrix's shape (`check_transition`).
+Annealing raises the channel factor alone, never the classifier's, to a
+plain exponent `anneal` in [0, inf): 1 is the collapsed posterior and 0
+follows the classifier. The trainers' schedule of that exponent is
+`trainers._anneal`.
 
 `sampling_distribution` is the one-draw reference. `gibbs_sample_batch` runs
 the same chain on plain Python floats and is bit-identical to replaying the
@@ -19,8 +23,9 @@ same generator state after the batch. It draws the batch's uniforms with one
 one score list and its sum from `_scores`, which the reference uses too, and
 walks the CDF with `cumulative += score / norm`. Score sums follow numpy's
 order: left to right from -0.0 for fewer than 8 latent classes, numpy's own
-reduction from 8 on (see `noise_model`). The annealing exponent always goes
-through numpy's `**`, whose vectorized power may round differently from Python's.
+reduction from 8 on (see `noise_model`). An exponent other than 1 always
+goes through numpy's `**`, whose vectorized power may round differently from
+Python's.
 """
 
 from __future__ import annotations
@@ -30,78 +35,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantError, ParameterError, TrainingError, check_field_types
+from .errors import InvariantError, ParameterError, TrainingError
 from .noise_model import DirichletPrior, _check_counts, _row_sum, confusion_counts
-
-ANNEAL_TARGETS = ("transition", "product")
-
-
-@dataclass
-class AnnealSchedule:
-    """Decaying exponent applied to the channel factor of the sampling scores.
-
-    coefficient(step) = max(exp(-step / max_step * decay), floor); a disabled
-    schedule always returns 1. `target` picks what the exponent is applied to:
-    "transition" tempers only the channel factor, "product" tempers the whole
-    unnormalized score.
-    """
-
-    enabled: bool = False
-    max_step: int = 1
-    floor: float = 0.5
-    decay: float = 0.8
-    target: str = "transition"
-
-    def __post_init__(self) -> None:
-        check_field_types(self)
-        # Each check is written so that NaN fails it.
-        if not self.max_step >= 1:
-            raise ParameterError("max_step must be >= 1")
-        if not 0.0 < self.floor <= 1.0:
-            raise ParameterError("floor must lie in (0, 1]")
-        if not self.decay > 0.0:
-            raise ParameterError("decay must be positive")
-        if self.target not in ANNEAL_TARGETS:
-            raise ParameterError(f"unknown anneal target {self.target!r}")
-
-    def coefficient(self, step: int) -> float:
-        """Annealing exponent at a given step; 1.0 when the schedule is disabled."""
-        if step < 0:
-            raise ParameterError("step must be nonnegative")
-        if not self.enabled:
-            return 1.0
-        return max(math.exp(-step / self.max_step * self.decay), self.floor)
-
 
 def _scores(
     row: list, a: float, column: list, totals: list, alpha_total: float,
-    warmup: list | None, anneal: float, anneal_target: str,
+    warmup: list | None, anneal: float,
 ) -> tuple[list[float], float]:
     """Unnormalized scores of one draw and their sum, which must be finite and positive.
 
     A score is a classifier probability times the channel: the warmup column if
     given, else the count column (a + c) / (alpha_total + t). `anneal` tempers
-    the channel ("transition") or the whole score ("product") through numpy's `**`.
+    the channel alone, through numpy's `**`.
     """
-    if warmup is None and (anneal == 1.0 or anneal_target == "product"):
+    if warmup is None and anneal == 1.0:
         scores = [p * ((a + c) / (alpha_total + t)) for p, c, t in zip(row, column, totals)]
     else:
         if warmup is None:
             warmup = [(a + c) / (alpha_total + t) for c, t in zip(column, totals)]
-        if anneal != 1.0 and anneal_target == "transition":
+        if anneal != 1.0:
             warmup = (np.array(warmup, dtype=np.float64) ** anneal).tolist()
         scores = [p * c for p, c in zip(row, warmup)]
-    if anneal != 1.0 and anneal_target == "product":
-        scores = (np.array(scores) ** anneal).tolist()
     norm = _row_sum(scores)
     if not 0.0 < norm < math.inf:  # also False for NaN
         raise TrainingError("sampling scores are non-finite or all zero")
     return scores, norm
 
 
-def _check_anneal_and_warmup(anneal_target: str, warmup_phi, counts: np.ndarray) -> None:
-    if anneal_target not in ANNEAL_TARGETS:
-        raise ParameterError(f"unknown anneal target {anneal_target!r}")
+def _check_anneal_and_warmup(anneal: float, warmup_phi, counts: np.ndarray) -> None:
+    if not 0.0 <= anneal < math.inf:  # also False for NaN
+        raise ParameterError(f"anneal must be finite and >= 0, got {anneal!r}")
     if warmup_phi is not None and np.shape(warmup_phi) != counts.shape:
         raise ParameterError(
             f"warmup_phi has shape {np.shape(warmup_phi)}, the counts {counts.shape}"
@@ -115,7 +78,6 @@ def sampling_distribution(
     prior: DirichletPrior,
     warmup_phi: np.ndarray | None = None,
     anneal: float = 1.0,
-    anneal_target: str = "transition",
 ) -> np.ndarray:
     """Normalized distribution the Gibbs chain draws one latent label from.
 
@@ -130,12 +92,12 @@ def sampling_distribution(
         raise ParameterError("probs_row must hold one probability per latent class")
     if not 0 <= observed_label < counts.shape[1]:
         raise ParameterError("observed label out of range")
-    _check_anneal_and_warmup(anneal_target, warmup_phi, counts)
+    _check_anneal_and_warmup(anneal, warmup_phi, counts)
     scores, norm = _scores(
         probs_row.tolist(), float(prior.concentration[observed_label]),
         counts[:, observed_label].tolist(), counts.sum(axis=1).tolist(), prior.total,
         None if warmup_phi is None else warmup_phi[:, observed_label].tolist(),
-        anneal, anneal_target,
+        anneal,
     )
     return np.array([score / norm for score in scores])
 
@@ -150,7 +112,6 @@ def gibbs_sample_batch(
     rng: np.random.Generator,
     warmup_phi: np.ndarray | None = None,
     anneal: float = 1.0,
-    anneal_target: str = "transition",
 ) -> np.ndarray:
     """Resample the latent labels of one batch, updating `counts` and `labels` in place.
 
@@ -169,6 +130,10 @@ def gibbs_sample_batch(
         labels: (N,) integer latent label of every sample, each in [0, R) with a
             nonempty count cell against its observed label.
         batch_indices: (M,) positions of the batch samples in `labels`.
+        warmup_phi: (R, K) channel whose column replaces the count-based channel
+            factor, or None to score from the counts.
+        anneal: exponent in [0, inf) applied to the channel factor alone;
+            checked before any uniform is drawn.
 
     Returns:
         (M,) newly sampled latent labels, in batch order.
@@ -184,7 +149,7 @@ def gibbs_sample_batch(
     observed_list = np.asarray(observed_labels).tolist()
     if observed_list and not 0 <= min(observed_list) <= max(observed_list) < counts.shape[1]:
         raise ParameterError("observed labels out of range")
-    _check_anneal_and_warmup(anneal_target, warmup_phi, counts)
+    _check_anneal_and_warmup(anneal, warmup_phi, counts)
     uniforms = rng.random(probs.shape[0]).tolist()
     alpha = prior.concentration.tolist()
     alpha_total = prior.total
@@ -211,7 +176,7 @@ def gibbs_sample_batch(
             totals[old] -= 1
             scores, norm = _scores(
                 row, alpha[observed], column, totals, alpha_total, warmup_columns[observed],
-                anneal, anneal_target,
+                anneal,
             )
             cumulative = 0.0
             # Without a break, a uniform at or above the rounded total takes the last class.

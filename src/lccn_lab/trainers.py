@@ -24,7 +24,7 @@ import itertools
 import math
 import warnings
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -64,7 +64,7 @@ from .noise_model import (
     update_bound,
     warmup_transition,
 )
-from .sampler import AnnealSchedule, gibbs_sample_batch
+from .sampler import gibbs_sample_batch
 
 BOUND_SLACK = 1e-12
 
@@ -85,7 +85,10 @@ class TrainConfig:
       instead of the counts); None means one epoch of steps;
     - warmup_kind and oracle_phi: the initial channel of forward_fixed,
       s_adaptation and the latent kinds;
-    - alpha and anneal: the latent kinds;
+    - alpha and anneal: the latent kinds. With anneal on, the sampler raises
+      the channel factor to the exponent max(exp(-step / batches * 0.8), 0.5)
+      at each step of a run of `batches` batches (`_anneal`): it falls from
+      1 to the floor 0.5, which it holds from 87% of the run on;
     - em_m_epochs: em_reference, whose epochs, lr_milestones and eval_every
       count outer iterations of em_m_epochs classifier epochs each;
     - transition_lr and grad_clip: s_adaptation;
@@ -106,7 +109,7 @@ class TrainConfig:
     warmup_steps: int | None = None
     total_iterations: int | None = None
     alpha: float | tuple[float, ...] = 1.0
-    anneal: AnnealSchedule = field(default_factory=AnnealSchedule)
+    anneal: bool = False
     warmup_kind: str = "predictions"
     oracle_phi: np.ndarray | None = None
     reference_phi: np.ndarray | None = None
@@ -127,8 +130,6 @@ class TrainConfig:
             DirichletPrior(np.atleast_1d(self.alpha))  # range check
         except ParameterError as exc:
             raise ParameterError(f"alpha: {exc}") from None
-        if not isinstance(self.anneal, AnnealSchedule):
-            raise ParameterError(f"anneal must be an AnnealSchedule, got {self.anneal!r}")
         if self.hidden_width < 0:
             raise ParameterError("hidden_width must be nonnegative")
         if self.epochs < 0 or self.pretrain_epochs < 0:
@@ -558,6 +559,13 @@ def _train_em_reference(
     return _fit(ds, cfg, test_ds, start, passes=cfg.em_m_epochs)
 
 
+def _anneal(enabled: bool, step: int, total: int) -> float:
+    """Channel exponent at a step of a `total`-batch run: decays from 1 to the floor 0.5."""
+    if not enabled:
+        return 1.0
+    return max(math.exp(-step / max(total, 1) * 0.8), 0.5)
+
+
 def _train_latent(
     ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None,
     *, extra_class: bool, use_clean: bool,
@@ -611,9 +619,6 @@ def _train_latent(
     def start(run: _Run) -> _Hooks:
         channel_init = _initial_channel(ds, cfg, run.params, n_latent)
         warmup_steps = cfg.warmup_steps if cfg.warmup_steps is not None else run.n_batches
-        schedule = cfg.anneal
-        if schedule.enabled and schedule.max_step <= 1 and run.total > 1:
-            schedule = replace(schedule, max_step=run.total)
 
         def batch(idx: np.ndarray) -> tuple[float, float] | None:
             features = ds.features[idx]
@@ -635,8 +640,7 @@ def _train_latent(
                     positions,
                     run.gibbs_rng,
                     warmup_phi=channel_init if run.iteration <= warmup_steps else None,
-                    anneal=schedule.coefficient(run.iteration),
-                    anneal_target=schedule.target,
+                    anneal=_anneal(cfg.anneal, run.iteration, run.total),
                 )
                 if sampled.tolist() == previous.tolist():
                     moved = 0.0, 0.0

@@ -243,14 +243,12 @@ BAD_INPUTS = {
                             {"dataset": "data.json"}),
     "zero_grad_clip": ({}, {"train": {"kind": "s_adaptation", "grad_clip": 0.0}}),
     "negative_grad_clip": ({}, {"train": {"kind": "s_adaptation", "grad_clip": -0.5}}),
-    "nan_anneal_decay": ({}, {"train": {"anneal": {"enabled": True, "decay": float("nan")}}}),
-    "nan_anneal_max_step": ({}, {"train": {"anneal": {"enabled": True,
-                                                      "max_step": float("nan")}}}),
-    "anneal_not_an_object": ({}, {"train": {"anneal": True}}),
-    # The string "false" is truthy, and a fractional max_step is no step count.
-    "anneal_enabled_a_string": ({}, {"train": {"anneal": {"enabled": "false"}}}),
-    "anneal_max_step_fractional": ({}, {"train": {"anneal": {"enabled": True, "max_step": 2.5}}}),
-    "anneal_decay_a_bool": ({}, {"train": {"anneal": {"enabled": True, "decay": True}}}),
+    # anneal is one bool: no object form (older configs sent one), no string
+    # ("false" is truthy) and no 1.
+    "anneal_object_form": ({}, {"train": {"anneal": {"enabled": True}}}),
+    "anneal_product_target": ({}, {"train": {"anneal": {"enabled": True, "target": "product"}}}),
+    "anneal_a_string": ({}, {"train": {"anneal": "false"}}),
+    "anneal_an_int": ({}, {"train": {"anneal": 1}}),
     "lr_milestone_not_a_number": ({}, {"train": {"lr_milestones": [["x", 0.1]]}}),
     # Numbers are taken as given, never truncated or parsed from strings.
     "lr_milestone_fractional_epoch": ({}, {"train": {"lr_milestones": [[1.5, 0.05]]}}),
@@ -698,28 +696,32 @@ def _copy_run(lccn_run, tmp_path):
 
 
 def _spoil_csv(path, column, how):
-    """Drop `column` from a CSV file, or put a non-number in its last cell."""
+    """Drop `column` from a CSV file, or put the text `how` in its last cell."""
     with open(path, newline="") as handle:
         rows = list(csv.DictReader(handle))
     if how == "drop":
         rows = [{k: v for k, v in row.items() if k != column} for row in rows]
     else:
-        rows[-1][column] = "not-a-number"
+        rows[-1][column] = how
     with open(path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
 
 
-# name -> (artifact, column, "drop" / "spoil" / "delete" the file, diagnose command)
+# name -> (artifact, column, "drop" the column / "delete" the file / the text of
+# its last cell, diagnose command)
 BAD_RUN_FILES = {
     "metrics_without_accuracy": ("metrics.csv", "accuracy", "drop", "correction"),
     "metrics_without_correction": ("metrics.csv", "correction_ratio", "drop", "correction"),
-    "metrics_non_numeric_step": ("metrics.csv", "step", "spoil", "correction"),
-    "metrics_non_numeric_ratio": ("metrics.csv", "correction_ratio", "spoil", "correction"),
+    "metrics_non_numeric_step": ("metrics.csv", "step", "not-a-number", "correction"),
+    "metrics_non_numeric_ratio": ("metrics.csv", "correction_ratio", "not-a-number", "correction"),
     "metrics_missing": ("metrics.csv", None, "delete", "correction"),
     "variations_without_measured": ("variations.csv", "measured", "drop", "variation"),
-    "variations_non_numeric": ("variations.csv", "measured", "spoil", "variation"),
+    "variations_non_numeric": ("variations.csv", "measured", "not-a-number", "variation"),
+    # float() parses both cells, but a histogram needs finite values.
+    "variations_nan": ("variations.csv", "measured", "nan", "variation"),
+    "variations_inf": ("variations.csv", "measured", "inf", "variation"),
     "variations_missing": ("variations.csv", None, "delete", "variation"),
 }
 

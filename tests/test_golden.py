@@ -5,8 +5,8 @@ variant on a 120-sample K=3 mixture (symmetric noise plus open-set
 outliers, 12 trusted samples, MLP-8, batch 16, 2 pretrain + 3 epochs,
 eval_every 2). Two variants change what the optimizer sees: a linear model
 ("linear") and a tanh MLP with weight decay 0.05 and momentum 0.5
-("tanh_decay"). The latent kinds add a channel-only annealing variant and a
-120-sample K=8 "wide" variant. Each case compares the sha256 of every file
+("tanh_decay"). The latent kinds add an annealing variant and a 120-sample
+K=8 "wide" variant. Each case compares the sha256 of every file
 the run writes with the hashes in `golden_hashes.json`. A refactor or
 speed-up that keeps these hashes keeps the trainers' arithmetic and RNG
 streams exactly.
@@ -22,7 +22,9 @@ with (numpy 2.4.6 with scipy-openblas 0.3.31, a DYNAMIC_ARCH build, on
 x86-64); another BLAS build or CPU kernel may round differently. Any update
 of the pinned hashes is recorded in CHANGES.md with its reason.
 
-To re-record the hashes: `PYTHONPATH=src python tests/test_golden.py`.
+To re-record the hashes: `PYTHONPATH=src python tests/test_golden.py`. Before
+it rewrites `golden_hashes.json` it prints each case whose hashes changed,
+with the names of the files that changed, and each case added or dropped.
 """
 
 import hashlib
@@ -61,7 +63,7 @@ VARIANTS = {
     "knobs": {
         "warmup_kind": "identity",
         "warmup_steps": 3,
-        "anneal": {"enabled": True, "target": "product"},
+        "anneal": True,
         "em_m_epochs": 2,
         "grad_clip": 0.01,
     },
@@ -70,11 +72,11 @@ VARIANTS = {
     "tanh_decay": {"activation": "tanh", "weight_decay": 0.05, "momentum": 0.5},
 }
 
-# Sampler branches that only the latent kinds reach: annealing of the channel
-# factor alone, and rows of 8 or more latent classes (K=8; lccn_star has 9),
+# Sampler branches that only the latent kinds reach: annealing with no other
+# knob set, and rows of 8 or more latent classes (K=8; lccn_star has 9),
 # whose sums take numpy's unrolled order instead of a left-to-right loop.
 LATENT_VARIANTS = {
-    "anneal_transition": {"anneal": {"enabled": True, "target": "transition"}},
+    "anneal_transition": {"anneal": True},
     "wide": {},
 }
 GENERATOR_OVERRIDES = {"wide": {"k": 8, "n_per_class": 15}}
@@ -195,11 +197,25 @@ def test_cli_outputs_match_pinned_hashes(case, tmp_path, monkeypatch, capsys):
     assert cli_output_hashes(case, tmp_path) == pinned[f"cli/{case}"]
 
 
+def print_changes(pinned: dict, recorded: dict) -> None:
+    """Print each case added, dropped, or with changed hashes (naming the files that changed)."""
+    for case in sorted(pinned.keys() | recorded.keys()):
+        if case not in recorded:
+            print(f"dropped {case}")
+        elif case not in pinned:
+            print(f"added {case}")
+        elif recorded[case] != pinned[case]:
+            old, new = pinned[case], recorded[case]
+            names = sorted(n for n in old.keys() | new.keys() if old.get(n) != new.get(n))
+            print(f"changed {case}: {' '.join(names)}")
+
+
 if __name__ == "__main__":
     os.environ["LCCN_LAB_THREADS"] = "1"
     with tempfile.TemporaryDirectory() as scratch:
         recorded = {case: artifact_hashes(case, Path(scratch) / case) for case in CASES}
         for case in CLI_CASES:
             recorded[f"cli/{case}"] = cli_output_hashes(case, Path(scratch) / "cli" / case)
+    print_changes(json.loads(HASHES_PATH.read_text()) if HASHES_PATH.exists() else {}, recorded)
     HASHES_PATH.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(recorded)} cases to {HASHES_PATH}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Annealing schedule, single-draw distributions, batch bit-identity and exact-enumeration checks."""
+"""Anneal exponent, single-draw distributions, batch bit-identity and exact-enumeration checks."""
 
 import math
 
@@ -8,10 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import conditional_transition_column
+from lccn_lab import trainers
 from lccn_lab.errors import InvariantError, ParameterError, TrainingError
 from lccn_lab.noise_model import DirichletPrior, check_transition, confusion_counts
 from lccn_lab.sampler import (
-    AnnealSchedule,
     exact_posterior_bruteforce,
     gibbs_sample_batch,
     mixing_diagnostic,
@@ -28,34 +28,34 @@ def counts_of(matrix):
 
 
 def test_anneal_disabled_is_identity():
-    assert AnnealSchedule().coefficient(0) == 1.0
-    assert AnnealSchedule().coefficient(10_000) == 1.0
+    assert trainers._anneal(False, 0, 200) == 1.0
+    assert trainers._anneal(False, 10_000, 200) == 1.0
 
 
 def test_anneal_frozen_values():
-    sched = AnnealSchedule(enabled=True, max_step=200, floor=0.5, decay=0.8)
-    assert sched.coefficient(0) == pytest.approx(1.0)
-    assert sched.coefficient(100) == pytest.approx(math.exp(-0.4), abs=1e-15)
-    # exp(-0.8) = 0.449... falls below the floor
-    assert sched.coefficient(200) == 0.5
+    # The exponents that annealing has always given a run of T batches: the
+    # schedule's step count was T, or 1 for T <= 1, with decay 0.8 and floor 0.5.
+    assert trainers._anneal(False, 100, 200) == 1.0
+    assert [trainers._anneal(True, step, 200) for step in (0, 100, 200)] == [
+        1.0, 0.6703200460356393, 0.5,
+    ]
+    # Divide, then scale: exp(-0.8 * 2 / 5) is 0.7261490370736909.
+    assert trainers._anneal(True, 2, 5) == 0.7261490370736908
+    assert [trainers._anneal(True, 0, total) for total in (0, 1)] == [1.0, 1.0]
+    assert [trainers._anneal(True, 1, total) for total in (0, 1)] == [0.5, 0.5]
 
 
 def test_anneal_monotone_until_floor():
-    sched = AnnealSchedule(enabled=True, max_step=1000, floor=0.5, decay=0.8)
-    values = [sched.coefficient(s) for s in range(0, 1001, 50)]
+    values = [trainers._anneal(True, step, 1000) for step in range(0, 1001, 50)]
     assert all(a >= b for a, b in zip(values, values[1:]))
-    assert min(values) >= 0.5
+    assert min(values) == 0.5
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [{"enabled": "false"}, {"enabled": 1}, {"max_step": 2.5}, {"max_step": True},
-     {"decay": True}, {"floor": "0.5"}, {"target": 5}],
-)
+@pytest.mark.parametrize("bad", [pytest.param({"anneal": 1}, id="bad1")])
 def test_anneal_schedule_checks_its_field_types(bad):
-    # The string "false" is truthy: it would turn annealing on.
-    with pytest.raises(ParameterError, match=next(iter(bad))):
-        AnnealSchedule(**bad)
+    # 1 is truthy but no bool: it would turn annealing on.
+    with pytest.raises(ParameterError, match="anneal"):
+        trainers.TrainConfig(**bad)
 
 
 # ------------------------------------------------- sampling distribution
@@ -83,17 +83,6 @@ def test_sampling_distribution_anneal_zero_follows_classifier():
     probs = np.array([0.7, 0.3])
     dist = sampling_distribution(probs, 1, counts, prior, anneal=0.0)
     np.testing.assert_allclose(dist, probs, atol=1e-15)
-
-
-def test_sampling_distribution_product_target():
-    counts = counts_of([[3.0, 1.0], [0.0, 4.0]])
-    prior = DirichletPrior.uniform(2, 1.0)
-    probs = np.array([0.8, 0.2])
-    channel = np.array([(1 + 3) / (2 + 4), (1 + 0) / (2 + 4)])
-    expected = (probs * channel) ** 0.5
-    expected /= expected.sum()
-    dist = sampling_distribution(probs, 0, counts, prior, anneal=0.5, anneal_target="product")
-    np.testing.assert_allclose(dist, expected, atol=1e-15)
 
 
 def test_sampling_distribution_warmup_column_overrides_counts():
@@ -156,27 +145,23 @@ def test_gibbs_batch_labels_in_range(seed):
     np.testing.assert_array_equal(counts, confusion_counts(latent, observed, 3, 3))
 
 
-def _numpy_distribution(probs_row, observed, counts, prior, warmup_phi, anneal, target):
+def _numpy_distribution(probs_row, observed, counts, prior, warmup_phi, anneal):
     """The whole-array formula `sampling_distribution` was first written with."""
     if warmup_phi is not None:
         channel = warmup_phi[:, observed]
     else:
         channel = conditional_transition_column(counts, prior, observed)
-    if target == "transition":
-        scores = probs_row * channel**anneal if anneal != 1.0 else probs_row * channel
-    else:
-        base = probs_row * channel
-        scores = base**anneal if anneal != 1.0 else base
+    scores = probs_row * channel**anneal if anneal != 1.0 else probs_row * channel
     return scores / scores.sum()
 
 
-def _replay(probs, observed, counts, prior, labels, positions, rng, warmup_phi, anneal, target):
+def _replay(probs, observed, counts, prior, labels, positions, rng, warmup_phi, anneal):
     """Step-by-step reference chain: one reference draw and one scalar uniform per sample."""
     n_latent = counts.shape[0]
     sampled = []
     for row, obs, position in zip(probs, observed, positions):
         counts[labels[position], obs] -= 1
-        dist = sampling_distribution(row, int(obs), counts, prior, warmup_phi, anneal, target)
+        dist = sampling_distribution(row, int(obs), counts, prior, warmup_phi, anneal)
         new = int(np.searchsorted(np.cumsum(dist), rng.random(), side="right"))
         new = min(new, n_latent - 1)
         counts[new, obs] += 1
@@ -205,8 +190,7 @@ def batch_cases(draw):
     if draw(st.booleans()):
         warmup = check_transition(data.dirichlet(np.ones(n_observed), size=n_latent))
     anneal = draw(st.sampled_from([1.0, 0.5]) | st.floats(min_value=0.2, max_value=1.5))
-    target = draw(st.sampled_from(["transition", "product"]))
-    return probs, observed, labels, positions, DirichletPrior(alpha), warmup, anneal, target, seed
+    return probs, observed, labels, positions, DirichletPrior(alpha), warmup, anneal, seed
 
 
 def plain_case(n_latent, alpha, size=32, seed=0):
@@ -218,7 +202,7 @@ def plain_case(n_latent, alpha, size=32, seed=0):
     positions = data.permutation(n)[:size]
     probs = data.dirichlet(np.ones(n_latent), size=size)
     prior = DirichletPrior.uniform(n_latent, alpha)
-    return probs, observed, labels, positions, prior, None, 1.0, "transition", seed
+    return probs, observed, labels, positions, prior, None, 1.0, seed
 
 
 # The properties' own alpha is drawn from U(0.05, 5), so these pin the training
@@ -238,7 +222,7 @@ def with_plain_cases(test):
 @given(case=batch_cases())
 @settings(max_examples=300, deadline=None)
 def test_gibbs_batch_is_bit_identical_to_stepwise_replay(case):
-    probs, observed, labels, positions, prior, warmup, anneal, target, seed = case
+    probs, observed, labels, positions, prior, warmup, anneal, seed = case
     n_latent, n_observed = probs.shape[1], prior.n_observed
     counts = confusion_counts(labels, observed, n_latent, n_observed)
     work = counts.copy()
@@ -248,11 +232,10 @@ def test_gibbs_batch_is_bit_identical_to_stepwise_replay(case):
     batch_observed = observed[positions]
     sampled = gibbs_sample_batch(
         probs, batch_observed, counts, prior, latent, positions, rng,
-        warmup_phi=warmup, anneal=anneal, anneal_target=target,
+        warmup_phi=warmup, anneal=anneal,
     )
     expected = _replay(
-        probs, batch_observed, work, prior, replay_labels, positions, replay_rng,
-        warmup, anneal, target,
+        probs, batch_observed, work, prior, replay_labels, positions, replay_rng, warmup, anneal
     )
     assert sampled.tolist() == expected
     assert np.array_equal(counts, work)
@@ -264,11 +247,11 @@ def test_gibbs_batch_is_bit_identical_to_stepwise_replay(case):
 @given(case=batch_cases())
 @settings(max_examples=300, deadline=None)
 def test_sampling_distribution_is_bit_identical_to_numpy_formula(case):
-    probs, observed, labels, _, prior, warmup, anneal, target, _ = case
+    probs, observed, labels, _, prior, warmup, anneal, _ = case
     counts = confusion_counts(labels, observed, probs.shape[1], prior.n_observed)
     for row, obs in zip(probs, observed):
-        dist = sampling_distribution(row, int(obs), counts, prior, warmup, anneal, target)
-        reference = _numpy_distribution(row, int(obs), counts, prior, warmup, anneal, target)
+        dist = sampling_distribution(row, int(obs), counts, prior, warmup, anneal)
+        reference = _numpy_distribution(row, int(obs), counts, prior, warmup, anneal)
         assert dist.tobytes() == reference.tobytes()
 
 
@@ -338,19 +321,25 @@ def test_gibbs_batch_decrement_of_empty_cell_raises():
     assert counts.sum() == 0
 
 
-def test_gibbs_batch_rejects_unknown_anneal_target_before_drawing():
+@pytest.mark.parametrize("anneal", [float("nan"), float("inf"), -0.5])
+def test_gibbs_batch_rejects_bad_anneal_before_drawing(anneal):
+    # NaN and inf would otherwise fail as TrainingError after the uniforms were drawn.
     counts = counts_of([[1, 0], [0, 1]])
     latent = np.array([0, 1])
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    with pytest.raises(ParameterError, match="anneal target"):
+    with pytest.raises(ParameterError, match="anneal"):
         gibbs_sample_batch(
             np.array([[0.5, 0.5]]), np.array([0]), counts, DirichletPrior.uniform(2, 1.0),
-            latent, np.array([0]), rng, anneal_target="bogus",
+            latent, np.array([0]), rng, anneal=anneal,
         )
     assert rng.bit_generator.state == state
     assert counts.tolist() == [[1, 0], [0, 1]]
     assert latent.tolist() == [0, 1]
+    with pytest.raises(ParameterError, match="anneal"):
+        sampling_distribution(
+            np.array([0.5, 0.5]), 0, counts, DirichletPrior.uniform(2, 1.0), anneal=anneal
+        )
 
 
 def test_gibbs_batch_shape_validation():
