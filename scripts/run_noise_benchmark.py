@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 from lccn_lab import NoiseSpec, TrainConfig, apply_noise, make_gaussian_mixture, run_trainer
+from lccn_lab.cli import TEST_SEED_OFFSET
 from lccn_lab.metrics import write_csv
 
 TRAINER_GRID = ["ce", "bootstrap_hard", "forward_fixed", "s_adaptation", "em_reference", "lccn"]
@@ -33,7 +34,7 @@ def config_for(kind: str, seed: int, args) -> TrainConfig:
     )
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results/benchmark")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
@@ -46,7 +47,7 @@ def main() -> None:
     parser.add_argument("--learning-rate", type=float, default=0.02)
     parser.add_argument("--hidden-width", type=int, default=64)
     parser.add_argument("--data-seed", type=int, default=42)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -56,7 +57,7 @@ def main() -> None:
     )
     test = make_gaussian_mixture(
         n_classes=args.k, dim=2, n_per_class=200,
-        separation=args.separation, seed=args.data_seed + 10007,
+        separation=args.separation, seed=args.data_seed + TEST_SEED_OFFSET,
     )
 
     rows = []

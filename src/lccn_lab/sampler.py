@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantError, ParameterError, TrainingError
+from .errors import InvariantError, ParameterError, TrainingError, check_type
 from .noise_model import DirichletPrior, _check_counts, _row_sum, confusion_counts
 
 def _scores(
@@ -63,7 +63,7 @@ def _scores(
 
 
 def _check_anneal_and_warmup(anneal: float, warmup_phi, counts: np.ndarray) -> None:
-    if not 0.0 <= anneal < math.inf:  # also False for NaN
+    if not 0.0 <= check_type(anneal, "float", "anneal") < math.inf:  # also False for NaN
         raise ParameterError(f"anneal must be finite and >= 0, got {anneal!r}")
     if warmup_phi is not None and np.shape(warmup_phi) != counts.shape:
         raise ParameterError(
@@ -90,7 +90,7 @@ def sampling_distribution(
     probs_row = np.asarray(probs_row, dtype=np.float64)
     if probs_row.shape != (counts.shape[0],):
         raise ParameterError("probs_row must hold one probability per latent class")
-    if not 0 <= observed_label < counts.shape[1]:
+    if not 0 <= check_type(observed_label, "int", "observed_label") < counts.shape[1]:
         raise ParameterError("observed label out of range")
     _check_anneal_and_warmup(anneal, warmup_phi, counts)
     scores, norm = _scores(
@@ -129,7 +129,8 @@ def gibbs_sample_batch(
         counts: (R, K) count matrix of latent vs observed labels.
         labels: (N,) integer latent label of every sample, each in [0, R) with a
             nonempty count cell against its observed label.
-        batch_indices: (M,) positions of the batch samples in `labels`.
+        batch_indices: (M,) integer positions of the batch samples in `labels`,
+            each in [0, N).
         warmup_phi: (R, K) channel whose column replaces the count-based channel
             factor, or None to score from the counts.
         anneal: exponent in [0, inf) applied to the channel factor alone;
@@ -149,6 +150,12 @@ def gibbs_sample_batch(
     observed_list = np.asarray(observed_labels).tolist()
     if observed_list and not 0 <= min(observed_list) <= max(observed_list) < counts.shape[1]:
         raise ParameterError("observed labels out of range")
+    batch_indices = np.asarray(batch_indices)
+    if batch_indices.ndim != 1 or batch_indices.dtype.kind not in "iu":
+        raise ParameterError("batch_indices must be a 1-d integer array")
+    positions = batch_indices.tolist()
+    if positions and not 0 <= min(positions) <= max(positions) < len(labels):
+        raise ParameterError("batch indices out of range")
     _check_anneal_and_warmup(anneal, warmup_phi, counts)
     uniforms = rng.random(probs.shape[0]).tolist()
     alpha = prior.concentration.tolist()
@@ -161,9 +168,7 @@ def gibbs_sample_batch(
     n_latent = len(totals)
     sampled = []
     try:
-        for row, observed, position, u in zip(
-            probs.tolist(), observed_list, np.asarray(batch_indices).tolist(), uniforms
-        ):
+        for row, observed, position, u in zip(probs.tolist(), observed_list, positions, uniforms):
             column = columns[observed]
             old = labels.item(position)
             # Range first: a negative label would index the column from its end.

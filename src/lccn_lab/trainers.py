@@ -20,7 +20,6 @@ outlier latent class and lccn_plus pins the trusted samples.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from collections.abc import Callable, Mapping
@@ -74,12 +73,10 @@ class TrainConfig:
     """Shared configuration for every trainer; a kind ignores the fields it does not read.
 
     lr_milestones lists (epoch, learning_rate) overrides that take effect
-    from the given epoch on. Fields that only some kinds read:
+    from the given epoch on. Fields that only some kinds read, where the
+    latent kinds are lccn, lccn_star and lccn_plus:
 
     - pretrain_epochs: every kind except ce and bootstrap_hard;
-    - total_iterations: the latent kinds (lccn, lccn_star, lccn_plus) only.
-      It counts batches, so it may stop mid-epoch or run past `epochs`;
-      None means epochs * batches-per-epoch;
     - warmup_steps: s_adaptation (steps the transition layer stays frozen)
       and the latent kinds (sampling steps that use the initial channel
       instead of the counts); None means one epoch of steps;
@@ -89,9 +86,7 @@ class TrainConfig:
       the channel factor to the exponent max(exp(-step / batches * 0.8), 0.5)
       at each step of a run of `batches` batches (`_anneal`): it falls from
       1 to the floor 0.5, which it holds from 87% of the run on;
-    - em_m_epochs: em_reference, whose epochs, lr_milestones and eval_every
-      count outer iterations of em_m_epochs classifier epochs each;
-    - transition_lr and grad_clip: s_adaptation;
+    - transition_lr: s_adaptation;
     - bootstrap_beta: bootstrap_hard.
     """
 
@@ -107,7 +102,6 @@ class TrainConfig:
     clip: float = 1e-20
     pretrain_epochs: int = 30
     warmup_steps: int | None = None
-    total_iterations: int | None = None
     alpha: float | tuple[float, ...] = 1.0
     anneal: bool = False
     warmup_kind: str = "predictions"
@@ -115,8 +109,6 @@ class TrainConfig:
     reference_phi: np.ndarray | None = None
     bootstrap_beta: float = 0.8
     transition_lr: float | None = None
-    grad_clip: float | None = None
-    em_m_epochs: int = 1
     eval_every: int = 1
     seed: int = 0
 
@@ -140,16 +132,10 @@ class TrainConfig:
             raise ParameterError("bootstrap_beta must lie in [0, 1]")
         if self.warmup_steps is not None and self.warmup_steps < 0:
             raise ParameterError("warmup_steps must be nonnegative")
-        if self.total_iterations is not None and self.total_iterations < 0:
-            raise ParameterError("total_iterations must be nonnegative")
         if self.warmup_kind not in ("predictions", "identity"):
             raise ParameterError(f"unknown warmup kind {self.warmup_kind!r}")
         if self.eval_every < 1:
             raise ParameterError("eval_every must be >= 1")
-        if self.em_m_epochs < 1:
-            raise ParameterError("em_m_epochs must be >= 1")
-        if self.grad_clip is not None and not self.grad_clip > 0.0:
-            raise ParameterError("grad_clip must be positive")
         try:
             milestones = [(epoch, rate) for epoch, rate in self.lr_milestones]
         except (TypeError, ValueError):
@@ -285,14 +271,12 @@ class _Hooks:
 def _fit(
     ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None,
     start: Callable[[_Run], _Hooks], *, pretrain: bool = True, extra_class: bool = False,
-    passes: int = 1, total_iterations: int | None = None,
 ) -> RunResult:
     """The one training loop; `start` builds a kind's hooks after pretraining.
 
-    An epoch is `passes` sweeps of shuffled minibatches; the learning-rate
-    schedule and the eval cadence count epochs. total_iterations, when
-    given, replaces the epoch budget with a batch budget. The run always
-    ends on an eval. Train records score the observed labels on the first
+    Each epoch is one sweep of shuffled minibatches; the learning-rate
+    schedule and the eval cadence count epochs, and the run always ends on
+    an eval. Train records score the observed labels on the first
     n_classes outputs (extra_class adds one more output), test records the
     true labels of in-distribution samples; each train record carries the
     largest batch variation since the previous eval.
@@ -314,9 +298,7 @@ def _fit(
             cfg.pretrain_epochs, cfg.batch_size, cfg.clip, data_rng,
         )
         offset = cfg.pretrain_epochs * n_batches
-    per_epoch = passes * n_batches
-    total = cfg.epochs * per_epoch if total_iterations is None else total_iterations
-    run = _Run(params, opt, cfg.clip, gibbs_rng, n_batches, total)
+    run = _Run(params, opt, cfg.clip, gibbs_rng, n_batches, cfg.epochs * n_batches)
     hooks = start(run)
     n_scored = ds.n_classes if extra_class else None
     records: list[MetricsRecord] = []
@@ -347,18 +329,15 @@ def _fit(
             )
 
     evaluate()
-    while run.iteration < total:
-        opt.learning_rate = _lr_at(cfg, run.iteration // per_epoch)
+    for epoch in range(1, cfg.epochs + 1):
+        opt.learning_rate = _lr_at(cfg, epoch - 1)
         hooks.epoch_start()
-        sweeps = (minibatch_indices(data_rng, ds.n, cfg.batch_size) for _ in range(passes))
-        for idx in itertools.chain.from_iterable(sweeps):
-            if run.iteration >= total:
-                break
+        for idx in minibatch_indices(data_rng, ds.n, cfg.batch_size):
             run.iteration += 1
             moved = hooks.batch(idx)
             if moved is not None:
                 variations.append(BatchVariation(offset + run.iteration, *moved))
-        if run.iteration >= total or (run.iteration // per_epoch) % cfg.eval_every == 0:
+        if epoch == cfg.epochs or epoch % cfg.eval_every == 0:
             evaluate()
     return RunResult(records, params, hooks.final_phi(), variations)
 
@@ -475,8 +454,7 @@ def _train_s_adaptation(
 
     The layer starts at the prediction-derived transition and is frozen for
     the first warmup_steps composed steps; afterwards both the classifier and
-    the layer follow the gradient. Optional grad_clip bounds each entry of
-    the layer's gradient.
+    the layer follow the gradient.
     """
 
     def start(run: _Run) -> _Hooks:
@@ -498,8 +476,6 @@ def _train_s_adaptation(
                 return None
             inner = (phi * dphi).sum(axis=1, keepdims=True)
             dlayer = phi * (dphi - inner)
-            if cfg.grad_clip is not None:
-                dlayer = np.clip(dlayer, -cfg.grad_clip, cfg.grad_clip)
             if not np.all(np.isfinite(dlayer)):
                 raise TrainingError("non-finite transition-layer gradient")
             rate = run.opt.learning_rate if cfg.transition_lr is None else cfg.transition_lr
@@ -521,10 +497,10 @@ def _train_em_reference(
 ) -> RunResult:
     """Alternate closed-form transition re-estimates with soft-target classifier epochs.
 
-    Each outer iteration forms per-sample responsibilities over the latent
+    Each epoch first forms per-sample responsibilities over the latent
     classes (prediction times the transition column of the observed label,
-    normalized), re-estimates the transition from them with the shared
-    weighted-confusion estimator, then runs em_m_epochs of SGD toward the
+    normalized) and re-estimates the transition from them with the shared
+    weighted-confusion estimator, then runs one epoch of SGD toward the
     responsibilities.
     """
 
@@ -556,7 +532,7 @@ def _train_em_reference(
 
         return _Hooks(batch, epoch_start, record, final_phi=lambda: phi_bar)
 
-    return _fit(ds, cfg, test_ds, start, passes=cfg.em_m_epochs)
+    return _fit(ds, cfg, test_ds, start)
 
 
 def _anneal(enabled: bool, step: int, total: int) -> float:
@@ -657,9 +633,7 @@ def _train_latent(
 
         return _Hooks(batch, record=record, final_phi=current_phi)
 
-    result = _fit(
-        ds, cfg, test_ds, start, extra_class=extra_class, total_iterations=cfg.total_iterations
-    )
+    result = _fit(ds, cfg, test_ds, start, extra_class=extra_class)
     if extra_class and ds.ood_mask.any():
         result.outlier_recall = float(np.mean(labels[ds.ood_mask] == k))
     return result

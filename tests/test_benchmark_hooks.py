@@ -6,7 +6,8 @@ fails here instead of in the benchmark. `benchmarks/test_micro.py` sits
 outside `testpaths`; every one of its bodies runs here once, with a stand-in
 for pytest-benchmark's fixture, so an API change that breaks `scripts/bench.py`
 fails here too. Both files are loaded read-only, without registering them in
-`sys.modules`.
+`sys.modules`. `scripts/run_noise_benchmark.py`, the all-trainers recipe,
+runs once on a tiny grid.
 
 Every traced function must also run: the eight trainer kinds on the golden
 config call each of them, except those that `SILENT_TRACED` names with its
@@ -112,6 +113,16 @@ def test_microbenchmark_runs_once(body, kwargs):
 
     body(benchmark, **kwargs)
     assert len(calls) == 1
+
+
+def test_noise_benchmark_script_runs_its_grid(tmp_path):
+    script = _load("scripts/run_noise_benchmark.py", "_noise_benchmark")
+    script.main([
+        "--k", "2", "--n-per-class", "10", "--epochs", "1", "--pretrain-epochs", "0",
+        "--hidden-width", "0", "--seeds", "0", "--out", str(tmp_path),
+    ])
+    rows = (tmp_path / "benchmark.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(script.NOISE_GRID) * len(script.TRAINER_GRID) == 18
 
 
 def _program_references() -> dict[str, set[str]]:

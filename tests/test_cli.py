@@ -198,16 +198,25 @@ def test_unknown_train_key_is_usage_error(tmp_path, capsys):
     assert "train section" in capsys.readouterr().err
 
 
-def test_removed_smoothed_knob_is_usage_error(tmp_path, capsys):
-    # the per-batch bound certifies only the smoothed estimator, so the
-    # unsmoothed switch is gone; an old config naming it must fail at parse time
+# Retired TrainConfig fields. The per-batch bound certifies only the smoothed
+# estimator, so the unsmoothed switch went; total_iterations, em_m_epochs and
+# grad_clip went with the batch budget, multi-sweep epochs and the clip of the
+# transition layer's gradient, which no caller set.
+@pytest.mark.parametrize("knob", ["smoothed", "total_iterations", "em_m_epochs", "grad_clip"])
+def test_removed_knob_is_usage_error(knob, tmp_path, capsys):
+    # An old config naming one must fail at parse time, in train and in sweep alike.
     cfg = json.loads(json.dumps(BASE_CFG))
-    cfg["train"]["smoothed"] = False
+    cfg["train"][knob] = 1
+    path = write_cfg(tmp_path / "c.json", cfg)
+    assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert knob in capsys.readouterr().err
     code = main(
-        ["train", "--config", write_cfg(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")]
+        ["sweep", "--config", write_cfg(tmp_path / "s.json", BASE_CFG), "--param", knob,
+         "--values", "1", "2", "--out", str(tmp_path / "sweep")]
     )
     assert code == EXIT_USAGE
-    assert "smoothed" in capsys.readouterr().err
+    assert knob in capsys.readouterr().err
+    assert not list(tmp_path.rglob("metrics.csv"))
 
 
 RAGGED_DATASET = {
@@ -241,8 +250,6 @@ BAD_INPUTS = {
     "negative_weight_decay": ({}, {"train": {"weight_decay": -0.1}}),
     "dataset_nan_feature": ({"data.json": json.dumps(NAN_FEATURE_DATASET)},
                             {"dataset": "data.json"}),
-    "zero_grad_clip": ({}, {"train": {"kind": "s_adaptation", "grad_clip": 0.0}}),
-    "negative_grad_clip": ({}, {"train": {"kind": "s_adaptation", "grad_clip": -0.5}}),
     # anneal is one bool: no object form (older configs sent one), no string
     # ("false" is truthy) and no 1.
     "anneal_object_form": ({}, {"train": {"anneal": {"enabled": True}}}),

@@ -6,7 +6,10 @@ outliers, 12 trusted samples, MLP-8, batch 16, 2 pretrain + 3 epochs,
 eval_every 2). Two variants change what the optimizer sees: a linear model
 ("linear") and a tanh MLP with weight decay 0.05 and momentum 0.5
 ("tanh_decay"). The latent kinds add an annealing variant and a 120-sample
-K=8 "wide" variant. Each case compares the sha256 of every file
+K=8 "wide" variant, and each knob that no variant sets gets one case on a
+kind that reads it (`KIND_CASES`). Every `TrainConfig` field is set by some
+case, and each of those cases changes a training artifact of its kind's base
+case. Each case compares the sha256 of every file
 the run writes with the hashes in `golden_hashes.json`. A refactor or
 speed-up that keeps these hashes keeps the trainers' arithmetic and RNG
 streams exactly.
@@ -27,6 +30,7 @@ it rewrites `golden_hashes.json` it prints each case whose hashes changed,
 with the names of the files that changed, and each case added or dropped.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -37,7 +41,7 @@ from pathlib import Path
 import pytest
 
 from lccn_lab.cli import EXIT_OK, main, run_experiment
-from lccn_lab.trainers import TRAINER_KINDS
+from lccn_lab.trainers import TRAINER_KINDS, TrainConfig
 
 HASHES_PATH = Path(__file__).with_name("golden_hashes.json")
 
@@ -58,15 +62,8 @@ BASE_CFG = {
 
 VARIANTS = {
     "base": {},
-    "short_cap": {"total_iterations": 5},
-    "long_cap": {"total_iterations": 40, "lr_milestones": [[1, 0.05]]},
-    "knobs": {
-        "warmup_kind": "identity",
-        "warmup_steps": 3,
-        "anneal": True,
-        "em_m_epochs": 2,
-        "grad_clip": 0.01,
-    },
+    "milestones": {"lr_milestones": [[1, 0.05]]},
+    "knobs": {"warmup_kind": "identity", "warmup_steps": 3, "anneal": True},
     "no_epochs": {"epochs": 0},
     "linear": {"hidden_width": 0},
     "tanh_decay": {"activation": "tanh", "weight_decay": 0.05, "momentum": 0.5},
@@ -82,14 +79,22 @@ LATENT_VARIANTS = {
 GENERATOR_OVERRIDES = {"wide": {"k": 8, "n_per_class": 15}}
 LATENT_KINDS = ("lccn", "lccn_star", "lccn_plus")
 
+# Knobs that no variant above sets, each on one kind that reads it.
+KIND_CASES = {
+    "ce/clip": {"clip": 0.1},
+    "bootstrap_hard/bootstrap_beta": {"bootstrap_beta": 0.5},
+    "s_adaptation/transition_lr": {"transition_lr": 0.5},
+}
+
 CASES = [f"{kind}/{variant}" for kind in TRAINER_KINDS for variant in VARIANTS] + [
     f"{kind}/{variant}" for kind in LATENT_KINDS for variant in LATENT_VARIANTS
-]
+] + list(KIND_CASES)
 
 
 def artifact_hashes(case: str, out_dir: Path) -> dict[str, str]:
     kind, variant = case.split("/")
-    train = {**BASE_CFG["train"], "kind": kind, **{**VARIANTS, **LATENT_VARIANTS}[variant]}
+    overrides = KIND_CASES[case] if case in KIND_CASES else {**VARIANTS, **LATENT_VARIANTS}[variant]
+    train = {**BASE_CFG["train"], "kind": kind, **overrides}
     generator = {**BASE_CFG["generator"], **GENERATOR_OVERRIDES.get(variant, {})}
     cfg = {**BASE_CFG, "generator": generator, "train": train}
     run_experiment(cfg, 0, out_dir)
@@ -195,6 +200,28 @@ def test_cli_outputs_match_pinned_hashes(case, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LCCN_LAB_THREADS", "1")
     pinned = json.loads(HASHES_PATH.read_text())
     assert cli_output_hashes(case, tmp_path) == pinned[f"cli/{case}"]
+
+
+def test_every_train_field_is_set_by_some_case():
+    # reference_phi is wired in from the noise section of every generated case.
+    sections = [BASE_CFG["train"], *VARIANTS.values(), *LATENT_VARIANTS.values()]
+    sections += [*KIND_CASES.values(), *(p["train"] for p in CLI_INPUTS.values() if "train" in p)]
+    names = {name for section in sections for name in section}
+    names |= {
+        argv[argv.index("--param") + 1]
+        for runs in CLI_CASES.values() for argv in runs if "--param" in argv
+    }
+    fields = {f.name for f in dataclasses.fields(TrainConfig)} - {"reference_phi"}
+    assert sorted(fields - names) == []
+
+
+@pytest.mark.parametrize("case", KIND_CASES)
+def test_kind_case_changes_training(case):
+    # A knob that changes no training artifact pins nothing.
+    pinned = json.loads(HASHES_PATH.read_text())
+    base = pinned[f"{case.split('/')[0]}/base"]
+    data = {"config.json", "noise_report.json"}
+    assert [name for name in base if name not in data and pinned[case][name] != base[name]]
 
 
 def print_changes(pinned: dict, recorded: dict) -> None:

@@ -420,6 +420,41 @@ def test_sampling_distribution_rejects_bad_state(case):
         sampling_distribution(np.array([0.5, 0.5]), args["observed"], args["counts"], args["prior"])
 
 
+# entry point ("batch" or "draw") -> the argument it gets wrong. Index -1 is
+# out of range too: it would name the last sample of `labels`.
+BAD_ENTRY_ARGUMENTS = {
+    "batch_anneal_a_string": ("batch", {"anneal": "0.5"}),
+    "batch_index_past_the_end": ("batch", {"batch_indices": np.array([2])}),
+    "batch_index_negative": ("batch", {"batch_indices": np.array([-1])}),
+    "batch_index_a_float": ("batch", {"batch_indices": np.array([0.0])}),
+    "draw_anneal_a_string": ("draw", {"anneal": "0.5"}),
+    "draw_observed_label_fractional": ("draw", {"observed": 1.5}),
+    "draw_observed_label_a_string": ("draw", {"observed": "1"}),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ENTRY_ARGUMENTS)
+def test_sampler_entry_points_check_arguments_before_drawing(case):
+    entry, bad = BAD_ENTRY_ARGUMENTS[case]
+    args = {"observed": 0, "batch_indices": np.array([0]), "anneal": 1.0, **bad}
+    counts, labels = counts_of([[1, 0], [0, 1]]), np.array([0, 1])
+    prior = DirichletPrior.uniform(2, 1.0)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ParameterError):
+        if entry == "batch":
+            gibbs_sample_batch(
+                np.array([[0.5, 0.5]]), np.array([args["observed"]]), counts, prior, labels,
+                args["batch_indices"], rng, anneal=args["anneal"],
+            )
+        else:
+            sampling_distribution(
+                np.array([0.5, 0.5]), args["observed"], counts, prior, anneal=args["anneal"]
+            )
+    assert rng.bit_generator.state == state
+    assert counts.tolist() == [[1, 0], [0, 1]] and labels.tolist() == [0, 1]
+
+
 # --------------------------------------------------------- exact posterior
 
 

@@ -136,15 +136,6 @@ def test_latent_run_emits_stochastic_transition(blobs2_tiny):
     assert np.all(phi >= 0)
 
 
-def test_iteration_cap_limits_sampling_phase(blobs2_tiny):
-    ds = blobs2_tiny["noisy"]
-    result = run_trainer(
-        ds, TrainConfig(kind="lccn", epochs=10, pretrain_epochs=0, batch_size=16,
-                        learning_rate=0.02, seed=4, total_iterations=3)
-    )
-    assert len(result.batch_variations) == 3
-
-
 def test_outlier_bucket_has_extra_row(blobs2_tiny):
     spec = NoiseSpec(kind="openset", ratio=0.3, ood_fraction=0.25, seed=5)
     ds, _ = apply_noise(blobs2_tiny["clean"], spec)
@@ -190,13 +181,13 @@ def test_record_order_validation_catches_regressions():
 
 @pytest.mark.parametrize("kind", TRAINER_KINDS)
 def test_shared_loop_eval_cadence(kind, blobs2_tiny):
-    # 64 samples at batch 16: 4 batches per pass; em_reference makes 2 passes
-    # per outer epoch, and only ce and bootstrap_hard skip pretraining
+    # 64 samples at batch 16: one sweep of 4 batches per epoch, for every
+    # kind; only ce and bootstrap_hard skip pretraining
     ds = mark_clean_subset(blobs2_tiny["noisy"], 8, 0)
     common = dict(kind=kind, epochs=3, pretrain_epochs=2, batch_size=16,
-                  learning_rate=0.02, em_m_epochs=2, seed=1)
+                  learning_rate=0.02, seed=1)
     first = 0 if kind in ("ce", "bootstrap_hard") else 2 * 4
-    per_epoch = 8 if kind == "em_reference" else 4
+    per_epoch = 4
 
     result = run_trainer(ds, TrainConfig(eval_every=2, **common), blobs2_tiny["test"])
     steps = [r.step for r in result.records_for("train")]
@@ -226,17 +217,17 @@ def test_milestones_change_learning_rate(blobs2_tiny):
         dict(batch_size=0),
         dict(bootstrap_beta=1.5),
         dict(warmup_steps=-1),
-        dict(total_iterations=-1),
+        dict(transition_lr=-0.1),
         dict(warmup_kind="bogus"),
         dict(eval_every=0),
-        dict(em_m_epochs=0),
+        dict(weight_decay=-0.1),
         dict(clip=0.0),
         dict(anneal=1),
         dict(batch_size=8.5),
         dict(seed=True),
-        dict(total_iterations="10"),
+        dict(warmup_steps="10"),
         dict(momentum="x"),
-        dict(grad_clip=[0.1]),
+        dict(transition_lr=[0.1]),
         dict(alpha="x"),
         dict(alpha=float("nan")),
         dict(alpha=float("inf")),
@@ -446,7 +437,6 @@ _alpha = st.one_of(
     kind=st.sampled_from(TRAINER_KINDS),
     anneal=st.booleans(),
     warmup_kind=st.sampled_from(["predictions", "identity"]),
-    total_iterations=st.one_of(st.none(), st.integers(0, 3)),
     batch_size=st.sampled_from([7, 16, 60, 75]),
     alpha=_alpha,
     epochs=st.integers(1, 2),
