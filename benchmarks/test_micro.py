@@ -10,7 +10,8 @@ here once with a stand-in `benchmark`, so an API change that breaks these
 benchmarks fails Tier-1 instead of `scripts/bench.py`. Shapes follow the two benchmark bundles: the
 recovery bundle (K=3, 2-d features, linear model, batch 8) and the ordering
 bundle (K=4, 2-d features, MLP-64 tanh, batch 32). The classifier benchmarks
-time the hard-label, soft-target and composed-channel steps, a forward pass,
+time the hard-label step (also given a forward pass, as the latent trainers
+call it), the soft-target and composed-channel steps, a forward pass,
 and the momentum update `apply_gradients` that ends each step. `gibbs_sample_batch` and
 `update_bound` also run at K=8 with a batch of 16, where their row sums go
 through numpy's reduction; no benchmark workload reaches that path.
@@ -21,6 +22,7 @@ import pytest
 
 from lccn_lab.classifier import (
     Architecture,
+    _forward,
     apply_gradients,
     forward_proba,
     init_optimizer,
@@ -56,6 +58,17 @@ def test_sgd_step(benchmark, shape):
     opt = init_optimizer(params, learning_rate=0.01)
     features, labels = _batch(arch, batch)
     benchmark(sgd_step, params, opt, features, labels, CLIP)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_sgd_step_reused_forward(benchmark, shape):
+    """The hard-label step of the latent trainers, given the forward pass they already made."""
+    arch, batch = SHAPES[shape]
+    params = init_params(arch, 0)
+    opt = init_optimizer(params, learning_rate=0.01)
+    features, labels = _batch(arch, batch)
+    forward = _forward(params, features)
+    benchmark(sgd_step, params, opt, features, labels, CLIP, forward=forward)
 
 
 @pytest.mark.parametrize("shape", SHAPES)

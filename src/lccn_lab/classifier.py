@@ -16,7 +16,11 @@ identity (the same 0.0 and 1.0 entries); the clip is
 clip; `np.add.reduce` and `np.maximum.reduce` are what `np.sum`, `.sum()` and
 `.max()` call, over the same axes; a result written with `out=` holds what a
 fresh array would. The loss keeps its dense sum over every entry, so numpy's
-blocked summation order is unchanged.
+blocked summation order is unchanged. A matrix product whose entries sum 2 or
+more terms is `ndarray.dot`, which gives `np.matmul`'s bits (`_product`). A
+hard-label step computes its loss only when the sum of its clipped
+probabilities is not finite; otherwise that loss is finite (see `_step`), and
+a step gives the same verdict and the same bits either way.
 """
 
 from __future__ import annotations
@@ -108,17 +112,29 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return np.divide(expz, np.add.reduce(expz, axis=1, keepdims=True), out=expz)
 
 
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`np.matmul(a, b, out=out)` of 2-d float64 arrays; out, if given, C-contiguous.
+
+    With 2 or more terms per product, `ndarray.dot` gives matmul's bits at about
+    half its call cost. With one term per product it can give -0.0 where
+    matmul gives +0.0, so that case keeps matmul.
+    """
+    if a.shape[1] > 1:
+        return a.dot(b, out=out)
+    return np.matmul(a, b, out=out)
+
+
 def _forward(params: ClassifierParams, features: np.ndarray) -> tuple[np.ndarray, dict]:
     t = params.tensors
     if params.arch.kind == "linear":
-        logits = np.matmul(features, t["w"])
+        logits = _product(features, t["w"])
         logits += t["b"]
         cache = {}
     else:
-        pre = np.matmul(features, t["w1"])
+        pre = _product(features, t["w1"])
         pre += t["b1"]
         hidden = np.maximum(pre, 0.0) if params.arch.activation == "relu" else np.tanh(pre)
-        logits = np.matmul(hidden, t["w2"])
+        logits = _product(hidden, t["w2"])
         logits += t["b2"]
         cache = {"pre": pre, "hidden": hidden}
     return _softmax(logits), cache
@@ -135,6 +151,33 @@ def forward_proba(params: ClassifierParams, features: np.ndarray) -> np.ndarray:
     return probs
 
 
+def _clipped_dprobs(
+    probs: np.ndarray, target_weights: np.ndarray, clip: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The clipped probabilities and the probability gradient of `soft_target_cross_entropy`."""
+    if not 0.0 < clip < 0.5:  # also False for NaN
+        raise ParameterError(f"clip must lie strictly between 0 and 0.5, got {clip!r}")
+    if probs.shape != target_weights.shape:
+        raise ParameterError("probs and target_weights must have the same shape")
+    n = probs.shape[0]
+    low, high = clip, 1.0 - clip
+    clipped = np.minimum(np.maximum(probs, low), high)
+    inside = np.greater(probs, low)
+    inside &= np.less(probs, high)
+    scaled = np.negative(target_weights, dtype=np.float64)
+    np.divide(scaled, clipped, out=scaled)
+    np.divide(scaled, n, out=scaled)
+    return clipped, np.where(inside, scaled, 0.0)
+
+
+def _clipped_loss(clipped: np.ndarray, target_weights: np.ndarray) -> float:
+    """`soft_target_cross_entropy`'s loss, from the clipped probabilities of `_clipped_dprobs`."""
+    terms = np.log(clipped)
+    np.negative(terms, out=terms)
+    np.multiply(target_weights, terms, out=terms)
+    return float(np.add.reduce(terms, axis=None) / clipped.shape[0])
+
+
 def soft_target_cross_entropy(
     probs: np.ndarray, target_weights: np.ndarray, clip: float
 ) -> tuple[float, np.ndarray]:
@@ -144,23 +187,8 @@ def soft_target_cross_entropy(
     gradient is exactly zero wherever the clip is active, matching the
     piecewise-constant forward value there.
     """
-    if not 0.0 < clip < 0.5:  # also False for NaN
-        raise ParameterError(f"clip must lie strictly between 0 and 0.5, got {clip!r}")
-    if probs.shape != target_weights.shape:
-        raise ParameterError("probs and target_weights must have the same shape")
-    n = probs.shape[0]
-    low, high = clip, 1.0 - clip
-    clipped = np.minimum(np.maximum(probs, low), high)
-    terms = np.log(clipped)
-    np.negative(terms, out=terms)
-    np.multiply(target_weights, terms, out=terms)
-    loss = float(np.add.reduce(terms, axis=None) / n)
-    inside = np.greater(probs, low)
-    inside &= np.less(probs, high)
-    scaled = np.negative(target_weights, dtype=np.float64)
-    np.divide(scaled, clipped, out=scaled)
-    np.divide(scaled, n, out=scaled)
-    return loss, np.where(inside, scaled, 0.0)
+    clipped, dprobs = _clipped_dprobs(probs, target_weights, clip)
+    return _clipped_loss(clipped, target_weights), dprobs
 
 
 @functools.lru_cache(maxsize=64)
@@ -197,23 +225,24 @@ def backprop_logits(
 ) -> None:
     """Write the gradients of all parameter tensors, given the logit-space gradient, into out.
 
-    out maps each tensor's name to an array of its shape, such as `OptimizerState.grads`.
+    out maps each tensor's name to a C-contiguous array of its shape, such as
+    `OptimizerState.grads`.
     """
     if params.arch.kind == "linear":
-        np.matmul(features.T, dlogits, out=out["w"])
+        _product(features.T, dlogits, out["w"])
         np.add.reduce(dlogits, axis=0, out=out["b"])
         return
     hidden, pre = cache["hidden"], cache["pre"]
-    dpre = np.matmul(dlogits, params.tensors["w2"].T)
+    dpre = _product(dlogits, params.tensors["w2"].T)
     if params.arch.activation == "relu":
         np.multiply(dpre, np.greater(pre, 0.0), out=dpre)
     else:
         slope = np.square(hidden)
         np.subtract(1.0, slope, out=slope)
         np.multiply(dpre, slope, out=dpre)
-    np.matmul(features.T, dpre, out=out["w1"])
+    _product(features.T, dpre, out["w1"])
     np.add.reduce(dpre, axis=0, out=out["b1"])
-    np.matmul(hidden.T, dlogits, out=out["w2"])
+    _product(hidden.T, dlogits, out["w2"])
     np.add.reduce(dlogits, axis=0, out=out["b2"])
 
 
@@ -295,11 +324,23 @@ def _step(
     target_weights: np.ndarray,
     clip: float,
     forward: tuple[np.ndarray, dict] | None,
+    hard: bool,
 ) -> None:
-    """Gradients into the optimizer's vector, then one momentum step."""
+    """Gradients into the optimizer's vector, then one momentum step; hard: one-hot targets.
+
+    It raises on a non-finite training loss, as `loss_and_grads` would give it,
+    but computes that loss only when a cheaper test cannot vouch for it. One-hot
+    rows weigh each clipped probability by 0 or 1, and a clipped probability is
+    NaN or lies in [clip, 1 - clip]. So with at least one row, a finite sum of
+    the clipped probabilities makes every loss term finite and at most
+    -ln(clip) < 745, so their sum and the loss are finite.
+    """
     _check_optimizer(params, opt)
-    loss = loss_and_grads(params, features, target_weights, clip, opt.grads, forward=forward)
-    if not math.isfinite(loss):
+    probs, cache = _forward(params, features) if forward is None else forward
+    clipped, dprobs = _clipped_dprobs(probs, target_weights, clip)
+    backprop_logits(params, features, cache, dlogits_from_dprobs(probs, dprobs), opt.grads)
+    vouched = hard and clipped.shape[0] and math.isfinite(np.add.reduce(clipped, axis=None))
+    if not vouched and not math.isfinite(_clipped_loss(clipped, target_weights)):
         raise TrainingError("non-finite training loss")
     apply_gradients(params, opt)
 
@@ -314,7 +355,7 @@ def sgd_step(
     forward: tuple[np.ndarray, dict] | None = None,
 ) -> None:
     """One minibatch step of clipped cross-entropy on hard labels; forward as in loss_and_grads."""
-    _step(params, opt, features, one_hot(labels, params.arch.n_classes), clip, forward)
+    _step(params, opt, features, one_hot(labels, params.arch.n_classes), clip, forward, True)
 
 
 def sgd_step_soft(
@@ -327,7 +368,7 @@ def sgd_step_soft(
     forward: tuple[np.ndarray, dict] | None = None,
 ) -> None:
     """Like sgd_step but with per-class target weights instead of hard labels."""
-    _step(params, opt, features, target_weights, clip, forward)
+    _step(params, opt, features, target_weights, clip, forward, False)
 
 
 def minibatch_indices(rng: np.random.Generator, n: int, batch_size: int):

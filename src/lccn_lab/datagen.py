@@ -67,6 +67,10 @@ class LabeledDataset:
         return self.features.shape[1]
 
     def validate(self) -> None:
+        if not self.features.size:
+            raise ParameterError(
+                f"a dataset needs at least one sample and one feature, got {self.features.shape}"
+            )
         n = self.features.shape[0]
         if self.features.ndim != 2:
             raise ParameterError("features must be a 2-d matrix")
@@ -110,19 +114,36 @@ class LabeledDataset:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "LabeledDataset":
+        """The dataset of `to_json_dict`'s fields, each entry of its kind by `check_type`'s rule.
+
+        Labels and K are ints, the masks bools and the features floats; nothing
+        is truncated or parsed from a string.
+        """
         try:
+            rows = payload["features"]
+            if not isinstance(rows, list):
+                raise ParameterError(f"features must be a list of rows, got {rows!r}")
             return cls(
-                features=np.array(payload["features"], dtype=np.float64),
-                true_labels=np.array(payload["true_labels"], dtype=np.int64),
-                noisy_labels=np.array(payload["noisy_labels"], dtype=np.int64),
-                clean_mask=np.array(payload["clean_mask"], dtype=bool),
-                ood_mask=np.array(payload["ood_mask"], dtype=bool),
-                n_classes=int(payload["K"]),
+                features=np.array([_list_of(row, "float", "features") for row in rows]),
+                true_labels=np.array(_list_of(payload["true_labels"], "int", "true_labels")),
+                noisy_labels=np.array(_list_of(payload["noisy_labels"], "int", "noisy_labels")),
+                clean_mask=np.array(_list_of(payload["clean_mask"], "bool", "clean_mask")),
+                ood_mask=np.array(_list_of(payload["ood_mask"], "bool", "ood_mask")),
+                n_classes=check_type(payload["K"], "int", "K"),
             )
         except KeyError as exc:
             raise ParameterError(f"dataset JSON is missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"dataset JSON is malformed: {exc}") from exc
+
+
+def _list_of(values, kind: str, name: str) -> list:
+    """values itself if it is a list of `kind` entries by `check_type`'s rule; else ParameterError."""
+    if not isinstance(values, list):
+        raise ParameterError(f"{name} must be a list, got {values!r}")
+    for value in values:
+        check_type(value, kind, f"an entry of {name}")
+    return values
 
 
 def save_dataset(ds: LabeledDataset, path: str | Path) -> None:

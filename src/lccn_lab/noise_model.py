@@ -18,8 +18,9 @@ with the bound beside it, as two per-row arrays.
 Sums over a row follow numpy's order: a row of fewer than 8 entries is summed
 left to right from -0.0, which is what numpy does for such rows, and a row
 of 8 or more entries goes through numpy's own (unrolled, pairwise)
-reduction. `_row_sum` and `_row_sums` hold that rule for this module and the
-sampler.
+reduction. `_row_sum` and `_row_sums` hold that rule for this module, and
+`_row_sum` for the sampler's rows of 8 or more scores; its loop over fewer
+scores sums them as it goes.
 """
 
 from __future__ import annotations

@@ -22,10 +22,11 @@ same generator state after the batch. It draws the batch's uniforms with one
 `rng.random(M)` call (the same doubles as M scalar calls); each draw takes
 one score list and its sum from `_scores`, which the reference uses too, and
 walks the CDF with `cumulative += score / norm`. Score sums follow numpy's
-order: left to right from -0.0 for fewer than 8 latent classes, numpy's own
-reduction from 8 on (see `noise_model`). An exponent other than 1 always
-goes through numpy's `**`, whose vectorized power may round differently from
-Python's.
+order (see `noise_model`): for fewer than 8 latent classes the loop that
+builds the scores adds them up left to right from -0.0 as it goes, and from
+8 on `_row_sum` takes numpy's own reduction of the list. An exponent other
+than 1 always goes through numpy's `**`, whose vectorized power may round
+differently from Python's.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantError, ParameterError, TrainingError, check_type
-from .noise_model import DirichletPrior, _check_counts, _row_sum, confusion_counts
+from .noise_model import _NUMPY_UNROLL, DirichletPrior, _check_counts, _row_sum, confusion_counts
 
 def _scores(
     row: list, a: float, column: list, totals: list, alpha_total: float,
@@ -46,17 +47,29 @@ def _scores(
 
     A score is a classifier probability times the channel: the warmup column if
     given, else the count column (a + c) / (alpha_total + t). `anneal` tempers
-    the channel alone, through numpy's `**`.
+    the channel alone, through numpy's `**`. The loop that builds the scores
+    adds them up left to right from -0.0, which is `_row_sum` of a row of fewer
+    than `_NUMPY_UNROLL` entries; a wider row is summed again by `_row_sum`.
     """
-    if warmup is None and anneal == 1.0:
-        scores = [p * ((a + c) / (alpha_total + t)) for p, c, t in zip(row, column, totals)]
+    channel = warmup
+    if anneal != 1.0:
+        if channel is None:
+            channel = [(a + c) / (alpha_total + t) for c, t in zip(column, totals)]
+        channel = (np.array(channel, dtype=np.float64) ** anneal).tolist()
+    scores = []
+    norm = -0.0
+    if channel is None:
+        for p, c, t in zip(row, column, totals):
+            score = p * ((a + c) / (alpha_total + t))
+            scores.append(score)
+            norm += score
     else:
-        if warmup is None:
-            warmup = [(a + c) / (alpha_total + t) for c, t in zip(column, totals)]
-        if anneal != 1.0:
-            warmup = (np.array(warmup, dtype=np.float64) ** anneal).tolist()
-        scores = [p * c for p, c in zip(row, warmup)]
-    norm = _row_sum(scores)
+        for p, c in zip(row, channel):
+            score = p * c
+            scores.append(score)
+            norm += score
+    if len(scores) >= _NUMPY_UNROLL:
+        norm = _row_sum(scores)
     if not 0.0 < norm < math.inf:  # also False for NaN
         raise TrainingError("sampling scores are non-finite or all zero")
     return scores, norm

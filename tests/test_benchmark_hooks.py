@@ -107,9 +107,9 @@ def _micro_cases():
 def test_microbenchmark_runs_once(body, kwargs):
     calls = []
 
-    def benchmark(fn, *args):
+    def benchmark(fn, *args, **kwargs):  # pytest-benchmark's signature
         calls.append(fn)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     body(benchmark, **kwargs)
     assert len(calls) == 1

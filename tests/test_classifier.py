@@ -1,13 +1,17 @@
 """Forward/backward correctness of the small classifier and its optimizer."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lccn_lab.classifier import (
     Architecture,
     _forward,
+    _product,
     apply_gradients,
     dlogits_from_dprobs,
     forward_proba,
@@ -523,3 +527,132 @@ def test_in_place_steps_name_the_first_nonfinite_gradient_and_change_nothing(kin
             step()
         assert params.flat.tobytes() == before.tobytes()
         assert opt.velocity.tobytes() == velocity.tobytes()
+
+
+def _loss_and_grads_step(params, opt, features, labels, clip, forward):
+    """The hard-label step as `loss_and_grads` gives it: the full loss, its check, one update."""
+    hot = one_hot(labels, params.arch.n_classes)
+    loss = loss_and_grads(params, features, hot, clip, opt.grads, forward=forward)
+    if not math.isfinite(loss):
+        raise TrainingError("non-finite training loss")
+    apply_gradients(params, opt)
+
+
+@given(
+    kind=st.sampled_from(["linear", "mlp"]),
+    activation=st.sampled_from(["relu", "tanh"]),
+    n=st.integers(1, 20),
+    d=st.integers(1, 3),
+    k=st.integers(2, 9),
+    seed=st.integers(0, 2**16),
+    scale=st.sampled_from([1.0, 1e3]),
+    given_forward=st.booleans(),
+    nan_entries=st.integers(0, 2),
+)
+@settings(max_examples=150, deadline=None)
+def test_hard_step_matches_loss_and_grads_bit_for_bit(
+    kind, activation, n, d, k, seed, scale, given_forward, nan_entries
+):
+    # scale 1e3 saturates probabilities onto the clip edges; NaN entries in a
+    # given forward take the path where the loss must be computed and fail.
+    params, features, labels = make_instance(kind, activation, n=n, d=d, k=k, seed=seed)
+    features = features * scale
+    rng = np.random.default_rng(seed)
+    poison = [(int(rng.integers(n)), int(rng.integers(k))) for _ in range(nan_entries)]
+    sides = []
+    for step in (
+        lambda p, o, fwd: sgd_step(p, o, features, labels, CLIP, forward=fwd),
+        lambda p, o, fwd: _loss_and_grads_step(p, o, features, labels, CLIP, fwd),
+    ):
+        twin = params.copy()
+        opt = init_optimizer(twin, 0.05, 0.9, 0.3)
+        outcomes = []
+        for _ in range(2):
+            forward = _forward(twin, features) if given_forward or poison else None
+            for row, col in poison:
+                forward[0][row, col] = np.nan
+            try:
+                step(twin, opt, forward)
+                outcomes.append(None)
+            except TrainingError as exc:
+                outcomes.append(str(exc))
+        sides.append((outcomes, twin.flat.tobytes(), opt.grad.tobytes(), opt.velocity.tobytes()))
+    assert sides[0] == sides[1]
+    if poison:
+        assert sides[0][0] == ["non-finite training loss"] * 2
+        assert sides[0][1] == params.flat.tobytes()
+
+
+_PROBABILITY = st.floats(0.0, 1.0) | st.sampled_from([math.nan, math.inf, -math.inf, 5e-324])
+
+
+@given(
+    probs=arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(2, 5)),
+                 elements=_PROBABILITY),
+    clip=st.sampled_from([CLIP, 1e-3, 0.25]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=200, deadline=None)
+def test_hard_loss_is_finite_exactly_when_the_clipped_sum_is(probs, clip, seed):
+    # The test the hard step makes instead of its loss: with one-hot targets and
+    # at least one row, the loss is finite if and only if no clipped probability is NaN.
+    n, k = probs.shape
+    hot = one_hot(np.random.default_rng(seed).integers(0, k, size=n), k)
+    with np.errstate(invalid="ignore"):  # the mean over no rows
+        loss, _ = soft_target_cross_entropy(probs, hot, clip)
+    clipped = np.minimum(np.maximum(probs, clip), 1.0 - clip)
+    assert math.isfinite(loss) == bool(n and math.isfinite(np.add.reduce(clipped, axis=None)))
+
+
+_ENTRY = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e-200, -1e-200, 5e-324, -5e-324])
+
+
+@st.composite
+def product_case(draw):
+    """Operands of every product of a linear and an MLP step, at batch n, input d, width h, K=k.
+
+    Besides small batches, n takes the benchmark workloads' and the CLI fuzz's
+    batch sizes and the row counts of their full-set forwards.
+    """
+    n = draw(st.integers(1, 12) | st.sampled_from([16, 32, 60, 75, 800, 900, 1000, 3000]))
+    d = draw(st.integers(1, 4))
+    h, k = draw(st.sampled_from([1, 2, 5, 64])), draw(st.integers(2, 9))
+
+    def matrix(rows, cols):
+        return draw(arrays(np.float64, (rows, cols), elements=_ENTRY))
+
+    return {name: matrix(*shape) for name, shape in {
+        "features": (n, d), "w1": (d, h), "hidden": (n, h), "dpre": (n, h),
+        "w2": (h, k), "w": (d, k), "dlogits": (n, k),
+    }.items()}
+
+
+def _signed_zero_case(n, d):
+    """Operands whose one-term products underflow to -0.0, where `dot` keeps the sign."""
+    case = {name: np.full(shape, 1e-200) for name, shape in {
+        "features": (n, d), "w1": (d, 2), "hidden": (n, 2), "dpre": (n, 2),
+        "w2": (2, 2), "w": (d, 2), "dlogits": (n, 2),
+    }.items()}
+    case["features"] = -case["features"]
+    return case
+
+
+@example(case=_signed_zero_case(8, 1))
+@example(case=_signed_zero_case(1, 1))
+@example(case=_signed_zero_case(1, 2))
+@given(case=product_case())
+@settings(max_examples=200, deadline=None)
+def test_products_give_the_matmul_bits(case):
+    # Batch 1 (an epoch's last batch when N % batch == 1), d=1 and K=2 all
+    # reach products of one term, where `dot` can differ from matmul in a zero's sign.
+    c = case
+    for a, b in [
+        (c["features"], c["w"]), (c["features"].T, c["dlogits"]),
+        (c["features"], c["w1"]), (c["hidden"], c["w2"]), (c["dlogits"], c["w2"].T),
+        (c["features"].T, c["dpre"]), (c["hidden"].T, c["dlogits"]),
+    ]:
+        expected = np.matmul(a, b)
+        assert _product(a, b).tobytes() == expected.tobytes()
+        out = np.empty_like(expected)
+        _product(a, b, out)
+        assert out.tobytes() == expected.tobytes()

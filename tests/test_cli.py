@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -224,6 +225,12 @@ RAGGED_DATASET = {
     "clean_mask": [False, False], "ood_mask": [False, False], "K": 2,
 }
 NAN_FEATURE_DATASET = {**RAGGED_DATASET, "features": [[0.0, 1.0], [2.0, float("nan")]]}
+GOOD_DATASET = {**RAGGED_DATASET, "features": [[0.0, 1.0], [2.0, 3.0]]}
+EMPTY_DATASET = {name: [] for name in GOOD_DATASET} | {"K": 2}
+
+
+def _dataset_file(**fields):
+    return {"data.json": json.dumps({**GOOD_DATASET, **fields})}
 
 # name -> (files written beside the config, config sections to override)
 BAD_INPUTS = {
@@ -250,6 +257,15 @@ BAD_INPUTS = {
     "negative_weight_decay": ({}, {"train": {"weight_decay": -0.1}}),
     "dataset_nan_feature": ({"data.json": json.dumps(NAN_FEATURE_DATASET)},
                             {"dataset": "data.json"}),
+    # Dataset entries are taken as given: no label is truncated, no mask or K
+    # parsed from a string.
+    "dataset_label_fractional": (_dataset_file(noisy_labels=[1.7, 0]), {"dataset": "data.json"}),
+    "dataset_label_below_one": (_dataset_file(true_labels=[0.9, 1]), {"dataset": "data.json"}),
+    "dataset_label_a_string": (_dataset_file(noisy_labels=["1", 0]), {"dataset": "data.json"}),
+    "dataset_mask_of_two": (_dataset_file(clean_mask=[2, False]), {"dataset": "data.json"}),
+    "dataset_mask_a_string": (_dataset_file(ood_mask=["no", False]), {"dataset": "data.json"}),
+    "dataset_k_fractional": (_dataset_file(K=2.9), {"dataset": "data.json"}),
+    "dataset_k_a_string": (_dataset_file(K="2"), {"dataset": "data.json"}),
     # anneal is one bool: no object form (older configs sent one), no string
     # ("false" is truthy) and no 1.
     "anneal_object_form": ({}, {"train": {"anneal": {"enabled": True}}}),
@@ -357,6 +373,19 @@ def test_train_from_saved_dataset_files(tmp_path):
     ) == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
     assert summary["median_test_accuracy"] is not None
+
+
+def test_train_from_an_empty_dataset_file_exits_2_without_a_warning(tmp_path, capfd):
+    (tmp_path / "data.json").write_text(json.dumps(EMPTY_DATASET))
+    cfg = {"dataset": "data.json", "train": {"kind": "ce", "epochs": 1}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--config", write_cfg(tmp_path / "c.json", cfg),
+                     "--out", str(tmp_path / "o")])
+    err = capfd.readouterr().err
+    assert code == EXIT_USAGE
+    assert "at least one sample" in err
+    assert not caught and "Warning" not in err
 
 
 def test_invariant_violation_is_runtime_error(tmp_path, lccn_config, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Synthetic mixtures, noise injection, and dataset serialization."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -259,7 +260,8 @@ def test_apply_noise_openset_uses_ratio_fallback():
 def test_dataset_roundtrip_and_byte_stability(tmp_path):
     ds = L.make_gaussian_mixture(n_classes=2, dim=2, n_per_class=8, separation=3.0, seed=5)
     noisy, _ = L.apply_noise(ds, L.NoiseSpec(kind="openset", ood_fraction=0.25, seed=5))
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    noisy = L.mark_clean_subset(noisy, 3, seed=5)
+    p1, p2, p3 = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
     L.save_dataset(noisy, p1)
     L.save_dataset(noisy, p2)
     assert p1.read_bytes() == p2.read_bytes()
@@ -267,8 +269,11 @@ def test_dataset_roundtrip_and_byte_stability(tmp_path):
     np.testing.assert_array_equal(loaded.features, noisy.features)
     np.testing.assert_array_equal(loaded.true_labels, noisy.true_labels)
     np.testing.assert_array_equal(loaded.noisy_labels, noisy.noisy_labels)
+    np.testing.assert_array_equal(loaded.clean_mask, noisy.clean_mask)
     np.testing.assert_array_equal(loaded.ood_mask, noisy.ood_mask)
     assert loaded.n_classes == noisy.n_classes
+    L.save_dataset(loaded, p3)
+    assert p3.read_bytes() == p1.read_bytes()
 
 
 def test_dataset_json_uses_sentinel_for_ood(tmp_path):
@@ -282,6 +287,17 @@ def test_dataset_json_uses_sentinel_for_ood(tmp_path):
     assert len(sentinel_rows) == int(noisy.ood_mask.sum())
 
 
+@pytest.mark.parametrize("shape", [(0, 2), (3, 0), (0,)])
+def test_empty_dataset_is_refused(shape):
+    # Refused when built, so no trainer runs a step or takes a mean over no rows.
+    n = shape[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="at least one sample and one feature"):
+            L.LabeledDataset(np.zeros(shape), np.zeros(n, int), np.zeros(n, int),
+                             np.zeros(n, bool), np.zeros(n, bool), 2)
+
+
 def test_load_dataset_missing_field_raises(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"features": [[0.0]], "K": 2}))
@@ -290,7 +306,14 @@ def test_load_dataset_missing_field_raises(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("features", [[0.0, 1.0], [2.0]]), ("noisy_labels", ["a", "b"]), ("K", None)]
+    "field, value",
+    [("features", [[0.0, 1.0], [2.0]]), ("noisy_labels", ["a", "b"]), ("K", None),
+     # Entries are taken as given: nothing is truncated or parsed from a string.
+     ("noisy_labels", [1.7, 0]), ("true_labels", [0.9, 1]), ("noisy_labels", ["1", 0]),
+     ("noisy_labels", [True, 0]), ("noisy_labels", 0), ("clean_mask", [2, False]),
+     ("ood_mask", ["no", False]), ("clean_mask", [1, 0]), ("K", 2.9), ("K", "2"), ("K", True),
+     ("features", [[0, "1"], [2, 3]]), ("features", [[0.0, True], [2.0, 3.0]]),
+     ("features", "0 1 2 3")],
 )
 def test_load_dataset_malformed_field_raises(field, value, tmp_path):
     payload = {

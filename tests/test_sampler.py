@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from conftest import conditional_transition_column
 from lccn_lab import trainers
 from lccn_lab.errors import InvariantError, ParameterError, TrainingError
-from lccn_lab.noise_model import DirichletPrior, check_transition, confusion_counts
+from lccn_lab.noise_model import DirichletPrior, _row_sum, check_transition, confusion_counts
 from lccn_lab.sampler import (
+    _scores,
     exact_posterior_bruteforce,
     gibbs_sample_batch,
     mixing_diagnostic,
@@ -253,6 +254,65 @@ def test_sampling_distribution_is_bit_identical_to_numpy_formula(case):
         dist = sampling_distribution(row, int(obs), counts, prior, warmup, anneal)
         reference = _numpy_distribution(row, int(obs), counts, prior, warmup, anneal)
         assert dist.tobytes() == reference.tobytes()
+
+
+def _comprehension_scores(row, a, column, totals, alpha_total, warmup, anneal):
+    """`sampler._scores` as first written: the scores by a comprehension, then `_row_sum`."""
+    if warmup is None and anneal == 1.0:
+        scores = [p * ((a + c) / (alpha_total + t)) for p, c, t in zip(row, column, totals)]
+    else:
+        if warmup is None:
+            warmup = [(a + c) / (alpha_total + t) for c, t in zip(column, totals)]
+        if anneal != 1.0:
+            warmup = (np.array(warmup, dtype=np.float64) ** anneal).tolist()
+        scores = [p * c for p, c in zip(row, warmup)]
+    norm = _row_sum(scores)
+    if not 0.0 < norm < math.inf:
+        raise TrainingError("sampling scores are non-finite or all zero")
+    return scores, norm
+
+
+@given(
+    k=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    warmup=st.booleans(),
+    anneal=st.sampled_from([1.0, 0.5, 1.3]),
+    row_kind=st.sampled_from(["dirichlet", "sparse", "all_zero", "inf", "nan", "huge"]),
+)
+@example(k=3, seed=0, warmup=False, anneal=1.0, row_kind="all_zero")
+@example(k=8, seed=0, warmup=False, anneal=1.0, row_kind="all_zero")
+@example(k=3, seed=0, warmup=False, anneal=1.0, row_kind="inf")
+@example(k=8, seed=0, warmup=False, anneal=1.0, row_kind="nan")
+@settings(max_examples=300, deadline=None)
+def test_scores_match_the_comprehension_and_row_sum_bit_for_bit(k, seed, warmup, anneal, row_kind):
+    # K < 8 takes the one-pass sum, K >= 8 `_row_sum`'s numpy reduction; both
+    # must raise alike on an all-zero row and on a non-finite one.
+    data = np.random.default_rng(seed)
+    row = data.dirichlet(np.full(k, 0.7)).tolist()
+    if row_kind == "sparse":
+        row = [p if data.random() < 0.5 else 0.0 for p in row]
+    elif row_kind == "all_zero":
+        row = [0.0] * k
+    elif row_kind in ("inf", "nan"):
+        row[int(data.integers(k))] = math.inf if row_kind == "inf" else math.nan
+    elif row_kind == "huge":
+        row = [1e308] * k
+    column = data.integers(0, 40, size=k).tolist()
+    totals = [c + int(data.integers(0, 100)) for c in column]
+    a = float(data.uniform(0.05, 5.0))
+    alpha_total = a + float(data.uniform(0.05, 20.0))
+    channel = data.dirichlet(np.ones(k)).tolist() if warmup else None
+    outcomes = []
+    for scores in (_scores, _comprehension_scores):
+        try:
+            with np.errstate(over="ignore"):  # numpy's sum of a huge row at K >= 8
+                values, norm = scores(row, a, column, totals, alpha_total, channel, anneal)
+            outcomes.append((np.array(values).tobytes(), np.float64(norm).tobytes()))
+        except TrainingError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    if row_kind in ("all_zero", "inf", "nan"):
+        assert outcomes[0] == "sampling scores are non-finite or all zero"
 
 
 class _GivenUniforms:
