@@ -13,8 +13,12 @@ bundle (K=4, 2-d features, MLP-64 tanh, batch 32). The classifier benchmarks
 time the hard-label step (also given a forward pass, as the latent trainers
 call it), the soft-target and composed-channel steps, a forward pass,
 and the momentum update `apply_gradients` that ends each step. `gibbs_sample_batch` and
-`update_bound` also run at K=8 with a batch of 16, where their row sums go
-through numpy's reduction; no benchmark workload reaches that path.
+`update_bound` draw Dirichlet(1) probabilities, so nearly every label moves;
+they also run at K=8 with a batch of 16, where their row sums take numpy's
+8-accumulator order, which no benchmark workload reaches. Their `_settled`
+variants are the workloads' regime instead: a classifier sure of the current
+labels, so that a few percent of draws move, most batches keep every label
+(and write nothing back) and a moved batch touches few rows.
 """
 
 import numpy as np
@@ -139,4 +143,40 @@ def test_update_bound(benchmark, k, batch):
     before = counts.copy()
     probs = rng.dirichlet(np.ones(k), size=batch)
     gibbs_sample_batch(probs, observed[idx], counts, prior, labels, idx, rng)
+    benchmark(update_bound, before, counts, prior)
+
+
+def _settled_chain(k: int, n: int, batch: int, seed: int = 0):
+    """A chain in the workloads' regime, and the first `batch` samples' probabilities.
+
+    A fifth of the observed labels are redrawn at random, the latent labels are
+    the true ones, and the classifier gives each sample's latent label 0.99: a
+    few percent of draws move (3% at K=3 with a batch of 8, 2% at K=4 with 32),
+    so most batches keep every label.
+    """
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, k, size=n)
+    observed = np.where(rng.random(n) < 0.2, rng.integers(0, k, size=n), labels)
+    counts = confusion_counts(labels, observed, k, k)
+    probs = np.full((batch, k), 0.01 / (k - 1))
+    probs[np.arange(batch), labels[:batch]] = 0.99
+    return rng, observed, labels, counts, DirichletPrior.uniform(k), probs
+
+
+@pytest.mark.parametrize("k,batch", [(3, 8), (4, 32)])
+def test_gibbs_sample_batch_settled(benchmark, k, batch):
+    """Batches that mostly keep every label, and so mostly write nothing back."""
+    rng, observed, labels, counts, prior, probs = _settled_chain(k, 1000, batch)
+    idx = np.arange(batch)
+    benchmark(gibbs_sample_batch, probs, observed[idx], counts, prior, labels, idx, rng)
+
+
+@pytest.mark.parametrize("k,batch", [(3, 8), (4, 32)])
+def test_update_bound_settled(benchmark, k, batch):
+    """The certificate of the first settled batch that moved a label: a few touched rows."""
+    rng, observed, labels, counts, prior, probs = _settled_chain(k, 1000, batch)
+    idx = np.arange(batch)
+    before = counts.copy()
+    while np.array_equal(before, counts):
+        gibbs_sample_batch(probs, observed[idx], counts, prior, labels, idx, rng)
     benchmark(update_bound, before, counts, prior)

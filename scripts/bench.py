@@ -16,9 +16,13 @@ rescale its median to a fixed core speed, `norm_median_us`, with perfbench's
 formula, so that two files compare despite the host's drift. It writes the
 machine facts and every result to BENCH_<n>.json at the root of this
 repository and prints the deltas against the previous file (BENCH_<n-1>.json
-unless --previous names another; calibrated medians only, n/a where the
-previous file has none). The runs go one after another, so that none
-competes with another for a core.
+unless --previous names another; n/a where the previous file has none). A
+microbenchmark's line gives its calibrated and its raw median delta and both
+files' `calibration_sample_s`: when the calibration readings of the two files
+differ, the rescale alone can make up most of the calibrated delta. One
+process per node and file cannot tell a change from the host's drift, so only
+`scripts/ab.py --micro` pairs judge a microbenchmark change. The runs go one
+after another, so that none competes with another for a core.
 """
 
 from __future__ import annotations
@@ -145,8 +149,12 @@ def print_deltas(previous: dict, current: dict) -> None:
         for metric, value in result["median"].items():
             print(f"  {workload} {metric}: {_change(old.get(metric), value)}")
     for name, stats in current["micro"].items():
-        old = previous["micro"].get(name, {}).get("norm_median_us")
-        print(f"  micro {name} norm_median_us: {_change(old, stats.get('norm_median_us'))}")
+        old = previous["micro"].get(name, {})
+        deltas = "; ".join(
+            f"{key}: {_change(old.get(key), stats.get(key))}"
+            for key in ("norm_median_us", "median_us", "calibration_sample_s")
+        )
+        print(f"  micro {name} {deltas}")
     print(f"  tier1 s: {_change(previous['tier1']['seconds'], current['tier1']['seconds'])}"
           f" ({previous['tier1']['summary']} -> {current['tier1']['summary']})")
 

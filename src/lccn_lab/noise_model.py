@@ -11,47 +11,67 @@ smoothed transition estimate, the leave-one-out predictive probability used
 by the collapsed Gibbs sampler, and a per-batch bound on how far one batch
 of reassignments can move any transition row.
 
-`update_bound` computes only the rows a batch touched, on plain Python
-floats, and returns exactly the bits of the whole-matrix numpy formula
-(`transition_from_counts` before and after, differenced and summed per row)
-with the bound beside it, as two per-row arrays.
-Sums over a row follow numpy's order: a row of fewer than 8 entries is summed
-left to right from -0.0, which is what numpy does for such rows, and a row
-of 8 or more entries goes through numpy's own (unrolled, pairwise)
-reduction. `_row_sum` and `_row_sums` hold that rule for this module, and
-`_row_sum` for the sampler's rows of 8 or more scores; its loop over fewer
-scores sums them as it goes.
+`update_bound` computes only the rows a batch touched, one pass per row on
+plain Python lists, and returns exactly the bits of the whole-matrix numpy
+formula (`transition_from_counts` before and after, differenced and summed per
+row) with the bound beside it, as one (2, n_latent) array.
+Every float sum over a row follows numpy's pairwise order, which `_row_sum`
+replicates for every row length (left to right below 8 entries, 8
+accumulators up to 128, halves above); the sampler's rows of 8 or more scores
+use it too, and its loop over fewer scores sums them as it goes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, sub
 
 import numpy as np
 
 from .errors import InvariantError, ParameterError
 
 ROW_SUM_TOL = 1e-9
-# numpy sums a row of fewer entries than this left to right; longer rows take
-# its unrolled pairwise order, which a plain loop does not reproduce.
+# numpy sums a row of fewer entries than _NUMPY_UNROLL left to right, a row of up
+# to _NUMPY_BLOCK entries in _NUMPY_UNROLL accumulators, and a longer one by halves.
 _NUMPY_UNROLL = 8
+_NUMPY_BLOCK = 128
 
 
 def _row_sum(values: list) -> float:
-    """Sum of one row with the bits numpy's `sum` over that row gives."""
-    if len(values) >= _NUMPY_UNROLL:
-        return float(np.array(values, dtype=np.float64).sum())
-    total = -0.0
-    for value in values:
-        total += value
-    return total
+    """Sum of one row with the bits numpy's `sum` over that row gives.
 
-
-def _row_sums(rows: list[list]) -> list[float]:
-    """`_row_sum` of equally long rows, with one numpy call for rows of numpy's width."""
-    if rows and len(rows[0]) >= _NUMPY_UNROLL:
-        return np.array(rows, dtype=np.float64).sum(axis=1).tolist()
-    return [_row_sum(row) for row in rows]
+    numpy adds its pairwise sum of the row to 0.0: fewer than 8 entries left
+    to right (here from 0.0, the same bits); up to 128 entries in 8
+    interleaved accumulators, combined pairwise, then the tail left to right;
+    longer rows as the sum of two halves, the first half cut to a multiple of
+    8. The added 0.0 only turns a -0.0 sum into 0.0. Never builtin `sum()`:
+    from Python 3.12 it compensates float sums.
+    """
+    n = len(values)
+    if n < _NUMPY_UNROLL:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if n > _NUMPY_BLOCK:
+        half = n // 2
+        half -= half % _NUMPY_UNROLL
+        return _row_sum(values[:half]) + _row_sum(values[half:])
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[:_NUMPY_UNROLL]
+    stop = n - n % _NUMPY_UNROLL
+    for i in range(_NUMPY_UNROLL, stop, _NUMPY_UNROLL):
+        r0 += values[i]
+        r1 += values[i + 1]
+        r2 += values[i + 2]
+        r3 += values[i + 3]
+        r4 += values[i + 4]
+        r5 += values[i + 5]
+        r6 += values[i + 6]
+        r7 += values[i + 7]
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for i in range(stop, n):
+        total += values[i]
+    return 0.0 + total
 
 
 @dataclass(frozen=True)
@@ -166,73 +186,77 @@ def warmup_transition(
     return check_transition(matrix)
 
 
-def update_bound(
-    before: np.ndarray, after: np.ndarray, prior: DirichletPrior
-) -> tuple[np.ndarray, np.ndarray]:
+def update_bound(before: np.ndarray, after: np.ndarray, prior: DirichletPrior) -> np.ndarray:
     """Per-row L1 change of the smoothed transition between two states, and its bound.
 
-    Returns (measured, bound). A row's count totals n before and n' after,
-    its net count change d = n' - n and its absolute change c (summed over
-    the row's cells) give bound (|d| + c) / (n' + prior total), computed as
-    (|d / D| + c / D) / (1 + d / D) with D = n + prior total. The bound
-    divides by the prior total, so it certifies only the smoothed
-    (posterior-mean) estimator that the latent trainers use. Rows the batch
-    did not touch read exactly 0.0 in both arrays; every touched row is
-    computed from plain floats with numpy's arithmetic and summation order
-    (see the module docstring), and its smoothed rows before and after must
-    pass `check_transition`'s row check.
+    Returns one (2, n_latent) float64 array whose rows are (measured, bound).
+    A row's count totals n before and n' after, its net count change
+    d = n' - n and its absolute change c (summed over the row's cells) give
+    bound (|d| + c) / (n' + prior total), computed as (|d / D| + c / D) /
+    (1 + d / D) with D = n + prior total. The bound divides by the prior
+    total, so it certifies only the smoothed (posterior-mean) estimator that
+    the latent trainers use. Rows the batch did not touch read exactly 0.0
+    in both rows of the result; every touched row is computed in one pass on
+    plain floats with numpy's arithmetic and summation order (see the module
+    docstring), and its smoothed rows before and after must pass
+    `check_transition`'s row check. Every row's bound, and the
+    `InvariantError` of a row left with negative mass, come before the
+    `ParameterError` of a failed row check.
     """
     _check_counts(before, prior)
     if not isinstance(after, np.ndarray) or after.shape != before.shape:
         raise ParameterError("count matrices must have the same shape")
     alpha = prior.concentration.tolist()
     total = prior.total
-    rows_before, rows_after = before.tolist(), after.tolist()
-    touched = [r for r, (b, a) in enumerate(zip(rows_before, rows_after)) if b != a]
-    rows_before = [rows_before[r] for r in touched]
-    rows_after = [rows_after[r] for r in touched]
-    # Integer sums are exact in any order, so totals and deltas need no numpy reduction.
-    deltas = [[a - b for a, b in zip(row_a, row_b)] for row_a, row_b in zip(rows_after, rows_before)]
-    nets = [sum(delta) for delta in deltas]
-    churns = [sum(abs(d) for d in delta) for delta in deltas]
-    denoms = [sum(row) + total for row in rows_before]
-    net_ratios = [net / denom for net, denom in zip(nets, denoms)]
-    abs_ratios = [churn / denom for churn, denom in zip(churns, denoms)]
-    totals_after = None  # needed only where a row loses its whole mass, or more
-    if not all(1.0 + ratio > 0.0 for ratio in net_ratios):
+    measured = [0.0] * before.shape[0]
+    bound = [0.0] * before.shape[0]
+    emptied = []  # (row, net, churn) of rows whose 1 + d / D is not positive
+    row_check_failed = False
+    for r, (row_before, row_after) in enumerate(zip(before.tolist(), after.tolist())):
+        if row_before == row_after:
+            continue
+        # Integer sums are exact in any order, so totals and deltas need no numpy order.
+        mass = sum(row_before)
+        net = sum(row_after) - mass
+        churn = sum(map(abs, map(sub, row_after, row_before)))
+        denom = mass + total
+        if denom == 0.0:  # a row of negative counts; its smoothed row has no norm either
+            row_check_failed = True
+            continue
+        net_ratio = net / denom
+        shrink = 1.0 + net_ratio
+        if shrink > 0.0:
+            bound[r] = (abs(net_ratio) + churn / denom) / shrink
+        else:
+            emptied.append((r, net, churn))
+        phi_before = _smoothed_row(row_before, alpha)
+        phi_after = _smoothed_row(row_after, alpha)
+        if phi_before is None or phi_after is None:
+            row_check_failed = True
+        else:
+            measured[r] = _row_sum(list(map(abs, map(sub, phi_after, phi_before))))
+    if emptied:
         totals_after = after.sum(axis=1).tolist()
         if any(t < 0 for t in totals_after):
             raise InvariantError("net count change cannot remove more mass than a row holds")
-    bounds = []
-    for r, net, churn, net_ratio, abs_ratio in zip(touched, nets, churns, net_ratios, abs_ratios):
-        shrink = 1.0 + net_ratio
-        if shrink > 0.0:
-            bounds.append((abs(net_ratio) + abs_ratio) / shrink)
-        else:
-            # Under a tiny prior a batch that empties a row makes net_ratio = -n / (n + total)
-            # round to -1; such rows take the equal form over the row's mass after the
-            # batch, which may overflow to inf but never undercuts the measured change.
-            bounds.append((abs(net) + churn) / (totals_after[r] + total))
-    # Before and after rows share each row-sum pass: a row's sum does not depend on its neighbours.
-    phi = _smoothed_rows(rows_before + rows_after, alpha)
-    phi_before, phi_after = phi[: len(touched)], phi[len(touched) :]
-    moved = _row_sums(
-        [[abs(a - b) for a, b in zip(row_a, row_b)] for row_a, row_b in zip(phi_after, phi_before)]
-    )
-    measured, bound = np.zeros((2, before.shape[0]))
-    measured[touched], bound[touched] = moved, bounds
-    return measured, bound
+        # Under a tiny prior a batch that empties a row makes d / D = -n / (n + total)
+        # round to -1; such rows take the equal form over the row's mass after the
+        # batch, which may overflow to inf but never undercuts the measured change.
+        for r, net, churn in emptied:
+            bound[r] = (abs(net) + churn) / (totals_after[r] + total)
+    if row_check_failed:
+        raise ParameterError("transition rows must be finite, nonnegative and sum to 1")
+    return np.array([measured, bound])
 
 
-def _smoothed_rows(count_rows: list[list], alpha: list) -> list[list[float]]:
-    """Rows of `transition_from_counts`, held to `check_transition`'s row check."""
-    numers = [[c + a for c, a in zip(row, alpha)] for row in count_rows]
-    norms = _row_sums(numers)
-    if 0.0 in norms:
-        raise ParameterError("transition rows must be finite, nonnegative and sum to 1")
-    rows = [[x / norm for x in numer] for numer, norm in zip(numers, norms)]
-    if not all(abs(total - 1.0) <= ROW_SUM_TOL for total in _row_sums(rows)) or any(
-        x < 0.0 for row in rows for x in row
-    ):
-        raise ParameterError("transition rows must be finite, nonnegative and sum to 1")
-    return rows
+def _smoothed_row(count_row: list, alpha: list) -> list[float] | None:
+    """One row of `transition_from_counts`, or None where `check_transition` would refuse it."""
+    numer = list(map(add, count_row, alpha))
+    norm = _row_sum(numer)
+    if norm == 0.0:
+        return None
+    row = [x / norm for x in numer]
+    # A NaN entry fails the sum test, so `min` may ignore NaN in the sign test.
+    if not abs(_row_sum(row) - 1.0) <= ROW_SUM_TOL or min(row) < 0.0:
+        return None
+    return row

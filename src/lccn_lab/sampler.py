@@ -23,10 +23,10 @@ same generator state after the batch. It draws the batch's uniforms with one
 one score list and its sum from `_scores`, which the reference uses too, and
 walks the CDF with `cumulative += score / norm`. Score sums follow numpy's
 order (see `noise_model`): for fewer than 8 latent classes the loop that
-builds the scores adds them up left to right from -0.0 as it goes, and from
-8 on `_row_sum` takes numpy's own reduction of the list. An exponent other
-than 1 always goes through numpy's `**`, whose vectorized power may round
-differently from Python's.
+builds the scores adds them up left to right from 0.0 as it goes, and from
+8 on `_row_sum` sums the list again in numpy's pairwise order. An exponent
+other than 1 always goes through numpy's `**`, whose vectorized power may
+round differently from Python's.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def _scores(
     A score is a classifier probability times the channel: the warmup column if
     given, else the count column (a + c) / (alpha_total + t). `anneal` tempers
     the channel alone, through numpy's `**`. The loop that builds the scores
-    adds them up left to right from -0.0, which is `_row_sum` of a row of fewer
+    adds them up left to right from 0.0, which is `_row_sum` of a row of fewer
     than `_NUMPY_UNROLL` entries; a wider row is summed again by `_row_sum`.
     """
     channel = warmup
@@ -57,7 +57,7 @@ def _scores(
             channel = [(a + c) / (alpha_total + t) for c, t in zip(column, totals)]
         channel = (np.array(channel, dtype=np.float64) ** anneal).tolist()
     scores = []
-    norm = -0.0
+    norm = 0.0
     if channel is None:
         for p, c, t in zip(row, column, totals):
             score = p * ((a + c) / (alpha_total + t))
@@ -132,9 +132,11 @@ def gibbs_sample_batch(
     count, scores every latent class against counts already
     updated by earlier draws in the batch, draws a new class, and books it.
     The count matrix is mirrored column by column as Python lists, with its
-    row totals summed once from those lists, and written back when the batch
-    ends, also when it ends on an error. The batch's uniforms are drawn up
-    front, so a batch that fails part-way has consumed all of them.
+    row totals summed once from those lists. A label is written only when its
+    draw moves it, and the counts are written back when the batch ends only
+    if some label moved or the batch ended on an error, so a batch that keeps
+    every label writes nothing. The batch's uniforms are drawn up front, so a
+    batch that fails part-way has consumed all of them.
 
     Args:
         probs: (M, R) classifier probabilities for the batch samples.
@@ -180,6 +182,7 @@ def gibbs_sample_batch(
     totals = [sum(row) for row in zip(*columns)]
     n_latent = len(totals)
     sampled = []
+    moved = finished = False
     try:
         for row, observed, position, u in zip(probs.tolist(), observed_list, positions, uniforms):
             column = columns[observed]
@@ -204,10 +207,15 @@ def gibbs_sample_batch(
                     break
             column[new] += 1
             totals[new] += 1
-            labels[position] = new
+            if new != old:
+                labels[position] = new
+                moved = True
             sampled.append(new)
+        finished = True
     finally:
-        counts.T[...] = columns
+        # A batch that kept every label left the mirrored counts as they were.
+        if moved or not finished:
+            counts.T[...] = columns
     return np.array(sampled, dtype=np.int64)
 
 

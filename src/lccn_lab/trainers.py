@@ -542,6 +542,20 @@ def _anneal(enabled: bool, step: int, total: int) -> float:
     return max(math.exp(-step / max(total, 1) * 0.8), 0.5)
 
 
+def _worst_certified_row(certificate) -> tuple[float, float]:
+    """(measured, bound) of the row that moved most, once no row exceeds its bound.
+
+    `certificate` holds `update_bound`'s (measured, bound) rows, as one
+    array or a pair of arrays, and is read as lists. Ties go to the first
+    row, as with `np.argmax`; an all-zero `measured` gives row 0.
+    """
+    measured, bound = np.asarray(certificate).tolist()
+    if any(m > b + BOUND_SLACK for m, b in zip(measured, bound)):
+        raise InvariantError("transition row moved beyond the per-batch update bound")
+    worst = measured.index(max(measured))
+    return measured[worst], bound[worst]
+
+
 def _train_latent(
     ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None,
     *, extra_class: bool, use_clean: bool,
@@ -558,9 +572,10 @@ def _train_latent(
 
     A batch whose draw gives every sample back its previous latent label
     leaves the counts as they were, so it is recorded as `(0.0, 0.0)`
-    without calling `update_bound`: on equal count matrices both of its
-    arrays are 0.0 and the worst row is row 0. A batch whose labels
-    moved is certified in full, even when its moves cancel in the counts.
+    without calling `update_bound`: on equal count matrices both rows of its
+    result are 0.0 and the worst row is row 0. A batch whose labels
+    moved is certified in full, even when its moves cancel in the counts,
+    and `_worst_certified_row` reads the certificate.
     """
     k = ds.n_classes
     n_latent = k + 1 if extra_class else k
@@ -621,13 +636,7 @@ def _train_latent(
                 if sampled.tolist() == previous.tolist():
                     moved = 0.0, 0.0
                 else:
-                    measured, bound = update_bound(before, counts, prior)
-                    if np.any(measured > bound + BOUND_SLACK):
-                        raise InvariantError(
-                            "transition row moved beyond the per-batch update bound"
-                        )
-                    worst = int(np.argmax(measured))
-                    moved = float(measured[worst]), float(bound[worst])
+                    moved = _worst_certified_row(update_bound(before, counts, prior))
             sgd_step(run.params, run.opt, features, labels[idx], run.clip, forward=forward)
             return moved
 

@@ -1,6 +1,7 @@
 """The pair and claim logic of `scripts/ab.py`, on synthetic numbers: no benchmark runs."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("_ab_script", ROOT / "scripts" / "ab.py")
 ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab)
+bench = sys.modules["bench"]  # imported by ab.py from scripts/
 
 # Ten base readings with quartiles 1.0225 and 1.0675: an IQR of 0.045.
 BASE = [1.0 + 0.01 * i for i in range(10)]
@@ -140,3 +142,19 @@ def test_bad_arguments_exit_2_before_any_run(argv, capsys, monkeypatch):
         ab.main(argv)
     assert exit_info.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_bench_deltas_print_the_raw_median_and_both_calibrations(capsys):
+    def bench_file(n, median_us, norm_median_us, sample_s):
+        micro = {"test_update_bound[3-8]": {
+            "median_us": median_us, "norm_median_us": norm_median_us,
+            "calibration_sample_s": sample_s,
+        }}
+        return {"n": n, "workloads": {}, "micro": micro,
+                "tier1": {"seconds": 50.0, "summary": "555 passed"}}
+
+    bench.print_deltas(bench_file(12, 44.1, 48.8, 0.0007), bench_file(18, 36.7, 23.6, 0.001))
+    (line,) = [line for line in capsys.readouterr().out.splitlines() if "micro" in line]
+    assert "norm_median_us: 48.8 -> 23.6 (-51.6%)" in line
+    assert "median_us: 44.1 -> 36.7 (-16.8%)" in line
+    assert "calibration_sample_s: 0.0007 -> 0.001 (+42.9%)" in line

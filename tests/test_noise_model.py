@@ -6,15 +6,18 @@ definitions (smoothed row (C_ij + a_j) / (O_i + sum(a)), channel column
 before the implementation existed.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import conditional_transition_column
 from lccn_lab.errors import InvariantError, ParameterError
 from lccn_lab.noise_model import (
     DirichletPrior,
+    _row_sum,
     check_transition,
     confusion_counts,
     transition_from_counts,
@@ -284,3 +287,113 @@ def test_update_bound_is_bit_identical_to_numpy_formula(
     reference = _numpy_update_bound(before_m, after_m, prior)
     for name, got, expected in zip(("measured", "bound"), certificate, reference):
         assert got.tobytes() == expected.tobytes(), name
+
+
+# Each case is (before, after, prior value, the class update_bound raises). The
+# reference has no totals check: on a row left with negative mass it refuses at
+# that row's smoothing instead, with ParameterError.
+REFUSED_BATCHES = {
+    "negative total after the batch": ([[2, 0], [0, 2]], [[-3, 0], [0, 2]], 1.0, InvariantError),
+    "row wiped out under a 1e-300 prior": (
+        [[2, 1], [0, 2]], [[-1, 0], [3, 3]], 1e-300, InvariantError
+    ),
+    "row failing its row check": ([[-2, 1], [0, 2]], [[-1, 0], [0, 2]], 1.0, ParameterError),
+    "row check failed before a negative total": (
+        [[-2, 1], [2, 0], [0, 2]], [[-1, 0], [-3, 0], [2, 2]], 1.0, InvariantError
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_BATCHES.values(), ids=list(REFUSED_BATCHES))
+def test_update_bound_refuses_what_the_numpy_formula_refuses(case):
+    before, after, value, error = case
+    before, after = make_counts(before), make_counts(after)
+    prior = DirichletPrior.uniform(2, value)
+    with pytest.raises(error):
+        update_bound(before, after, prior)
+    with np.errstate(all="ignore"), pytest.raises(ParameterError):
+        _numpy_update_bound(before, after, prior)
+
+
+@given(
+    n_observed=st.integers(min_value=1, max_value=9),
+    extra_row=st.booleans(),
+    log_alpha=st.floats(min_value=-300.0, max_value=1.0) | st.just(0.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_update_bound_on_negative_counts_follows_the_numpy_formula(
+    n_observed, extra_row, log_alpha, seed
+):
+    # Count matrices no chain can reach: cells down to -3. update_bound reads
+    # only the touched rows, so the reference runs on those. Where it accepts
+    # them, update_bound gives its bits; where it refuses a row, update_bound
+    # refuses too, with ParameterError, or first with InvariantError where a
+    # row ends with negative mass.
+    data = np.random.default_rng(seed)
+    n_latent = n_observed + extra_row
+    before = data.integers(-3, 6, size=(n_latent, n_observed))
+    after = before + data.integers(-2, 3, size=before.shape) * (data.random(before.shape) < 0.3)
+    prior = DirichletPrior.uniform(n_observed, 10.0**log_alpha)
+    touched = (before != after).any(axis=1)
+    try:
+        with np.errstate(all="ignore"):
+            reference = _numpy_update_bound(before[touched], after[touched], prior)
+    except ParameterError:
+        reference = None
+    try:
+        measured, bound = update_bound(before, after, prior)
+    except InvariantError:
+        assert (after.sum(axis=1) < 0).any()
+        return
+    except ParameterError:
+        assert reference is None
+        return
+    assert reference is not None
+    for name, got, expected in zip(("measured", "bound"), (measured, bound), reference):
+        assert got[touched].tobytes() == expected.tobytes(), name
+        assert not got[~touched].any(), name
+
+
+# ±0, the smallest subnormal, the subnormal edge, the largest finite, inf and NaN.
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1.7976931348623157e308,
+                  -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+def _same_float(got, expected):
+    """Equal bits, or both NaN (a NaN's payload may depend on the operand order)."""
+    if math.isnan(expected):
+        return math.isnan(got)
+    return np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+def _numpy_row_sums(values):
+    row = np.array(values, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        return float(np.add.reduce(row)), float(np.stack([row, row[::-1]]).sum(axis=1)[0])
+
+
+@given(values=st.lists(st.floats() | st.sampled_from(SPECIAL_FLOATS), min_size=1, max_size=300))
+@example(values=[-0.0] * 3)  # numpy adds its sum to 0.0, so an all -0.0 row sums to 0.0
+@example(values=[-0.0] * 9)
+@example(values=[-0.0] * 200)
+@settings(max_examples=300, deadline=None)
+def test_row_sum_matches_numpy_reduce(values):
+    got = _row_sum(values)
+    assert all(_same_float(got, expected) for expected in _numpy_row_sums(values))
+
+
+@given(
+    n=st.integers(min_value=1, max_value=300) | st.sampled_from([7, 8, 9, 128, 129, 136, 256, 257]),
+    special_share=st.sampled_from([0.0, 0.02, 0.3]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_row_sum_matches_numpy_reduce_at_every_length(n, special_share, seed):
+    # Long rows of mixed magnitudes, where every order of summation rounds differently.
+    data = np.random.default_rng(seed)
+    values = data.normal(size=n) * 10.0 ** data.integers(-20, 20, size=n)
+    special = data.random(n) < special_share
+    values[special] = data.choice(SPECIAL_FLOATS, size=int(special.sum()))
+    got = _row_sum(values.tolist())
+    assert all(_same_float(got, expected) for expected in _numpy_row_sums(values))

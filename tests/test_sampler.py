@@ -370,6 +370,43 @@ def test_gibbs_batch_failure_writes_counts_back():
     np.testing.assert_array_equal(counts, expected)
 
 
+@with_plain_cases
+@given(case=batch_cases())
+@settings(max_examples=100, deadline=None)
+def test_batch_that_keeps_every_label_writes_nothing(case):
+    # A classifier sure of the current labels keeps them all. Counts and labels
+    # are read-only, so any write would raise; their bytes stay as they were.
+    probs, observed, labels, positions, prior, warmup, anneal, seed = case
+    counts = confusion_counts(labels, observed, probs.shape[1], prior.n_observed)
+    sure = np.zeros_like(probs)
+    sure[np.arange(len(positions)), labels[positions]] = 1.0
+    state = counts.tobytes(), labels.tobytes()
+    for array in (counts, labels):
+        array.setflags(write=False)
+    sampled = gibbs_sample_batch(
+        sure, observed[positions], counts, prior, labels, positions,
+        np.random.default_rng(seed), warmup_phi=warmup, anneal=anneal,
+    )
+    assert sampled.tolist() == labels[positions].tolist()
+    assert (counts.tobytes(), labels.tobytes()) == state
+
+
+def test_batch_that_fails_after_keeping_its_labels_writes_counts_back():
+    # The first draw surely keeps its label; the second has all-zero scores,
+    # and its sample's removal stays booked although no label moved.
+    probs = np.array([[1.0, 0.0], [0.0, 0.0]])
+    observed = np.array([0, 1])
+    latent = np.array([0, 1])
+    counts = confusion_counts(latent, observed, 2, 2)
+    with pytest.raises(TrainingError):
+        gibbs_sample_batch(
+            probs, observed, counts, DirichletPrior.uniform(2, 1.0), latent, np.array([0, 1]),
+            np.random.default_rng(0),
+        )
+    np.testing.assert_array_equal(counts, [[1, 0], [0, 0]])
+    np.testing.assert_array_equal(latent, [0, 1])
+
+
 def test_gibbs_batch_decrement_of_empty_cell_raises():
     # the assignment claims a label the counts do not hold
     counts = np.zeros((2, 2), dtype=np.int64)

@@ -1,10 +1,11 @@
 """End-to-end trainer behaviour: equivalences, determinism, and config guards."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lccn_lab.classifier import forward_proba
@@ -12,9 +13,11 @@ from lccn_lab.datagen import NoiseSpec, apply_noise, make_gaussian_mixture, mark
 from lccn_lab.errors import InvariantError, ParameterError, TrainingError
 from lccn_lab.metrics import MetricsRecord
 from lccn_lab.trainers import (
+    BOUND_SLACK,
     TRAINER_KINDS,
     RunResult,
     TrainConfig,
+    _worst_certified_row,
     run_trainer,
 )
 from lccn_lab.noise_model import (
@@ -343,6 +346,33 @@ def test_batch_that_moves_no_label_certifies_as_zero(
             assert values.tobytes() == bytes(8 * n_latent), name
         worst = int(np.argmax(measured))
         assert (float(measured[worst]), float(bound[worst])) == (0.0, 0.0)
+
+
+# Few values, so that rows tie, a bound sits within BOUND_SLACK of its row or
+# overflows to inf, and measured is often all zero.
+CERTIFIED_VALUES = st.sampled_from([0.0, 5e-324, 1e-13, 0.125, 0.5, 1.0, math.inf])
+
+
+@given(rows=st.lists(st.tuples(CERTIFIED_VALUES, CERTIFIED_VALUES), min_size=1, max_size=9))
+@example(rows=[(0.0, 0.0)] * 4)
+@example(rows=[(0.5, 1.0), (0.5, 0.5), (0.125, 0.5)])
+@settings(max_examples=300, deadline=None)
+def test_worst_certified_row_reads_like_numpy(rows):
+    # The trainer's list read of the certificate against its numpy read:
+    # np.any for a violation, np.argmax (the first of equal maxima) for the worst row.
+    measured, bound = np.array(rows, dtype=np.float64).T
+    certificate = np.array([measured, bound])
+    if np.any(measured > bound + BOUND_SLACK):
+        for given_as in (certificate, (measured, bound)):
+            with pytest.raises(InvariantError):
+                _worst_certified_row(given_as)
+        return
+    worst = int(np.argmax(measured))
+    expected = (float(measured[worst]), float(bound[worst]))
+    for given_as in (certificate, (measured, bound)):
+        got = _worst_certified_row(given_as)
+        assert [type(v) for v in got] == [float, float]
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
 
 
 def test_label_swap_with_equal_counts_is_still_certified(blobs2_tiny, monkeypatch):
