@@ -14,8 +14,8 @@ time the hard-label step (also given a forward pass, as the latent trainers
 call it), the soft-target and composed-channel steps, a forward pass,
 and the momentum update `apply_gradients` that ends each step. `gibbs_sample_batch` and
 `update_bound` draw Dirichlet(1) probabilities, so nearly every label moves;
-they also run at K=8 with a batch of 16, where their row sums take numpy's
-8-accumulator order, which no benchmark workload reaches. Their `_settled`
+they also run at K=8 with a batch of 16, where their row sums go through
+numpy's reduction, which no benchmark workload reaches. Their `_settled`
 variants are the workloads' regime instead: a classifier sure of the current
 labels, so that a few percent of draws move, most batches keep every label
 (and write nothing back) and a moved batch touches few rows.

@@ -15,10 +15,11 @@ of reassignments can move any transition row.
 plain Python lists, and returns exactly the bits of the whole-matrix numpy
 formula (`transition_from_counts` before and after, differenced and summed per
 row) with the bound beside it, as one (2, n_latent) array.
-Every float sum over a row follows numpy's pairwise order, which `_row_sum`
-replicates for every row length (left to right below 8 entries, 8
-accumulators up to 128, halves above); the sampler's rows of 8 or more scores
-use it too, and its loop over fewer scores sums them as it goes.
+Every float sum over a row follows numpy's order: `_row_sum` adds a row of
+fewer than 8 entries left to right, which is what numpy does for such rows,
+and hands a row of 8 or more entries to numpy's own (unrolled, pairwise)
+reduction. The sampler's rows of 8 or more scores use it too, and its loop
+over fewer scores sums them as it goes.
 """
 
 from __future__ import annotations
@@ -31,47 +32,24 @@ import numpy as np
 from .errors import InvariantError, ParameterError
 
 ROW_SUM_TOL = 1e-9
-# numpy sums a row of fewer entries than _NUMPY_UNROLL left to right, a row of up
-# to _NUMPY_BLOCK entries in _NUMPY_UNROLL accumulators, and a longer one by halves.
+# numpy sums a row of fewer entries than this left to right; longer rows take
+# its unrolled pairwise order, which a plain loop does not reproduce.
 _NUMPY_UNROLL = 8
-_NUMPY_BLOCK = 128
 
 
 def _row_sum(values: list) -> float:
     """Sum of one row with the bits numpy's `sum` over that row gives.
 
-    numpy adds its pairwise sum of the row to 0.0: fewer than 8 entries left
-    to right (here from 0.0, the same bits); up to 128 entries in 8
-    interleaved accumulators, combined pairwise, then the tail left to right;
-    longer rows as the sum of two halves, the first half cut to a multiple of
-    8. The added 0.0 only turns a -0.0 sum into 0.0. Never builtin `sum()`:
-    from Python 3.12 it compensates float sums.
+    numpy adds the row's sum to 0.0, so a short row is summed left to right
+    from 0.0 (an all -0.0 row sums to 0.0). Never builtin `sum()`: from
+    Python 3.12 it compensates float sums.
     """
-    n = len(values)
-    if n < _NUMPY_UNROLL:
-        total = 0.0
-        for value in values:
-            total += value
-        return total
-    if n > _NUMPY_BLOCK:
-        half = n // 2
-        half -= half % _NUMPY_UNROLL
-        return _row_sum(values[:half]) + _row_sum(values[half:])
-    r0, r1, r2, r3, r4, r5, r6, r7 = values[:_NUMPY_UNROLL]
-    stop = n - n % _NUMPY_UNROLL
-    for i in range(_NUMPY_UNROLL, stop, _NUMPY_UNROLL):
-        r0 += values[i]
-        r1 += values[i + 1]
-        r2 += values[i + 2]
-        r3 += values[i + 3]
-        r4 += values[i + 4]
-        r5 += values[i + 5]
-        r6 += values[i + 6]
-        r7 += values[i + 7]
-    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for i in range(stop, n):
-        total += values[i]
-    return 0.0 + total
+    if len(values) >= _NUMPY_UNROLL:
+        return float(np.array(values, dtype=np.float64).sum())
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -199,9 +177,9 @@ def update_bound(before: np.ndarray, after: np.ndarray, prior: DirichletPrior) -
     in both rows of the result; every touched row is computed in one pass on
     plain floats with numpy's arithmetic and summation order (see the module
     docstring), and its smoothed rows before and after must pass
-    `check_transition`'s row check. Every row's bound, and the
-    `InvariantError` of a row left with negative mass, come before the
-    `ParameterError` of a failed row check.
+    `check_transition`'s row check. A touched row left with negative mass
+    raises `InvariantError`, before the `ParameterError` of any failed row
+    check.
     """
     _check_counts(before, prior)
     if not isinstance(after, np.ndarray) or after.shape != before.shape:
@@ -210,14 +188,16 @@ def update_bound(before: np.ndarray, after: np.ndarray, prior: DirichletPrior) -
     total = prior.total
     measured = [0.0] * before.shape[0]
     bound = [0.0] * before.shape[0]
-    emptied = []  # (row, net, churn) of rows whose 1 + d / D is not positive
-    row_check_failed = False
+    negative_mass = row_check_failed = False
     for r, (row_before, row_after) in enumerate(zip(before.tolist(), after.tolist())):
         if row_before == row_after:
             continue
         # Integer sums are exact in any order, so totals and deltas need no numpy order.
-        mass = sum(row_before)
-        net = sum(row_after) - mass
+        mass, mass_after = sum(row_before), sum(row_after)
+        if mass_after < 0:
+            negative_mass = True
+            continue
+        net = mass_after - mass
         churn = sum(map(abs, map(sub, row_after, row_before)))
         denom = mass + total
         if denom == 0.0:  # a row of negative counts; its smoothed row has no norm either
@@ -228,22 +208,18 @@ def update_bound(before: np.ndarray, after: np.ndarray, prior: DirichletPrior) -
         if shrink > 0.0:
             bound[r] = (abs(net_ratio) + churn / denom) / shrink
         else:
-            emptied.append((r, net, churn))
+            # Under a tiny prior a batch that empties a row makes d / D = -n / (n + total)
+            # round to -1; such rows take the equal form over the row's mass after the
+            # batch, which may overflow to inf but never undercuts the measured change.
+            bound[r] = (abs(net) + churn) / (mass_after + total)
         phi_before = _smoothed_row(row_before, alpha)
         phi_after = _smoothed_row(row_after, alpha)
         if phi_before is None or phi_after is None:
             row_check_failed = True
         else:
             measured[r] = _row_sum(list(map(abs, map(sub, phi_after, phi_before))))
-    if emptied:
-        totals_after = after.sum(axis=1).tolist()
-        if any(t < 0 for t in totals_after):
-            raise InvariantError("net count change cannot remove more mass than a row holds")
-        # Under a tiny prior a batch that empties a row makes d / D = -n / (n + total)
-        # round to -1; such rows take the equal form over the row's mass after the
-        # batch, which may overflow to inf but never undercuts the measured change.
-        for r, net, churn in emptied:
-            bound[r] = (abs(net) + churn) / (totals_after[r] + total)
+    if negative_mass:
+        raise InvariantError("a batch cannot leave a row with negative mass")
     if row_check_failed:
         raise ParameterError("transition rows must be finite, nonnegative and sum to 1")
     return np.array([measured, bound])

@@ -545,8 +545,9 @@ def _anneal(enabled: bool, step: int, total: int) -> float:
 def _worst_certified_row(certificate) -> tuple[float, float]:
     """(measured, bound) of the row that moved most, once no row exceeds its bound.
 
-    `certificate` holds `update_bound`'s (measured, bound) rows, as one
-    array or a pair of arrays, and is read as lists. Ties go to the first
+    `certificate` is `update_bound`'s (2, n_latent) array of (measured,
+    bound) rows, read as lists (through `np.asarray`, so a stand-in that
+    returns the two rows as a pair reads the same). Ties go to the first
     row, as with `np.argmax`; an all-zero `measured` gives row 0.
     """
     measured, bound = np.asarray(certificate).tolist()
