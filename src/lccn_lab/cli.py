@@ -400,6 +400,8 @@ def cmd_sweep(args) -> int:
 def cmd_diagnose_mixing(args) -> int:
     if args.n < 1 or args.k < 1:
         raise ParameterError(f"--n and --k must be >= 1, got {args.n} and {args.k}")
+    if args.seed < 0:
+        raise ParameterError(f"--seed must be >= 0, got {args.seed}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)

@@ -15,7 +15,9 @@ only a `_Hooks` bundle: its per-batch step (hard target, self-blended
 target, composed channel, EM responsibilities or latent resample) plus
 views of its own state for the metric records and the final transition.
 The three latent kinds are one function, `_train_latent`: lccn_star adds an
-outlier latent class and lccn_plus pins the trusted samples.
+outlier latent class and lccn_plus pins the trusted samples. The two
+transition-layer kinds are one function too, `_train_transition_layer`:
+forward_fixed is s_adaptation with its layer frozen for the whole run.
 """
 
 from __future__ import annotations
@@ -77,9 +79,10 @@ class TrainConfig:
     latent kinds are lccn, lccn_star and lccn_plus:
 
     - pretrain_epochs: every kind except ce and bootstrap_hard;
-    - warmup_steps: s_adaptation (steps the transition layer stays frozen)
-      and the latent kinds (sampling steps that use the initial channel
-      instead of the counts); None means one epoch of steps;
+    - warmup_steps: s_adaptation (steps the transition layer stays frozen;
+      forward_fixed holds its layer for the whole run) and the latent kinds
+      (sampling steps that use the initial channel instead of the counts);
+      None means one epoch of steps;
     - warmup_kind and oracle_phi: the initial channel of forward_fixed,
       s_adaptation and the latent kinds;
     - alpha and anneal: the latent kinds. With anneal on, the sampler raises
@@ -88,6 +91,8 @@ class TrainConfig:
       1 to the floor 0.5, which it holds from 87% of the run on;
     - transition_lr: s_adaptation;
     - bootstrap_beta: bootstrap_hard.
+
+    seed, which every kind reads, must be >= 0.
     """
 
     kind: str = "ce"
@@ -124,6 +129,8 @@ class TrainConfig:
             raise ParameterError(f"alpha: {exc}") from None
         if self.hidden_width < 0:
             raise ParameterError("hidden_width must be nonnegative")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {self.seed!r}")
         if self.epochs < 0 or self.pretrain_epochs < 0:
             raise ParameterError("epoch counts must be nonnegative")
         if self.batch_size < 1:
@@ -430,35 +437,20 @@ def _initial_channel(
     return check_transition(matrix)
 
 
-def _train_forward_fixed(
-    ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None = None
+def _train_transition_layer(
+    ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None, *, frozen: bool
 ) -> RunResult:
-    """Train through a frozen transition: fit q = probs @ phi to the observed labels."""
+    """Train through a row-softmax transition layer: fit q = probs @ phi to the observed labels.
 
-    def start(run: _Run) -> _Hooks:
-        channel = _initial_channel(ds, cfg, run.params, ds.n_classes)
-        phi_err = _phi_error(cfg, channel)
-
-        def batch(idx: np.ndarray) -> None:
-            _composed_step(run, ds, idx, channel)
-
-        return _Hooks(batch, record=lambda: {"phi_l1_error": phi_err}, final_phi=lambda: channel)
-
-    return _fit(ds, cfg, test_ds, start)
-
-
-def _train_s_adaptation(
-    ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None = None
-) -> RunResult:
-    """Train through a learnable row-softmax transition layer, jointly with the classifier.
-
-    The layer starts at the prediction-derived transition and is frozen for
-    the first warmup_steps composed steps; afterwards both the classifier and
-    the layer follow the gradient.
+    The layer starts at the initial channel and is held for the first
+    warmup_steps composed steps; afterwards both the classifier and the layer
+    follow the gradient (s_adaptation). `frozen` holds it for the whole run,
+    which is forward correction through a fixed transition (forward_fixed).
     """
 
     def start(run: _Run) -> _Hooks:
-        warmup_steps = cfg.warmup_steps if cfg.warmup_steps is not None else run.n_batches
+        default = cfg.warmup_steps if cfg.warmup_steps is not None else run.n_batches
+        warmup_steps = math.inf if frozen else default
         channel_init = _initial_channel(ds, cfg, run.params, ds.n_classes)
         layer_logits = np.log(np.maximum(channel_init, 1e-8))
         layer_velocity = np.zeros_like(layer_logits)
@@ -542,15 +534,14 @@ def _anneal(enabled: bool, step: int, total: int) -> float:
     return max(math.exp(-step / max(total, 1) * 0.8), 0.5)
 
 
-def _worst_certified_row(certificate) -> tuple[float, float]:
+def _worst_certified_row(certificate: np.ndarray) -> tuple[float, float]:
     """(measured, bound) of the row that moved most, once no row exceeds its bound.
 
     `certificate` is `update_bound`'s (2, n_latent) array of (measured,
-    bound) rows, read as lists (through `np.asarray`, so a stand-in that
-    returns the two rows as a pair reads the same). Ties go to the first
-    row, as with `np.argmax`; an all-zero `measured` gives row 0.
+    bound) rows, read as lists. Ties go to the first row, as with
+    `np.argmax`; an all-zero `measured` gives row 0.
     """
-    measured, bound = np.asarray(certificate).tolist()
+    measured, bound = certificate.tolist()
     if any(m > b + BOUND_SLACK for m, b in zip(measured, bound)):
         raise InvariantError("transition row moved beyond the per-batch update bound")
     worst = measured.index(max(measured))
@@ -652,8 +643,8 @@ def _train_latent(
 TRAINERS = {
     "ce": _train_ce,
     "bootstrap_hard": _train_bootstrap_hard,
-    "forward_fixed": _train_forward_fixed,
-    "s_adaptation": _train_s_adaptation,
+    "forward_fixed": partial(_train_transition_layer, frozen=True),
+    "s_adaptation": partial(_train_transition_layer, frozen=False),
     "em_reference": _train_em_reference,
     "lccn": partial(_train_latent, extra_class=False, use_clean=False),
     "lccn_star": partial(_train_latent, extra_class=True, use_clean=False),

@@ -343,6 +343,35 @@ def test_sweep_seeds_not_integers_is_usage_error(seeds, tmp_path, capsys):
     assert "seeds" in err and "Traceback" not in err
 
 
+NEGATIVE_SEEDS = {
+    "train_flag": (BASE_CFG, ["train", "--seeds", "-1"]),
+    "train_config": ({**BASE_CFG, "seeds": [-1]}, ["train"]),
+    "sweep_flag": (BASE_CFG, ["sweep", "--param", "alpha", "--values", "1", "--seeds", "-1"]),
+    "sweep_config": ({**BASE_CFG, "seeds": [-1]}, ["sweep", "--param", "alpha", "--values", "1"]),
+}
+
+
+@pytest.mark.parametrize("name", NEGATIVE_SEEDS)
+def test_negative_training_seed_is_usage_error(name, tmp_path, capsys):
+    cfg, args = NEGATIVE_SEEDS[name]
+    out = tmp_path / "o"
+    code = main(
+        [*args, "--config", write_cfg(tmp_path / "c.json", cfg), "--out", str(out)]
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "seed" in err and "Traceback" not in err
+    assert not list(out.rglob("metrics.csv"))  # nothing trained
+
+
+def test_negative_mixing_seed_is_usage_error(tmp_path, capsys):
+    code = main(["diagnose", "mixing", "--seed", "-1", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "--seed" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_section_required(tmp_path, capsys):
     cfg = {"generator": {"k": 2, "n_per_class": 8, "seed": 1}}
     code = main(
@@ -391,7 +420,7 @@ def test_train_from_an_empty_dataset_file_exits_2_without_a_warning(tmp_path, ca
 def test_invariant_violation_is_runtime_error(tmp_path, lccn_config, monkeypatch, capsys):
     # measured 1.0 against a bound of 0.0
     monkeypatch.setattr(
-        "lccn_lab.trainers.update_bound", lambda *a, **k: (np.array([1.0]), np.array([0.0]))
+        "lccn_lab.trainers.update_bound", lambda *a, **k: np.array([[1.0], [0.0]])
     )
     code = main(["train", "--config", lccn_config, "--out", str(tmp_path / "o")])
     assert code == EXIT_RUNTIME

@@ -99,15 +99,22 @@ def test_em_expectation_matches_warmup_estimator(blobs2_tiny):
 def test_frozen_adaptation_layer_keeps_initial_channel(blobs2_tiny):
     ds = blobs2_tiny["noisy"]
     start = np.array([[0.7, 0.3], [0.4, 0.6]])
-    result = run_trainer(
-        ds,
-        TrainConfig(
-            kind="s_adaptation", epochs=2, pretrain_epochs=1, batch_size=16,
-            learning_rate=0.05, seed=3, oracle_phi=start, warmup_steps=10**6,
-        ),
+    cfg = TrainConfig(
+        kind="s_adaptation", epochs=2, pretrain_epochs=1, batch_size=16,
+        learning_rate=0.05, seed=3, oracle_phi=start, warmup_steps=10**6,
     )
+    result = run_trainer(ds, cfg)
     assert np.array_equal(result.final_phi, start)
     assert result.batch_variations == []
+    # forward_fixed is the same layer held for the whole run: it reads
+    # neither warmup_steps nor transition_lr.
+    fixed = run_trainer(
+        ds, dataclasses.replace(cfg, kind="forward_fixed", warmup_steps=0, transition_lr=0.5)
+    )
+    assert records_equal(fixed.records, result.records)
+    assert params_equal(fixed.final_params, result.final_params)
+    assert fixed.final_phi.tobytes() == result.final_phi.tobytes()
+    assert fixed.batch_variations == []
 
 
 # --- determinism and bookkeeping ---------------------------------------------
@@ -220,6 +227,7 @@ def test_milestones_change_learning_rate(blobs2_tiny):
         dict(batch_size=0),
         dict(bootstrap_beta=1.5),
         dict(warmup_steps=-1),
+        dict(seed=-1),
         dict(transition_lr=-0.1),
         dict(warmup_kind="bogus"),
         dict(eval_every=0),
