@@ -10,8 +10,8 @@ import statistics
 import time
 from pathlib import Path
 
-from lccn_lab import NoiseSpec, TrainConfig, apply_noise, make_gaussian_mixture, run_trainer
-from lccn_lab.cli import TEST_SEED_OFFSET
+from lccn_lab import TrainConfig, run_trainer
+from lccn_lab.cli import build_datasets
 from lccn_lab.metrics import write_csv
 
 TRAINER_GRID = ["ce", "bootstrap_hard", "forward_fixed", "s_adaptation", "em_reference", "lccn"]
@@ -51,18 +51,16 @@ def main(argv: list[str] | None = None) -> None:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    clean = make_gaussian_mixture(
-        n_classes=args.k, dim=2, n_per_class=args.n_per_class,
-        separation=args.separation, seed=args.data_seed,
-    )
-    test = make_gaussian_mixture(
-        n_classes=args.k, dim=2, n_per_class=200,
-        separation=args.separation, seed=args.data_seed + TEST_SEED_OFFSET,
-    )
+    generator = {"k": args.k, "d": 2, "n_per_class": args.n_per_class,
+                 "separation": args.separation, "seed": args.data_seed}
 
     rows = []
     for noise_kind, ratio in NOISE_GRID:
-        noisy, report = apply_noise(clean, NoiseSpec(kind=noise_kind, ratio=ratio, seed=17))
+        noisy, test, report, _ = build_datasets({
+            "generator": generator,
+            "noise": {"kind": noise_kind, "ratio": ratio, "seed": 17},
+            "test": {"n_per_class": 200},
+        })
         print(f"--- {noise_kind} r={ratio} (realized flips {report.realized_flip_fraction:.3f})")
         for trainer in TRAINER_GRID:
             t0 = time.perf_counter()

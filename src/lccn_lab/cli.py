@@ -3,6 +3,8 @@
 Every command writes a JSON echo of its resolved configuration next to its
 outputs, so any artifact can be reproduced from its directory alone. Exit
 codes: 0 success, 1 runtime/training failure, 2 usage or config error.
+`train`, `sweep` and `run_experiment` check every run with one plan step,
+`_plan`, before any directory is written or any run trains.
 
 Every JSON input file is read by `_load_json`, which resolves relative paths
 against the config's directory and turns a missing or malformed file into a
@@ -89,25 +91,21 @@ def _load_json(path, base: Path | None = None):
         raise ParameterError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _seed_list(values) -> list[int]:
-    """Training seeds as given by a config; anything but a list of integers is a usage error."""
-    if not isinstance(values, list):
-        raise ParameterError(f"seeds must be a list of integers, got {values!r}")
-    return [int(check_type(v, "int", "seeds entry")) for v in values]
-
-
 def _resolve_seeds(args, cfg: dict) -> list[int]:
-    """The training seeds of `train` and `sweep`.
+    """The training seeds of `train` and `sweep`; anything but integers is a usage error.
 
     `--seeds` wins; else the config's non-empty `seeds` list; else the train
     section's `seed` (0 if unset).
     """
     if args.seeds is not None:
         return list(args.seeds)
-    if cfg.get("seeds"):
-        return _seed_list(cfg["seeds"])
-    train = cfg.get("train")
-    return _seed_list([train.get("seed", 0) if isinstance(train, dict) else 0])
+    seeds = cfg.get("seeds")
+    if not seeds:
+        train = cfg.get("train")
+        seeds = [train.get("seed", 0) if isinstance(train, dict) else 0]
+    if not isinstance(seeds, list):
+        raise ParameterError(f"seeds must be a list of integers, got {seeds!r}")
+    return [int(check_type(v, "int", "seeds entry")) for v in seeds]
 
 
 def _load_config(path: str) -> tuple[dict, Path]:
@@ -133,24 +131,6 @@ def _phi_from_value(value, base: Path | None = None) -> np.ndarray:
     if matrix.ndim != 2:
         raise ParameterError("transition matrix must be 2-d")
     return matrix
-
-
-def build_train_config(train_dict: dict, seed: int | None = None, base: Path | None = None) -> TrainConfig:
-    """Translate the JSON 'train' section into a TrainConfig."""
-    payload = dict(train_dict)
-    try:
-        if "lr_milestones" in payload:
-            payload["lr_milestones"] = tuple(tuple(m) for m in payload["lr_milestones"])
-        for key in ("oracle_phi", "reference_phi"):
-            if payload.get(key) is not None:
-                payload[key] = _phi_from_value(payload[key], base)
-        if isinstance(payload.get("alpha"), list):
-            payload["alpha"] = tuple(payload["alpha"])
-        if seed is not None:
-            payload["seed"] = seed
-        return TrainConfig(**payload)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"bad train section: {exc}") from exc
 
 
 def _generate_data(generator: dict, noise: dict | None = None, clean: dict | None = None):
@@ -217,28 +197,47 @@ def build_datasets(cfg: dict, base: Path | None = None):
     return ds, test_ds, report, reference_phi
 
 
-def _resolve(cfg: dict, base: Path | None):
-    """A config's data sections and its train section, with the generated channel wired in.
+def _plan(cfg: dict, seeds: list[int], base: Path | None, data: tuple | None = None) -> list:
+    """Each seed's run of cfg, checked but not trained: the arguments of `_train` before out_dir.
 
-    Returns (train_ds, test_ds, noise_report, train_dict).
+    `data` is cfg's `build_datasets`, built here unless given. With more than
+    one seed, a seed's failure is prefixed "seed <n>: ".
     """
-    ds, test_ds, report, reference_phi = build_datasets(cfg, base)
+    if len(set(seeds)) != len(seeds):
+        raise ParameterError("seeds must be distinct")
+    ds, test_ds, report, reference_phi = build_datasets(cfg, base) if data is None else data
     train_dict = cfg.get("train")
     if not isinstance(train_dict, dict):
         raise ParameterError("config must contain a 'train' section")
     if reference_phi is not None and train_dict.get("reference_phi") is None:
         train_dict = {**train_dict, "reference_phi": reference_phi.tolist()}
-    return ds, test_ds, report, train_dict
-
-
-def run_experiment(cfg: dict, seed: int, out_dir: Path, base: Path | None = None) -> dict:
-    """One seed of one experiment config; writes all run artifacts into out_dir."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ds, test_ds, report, train_dict = _resolve(cfg, base)
-    result = run_trainer(ds, build_train_config(train_dict, seed=seed, base=base), test_ds)
-
     echo = {k: v for k, v in cfg.items() if k != "seeds"}
-    echo["train"] = {**train_dict, "seed": seed}
+
+    def plan_seed(seed: int) -> tuple:
+        payload = {**train_dict, "seed": seed}
+        try:
+            if "lr_milestones" in payload:
+                payload["lr_milestones"] = tuple(tuple(m) for m in payload["lr_milestones"])
+            for key in ("oracle_phi", "reference_phi"):
+                if payload.get(key) is not None:
+                    payload[key] = _phi_from_value(payload[key], base)
+            if isinstance(payload.get("alpha"), list):
+                payload["alpha"] = tuple(payload["alpha"])
+            config = TrainConfig(**payload)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"bad train section: {exc}") from exc
+        config.check_channels(ds.n_classes)
+        return ds, test_ds, report, config, {**echo, "train": {**train_dict, "seed": seed}}
+
+    if len(seeds) == 1:
+        return [plan_seed(seeds[0])]
+    return [_naming_seed(seed, plan_seed, seed) for seed in seeds]
+
+
+def _train(ds, test_ds, report, config: TrainConfig, echo: dict, out_dir: Path) -> dict:
+    """Train one run of `_plan`; writes all its artifacts, config.json the echo, into out_dir."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    result = run_trainer(ds, config, test_ds)
     _write_json(echo, out_dir / "config.json")
     write_metrics_csv(result.records, out_dir / "metrics.csv")
     save_checkpoint(result.final_params, out_dir / "checkpoint.json")
@@ -253,7 +252,7 @@ def run_experiment(cfg: dict, seed: int, out_dir: Path, base: Path | None = None
     if report is not None:
         save_report(report, out_dir / "noise_report.json")
     summary = {
-        "seed": seed,
+        "seed": config.seed,
         "final_test_accuracy": result.final_test_accuracy() if test_ds is not None else None,
         "final_train_accuracy": result.records_for("train")[-1].accuracy,
         "outlier_recall": result.outlier_recall,
@@ -262,21 +261,24 @@ def run_experiment(cfg: dict, seed: int, out_dir: Path, base: Path | None = None
     return summary
 
 
-def _run_seeds(cfg: dict, seeds: list[int], out: Path, base: Path | None) -> list[dict]:
-    if len(set(seeds)) != len(seeds):
-        raise ParameterError("seeds must be distinct")
-    if len(seeds) == 1:
-        return [run_experiment(cfg, seeds[0], out, base)]
+def run_experiment(cfg: dict, seed: int, out_dir: Path, base: Path | None = None) -> dict:
+    """One seed of one experiment config, planned then trained; writes its artifacts into out_dir."""
+    return _train(*_plan(cfg, [seed], base)[0], out_dir)
+
+
+def _run_seeds(runs: list, out: Path) -> list[dict]:
+    """Train the runs of `_plan`: one into out, several into out/seed_<n>, up to the worker cap."""
+    if len(runs) == 1:
+        return [_train(*runs[0], out)]
+    seeds = [config.seed for *_, config, _ in runs]
     dirs = [out / f"seed_{seed}" for seed in seeds]
-    workers = _worker_cap(len(seeds))
+    workers = _worker_cap(len(runs))
     if workers == 1:
-        return [
-            _naming_seed(seed, run_experiment, cfg, seed, d, base) for seed, d in zip(seeds, dirs)
-        ]
+        return [_naming_seed(seed, _train, *run, d) for seed, run, d in zip(seeds, runs, dirs)]
     from concurrent.futures import ProcessPoolExecutor  # only here: its import costs ~11 ms
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_experiment, cfg, seed, d, base) for seed, d in zip(seeds, dirs)]
+        futures = [pool.submit(_train, *run, d) for run, d in zip(runs, dirs)]
         return [_naming_seed(seed, future.result) for seed, future in zip(seeds, futures)]
 
 
@@ -289,8 +291,6 @@ def _naming_seed(seed: int, fn, *args):
 
 
 def cmd_generate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ds, report, _ = _generate_data(
         {"k": args.k, "d": args.d, "n_per_class": args.n_per_class,
          "separation": args.separation, "seed": args.seed},
@@ -298,6 +298,8 @@ def cmd_generate(args) -> int:
          "ood_fraction": args.ood_fraction, "seed": args.seed},
         {"n_clean": args.n_clean, "seed": args.seed + 1} if args.n_clean else None,
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     save_dataset(ds, out / "dataset.json")
     save_report(report, out / "noise_report.json")
     _write_json(_echo(args), out / "generate_config.json")
@@ -313,10 +315,9 @@ def _median_test_accuracy(summaries: list[dict]) -> float | None:
 
 def cmd_train(args) -> int:
     cfg, base = _load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     seeds = _resolve_seeds(args, cfg)
-    summaries = _run_seeds(cfg, seeds, out, base)
+    out = Path(args.out)
+    summaries = _run_seeds(_plan(cfg, seeds, base), out)  # each run makes its directory
     aggregate = {
         "seeds": seeds,
         "runs": summaries,
@@ -369,24 +370,22 @@ def cmd_sweep(args) -> int:
     values = [_coerce_sweep_value(v) for v in args.values]
     section, key = _resolve_sweep_target(args.param)
     seeds = _resolve_seeds(args, cfg)
+    if "dataset" in cfg and "test_dataset" not in cfg:
+        raise ParameterError("sweep requires a test split to aggregate accuracy")
+    if not isinstance(cfg.get(section) or {}, dict):
+        raise ParameterError(f"config section {section!r} must be a JSON object")
     out = Path(args.out)
-    points = {}  # every point is resolved before the first one trains
+    data = build_datasets(cfg, base) if section == "train" else None  # one recipe for every point
+    points = {}  # every point is planned before the first one trains
     for value in values:
         point_dir = out / f"{key}_{value}"
         if point_dir in points:
             raise ParameterError(f"sweep values must be distinct, {point_dir.name!r} repeats")
-        point_cfg = json.loads(json.dumps(cfg))  # deep copy
-        point_cfg.setdefault(section, {})[key] = value
-        ds, _, _, train_dict = _resolve(point_cfg, base)
-        for seed in seeds:
-            build_train_config(train_dict, seed=seed, base=base).check_channels(ds.n_classes)
-        points[point_dir] = value, point_cfg
-    out.mkdir(parents=True, exist_ok=True)
+        point_cfg = {**cfg, section: {**(cfg.get(section) or {}), key: value}}
+        points[point_dir] = value, _plan(point_cfg, seeds, base, data)
     rows = []
-    for point_dir, (value, point_cfg) in points.items():
-        accuracy = _median_test_accuracy(_run_seeds(point_cfg, seeds, point_dir, base))
-        if accuracy is None:
-            raise ParameterError("sweep requires a test split to aggregate accuracy")
+    for point_dir, (value, runs) in points.items():
+        accuracy = _median_test_accuracy(_run_seeds(runs, point_dir))
         rows.append([args.param, value, repr(accuracy), len(seeds)])
         print(f"{args.param}={value}: median accuracy {accuracy:.4f}")
     write_csv(out / "sweep.csv", ["param", "value", "median_accuracy", "n_seeds"], rows)
@@ -587,10 +586,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TrainingError, InvariantError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
+    except (TrainingError, InvariantError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -137,6 +137,12 @@ class LabeledDataset:
             raise ParameterError(f"dataset JSON is malformed: {exc}") from exc
 
 
+def _check_seed(seed) -> None:
+    """ParameterError unless seed is an int >= 0; `default_rng` would not name the seed."""
+    if check_type(seed, "int", "seed") < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed!r}")
+
+
 def _list_of(values, kind: str, name: str) -> list:
     """values itself if it is a list of `kind` entries by `check_type`'s rule; else ParameterError."""
     if not isinstance(values, list):
@@ -173,6 +179,7 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         check_field_types(self)
+        _check_seed(self.seed)
         if self.kind not in ("none", "symmetric", "asymmetric", "openset"):
             raise ParameterError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.ratio <= 1.0:
@@ -278,7 +285,7 @@ def make_gaussian_mixture(
     check_type(dim, "int", "dim")
     check_type(n_per_class, "int", "n_per_class")
     check_type(separation, "float", "separation")
-    check_type(seed, "int", "seed")
+    _check_seed(seed)
     if n_classes < 2:
         raise ParameterError("n_classes must be at least 2")
     if dim < 1:
@@ -308,7 +315,7 @@ def mark_clean_subset(ds: LabeledDataset, n_clean: int, seed: int) -> LabeledDat
     with the true label, modeling a small trusted subset.
     """
     check_type(n_clean, "int", "n_clean")
-    check_type(seed, "int", "seed")
+    _check_seed(seed)
     eligible = np.flatnonzero(~ds.ood_mask)
     if n_clean < 0 or n_clean > eligible.size:
         raise ParameterError(f"n_clean must lie in [0, {eligible.size}] for this dataset")

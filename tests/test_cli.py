@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lccn_lab
+from lccn_lab import cli
 from lccn_lab.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from lccn_lab.trainers import TRAINER_KINDS
 
@@ -79,6 +80,14 @@ def test_generate_rejects_out_of_range_ratio(tmp_path, capsys):
     )
     assert code == EXIT_USAGE
     assert "ratio" in capsys.readouterr().err
+
+
+def test_generate_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["generate", "--k", "2", "--n-per-class", "10", "--seed", "-1", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -169,10 +178,11 @@ def test_failing_seed_is_named(threads, tmp_path, monkeypatch, capsys):
 def test_bad_thread_cap_is_usage_error(tmp_path, lccn_config, monkeypatch, capsys):
     monkeypatch.setenv("LCCN_LAB_THREADS", "zippy")
     code = main(
-        ["train", "--config", lccn_config, "--out", str(tmp_path), "--seeds", "0", "1"]
+        ["train", "--config", lccn_config, "--out", str(tmp_path / "o"), "--seeds", "0", "1"]
     )
     assert code == EXIT_USAGE
     assert "LCCN_LAB_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_duplicate_seeds_rejected(tmp_path, lccn_config, capsys):
@@ -287,6 +297,10 @@ BAD_INPUTS = {
     "generator_separation_a_string": ({}, {"generator": {"separation": "4"}}),
     "generator_separation_beyond_float": ({}, {"generator": {"separation": 10**400}}),
     "generator_seed_a_bool": ({}, {"generator": {"seed": True}}),
+    # A negative data seed is named before numpy's generator rejects it.
+    "generator_seed_negative": ({}, {"generator": {"seed": -1}}),
+    "noise_seed_negative": ({}, {"noise": {"seed": -1}}),
+    "clean_seed_negative": ({}, {"clean": {"n_clean": 2, "seed": -1}}),
     "test_n_per_class_fractional": ({}, {"test": {"n_per_class": 10.5}}),
     "zero_clip": ({}, {"train": {"clip": 0.0}}),
     "clip_of_one_half": ({}, {"train": {"clip": 0.5}}),
@@ -312,13 +326,15 @@ def test_malformed_config_or_input_file_is_usage_error(name, tmp_path, capsys):
     if "dataset" in override:
         del cfg["generator"]
     for section, value in override.items():
-        cfg[section] = {**cfg[section], **value} if isinstance(value, dict) else value
+        cfg[section] = {**cfg.get(section, {}), **value} if isinstance(value, dict) else value
     code = main(
         ["train", "--config", write_cfg(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")]
     )
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and "Traceback" not in err
+    if name.endswith("_seed_negative"):
+        assert err == "error: seed must be nonnegative, got -1\n"
 
 
 def test_clip_changes_the_run_through_main(tmp_path, lccn_run):
@@ -345,6 +361,7 @@ def test_sweep_seeds_not_integers_is_usage_error(seeds, tmp_path, capsys):
 
 NEGATIVE_SEEDS = {
     "train_flag": (BASE_CFG, ["train", "--seeds", "-1"]),
+    "train_flag_after_a_good_seed": (BASE_CFG, ["train", "--seeds", "0", "-1"]),
     "train_config": ({**BASE_CFG, "seeds": [-1]}, ["train"]),
     "sweep_flag": (BASE_CFG, ["sweep", "--param", "alpha", "--values", "1", "--seeds", "-1"]),
     "sweep_config": ({**BASE_CFG, "seeds": [-1]}, ["sweep", "--param", "alpha", "--values", "1"]),
@@ -352,16 +369,19 @@ NEGATIVE_SEEDS = {
 
 
 @pytest.mark.parametrize("name", NEGATIVE_SEEDS)
-def test_negative_training_seed_is_usage_error(name, tmp_path, capsys):
+def test_negative_training_seed_is_usage_error(name, tmp_path, monkeypatch, capsys):
+    # Every seed is checked before any trains, on one worker or several.
     cfg, args = NEGATIVE_SEEDS[name]
-    out = tmp_path / "o"
-    code = main(
-        [*args, "--config", write_cfg(tmp_path / "c.json", cfg), "--out", str(out)]
-    )
-    err = capsys.readouterr().err
-    assert code == EXIT_USAGE
-    assert err.startswith("error: ") and "seed" in err and "Traceback" not in err
-    assert not list(out.rglob("metrics.csv"))  # nothing trained
+    config = write_cfg(tmp_path / "c.json", cfg)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LCCN_LAB_THREADS", threads)
+        out = tmp_path / f"o{threads}"
+        code = main([*args, "--config", config, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and "seed" in err and "Traceback" not in err
+        assert not list(tmp_path.rglob("seed_*"))
+        assert not out.exists()
 
 
 def test_negative_mixing_seed_is_usage_error(tmp_path, capsys):
@@ -587,6 +607,55 @@ def test_sweep_checks_each_point_channel_shape_before_any_point_trains(tmp_path,
     )
     assert code == EXIT_USAGE
     assert "oracle_phi must be (3, 3)" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize(
+    "args, builds",
+    [(["train", "--seeds", "0", "1", "2"], (2, 1)),
+     (["sweep", "--param", "learning_rate", "--values", "0.1", "0.2", "--seeds", "0", "1"],
+      (2, 1)),
+     (["sweep", "--param", "noise.ratio", "--values", "0.1", "0.4", "--seeds", "0", "1"],
+      (4, 2))],
+    ids=["train", "sweep_over_a_train_key", "sweep_over_a_noise_key"],
+)
+def test_each_data_recipe_is_built_once(args, builds, tmp_path, monkeypatch):
+    # One recipe is a train mixture, its noise and a test mixture, whatever the seeds.
+    calls = {"make_gaussian_mixture": 0, "apply_noise": 0}
+    for name in calls:
+        def counted(*a, _name=name, _real=getattr(cli, name), **k):
+            calls[_name] += 1
+            return _real(*a, **k)
+        monkeypatch.setattr(cli, name, counted)
+    monkeypatch.setenv("LCCN_LAB_THREADS", "1")
+    cfg = {**BASE_CFG, "train": {**BASE_CFG["train"], "kind": "ce"}}
+    code = main([*args, "--config", write_cfg(tmp_path / "c.json", cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_OK
+    assert (calls["make_gaussian_mixture"], calls["apply_noise"]) == builds
+
+
+@pytest.mark.parametrize("param, section", [("alpha", "train"), ("noise.ratio", "noise")])
+def test_sweep_over_a_section_that_is_no_object_is_usage_error(param, section, tmp_path, capsys):
+    cfg = {**BASE_CFG, section: [1]}
+    code = main(
+        ["sweep", "--config", write_cfg(tmp_path / "c.json", cfg), "--param", param,
+         "--values", "0.1", "--out", str(tmp_path / "sweep")]
+    )
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: config section {section!r} must be a JSON object\n"
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_without_a_test_split_trains_nothing(tmp_path, capsys):
+    (tmp_path / "data.json").write_text(json.dumps(GOOD_DATASET))
+    cfg = {"dataset": "data.json", "train": {"kind": "ce", "epochs": 1}}
+    code = main(
+        ["sweep", "--config", write_cfg(tmp_path / "c.json", cfg), "--param", "learning_rate",
+         "--values", "0.1", "--out", str(tmp_path / "sweep")]
+    )
+    assert code == EXIT_USAGE
+    assert "test split" in capsys.readouterr().err
     assert not (tmp_path / "sweep").exists()
 
 

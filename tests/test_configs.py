@@ -1,7 +1,8 @@
 """The checked-in experiment configs resolve, and the README names only configs that exist.
 
-Nothing here trains: each config goes through the CLI's loader, its data
-recipe and its TrainConfig for every seed it lists.
+Nothing here trains: each config goes through the CLI's loader and the plan
+step that `train` runs, which builds its data and checks the TrainConfig of
+every seed it lists.
 """
 
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from lccn_lab.cli import _load_config, _seed_list, build_datasets, build_train_config
+from lccn_lab.cli import _load_config, _plan
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((REPO / "configs").glob("*.json"))
@@ -22,13 +23,13 @@ def test_configs_are_checked_in():
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
 def test_config_resolves_for_each_seed(path):
     cfg, base = _load_config(str(path))
-    train_ds, test_ds, _, reference_phi = build_datasets(cfg, base)
-    assert test_ds is not None and reference_phi is not None
-    assert train_ds.n_classes == test_ds.n_classes == cfg["generator"]["k"]
-    seeds = _seed_list(cfg["seeds"])
+    seeds = cfg["seeds"]
     assert seeds
-    for seed in seeds:
-        assert build_train_config(cfg["train"], seed=seed, base=base).seed == seed
+    runs = _plan(cfg, seeds, base)
+    assert [config.seed for *_, config, _ in runs] == seeds
+    for train_ds, test_ds, _, config, _ in runs:
+        assert test_ds is not None and config.reference_phi is not None
+        assert train_ds.n_classes == test_ds.n_classes == cfg["generator"]["k"]
 
 
 def test_readme_names_only_existing_configs():

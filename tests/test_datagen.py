@@ -84,6 +84,19 @@ def test_make_gaussian_mixture_checks_its_argument_types(bad):
         L.make_gaussian_mixture(**args)
 
 
+def test_every_seeded_recipe_step_rejects_a_negative_seed():
+    # Each names the seed before default_rng raises a ValueError that does not.
+    ds = L.make_gaussian_mixture(n_classes=2, dim=2, n_per_class=5, separation=4.0, seed=0)
+    steps = [
+        lambda: L.make_gaussian_mixture(n_classes=2, dim=2, n_per_class=5, separation=4.0, seed=-1),
+        lambda: L.NoiseSpec(kind="symmetric", ratio=0.3, seed=-1),
+        lambda: L.mark_clean_subset(ds, 2, seed=-1),
+    ]
+    for step in steps:
+        with pytest.raises(ParameterError, match=r"^seed must be nonnegative, got -1$"):
+            step()
+
+
 # ------------------------------------------------------------- injection
 
 
