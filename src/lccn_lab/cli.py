@@ -27,6 +27,7 @@ import numpy as np
 
 from .classifier import save_checkpoint
 from .datagen import (
+    NOISE_KINDS,
     LabeledDataset,
     NoiseSpec,
     apply_noise,
@@ -163,14 +164,21 @@ def _generate_data(generator: dict, noise: dict | None = None, clean: dict | Non
     return ds, report, spec
 
 
+_DATA_SECTIONS = ("generator", "noise", "clean", "test")
+
+
 def build_datasets(cfg: dict, base: Path | None = None):
     """Resolve the data sections of an experiment config.
 
     Returns (train_ds, test_ds, noise_report, reference_phi). Generated
     datasets depend only on the generator/noise/clean seeds, never on the
-    training seed, so multi-seed runs share identical data.
+    training seed, so multi-seed runs share identical data. A `dataset`
+    config may hold no generated-data section, since it would read none.
     """
     if "dataset" in cfg:
+        for section in _DATA_SECTIONS:
+            if section in cfg:
+                raise ParameterError(f"a 'dataset' config ignores section {section!r}")
         ds = LabeledDataset.from_json_dict(_load_json(cfg["dataset"], base))
         test_ds = None
         if "test_dataset" in cfg:
@@ -178,7 +186,7 @@ def build_datasets(cfg: dict, base: Path | None = None):
         return ds, test_ds, None, None
     if "generator" not in cfg:
         raise ParameterError("config must contain a 'dataset' path or a 'generator' section")
-    for section in ("generator", "noise", "clean", "test"):
+    for section in _DATA_SECTIONS:
         if not isinstance(cfg.get(section) or {}, dict):
             raise ParameterError(f"config section {section!r} must be a JSON object")
     gen = cfg["generator"]
@@ -513,9 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--d", type=int, default=2, help="feature dimension")
     gen.add_argument("--n-per-class", type=int, required=True)
     gen.add_argument("--separation", type=float, default=4.0)
-    gen.add_argument(
-        "--noise", choices=["none", "symmetric", "asymmetric", "openset"], default="none"
-    )
+    gen.add_argument("--noise", choices=NOISE_KINDS, default="none")
     gen.add_argument("--ratio", type=float, default=0.0)
     gen.add_argument("--pair-map", type=int, nargs="+", default=None)
     gen.add_argument("--ood-fraction", type=float, default=0.0)

@@ -1,12 +1,12 @@
 """Synthetic Gaussian-mixture datasets and controlled label/feature corruption.
 
-`apply_noise(dataset, NoiseSpec)` is the one way to corrupt a dataset. Label
-noise (kinds "symmetric" and "asymmetric") draws from `default_rng(seed)`:
-`random(N)` picks the hit samples, then kind "symmetric" alone draws
-`integers(0, K, N)` to resample them. Open-set noise (kind "openset", or
-ood_fraction with any kind) draws from `default_rng(seed + 1)`: one `choice`
-of the outlier rows, then one `permutation` per chosen row, in order. Kind
-"none" draws nothing.
+`apply_noise(dataset, NoiseSpec)` is the one way to corrupt a dataset. The
+label-noise kinds are `NOISE_KINDS`. Kinds "symmetric" and "asymmetric" draw
+from `default_rng(seed)`: `random(N)` picks the hit samples, then kind
+"symmetric" alone draws `integers(0, K, N)` to resample them; kind "none"
+draws nothing. Open-set noise is spelled ood_fraction, with any kind; it
+draws from `default_rng(seed + 1)`: one `choice` of the outlier rows, then
+one `permutation` per chosen row, in order.
 
 Every function here is pure and bit-reproducible for a fixed seed, and
 checks the type and range of each data argument (ParameterError).
@@ -28,6 +28,9 @@ from .noise_model import confusion_counts
 # Sentinel true label for out-of-distribution samples whose original class
 # no longer describes their features.
 OOD_LABEL = -1
+
+# The label-noise kinds of `NoiseSpec` and of `generate --noise`.
+NOISE_KINDS = ("none", "symmetric", "asymmetric")
 
 
 @dataclass
@@ -165,10 +168,11 @@ def default_pair_map(n_classes: int) -> tuple[int, ...]:
 class NoiseSpec:
     """Declarative description of a corruption to apply to a clean dataset.
 
-    kind is one of "none", "symmetric", "asymmetric", "openset".
-    ratio is the corruption probability (0 for "none"); pair_map (asymmetric
+    kind is one of `NOISE_KINDS`: "none", "symmetric", "asymmetric".
+    ratio is the label-flip probability (0 for "none"); pair_map (asymmetric
     only) maps each class to its flip class; ood_fraction is the share of
-    samples turned into feature-corrupted outliers.
+    samples turned into feature-corrupted outliers (open-set noise), with
+    any kind.
     """
 
     kind: str = "none"
@@ -180,7 +184,7 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         check_field_types(self)
         _check_seed(self.seed)
-        if self.kind not in ("none", "symmetric", "asymmetric", "openset"):
+        if self.kind not in NOISE_KINDS:
             raise ParameterError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.ratio <= 1.0:
             raise ParameterError("ratio must lie in [0, 1]")
@@ -334,9 +338,8 @@ def apply_noise(ds: LabeledDataset, spec: NoiseSpec) -> tuple[LabeledDataset, No
     symmetric hit may land on its own class, so the expected flip fraction is
     ratio * (K - 1) / K; an asymmetric hit flips class k to pair_map[k]
     (default (k + 1) mod K), once. Open-set noise reorders the features of
-    exactly round(fraction * N) samples, marks them out-of-distribution with
-    the sentinel true label and keeps their observed label. The fraction is
-    ood_fraction, or for kind "openset" ratio when ood_fraction is zero.
+    exactly round(ood_fraction * N) samples, marks them out-of-distribution
+    with the sentinel true label and keeps their observed label.
     """
     k = ds.n_classes
     out = ds.copy()
@@ -348,12 +351,9 @@ def apply_noise(ds: LabeledDataset, spec: NoiseSpec) -> tuple[LabeledDataset, No
         else:
             pair = np.asarray(spec._flip_targets(k), dtype=np.int64)
             out.noisy_labels[hit] = pair[out.noisy_labels[hit]]
-    fraction = spec.ood_fraction
-    if spec.kind == "openset" and fraction == 0.0:
-        fraction = spec.ratio
-    if fraction > 0.0:
+    if spec.ood_fraction > 0.0:
         rng = np.random.default_rng(spec.seed + 1)
-        chosen = rng.choice(ds.n, size=round(fraction * ds.n), replace=False)
+        chosen = rng.choice(ds.n, size=round(spec.ood_fraction * ds.n), replace=False)
         for idx in chosen:
             out.features[idx] = out.features[idx, rng.permutation(ds.dim)]
         out.ood_mask[chosen] = True

@@ -14,10 +14,10 @@ on the `eval_every` cadence and assembles the RunResult. A kind supplies
 only a `_Hooks` bundle: its per-batch step (hard target, self-blended
 target, composed channel, EM responsibilities or latent resample) plus
 views of its own state for the metric records and the final transition.
-The three latent kinds are one function, `_train_latent`: lccn_star adds an
-outlier latent class and lccn_plus pins the trusted samples. The two
-transition-layer kinds are one function too, `_train_transition_layer`:
-forward_fixed is s_adaptation with its layer frozen for the whole run.
+The eight kinds run through four bodies: ce is `_train_bootstrap` at beta = 1,
+lccn_star and lccn_plus are `_train_latent` with an outlier latent class or
+pinned trusted samples, and forward_fixed is `_train_transition_layer` with
+the layer of s_adaptation frozen for the whole run.
 """
 
 from __future__ import annotations
@@ -83,14 +83,14 @@ class TrainConfig:
       forward_fixed holds its layer for the whole run) and the latent kinds
       (sampling steps that use the initial channel instead of the counts);
       None means one epoch of steps;
-    - warmup_kind and oracle_phi: the initial channel of forward_fixed,
-      s_adaptation and the latent kinds;
+    - oracle_phi: the initial channel of forward_fixed, s_adaptation and the
+      latent kinds (the K x K identity for the identity channel);
     - alpha and anneal: the latent kinds. With anneal on, the sampler raises
       the channel factor to the exponent max(exp(-step / batches * 0.8), 0.5)
       at each step of a run of `batches` batches (`_anneal`): it falls from
       1 to the floor 0.5, which it holds from 87% of the run on;
     - transition_lr: s_adaptation;
-    - bootstrap_beta: bootstrap_hard.
+    - bootstrap_beta: bootstrap_hard; at 1.0 it takes ce's steps.
 
     seed, which every kind reads, must be >= 0.
     """
@@ -109,7 +109,6 @@ class TrainConfig:
     warmup_steps: int | None = None
     alpha: float | tuple[float, ...] = 1.0
     anneal: bool = False
-    warmup_kind: str = "predictions"
     oracle_phi: np.ndarray | None = None
     reference_phi: np.ndarray | None = None
     bootstrap_beta: float = 0.8
@@ -139,8 +138,6 @@ class TrainConfig:
             raise ParameterError("bootstrap_beta must lie in [0, 1]")
         if self.warmup_steps is not None and self.warmup_steps < 0:
             raise ParameterError("warmup_steps must be nonnegative")
-        if self.warmup_kind not in ("predictions", "identity"):
-            raise ParameterError(f"unknown warmup kind {self.warmup_kind!r}")
         if self.eval_every < 1:
             raise ParameterError("eval_every must be >= 1")
         try:
@@ -349,33 +346,23 @@ def _fit(
     return RunResult(records, params, hooks.final_phi(), variations)
 
 
-def _train_ce(
-    ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None = None
-) -> RunResult:
-    """Plain clipped cross-entropy on the observed labels."""
-
-    def start(run: _Run) -> _Hooks:
-        def batch(idx: np.ndarray) -> None:
-            sgd_step(run.params, run.opt, ds.features[idx], ds.noisy_labels[idx], run.clip)
-
-        return _Hooks(batch)
-
-    return _fit(ds, cfg, test_ds, start, pretrain=False)
-
-
-def _train_bootstrap_hard(
-    ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None = None
+def _train_bootstrap(
+    ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None, *, blend: bool
 ) -> RunResult:
     """Cross-entropy against a convex blend of the observed label and the model's own argmax.
 
     Target weights are beta on the observed label and (1 - beta) on the
     current prediction's argmax, recomputed every step; the step reuses the
-    forward pass that gave the argmax.
+    forward pass that gave the argmax. beta is bootstrap_beta, or 1 without
+    `blend` (ce); at 1 each step is the plain hard-label step.
     """
-    beta = cfg.bootstrap_beta
+    beta = cfg.bootstrap_beta if blend else 1.0
 
     def start(run: _Run) -> _Hooks:
-        def batch(idx: np.ndarray) -> None:
+        def hard(idx: np.ndarray) -> None:
+            sgd_step(run.params, run.opt, ds.features[idx], ds.noisy_labels[idx], run.clip)
+
+        def blended(idx: np.ndarray) -> None:
             features = ds.features[idx]
             forward = _forward(run.params, features)
             pseudo = forward[0].argmax(axis=1)
@@ -383,7 +370,7 @@ def _train_bootstrap_hard(
             weights += (1.0 - beta) * one_hot(pseudo, ds.n_classes)
             sgd_step_soft(run.params, run.opt, features, weights, run.clip, forward=forward)
 
-        return _Hooks(batch)
+        return _Hooks(hard if beta == 1.0 else blended)
 
     return _fit(ds, cfg, test_ds, start, pretrain=False)
 
@@ -423,15 +410,12 @@ def _composed_step(run: _Run, ds: LabeledDataset, idx: np.ndarray, phi: np.ndarr
 def _initial_channel(
     ds: LabeledDataset, cfg: TrainConfig, params: ClassifierParams, n_latent: int
 ) -> np.ndarray:
-    """Transition estimate available before counts exist: oracle, identity, or predictions."""
+    """Transition estimate available before counts exist: oracle_phi, else from predictions."""
     k = ds.n_classes
-    if cfg.oracle_phi is not None:
-        matrix = np.asarray(cfg.oracle_phi, dtype=np.float64)
-    elif cfg.warmup_kind == "identity":
-        matrix = np.eye(k)
-    else:
+    if cfg.oracle_phi is None:
         predictions = forward_proba(params, ds.features)
         return warmup_transition(predictions, ds.noisy_labels, k)
+    matrix = np.asarray(cfg.oracle_phi, dtype=np.float64)
     if n_latent > k:
         matrix = np.vstack([matrix, np.full((n_latent - k, k), 1.0 / k)])
     return check_transition(matrix)
@@ -576,7 +560,6 @@ def _train_latent(
             "clean subset is empty; falling back to plain latent-label training",
             UserWarning,
         )
-        use_clean = False
     prior = _prior_for(cfg, k)
     exclude = ds.clean_mask if use_clean else None
     labels = ds.noisy_labels.copy()
@@ -641,8 +624,8 @@ def _train_latent(
 
 
 TRAINERS = {
-    "ce": _train_ce,
-    "bootstrap_hard": _train_bootstrap_hard,
+    "ce": partial(_train_bootstrap, blend=False),
+    "bootstrap_hard": partial(_train_bootstrap, blend=True),
     "forward_fixed": partial(_train_transition_layer, frozen=True),
     "s_adaptation": partial(_train_transition_layer, frozen=False),
     "em_reference": _train_em_reference,
@@ -656,8 +639,12 @@ TRAINER_KINDS = tuple(TRAINERS)
 def run_trainer(
     ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None = None
 ) -> RunResult:
-    """Check the channel shapes, dispatch on cfg.kind and validate the result's record order."""
+    """Check the channel shapes, dispatch on cfg.kind and validate the result's record order.
+
+    numpy does not warn of overflow: a diverging run raises TrainingError at a non-finite check.
+    """
     cfg.check_channels(ds.n_classes)
-    result = TRAINERS[cfg.kind](ds, cfg, test_ds)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        result = TRAINERS[cfg.kind](ds, cfg, test_ds)
     result.validate_record_order()
     return result

@@ -212,18 +212,25 @@ def test_unknown_train_key_is_usage_error(tmp_path, capsys):
 # Retired TrainConfig fields. The per-batch bound certifies only the smoothed
 # estimator, so the unsmoothed switch went; total_iterations, em_m_epochs and
 # grad_clip went with the batch budget, multi-sweep epochs and the clip of the
-# transition layer's gradient, which no caller set.
-@pytest.mark.parametrize("knob", ["smoothed", "total_iterations", "em_m_epochs", "grad_clip"])
-def test_removed_knob_is_usage_error(knob, tmp_path, capsys):
+# transition layer's gradient, which no caller set; warmup_kind's identity
+# channel is oracle_phi = I.
+@pytest.mark.parametrize(
+    "knob, value",
+    [("smoothed", 1), ("total_iterations", 1), ("em_m_epochs", 1), ("grad_clip", 1),
+     ("warmup_kind", "identity")],
+    ids=["smoothed", "total_iterations", "em_m_epochs", "grad_clip", "warmup_kind"],
+)
+def test_removed_knob_is_usage_error(knob, value, tmp_path, capsys):
     # An old config naming one must fail at parse time, in train and in sweep alike.
     cfg = json.loads(json.dumps(BASE_CFG))
-    cfg["train"][knob] = 1
+    cfg["train"][knob] = value
     path = write_cfg(tmp_path / "c.json", cfg)
     assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_USAGE
-    assert knob in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert knob in err and err.count("\n") == 1
     code = main(
         ["sweep", "--config", write_cfg(tmp_path / "s.json", BASE_CFG), "--param", knob,
-         "--values", "1", "2", "--out", str(tmp_path / "sweep")]
+         "--values", json.dumps(value), "--out", str(tmp_path / "sweep")]
     )
     assert code == EXIT_USAGE
     assert knob in capsys.readouterr().err
@@ -314,6 +321,8 @@ BAD_INPUTS = {
     "train_section_not_an_object": ({}, {"train": []}),
     # Symmetric noise never reads a pair map.
     "noise_pair_map_for_symmetric_noise": ({}, {"noise": {"pair_map": [1, 0]}}),
+    # Open-set noise is spelled ood_fraction, with any kind.
+    "noise_kind_openset": ({}, {"noise": {"kind": "openset"}}),
 }
 
 
@@ -323,8 +332,9 @@ def test_malformed_config_or_input_file_is_usage_error(name, tmp_path, capsys):
     for filename, text in files.items():
         (tmp_path / filename).write_text(text)
     cfg = json.loads(json.dumps(BASE_CFG))
-    if "dataset" in override:
-        del cfg["generator"]
+    if "dataset" in override:  # a dataset config holds no generated-data section
+        for section in ("generator", "noise", "test"):
+            del cfg[section]
     for section, value in override.items():
         cfg[section] = {**cfg.get(section, {}), **value} if isinstance(value, dict) else value
     code = main(
@@ -659,6 +669,38 @@ def test_sweep_without_a_test_split_trains_nothing(tmp_path, capsys):
     assert not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize(
+    "section, argv",
+    [("generator", ["sweep", "--param", "generator.k", "--values", "3", "5"]),
+     ("clean", ["train"])],
+    ids=["sweep_over_a_generator_key", "train_with_a_clean_section"],
+)
+def test_data_section_beside_a_dataset_is_usage_error(section, argv, tmp_path, capsys):
+    # A dataset config reads no generated-data section: a sweep over one would
+    # train identical points.
+    (tmp_path / "data.json").write_text(json.dumps(GOOD_DATASET))
+    cfg = {"dataset": "data.json", "test_dataset": "data.json",
+           "train": {"kind": "ce", "epochs": 1, "batch_size": 2}}
+    if section == "clean":
+        cfg["clean"] = {"n_clean": 1}
+    code = main([*argv, "--config", write_cfg(tmp_path / "c.json", cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: a 'dataset' config ignores section {section!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_generate_has_no_openset_noise_kind(tmp_path, capsys):
+    # Open-set noise is spelled --ood-fraction, with any --noise kind.
+    code = main(["generate", "--k", "2", "--n-per-class", "10", "--noise", "openset",
+                 "--ratio", "0.2", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE
+    assert [line for line in err if "error:" in line] == [err[-1]]
+    assert "'openset'" in err[-1]
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_values_are_json_so_strings_are_quoted(tmp_path, lccn_config, capsys):
     out = tmp_path / "sweep"
     argv = ["sweep", "--config", lccn_config, "--param", "kind", "--out", str(out), "--values"]
@@ -899,7 +941,7 @@ FUZZ_DATA = {
 @given(
     threads=st.sampled_from(["1", "2"]),
     kind=st.sampled_from(TRAINER_KINDS),
-    warmup_kind=st.sampled_from(["predictions", "identity"]),
+    oracle_phi=st.sampled_from([None, np.eye(3).tolist()]),
     batch_size=st.sampled_from([7, 16, 60, 75]),
     alpha=st.one_of(st.floats(1e-300, 100.0), st.lists(st.floats(1e-300, 10.0), min_size=3,
                                                         max_size=3)),
@@ -949,12 +991,16 @@ def test_runaway_learning_rate_exits_1_through_main(train, message, threads, tmp
                                                       monkeypatch, capfd):
     monkeypatch.setenv("LCCN_LAB_THREADS", threads)
     config = write_cfg(tmp_path / "config.json", {**FUZZ_DATA, "train": train})
-    code = main(["train", "--config", config, "--out", str(tmp_path / "out"),
-                 "--seeds", "3", "4"])
+    # pytest records warnings instead of printing them; as errors, one would
+    # escape main (forked workers inherit the filter).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["train", "--config", config, "--out", str(tmp_path / "out"),
+                     "--seeds", "3", "4"])
     out, err = capfd.readouterr()
     assert code == EXIT_RUNTIME
-    assert f"error: {message}\n" in err
-    assert "Traceback" not in out + err
+    assert err == f"error: {message}\n"
+    assert out == ""
 
 
 def _fresh_interpreter(code: str, *args: str, **env: str) -> list:

@@ -136,7 +136,7 @@ def test_custom_pair_map_is_respected():
 
 def test_openset_injection_exact_count_and_sentinel():
     ds = L.make_gaussian_mixture(n_classes=3, dim=4, n_per_class=50, separation=4.0, seed=8)
-    out, _ = L.apply_noise(ds, L.NoiseSpec(kind="openset", ood_fraction=0.2, seed=8))
+    out, _ = L.apply_noise(ds, L.NoiseSpec(ood_fraction=0.2, seed=8))
     assert out.ood_mask.sum() == round(0.2 * 150)
     assert (out.true_labels[out.ood_mask] == L.OOD_LABEL).all()
     assert (out.true_labels[~out.ood_mask] >= 0).all()
@@ -176,7 +176,7 @@ def test_mark_clean_subset_checks_its_argument_types(n_clean, seed):
 
 def test_injectors_skip_ood_samples():
     ds = L.make_gaussian_mixture(n_classes=3, dim=3, n_per_class=60, separation=4.0, seed=13)
-    with_ood, _ = L.apply_noise(ds, L.NoiseSpec(kind="openset", ood_fraction=0.25, seed=13))
+    with_ood, _ = L.apply_noise(ds, L.NoiseSpec(ood_fraction=0.25, seed=13))
     before = with_ood.noisy_labels[with_ood.ood_mask].copy()
     after, _ = L.apply_noise(with_ood, L.NoiseSpec(kind="symmetric", ratio=1.0, seed=15))
     np.testing.assert_array_equal(after.noisy_labels[after.ood_mask], before)
@@ -200,7 +200,7 @@ def test_noise_spec_validation_names_field():
     with pytest.raises(ParameterError, match="kind"):
         L.NoiseSpec(kind="salt_pepper", ratio=0.1)
     with pytest.raises(ParameterError, match="ood_fraction"):
-        L.NoiseSpec(kind="openset", ratio=0.1, ood_fraction=-0.2)
+        L.NoiseSpec(kind="symmetric", ratio=0.1, ood_fraction=-0.2)
 
 
 @pytest.mark.parametrize(
@@ -227,7 +227,7 @@ def test_noise_spec_stores_pair_map_as_a_tuple():
 @pytest.mark.parametrize(
     "spec",
     [{"kind": "symmetric", "ratio": 0.3, "pair_map": (1, 0)},
-     {"kind": "openset", "ratio": 0.3, "pair_map": (1, 0)},
+     {"kind": "symmetric", "ratio": 0.3, "ood_fraction": 0.2, "pair_map": (1, 0)},
      {"kind": "none", "pair_map": (1, 0)},
      {"kind": "none", "ratio": 0.3}],
 )
@@ -261,10 +261,15 @@ def test_true_transition_asymmetric():
     np.testing.assert_allclose(phi[2], [0.4, 0.0, 0.6], atol=1e-15)
 
 
-def test_apply_noise_openset_uses_ratio_fallback():
+def test_ratio_flips_labels_only_and_openset_is_no_kind():
+    # Open-set noise has one spelling, ood_fraction; ratio never corrupts features.
     ds = L.make_gaussian_mixture(n_classes=3, dim=2, n_per_class=40, separation=4.0, seed=1)
-    out, _ = L.apply_noise(ds, L.NoiseSpec(kind="openset", ratio=0.25, seed=2))
-    assert out.ood_mask.sum() == round(0.25 * 120)
+    for kind in ("symmetric", "asymmetric"):
+        out, _ = L.apply_noise(ds, L.NoiseSpec(kind=kind, ratio=0.25, seed=2))
+        assert not out.ood_mask.any()
+        np.testing.assert_array_equal(out.features, ds.features)
+    with pytest.raises(ParameterError, match="unknown noise kind 'openset'"):
+        L.NoiseSpec(kind="openset", ratio=0.25)
 
 
 # ---------------------------------------------------------- serialization
@@ -272,7 +277,7 @@ def test_apply_noise_openset_uses_ratio_fallback():
 
 def test_dataset_roundtrip_and_byte_stability(tmp_path):
     ds = L.make_gaussian_mixture(n_classes=2, dim=2, n_per_class=8, separation=3.0, seed=5)
-    noisy, _ = L.apply_noise(ds, L.NoiseSpec(kind="openset", ood_fraction=0.25, seed=5))
+    noisy, _ = L.apply_noise(ds, L.NoiseSpec(ood_fraction=0.25, seed=5))
     noisy = L.mark_clean_subset(noisy, 3, seed=5)
     p1, p2, p3 = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
     L.save_dataset(noisy, p1)
@@ -291,7 +296,7 @@ def test_dataset_roundtrip_and_byte_stability(tmp_path):
 
 def test_dataset_json_uses_sentinel_for_ood(tmp_path):
     ds = L.make_gaussian_mixture(n_classes=2, dim=2, n_per_class=10, separation=3.0, seed=7)
-    noisy, _ = L.apply_noise(ds, L.NoiseSpec(kind="openset", ood_fraction=0.2, seed=7))
+    noisy, _ = L.apply_noise(ds, L.NoiseSpec(ood_fraction=0.2, seed=7))
     path = tmp_path / "ds.json"
     L.save_dataset(noisy, path)
     payload = json.loads(path.read_text())

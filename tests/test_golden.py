@@ -41,6 +41,7 @@ from pathlib import Path
 import pytest
 
 from lccn_lab.cli import EXIT_OK, main, run_experiment
+from lccn_lab.datagen import NOISE_KINDS
 from lccn_lab.trainers import TRAINER_KINDS, TrainConfig
 
 HASHES_PATH = Path(__file__).with_name("golden_hashes.json")
@@ -63,7 +64,11 @@ BASE_CFG = {
 VARIANTS = {
     "base": {},
     "milestones": {"lr_milestones": [[1, 0.05]]},
-    "knobs": {"warmup_kind": "identity", "warmup_steps": 3, "anneal": True},
+    "knobs": {
+        "oracle_phi": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        "warmup_steps": 3,
+        "anneal": True,
+    },
     "no_epochs": {"epochs": 0},
     "linear": {"hidden_width": 0},
     "tanh_decay": {"activation": "tanh", "weight_decay": 0.05, "momentum": 0.5},
@@ -130,11 +135,11 @@ GENERATE = [
     "generate", "--k", "3", "--n-per-class", "12", "--noise", "asymmetric", "--ratio", "0.3",
     "--ood-fraction", "0.1", "--n-clean", "4", "--seed", "9", "--out", "gen",
 ]
-# The data recipe of each noise kind that GENERATE leaves out.
+# The data recipe of each noise kind that GENERATE leaves out, and open-set
+# noise on its own.
 GENERATE_KINDS = {
     "generate_symmetric": ["--noise", "symmetric", "--ratio", "0.3"],
-    "generate_openset_ratio": ["--d", "3", "--noise", "openset", "--ratio", "0.2"],
-    "generate_openset_ood_fraction": ["--d", "3", "--noise", "openset", "--ood-fraction", "0.25"],
+    "generate_openset_ood_fraction": ["--d", "3", "--noise", "none", "--ood-fraction", "0.25"],
     "generate_none_clean": ["--noise", "none", "--n-clean", "5"],
 }
 TRAIN = ["train", "--config", "cfg.json", "--out", "run"]
@@ -213,6 +218,28 @@ def test_every_train_field_is_set_by_some_case():
     }
     fields = {f.name for f in dataclasses.fields(TrainConfig)} - {"reference_phi"}
     assert sorted(fields - names) == []
+
+
+def test_every_noise_kind_is_pinned_by_some_generate_case():
+    kinds = {
+        argv[argv.index("--noise") + 1]
+        for case, runs in CLI_CASES.items() if case.startswith("generate")
+        for argv in runs if "--noise" in argv
+    }
+    assert sorted(set(NOISE_KINDS) - kinds) == []
+
+
+@pytest.mark.parametrize("hidden_width", [0, 8], ids=["linear", "mlp"])
+def test_full_weight_bootstrap_writes_the_artifacts_of_ce(hidden_width, tmp_path):
+    # ce is bootstrap_hard at beta = 1: only the config echo tells the two apart.
+    def artifacts(kind: str, **train) -> dict[str, bytes]:
+        cfg = {**BASE_CFG, "train": {**BASE_CFG["train"], "kind": kind,
+                                     "hidden_width": hidden_width, **train}}
+        run_experiment(cfg, 0, tmp_path / kind)
+        return {p.name: p.read_bytes() for p in sorted((tmp_path / kind).iterdir())
+                if p.name != "config.json"}
+
+    assert artifacts("bootstrap_hard", bootstrap_beta=1.0) == artifacts("ce")
 
 
 @pytest.mark.parametrize("case", KIND_CASES)

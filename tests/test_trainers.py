@@ -147,7 +147,7 @@ def test_latent_run_emits_stochastic_transition(blobs2_tiny):
 
 
 def test_outlier_bucket_has_extra_row(blobs2_tiny):
-    spec = NoiseSpec(kind="openset", ratio=0.3, ood_fraction=0.25, seed=5)
+    spec = NoiseSpec(ood_fraction=0.25, seed=5)
     ds, _ = apply_noise(blobs2_tiny["clean"], spec)
     result = run_trainer(
         ds, TrainConfig(kind="lccn_star", epochs=2, pretrain_epochs=1, batch_size=16,
@@ -159,13 +159,18 @@ def test_outlier_bucket_has_extra_row(blobs2_tiny):
 
 
 def test_pinned_trainer_warns_without_trusted_samples(blobs2_tiny):
+    # Pinning no sample is lccn's run: only the warning tells the two apart.
     ds = blobs2_tiny["noisy"]
     assert not ds.clean_mask.any()
+    cfg = TrainConfig(kind="lccn_plus", epochs=2, pretrain_epochs=1, batch_size=16,
+                      learning_rate=0.02, seed=4)
     with pytest.warns(UserWarning, match="clean subset"):
-        run_trainer(
-            ds, TrainConfig(kind="lccn_plus", epochs=1, pretrain_epochs=0, batch_size=16,
-                            learning_rate=0.02, seed=4)
-        )
+        plus = run_trainer(ds, cfg)
+    lccn = run_trainer(ds, dataclasses.replace(cfg, kind="lccn"))
+    assert records_equal(plus.records, lccn.records)
+    assert np.array_equal(plus.final_phi, lccn.final_phi)
+    assert params_equal(plus.final_params, lccn.final_params)
+    assert plus.batch_variations == lccn.batch_variations
 
 
 def test_dispatch_runs_requested_trainer(blobs2_tiny):
@@ -229,7 +234,7 @@ def test_milestones_change_learning_rate(blobs2_tiny):
         dict(warmup_steps=-1),
         dict(seed=-1),
         dict(transition_lr=-0.1),
-        dict(warmup_kind="bogus"),
+        dict(oracle_phi=np.array([[0.5, 0.6], [0.5, 0.5]])),
         dict(eval_every=0),
         dict(weight_decay=-0.1),
         dict(clip=0.0),
@@ -472,7 +477,7 @@ _alpha = st.one_of(
 @given(
     kind=st.sampled_from(TRAINER_KINDS),
     anneal=st.booleans(),
-    warmup_kind=st.sampled_from(["predictions", "identity"]),
+    oracle_phi=st.sampled_from([None, np.eye(3)]),
     batch_size=st.sampled_from([7, 16, 60, 75]),
     alpha=_alpha,
     epochs=st.integers(1, 2),
