@@ -3,16 +3,16 @@
 Each sample's latent label is resampled from the product of two factors: the
 classifier's probability for that class, and the leave-one-out predictive
 probability of the observed label given the class (from the Dirichlet-
-multinomial channel). Enumerating all joint assignments gives an exact
-posterior for small instances, used to validate the chain. The chain's state
-is two plain arrays, both updated in place: the int64 latent label of every
-sample, which every sample always holds (a chain starts from the observed
-labels), and the count matrix of `noise_model.confusion_counts`. A warmup
-channel is a plain array of the count matrix's shape (`check_transition`).
-Annealing raises the channel factor alone, never the classifier's, to a
-plain exponent `anneal` in [0, inf): 1 is the collapsed posterior and 0
-follows the classifier. The trainers' schedule of that exponent is
-`trainers._anneal`.
+multinomial channel). Enumerating all joint assignments, each weighted from
+log rising factorials, gives an exact posterior for small instances, used to
+validate the chain. The chain's state is two plain arrays, both updated in
+place: the int64 latent label of every sample, which every sample always
+holds (a chain starts from the observed labels), and the count matrix of
+`noise_model.confusion_counts`. A warmup channel is a plain array of the
+count matrix's shape (`check_transition`). Annealing raises the channel
+factor alone, never the classifier's, to a plain exponent `anneal` in
+[0, inf): 1 is the collapsed posterior and 0 follows the classifier. The
+trainers' schedule of that exponent is `trainers._anneal`.
 
 `sampling_distribution` is the one-draw reference. `gibbs_sample_batch` runs
 the same chain on plain Python floats and is bit-identical to replaying the
@@ -26,7 +26,8 @@ order (see `noise_model`): for fewer than 8 latent classes the loop that
 builds the scores adds them up left to right from 0.0 as it goes, and from
 8 on `_row_sum` sums the list again in numpy's pairwise order. An exponent
 other than 1 always goes through numpy's `**`, whose vectorized power may
-round differently from Python's.
+round differently from Python's; an annealed batch reuses the tempered
+column of an (observed label, old label) pair until a draw moves a label.
 """
 
 from __future__ import annotations
@@ -41,21 +42,25 @@ from .noise_model import _NUMPY_UNROLL, DirichletPrior, _check_counts, _row_sum,
 
 def _scores(
     row: list, a: float, column: list, totals: list, alpha_total: float,
-    warmup: list | None, anneal: float,
+    warmup: list | None, anneal: float, tempered: dict | None = None, key: tuple = (),
 ) -> tuple[list[float], float]:
     """Unnormalized scores of one draw and their sum, which must be finite and positive.
 
     A score is a classifier probability times the channel: the warmup column if
     given, else the count column (a + c) / (alpha_total + t). `anneal` tempers
-    the channel alone, through numpy's `**`. The loop that builds the scores
-    adds them up left to right from 0.0, which is `_row_sum` of a row of fewer
-    than `_NUMPY_UNROLL` entries; a wider row is summed again by `_row_sum`.
+    the channel alone, through numpy's `**`, once per `key` of `tempered` if
+    given. The loop that builds the scores adds them up left to right from
+    0.0, which is `_row_sum` of a row of fewer than `_NUMPY_UNROLL` entries; a
+    wider row is summed again by `_row_sum`.
     """
     channel = warmup
     if anneal != 1.0:
+        tempered = {} if tempered is None else tempered
+        channel = tempered.get(key)
         if channel is None:
-            channel = [(a + c) / (alpha_total + t) for c, t in zip(column, totals)]
-        channel = (np.array(channel, dtype=np.float64) ** anneal).tolist()
+            if warmup is None:
+                warmup = [(a + c) / (alpha_total + t) for c, t in zip(column, totals)]
+            channel = tempered[key] = (np.array(warmup, dtype=np.float64) ** anneal).tolist()
     scores = []
     norm = 0.0
     if channel is None:
@@ -180,6 +185,8 @@ def gibbs_sample_batch(
     )
     columns = counts.T.tolist()
     totals = [sum(row) for row in zip(*columns)]
+    # Tempered channel columns by (observed label, old label), valid until a label moves.
+    tempered = None if anneal == 1.0 else {}
     n_latent = len(totals)
     sampled = []
     moved = finished = False
@@ -197,7 +204,7 @@ def gibbs_sample_batch(
             totals[old] -= 1
             scores, norm = _scores(
                 row, alpha[observed], column, totals, alpha_total, warmup_columns[observed],
-                anneal,
+                anneal, tempered, (observed, old),
             )
             cumulative = 0.0
             # Without a break, a uniform at or above the rounded total takes the last class.
@@ -210,6 +217,8 @@ def gibbs_sample_batch(
             if new != old:
                 labels[position] = new
                 moved = True
+                if tempered:
+                    tempered.clear()
             sampled.append(new)
         finished = True
     finally:
@@ -219,6 +228,7 @@ def gibbs_sample_batch(
     return np.array(sampled, dtype=np.int64)
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # a non-finite weight fails the final check
 def exact_posterior_bruteforce(
     probs: np.ndarray,
     observed_labels: np.ndarray,
@@ -227,28 +237,32 @@ def exact_posterior_bruteforce(
 ) -> np.ndarray:
     """Exact per-sample posterior marginals by enumerating every joint assignment.
 
-    The joint weight of an assignment is the product of the classifier
-    probabilities and, per latent class, the ratio of Dirichlet normalizers
-    with and without that class's observed-label counts. All arithmetic is in
-    log space. Only instances with n_latent ** n <= max_states are accepted.
+    An assignment's weight is the product of the classifier probabilities and,
+    per latent class with counts n_k against the observed labels, the rising
+    factorials prod_k alpha_k^(n_k) / A^(sum_k n_k), A being the prior's total.
+    Their logs come from a table of sums of log(alpha_k + i) over i < c, whose
+    last row holds log(A + i). Only instances with n_latent ** n <= max_states
+    are accepted.
     """
-    # Imported here, not at module level: training never needs scipy, and
-    # loading it would add about 0.2 s and 19 MB to every process.
-    from scipy.special import gammaln, logsumexp
-
     probs = np.asarray(probs, dtype=np.float64)
-    observed_labels = np.asarray(observed_labels, dtype=np.int64)
+    observed_labels = np.asarray(observed_labels)
+    if probs.ndim != 2 or probs.shape[1] < 1:
+        raise ParameterError("probs must be (n_samples, n_latent) with n_latent >= 1")
     n, n_latent = probs.shape
     n_observed = prior.n_observed
+    if observed_labels.shape != (n,) or observed_labels.dtype.kind not in "iu":
+        raise ParameterError("observed_labels must hold one integer label per row of probs")
+    if n and not 0 <= observed_labels.min() <= observed_labels.max() < n_observed:
+        raise ParameterError("observed labels out of range")
     n_states = n_latent**n
     if n_states > max_states:
         raise ParameterError(f"state space {n_states} exceeds the limit {max_states}")
-    with np.errstate(divide="ignore"):
-        log_probs = np.log(probs)
-    alpha = prior.concentration
-    log_norm_empty = float(gammaln(alpha).sum() - gammaln(alpha.sum()))
-    obs_onehot = np.zeros((n, n_observed), dtype=np.float64)
-    obs_onehot[np.arange(n), observed_labels] = 1.0
+    log_probs = np.log(probs)
+    bases = np.append(prior.concentration, prior.total)
+    log_rising = np.zeros((n_observed + 1, n + 1))
+    log_rising[:, 1:] = np.log(bases[:, None] + np.arange(n)).cumsum(axis=1)
+    obs_onehot = np.zeros((n, n_observed), dtype=np.int64)
+    obs_onehot[np.arange(n), observed_labels] = 1
 
     block = 1 << 14
     radix = n_latent ** np.arange(n, dtype=np.int64)
@@ -261,15 +275,15 @@ def exact_posterior_bruteforce(
         states = np.arange(start, min(start + block, n_states), dtype=np.int64)
         assign = decode(states)
         lw = log_probs[np.arange(n)[None, :], assign].sum(axis=1)
-        cell_counts = np.zeros((states.size, n_latent, n_observed))
         for r in range(n_latent):
-            cell_counts[:, r, :] = (assign == r).astype(np.float64) @ obs_onehot
-        row_alpha = cell_counts + alpha[None, None, :]
-        log_norm = gammaln(row_alpha).sum(axis=2) - gammaln(row_alpha.sum(axis=2))
-        lw += (log_norm - log_norm_empty).sum(axis=1)
+            cell_counts = (assign == r) @ obs_onehot
+            lw += log_rising[np.arange(n_observed), cell_counts].sum(axis=1)
+            lw -= log_rising[-1, cell_counts.sum(axis=1)]
         log_weights[start : start + states.size] = lw
 
-    log_z = logsumexp(log_weights)
+    # Log-sum-exp; as in scipy's, a non-finite maximum shifts by 0, so all -inf gives -inf.
+    shift = log_weights.max() if np.isfinite(log_weights.max()) else 0.0
+    log_z = shift + np.log(np.exp(log_weights - shift).sum())
     marginals = np.zeros((n, n_latent))
     for start in range(0, n_states, block):
         states = np.arange(start, min(start + block, n_states), dtype=np.int64)
@@ -278,7 +292,8 @@ def exact_posterior_bruteforce(
         for r in range(n_latent):
             marginals[:, r] += (assign == r).T @ weights
     row_sums = marginals.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > 1e-8):
+    # Written so that a NaN sum fails: every comparison with NaN is False.
+    if not np.all(np.abs(row_sums - 1.0) <= 1e-8):
         raise TrainingError("brute-force marginals failed the normalization check")
     return marginals / row_sums[:, None]
 
@@ -326,14 +341,14 @@ def mixing_diagnostic(
     mean_tv) at up to 8 geometrically spaced sweeps. With sweeps=0 the
     "empirical marginal" is the point mass of the initial state.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    observed_labels = np.asarray(observed_labels, dtype=np.int64)
-    n, n_latent = probs.shape
     if sweeps < 0 or burn_in < 0:
         raise ParameterError("sweeps and burn_in must be nonnegative")
     if sweeps > 0 and burn_in >= sweeps:
         raise ParameterError("burn_in must be smaller than sweeps")
     reference = exact_posterior_bruteforce(probs, observed_labels, prior)
+    probs = np.asarray(probs, dtype=np.float64)
+    observed_labels = np.asarray(observed_labels, dtype=np.int64)
+    n, n_latent = reference.shape
     if sweeps == 0:
         empirical = np.zeros((n, n_latent))
         empirical[np.arange(n), observed_labels] = 1.0

@@ -1016,9 +1016,9 @@ def _fresh_interpreter(code: str, *args: str, **env: str) -> list:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-# Training must load neither scipy, which only the exact-enumeration reference
-# needs, nor the process pool, which only runs more than one worker. The
-# second train runs two seeds on one worker.
+# Training must load neither scipy, which no code of the package needs, nor
+# the process pool, which only runs more than one worker. The second train
+# runs two seeds on one worker.
 _COLD_START_CODE = """
 import json, sys
 from lccn_lab.cli import main
@@ -1037,18 +1037,31 @@ def test_training_loads_neither_scipy_nor_a_process_pool(tmp_path):
     assert _fresh_interpreter(_COLD_START_CODE, config, out, LCCN_LAB_THREADS="1") == []
 
 
-def test_exact_reference_imports_scipy_on_first_use():
-    code = """
+# A finder that refuses every scipy import: `diagnose mixing` and the exact
+# reference behind it need numpy alone.
+_NO_SCIPY_CODE = """
 import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+
+sys.meta_path.insert(0, NoScipy())
 import numpy as np
+from lccn_lab.cli import main
 from lccn_lab.noise_model import DirichletPrior
 from lccn_lab.sampler import exact_posterior_bruteforce
-before = "scipy" in sys.modules
+code = main(["diagnose", "mixing", "--n", "4", "--k", "2", "--sweeps", "300", "--burn-in", "50",
+             "--out", sys.argv[1]])
 probs = np.array([[0.7, 0.3], [0.4, 0.6], [0.5, 0.5]])
-prior = DirichletPrior.uniform(2, 1.0)
-marginals = exact_posterior_bruteforce(probs, np.array([0, 1, 1]), prior)
-print(json.dumps([before, "scipy.special" in sys.modules, marginals.sum(axis=1).tolist()]))
+marginals = exact_posterior_bruteforce(probs, np.array([0, 1, 1]), DirichletPrior.uniform(2, 1.0))
+print(json.dumps([code, "scipy" in sys.modules, marginals.sum(axis=1).tolist()]))
 """
-    before, after, row_sums = _fresh_interpreter(code)
-    assert (before, after) == (False, True)
+
+
+def test_diagnose_mixing_runs_with_scipy_blocked(tmp_path):
+    code, loaded, row_sums = _fresh_interpreter(_NO_SCIPY_CODE, str(tmp_path / "mix"))
+    assert (code, loaded) == (0, False)
     assert np.allclose(row_sums, 1.0)
+    assert (tmp_path / "mix" / "mixing.csv").is_file()

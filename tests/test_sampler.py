@@ -1,5 +1,6 @@
 """Anneal exponent, single-draw distributions, batch bit-identity and exact-enumeration checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -592,6 +593,57 @@ def test_bruteforce_two_samples_matches_direct_enumeration():
 
     marginals = exact_posterior_bruteforce(probs, observed, prior)
     np.testing.assert_allclose(marginals, expected, atol=1e-12)
+
+
+def _lgamma_marginals(probs, observed, alpha):
+    """Marginals from each state's weight written as a product of gamma-function ratios."""
+    n, k = probs.shape
+    marginals = np.zeros((n, k))
+    for assign in itertools.product(range(k), repeat=n):
+        log_weight = sum(math.log(probs[i, z]) for i, z in enumerate(assign))
+        for r in range(k):
+            cells = [sum(z == r and y == c for z, y in zip(assign, observed)) for c in range(k)]
+            log_weight += sum(math.lgamma(a + c) - math.lgamma(a) for a, c in zip(alpha, cells))
+            log_weight += math.lgamma(sum(alpha)) - math.lgamma(sum(alpha) + sum(cells))
+        marginals[np.arange(n), assign] += math.exp(log_weight)
+    return marginals / marginals.sum(axis=1, keepdims=True)
+
+
+@given(k=st.integers(2, 3), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_bruteforce_matches_a_per_state_lgamma_product(k, n, seed):
+    data = np.random.default_rng(seed)
+    probs = data.dirichlet(np.ones(k), size=n)
+    observed = data.integers(0, k, size=n)
+    alpha = data.uniform(0.05, 5.0, size=k)
+    marginals = exact_posterior_bruteforce(probs, observed, DirichletPrior(alpha))
+    np.testing.assert_allclose(
+        marginals, _lgamma_marginals(probs, observed.tolist(), alpha.tolist()), rtol=0, atol=1e-12
+    )
+
+
+# Observed labels the reference must refuse, for two rows of K=2 probabilities:
+# -1 would index the last class, 2 is past it, and one label would broadcast.
+BAD_REFERENCE_LABELS = {"negative": [0, -1], "past_the_end": [0, 2], "one_for_two_rows": [0]}
+
+
+@pytest.mark.parametrize("case", BAD_REFERENCE_LABELS)
+def test_bruteforce_rejects_bad_observed_labels(case):
+    probs = np.array([[0.7, 0.3], [0.4, 0.6]])
+    observed = np.array(BAD_REFERENCE_LABELS[case])
+    prior = DirichletPrior.uniform(2, 1.0)
+    with pytest.raises(ParameterError):
+        exact_posterior_bruteforce(probs, observed, prior)
+    with pytest.raises(ParameterError):
+        mixing_diagnostic(probs, observed, prior, sweeps=10, burn_in=1)
+
+
+@pytest.mark.parametrize("row", [[0.0, 0.0], [math.nan, 0.5]])
+def test_bruteforce_non_finite_weights_are_a_training_error(row):
+    # As in `sampling_distribution`, a classifier row that scores nothing is a runtime failure.
+    probs = np.array([[0.7, 0.3], row])
+    with pytest.raises(TrainingError, match="normalization"):
+        exact_posterior_bruteforce(probs, np.array([0, 1]), DirichletPrior.uniform(2, 1.0))
 
 
 def test_bruteforce_rejects_oversized_state_space():
