@@ -36,7 +36,6 @@ from lccn_lab.classifier import (
     sgd_step,
     sgd_step_soft,
 )
-from lccn_lab.datagen import LabeledDataset
 from lccn_lab.noise_model import DirichletPrior, confusion_counts, update_bound
 from lccn_lab.sampler import gibbs_sample_batch
 from lccn_lab.trainers import _composed_step, _Run
@@ -91,12 +90,10 @@ def test_composed_step(benchmark, shape):
     arch, batch = SHAPES[shape]
     params = init_params(arch, 0)
     features, labels = _batch(arch, batch)
-    no_mask = np.zeros(batch, dtype=bool)
-    ds = LabeledDataset(features, labels, labels, no_mask, no_mask, arch.n_classes)
     run = _Run(params, init_optimizer(params, 0.01), CLIP, np.random.default_rng(0), 1, 1)
     phi = np.full((arch.n_classes, arch.n_classes), 0.1 / (arch.n_classes - 1))
     np.fill_diagonal(phi, 0.9)
-    benchmark(_composed_step, run, ds, np.arange(batch), phi)
+    benchmark(_composed_step, run, features, labels, phi)
 
 
 @pytest.mark.parametrize("shape", SHAPES)

@@ -6,6 +6,7 @@ Usage, from the repository root:
     python3 scripts/ab.py HEAD~1
     python3 scripts/ab.py HEAD~1 HEAD --workload latent-ordering --seeds 1 2 --pairs 10
     python3 scripts/ab.py HEAD~1 --micro "test_gibbs_sample_batch[3-8]"
+    python3 scripts/ab.py HEAD~1 --workload baselines-ordering --in-process --pairs 20
 
 BASE and REV name git revisions; REV defaults to the working tree. Each side
 is exported into its own temporary directory: a revision with a local
@@ -26,6 +27,19 @@ larger share of failed training runs on REV than on the base (runs last a
 fixed time, so the two sides may attempt different numbers), and the same
 fingerprints on both sides in every pair.
 
+`--in-process` runs the workload pairs in this one process instead, since
+separate processes drift apart by about 5% on a shared host. Each side's
+`lccn_lab` is imported under a name of its own (`lccn_lab_base`,
+`lccn_lab_rev`). After one warm-up round per side, pair i runs one round of
+the workload at seed seeds[i % len(seeds)] on each side, in `pair_order`: a
+round is every run of the workload through the side's
+`cli.run_experiment`, timed with perfbench's `Calibrated` as
+`perfbench/run.py` times it, and fingerprinted with perfbench's
+`checks.fingerprint`. A pair's readings are the sums over the round's runs,
+`norm_wall_s` (calibrated) and `wall_s` (raw), and `norm_samples_per_s`;
+the summary is the same as above. `setup_s` and `peak_rss_mb` belong to a
+process, so only the separate-process mode reads them.
+
 `--micro NODE` times one microbenchmark of benchmarks/test_micro.py instead,
 named by its pytest node id or its bare test id (`test_sgd_step[linear-batch8]`).
 Each side of a pair is one run of `scripts/bench.py`'s `run_micro` in the
@@ -38,7 +52,10 @@ fingerprints to compare.
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -46,13 +63,24 @@ import sys
 import tempfile
 from pathlib import Path
 
+if __name__ == "__main__":
+    # Pin every thread pool before numpy loads, as perfbench/run.py does, so that
+    # in-process rounds run as the benchmark's do; child processes inherit it.
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "LCCN_LAB_THREADS"):
+        os.environ[_var] = "1"
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 from bench import MICRO, run_micro, run_workload  # noqa: E402
+from calibrate import Calibrated  # noqa: E402  (perfbench/, which bench puts on the path)
 
 BENCHMARK_FILES = ("BENCHMARK.json", "perfbench")
 CLAIM_PAIRS = 10
 CLAIM_WIN_SHARE = 0.9
+# (name, unit, better) of the readings of an in-process pair.
+IN_PROCESS_METRICS = (
+    ("norm_wall_s", "s", "lower"), ("norm_samples_per_s", "1/s", "higher"), ("wall_s", "s", "lower"),
+)
 
 
 def pair_order(pair: int) -> tuple[str, str]:
@@ -156,6 +184,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     what.add_argument("--workload", help="workload of BENCHMARK.json (its first one)")
     what.add_argument("--micro", type=micro_node, metavar="NODE",
                       help=f"time one microbenchmark of {MICRO} instead of a workload")
+    parser.add_argument("--in-process", action="store_true",
+                        help="run the workload pairs in this process, rounds alternating")
     parser.add_argument("--seeds", type=int, nargs="+", help="workload seeds (0)")
     parser.add_argument("--pairs", type=int, default=CLAIM_PAIRS)
     args = parser.parse_args(argv)
@@ -163,6 +193,8 @@ def parse_args(argv=None) -> argparse.Namespace:
         parser.error("--pairs must be at least 1")
     if args.micro and args.seeds is not None:
         parser.error("--seeds applies to workload runs only, not to --micro")
+    if args.micro and args.in_process:
+        parser.error("--in-process applies to workload runs only, not to --micro")
     args.seeds = args.seeds or [0]
     return args
 
@@ -220,6 +252,89 @@ def workload_pairs(trees: dict[str, Path], spec: dict, workload: str, seeds: lis
         print_summary(name, metric["unit"], metric["better"], summary)
 
 
+def load_package(src: Path, name: str):
+    """Import the `lccn_lab` package under src as `name`; its submodules import as `name.x`."""
+    init = src / "lccn_lab" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def round_reading(raw: list[float], scaled: list[float], samples: int) -> dict[str, float]:
+    """An in-process pair's readings of one side's round, from its runs' raw and calibrated seconds."""
+    norm_wall = sum(scaled)
+    return {"norm_wall_s": norm_wall, "norm_samples_per_s": samples / norm_wall,
+            "wall_s": sum(raw)}
+
+
+class _Side:
+    """One side's `lccn_lab`, imported under its own name, and its runs of one workload."""
+
+    def __init__(self, tree: Path, name: str, workloads, checks, workload: str, out: Path):
+        load_package(tree / "src", name)
+        self.cli = importlib.import_module(f"{name}.cli")
+        errors = importlib.import_module(f"{name}.errors")
+        self.errors = (errors.ParameterError, errors.TrainingError, errors.InvariantError)
+        self.workloads, self.checks, self.workload, self.out = workloads, checks, workload, out
+
+    def round(self, seed: int) -> tuple[dict[str, float], dict, int, int]:
+        """Readings, fingerprints by run, failed and attempted runs of one round at `seed`."""
+        timed, prints, failed = Calibrated(), {}, 0
+        runs = self.workloads.run_configs(self.workload, seed)
+        for name, cfg, train_seed in runs:
+            run_dir = self.out / name
+            try:
+                timed.time_call(lambda: self.cli.run_experiment(cfg, train_seed, run_dir))
+                prints[name] = self.checks.fingerprint(run_dir)
+            except self.errors:
+                failed += 1
+            shutil.rmtree(run_dir, ignore_errors=True)
+        samples = self.workloads.samples_per_round(self.workload)
+        return round_reading(timed.raw, timed.scaled, samples), prints, failed, len(runs)
+
+
+def in_process_pairs(trees: dict[str, Path], workload: str, seeds: list[int], pairs: int,
+                     tmp: Path) -> None:
+    sys.path.insert(0, str(trees["base"] / "perfbench"))
+    import checks
+    import workloads
+
+    sides = {side: _Side(tree, f"lccn_lab_{side}", workloads, checks, workload, tmp / f"out-{side}")
+             for side, tree in trees.items()}
+    for seed in seeds:  # warm-up: one unrecorded round per side and seed
+        for side in sides.values():
+            side.round(seed)
+    readings = {"base": [], "rev": []}
+    failed, attempted = {"base": 0, "rev": 0}, {"base": 0, "rev": 0}
+    fingerprints_match = True
+    for pair in range(pairs):
+        seed = seeds[pair % len(seeds)]
+        prints = {}
+        for side in pair_order(pair):
+            reading, prints[side], fails, runs = sides[side].round(seed)
+            readings[side].append(reading)
+            failed[side] += fails
+            attempted[side] += runs
+        base, rev = readings["base"][-1], readings["rev"][-1]
+        same = prints["base"] == prints["rev"]
+        fingerprints_match = fingerprints_match and same
+        cells = ", ".join(f"{name} {base[name]:.4g} -> {rev[name]:.4g}"
+                          for name, _, _ in IN_PROCESS_METRICS)
+        print(f"pair {pair + 1} seed {seed} ({pair_order(pair)[0]} first): {cells}; "
+              f"fingerprints {'identical' if same else 'DIFFER'}", flush=True)
+    print(f"# failed training runs: base {failed['base']}/{attempted['base']}, "
+          f"rev {failed['rev']}/{attempted['rev']}")
+    failed_share = {side: failed[side] / max(attempted[side], 1) for side in sides}
+    for name, unit, better in IN_PROCESS_METRICS:
+        summary = summarize([r[name] for r in readings["base"]], [r[name] for r in readings["rev"]],
+                            better, failed_share, fingerprints_match)
+        print_summary(name, unit, better, summary)
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     try:
@@ -241,9 +356,13 @@ def main(argv=None) -> int:
         what = args.micro or args.workload or spec["workloads"][0]["name"]
         print(f"# {what}: base {revs['base'][:12]} against rev "
               f"{(revs['rev'] or 'working tree')[:12]}, {args.pairs} pairs"
-              + ("" if args.micro else f" of {spec['run_seconds']:g} s"))
+              + ("" if args.micro else
+                 " of rounds in one process" if args.in_process else
+                 f" of {spec['run_seconds']:g} s"))
         if args.micro:
             micro_pairs(trees, args.micro, args.pairs)
+        elif args.in_process:
+            in_process_pairs(trees, what, args.seeds, args.pairs, Path(tmp))
         else:
             workload_pairs(trees, spec, what, args.seeds, args.pairs)
     return 0

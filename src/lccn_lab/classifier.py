@@ -20,7 +20,9 @@ blocked summation order is unchanged. A matrix product whose entries sum 2 or
 more terms is `ndarray.dot`, which gives `np.matmul`'s bits (`_product`). A
 hard-label step computes its loss only when the sum of its clipped
 probabilities is not finite; otherwise that loss is finite (see `_step`), and
-a step gives the same verdict and the same bits either way.
+a step gives the same verdict and the same bits either way. A batch's rows are
+contiguous slices of one gather per epoch (`epoch_batches`), which hold the
+values a gather per batch would.
 """
 
 from __future__ import annotations
@@ -371,13 +373,22 @@ def sgd_step_soft(
     _step(params, opt, features, target_weights, clip, forward, False)
 
 
-def minibatch_indices(rng: np.random.Generator, n: int, batch_size: int):
-    """Yield shuffled index blocks covering one epoch."""
+def epoch_batches(rng: np.random.Generator, features: np.ndarray, labels: np.ndarray,
+                  batch_size: int):
+    """Yield (idx, features, labels) of each shuffled minibatch of one epoch.
+
+    The order is `rng.permutation(n)`, drawn when the first batch is asked
+    for. The epoch's feature rows and labels are gathered once in that order,
+    so each batch's arrays are contiguous slices of the two gathers, and idx
+    names the rows of the batch.
+    """
     if batch_size < 1:
         raise ParameterError("batch_size must be >= 1")
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
+    order = rng.permutation(features.shape[0])
+    features, labels = features[order], labels[order]
+    for start in range(0, order.size, batch_size):
+        stop = start + batch_size
+        yield order[start:stop], features[start:stop], labels[start:stop]
 
 
 def pretrain_ce(
@@ -390,10 +401,13 @@ def pretrain_ce(
     clip: float,
     rng: np.random.Generator,
 ) -> None:
-    """Fit the classifier to the observed labels by epochs of hard-label SGD steps."""
-    for _ in range(epochs):
-        for idx in minibatch_indices(rng, features.shape[0], batch_size):
-            sgd_step(params, opt, features[idx], labels[idx], clip)
+    """Fit the classifier to the observed labels by epochs of hard-label SGD steps.
+
+    Each epoch is one pass of `epoch_batches`, the loop the trainers share.
+    """
+    for _epoch in range(epochs):
+        for _, batch_features, batch_labels in epoch_batches(rng, features, labels, batch_size):
+            sgd_step(params, opt, batch_features, batch_labels, clip)
 
 
 def save_checkpoint(params: ClassifierParams, path: str | Path) -> None:

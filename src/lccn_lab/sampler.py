@@ -14,20 +14,23 @@ factor alone, never the classifier's, to a plain exponent `anneal` in
 [0, inf): 1 is the collapsed posterior and 0 follows the classifier. The
 trainers' schedule of that exponent is `trainers._anneal`.
 
-`sampling_distribution` is the one-draw reference. `gibbs_sample_batch` runs
-the same chain on plain Python floats and is bit-identical to replaying the
-reference draw by draw (`np.cumsum`/`np.searchsorted` on its output against
-one scalar `rng.random()` each): the same labels, the same counts and the
-same generator state after the batch. It draws the batch's uniforms with one
-`rng.random(M)` call (the same doubles as M scalar calls); each draw takes
-one score list and its sum from `_scores`, which the reference uses too, and
-walks the CDF with `cumulative += score / norm`. Score sums follow numpy's
-order (see `noise_model`): for fewer than 8 latent classes the loop that
-builds the scores adds them up left to right from 0.0 as it goes, and from
-8 on `_row_sum` sums the list again in numpy's pairwise order. An exponent
-other than 1 always goes through numpy's `**`, whose vectorized power may
-round differently from Python's; an annealed batch reuses the tempered
-column of an (observed label, old label) pair until a draw moves a label.
+`sampling_distribution` is the one-draw reference; its scores come from
+`_scores`. `gibbs_sample_batch` runs the same chain on plain Python floats
+with its own copy of that arithmetic, written out inside its draw loop, and
+is bit-identical to replaying the reference draw by draw
+(`np.cumsum`/`np.searchsorted` on its output against one scalar
+`rng.random()` each): the same labels, the same counts and the same
+generator state after the batch. The two score paths share no code, so the
+replay property checks one against the other. The batch draws its uniforms
+with one `rng.random(M)` call (the same doubles as M scalar calls); each
+draw builds its score list and sum in the loop and walks the CDF with
+`cumulative += score / norm`. Score sums follow numpy's order (see
+`noise_model`): for fewer than 8 latent classes the loop that builds the
+scores adds them up left to right from 0.0 as it goes, and from 8 on
+`_row_sum` sums the list again in numpy's pairwise order. An exponent other
+than 1 always goes through numpy's `**`, whose vectorized power may round
+differently from Python's; an annealed batch reuses the tempered column of
+an (observed label, old label) pair until a draw moves a label.
 """
 
 from __future__ import annotations
@@ -40,27 +43,26 @@ import numpy as np
 from .errors import InvariantError, ParameterError, TrainingError, check_type
 from .noise_model import _NUMPY_UNROLL, DirichletPrior, _check_counts, _row_sum, confusion_counts
 
+_SCORE_ERROR = "sampling scores are non-finite or all zero"
+
+
 def _scores(
     row: list, a: float, column: list, totals: list, alpha_total: float,
-    warmup: list | None, anneal: float, tempered: dict | None = None, key: tuple = (),
+    warmup: list | None, anneal: float,
 ) -> tuple[list[float], float]:
-    """Unnormalized scores of one draw and their sum, which must be finite and positive.
+    """Unnormalized scores of one reference draw and their sum, which must be finite and positive.
 
     A score is a classifier probability times the channel: the warmup column if
     given, else the count column (a + c) / (alpha_total + t). `anneal` tempers
-    the channel alone, through numpy's `**`, once per `key` of `tempered` if
-    given. The loop that builds the scores adds them up left to right from
-    0.0, which is `_row_sum` of a row of fewer than `_NUMPY_UNROLL` entries; a
-    wider row is summed again by `_row_sum`.
+    the channel alone, through numpy's `**`. The loop that builds the scores
+    adds them up left to right from 0.0, which is `_row_sum` of a row of fewer
+    than `_NUMPY_UNROLL` entries; a wider row is summed again by `_row_sum`.
     """
     channel = warmup
     if anneal != 1.0:
-        tempered = {} if tempered is None else tempered
-        channel = tempered.get(key)
-        if channel is None:
-            if warmup is None:
-                warmup = [(a + c) / (alpha_total + t) for c, t in zip(column, totals)]
-            channel = tempered[key] = (np.array(warmup, dtype=np.float64) ** anneal).tolist()
+        if warmup is None:
+            warmup = [(a + c) / (alpha_total + t) for c, t in zip(column, totals)]
+        channel = (np.array(warmup, dtype=np.float64) ** anneal).tolist()
     scores = []
     norm = 0.0
     if channel is None:
@@ -76,7 +78,7 @@ def _scores(
     if len(scores) >= _NUMPY_UNROLL:
         norm = _row_sum(scores)
     if not 0.0 < norm < math.inf:  # also False for NaN
-        raise TrainingError("sampling scores are non-finite or all zero")
+        raise TrainingError(_SCORE_ERROR)
     return scores, norm
 
 
@@ -136,6 +138,9 @@ def gibbs_sample_batch(
     Samples are processed sequentially: each draw removes the sample's old
     count, scores every latent class against counts already
     updated by earlier draws in the batch, draws a new class, and books it.
+    The scores are computed inside the draw loop, from the count column, the
+    warmup column or a tempered column, as `_scores` computes them for the
+    reference.
     The count matrix is mirrored column by column as Python lists, with its
     row totals summed once from those lists. A label is written only when its
     draw moves it, and the counts are written back when the batch ends only
@@ -145,7 +150,8 @@ def gibbs_sample_batch(
 
     Args:
         probs: (M, R) classifier probabilities for the batch samples.
-        observed_labels: (M,) observed labels of the batch samples.
+        observed_labels: (M,) integer observed labels of the batch samples, each
+            in [0, K).
         counts: (R, K) count matrix of latent vs observed labels.
         labels: (N,) integer latent label of every sample, each in [0, R) with a
             nonempty count cell against its observed label.
@@ -167,7 +173,10 @@ def gibbs_sample_batch(
         raise ParameterError("probs must be (batch, n_latent)")
     if len(observed_labels) != probs.shape[0] or len(batch_indices) != probs.shape[0]:
         raise ParameterError("batch arrays must have matching lengths")
-    observed_list = np.asarray(observed_labels).tolist()
+    observed_labels = np.asarray(observed_labels)
+    if observed_labels.dtype.kind not in "iu":
+        raise ParameterError("observed labels must be integers")
+    observed_list = observed_labels.tolist()
     if observed_list and not 0 <= min(observed_list) <= max(observed_list) < counts.shape[1]:
         raise ParameterError("observed labels out of range")
     batch_indices = np.asarray(batch_indices)
@@ -188,6 +197,7 @@ def gibbs_sample_batch(
     # Tempered channel columns by (observed label, old label), valid until a label moves.
     tempered = None if anneal == 1.0 else {}
     n_latent = len(totals)
+    wide = n_latent >= _NUMPY_UNROLL
     sampled = []
     moved = finished = False
     try:
@@ -202,10 +212,32 @@ def gibbs_sample_batch(
                 )
             column[old] -= 1
             totals[old] -= 1
-            scores, norm = _scores(
-                row, alpha[observed], column, totals, alpha_total, warmup_columns[observed],
-                anneal, tempered, (observed, old),
-            )
+            # The scores and their sum, as `_scores` gives them.
+            a = alpha[observed]
+            channel = warmup_columns[observed]
+            if tempered is not None:
+                key = observed, old
+                base, channel = channel, tempered.get(key)
+                if channel is None:
+                    if base is None:
+                        base = [(a + c) / (alpha_total + t) for c, t in zip(column, totals)]
+                    channel = tempered[key] = (np.array(base, dtype=np.float64) ** anneal).tolist()
+            scores = []
+            norm = 0.0
+            if channel is None:
+                for p, c, t in zip(row, column, totals):
+                    score = p * ((a + c) / (alpha_total + t))
+                    scores.append(score)
+                    norm += score
+            else:
+                for p, c in zip(row, channel):
+                    score = p * c
+                    scores.append(score)
+                    norm += score
+            if wide:
+                norm = _row_sum(scores)
+            if not 0.0 < norm < math.inf:  # also False for NaN
+                raise TrainingError(_SCORE_ERROR)
             cumulative = 0.0
             # Without a break, a uniform at or above the rounded total takes the last class.
             for new, score in enumerate(scores):

@@ -36,13 +36,14 @@ from .classifier import (
     OptimizerState,
     _forward,
     _softmax as _row_softmax,
+    _product,
     apply_gradients,
     backprop_logits,
     dlogits_from_dprobs,
+    epoch_batches,
     forward_proba,
     init_optimizer,
     init_params,
-    minibatch_indices,
     one_hot,
     pretrain_ce,
     sgd_step,
@@ -260,13 +261,17 @@ class _Run:
 class _Hooks:
     """One trainer kind's part of the shared loop.
 
-    batch(idx) takes the kind's step on one minibatch and returns the
-    (measured, bound) transition variation it caused, or None. epoch_start
-    runs before every epoch; record() gives the extra fields of each train
-    record; final_phi() gives the run's transition estimate.
+    batch(idx, features, observed) takes the kind's step on one minibatch and
+    returns the (measured, bound) transition variation it caused, or None:
+    idx names the batch's rows of the dataset, and features and observed are
+    their feature rows and observed labels, slices of the epoch's one gather
+    (`epoch_batches`). A hook gathers by idx only what changes during a run:
+    latent labels, EM responsibilities, and the trusted mask it reads with
+    them. epoch_start runs before every epoch; record() gives the extra fields
+    of each train record; final_phi() gives the run's transition estimate.
     """
 
-    batch: Callable[[np.ndarray], tuple[float, float] | None]
+    batch: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[float, float] | None]
     epoch_start: Callable[[], None] = lambda: None
     record: Callable[[], dict] = dict
     final_phi: Callable[[], np.ndarray | None] = lambda: None
@@ -278,12 +283,14 @@ def _fit(
 ) -> RunResult:
     """The one training loop; `start` builds a kind's hooks after pretraining.
 
-    Each epoch is one sweep of shuffled minibatches; the learning-rate
-    schedule and the eval cadence count epochs, and the run always ends on
-    an eval. Train records score the observed labels on the first
-    n_classes outputs (extra_class adds one more output), test records the
-    true labels of in-distribution samples; each train record carries the
-    largest batch variation since the previous eval.
+    Each epoch is one sweep of shuffled minibatches from `epoch_batches`,
+    which gathers the epoch's feature rows and observed labels once, as
+    `pretrain_ce` does for its epochs. The learning-rate schedule and the
+    eval cadence count epochs, and the run always ends on an eval. Train
+    records score the observed labels on the first n_classes outputs
+    (extra_class adds one more output), test records the true labels of
+    in-distribution samples; each train record carries the largest batch
+    variation since the previous eval.
     """
     ss_init, ss_data, ss_gibbs = np.random.SeedSequence(cfg.seed).spawn(3)
     data_rng, gibbs_rng = np.random.default_rng(ss_data), np.random.default_rng(ss_gibbs)
@@ -336,9 +343,9 @@ def _fit(
     for epoch in range(1, cfg.epochs + 1):
         opt.learning_rate = _lr_at(cfg, epoch - 1)
         hooks.epoch_start()
-        for idx in minibatch_indices(data_rng, ds.n, cfg.batch_size):
+        for batch in epoch_batches(data_rng, ds.features, ds.noisy_labels, cfg.batch_size):
             run.iteration += 1
-            moved = hooks.batch(idx)
+            moved = hooks.batch(*batch)
             if moved is not None:
                 variations.append(BatchVariation(offset + run.iteration, *moved))
         if epoch == cfg.epochs or epoch % cfg.eval_every == 0:
@@ -352,27 +359,42 @@ def _train_bootstrap(
     """Cross-entropy against a convex blend of the observed label and the model's own argmax.
 
     Target weights are beta on the observed label and (1 - beta) on the
-    current prediction's argmax, recomputed every step; the step reuses the
-    forward pass that gave the argmax. beta is bootstrap_beta, or 1 without
-    `blend` (ce); at 1 each step is the plain hard-label step.
+    current prediction's argmax, recomputed every step and read from the
+    run's `_bootstrap_table`; the step reuses the forward pass that gave the
+    argmax. beta is bootstrap_beta, or 1 without `blend` (ce); at 1 each step
+    is the plain hard-label step.
     """
     beta = cfg.bootstrap_beta if blend else 1.0
+    k = ds.n_classes
 
     def start(run: _Run) -> _Hooks:
-        def hard(idx: np.ndarray) -> None:
-            sgd_step(run.params, run.opt, ds.features[idx], ds.noisy_labels[idx], run.clip)
+        table = _bootstrap_table(beta, k)
 
-        def blended(idx: np.ndarray) -> None:
-            features = ds.features[idx]
+        def hard(idx: np.ndarray, features: np.ndarray, observed: np.ndarray) -> None:
+            sgd_step(run.params, run.opt, features, observed, run.clip)
+
+        def blended(idx: np.ndarray, features: np.ndarray, observed: np.ndarray) -> None:
             forward = _forward(run.params, features)
             pseudo = forward[0].argmax(axis=1)
-            weights = beta * one_hot(ds.noisy_labels[idx], ds.n_classes)
-            weights += (1.0 - beta) * one_hot(pseudo, ds.n_classes)
+            pseudo += observed * k
+            weights = table.take(pseudo, axis=0)
             sgd_step_soft(run.params, run.opt, features, weights, run.clip, forward=forward)
 
         return _Hooks(hard if beta == 1.0 else blended)
 
     return _fit(ds, cfg, test_ds, start, pretrain=False)
+
+
+def _bootstrap_table(beta: float, k: int) -> np.ndarray:
+    """(k * k, k) bootstrap targets: row y * k + p is beta * e_y + (1 - beta) * e_p.
+
+    Each row is built with the arithmetic of a blend of two one-hot rows, so
+    it holds that blend's bits.
+    """
+    observed, pseudo = np.divmod(np.arange(k * k), k)
+    table = beta * one_hot(observed, k)
+    table += (1.0 - beta) * one_hot(pseudo, k)
+    return table
 
 
 def _composed_loss_grads(
@@ -386,21 +408,22 @@ def _composed_loss_grads(
     """Clipped log-loss of the channel-mixed prediction q = probs @ phi.
 
     The classifier gradients go into out (see `backprop_logits`); returns
-    (loss, gradient with respect to phi).
+    (loss, gradient with respect to phi). phi is a float64 matrix; its three
+    products go through `_product`, which gives `np.matmul`'s bits.
     """
     probs, cache = _forward(params, features)
-    mixture = np.matmul(probs, phi)
+    mixture = _product(probs, phi)
     loss, dmix = soft_target_cross_entropy(mixture, one_hot(observed, phi.shape[1]), clip)
-    dlogits = dlogits_from_dprobs(probs, np.matmul(dmix, phi.T))
+    dlogits = dlogits_from_dprobs(probs, _product(dmix, phi.T))
     backprop_logits(params, features, cache, dlogits, out)
-    return loss, np.matmul(probs.T, dmix)
+    return loss, _product(probs.T, dmix)
 
 
-def _composed_step(run: _Run, ds: LabeledDataset, idx: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def _composed_step(
+    run: _Run, features: np.ndarray, observed: np.ndarray, phi: np.ndarray
+) -> np.ndarray:
     """One classifier step through the channel phi; returns the gradient with respect to phi."""
-    loss, dphi = _composed_loss_grads(
-        run.params, ds.features[idx], ds.noisy_labels[idx], phi, run.clip, run.opt.grads
-    )
+    loss, dphi = _composed_loss_grads(run.params, features, observed, phi, run.clip, run.opt.grads)
     if not math.isfinite(loss):
         raise TrainingError("non-finite training loss")
     apply_gradients(run.params, run.opt)
@@ -430,6 +453,8 @@ def _train_transition_layer(
     warmup_steps composed steps; afterwards both the classifier and the layer
     follow the gradient (s_adaptation). `frozen` holds it for the whole run,
     which is forward correction through a fixed transition (forward_fixed).
+    The layer's softmax is taken once per move: the one that measures a
+    batch's variation is the next batch's phi.
     """
 
     def start(run: _Run) -> _Hooks:
@@ -438,16 +463,17 @@ def _train_transition_layer(
         channel_init = _initial_channel(ds, cfg, run.params, ds.n_classes)
         layer_logits = np.log(np.maximum(channel_init, 1e-8))
         layer_velocity = np.zeros_like(layer_logits)
+        layer_phi = _row_softmax(layer_logits)
 
         def current_phi() -> np.ndarray:
-            if run.iteration <= warmup_steps:
-                return channel_init
-            return _row_softmax(layer_logits)
+            return channel_init if run.iteration <= warmup_steps else layer_phi
 
-        def batch(idx: np.ndarray) -> tuple[float, float] | None:
-            nonlocal layer_logits, layer_velocity
+        def batch(
+            idx: np.ndarray, features: np.ndarray, observed: np.ndarray
+        ) -> tuple[float, float] | None:
+            nonlocal layer_logits, layer_velocity, layer_phi
             phi = current_phi()
-            dphi = _composed_step(run, ds, idx, phi)
+            dphi = _composed_step(run, features, observed, phi)
             if run.iteration <= warmup_steps:
                 return None
             inner = (phi * dphi).sum(axis=1, keepdims=True)
@@ -458,7 +484,8 @@ def _train_transition_layer(
             layer_velocity *= cfg.momentum
             layer_velocity += dlayer
             layer_logits -= rate * layer_velocity
-            return float(np.abs(_row_softmax(layer_logits) - phi).sum(axis=1).max()), float("nan")
+            layer_phi = _row_softmax(layer_logits)
+            return float(np.abs(layer_phi - phi).sum(axis=1).max()), float("nan")
 
         def record() -> dict:
             return {"phi_l1_error": _phi_error(cfg, current_phi())}
@@ -499,9 +526,8 @@ def _train_em_reference(
                 )
             phi_bar = warmup_transition(responsibilities, ds.noisy_labels, ds.n_classes)
 
-        def batch(idx: np.ndarray) -> None:
-            targets = responsibilities[idx]
-            sgd_step_soft(run.params, run.opt, ds.features[idx], targets, run.clip)
+        def batch(idx: np.ndarray, features: np.ndarray, observed: np.ndarray) -> None:
+            sgd_step_soft(run.params, run.opt, features, responsibilities[idx], run.clip)
 
         def record() -> dict:
             return {"phi_l1_error": _phi_error(cfg, phi_bar)}
@@ -586,10 +612,11 @@ def _train_latent(
         channel_init = _initial_channel(ds, cfg, run.params, n_latent)
         warmup_steps = cfg.warmup_steps if cfg.warmup_steps is not None else run.n_batches
 
-        def batch(idx: np.ndarray) -> tuple[float, float] | None:
-            features = ds.features[idx]
+        def batch(
+            idx: np.ndarray, features: np.ndarray, observed: np.ndarray
+        ) -> tuple[float, float] | None:
             forward = _forward(run.params, features)
-            positions, probs, observed = idx, forward[0], ds.noisy_labels[idx]
+            positions, probs = idx, forward[0]
             if use_clean:
                 resample = np.flatnonzero(~ds.clean_mask[idx])
                 positions, probs, observed = idx[resample], probs[resample], observed[resample]

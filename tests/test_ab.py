@@ -118,7 +118,36 @@ def test_micro_takes_a_node_id_or_a_bare_test_id():
 def test_workload_runs_default_to_seed_zero():
     args = ab.parse_args(["HEAD~1", "HEAD", "--workload", "latent-ordering"])
     assert (args.rev, args.workload, args.seeds) == ("HEAD", "latent-ordering", [0])
-    assert args.micro is None
+    assert args.micro is None and not args.in_process
+    args = ab.parse_args(["HEAD~1", "--workload", "latent-ordering", "--in-process"])
+    assert args.in_process and args.seeds == [0]
+
+
+def test_in_process_reading_sums_a_rounds_runs():
+    reading = ab.round_reading([0.25, 0.5, 0.25], [0.5, 1.0, 0.5], samples=4000)
+    assert reading == {"norm_wall_s": 2.0, "norm_samples_per_s": 2000.0, "wall_s": 1.0}
+
+
+def test_in_process_metrics_name_the_benchmarks_timing_metrics():
+    names = [name for name, _, _ in ab.IN_PROCESS_METRICS]
+    assert names[:2] == ["norm_wall_s", "norm_samples_per_s"]
+    assert set(names) == set(ab.round_reading([1.0], [1.0], samples=1))
+
+
+def test_a_package_loads_under_a_second_name():
+    # The in-process mode imports each side's lccn_lab under a name of its own.
+    import lccn_lab.errors
+
+    name = "_lccn_lab_second_copy"
+    try:
+        ab.load_package(ROOT / "src", name)
+        errors = importlib.import_module(f"{name}.errors")
+        cli = importlib.import_module(f"{name}.cli")
+        assert cli.ParameterError is errors.ParameterError
+        assert errors.ParameterError is not lccn_lab.errors.ParameterError
+    finally:
+        for module in [m for m in sys.modules if m == name or m.startswith(f"{name}.")]:
+            del sys.modules[module]
 
 
 @pytest.mark.parametrize(
@@ -129,6 +158,7 @@ def test_workload_runs_default_to_seed_zero():
         ["HEAD", "--micro", "test_sgd_step[linear-batch8]", "--workload", "latent-recovery"],
         ["HEAD", "--micro", "test_sgd_step[linear-batch8]", "--seeds", "1"],
         ["HEAD", "--micro", "test_sgd_step[linear-batch8]", "--pairs", "0"],
+        ["HEAD", "--micro", "test_sgd_step[linear-batch8]", "--in-process"],
     ],
 )
 def test_bad_arguments_exit_2_before_any_run(argv, capsys, monkeypatch):

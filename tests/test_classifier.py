@@ -14,12 +14,12 @@ from lccn_lab.classifier import (
     _product,
     apply_gradients,
     dlogits_from_dprobs,
+    epoch_batches,
     forward_proba,
     init_optimizer,
     init_params,
     load_checkpoint,
     loss_and_grads,
-    minibatch_indices,
     one_hot,
     pretrain_ce,
     save_checkpoint,
@@ -27,7 +27,6 @@ from lccn_lab.classifier import (
     sgd_step_soft,
     soft_target_cross_entropy,
 )
-from lccn_lab.datagen import LabeledDataset
 from lccn_lab.errors import ParameterError, TrainingError
 from lccn_lab.trainers import _composed_loss_grads, _composed_step, _Run
 
@@ -270,10 +269,46 @@ def test_copy_is_independent_and_entries_cannot_be_rebound():
 
 @given(n=st.integers(min_value=1, max_value=40), batch=st.integers(min_value=1, max_value=17))
 @settings(max_examples=60, deadline=None)
-def test_minibatch_indices_partition(n, batch):
-    rng = np.random.default_rng(0)
-    seen = np.concatenate(list(minibatch_indices(rng, n, batch)))
+def test_epoch_batches_partition(n, batch):
+    # The batches cover every row once, each carrying that row's features and
+    # label, in the order of one rng.permutation(n).
+    features = np.arange(2 * n, dtype=np.float64).reshape(n, 2)
+    labels = np.arange(n) % 3
+    batches = list(epoch_batches(np.random.default_rng(0), features, labels, batch))
+    seen = np.concatenate([idx for idx, _, _ in batches])
     assert sorted(seen.tolist()) == list(range(n))
+    assert seen.tolist() == np.random.default_rng(0).permutation(n).tolist()
+    assert [len(idx) for idx, _, _ in batches[:-1]] == [batch] * (len(batches) - 1)
+    for idx, batch_features, batch_labels in batches:
+        assert batch_features.flags.c_contiguous and batch_labels.flags.c_contiguous
+        assert batch_features.tobytes() == features[idx].tobytes()
+        assert batch_labels.tolist() == labels[idx].tolist()
+
+
+def _pretrain_by_batch_gathers(params, opt, features, labels, epochs, batch_size, clip, rng):
+    """`pretrain_ce` as first written: a fancy-index gather of every batch's rows."""
+    for _ in range(epochs):
+        order = rng.permutation(features.shape[0])
+        for start in range(0, features.shape[0], batch_size):
+            idx = order[start : start + batch_size]
+            sgd_step(params, opt, features[idx], labels[idx], clip)
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_pretrain_matches_per_batch_gathers_bit_for_bit(kind, d):
+    # 23 rows in batches of 4 leave a last batch of 3; of 11, a last batch of 1.
+    for n, batch in [(23, 4), (23, 11), (32, 8)]:
+        params, features, labels = make_instance(kind, "tanh", n=n, d=d, seed=d)
+        ref = params.copy()
+        opt = init_optimizer(params, 0.05, 0.9, 0.01)
+        ref_opt = init_optimizer(ref, 0.05, 0.9, 0.01)
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        pretrain_ce(params, opt, features, labels, 3, batch, CLIP, rng)
+        _pretrain_by_batch_gathers(ref, ref_opt, features, labels, 3, batch, CLIP, ref_rng)
+        assert params.flat.tobytes() == ref.flat.tobytes()
+        assert opt.velocity.tobytes() == ref_opt.velocity.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_pretrain_reduces_loss():
@@ -403,13 +438,9 @@ def _ref_step(params, velocity, opt, features, targets, clip, phi=None):
     return loss, dphi
 
 
-def _composed_run(params, opt, features, labels, clip):
-    """A trainer run and dataset around one batch, for `trainers._composed_step`."""
-    n = features.shape[0]
-    ds = LabeledDataset(features, labels, labels, np.zeros(n, bool), np.zeros(n, bool),
-                        params.arch.n_classes)
-    run = _Run(params, opt, clip, np.random.default_rng(0), 1, 1)
-    return run, ds, np.arange(n)
+def _composed_run(params, opt, clip):
+    """A trainer run around one batch, for `trainers._composed_step`."""
+    return _Run(params, opt, clip, np.random.default_rng(0), 1, 1)
 
 
 @given(
@@ -447,7 +478,7 @@ def test_in_place_steps_match_the_replaced_step_bit_for_bit(
     weights = rng.dirichlet(np.ones(k), size=n)
     weights[rng.random(n) < 0.3] = _ref_one_hot(rng.integers(0, k, size=n), k)[0]
     phi = rng.dirichlet(np.ones(k) * 0.5, size=k)
-    run, ds, idx = _composed_run(params, opt, features, labels, clip)
+    run = _composed_run(params, opt, clip)
     hard = _ref_one_hot(labels, k)
     targets = {"hard": hard, "soft": weights, "composed": hard}
     # The steps return no loss; it is read off the same loss path on a copy first.
@@ -464,7 +495,7 @@ def test_in_place_steps_match_the_replaced_step_bit_for_bit(
             _composed_loss_grads(
                 params.copy(), features, labels, phi, clip, scratch
             )[0],
-            _composed_step(run, ds, idx, phi),
+            _composed_step(run, features, labels, phi),
         ),
     }
     for step in steps:
@@ -490,7 +521,7 @@ def test_in_place_steps_match_the_replaced_step_bit_for_bit(
 def test_in_place_steps_reject_nan_probabilities_and_change_nothing(kind, activation):
     params, features, labels = make_instance(kind, activation, n=8)
     opt = init_optimizer(params, 0.1, 0.9, 0.3)
-    run, ds, idx = _composed_run(params, opt, features, labels, 1e-20)
+    run = _composed_run(params, opt, 1e-20)
     probs, cache = _forward(params, features)
     probs[2, 1] = np.nan
     weights = np.full((8, 3), 1.0 / 3.0)
@@ -501,7 +532,7 @@ def test_in_place_steps_reject_nan_probabilities_and_change_nothing(kind, activa
     for step in (
         lambda: sgd_step(params, opt, features, labels, CLIP, forward=forward),
         lambda: sgd_step_soft(params, opt, features, weights, CLIP, forward=forward),
-        lambda: _composed_step(run, ds, idx, np.eye(3)),
+        lambda: _composed_step(run, features, labels, np.eye(3)),
     ):
         with pytest.raises(TrainingError, match="non-finite training loss"):
             step()
@@ -609,7 +640,8 @@ _ENTRY = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e-200, -1e-200, 5e-
 
 @st.composite
 def product_case(draw):
-    """Operands of every product of a linear and an MLP step, at batch n, input d, width h, K=k.
+    """Operands of every product of a linear, an MLP and a composed step, at batch n, input d,
+    width h, K=k.
 
     Besides small batches, n takes the benchmark workloads' and the CLI fuzz's
     batch sizes and the row counts of their full-set forwards.
@@ -623,7 +655,8 @@ def product_case(draw):
 
     return {name: matrix(*shape) for name, shape in {
         "features": (n, d), "w1": (d, h), "hidden": (n, h), "dpre": (n, h),
-        "w2": (h, k), "w": (d, k), "dlogits": (n, k),
+        "w2": (h, k), "w": (d, k), "dlogits": (n, k), "probs": (n, k), "phi": (k, k),
+        "dmix": (n, k),
     }.items()}
 
 
@@ -631,9 +664,11 @@ def _signed_zero_case(n, d):
     """Operands whose one-term products underflow to -0.0, where `dot` keeps the sign."""
     case = {name: np.full(shape, 1e-200) for name, shape in {
         "features": (n, d), "w1": (d, 2), "hidden": (n, 2), "dpre": (n, 2),
-        "w2": (2, 2), "w": (d, 2), "dlogits": (n, 2),
+        "w2": (2, 2), "w": (d, 2), "dlogits": (n, 2), "probs": (n, 2), "phi": (2, 2),
+        "dmix": (n, 2),
     }.items()}
     case["features"] = -case["features"]
+    case["probs"] = -case["probs"]
     return case
 
 
@@ -645,11 +680,13 @@ def _signed_zero_case(n, d):
 def test_products_give_the_matmul_bits(case):
     # Batch 1 (an epoch's last batch when N % batch == 1), d=1 and K=2 all
     # reach products of one term, where `dot` can differ from matmul in a zero's sign.
+    # The last three are the composed step's: probs @ phi, dmix @ phi.T, probs.T @ dmix.
     c = case
     for a, b in [
         (c["features"], c["w"]), (c["features"].T, c["dlogits"]),
         (c["features"], c["w1"]), (c["hidden"], c["w2"]), (c["dlogits"], c["w2"].T),
         (c["features"].T, c["dpre"]), (c["hidden"].T, c["dlogits"]),
+        (c["probs"], c["phi"]), (c["dmix"], c["phi"].T), (c["probs"].T, c["dmix"]),
     ]:
         expected = np.matmul(a, b)
         assert _product(a, b).tobytes() == expected.tobytes()

@@ -525,6 +525,9 @@ BAD_ENTRY_ARGUMENTS = {
     "batch_index_past_the_end": ("batch", {"batch_indices": np.array([2])}),
     "batch_index_negative": ("batch", {"batch_indices": np.array([-1])}),
     "batch_index_a_float": ("batch", {"batch_indices": np.array([0.0])}),
+    # A float label passed the range check and drew the uniforms, then leaked a TypeError.
+    "batch_observed_label_fractional": ("batch", {"observed": 0.5}),
+    "batch_observed_label_a_whole_float": ("batch", {"observed": 1.0}),
     "draw_anneal_a_string": ("draw", {"anneal": "0.5"}),
     "draw_observed_label_fractional": ("draw", {"observed": 1.5}),
     "draw_observed_label_a_string": ("draw", {"observed": "1"}),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lccn_lab.classifier import forward_proba
+from lccn_lab.classifier import forward_proba, one_hot
 from lccn_lab.datagen import NoiseSpec, apply_noise, make_gaussian_mixture, mark_clean_subset
 from lccn_lab.errors import InvariantError, ParameterError, TrainingError
 from lccn_lab.metrics import MetricsRecord
@@ -17,6 +17,7 @@ from lccn_lab.trainers import (
     TRAINER_KINDS,
     RunResult,
     TrainConfig,
+    _bootstrap_table,
     _worst_certified_row,
     run_trainer,
 )
@@ -66,6 +67,24 @@ def test_full_weight_bootstrap_reduces_to_plain_ce(blobs2_tiny):
     )
     assert records_equal(ce.records, boot.records)
     assert params_equal(ce.final_params, boot.final_params)
+
+
+@given(
+    k=st.integers(2, 8),
+    beta=st.sampled_from([0.0, 0.3, 0.8, 1.0]) | st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=150, deadline=None)
+def test_bootstrap_table_rows_are_the_two_one_hot_blend(k, beta, seed):
+    # The blend bootstrap_hard's steps were first written with, for a batch of
+    # random observed labels and argmaxes, against the rows the table gives.
+    rng = np.random.default_rng(seed)
+    observed, pseudo = rng.integers(0, k, size=40), rng.integers(0, k, size=40)
+    blend = beta * one_hot(observed, k)
+    blend += (1.0 - beta) * one_hot(pseudo, k)
+    table = _bootstrap_table(beta, k)
+    assert table.shape == (k * k, k)
+    assert table.take(observed * k + pseudo, axis=0).tobytes() == blend.tobytes()
 
 
 def test_all_pinned_latent_run_reduces_to_plain_ce(blobs2_tiny):
