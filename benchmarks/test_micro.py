@@ -18,8 +18,13 @@ they also run at K=8 with a batch of 16, where their row sums go through
 numpy's reduction, which no benchmark workload reaches. Their `_settled`
 variants are the workloads' regime instead: a classifier sure of the current
 labels, so that a few percent of draws move, most batches keep every label
-(and write nothing back) and a moved batch touches few rows.
+(and write nothing back) and a moved batch touches few rows. The sampler's
+`_chain` variant walks such a chain batch after batch with one channel
+cache, as the latent trainers do, so that most draws find their channel
+cached by an earlier batch.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -37,7 +42,7 @@ from lccn_lab.classifier import (
     sgd_step_soft,
 )
 from lccn_lab.noise_model import DirichletPrior, confusion_counts, update_bound
-from lccn_lab.sampler import gibbs_sample_batch
+from lccn_lab.sampler import ChannelCache, gibbs_sample_batch
 from lccn_lab.trainers import _composed_step, _Run
 
 CLIP = 1e-20  # TrainConfig's default
@@ -166,6 +171,23 @@ def test_gibbs_sample_batch_settled(benchmark, k, batch):
     rng, observed, labels, counts, prior, probs = _settled_chain(k, 1000, batch)
     idx = np.arange(batch)
     benchmark(gibbs_sample_batch, probs, observed[idx], counts, prior, labels, idx, rng)
+
+
+@pytest.mark.parametrize("k,batch", [(3, 8), (4, 32)])
+def test_gibbs_sample_batch_chain(benchmark, k, batch):
+    """Consecutive settled batches that walk the chain with one channel cache, as trainers do."""
+    n = 1000 // batch * batch
+    rng, observed, labels, counts, prior, probs = _settled_chain(k, n, n)
+    batches = itertools.cycle([(probs[i], observed[i], i) for i in np.arange(n).reshape(-1, batch)])
+    cache = ChannelCache()
+
+    def next_batch():
+        batch_probs, batch_observed, idx = next(batches)
+        gibbs_sample_batch(
+            batch_probs, batch_observed, counts, prior, labels, idx, rng, cache=cache
+        )
+
+    benchmark(next_batch)
 
 
 @pytest.mark.parametrize("k,batch", [(3, 8), (4, 32)])

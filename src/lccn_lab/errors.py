@@ -9,6 +9,8 @@ import numbers
 
 # Keyed by declaration strings: the checked dataclasses use postponed annotations.
 _TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
+# The built-in type each plain kind admits at once, before the slower ABC check.
+_EXACT = {"int": int, "float": float, "bool": bool, "str": str}
 
 
 class ParameterError(ValueError):
@@ -27,7 +29,12 @@ def check_type(value, kind: str, name: str):
     """value itself if it is a `kind`: "int", "float", "bool" or "str"; else ParameterError.
 
     A bool is neither an int nor a float here; a kind that ends in " | None" also admits None.
+    A value whose exact type is the kind's built-in one returns at once; any other value
+    (a subclass, a numpy scalar, None) takes the `isinstance` check against `_TYPES`, which
+    admits the same values.
     """
+    if type(value) is _EXACT.get(kind):
+        return value
     if value is None and kind.endswith(" | None"):
         return value
     wanted = _TYPES[kind.removesuffix(" | None")]

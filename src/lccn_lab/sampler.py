@@ -27,10 +27,20 @@ draw builds its score list and sum in the loop and walks the CDF with
 `cumulative += score / norm`. Score sums follow numpy's order (see
 `noise_model`): for fewer than 8 latent classes the loop that builds the
 scores adds them up left to right from 0.0 as it goes, and from 8 on
-`_row_sum` sums the list again in numpy's pairwise order. An exponent other
-than 1 always goes through numpy's `**`, whose vectorized power may round
-differently from Python's; an annealed batch reuses the tempered column of
-an (observed label, old label) pair until a draw moves a label.
+`_row_sum` sums the list again in numpy's pairwise order.
+
+The count channel `(a + c) / (A + t)` of a draw depends only on its
+(observed label, old label) pair and on the counts, which change only when
+a label moves. A `ChannelCache` keeps those columns, exactly the floats the
+draw would compute, for as long as the counts stay as they are: a caller
+that keeps one across the consecutive batches of a chain (the latent
+trainers, `mixing_diagnostic`) makes a draw that keeps its label a dict
+lookup, the scores and the CDF walk, with no count arithmetic. SparseLDA
+(Yao, Mimno and McCallum, 2009) caches its count-only coefficients alike.
+An exponent other than 1 always goes through numpy's `**`, whose vectorized
+power may round differently from Python's; an annealed batch raises each
+pair's base column (cached or warmup) once and reuses it until a draw moves
+a label.
 """
 
 from __future__ import annotations
@@ -82,13 +92,19 @@ def _scores(
     return scores, norm
 
 
-def _check_anneal_and_warmup(anneal: float, warmup_phi, counts: np.ndarray) -> None:
+def _check_anneal_and_warmup(anneal: float, warmup_phi, counts: np.ndarray) -> np.ndarray | None:
+    """The warmup channel as a float64 array of the counts' shape, or None; `anneal` checked."""
     if not 0.0 <= check_type(anneal, "float", "anneal") < math.inf:  # also False for NaN
         raise ParameterError(f"anneal must be finite and >= 0, got {anneal!r}")
-    if warmup_phi is not None and np.shape(warmup_phi) != counts.shape:
-        raise ParameterError(
-            f"warmup_phi has shape {np.shape(warmup_phi)}, the counts {counts.shape}"
-        )
+    if warmup_phi is None:
+        return None
+    try:
+        warmup_phi = np.asarray(warmup_phi, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"warmup_phi must be an array of floats: {exc}") from None
+    if warmup_phi.shape != counts.shape:
+        raise ParameterError(f"warmup_phi has shape {warmup_phi.shape}, the counts {counts.shape}")
+    return warmup_phi
 
 
 def sampling_distribution(
@@ -112,7 +128,7 @@ def sampling_distribution(
         raise ParameterError("probs_row must hold one probability per latent class")
     if not 0 <= check_type(observed_label, "int", "observed_label") < counts.shape[1]:
         raise ParameterError("observed label out of range")
-    _check_anneal_and_warmup(anneal, warmup_phi, counts)
+    warmup_phi = _check_anneal_and_warmup(anneal, warmup_phi, counts)
     scores, norm = _scores(
         probs_row.tolist(), float(prior.concentration[observed_label]),
         counts[:, observed_label].tolist(), counts.sum(axis=1).tolist(), prior.total,
@@ -120,6 +136,33 @@ def sampling_distribution(
         anneal,
     )
     return np.array([score / norm for score in scores])
+
+
+@dataclass(eq=False)
+class ChannelCache:
+    """Leave-one-out count channels of one chain, kept across its consecutive batches.
+
+    `channels` maps an (observed label, old latent label) pair to the count
+    channel that a sample in that cell scores against once its own count is
+    removed: `(a + c) / (A + t)` for each latent class, where a is the observed
+    label's concentration, A the prior's total, c the class's count against
+    the label and t the class's row total. The entries hold for the count
+    matrix and prior in `counts` and `prior` (kept by identity) as long as
+    those counts do not change. `gibbs_sample_batch` starts the cache over
+    when it gets another count matrix or prior, and empties it when a draw
+    moves a label or a batch fails. Code that changes the counts in any
+    other way must empty it too (`channels.clear()`).
+    """
+
+    counts: np.ndarray | None = None
+    prior: DirichletPrior | None = None
+    channels: dict[tuple[int, int], list[float]] = field(default_factory=dict)
+
+
+def _mirror(counts: np.ndarray) -> tuple[list[list], list]:
+    """The count matrix as column lists, and its row totals summed from them."""
+    columns = counts.T.tolist()
+    return columns, [sum(row) for row in zip(*columns)]
 
 
 def gibbs_sample_batch(
@@ -132,21 +175,25 @@ def gibbs_sample_batch(
     rng: np.random.Generator,
     warmup_phi: np.ndarray | None = None,
     anneal: float = 1.0,
+    *,
+    cache: ChannelCache | None = None,
 ) -> np.ndarray:
     """Resample the latent labels of one batch, updating `counts` and `labels` in place.
 
     Samples are processed sequentially: each draw removes the sample's old
-    count, scores every latent class against counts already
-    updated by earlier draws in the batch, draws a new class, and books it.
-    The scores are computed inside the draw loop, from the count column, the
-    warmup column or a tempered column, as `_scores` computes them for the
-    reference.
-    The count matrix is mirrored column by column as Python lists, with its
-    row totals summed once from those lists. A label is written only when its
-    draw moves it, and the counts are written back when the batch ends only
-    if some label moved or the batch ended on an error, so a batch that keeps
-    every label writes nothing. The batch's uniforms are drawn up front, so a
-    batch that fails part-way has consumed all of them.
+    count, scores every latent class against counts already updated by
+    earlier draws in the batch, draws a new class, and books it. A draw
+    scores against its (observed label, old label) entry of the channel
+    cache, filled from the counts on a miss; the warmup column or a tempered
+    column replaces it as `_scores` replaces the count channel for the
+    reference. A draw that keeps its label therefore does no count
+    arithmetic at all. The count matrix is mirrored as column lists, with
+    its row totals, only once the batch meets a cache miss or a move. A
+    label is written only when its draw moves it, and the counts are
+    written back when the batch ends only if some label moved or the batch
+    ended on an error, so a batch that keeps every label writes nothing. The
+    batch's uniforms are drawn up front, so a batch that fails part-way has
+    consumed all of them, and its failing draw's removal stays booked.
 
     Args:
         probs: (M, R) classifier probabilities for the batch samples.
@@ -161,6 +208,9 @@ def gibbs_sample_batch(
             factor, or None to score from the counts.
         anneal: exponent in [0, inf) applied to the channel factor alone;
             checked before any uniform is drawn.
+        cache: the chain's `ChannelCache`, shared by its consecutive batches so
+            that settled draws skip the count arithmetic across batches too;
+            None gives the call a fresh one. Either way the bits are the same.
 
     Returns:
         (M,) newly sampled latent labels, in batch order.
@@ -174,8 +224,8 @@ def gibbs_sample_batch(
     if len(observed_labels) != probs.shape[0] or len(batch_indices) != probs.shape[0]:
         raise ParameterError("batch arrays must have matching lengths")
     observed_labels = np.asarray(observed_labels)
-    if observed_labels.dtype.kind not in "iu":
-        raise ParameterError("observed labels must be integers")
+    if observed_labels.ndim != 1 or observed_labels.dtype.kind not in "iu":
+        raise ParameterError("observed labels must be a 1-d integer array")
     observed_list = observed_labels.tolist()
     if observed_list and not 0 <= min(observed_list) <= max(observed_list) < counts.shape[1]:
         raise ParameterError("observed labels out of range")
@@ -185,58 +235,66 @@ def gibbs_sample_batch(
     positions = batch_indices.tolist()
     if positions and not 0 <= min(positions) <= max(positions) < len(labels):
         raise ParameterError("batch indices out of range")
-    _check_anneal_and_warmup(anneal, warmup_phi, counts)
+    warmup_phi = _check_anneal_and_warmup(anneal, warmup_phi, counts)
+    if cache is None:
+        cache = ChannelCache()
+    if cache.counts is not counts or cache.prior is not prior:
+        cache.channels.clear()
+        cache.counts, cache.prior = counts, prior
+    channels = cache.channels
     uniforms = rng.random(probs.shape[0]).tolist()
-    alpha = prior.concentration.tolist()
     alpha_total = prior.total
-    warmup_columns = (
-        [None] * counts.shape[1] if warmup_phi is None else warmup_phi.T.tolist()
-    )
-    columns = counts.T.tolist()
-    totals = [sum(row) for row in zip(*columns)]
+    warmup_columns = None if warmup_phi is None else warmup_phi.T.tolist()
     # Tempered channel columns by (observed label, old label), valid until a label moves.
     tempered = None if anneal == 1.0 else {}
-    n_latent = len(totals)
+    n_latent = counts.shape[0]
     wide = n_latent >= _NUMPY_UNROLL
+    columns = totals = None
     sampled = []
     moved = finished = False
     try:
         for row, observed, position, u in zip(probs.tolist(), observed_list, positions, uniforms):
-            column = columns[observed]
             old = labels.item(position)
-            # Range first: a negative label would index the column from its end.
-            if not (0 <= old < n_latent and column[old] > 0):
-                raise InvariantError(
-                    f"latent label {old} of sample {position} has no count in cell "
-                    f"({old}, {observed})"
-                )
-            column[old] -= 1
-            totals[old] -= 1
-            # The scores and their sum, as `_scores` gives them.
-            a = alpha[observed]
-            channel = warmup_columns[observed]
+            key = observed, old
+            channel = channels.get(key)
+            if channel is None:
+                if columns is None:
+                    columns, totals = _mirror(counts)
+                column = columns[observed]
+                # Range first: a negative label would index the column from its end.
+                if not (0 <= old < n_latent and column[old] > 0):
+                    raise InvariantError(
+                        f"latent label {old} of sample {position} has no count in cell "
+                        f"({old}, {observed})"
+                    )
+                column[old] -= 1
+                totals[old] -= 1
+                a = prior.concentration.item(observed)
+                channel = channels[key] = []
+                for c, t in zip(column, totals):
+                    channel.append((a + c) / (alpha_total + t))
+                column[old] += 1
+                totals[old] += 1
+            if warmup_columns is not None:
+                channel = warmup_columns[observed]
             if tempered is not None:
-                key = observed, old
                 base, channel = channel, tempered.get(key)
                 if channel is None:
-                    if base is None:
-                        base = [(a + c) / (alpha_total + t) for c, t in zip(column, totals)]
                     channel = tempered[key] = (np.array(base, dtype=np.float64) ** anneal).tolist()
+            # The scores and their sum, as `_scores` gives them.
             scores = []
             norm = 0.0
-            if channel is None:
-                for p, c, t in zip(row, column, totals):
-                    score = p * ((a + c) / (alpha_total + t))
-                    scores.append(score)
-                    norm += score
-            else:
-                for p, c in zip(row, channel):
-                    score = p * c
-                    scores.append(score)
-                    norm += score
+            for p, c in zip(row, channel):
+                score = p * c
+                scores.append(score)
+                norm += score
             if wide:
                 norm = _row_sum(scores)
             if not 0.0 < norm < math.inf:  # also False for NaN
+                # The failing draw's removal stays booked.
+                if columns is None:
+                    columns, totals = _mirror(counts)
+                columns[observed][old] -= 1
                 raise TrainingError(_SCORE_ERROR)
             cumulative = 0.0
             # Without a break, a uniform at or above the rounded total takes the last class.
@@ -244,18 +302,26 @@ def gibbs_sample_batch(
                 cumulative += score / norm
                 if cumulative > u:
                     break
-            column[new] += 1
-            totals[new] += 1
             if new != old:
+                if columns is None:
+                    columns, totals = _mirror(counts)
+                column = columns[observed]
+                column[old] -= 1
+                totals[old] -= 1
+                column[new] += 1
+                totals[new] += 1
                 labels[position] = new
                 moved = True
+                channels.clear()
                 if tempered:
                     tempered.clear()
             sampled.append(new)
         finished = True
     finally:
-        # A batch that kept every label left the mirrored counts as they were.
-        if moved or not finished:
+        if not finished:
+            channels.clear()
+        # Only a move or a failure leaves the mirrored counts unlike the counts.
+        if moved or (not finished and columns is not None):
             counts.T[...] = columns
     return np.array(sampled, dtype=np.int64)
 
@@ -391,11 +457,12 @@ def mixing_diagnostic(
     counts = confusion_counts(labels, observed_labels, n_latent, prior.n_observed)
     checkpoints = set(np.geomspace(burn_in + 1, sweeps, num=8).round().astype(int).tolist())
     rng = np.random.default_rng(seed)
+    cache = ChannelCache()
     tally = np.zeros((n, n_latent))
     trace: list[tuple[int, float, float]] = []
     rows = np.arange(n)
     for sweep in range(1, sweeps + 1):
-        gibbs_sample_batch(probs, observed_labels, counts, prior, labels, rows, rng)
+        gibbs_sample_batch(probs, observed_labels, counts, prior, labels, rows, rng, cache=cache)
         if sweep > burn_in:
             tally[rows, labels] += 1.0
             if sweep in checkpoints:

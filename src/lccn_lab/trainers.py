@@ -66,7 +66,7 @@ from .noise_model import (
     update_bound,
     warmup_transition,
 )
-from .sampler import gibbs_sample_batch
+from .sampler import ChannelCache, gibbs_sample_batch
 
 BOUND_SLACK = 1e-12
 
@@ -594,6 +594,7 @@ def _train_latent(
         return confusion_counts(labels, ds.noisy_labels, n_latent, k, exclude=exclude)
 
     counts = tally()
+    cache = ChannelCache()
 
     def current_phi() -> np.ndarray:
         return transition_from_counts(counts, prior)
@@ -634,6 +635,7 @@ def _train_latent(
                     run.gibbs_rng,
                     warmup_phi=channel_init if run.iteration <= warmup_steps else None,
                     anneal=_anneal(cfg.anneal, run.iteration, run.total),
+                    cache=cache,
                 )
                 if sampled.tolist() == previous.tolist():
                     moved = 0.0, 0.0

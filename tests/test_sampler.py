@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from lccn_lab import trainers
 from lccn_lab.errors import InvariantError, ParameterError, TrainingError
 from lccn_lab.noise_model import DirichletPrior, _row_sum, check_transition, confusion_counts
 from lccn_lab.sampler import (
+    ChannelCache,
     _scores,
     exact_posterior_bruteforce,
     gibbs_sample_batch,
@@ -491,11 +493,9 @@ def test_gibbs_batch_rejects_a_label_outside_the_latent_range(label):
     assert counts.tolist() == [[1, 0], [0, 1]] and labels.tolist() == [label, 1]
 
 
-def test_warmup_channel_must_have_the_counts_shape():
-    # A 2 x 2 channel against 3 latent classes would never let class 2 be drawn.
+def _assert_warmup_refused_before_drawing(warm):
     counts = counts_of([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     prior = DirichletPrior.uniform(3, 1.0)
-    warm = np.full((2, 2), 0.5)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(ParameterError, match="warmup_phi"):
@@ -506,6 +506,48 @@ def test_warmup_channel_must_have_the_counts_shape():
     assert rng.bit_generator.state == state and counts.trace() == 3
     with pytest.raises(ParameterError, match="warmup_phi"):
         sampling_distribution(np.full(3, 1 / 3), 0, counts, prior, warmup_phi=warm)
+
+
+def test_warmup_channel_must_have_the_counts_shape():
+    # A 2 x 2 channel against 3 latent classes would never let class 2 be drawn.
+    _assert_warmup_refused_before_drawing(np.full((2, 2), 0.5))
+
+
+# Nested lists that are no float array of the counts' 3 x 3 shape.
+BAD_WARMUP_LISTS = {
+    "too_small": [[0.5, 0.5], [0.5, 0.5]],
+    "ragged": [[0.5, 0.5, 0.0], [1.0], [0.0, 0.0, 1.0]],
+    "strings": [["a"] * 3] * 3,
+}
+
+
+@pytest.mark.parametrize("case", BAD_WARMUP_LISTS)
+def test_warmup_channel_list_is_checked_before_drawing(case):
+    _assert_warmup_refused_before_drawing(BAD_WARMUP_LISTS[case])
+
+
+@pytest.mark.parametrize("anneal", [1.0, 0.5])
+def test_warmup_channel_given_as_a_nested_list_scores_as_its_array(anneal):
+    # A list used to pass the shape check, draw the uniforms, then fail on `.T`.
+    warm = [[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.25, 0.25, 0.5]]
+    prior = DirichletPrior.uniform(3, 1.0)
+    observed = np.array([0, 1, 2, 1])
+    probs = np.random.default_rng(1).dirichlet(np.ones(3), size=4)
+    outcomes = []
+    for channel in (warm, np.array(warm)):
+        labels = np.array([0, 1, 2, 2])
+        counts = confusion_counts(labels, observed, 3, 3)
+        rng = np.random.default_rng(7)
+        sampled = gibbs_sample_batch(
+            probs, observed, counts, prior, labels, np.arange(4), rng,
+            warmup_phi=channel, anneal=anneal,
+        )
+        dist = sampling_distribution(probs[0], 1, counts, prior, warmup_phi=channel, anneal=anneal)
+        outcomes.append(
+            (sampled.tolist(), counts.tolist(), labels.tolist(), rng.bit_generator.state,
+             dist.tobytes())
+        )
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize(
@@ -528,6 +570,8 @@ BAD_ENTRY_ARGUMENTS = {
     # A float label passed the range check and drew the uniforms, then leaked a TypeError.
     "batch_observed_label_fractional": ("batch", {"observed": 0.5}),
     "batch_observed_label_a_whole_float": ("batch", {"observed": 1.0}),
+    # Observed labels of shape (1, 1) compared a list with an int and leaked a TypeError.
+    "batch_observed_labels_2d": ("batch", {"observed": [0]}),
     "draw_anneal_a_string": ("draw", {"anneal": "0.5"}),
     "draw_observed_label_fractional": ("draw", {"observed": 1.5}),
     "draw_observed_label_a_string": ("draw", {"observed": "1"}),
@@ -554,6 +598,152 @@ def test_sampler_entry_points_check_arguments_before_drawing(case):
             )
     assert rng.bit_generator.state == state
     assert counts.tolist() == [[1, 0], [0, 1]] and labels.tolist() == [0, 1]
+
+
+# ---------------------------------------------------------- channel cache
+
+
+def _leave_one_out_channels(counts, prior, observed, labels):
+    """Each (observed, label) cell's count channel with one sample of the cell removed."""
+    channels = {}
+    for obs, old in zip(observed.tolist(), labels.tolist()):
+        work = counts.copy()
+        work[old, obs] -= 1
+        channels[obs, old] = conditional_transition_column(work, prior, obs).tolist()
+    return channels
+
+
+def _cache_case():
+    observed = np.array([0, 1, 1, 2, 0, 2])
+    labels = np.array([0, 1, 2, 2, 1, 2])
+    counts = confusion_counts(labels, observed, 3, 3)
+    return observed, labels, counts, DirichletPrior(np.array([0.5, 1.0, 2.0]))
+
+
+def test_cache_holds_each_cells_channel_until_a_label_moves():
+    observed, labels, counts, prior = _cache_case()
+    cache = ChannelCache()
+    rng = np.random.default_rng(0)
+    sure = np.eye(3)[labels]
+    gibbs_sample_batch(sure, observed, counts, prior, labels, np.arange(6), rng, cache=cache)
+    assert cache.counts is counts and cache.prior is prior
+    assert cache.channels == _leave_one_out_channels(counts, prior, observed, labels)
+    # The batch's one draw moves sample 0 from class 0 to class 2.
+    gibbs_sample_batch(
+        np.array([[0.0, 0.0, 1.0]]), observed[:1], counts, prior, labels, np.array([0]), rng,
+        cache=cache,
+    )
+    assert labels[0] == 2 and cache.channels == {}
+    assert np.array_equal(counts, confusion_counts(labels, observed, 3, 3))
+
+
+@pytest.mark.parametrize("change", ["counts", "prior"])
+def test_cache_starts_over_for_another_count_matrix_or_prior(change):
+    observed, labels, counts, prior = _cache_case()
+    cache = ChannelCache()
+    rng = np.random.default_rng(0)
+    sure = np.eye(3)[labels]
+    gibbs_sample_batch(sure, observed, counts, prior, labels, np.arange(6), rng, cache=cache)
+    if change == "counts":
+        counts = counts + 5
+    else:
+        prior = DirichletPrior.uniform(3, 4.0)
+    gibbs_sample_batch(sure, observed, counts, prior, labels, np.arange(6), rng, cache=cache)
+    assert cache.counts is counts and cache.prior is prior
+    assert cache.channels == _leave_one_out_channels(counts, prior, observed, labels)
+
+
+@pytest.mark.parametrize("filled", [False, True], ids=["empty", "filled"])
+def test_failed_batch_empties_the_cache_and_keeps_its_removal_booked(filled):
+    # The first draw surely keeps its label; the second has all-zero scores.
+    # From a filled cache both draws are hits, so nothing was mirrored before the failure.
+    probs = np.array([[1.0, 0.0], [0.0, 0.0]])
+    observed = np.array([0, 1])
+    latent = np.array([0, 1])
+    counts = confusion_counts(latent, observed, 2, 2)
+    prior = DirichletPrior.uniform(2, 1.0)
+    cache = ChannelCache()
+    rng = np.random.default_rng(0)
+    if filled:
+        gibbs_sample_batch(
+            np.eye(2), observed, counts, prior, latent, np.arange(2), rng, cache=cache
+        )
+        assert set(cache.channels) == {(0, 0), (1, 1)}
+    with pytest.raises(TrainingError):
+        gibbs_sample_batch(probs, observed, counts, prior, latent, np.arange(2), rng, cache=cache)
+    assert cache.channels == {}
+    np.testing.assert_array_equal(counts, [[1, 0], [0, 0]])
+    np.testing.assert_array_equal(latent, [0, 1])
+
+
+def chain_case(n_observed, extra_class, plan, seed):
+    """Consecutive batches of one chain over 40 samples.
+
+    `plan` gives each batch as (size, settled, warmup, anneal). A settled
+    batch's classifier gives each sample's current label 0.99 when the batch
+    runs, so few of its draws move; the others draw Dirichlet(0.7) rows.
+    `extra_class` adds the outlier class of lccn_star (R = K + 1).
+    """
+    data = np.random.default_rng(seed)
+    n, n_latent = 40, n_observed + extra_class
+    observed = data.integers(0, n_observed, size=n)
+    labels = data.integers(0, n_latent, size=n)
+    prior = DirichletPrior(data.uniform(0.05, 5.0, size=n_observed))
+    warmup = check_transition(data.dirichlet(np.ones(n_observed), size=n_latent))
+    batches = []
+    for size, settled, warm, anneal in plan:
+        positions = data.permutation(n)[:size]
+        probs = None if settled else data.dirichlet(np.full(n_latent, 0.7), size=size)
+        batches.append((positions, probs, warmup if warm else None, anneal))
+    return observed, labels, prior, n_latent, batches, seed
+
+
+@st.composite
+def chain_cases(draw):
+    batch = st.tuples(
+        st.integers(1, 32), st.booleans(), st.booleans(), st.sampled_from([1.0, 1.0, 0.5, 0.8])
+    )
+    return chain_case(
+        draw(st.integers(2, 9)), draw(st.booleans()), draw(st.lists(batch, min_size=2, max_size=8)),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _run_chain(case, sample):
+    """Each batch's (labels drawn, counts, labels) under `sample`, and the final generator state."""
+    observed, labels, prior, n_latent, batches, seed = case
+    labels = labels.copy()
+    counts = confusion_counts(labels, observed, n_latent, prior.n_observed)
+    rng = np.random.default_rng(seed)
+    outcomes = []
+    for positions, probs, warmup, anneal in batches:
+        if probs is None:
+            probs = np.full((len(positions), n_latent), 0.01 / (n_latent - 1))
+            probs[np.arange(len(positions)), labels[positions]] = 0.99
+        sampled = sample(
+            probs, observed[positions], counts, prior, labels, positions, rng, warmup, anneal
+        )
+        outcomes.append((list(sampled), counts.tolist(), labels.tolist()))
+    return outcomes, rng.bit_generator.state
+
+
+# The runs' own shapes: K=3 in batches of 8 and lccn_star's R=5 at K=4 in
+# batches of 32, settled after a warmup batch, with one moving batch and an
+# annealed stretch; and R=9 rows, summed by `_row_sum`.
+RUN_PLAN = [(8, True, True, 1.0), (8, True, False, 1.0), (8, False, False, 1.0),
+            (8, True, False, 1.0), (8, True, False, 0.7), (8, True, False, 0.7)]
+
+
+@example(case=chain_case(3, False, RUN_PLAN, 0))
+@example(case=chain_case(4, True, [(32, *step[1:]) for step in RUN_PLAN], 1))
+@example(case=chain_case(8, True, RUN_PLAN, 2))
+@given(case=chain_cases())
+@settings(max_examples=200, deadline=None)
+def test_batches_sharing_a_cache_match_fresh_caches_and_the_stepwise_replay(case):
+    cache = ChannelCache()
+    shared = _run_chain(case, partial(gibbs_sample_batch, cache=cache))
+    assert shared == _run_chain(case, gibbs_sample_batch)
+    assert shared == _run_chain(case, _replay)
 
 
 # --------------------------------------------------------- exact posterior
