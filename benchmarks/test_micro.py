@@ -19,9 +19,10 @@ numpy's reduction, which no benchmark workload reaches. Their `_settled`
 variants are the workloads' regime instead: a classifier sure of the current
 labels, so that a few percent of draws move, most batches keep every label
 (and write nothing back) and a moved batch touches few rows. The sampler's
-`_chain` variant walks such a chain batch after batch with one channel
-cache, as the latent trainers do, so that most draws find their channel
-cached by an earlier batch.
+`_chain` variant walks such a chain batch after batch through one
+`GibbsChain`, as the latent trainers do, so that most draws find their
+channel cached by an earlier batch; `test_chain_certify` gives
+`test_update_bound_settled`'s certificate as the chain computes it.
 """
 
 import itertools
@@ -42,7 +43,7 @@ from lccn_lab.classifier import (
     sgd_step_soft,
 )
 from lccn_lab.noise_model import DirichletPrior, confusion_counts, update_bound
-from lccn_lab.sampler import ChannelCache, gibbs_sample_batch
+from lccn_lab.sampler import GibbsChain, gibbs_sample_batch
 from lccn_lab.trainers import _composed_step, _Run
 
 CLIP = 1e-20  # TrainConfig's default
@@ -175,17 +176,14 @@ def test_gibbs_sample_batch_settled(benchmark, k, batch):
 
 @pytest.mark.parametrize("k,batch", [(3, 8), (4, 32)])
 def test_gibbs_sample_batch_chain(benchmark, k, batch):
-    """Consecutive settled batches that walk the chain with one channel cache, as trainers do."""
+    """Consecutive settled batches that walk one `GibbsChain`, as the latent trainers do."""
     n = 1000 // batch * batch
     rng, observed, labels, counts, prior, probs = _settled_chain(k, n, n)
     batches = itertools.cycle([(probs[i], observed[i], i) for i in np.arange(n).reshape(-1, batch)])
-    cache = ChannelCache()
+    chain = GibbsChain(labels, counts, prior)
 
     def next_batch():
-        batch_probs, batch_observed, idx = next(batches)
-        gibbs_sample_batch(
-            batch_probs, batch_observed, counts, prior, labels, idx, rng, cache=cache
-        )
+        chain.step(*next(batches), rng)
 
     benchmark(next_batch)
 
@@ -199,3 +197,14 @@ def test_update_bound_settled(benchmark, k, batch):
     while np.array_equal(before, counts):
         gibbs_sample_batch(probs, observed[idx], counts, prior, labels, idx, rng)
     benchmark(update_bound, before, counts, prior)
+
+
+@pytest.mark.parametrize("k,batch", [(3, 8), (4, 32)])
+def test_chain_certify(benchmark, k, batch):
+    """The same certificate as the chain gives it, from the rows its last step touched."""
+    rng, observed, labels, counts, prior, probs = _settled_chain(k, 1000, batch)
+    idx = np.arange(batch)
+    chain = GibbsChain(labels, counts, prior)
+    while not chain.step(probs, observed[idx], idx, rng):
+        pass
+    benchmark(chain.certify)

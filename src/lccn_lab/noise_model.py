@@ -14,7 +14,8 @@ of reassignments can move any transition row.
 `update_bound` computes only the rows a batch touched, one pass per row on
 plain Python lists, and returns exactly the bits of the whole-matrix numpy
 formula (`transition_from_counts` before and after, differenced and summed per
-row) with the bound beside it, as one (2, n_latent) array.
+row) with the bound beside it, as one (2, n_latent) array. Its row pass,
+`_certificate`, also certifies the sampler's chain from the rows it touched.
 Every float sum over a row follows numpy's order: `_row_sum` adds a row of
 fewer than 8 entries left to right, which is what numpy does for such rows,
 and hands a row of 8 or more entries to numpy's own (unrolled, pairwise)
@@ -32,6 +33,8 @@ import numpy as np
 from .errors import InvariantError, ParameterError
 
 ROW_SUM_TOL = 1e-9
+# How far a measured row change may exceed its update bound: float rounding.
+BOUND_SLACK = 1e-12
 # numpy sums a row of fewer entries than this left to right; longer rows take
 # its unrolled pairwise order, which a plain loop does not reproduce.
 _NUMPY_UNROLL = 8
@@ -184,12 +187,21 @@ def update_bound(before: np.ndarray, after: np.ndarray, prior: DirichletPrior) -
     _check_counts(before, prior)
     if not isinstance(after, np.ndarray) or after.shape != before.shape:
         raise ParameterError("count matrices must have the same shape")
+    rows = zip(range(before.shape[0]), before.tolist(), after.tolist())
+    return np.array(_certificate(rows, before.shape[0], prior))
+
+
+def _certificate(rows, n_rows: int, prior: DirichletPrior) -> tuple[list, list]:
+    """`update_bound`'s rows as lists, from (row, counts before, counts after) triples.
+
+    The lists have `n_rows` entries; a row not given reads 0.0 in both.
+    """
     alpha = prior.concentration.tolist()
     total = prior.total
-    measured = [0.0] * before.shape[0]
-    bound = [0.0] * before.shape[0]
+    measured = [0.0] * n_rows
+    bound = [0.0] * n_rows
     negative_mass = row_check_failed = False
-    for r, (row_before, row_after) in enumerate(zip(before.tolist(), after.tolist())):
+    for r, row_before, row_after in rows:
         if row_before == row_after:
             continue
         # Integer sums are exact in any order, so totals and deltas need no numpy order.
@@ -222,7 +234,18 @@ def update_bound(before: np.ndarray, after: np.ndarray, prior: DirichletPrior) -
         raise InvariantError("a batch cannot leave a row with negative mass")
     if row_check_failed:
         raise ParameterError("transition rows must be finite, nonnegative and sum to 1")
-    return np.array([measured, bound])
+    return measured, bound
+
+
+def _worst_certified_row(measured: list[float], bound: list[float]) -> tuple[float, float]:
+    """(measured, bound) of the row that moved most (the first of equal rows, as `np.argmax`).
+
+    Raises `InvariantError` when some row exceeds its bound.
+    """
+    if any(m > b + BOUND_SLACK for m, b in zip(measured, bound)):
+        raise InvariantError("transition row moved beyond the per-batch update bound")
+    worst = measured.index(max(measured))
+    return measured[worst], bound[worst]
 
 
 def _smoothed_row(count_row: list, alpha: list) -> list[float] | None:

@@ -15,32 +15,35 @@ factor alone, never the classifier's, to a plain exponent `anneal` in
 trainers' schedule of that exponent is `trainers._anneal`.
 
 `sampling_distribution` is the one-draw reference; its scores come from
-`_scores`. `gibbs_sample_batch` runs the same chain on plain Python floats
-with its own copy of that arithmetic, written out inside its draw loop, and
-is bit-identical to replaying the reference draw by draw
+`_scores`. A `GibbsChain` runs the same chain on plain Python floats with
+its own copy of that arithmetic, written out inside its draw loop, and its
+`step` is bit-identical to replaying the reference draw by draw
 (`np.cumsum`/`np.searchsorted` on its output against one scalar
 `rng.random()` each): the same labels, the same counts and the same
 generator state after the batch. The two score paths share no code, so the
-replay property checks one against the other. The batch draws its uniforms
+replay property checks one against the other. A batch draws its uniforms
 with one `rng.random(M)` call (the same doubles as M scalar calls); each
 draw builds its score list and sum in the loop and walks the CDF with
 `cumulative += score / norm`. Score sums follow numpy's order (see
 `noise_model`): for fewer than 8 latent classes the loop that builds the
 scores adds them up left to right from 0.0 as it goes, and from 8 on
 `_row_sum` sums the list again in numpy's pairwise order.
+`gibbs_sample_batch` is one step of a chain built for one batch.
 
 The count channel `(a + c) / (A + t)` of a draw depends only on its
-(observed label, old label) pair and on the counts, which change only when
-a label moves. A `ChannelCache` keeps those columns, exactly the floats the
-draw would compute, for as long as the counts stay as they are: a caller
-that keeps one across the consecutive batches of a chain (the latent
-trainers, `mixing_diagnostic`) makes a draw that keeps its label a dict
-lookup, the scores and the CDF walk, with no count arithmetic. SparseLDA
-(Yao, Mimno and McCallum, 2009) caches its count-only coefficients alike.
-An exponent other than 1 always goes through numpy's `**`, whose vectorized
-power may round differently from Python's; an annealed batch raises each
-pair's base column (cached or warmup) once and reuses it until a draw moves
-a label.
+(observed label, old label) pair and on the counts. The chain keeps those
+columns, exactly the floats the draw would compute, across its batches (the
+latent trainers and `mixing_diagnostic` each hold one chain), so a draw that
+keeps its label is a dict lookup, the scores and the CDF walk, with no count
+arithmetic. A move changes two cells and two row totals: it recomputes the
+two classes' entries of every kept column and drops the column of a cell it
+emptied, as SparseLDA (Yao, Mimno and McCallum, 2009) updates its
+count-only coefficients. The chain also keeps each count row its last step
+touched as it was before, so `GibbsChain.certify` gives
+`noise_model.update_bound`'s certificate from those rows alone. An exponent
+other than 1 always goes through numpy's `**`, whose vectorized power may
+round differently from Python's; an annealed batch raises each pair's base
+column (kept or warmup) once and reuses it until a draw moves a label.
 """
 
 from __future__ import annotations
@@ -51,7 +54,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantError, ParameterError, TrainingError, check_type
-from .noise_model import _NUMPY_UNROLL, DirichletPrior, _check_counts, _row_sum, confusion_counts
+from .noise_model import (
+    _NUMPY_UNROLL,
+    DirichletPrior,
+    _certificate,
+    _check_counts,
+    _row_sum,
+    _worst_certified_row,
+    confusion_counts,
+)
 
 _SCORE_ERROR = "sampling scores are non-finite or all zero"
 
@@ -92,10 +103,13 @@ def _scores(
     return scores, norm
 
 
-def _check_anneal_and_warmup(anneal: float, warmup_phi, counts: np.ndarray) -> np.ndarray | None:
-    """The warmup channel as a float64 array of the counts' shape, or None; `anneal` checked."""
+def _check_anneal(anneal: float) -> None:
     if not 0.0 <= check_type(anneal, "float", "anneal") < math.inf:  # also False for NaN
         raise ParameterError(f"anneal must be finite and >= 0, got {anneal!r}")
+
+
+def _check_warmup(warmup_phi, counts: np.ndarray) -> np.ndarray | None:
+    """The warmup channel as a float64 array of the counts' shape, or None."""
     if warmup_phi is None:
         return None
     try:
@@ -128,7 +142,8 @@ def sampling_distribution(
         raise ParameterError("probs_row must hold one probability per latent class")
     if not 0 <= check_type(observed_label, "int", "observed_label") < counts.shape[1]:
         raise ParameterError("observed label out of range")
-    warmup_phi = _check_anneal_and_warmup(anneal, warmup_phi, counts)
+    _check_anneal(anneal)
+    warmup_phi = _check_warmup(warmup_phi, counts)
     scores, norm = _scores(
         probs_row.tolist(), float(prior.concentration[observed_label]),
         counts[:, observed_label].tolist(), counts.sum(axis=1).tolist(), prior.total,
@@ -138,128 +153,101 @@ def sampling_distribution(
     return np.array([score / norm for score in scores])
 
 
-@dataclass(eq=False)
-class ChannelCache:
-    """Leave-one-out count channels of one chain, kept across its consecutive batches.
+class GibbsChain:
+    """One collapsed Gibbs chain over the samples, with what its draws keep between batches.
 
-    `channels` maps an (observed label, old latent label) pair to the count
-    channel that a sample in that cell scores against once its own count is
-    removed: `(a + c) / (A + t)` for each latent class, where a is the observed
-    label's concentration, A the prior's total, c the class's count against
-    the label and t the class's row total. The entries hold for the count
-    matrix and prior in `counts` and `prior` (kept by identity) as long as
-    those counts do not change. `gibbs_sample_batch` starts the cache over
-    when it gets another count matrix or prior, and empties it when a draw
-    moves a label or a batch fails. Code that changes the counts in any
-    other way must empty it too (`channels.clear()`).
+    The chain owns the latent `labels` and the `counts` it is built with
+    (both updated in place, by the chain alone), the prior and the warmup
+    channel's columns, and checks them once, here. `columns` and `totals`
+    mirror the counts as column lists with row totals. `channels` maps an
+    (observed label, old label) pair with a nonempty cell to the count
+    channel `(a + c) / (A + t)` that a sample in that cell scores against
+    once its own count is removed. `before` holds each count row that the
+    last `step` moved a label into or out of, as it was before that step.
     """
 
-    counts: np.ndarray | None = None
-    prior: DirichletPrior | None = None
-    channels: dict[tuple[int, int], list[float]] = field(default_factory=dict)
+    def __init__(
+        self, labels: np.ndarray, counts: np.ndarray, prior: DirichletPrior,
+        warmup_phi: np.ndarray | None = None,
+    ) -> None:
+        _check_counts(counts, prior)
+        if not isinstance(labels, np.ndarray) or labels.ndim != 1 or labels.dtype.kind not in "iu":
+            raise ParameterError("labels must be a 1-d integer array")
+        warmup_phi = _check_warmup(warmup_phi, counts)
+        self.labels, self.counts, self.prior = labels, counts, prior
+        self.alpha = prior.concentration.tolist()
+        self.warmup_columns = None if warmup_phi is None else warmup_phi.T.tolist()
+        self.columns = counts.T.tolist()
+        self.totals = [sum(row) for row in zip(*self.columns)]
+        self.channels: dict[tuple[int, int], list[float]] = {}
+        self.before: dict[int, list] = {}
 
+    def step(
+        self, probs: np.ndarray, observed: np.ndarray, positions: np.ndarray,
+        rng: np.random.Generator, warmup: bool = False, anneal: float = 1.0,
+    ) -> bool:
+        """Resample the latent labels of one batch; True if some label moved.
 
-def _mirror(counts: np.ndarray) -> tuple[list[list], list]:
-    """The count matrix as column lists, and its row totals summed from them."""
-    columns = counts.T.tolist()
-    return columns, [sum(row) for row in zip(*columns)]
+        Samples are processed sequentially: each draw removes the sample's
+        old count, scores every latent class against counts already updated
+        by earlier draws in the batch, draws a new class, and books it. A
+        draw scores against its (observed label, old label) entry of
+        `channels`, filled from the counts on a miss; the warmup column (with
+        `warmup`) or a tempered column replaces it as `_scores` replaces the
+        count channel for the reference. A draw that keeps its label
+        therefore does no count arithmetic at all. A move writes its label
+        and its two count cells, and refreshes the two classes it changed in
+        every channel (dropping the one whose cell it emptied); a batch that
+        keeps every label writes nothing. The batch's uniforms are drawn up
+        front, so a batch that fails part-way has consumed all of them, and
+        its failing draw's removal stays booked.
 
+        Args:
+            probs: (M, R) classifier probabilities for the batch samples.
+            observed: (M,) integer observed labels of the batch samples, in [0, K).
+            positions: (M,) integer positions of the batch samples in `labels`, in [0, N).
+            warmup: score against the warmup channel instead of the counts.
+            anneal: exponent in [0, inf) applied to the channel factor alone.
 
-def gibbs_sample_batch(
-    probs: np.ndarray,
-    observed_labels: np.ndarray,
-    counts: np.ndarray,
-    prior: DirichletPrior,
-    labels: np.ndarray,
-    batch_indices: np.ndarray,
-    rng: np.random.Generator,
-    warmup_phi: np.ndarray | None = None,
-    anneal: float = 1.0,
-    *,
-    cache: ChannelCache | None = None,
-) -> np.ndarray:
-    """Resample the latent labels of one batch, updating `counts` and `labels` in place.
-
-    Samples are processed sequentially: each draw removes the sample's old
-    count, scores every latent class against counts already updated by
-    earlier draws in the batch, draws a new class, and books it. A draw
-    scores against its (observed label, old label) entry of the channel
-    cache, filled from the counts on a miss; the warmup column or a tempered
-    column replaces it as `_scores` replaces the count channel for the
-    reference. A draw that keeps its label therefore does no count
-    arithmetic at all. The count matrix is mirrored as column lists, with
-    its row totals, only once the batch meets a cache miss or a move. A
-    label is written only when its draw moves it, and the counts are
-    written back when the batch ends only if some label moved or the batch
-    ended on an error, so a batch that keeps every label writes nothing. The
-    batch's uniforms are drawn up front, so a batch that fails part-way has
-    consumed all of them, and its failing draw's removal stays booked.
-
-    Args:
-        probs: (M, R) classifier probabilities for the batch samples.
-        observed_labels: (M,) integer observed labels of the batch samples, each
-            in [0, K).
-        counts: (R, K) count matrix of latent vs observed labels.
-        labels: (N,) integer latent label of every sample, each in [0, R) with a
-            nonempty count cell against its observed label.
-        batch_indices: (M,) integer positions of the batch samples in `labels`,
-            each in [0, N).
-        warmup_phi: (R, K) channel whose column replaces the count-based channel
-            factor, or None to score from the counts.
-        anneal: exponent in [0, inf) applied to the channel factor alone;
-            checked before any uniform is drawn.
-        cache: the chain's `ChannelCache`, shared by its consecutive batches so
-            that settled draws skip the count arithmetic across batches too;
-            None gives the call a fresh one. Either way the bits are the same.
-
-    Returns:
-        (M,) newly sampled latent labels, in batch order.
-    """
-    _check_counts(counts, prior)
-    if not isinstance(labels, np.ndarray) or labels.ndim != 1 or labels.dtype.kind not in "iu":
-        raise ParameterError("labels must be a 1-d integer array")
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2 or probs.shape[1] != counts.shape[0]:
-        raise ParameterError("probs must be (batch, n_latent)")
-    if len(observed_labels) != probs.shape[0] or len(batch_indices) != probs.shape[0]:
-        raise ParameterError("batch arrays must have matching lengths")
-    observed_labels = np.asarray(observed_labels)
-    if observed_labels.ndim != 1 or observed_labels.dtype.kind not in "iu":
-        raise ParameterError("observed labels must be a 1-d integer array")
-    observed_list = observed_labels.tolist()
-    if observed_list and not 0 <= min(observed_list) <= max(observed_list) < counts.shape[1]:
-        raise ParameterError("observed labels out of range")
-    batch_indices = np.asarray(batch_indices)
-    if batch_indices.ndim != 1 or batch_indices.dtype.kind not in "iu":
-        raise ParameterError("batch_indices must be a 1-d integer array")
-    positions = batch_indices.tolist()
-    if positions and not 0 <= min(positions) <= max(positions) < len(labels):
-        raise ParameterError("batch indices out of range")
-    warmup_phi = _check_anneal_and_warmup(anneal, warmup_phi, counts)
-    if cache is None:
-        cache = ChannelCache()
-    if cache.counts is not counts or cache.prior is not prior:
-        cache.channels.clear()
-        cache.counts, cache.prior = counts, prior
-    channels = cache.channels
-    uniforms = rng.random(probs.shape[0]).tolist()
-    alpha_total = prior.total
-    warmup_columns = None if warmup_phi is None else warmup_phi.T.tolist()
-    # Tempered channel columns by (observed label, old label), valid until a label moves.
-    tempered = None if anneal == 1.0 else {}
-    n_latent = counts.shape[0]
-    wide = n_latent >= _NUMPY_UNROLL
-    columns = totals = None
-    sampled = []
-    moved = finished = False
-    try:
+        Only these are checked, before any uniform is drawn.
+        """
+        counts = self.counts
+        n_latent = counts.shape[0]
+        probs = np.asarray(probs, dtype=np.float64)
+        if probs.ndim != 2 or probs.shape[1] != n_latent:
+            raise ParameterError("probs must be (batch, n_latent)")
+        if len(observed) != probs.shape[0] or len(positions) != probs.shape[0]:
+            raise ParameterError("batch arrays must have matching lengths")
+        observed = np.asarray(observed)
+        if observed.ndim != 1 or observed.dtype.kind not in "iu":
+            raise ParameterError("observed labels must be a 1-d integer array")
+        observed_list = observed.tolist()
+        if observed_list and not 0 <= min(observed_list) <= max(observed_list) < counts.shape[1]:
+            raise ParameterError("observed labels out of range")
+        positions = np.asarray(positions)
+        if positions.ndim != 1 or positions.dtype.kind not in "iu":
+            raise ParameterError("batch_indices must be a 1-d integer array")
+        labels = self.labels
+        positions = positions.tolist()
+        if positions and not 0 <= min(positions) <= max(positions) < len(labels):
+            raise ParameterError("batch indices out of range")
+        _check_anneal(anneal)
+        warmup_columns = self.warmup_columns if warmup else None
+        if warmup and warmup_columns is None:
+            raise ParameterError("the chain was built without a warmup channel")
+        uniforms = rng.random(probs.shape[0]).tolist()
+        alpha, alpha_total = self.alpha, self.prior.total
+        channels, columns, totals = self.channels, self.columns, self.totals
+        before = self.before = {}
+        # Tempered channel columns by (observed label, old label), valid until a label moves.
+        tempered = None if anneal == 1.0 else {}
+        wide = n_latent >= _NUMPY_UNROLL
+        moved = False
         for row, observed, position, u in zip(probs.tolist(), observed_list, positions, uniforms):
             old = labels.item(position)
             key = observed, old
             channel = channels.get(key)
             if channel is None:
-                if columns is None:
-                    columns, totals = _mirror(counts)
                 column = columns[observed]
                 # Range first: a negative label would index the column from its end.
                 if not (0 <= old < n_latent and column[old] > 0):
@@ -269,7 +257,7 @@ def gibbs_sample_batch(
                     )
                 column[old] -= 1
                 totals[old] -= 1
-                a = prior.concentration.item(observed)
+                a = alpha[observed]
                 channel = channels[key] = []
                 for c, t in zip(column, totals):
                     channel.append((a + c) / (alpha_total + t))
@@ -291,10 +279,12 @@ def gibbs_sample_batch(
             if wide:
                 norm = _row_sum(scores)
             if not 0.0 < norm < math.inf:  # also False for NaN
-                # The failing draw's removal stays booked.
-                if columns is None:
-                    columns, totals = _mirror(counts)
-                columns[observed][old] -= 1
+                # The failing draw's removal stays booked, and no channel holds for it.
+                column = columns[observed]
+                column[old] -= 1
+                totals[old] -= 1
+                counts[old, observed] = column[old]
+                channels.clear()
                 raise TrainingError(_SCORE_ERROR)
             cumulative = 0.0
             # Without a break, a uniform at or above the rounded total takes the last class.
@@ -303,27 +293,63 @@ def gibbs_sample_batch(
                 if cumulative > u:
                     break
             if new != old:
-                if columns is None:
-                    columns, totals = _mirror(counts)
+                for r in old, new:
+                    if r not in before:
+                        before[r] = [cells[r] for cells in columns]
                 column = columns[observed]
                 column[old] -= 1
                 totals[old] -= 1
                 column[new] += 1
                 totals[new] += 1
+                counts[old, observed] = column[old]
+                counts[new, observed] = column[new]
                 labels[position] = new
                 moved = True
-                channels.clear()
+                if not column[old]:
+                    del channels[key]
+                # Each channel's entries for the two classes, as a miss computes them.
+                for (o, cell), channel in channels.items():
+                    a, column = alpha[o], columns[o]
+                    for r in old, new:
+                        own = r == cell  # the cell's own count is left out
+                        channel[r] = (a + (column[r] - own)) / (alpha_total + (totals[r] - own))
                 if tempered:
                     tempered.clear()
-            sampled.append(new)
-        finished = True
-    finally:
-        if not finished:
-            channels.clear()
-        # Only a move or a failure leaves the mirrored counts unlike the counts.
-        if moved or (not finished and columns is not None):
-            counts.T[...] = columns
-    return np.array(sampled, dtype=np.int64)
+        return moved
+
+    def certify(self) -> tuple[float, float]:
+        """(measured, bound) of the row the last step moved most, as `update_bound` reads it.
+
+        Only the rows in `before` are computed: every other row kept its
+        counts, and `_certificate` gives such rows 0.0. Raises as
+        `update_bound` and `_worst_certified_row` would on the whole matrix.
+        """
+        columns = self.columns
+        rows = ((r, row, [cells[r] for cells in columns]) for r, row in self.before.items())
+        return _worst_certified_row(*_certificate(rows, len(self.totals), self.prior))
+
+
+def gibbs_sample_batch(
+    probs: np.ndarray,
+    observed_labels: np.ndarray,
+    counts: np.ndarray,
+    prior: DirichletPrior,
+    labels: np.ndarray,
+    batch_indices: np.ndarray,
+    rng: np.random.Generator,
+    warmup_phi: np.ndarray | None = None,
+    anneal: float = 1.0,
+) -> np.ndarray:
+    """Resample the latent labels of one batch, updating `counts` and `labels` in place.
+
+    One `GibbsChain.step`, scored against `warmup_phi` when it is given, of
+    a chain built for this batch alone. Returns the (M,) int64 latent labels
+    of the batch samples after the batch (a sample listed twice reads its
+    last draw).
+    """
+    chain = GibbsChain(labels, counts, prior, warmup_phi)
+    chain.step(probs, observed_labels, batch_indices, rng, warmup_phi is not None, anneal)
+    return labels[np.asarray(batch_indices)].astype(np.int64)
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # a non-finite weight fails the final check
@@ -457,12 +483,12 @@ def mixing_diagnostic(
     counts = confusion_counts(labels, observed_labels, n_latent, prior.n_observed)
     checkpoints = set(np.geomspace(burn_in + 1, sweeps, num=8).round().astype(int).tolist())
     rng = np.random.default_rng(seed)
-    cache = ChannelCache()
+    chain = GibbsChain(labels, counts, prior)
     tally = np.zeros((n, n_latent))
     trace: list[tuple[int, float, float]] = []
     rows = np.arange(n)
     for sweep in range(1, sweeps + 1):
-        gibbs_sample_batch(probs, observed_labels, counts, prior, labels, rows, rng, cache=cache)
+        chain.step(probs, observed_labels, rows, rng)
         if sweep > burn_in:
             tally[rows, labels] += 1.0
             if sweep in checkpoints:

@@ -63,12 +63,9 @@ from .noise_model import (
     check_transition,
     confusion_counts,
     transition_from_counts,
-    update_bound,
     warmup_transition,
 )
-from .sampler import ChannelCache, gibbs_sample_batch
-
-BOUND_SLACK = 1e-12
+from .sampler import GibbsChain
 
 
 @dataclass
@@ -544,20 +541,6 @@ def _anneal(enabled: bool, step: int, total: int) -> float:
     return max(math.exp(-step / max(total, 1) * 0.8), 0.5)
 
 
-def _worst_certified_row(certificate: np.ndarray) -> tuple[float, float]:
-    """(measured, bound) of the row that moved most, once no row exceeds its bound.
-
-    `certificate` is `update_bound`'s (2, n_latent) array of (measured,
-    bound) rows, read as lists. Ties go to the first row, as with
-    `np.argmax`; an all-zero `measured` gives row 0.
-    """
-    measured, bound = certificate.tolist()
-    if any(m > b + BOUND_SLACK for m, b in zip(measured, bound)):
-        raise InvariantError("transition row moved beyond the per-batch update bound")
-    worst = measured.index(max(measured))
-    return measured[worst], bound[worst]
-
-
 def _train_latent(
     ds: LabeledDataset, cfg: TrainConfig, test_ds: LabeledDataset | None,
     *, extra_class: bool, use_clean: bool,
@@ -574,10 +557,10 @@ def _train_latent(
 
     A batch whose draw gives every sample back its previous latent label
     leaves the counts as they were, so it is recorded as `(0.0, 0.0)`
-    without calling `update_bound`: on equal count matrices both rows of its
-    result are 0.0 and the worst row is row 0. A batch whose labels
-    moved is certified in full, even when its moves cancel in the counts,
-    and `_worst_certified_row` reads the certificate.
+    without a certificate: on equal count matrices both rows of
+    `update_bound` are 0.0 and the worst row is row 0. A batch whose labels
+    moved is certified by the chain from the rows it touched, even when its
+    moves cancel in the counts.
     """
     k = ds.n_classes
     n_latent = k + 1 if extra_class else k
@@ -594,7 +577,6 @@ def _train_latent(
         return confusion_counts(labels, ds.noisy_labels, n_latent, k, exclude=exclude)
 
     counts = tally()
-    cache = ChannelCache()
 
     def current_phi() -> np.ndarray:
         return transition_from_counts(counts, prior)
@@ -610,7 +592,7 @@ def _train_latent(
         }
 
     def start(run: _Run) -> _Hooks:
-        channel_init = _initial_channel(ds, cfg, run.params, n_latent)
+        chain = GibbsChain(labels, counts, prior, _initial_channel(ds, cfg, run.params, n_latent))
         warmup_steps = cfg.warmup_steps if cfg.warmup_steps is not None else run.n_batches
 
         def batch(
@@ -623,24 +605,11 @@ def _train_latent(
                 positions, probs, observed = idx[resample], probs[resample], observed[resample]
             moved = None
             if positions.size:
-                previous = labels[positions]
-                before = counts.copy()
-                sampled = gibbs_sample_batch(
-                    probs,
-                    observed,
-                    counts,
-                    prior,
-                    labels,
-                    positions,
-                    run.gibbs_rng,
-                    warmup_phi=channel_init if run.iteration <= warmup_steps else None,
-                    anneal=_anneal(cfg.anneal, run.iteration, run.total),
-                    cache=cache,
-                )
-                if sampled.tolist() == previous.tolist():
-                    moved = 0.0, 0.0
-                else:
-                    moved = _worst_certified_row(update_bound(before, counts, prior))
+                moved = 0.0, 0.0
+                warmup = run.iteration <= warmup_steps
+                anneal = _anneal(cfg.anneal, run.iteration, run.total)
+                if chain.step(probs, observed, positions, run.gibbs_rng, warmup, anneal):
+                    moved = chain.certify()
             sgd_step(run.params, run.opt, features, labels[idx], run.clip, forward=forward)
             return moved
 

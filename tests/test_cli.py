@@ -448,10 +448,8 @@ def test_train_from_an_empty_dataset_file_exits_2_without_a_warning(tmp_path, ca
 
 
 def test_invariant_violation_is_runtime_error(tmp_path, lccn_config, monkeypatch, capsys):
-    # measured 1.0 against a bound of 0.0
-    monkeypatch.setattr(
-        "lccn_lab.trainers.update_bound", lambda *a, **k: np.array([[1.0], [0.0]])
-    )
+    # measured 1.0 against a bound of 0.0, in the certificate of every batch that moved a label
+    monkeypatch.setattr("lccn_lab.sampler._certificate", lambda *a, **k: ([1.0], [0.0]))
     code = main(["train", "--config", lccn_config, "--out", str(tmp_path / "o")])
     assert code == EXIT_RUNTIME
     assert "bound" in capsys.readouterr().err

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -12,9 +11,16 @@ from hypothesis import strategies as st
 from conftest import conditional_transition_column
 from lccn_lab import trainers
 from lccn_lab.errors import InvariantError, ParameterError, TrainingError
-from lccn_lab.noise_model import DirichletPrior, _row_sum, check_transition, confusion_counts
+from lccn_lab.noise_model import (
+    DirichletPrior,
+    _row_sum,
+    _worst_certified_row,
+    check_transition,
+    confusion_counts,
+    update_bound,
+)
 from lccn_lab.sampler import (
-    ChannelCache,
+    GibbsChain,
     _scores,
     exact_posterior_bruteforce,
     gibbs_sample_batch,
@@ -394,6 +400,19 @@ def test_batch_that_keeps_every_label_writes_nothing(case):
     assert (counts.tobytes(), labels.tobytes()) == state
 
 
+def test_batch_returns_each_samples_label_after_the_batch():
+    # Sample 0 is listed twice: its first draw surely moves it to 1, its second back to 0.
+    observed = np.array([0, 1])
+    labels = np.array([0, 1])
+    counts = confusion_counts(labels, observed, 2, 2)
+    sampled = gibbs_sample_batch(
+        np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0, 0]), counts,
+        DirichletPrior.uniform(2, 1.0), labels, np.array([0, 0]), np.random.default_rng(0),
+    )
+    assert sampled.dtype == np.int64 and sampled.tolist() == [0, 0]
+    assert labels.tolist() == [0, 1] and counts.tolist() == [[1, 0], [0, 1]]
+
+
 def test_batch_that_fails_after_keeping_its_labels_writes_counts_back():
     # The first draw surely keeps its label; the second has all-zero scores,
     # and its sample's removal stays booked although no label moved.
@@ -613,6 +632,14 @@ def _leave_one_out_channels(counts, prior, observed, labels):
     return channels
 
 
+def _assert_channels_hold(chain):
+    """Every channel the chain keeps sits on a nonempty cell and is that cell's channel now."""
+    keys = list(chain.channels)
+    observed, labels = np.array([k[0] for k in keys], int), np.array([k[1] for k in keys], int)
+    assert all(chain.counts[old, obs] > 0 for obs, old in keys)
+    assert chain.channels == _leave_one_out_channels(chain.counts, chain.prior, observed, labels)
+
+
 def _cache_case():
     observed = np.array([0, 1, 1, 2, 0, 2])
     labels = np.array([0, 1, 2, 2, 1, 2])
@@ -622,56 +649,36 @@ def _cache_case():
 
 def test_cache_holds_each_cells_channel_until_a_label_moves():
     observed, labels, counts, prior = _cache_case()
-    cache = ChannelCache()
+    chain = GibbsChain(labels, counts, prior)
     rng = np.random.default_rng(0)
     sure = np.eye(3)[labels]
-    gibbs_sample_batch(sure, observed, counts, prior, labels, np.arange(6), rng, cache=cache)
-    assert cache.counts is counts and cache.prior is prior
-    assert cache.channels == _leave_one_out_channels(counts, prior, observed, labels)
-    # The batch's one draw moves sample 0 from class 0 to class 2.
-    gibbs_sample_batch(
-        np.array([[0.0, 0.0, 1.0]]), observed[:1], counts, prior, labels, np.array([0]), rng,
-        cache=cache,
-    )
-    assert labels[0] == 2 and cache.channels == {}
+    assert not chain.step(sure, observed, np.arange(6), rng)
+    assert chain.channels == _leave_one_out_channels(counts, prior, observed, labels)
+    # The batch's one draw moves sample 0 from class 0 to class 2 and empties
+    # cell (0, 0): the other channels are refreshed, and the emptied one goes.
+    assert chain.step(np.array([[0.0, 0.0, 1.0]]), observed[:1], np.array([0]), rng)
+    assert labels[0] == 2 and (0, 0) not in chain.channels
+    assert set(chain.channels) == {(1, 1), (1, 2), (2, 2), (0, 1)}
+    _assert_channels_hold(chain)
     assert np.array_equal(counts, confusion_counts(labels, observed, 3, 3))
-
-
-@pytest.mark.parametrize("change", ["counts", "prior"])
-def test_cache_starts_over_for_another_count_matrix_or_prior(change):
-    observed, labels, counts, prior = _cache_case()
-    cache = ChannelCache()
-    rng = np.random.default_rng(0)
-    sure = np.eye(3)[labels]
-    gibbs_sample_batch(sure, observed, counts, prior, labels, np.arange(6), rng, cache=cache)
-    if change == "counts":
-        counts = counts + 5
-    else:
-        prior = DirichletPrior.uniform(3, 4.0)
-    gibbs_sample_batch(sure, observed, counts, prior, labels, np.arange(6), rng, cache=cache)
-    assert cache.counts is counts and cache.prior is prior
-    assert cache.channels == _leave_one_out_channels(counts, prior, observed, labels)
 
 
 @pytest.mark.parametrize("filled", [False, True], ids=["empty", "filled"])
 def test_failed_batch_empties_the_cache_and_keeps_its_removal_booked(filled):
     # The first draw surely keeps its label; the second has all-zero scores.
-    # From a filled cache both draws are hits, so nothing was mirrored before the failure.
+    # From a filled cache both draws are hits, so no count was read before the failure.
     probs = np.array([[1.0, 0.0], [0.0, 0.0]])
     observed = np.array([0, 1])
     latent = np.array([0, 1])
     counts = confusion_counts(latent, observed, 2, 2)
-    prior = DirichletPrior.uniform(2, 1.0)
-    cache = ChannelCache()
+    chain = GibbsChain(latent, counts, DirichletPrior.uniform(2, 1.0))
     rng = np.random.default_rng(0)
     if filled:
-        gibbs_sample_batch(
-            np.eye(2), observed, counts, prior, latent, np.arange(2), rng, cache=cache
-        )
-        assert set(cache.channels) == {(0, 0), (1, 1)}
+        chain.step(np.eye(2), observed, np.arange(2), rng)
+        assert set(chain.channels) == {(0, 0), (1, 1)}
     with pytest.raises(TrainingError):
-        gibbs_sample_batch(probs, observed, counts, prior, latent, np.arange(2), rng, cache=cache)
-    assert cache.channels == {}
+        chain.step(probs, observed, np.arange(2), rng)
+    assert chain.channels == {}
     np.testing.assert_array_equal(counts, [[1, 0], [0, 0]])
     np.testing.assert_array_equal(latent, [0, 1])
 
@@ -709,20 +716,34 @@ def chain_cases(draw):
     )
 
 
-def _run_chain(case, sample):
-    """Each batch's (labels drawn, counts, labels) under `sample`, and the final generator state."""
+def _run_chain(case, sample=None):
+    """Each batch's (labels drawn, counts, labels) under `sample`, and the final generator state.
+
+    With no `sample`, one `GibbsChain` steps through the batches, and its
+    channels are checked against the counts after each of them.
+    """
     observed, labels, prior, n_latent, batches, seed = case
     labels = labels.copy()
     counts = confusion_counts(labels, observed, n_latent, prior.n_observed)
     rng = np.random.default_rng(seed)
+    if sample is None:
+        warmup = next((w for _, _, w, _ in batches if w is not None), None)
+        chain = GibbsChain(labels, counts, prior, warmup)
     outcomes = []
     for positions, probs, warmup, anneal in batches:
         if probs is None:
             probs = np.full((len(positions), n_latent), 0.01 / (n_latent - 1))
             probs[np.arange(len(positions)), labels[positions]] = 0.99
-        sampled = sample(
-            probs, observed[positions], counts, prior, labels, positions, rng, warmup, anneal
-        )
+        if sample is None:
+            previous = labels[positions]
+            moved = chain.step(probs, observed[positions], positions, rng, warmup is not None, anneal)
+            sampled = labels[positions]
+            assert moved == (sampled.tolist() != previous.tolist())
+            _assert_channels_hold(chain)
+        else:
+            sampled = sample(
+                probs, observed[positions], counts, prior, labels, positions, rng, warmup, anneal
+            )
         outcomes.append((list(sampled), counts.tolist(), labels.tolist()))
     return outcomes, rng.bit_generator.state
 
@@ -734,16 +755,97 @@ RUN_PLAN = [(8, True, True, 1.0), (8, True, False, 1.0), (8, False, False, 1.0),
             (8, True, False, 1.0), (8, True, False, 0.7), (8, True, False, 0.7)]
 
 
+# Batches that each move some label, so that every batch refreshes the channels.
+MOVING_PLAN = [(8, False, False, 1.0)] * 4 + [(8, False, True, 1.0), (8, False, False, 0.7)]
+
+
 @example(case=chain_case(3, False, RUN_PLAN, 0))
 @example(case=chain_case(4, True, [(32, *step[1:]) for step in RUN_PLAN], 1))
 @example(case=chain_case(8, True, RUN_PLAN, 2))
+@example(case=chain_case(3, False, MOVING_PLAN, 3))
+@example(case=chain_case(4, True, [(32, *step[1:]) for step in MOVING_PLAN], 4))
 @given(case=chain_cases())
 @settings(max_examples=200, deadline=None)
 def test_batches_sharing_a_cache_match_fresh_caches_and_the_stepwise_replay(case):
-    cache = ChannelCache()
-    shared = _run_chain(case, partial(gibbs_sample_batch, cache=cache))
+    # One chain over all batches, a fresh chain per batch, and the reference draws.
+    shared = _run_chain(case)
     assert shared == _run_chain(case, gibbs_sample_batch)
     assert shared == _run_chain(case, _replay)
+
+
+@pytest.mark.parametrize("n_observed, extra_class, size, seed", [(3, False, 8, 3), (4, True, 32, 4)])
+def test_the_moving_plan_moves_a_label_in_every_batch(n_observed, extra_class, size, seed):
+    observed, labels, prior, n_latent, batches, _ = chain_case(
+        n_observed, extra_class, [(size, *step[1:]) for step in MOVING_PLAN], seed
+    )
+    counts = confusion_counts(labels, observed, n_latent, prior.n_observed)
+    warmup = next(w for _, _, w, _ in batches if w is not None)
+    chain = GibbsChain(labels, counts, prior, warmup)
+    rng = np.random.default_rng(seed)
+    for positions, probs, warm, anneal in batches:
+        assert chain.step(probs, observed[positions], positions, rng, warm is not None, anneal)
+
+
+@st.composite
+def certify_cases(draw):
+    """A chain over 10 samples and the one-hot target labels of each of its batches.
+
+    A batch either moves every sample of one latent class to another class
+    (emptying its row), swaps the labels of two samples that share an
+    observed label (the counts cancel), or redraws random samples to random
+    labels. `extra_class` adds lccn_star's outlier class (R = K + 1).
+    """
+    n_observed = draw(st.integers(2, 5))
+    n_latent = n_observed + draw(st.booleans())
+    alpha = 10.0 ** draw(st.floats(-300.0, 1.0)) * np.ones(n_observed)
+    if draw(st.booleans()):
+        alpha = alpha * draw(st.lists(st.floats(0.5, 2.0), min_size=n_observed, max_size=n_observed))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    observed = data.integers(0, n_observed, size=10)
+    labels = data.integers(0, n_latent, size=10)
+    kinds = draw(st.lists(st.sampled_from(["empty", "swap", "random"]), min_size=1, max_size=6))
+    return observed, labels, DirichletPrior(alpha), n_latent, kinds, data
+
+
+def _certify_targets(kind, observed, labels, n_latent, data):
+    """Positions and target labels of one batch of `certify_cases`."""
+    if kind == "empty":
+        row = data.choice(labels)
+        positions = np.flatnonzero(labels == row)
+        return positions, np.full(len(positions), (row + 1 + data.integers(n_latent - 1)) % n_latent)
+    if kind == "swap":
+        pairs = [(i, j) for i in range(10) for j in range(i) if observed[i] == observed[j]
+                 and labels[i] != labels[j]]
+        if pairs:
+            i, j = pairs[data.integers(len(pairs))]
+            return np.array([i, j]), labels[[j, i]]
+    positions = data.permutation(10)[: data.integers(1, 11)]
+    return positions, data.integers(0, n_latent, size=len(positions))
+
+
+def _outcome(certificate):
+    """The bytes of a (measured, bound) pair, or the type of the error that refused it."""
+    try:
+        return np.array(certificate()).tobytes()
+    except (InvariantError, ParameterError) as exc:
+        return type(exc)
+
+
+@given(case=certify_cases())
+@settings(max_examples=200, deadline=None)
+def test_chain_certificate_is_the_update_bound_of_the_whole_count_matrix(case):
+    observed, labels, prior, n_latent, kinds, data = case
+    counts = confusion_counts(labels, observed, n_latent, prior.n_observed)
+    chain = GibbsChain(labels, counts, prior)
+    for kind in kinds:
+        positions, targets = _certify_targets(kind, observed, labels, n_latent, data)
+        before = counts.copy()
+        # A classifier sure of each target makes the chain draw it.
+        chain.step(np.eye(n_latent)[targets], observed[positions], positions, data)
+        assert labels[positions].tolist() == targets.tolist()
+        assert _outcome(chain.certify) == _outcome(
+            lambda: _worst_certified_row(*update_bound(before, counts, prior).tolist())
+        )
 
 
 # --------------------------------------------------------- exact posterior

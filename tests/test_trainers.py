@@ -13,22 +13,22 @@ from lccn_lab.datagen import NoiseSpec, apply_noise, make_gaussian_mixture, mark
 from lccn_lab.errors import InvariantError, ParameterError, TrainingError
 from lccn_lab.metrics import MetricsRecord
 from lccn_lab.trainers import (
-    BOUND_SLACK,
     TRAINER_KINDS,
     RunResult,
     TrainConfig,
     _bootstrap_table,
-    _worst_certified_row,
     run_trainer,
 )
 from lccn_lab.noise_model import (
+    BOUND_SLACK,
     DirichletPrior,
+    _worst_certified_row,
     check_transition,
     confusion_counts,
     update_bound,
     warmup_transition,
 )
-from lccn_lab.sampler import gibbs_sample_batch
+from lccn_lab.sampler import GibbsChain, gibbs_sample_batch
 
 
 def records_equal(a, b):
@@ -342,8 +342,8 @@ def test_channel_shape_checked_for_every_kind(kind, field, blobs2_tiny):
 def test_batch_that_moves_no_label_certifies_as_zero(
     n_observed, extra_row, log_alpha, vector_alpha, warmup, clean_share, seed
 ):
-    # `_train_latent` records such a batch as (0.0, 0.0) without calling
-    # update_bound; this is what the certificate would have given.
+    # `_train_latent` records such a batch as (0.0, 0.0) without a
+    # certificate; this is what update_bound would have given.
     data = np.random.default_rng(seed)
     n_latent = n_observed + extra_row
     observed = data.integers(0, n_observed, size=40)
@@ -396,11 +396,11 @@ def test_worst_certified_row_reads_like_numpy(rows):
     certificate = np.array([measured, bound])
     if np.any(measured > bound + BOUND_SLACK):
         with pytest.raises(InvariantError):
-            _worst_certified_row(certificate)
+            _worst_certified_row(*certificate.tolist())
         return
     worst = int(np.argmax(measured))
     expected = (float(measured[worst]), float(bound[worst]))
-    got = _worst_certified_row(certificate)
+    got = _worst_certified_row(*certificate.tolist())
     assert [type(v) for v in got] == [float, float]
     assert np.array(got).tobytes() == np.array(expected).tobytes()
 
@@ -408,35 +408,39 @@ def test_worst_certified_row_reads_like_numpy(rows):
 def test_label_swap_with_equal_counts_is_still_certified(blobs2_tiny, monkeypatch):
     # One batch per epoch. The first moves one label; the second swaps it with
     # a sample of the same observed label, so labels move but the counts end
-    # up equal; later batches move nothing.
+    # up equal; later batches move nothing. A classifier sure of each scripted
+    # label makes the chain draw it.
     ds = blobs2_tiny["noisy"]
-    certificates = []
+    step, certify = GibbsChain.step, GibbsChain.certify
+    steps, certificates, scripted = [], [], []
 
-    def recording_bound(before, after, prior):
-        cert = update_bound(before, after, prior)
-        certificates.append((np.array_equal(before, after), cert))
-        return cert
-
-    scripted = []
-
-    def scripted_sampler(probs, observed, counts, prior, labels, positions, rng, **_):
+    def scripted_step(chain, probs, observed, positions, rng, *args):
+        targets = chain.labels[positions]
         if not scripted:
             s = positions[0]
-            o = ds.noisy_labels[s]
-            counts[o, o] -= 1
-            counts[1 - o, o] += 1
-            labels[s] = 1 - o
+            targets[0] = 1 - ds.noisy_labels[s]
             scripted.append(s)
         elif len(scripted) == 1:
             s = scripted[0]
             o = ds.noisy_labels[s]
             t = next(p for p in positions if p != s and ds.noisy_labels[p] == o)
-            labels[s], labels[t] = o, 1 - o
+            targets[positions == s], targets[positions == t] = o, 1 - o
             scripted.append(t)
-        return labels[positions].copy()
+        before = chain.counts.copy()
+        moved = step(chain, np.eye(2)[targets], observed, positions, rng, *args)
+        assert chain.labels[positions].tolist() == targets.tolist()
+        steps.append((before, chain.counts.copy()))
+        return moved
 
-    monkeypatch.setattr("lccn_lab.trainers.update_bound", recording_bound)
-    monkeypatch.setattr("lccn_lab.trainers.gibbs_sample_batch", scripted_sampler)
+    def recording_certify(chain):
+        before, after = steps[-1]
+        cert = certify(chain)
+        certificates.append((np.array_equal(before, after), update_bound(before, after, chain.prior)))
+        assert cert == _worst_certified_row(*certificates[-1][1].tolist())
+        return cert
+
+    monkeypatch.setattr(GibbsChain, "step", scripted_step)
+    monkeypatch.setattr(GibbsChain, "certify", recording_certify)
     result = run_trainer(
         ds, TrainConfig(kind="lccn", epochs=4, pretrain_epochs=1, batch_size=ds.n, seed=0)
     )
@@ -451,23 +455,26 @@ def test_label_swap_with_equal_counts_is_still_certified(blobs2_tiny, monkeypatc
 
 @pytest.mark.parametrize("kind", ["lccn", "lccn_star", "lccn_plus"])
 def test_update_bound_runs_once_per_batch_that_moved_a_label(kind, monkeypatch):
+    # The chain's certificate is the trainers' update bound.
     clean = make_gaussian_mixture(n_classes=3, dim=2, n_per_class=40, separation=4.0, seed=5)
     noisy, _ = apply_noise(clean, NoiseSpec(kind="symmetric", ratio=0.3, ood_fraction=0.1, seed=6))
     ds = mark_clean_subset(noisy, 12, 7)
     moved, bound_calls = [], []
+    step, certify = GibbsChain.step, GibbsChain.certify
 
-    def watching_sampler(probs, observed, counts, prior, labels, positions, rng, **kwargs):
-        previous = labels[positions]
-        sampled = gibbs_sample_batch(probs, observed, counts, prior, labels, positions, rng, **kwargs)
-        moved.append(not np.array_equal(sampled, previous))
-        return sampled
+    def watching_step(chain, probs, observed, positions, *args):
+        previous = chain.labels[positions]
+        label_moved = step(chain, probs, observed, positions, *args)
+        assert label_moved == (not np.array_equal(chain.labels[positions], previous))
+        moved.append(label_moved)
+        return label_moved
 
-    def counting_bound(before, after, prior):
+    def counting_certify(chain):
         bound_calls.append(1)
-        return update_bound(before, after, prior)
+        return certify(chain)
 
-    monkeypatch.setattr("lccn_lab.trainers.gibbs_sample_batch", watching_sampler)
-    monkeypatch.setattr("lccn_lab.trainers.update_bound", counting_bound)
+    monkeypatch.setattr(GibbsChain, "step", watching_step)
+    monkeypatch.setattr(GibbsChain, "certify", counting_certify)
     cfg = TrainConfig(kind=kind, epochs=3, pretrain_epochs=2, batch_size=8, hidden_width=8,
                       learning_rate=0.1, seed=0)
     result = run_trainer(ds, cfg)
