@@ -14,15 +14,18 @@ time the hard-label step (also given a forward pass, as the latent trainers
 call it), the soft-target and composed-channel steps, a forward pass,
 and the momentum update `apply_gradients` that ends each step. `gibbs_sample_batch` and
 `update_bound` draw Dirichlet(1) probabilities, so nearly every label moves;
-they also run at K=8 with a batch of 16, where their row sums go through
-numpy's reduction, which no benchmark workload reaches. Their `_settled`
+they also run at K=8 with a batch of 16, where their row sums take numpy's
+pairwise order, which no benchmark workload reaches. Their `_settled`
 variants are the workloads' regime instead: a classifier sure of the current
 labels, so that a few percent of draws move, most batches keep every label
 (and write nothing back) and a moved batch touches few rows. The sampler's
 `_chain` variant walks such a chain batch after batch through one
-`GibbsChain`, as the latent trainers do, so that most draws find their
-channel cached by an earlier batch; `test_chain_certify` gives
-`test_update_bound_settled`'s certificate as the chain computes it.
+`GibbsChain`, as the latent trainers do: each pass over the samples is an
+epoch, planned once by the batch that starts it, and most draws find their
+channel cached by an earlier batch. `test_chain_moves` steps Dirichlet(0.7)
+batches instead, whose draws mostly move, so that each move refreshes the
+kept channels; `test_chain_certify` gives `test_update_bound_settled`'s
+certificate as the chain computes it.
 """
 
 import itertools
@@ -179,13 +182,31 @@ def test_gibbs_sample_batch_chain(benchmark, k, batch):
     """Consecutive settled batches that walk one `GibbsChain`, as the latent trainers do."""
     n = 1000 // batch * batch
     rng, observed, labels, counts, prior, probs = _settled_chain(k, n, n)
-    batches = itertools.cycle([(probs[i], observed[i], i) for i in np.arange(n).reshape(-1, batch)])
+    batches = itertools.cycle(np.split(probs, n // batch))
     chain = GibbsChain(labels, counts, prior)
+    positions = np.arange(n)
 
     def next_batch():
-        chain.step(*next(batches), rng)
+        if chain.cursor == len(chain.draws):
+            chain.plan(observed, positions, rng)
+        chain.step(next(batches))
 
     benchmark(next_batch)
+
+
+@pytest.mark.parametrize("k,batch", [(3, 8), (4, 32)])
+def test_chain_moves(benchmark, k, batch):
+    """One planned batch of Dirichlet(0.7) rows after another: most draws move a label."""
+    rng, observed, labels, counts, prior = _chain(k, 1000)
+    idx = np.arange(batch)
+    probs = rng.dirichlet(np.full(k, 0.7), size=batch)
+    chain = GibbsChain(labels, counts, prior)
+
+    def moving_batch():
+        chain.plan(observed[idx], idx, rng)
+        chain.step(probs)
+
+    benchmark(moving_batch)
 
 
 @pytest.mark.parametrize("k,batch", [(3, 8), (4, 32)])
@@ -205,6 +226,7 @@ def test_chain_certify(benchmark, k, batch):
     rng, observed, labels, counts, prior, probs = _settled_chain(k, 1000, batch)
     idx = np.arange(batch)
     chain = GibbsChain(labels, counts, prior)
-    while not chain.step(probs, observed[idx], idx, rng):
-        pass
+    chain.plan(observed[idx], idx, rng)
+    while not chain.step(probs):
+        chain.plan(observed[idx], idx, rng)
     benchmark(chain.certify)

@@ -373,19 +373,16 @@ def sgd_step_soft(
     _step(params, opt, features, target_weights, clip, forward, False)
 
 
-def epoch_batches(rng: np.random.Generator, features: np.ndarray, labels: np.ndarray,
-                  batch_size: int):
-    """Yield (idx, features, labels) of each shuffled minibatch of one epoch.
+def epoch_batches(order: np.ndarray, features: np.ndarray, labels: np.ndarray, batch_size: int):
+    """Yield (idx, features, labels) of each minibatch of one epoch, in its order.
 
-    The order is `rng.permutation(n)`, drawn when the first batch is asked
-    for. The epoch's feature rows and labels are gathered once in that order,
-    so each batch's arrays are contiguous slices of the two gathers, and idx
+    `order` is the epoch's permutation of the rows, and `features` and
+    `labels` are their rows already gathered in that order (one gather per
+    epoch), so each batch's arrays are contiguous slices of them and idx
     names the rows of the batch.
     """
     if batch_size < 1:
         raise ParameterError("batch_size must be >= 1")
-    order = rng.permutation(features.shape[0])
-    features, labels = features[order], labels[order]
     for start in range(0, order.size, batch_size):
         stop = start + batch_size
         yield order[start:stop], features[start:stop], labels[start:stop]
@@ -403,10 +400,13 @@ def pretrain_ce(
 ) -> None:
     """Fit the classifier to the observed labels by epochs of hard-label SGD steps.
 
-    Each epoch is one pass of `epoch_batches`, the loop the trainers share.
+    Each epoch is one pass of `epoch_batches` in the order of one
+    `rng.permutation(n)`, the loop the trainers share.
     """
     for _epoch in range(epochs):
-        for _, batch_features, batch_labels in epoch_batches(rng, features, labels, batch_size):
+        order = rng.permutation(features.shape[0])
+        batches = epoch_batches(order, features[order], labels[order], batch_size)
+        for _, batch_features, batch_labels in batches:
             sgd_step(params, opt, batch_features, batch_labels, clip)
 
 

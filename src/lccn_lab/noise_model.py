@@ -18,9 +18,9 @@ row) with the bound beside it, as one (2, n_latent) array. Its row pass,
 `_certificate`, also certifies the sampler's chain from the rows it touched.
 Every float sum over a row follows numpy's order: `_row_sum` adds a row of
 fewer than 8 entries left to right, which is what numpy does for such rows,
-and hands a row of 8 or more entries to numpy's own (unrolled, pairwise)
-reduction. The sampler's rows of 8 or more scores use it too, and its loop
-over fewer scores sums them as it goes.
+and a longer row in numpy's unrolled pairwise order, on plain floats too.
+The sampler's rows of 8 or more scores use it too, and its loop over fewer
+scores sums them as it goes.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ ROW_SUM_TOL = 1e-9
 # How far a measured row change may exceed its update bound: float rounding.
 BOUND_SLACK = 1e-12
 # numpy sums a row of fewer entries than this left to right; longer rows take
-# its unrolled pairwise order, which a plain loop does not reproduce.
+# its unrolled pairwise order (`_pairwise_sum`).
 _NUMPY_UNROLL = 8
 
 
@@ -44,13 +44,34 @@ def _row_sum(values: list) -> float:
     """Sum of one row with the bits numpy's `sum` over that row gives.
 
     numpy adds the row's sum to 0.0, so a short row is summed left to right
-    from 0.0 (an all -0.0 row sums to 0.0). Never builtin `sum()`: from
-    Python 3.12 it compensates float sums.
+    from 0.0 (an all -0.0 row sums to 0.0), and a row of 8 or more entries
+    in `_pairwise_sum`'s order. Never builtin `sum()`: from Python 3.12 it
+    compensates float sums.
     """
     if len(values) >= _NUMPY_UNROLL:
-        return float(np.array(values, dtype=np.float64).sum())
+        return 0.0 + _pairwise_sum(values, 0, len(values))
     total = 0.0
     for value in values:
+        total += value
+    return total
+
+
+def _pairwise_sum(values: list, start: int, stop: int) -> float:
+    """numpy's pairwise sum of values[start:stop], at least 8 of them.
+
+    Up to 128 values, 8 accumulators each add every eighth one and the last
+    n % 8 follow in order; more are split in halves, the first 8-aligned.
+    """
+    n = stop - start
+    if n > 128:
+        half = start + n // 2 - n // 2 % 8
+        return _pairwise_sum(values, start, half) + _pairwise_sum(values, half, stop)
+    tail = stop - n % 8
+    r = values[start : start + 8]
+    for i in range(start + 8, tail, 8):
+        r = list(map(add, r, values[i : i + 8]))
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for value in values[tail:stop]:
         total += value
     return total
 

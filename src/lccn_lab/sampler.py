@@ -21,23 +21,23 @@ its own copy of that arithmetic, written out inside its draw loop, and its
 (`np.cumsum`/`np.searchsorted` on its output against one scalar
 `rng.random()` each): the same labels, the same counts and the same
 generator state after the batch. The two score paths share no code, so the
-replay property checks one against the other. A batch draws its uniforms
-with one `rng.random(M)` call (the same doubles as M scalar calls); each
-draw builds its score list and sum in the loop and walks the CDF with
-`cumulative += score / norm`. Score sums follow numpy's order (see
-`noise_model`): for fewer than 8 latent classes the loop that builds the
-scores adds them up left to right from 0.0 as it goes, and from 8 on
-`_row_sum` sums the list again in numpy's pairwise order.
-`gibbs_sample_batch` is one step of a chain built for one batch.
+replay property checks one against the other. A plan draws the uniforms of
+an epoch, a sweep or a batch with one `rng.random(M)` call (the same doubles
+as M scalar calls); each draw builds its score list and sum in the loop and
+walks the CDF with `cumulative += score / norm`. Score sums follow numpy's
+order (see `noise_model`): for fewer than 8 latent classes the loop that
+builds the scores adds them up left to right from 0.0 as it goes, and from
+8 on `_row_sum` sums the list again in numpy's pairwise order.
+`gibbs_sample_batch` is one plan and one step of a chain built for one batch.
 
 The count channel `(a + c) / (A + t)` of a draw depends only on its
 (observed label, old label) pair and on the counts. The chain keeps those
 columns, exactly the floats the draw would compute, across its batches (the
 latent trainers and `mixing_diagnostic` each hold one chain), so a draw that
-keeps its label is a dict lookup, the scores and the CDF walk, with no count
-arithmetic. A move changes two cells and two row totals: it recomputes the
-two classes' entries of every kept column and drops the column of a cell it
-emptied, as SparseLDA (Yao, Mimno and McCallum, 2009) updates its
+keeps its label is two list lookups, the scores and the CDF walk, with no
+count arithmetic. A move changes two cells and two row totals: it recomputes
+the two classes' entries of every kept column and drops the column of a cell
+it emptied, as SparseLDA (Yao, Mimno and McCallum, 2009) updates its
 count-only coefficients. The chain also keeps each count row its last step
 touched as it was before, so `GibbsChain.certify` gives
 `noise_model.update_bound`'s certificate from those rows alone. An exponent
@@ -80,22 +80,16 @@ def _scores(
     than `_NUMPY_UNROLL` entries; a wider row is summed again by `_row_sum`.
     """
     channel = warmup
+    if channel is None:
+        channel = [(a + c) / (alpha_total + t) for c, t in zip(column, totals)]
     if anneal != 1.0:
-        if warmup is None:
-            warmup = [(a + c) / (alpha_total + t) for c, t in zip(column, totals)]
-        channel = (np.array(warmup, dtype=np.float64) ** anneal).tolist()
+        channel = (np.array(channel, dtype=np.float64) ** anneal).tolist()
     scores = []
     norm = 0.0
-    if channel is None:
-        for p, c, t in zip(row, column, totals):
-            score = p * ((a + c) / (alpha_total + t))
-            scores.append(score)
-            norm += score
-    else:
-        for p, c in zip(row, channel):
-            score = p * c
-            scores.append(score)
-            norm += score
+    for p, c in zip(row, channel):
+        score = p * c
+        scores.append(score)
+        norm += score
     if len(scores) >= _NUMPY_UNROLL:
         norm = _row_sum(scores)
     if not 0.0 < norm < math.inf:  # also False for NaN
@@ -156,14 +150,16 @@ def sampling_distribution(
 class GibbsChain:
     """One collapsed Gibbs chain over the samples, with what its draws keep between batches.
 
-    The chain owns the latent `labels` and the `counts` it is built with
-    (both updated in place, by the chain alone), the prior and the warmup
-    channel's columns, and checks them once, here. `columns` and `totals`
-    mirror the counts as column lists with row totals. `channels` maps an
-    (observed label, old label) pair with a nonempty cell to the count
-    channel `(a + c) / (A + t)` that a sample in that cell scores against
-    once its own count is removed. `before` holds each count row that the
-    last `step` moved a label into or out of, as it was before that step.
+    The chain owns the latent `labels` (mirrored as the list `latent`) and
+    the `counts` it is built with (both updated in place, by the chain
+    alone), the prior and the warmup channel's columns, and checks them
+    once, here. `columns` and `totals` mirror the counts as column lists
+    with row totals. `channels[observed][old]` is None or, for a nonempty
+    cell, the count channel `(a + c) / (A + t)` that a sample in that cell
+    scores against once its own count is removed. `before` holds each count
+    row that the last `step` moved a label into or out of, as it was before
+    that step. `draws` holds the plan's (observed label, position, uniform)
+    triples, and `cursor` how many of them the steps have taken.
     """
 
     def __init__(
@@ -173,84 +169,95 @@ class GibbsChain:
         _check_counts(counts, prior)
         if not isinstance(labels, np.ndarray) or labels.ndim != 1 or labels.dtype.kind not in "iu":
             raise ParameterError("labels must be a 1-d integer array")
+        # A negative label would index the count column from its end.
+        outside = np.flatnonzero((labels < 0) | (labels >= counts.shape[0]))
+        if outside.size:
+            i = outside[0]
+            raise InvariantError(f"latent label {labels[i]} of sample {i} is no latent class")
         warmup_phi = _check_warmup(warmup_phi, counts)
         self.labels, self.counts, self.prior = labels, counts, prior
+        self.latent = labels.tolist()
         self.alpha = prior.concentration.tolist()
         self.warmup_columns = None if warmup_phi is None else warmup_phi.T.tolist()
         self.columns = counts.T.tolist()
         self.totals = [sum(row) for row in zip(*self.columns)]
-        self.channels: dict[tuple[int, int], list[float]] = {}
+        self.channels: list[list] = [[None] * len(self.totals) for _ in self.columns]
         self.before: dict[int, list] = {}
+        self.draws: list[tuple[int, int, float]] = []
+        self.cursor = 0
 
-    def step(
-        self, probs: np.ndarray, observed: np.ndarray, positions: np.ndarray,
-        rng: np.random.Generator, warmup: bool = False, anneal: float = 1.0,
-    ) -> bool:
-        """Resample the latent labels of one batch; True if some label moved.
+    def plan(self, observed: np.ndarray, positions: np.ndarray, rng: np.random.Generator) -> None:
+        """Check the (M,) integer observed labels and positions the next steps resample, in order.
 
-        Samples are processed sequentially: each draw removes the sample's
-        old count, scores every latent class against counts already updated
-        by earlier draws in the batch, draws a new class, and books it. A
-        draw scores against its (observed label, old label) entry of
-        `channels`, filled from the counts on a miss; the warmup column (with
-        `warmup`) or a tempered column replaces it as `_scores` replaces the
-        count channel for the reference. A draw that keeps its label
-        therefore does no count arithmetic at all. A move writes its label
-        and its two count cells, and refreshes the two classes it changed in
-        every channel (dropping the one whose cell it emptied); a batch that
-        keeps every label writes nothing. The batch's uniforms are drawn up
-        front, so a batch that fails part-way has consumed all of them, and
-        its failing draw's removal stays booked.
-
-        Args:
-            probs: (M, R) classifier probabilities for the batch samples.
-            observed: (M,) integer observed labels of the batch samples, in [0, K).
-            positions: (M,) integer positions of the batch samples in `labels`, in [0, N).
-            warmup: score against the warmup channel instead of the counts.
-            anneal: exponent in [0, inf) applied to the channel factor alone.
-
-        Only these are checked, before any uniform is drawn.
+        Observed labels lie in [0, K) and positions in [0, N). Then one
+        `rng.random(M)` draws all their uniforms; a plan replaces what is
+        left of the previous one.
         """
-        counts = self.counts
-        n_latent = counts.shape[0]
+        observed, positions = np.asarray(observed), np.asarray(positions)
+        for name, values, size in (
+            ("observed labels", observed, len(self.columns)),
+            ("batch indices", positions, len(self.latent)),
+        ):
+            if values.ndim != 1 or values.dtype.kind not in "iu":
+                raise ParameterError(f"{name} must be a 1-d integer array")
+            if values.size and not 0 <= values.min() <= values.max() < size:
+                raise ParameterError(f"{name} out of range")
+        if len(observed) != len(positions):
+            raise ParameterError("batch arrays must have matching lengths")
+        if not isinstance(rng, np.random.Generator):
+            raise ParameterError(f"rng must be a numpy Generator, got {type(rng).__name__}")
+        uniforms = rng.random(len(observed)).tolist()
+        self.draws = list(zip(observed.tolist(), positions.tolist(), uniforms))
+        self.cursor = 0
+
+    def step(self, probs: np.ndarray, warmup: bool = False, anneal: float = 1.0) -> bool:
+        """Resample the plan's next len(probs) samples in order; True if some label moved.
+
+        Each draw removes the sample's old count, scores every latent class
+        against counts already updated by earlier draws (through its entry of
+        `channels`, filled on a miss; the warmup column with `warmup`, or a
+        tempered column, replaces it as `_scores` replaces the count
+        channel), draws a new class with its planned uniform and books it. A
+        move writes its label and two count cells and refreshes the two
+        classes it changed in every kept channel; a batch that keeps every
+        label writes nothing. A batch that fails part-way has consumed its
+        whole plan, and its failing draw's removal stays booked.
+
+        probs is (M, R), M at most the rows the plan has left; anneal, in
+        [0, inf), tempers the channel factor alone. Only these and `warmup`
+        are checked, before anything is booked.
+        """
         probs = np.asarray(probs, dtype=np.float64)
+        totals = self.totals
+        n_latent = len(totals)
         if probs.ndim != 2 or probs.shape[1] != n_latent:
             raise ParameterError("probs must be (batch, n_latent)")
-        if len(observed) != probs.shape[0] or len(positions) != probs.shape[0]:
-            raise ParameterError("batch arrays must have matching lengths")
-        observed = np.asarray(observed)
-        if observed.ndim != 1 or observed.dtype.kind not in "iu":
-            raise ParameterError("observed labels must be a 1-d integer array")
-        observed_list = observed.tolist()
-        if observed_list and not 0 <= min(observed_list) <= max(observed_list) < counts.shape[1]:
-            raise ParameterError("observed labels out of range")
-        positions = np.asarray(positions)
-        if positions.ndim != 1 or positions.dtype.kind not in "iu":
-            raise ParameterError("batch_indices must be a 1-d integer array")
-        labels = self.labels
-        positions = positions.tolist()
-        if positions and not 0 <= min(positions) <= max(positions) < len(labels):
-            raise ParameterError("batch indices out of range")
+        start = self.cursor
+        stop = start + probs.shape[0]
+        if stop > len(self.draws):
+            raise ParameterError(
+                f"the batch has {probs.shape[0]} rows, the plan {len(self.draws) - start} left"
+            )
         _check_anneal(anneal)
         warmup_columns = self.warmup_columns if warmup else None
         if warmup and warmup_columns is None:
             raise ParameterError("the chain was built without a warmup channel")
-        uniforms = rng.random(probs.shape[0]).tolist()
+        self.cursor = stop
+        labels, latent, counts = self.labels, self.latent, self.counts
         alpha, alpha_total = self.alpha, self.prior.total
-        channels, columns, totals = self.channels, self.columns, self.totals
+        channels, columns = self.channels, self.columns
         before = self.before = {}
         # Tempered channel columns by (observed label, old label), valid until a label moves.
         tempered = None if anneal == 1.0 else {}
         wide = n_latent >= _NUMPY_UNROLL
         moved = False
-        for row, observed, position, u in zip(probs.tolist(), observed_list, positions, uniforms):
-            old = labels.item(position)
-            key = observed, old
-            channel = channels.get(key)
+        for row, (observed, position, u) in zip(probs.tolist(), self.draws[start:stop]):
+            old = latent[position]
+            kept = channels[observed]
+            channel = kept[old]
             if channel is None:
                 column = columns[observed]
-                # Range first: a negative label would index the column from its end.
-                if not (0 <= old < n_latent and column[old] > 0):
+                if not column[old] > 0:
                     raise InvariantError(
                         f"latent label {old} of sample {position} has no count in cell "
                         f"({old}, {observed})"
@@ -258,14 +265,13 @@ class GibbsChain:
                 column[old] -= 1
                 totals[old] -= 1
                 a = alpha[observed]
-                channel = channels[key] = []
-                for c, t in zip(column, totals):
-                    channel.append((a + c) / (alpha_total + t))
+                channel = kept[old] = [(a + c) / (alpha_total + t) for c, t in zip(column, totals)]
                 column[old] += 1
                 totals[old] += 1
             if warmup_columns is not None:
                 channel = warmup_columns[observed]
             if tempered is not None:
+                key = observed, old
                 base, channel = channel, tempered.get(key)
                 if channel is None:
                     channel = tempered[key] = (np.array(base, dtype=np.float64) ** anneal).tolist()
@@ -284,7 +290,8 @@ class GibbsChain:
                 column[old] -= 1
                 totals[old] -= 1
                 counts[old, observed] = column[old]
-                channels.clear()
+                for kept in channels:
+                    kept[:] = [None] * n_latent
                 raise TrainingError(_SCORE_ERROR)
             cumulative = 0.0
             # Without a break, a uniform at or above the rounded total takes the last class.
@@ -303,16 +310,24 @@ class GibbsChain:
                 totals[new] += 1
                 counts[old, observed] = column[old]
                 counts[new, observed] = column[new]
-                labels[position] = new
+                latent[position] = labels[position] = new
                 moved = True
                 if not column[old]:
-                    del channels[key]
-                # Each channel's entries for the two classes, as a miss computes them.
-                for (o, cell), channel in channels.items():
-                    a, column = alpha[o], columns[o]
-                    for r in old, new:
-                        own = r == cell  # the cell's own count is left out
-                        channel[r] = (a + (column[r] - own)) / (alpha_total + (totals[r] - own))
+                    kept[old] = None
+                # Each channel's entries for the two classes, as a miss computes them,
+                # `(a + (c - own)) / (A + (t - own))`, where `own` is 1 in the class of
+                # the channel's own cell alone: the denominators are worked out once.
+                old_all, old_own = alpha_total + totals[old], alpha_total + (totals[old] - 1)
+                new_all, new_own = alpha_total + totals[new], alpha_total + (totals[new] - 1)
+                for a, column, kept in zip(alpha, columns, channels):
+                    at_old, at_new = (a + column[old]) / old_all, (a + column[new]) / new_all
+                    for channel in kept:
+                        if channel is not None:
+                            channel[old], channel[new] = at_old, at_new
+                    if kept[old] is not None:
+                        kept[old][old] = (a + (column[old] - 1)) / old_own
+                    if kept[new] is not None:
+                        kept[new][new] = (a + (column[new] - 1)) / new_own
                 if tempered:
                     tempered.clear()
         return moved
@@ -342,13 +357,20 @@ def gibbs_sample_batch(
 ) -> np.ndarray:
     """Resample the latent labels of one batch, updating `counts` and `labels` in place.
 
-    One `GibbsChain.step`, scored against `warmup_phi` when it is given, of
-    a chain built for this batch alone. Returns the (M,) int64 latent labels
-    of the batch samples after the batch (a sample listed twice reads its
-    last draw).
+    One plan and one `GibbsChain.step`, scored against `warmup_phi` when it
+    is given, of a chain built for this batch alone; every argument is
+    checked before the plan draws. Returns the (M,) int64 latent labels of
+    the batch samples after the batch (a sample listed twice reads its last
+    draw).
     """
     chain = GibbsChain(labels, counts, prior, warmup_phi)
-    chain.step(probs, observed_labels, batch_indices, rng, warmup_phi is not None, anneal)
+    # The step checks these only after the plan has drawn.
+    _check_anneal(anneal)
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.shape != np.shape(batch_indices)[:1] + counts.shape[:1]:
+        raise ParameterError("probs must be (batch, n_latent)")
+    chain.plan(observed_labels, batch_indices, rng)
+    chain.step(probs, warmup_phi is not None, anneal)
     return labels[np.asarray(batch_indices)].astype(np.int64)
 
 
@@ -488,7 +510,8 @@ def mixing_diagnostic(
     trace: list[tuple[int, float, float]] = []
     rows = np.arange(n)
     for sweep in range(1, sweeps + 1):
-        chain.step(probs, observed_labels, rows, rng)
+        chain.plan(observed_labels, rows, rng)
+        chain.step(probs)
         if sweep > burn_in:
             tally[rows, labels] += 1.0
             if sweep in checkpoints:

@@ -264,12 +264,14 @@ class _Hooks:
     their feature rows and observed labels, slices of the epoch's one gather
     (`epoch_batches`). A hook gathers by idx only what changes during a run:
     latent labels, EM responsibilities, and the trusted mask it reads with
-    them. epoch_start runs before every epoch; record() gives the extra fields
-    of each train record; final_phi() gives the run's transition estimate.
+    them. epoch_start(order, observed) runs before every epoch with the
+    epoch's order of the rows and their observed labels; record() gives the
+    extra fields of each train record; final_phi() gives the run's
+    transition estimate.
     """
 
     batch: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[float, float] | None]
-    epoch_start: Callable[[], None] = lambda: None
+    epoch_start: Callable[[np.ndarray, np.ndarray], None] = lambda order, observed: None
     record: Callable[[], dict] = dict
     final_phi: Callable[[], np.ndarray | None] = lambda: None
 
@@ -281,8 +283,9 @@ def _fit(
     """The one training loop; `start` builds a kind's hooks after pretraining.
 
     Each epoch is one sweep of shuffled minibatches from `epoch_batches`,
-    which gathers the epoch's feature rows and observed labels once, as
-    `pretrain_ce` does for its epochs. The learning-rate schedule and the
+    in the order that the data generator draws before `epoch_start`; the
+    epoch's feature rows and observed labels are gathered once, as
+    `pretrain_ce` does. The learning-rate schedule and the
     eval cadence count epochs, and the run always ends on an eval. Train
     records score the observed labels on the first n_classes outputs
     (extra_class adds one more output), test records the true labels of
@@ -339,8 +342,10 @@ def _fit(
     evaluate()
     for epoch in range(1, cfg.epochs + 1):
         opt.learning_rate = _lr_at(cfg, epoch - 1)
-        hooks.epoch_start()
-        for batch in epoch_batches(data_rng, ds.features, ds.noisy_labels, cfg.batch_size):
+        order = data_rng.permutation(ds.n)
+        observed = ds.noisy_labels[order]
+        hooks.epoch_start(order, observed)
+        for batch in epoch_batches(order, ds.features[order], observed, cfg.batch_size):
             run.iteration += 1
             moved = hooks.batch(*batch)
             if moved is not None:
@@ -508,7 +513,7 @@ def _train_em_reference(
         phi_bar: np.ndarray | None = None
         responsibilities: np.ndarray | None = None
 
-        def epoch_start() -> None:
+        def epoch_start(order: np.ndarray, observed: np.ndarray) -> None:
             nonlocal phi_bar, responsibilities
             predictions = forward_proba(run.params, ds.features)
             if phi_bar is None:
@@ -554,6 +559,8 @@ def _train_latent(
 
     Each batch is forwarded once: the sampler reads its probabilities and
     the SGD step reuses it, since sampling leaves the parameters alone.
+    The chain plans each epoch's resampled samples at its start (lccn_plus
+    drops its clean rows there), and each batch steps through its part.
 
     A batch whose draw gives every sample back its previous latent label
     leaves the counts as they were, so it is recorded as `(0.0, 0.0)`
@@ -595,25 +602,28 @@ def _train_latent(
         chain = GibbsChain(labels, counts, prior, _initial_channel(ds, cfg, run.params, n_latent))
         warmup_steps = cfg.warmup_steps if cfg.warmup_steps is not None else run.n_batches
 
+        def epoch_start(order: np.ndarray, observed: np.ndarray) -> None:
+            if use_clean:
+                resample = ~ds.clean_mask[order]
+                order, observed = order[resample], observed[resample]
+            chain.plan(observed, order, run.gibbs_rng)
+
         def batch(
             idx: np.ndarray, features: np.ndarray, observed: np.ndarray
         ) -> tuple[float, float] | None:
             forward = _forward(run.params, features)
-            positions, probs = idx, forward[0]
-            if use_clean:
-                resample = np.flatnonzero(~ds.clean_mask[idx])
-                positions, probs, observed = idx[resample], probs[resample], observed[resample]
+            probs = forward[0][~ds.clean_mask[idx]] if use_clean else forward[0]
             moved = None
-            if positions.size:
+            if len(probs):
                 moved = 0.0, 0.0
                 warmup = run.iteration <= warmup_steps
                 anneal = _anneal(cfg.anneal, run.iteration, run.total)
-                if chain.step(probs, observed, positions, run.gibbs_rng, warmup, anneal):
+                if chain.step(probs, warmup, anneal):
                     moved = chain.certify()
             sgd_step(run.params, run.opt, features, labels[idx], run.clip, forward=forward)
             return moved
 
-        return _Hooks(batch, record=record, final_phi=current_phi)
+        return _Hooks(batch, epoch_start, record, current_phi)
 
     result = _fit(ds, cfg, test_ds, start, extra_class=extra_class)
     if extra_class and ds.ood_mask.any():

@@ -270,14 +270,15 @@ def test_copy_is_independent_and_entries_cannot_be_rebound():
 @given(n=st.integers(min_value=1, max_value=40), batch=st.integers(min_value=1, max_value=17))
 @settings(max_examples=60, deadline=None)
 def test_epoch_batches_partition(n, batch):
-    # The batches cover every row once, each carrying that row's features and
-    # label, in the order of one rng.permutation(n).
+    # The batches cover every row once, in the epoch's order, each carrying
+    # that row's features and label as contiguous slices of the epoch's gather.
     features = np.arange(2 * n, dtype=np.float64).reshape(n, 2)
     labels = np.arange(n) % 3
-    batches = list(epoch_batches(np.random.default_rng(0), features, labels, batch))
+    order = np.random.default_rng(0).permutation(n)
+    batches = list(epoch_batches(order, features[order], labels[order], batch))
     seen = np.concatenate([idx for idx, _, _ in batches])
     assert sorted(seen.tolist()) == list(range(n))
-    assert seen.tolist() == np.random.default_rng(0).permutation(n).tolist()
+    assert seen.tolist() == order.tolist()
     assert [len(idx) for idx, _, _ in batches[:-1]] == [batch] * (len(batches) - 1)
     for idx, batch_features, batch_labels in batches:
         assert batch_features.flags.c_contiguous and batch_labels.flags.c_contiguous

@@ -403,3 +403,33 @@ def test_row_sum_matches_numpy_reduce_at_every_length(n, special_share, seed):
     with np.errstate(all="ignore"):
         got = _row_sum(values.tolist())
     assert all(_same_float(got, expected) for expected in _numpy_row_sums(values))
+
+
+
+# Lengths around numpy's blocks: 8 accumulators up to 128 entries, halves aligned to 8 above.
+PAIRWISE_EDGES = [7, 8, 9, 15, 16, 17, 127, 128, 129, 135, 136, 137, 255, 256, 257, 263, 400]
+EXTREME_FLOATS = [1e308, -1e308, 1e-308, -1e-308, 1e300, -1e300, 1.0, -1.0]
+
+
+@given(
+    n=st.integers(min_value=1, max_value=400) | st.sampled_from(PAIRWISE_EDGES),
+    special_share=st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]),
+    extreme_share=st.sampled_from([0.0, 0.2, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=400, special_share=1.0, extreme_share=0.0, seed=0)
+@example(n=129, special_share=0.0, extreme_share=1.0, seed=1)
+@settings(max_examples=300, deadline=None)
+def test_row_sum_is_numpys_pairwise_sum_up_to_400_entries(n, special_share, extreme_share, seed):
+    # Signed zeros, infinities, NaN and magnitudes whose sums overflow or cancel,
+    # at every length the pure-Python pairwise order must follow numpy through.
+    data = np.random.default_rng(seed)
+    values = data.normal(size=n) * 10.0 ** data.integers(-300, 300, size=n)
+    extreme = data.random(n) < extreme_share
+    values[extreme] = data.choice(EXTREME_FLOATS, size=int(extreme.sum()))
+    special = data.random(n) < special_share
+    values[special] = data.choice(SPECIAL_FLOATS, size=int(special.sum()))
+    with np.errstate(all="ignore"):
+        got = _row_sum(values.tolist())
+    assert type(got) is float
+    assert all(_same_float(got, expected) for expected in _numpy_row_sums(values))

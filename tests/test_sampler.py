@@ -324,10 +324,11 @@ def test_scores_match_the_comprehension_and_row_sum_bit_for_bit(k, seed, warmup,
         assert outcomes[0] == "sampling scores are non-finite or all zero"
 
 
-class _GivenUniforms:
-    """Stands in for a Generator whose next uniforms are given."""
+class _GivenUniforms(np.random.Generator):
+    """A Generator whose next uniforms are given."""
 
     def __init__(self, values):
+        super().__init__(np.random.PCG64(0))
         self.values = list(values)
 
     def random(self, size=None):
@@ -632,12 +633,25 @@ def _leave_one_out_channels(counts, prior, observed, labels):
     return channels
 
 
+def _kept_channels(chain):
+    """The channels the chain keeps, by (observed label, old label)."""
+    n_latent, n_observed = chain.counts.shape
+    assert len(chain.channels) == n_observed
+    assert all(len(kept) == n_latent for kept in chain.channels)
+    return {
+        (obs, old): channel
+        for obs, kept in enumerate(chain.channels)
+        for old, channel in enumerate(kept)
+        if channel is not None
+    }
+
+
 def _assert_channels_hold(chain):
     """Every channel the chain keeps sits on a nonempty cell and is that cell's channel now."""
-    keys = list(chain.channels)
-    observed, labels = np.array([k[0] for k in keys], int), np.array([k[1] for k in keys], int)
-    assert all(chain.counts[old, obs] > 0 for obs, old in keys)
-    assert chain.channels == _leave_one_out_channels(chain.counts, chain.prior, observed, labels)
+    channels = _kept_channels(chain)
+    observed, labels = (np.array([key[i] for key in channels], int) for i in (0, 1))
+    assert all(chain.counts[old, obs] > 0 for obs, old in channels)
+    assert channels == _leave_one_out_channels(chain.counts, chain.prior, observed, labels)
 
 
 def _cache_case():
@@ -652,13 +666,15 @@ def test_cache_holds_each_cells_channel_until_a_label_moves():
     chain = GibbsChain(labels, counts, prior)
     rng = np.random.default_rng(0)
     sure = np.eye(3)[labels]
-    assert not chain.step(sure, observed, np.arange(6), rng)
-    assert chain.channels == _leave_one_out_channels(counts, prior, observed, labels)
+    chain.plan(observed, np.arange(6), rng)
+    assert not chain.step(sure)
+    assert _kept_channels(chain) == _leave_one_out_channels(counts, prior, observed, labels)
     # The batch's one draw moves sample 0 from class 0 to class 2 and empties
     # cell (0, 0): the other channels are refreshed, and the emptied one goes.
-    assert chain.step(np.array([[0.0, 0.0, 1.0]]), observed[:1], np.array([0]), rng)
-    assert labels[0] == 2 and (0, 0) not in chain.channels
-    assert set(chain.channels) == {(1, 1), (1, 2), (2, 2), (0, 1)}
+    chain.plan(observed[:1], np.array([0]), rng)
+    assert chain.step(np.array([[0.0, 0.0, 1.0]]))
+    assert labels[0] == 2 and (0, 0) not in _kept_channels(chain)
+    assert set(_kept_channels(chain)) == {(1, 1), (1, 2), (2, 2), (0, 1)}
     _assert_channels_hold(chain)
     assert np.array_equal(counts, confusion_counts(labels, observed, 3, 3))
 
@@ -674,11 +690,14 @@ def test_failed_batch_empties_the_cache_and_keeps_its_removal_booked(filled):
     chain = GibbsChain(latent, counts, DirichletPrior.uniform(2, 1.0))
     rng = np.random.default_rng(0)
     if filled:
-        chain.step(np.eye(2), observed, np.arange(2), rng)
-        assert set(chain.channels) == {(0, 0), (1, 1)}
+        chain.plan(observed, np.arange(2), rng)
+        chain.step(np.eye(2))
+        assert set(_kept_channels(chain)) == {(0, 0), (1, 1)}
+    chain.plan(observed, np.arange(2), rng)
     with pytest.raises(TrainingError):
-        chain.step(probs, observed, np.arange(2), rng)
-    assert chain.channels == {}
+        chain.step(probs)
+    assert chain.cursor == 2
+    assert _kept_channels(chain) == {}
     np.testing.assert_array_equal(counts, [[1, 0], [0, 0]])
     np.testing.assert_array_equal(latent, [0, 1])
 
@@ -719,8 +738,9 @@ def chain_cases(draw):
 def _run_chain(case, sample=None):
     """Each batch's (labels drawn, counts, labels) under `sample`, and the final generator state.
 
-    With no `sample`, one `GibbsChain` steps through the batches, and its
-    channels are checked against the counts after each of them.
+    With no `sample`, one `GibbsChain` plans all the batches at once and
+    steps through them, and its channels are checked against the counts
+    after each of them.
     """
     observed, labels, prior, n_latent, batches, seed = case
     labels = labels.copy()
@@ -729,6 +749,8 @@ def _run_chain(case, sample=None):
     if sample is None:
         warmup = next((w for _, _, w, _ in batches if w is not None), None)
         chain = GibbsChain(labels, counts, prior, warmup)
+        planned = np.concatenate([positions for positions, _, _, _ in batches])
+        chain.plan(observed[planned], planned, rng)
     outcomes = []
     for positions, probs, warmup, anneal in batches:
         if probs is None:
@@ -736,7 +758,7 @@ def _run_chain(case, sample=None):
             probs[np.arange(len(positions)), labels[positions]] = 0.99
         if sample is None:
             previous = labels[positions]
-            moved = chain.step(probs, observed[positions], positions, rng, warmup is not None, anneal)
+            moved = chain.step(probs, warmup is not None, anneal)
             sampled = labels[positions]
             assert moved == (sampled.tolist() != previous.tolist())
             _assert_channels_hold(chain)
@@ -783,7 +805,8 @@ def test_the_moving_plan_moves_a_label_in_every_batch(n_observed, extra_class, s
     chain = GibbsChain(labels, counts, prior, warmup)
     rng = np.random.default_rng(seed)
     for positions, probs, warm, anneal in batches:
-        assert chain.step(probs, observed[positions], positions, rng, warm is not None, anneal)
+        chain.plan(observed[positions], positions, rng)
+        assert chain.step(probs, warm is not None, anneal)
 
 
 @st.composite
@@ -841,11 +864,148 @@ def test_chain_certificate_is_the_update_bound_of_the_whole_count_matrix(case):
         positions, targets = _certify_targets(kind, observed, labels, n_latent, data)
         before = counts.copy()
         # A classifier sure of each target makes the chain draw it.
-        chain.step(np.eye(n_latent)[targets], observed[positions], positions, data)
+        chain.plan(observed[positions], positions, data)
+        chain.step(np.eye(n_latent)[targets])
         assert labels[positions].tolist() == targets.tolist()
         assert _outcome(chain.certify) == _outcome(
             lambda: _worst_certified_row(*update_bound(before, counts, prior).tolist())
         )
+
+
+# ------------------------------------------------------------ epoch plans
+
+
+@st.composite
+def epoch_cases(draw):
+    """One epoch of a latent trainer's chain: its order, its batches and their classifier rows.
+
+    K observed labels and R = K or K + 1 latent classes over n samples. The
+    epoch's order is cut into batches of random sizes, some empty, and the
+    last batch takes the rest. `excluded` samples (lccn_plus's clean rows)
+    stay out of the counts and of the plan, so a batch may have no row to
+    resample. Each batch is settled or not (a settled batch's classifier gives each sample's current
+    label 0.99), warm or not, and annealed or not. `overask` names the batch
+    before which a step asks for one row more than the plan has left.
+    """
+    n_observed = draw(st.integers(2, 5))
+    n_latent = n_observed + draw(st.booleans())
+    n = draw(st.integers(1, 40))
+    sizes = draw(st.lists(st.integers(0, 12), min_size=1, max_size=10))
+    excluded_share = draw(st.sampled_from([0.0, 0.0, 0.3, 0.8, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    data = np.random.default_rng(seed)
+    observed = data.integers(0, n_observed, size=n)
+    labels = data.integers(0, n_latent, size=n)
+    excluded = data.random(n) < excluded_share
+    prior = DirichletPrior(data.uniform(0.05, 5.0, size=n_observed))
+    warmup = check_transition(data.dirichlet(np.ones(n_observed), size=n_latent))
+    cuts = np.cumsum(sizes)
+    batches = [
+        (order, bool(data.random() < 0.5), bool(data.random() < 0.2),
+         float(data.choice([1.0, 1.0, 0.6])))
+        for order in np.split(data.permutation(n), cuts[cuts < n])
+    ]
+    rows = data.dirichlet(np.full(n_latent, 0.7), size=n)
+    overask = draw(st.integers(0, len(batches)))
+    return observed, labels, excluded, prior, warmup, batches, rows, overask, seed
+
+
+def _run_epoch(case, planned):
+    """Each batch's (moved, certificate, labels, counts), and the generator state after the epoch.
+
+    `planned` plans the epoch once on one chain and steps it batch by batch,
+    as the latent trainers do; otherwise each batch is a fresh
+    `gibbs_sample_batch`, certified by `update_bound` on the whole matrix.
+    """
+    observed, labels, excluded, prior, warmup, batches, rows, overask, seed = case
+    n_latent = warmup.shape[0]
+    labels = labels.copy()
+    counts = confusion_counts(labels, observed, n_latent, prior.n_observed, exclude=excluded)
+    rng = np.random.default_rng(seed)
+    if planned:
+        chain = GibbsChain(labels, counts, prior, warmup)
+        epoch = np.concatenate([order for order, _, _, _ in batches])
+        epoch = epoch[~excluded[epoch]]
+        chain.plan(observed[epoch], epoch, rng)
+    outcomes = []
+    for index, (order, settled, warm, anneal) in enumerate(batches):
+        positions = order[~excluded[order]]
+        probs = rows[positions]
+        if settled:
+            probs = np.full((len(positions), n_latent), 0.01 / (n_latent - 1))
+            probs[np.arange(len(positions)), labels[positions]] = 0.99
+        previous = labels[positions].tolist()
+        if planned:
+            if index == overask:
+                _assert_overask_refused(chain, rng)
+            moved = chain.step(probs, warm, anneal)
+            certificate = _outcome(chain.certify) if moved else None
+            _assert_channels_hold(chain)
+        else:
+            before = counts.copy()
+            gibbs_sample_batch(
+                probs, observed[positions], counts, prior, labels, positions, rng,
+                warmup if warm else None, anneal,
+            )
+            moved = labels[positions].tolist() != previous
+            certificate = None
+            if moved:
+                certificate = _outcome(
+                    lambda: _worst_certified_row(*update_bound(before, counts, prior).tolist())
+                )
+        assert moved == (labels[positions].tolist() != previous)
+        outcomes.append((moved, certificate, labels.tolist(), counts.tolist()))
+    if planned:
+        assert chain.cursor == len(chain.draws)
+        _assert_overask_refused(chain, rng)
+    return outcomes, rng.bit_generator.state
+
+
+def _assert_overask_refused(chain, rng):
+    """A step of one row more than the plan has left is refused before it books anything."""
+    state = (chain.labels.tolist(), chain.counts.tolist(), chain.cursor, _kept_channels(chain),
+             rng.bit_generator.state)
+    n_latent = chain.counts.shape[0]
+    over = np.full((len(chain.draws) - chain.cursor + 1, n_latent), 1.0 / n_latent)
+    with pytest.raises(ParameterError, match="the plan"):
+        chain.step(over)
+    assert state == (chain.labels.tolist(), chain.counts.tolist(), chain.cursor,
+                     _kept_channels(chain), rng.bit_generator.state)
+
+
+@given(case=epoch_cases())
+@settings(max_examples=300, deadline=None)
+def test_an_epoch_planned_once_matches_a_fresh_batch_each_time(case):
+    assert _run_epoch(case, planned=True) == _run_epoch(case, planned=False)
+
+
+# What a plan must refuse before it draws. The scalars leaked a TypeError from
+# `len()` and a plain seed an AttributeError from `.random`.
+BAD_PLANS = {
+    "observed_a_scalar": {"observed": np.int64(0)},
+    "positions_a_scalar": {"positions": 0},
+    "rng_a_seed": {"rng": 0},
+    "rng_a_random_state": {"rng": np.random.RandomState(0)},
+}
+
+
+@pytest.mark.parametrize("case", BAD_PLANS)
+def test_plan_refuses_scalars_and_a_non_generator_before_drawing(case):
+    counts, labels = counts_of([[1, 0], [0, 1]]), np.array([0, 1])
+    prior = DirichletPrior.uniform(2, 1.0)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    args = {"observed": np.array([0]), "positions": np.array([0]), "rng": rng, **BAD_PLANS[case]}
+    chain = GibbsChain(labels, counts, prior)
+    with pytest.raises(ParameterError):
+        chain.plan(args["observed"], args["positions"], args["rng"])
+    with pytest.raises(ParameterError):
+        gibbs_sample_batch(
+            np.array([[0.5, 0.5]]), args["observed"], counts, prior, labels, args["positions"],
+            args["rng"],
+        )
+    assert chain.draws == [] and rng.bit_generator.state == state
+    assert counts.tolist() == [[1, 0], [0, 1]] and labels.tolist() == [0, 1]
 
 
 # --------------------------------------------------------- exact posterior

@@ -405,6 +405,12 @@ def test_worst_certified_row_reads_like_numpy(rows):
     assert np.array(got).tobytes() == np.array(expected).tobytes()
 
 
+def _planned_positions(chain, probs):
+    """Positions of the samples the chain's next step resamples, read from its plan."""
+    draws = chain.draws[chain.cursor : chain.cursor + len(probs)]
+    return np.array([position for _, position, _ in draws], dtype=np.int64)
+
+
 def test_label_swap_with_equal_counts_is_still_certified(blobs2_tiny, monkeypatch):
     # One batch per epoch. The first moves one label; the second swaps it with
     # a sample of the same observed label, so labels move but the counts end
@@ -414,7 +420,8 @@ def test_label_swap_with_equal_counts_is_still_certified(blobs2_tiny, monkeypatc
     step, certify = GibbsChain.step, GibbsChain.certify
     steps, certificates, scripted = [], [], []
 
-    def scripted_step(chain, probs, observed, positions, rng, *args):
+    def scripted_step(chain, probs, *args):
+        positions = _planned_positions(chain, probs)
         targets = chain.labels[positions]
         if not scripted:
             s = positions[0]
@@ -427,7 +434,7 @@ def test_label_swap_with_equal_counts_is_still_certified(blobs2_tiny, monkeypatc
             targets[positions == s], targets[positions == t] = o, 1 - o
             scripted.append(t)
         before = chain.counts.copy()
-        moved = step(chain, np.eye(2)[targets], observed, positions, rng, *args)
+        moved = step(chain, np.eye(2)[targets], *args)
         assert chain.labels[positions].tolist() == targets.tolist()
         steps.append((before, chain.counts.copy()))
         return moved
@@ -462,9 +469,11 @@ def test_update_bound_runs_once_per_batch_that_moved_a_label(kind, monkeypatch):
     moved, bound_calls = [], []
     step, certify = GibbsChain.step, GibbsChain.certify
 
-    def watching_step(chain, probs, observed, positions, *args):
+    def watching_step(chain, probs, *args):
+        positions = _planned_positions(chain, probs)
+        assert kind != "lccn_plus" or not ds.clean_mask[positions].any()  # no trusted sample
         previous = chain.labels[positions]
-        label_moved = step(chain, probs, observed, positions, *args)
+        label_moved = step(chain, probs, *args)
         assert label_moved == (not np.array_equal(chain.labels[positions], previous))
         moved.append(label_moved)
         return label_moved
