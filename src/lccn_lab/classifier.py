@@ -6,23 +6,45 @@ keeps its `velocity` and `grad` as vectors in that layout, and `grads` names
 the views of `grad`: every step writes its gradients there, and
 `apply_gradients` updates the vectors in place. A write into a view changes
 its vector; rebinding an entry raises TypeError. The log-loss clip is a
-plain float in (0, 0.5), which `soft_target_cross_entropy` checks.
+plain float in (0, 0.5). An optimizer also owns its steps' buffers
+(`_StepBuffers`), built at its first step and sized for the largest batch
+seen; a shorter batch gets leading-row views of them (`_Scratch`). Each
+stage of a step has one implementation, which writes into the scratch it is
+given with `out=`; given one without arrays (`_FRESH`, `_fresh`) it
+allocates, as `forward_proba`, `loss_and_grads` and
+`soft_target_cross_entropy` do, so their results outlive later steps.
+
+Checks: the clip's range and the optimizer's layout are checked when the
+buffers are built, and again only for other parameters or another clip.
+Each step checks its target shape, and `apply_gradients` the optimizer's
+layout. Labels are range-checked where they come in (`one_hot`,
+`pretrain_ce`, a plain `sgd_step`); a run's steps pass `validated=True`.
 
 Exact substitutions: a step gives the bits of the plain numpy formulas
 (`np.clip`, `np.sum`, one-hot rows by zeros and scatter, fresh gradient
-arrays joined by a concatenate). One-hot rows are taken from a cached
-identity (the same 0.0 and 1.0 entries); the clip is
-`minimum(maximum(p, clip), 1 - clip)`, `np.clip`'s own formula for a positive
-clip; `np.add.reduce` and `np.maximum.reduce` are what `np.sum`, `.sum()` and
-`.max()` call, over the same axes; a result written with `out=` holds what a
-fresh array would. The loss keeps its dense sum over every entry, so numpy's
-blocked summation order is unchanged. A matrix product whose entries sum 2 or
-more terms is `ndarray.dot`, which gives `np.matmul`'s bits (`_product`). A
-hard-label step computes its loss only when the sum of its clipped
-probabilities is not finite; otherwise that loss is finite (see `_step`), and
-a step gives the same verdict and the same bits either way. A batch's rows are
-contiguous slices of one gather per epoch (`epoch_batches`), which hold the
-values a gather per batch would.
+arrays joined by a concatenate). A result written with `out=`, or a softmax
+taken in place over its logits, holds what a fresh array would, and a 0-d
+float64 array is the same operand as a Python float. One-hot rows are taken
+from a cached identity (the same 0.0 and 1.0 entries), and a step's negated
+targets from its negation. The loss weighs `log(clipped)` by the negated
+targets, the bits of `-log(clipped)` weighed by the targets (a product's
+sign is the exclusive or of its factors'). The clip is
+`minimum(maximum(p, clip), 1 - clip)`, `np.clip`'s own formula for a
+positive clip, and `copyto(where=)` zeroes the gradient outside it as
+`np.where` did; `np.add.reduce` and `np.maximum.reduce` are what `np.sum`,
+`.sum()` and `.max()` call, over the same axes. The loss keeps its dense sum
+over every entry, so numpy's blocked summation order is unchanged. A matrix
+product whose entries sum 2 or more terms is `ndarray.dot`, which gives
+`np.matmul`'s bits (`_product`). A hard-label step computes its loss only
+when the sum of its clipped probabilities is not finite; otherwise that loss
+is finite (see `_step`), and a step gives the same verdict and the same bits
+either way. `apply_gradients` sums the gradient's entries scaled by a power
+of two small enough that finite entries cannot overflow the sum, so it is
+finite exactly when every entry is; only a non-finite sum leads to the
+entry-wise pass that names the tensor. Those two sums are dot products with
+a constant vector, whose order of addition does not matter, since only their
+finiteness is read. A batch's rows are contiguous slices of one gather per
+epoch (`epoch_batches`), which hold the values a gather per batch would.
 """
 
 from __future__ import annotations
@@ -108,10 +130,108 @@ def init_params(arch: Architecture, seed: int) -> ClassifierParams:
     return ClassifierParams(arch, tensors)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+class _Scratch:
+    """What the stages of one step on n rows write into with `out=`, and the step's constants.
+
+    probs holds the logits and then, in place, their softmax; col (n, 1) holds
+    a row's max, then its sum, then the logit gradient's inner product. pre,
+    hidden, gate (the activation's slope; a bool mask for relu) and dpre are
+    the hidden layer's, None for a linear model. clipped (with flat, its
+    entries as one vector, and ones, a vector of as many ones), mask, within
+    and dprobs are `_clipped_dprobs`'s; mixture, dmixed (the gradient pulled
+    back through the channel) and the (K, K) dphi are the composed step's.
+    low and high are the clip's bounds and count the row count n, as 0-d
+    float64 arrays, which numpy reads faster than Python numbers (`_fresh`
+    gives Python numbers); neg_eye is `_neg_eye(K)`. `_FRESH` holds None in
+    every slot, so that numpy allocates each result.
+    """
+
+    __slots__ = (
+        "probs", "col", "pre", "hidden", "gate", "dpre", "clipped", "mask", "within",
+        "dprobs", "dlogits", "mixture", "dmixed", "flat", "ones", "dphi",
+        "low", "high", "count", "neg_eye",
+    )
+
+    def __init__(self, **values) -> None:
+        for name in self.__slots__:
+            setattr(self, name, values.get(name))
+
+
+_FRESH = _Scratch()
+
+
+def _fresh(clip: float, n: int) -> _Scratch:
+    """A scratch with no arrays, so that numpy allocates each result, for n rows at this clip."""
+    return _Scratch(low=clip, high=1.0 - clip, count=n)
+
+
+def _constant(value: float) -> np.ndarray:
+    constant = np.array(value)
+    constant.flags.writeable = False
+    return constant
+
+
+_ZERO, _ONE = _constant(0.0), _constant(1.0)
+
+
+class _StepBuffers:
+    """An optimizer's step scratch for one parameter set and clip, checked once for them.
+
+    `scratch(n)` gives the `_Scratch` of a batch of n rows, made at its first
+    step: leading-row views of arrays sized for the largest batch seen.
+    """
+
+    def __init__(self, params: ClassifierParams, opt: "OptimizerState", clip: float) -> None:
+        _check_optimizer(params, opt)
+        _check_clip(clip)
+        self.params, self.clip = params, clip
+        self.rows: dict[str, np.ndarray] = {}
+        self.by_rows: dict[int, _Scratch] = {}
+
+    def scratch(self, n: int) -> _Scratch:
+        arch = self.params.arch
+        k, width = arch.n_classes, arch.hidden_width
+        if n > len(self.rows.get("col", ())):
+            names = ("probs", "clipped", "dprobs", "dlogits", "mixture", "dmixed")
+            rows = {name: np.empty((n, k)) for name in names}
+            rows.update(col=np.empty((n, 1)), mask=np.empty((n, k), bool),
+                        within=np.empty((n, k), bool), ones=np.ones(n * k))
+            rows["flat"] = rows["clipped"].reshape(-1)
+            if arch.kind == "mlp":
+                rows.update({name: np.empty((n, width)) for name in ("pre", "hidden", "dpre")})
+                rows["gate"] = np.empty((n, width), bool if arch.activation == "relu" else float)
+            self.rows = rows
+            self.by_rows.clear()
+        views = {name: a[: n * k if a.ndim == 1 else n] for name, a in self.rows.items()}
+        scratch = self.by_rows[n] = _Scratch(
+            **views, dphi=np.empty((k, k)), low=_constant(self.clip),
+            high=_constant(1.0 - self.clip), count=_constant(float(n)), neg_eye=_neg_eye(k),
+        )
+        return scratch
+
+
+def _scratch(params: ClassifierParams, opt: "OptimizerState", n: int, clip: float) -> _Scratch:
+    """opt's scratch for a step of params on n rows at this clip (see `_StepBuffers`).
+
+    The buffers are built, with the optimizer's layout and the clip checked, at
+    opt's first step, and again only for other parameters or another clip.
+    """
+    buffers = opt._buffers
+    if buffers is None or buffers.params is not params or buffers.clip != clip:
+        buffers = opt._buffers = _StepBuffers(params, opt, clip)
+    scratch = buffers.by_rows.get(n)
+    return buffers.scratch(n) if scratch is None else scratch
+
+
+def _softmax(
+    logits: np.ndarray, out: np.ndarray | None = None, col: np.ndarray | None = None
+) -> np.ndarray:
+    """Row softmax of logits into out (fresh if None; it may be logits); col: an (n, 1) scratch."""
+    shifted = np.subtract(
+        logits, np.maximum.reduce(logits, axis=1, keepdims=True, out=col), out=out
+    )
     expz = np.exp(shifted, out=shifted)
-    return np.divide(expz, np.add.reduce(expz, axis=1, keepdims=True), out=expz)
+    return np.divide(expz, np.add.reduce(expz, axis=1, keepdims=True, out=col), out=expz)
 
 
 def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -126,20 +246,29 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.
     return np.matmul(a, b, out=out)
 
 
-def _forward(params: ClassifierParams, features: np.ndarray) -> tuple[np.ndarray, dict]:
+def _forward(
+    params: ClassifierParams, features: np.ndarray, scratch: _Scratch = _FRESH
+) -> tuple[np.ndarray, tuple]:
+    """Class probabilities and the backprop cache: (pre, hidden) of an MLP, () of a linear model.
+
+    The arrays are scratch's; with `_FRESH`, fresh ones.
+    """
     t = params.tensors
     if params.arch.kind == "linear":
-        logits = _product(features, t["w"])
+        logits = _product(features, t["w"], scratch.probs)
         logits += t["b"]
-        cache = {}
+        cache = ()
     else:
-        pre = _product(features, t["w1"])
+        pre = _product(features, t["w1"], scratch.pre)
         pre += t["b1"]
-        hidden = np.maximum(pre, 0.0) if params.arch.activation == "relu" else np.tanh(pre)
-        logits = _product(hidden, t["w2"])
+        if params.arch.activation == "relu":
+            hidden = np.maximum(pre, _ZERO, out=scratch.hidden)
+        else:
+            hidden = np.tanh(pre, out=scratch.hidden)
+        logits = _product(hidden, t["w2"], scratch.probs)
         logits += t["b2"]
-        cache = {"pre": pre, "hidden": hidden}
-    return _softmax(logits), cache
+        cache = pre, hidden
+    return _softmax(logits, logits, scratch.col), cache
 
 
 def forward_proba(params: ClassifierParams, features: np.ndarray) -> np.ndarray:
@@ -153,30 +282,40 @@ def forward_proba(params: ClassifierParams, features: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _clipped_dprobs(
-    probs: np.ndarray, target_weights: np.ndarray, clip: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The clipped probabilities and the probability gradient of `soft_target_cross_entropy`."""
+def _check_clip(clip: float) -> None:
     if not 0.0 < clip < 0.5:  # also False for NaN
         raise ParameterError(f"clip must lie strictly between 0 and 0.5, got {clip!r}")
-    if probs.shape != target_weights.shape:
+
+
+def _clipped_dprobs(
+    probs: np.ndarray, neg: np.ndarray, scratch: _Scratch
+) -> tuple[np.ndarray, np.ndarray]:
+    """The clipped probabilities and the probability gradient of `soft_target_cross_entropy`.
+
+    neg holds the negated target weights. scratch gives the checked clip's
+    bounds and the row count (see `_fresh`) and takes the results.
+    """
+    if probs.shape != neg.shape:
         raise ParameterError("probs and target_weights must have the same shape")
-    n = probs.shape[0]
-    low, high = clip, 1.0 - clip
-    clipped = np.minimum(np.maximum(probs, low), high)
-    inside = np.greater(probs, low)
-    inside &= np.less(probs, high)
-    scaled = np.negative(target_weights, dtype=np.float64)
-    np.divide(scaled, clipped, out=scaled)
-    np.divide(scaled, n, out=scaled)
-    return clipped, np.where(inside, scaled, 0.0)
+    low, high = scratch.low, scratch.high
+    clipped = np.maximum(probs, low, out=scratch.clipped)
+    np.minimum(clipped, high, out=clipped)
+    outside = np.greater(probs, low, out=scratch.mask)
+    outside &= np.less(probs, high, out=scratch.within)
+    np.logical_not(outside, out=outside)
+    dprobs = np.divide(neg, clipped, out=scratch.dprobs)
+    np.divide(dprobs, scratch.count, out=dprobs)
+    np.copyto(dprobs, _ZERO, where=outside)
+    return clipped, dprobs
 
 
-def _clipped_loss(clipped: np.ndarray, target_weights: np.ndarray) -> float:
-    """`soft_target_cross_entropy`'s loss, from the clipped probabilities of `_clipped_dprobs`."""
-    terms = np.log(clipped)
-    np.negative(terms, out=terms)
-    np.multiply(target_weights, terms, out=terms)
+def _clipped_loss(clipped: np.ndarray, neg: np.ndarray) -> float:
+    """`soft_target_cross_entropy`'s loss from `_clipped_dprobs`'s clipped probabilities.
+
+    neg holds the negated target weights. The log is taken in place, over clipped.
+    """
+    terms = np.log(clipped, out=clipped)
+    np.multiply(neg, terms, out=terms)
     return float(np.add.reduce(terms, axis=None) / clipped.shape[0])
 
 
@@ -189,8 +328,10 @@ def soft_target_cross_entropy(
     gradient is exactly zero wherever the clip is active, matching the
     piecewise-constant forward value there.
     """
-    clipped, dprobs = _clipped_dprobs(probs, target_weights, clip)
-    return _clipped_loss(clipped, target_weights), dprobs
+    _check_clip(clip)
+    neg = np.negative(target_weights, dtype=np.float64)
+    clipped, dprobs = _clipped_dprobs(probs, neg, _fresh(clip, len(probs)))
+    return _clipped_loss(clipped, neg), dprobs
 
 
 @functools.lru_cache(maxsize=64)
@@ -201,19 +342,34 @@ def _eye(n_classes: int) -> np.ndarray:
     return eye
 
 
-def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """(n, n_classes) one-hot rows of 1-d integer labels: fresh rows of a cached identity."""
+@functools.lru_cache(maxsize=64)
+def _neg_eye(n_classes: int) -> np.ndarray:
+    """A read-only negated identity, whose rows are the negated one-hot targets of a step."""
+    neg = np.negative(_eye(n_classes))
+    neg.flags.writeable = False
+    return neg
+
+
+def _checked_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """labels as an int64 array; ParameterError unless every one lies in [0, n_classes)."""
     labels = np.asarray(labels, dtype=np.int64)
     listed = labels.tolist()
     if listed and (min(listed) < 0 or max(listed) >= n_classes):
         raise ParameterError("labels out of range")
-    return _eye(n_classes).take(labels, axis=0)
+    return labels
 
 
-def dlogits_from_dprobs(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
-    """Pull a probability-space gradient back through the softmax."""
-    out = np.multiply(probs, dprobs)
-    inner = np.add.reduce(out, axis=1, keepdims=True)
+def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """(n, n_classes) one-hot rows of 1-d integer labels: fresh rows of a cached identity."""
+    return _eye(n_classes).take(_checked_labels(labels, n_classes), axis=0)
+
+
+def dlogits_from_dprobs(
+    probs: np.ndarray, dprobs: np.ndarray, scratch: _Scratch = _FRESH
+) -> np.ndarray:
+    """Pull a probability-space gradient back through the softmax (into scratch's dlogits)."""
+    out = np.multiply(probs, dprobs, out=scratch.dlogits)
+    inner = np.add.reduce(out, axis=1, keepdims=True, out=scratch.col)
     np.subtract(dprobs, inner, out=out)
     return np.multiply(probs, out, out=out)
 
@@ -221,26 +377,27 @@ def dlogits_from_dprobs(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
 def backprop_logits(
     params: ClassifierParams,
     features: np.ndarray,
-    cache: dict,
+    cache: tuple,
     dlogits: np.ndarray,
     out: Mapping[str, np.ndarray],
+    scratch: _Scratch = _FRESH,
 ) -> None:
     """Write the gradients of all parameter tensors, given the logit-space gradient, into out.
 
     out maps each tensor's name to a C-contiguous array of its shape, such as
-    `OptimizerState.grads`.
+    `OptimizerState.grads`; the hidden layer's gradient goes through scratch.
     """
     if params.arch.kind == "linear":
         _product(features.T, dlogits, out["w"])
         np.add.reduce(dlogits, axis=0, out=out["b"])
         return
-    hidden, pre = cache["hidden"], cache["pre"]
-    dpre = _product(dlogits, params.tensors["w2"].T)
+    pre, hidden = cache
+    dpre = _product(dlogits, params.tensors["w2"].T, scratch.dpre)
     if params.arch.activation == "relu":
-        np.multiply(dpre, np.greater(pre, 0.0), out=dpre)
+        np.multiply(dpre, np.greater(pre, _ZERO, out=scratch.gate), out=dpre)
     else:
-        slope = np.square(hidden)
-        np.subtract(1.0, slope, out=slope)
+        slope = np.square(hidden, out=scratch.gate)
+        np.subtract(_ONE, slope, out=slope)
         np.multiply(dpre, slope, out=dpre)
     _product(features.T, dpre, out["w1"])
     np.add.reduce(dpre, axis=0, out=out["b1"])
@@ -254,7 +411,10 @@ class OptimizerState:
 
     `velocity` and `grad` are vectors laid out like the `ClassifierParams.flat`
     of the tensors given at construction, and `grads` is a read-only mapping
-    of `grad`'s views by tensor name.
+    of `grad`'s views by tensor name. The optimizer also owns its steps'
+    scratch (`_StepBuffers`, built at the first step) and two vectors of
+    `apply_gradients`: the weight-decay term and the scale of its finiteness
+    test.
     """
 
     tensors: InitVar[Mapping[str, np.ndarray]]
@@ -264,11 +424,17 @@ class OptimizerState:
     velocity: np.ndarray = field(init=False, repr=False, compare=False)
     grad: np.ndarray = field(init=False, repr=False, compare=False)
     grads: Mapping[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    _buffers: _StepBuffers | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self, tensors: Mapping[str, np.ndarray]) -> None:
-        self.velocity = np.zeros(sum(np.size(t) for t in tensors.values()))
+        size = sum(np.size(t) for t in tensors.values())
+        self.velocity = np.zeros(size)
         self.grad = np.zeros_like(self.velocity)
         self.grads = MappingProxyType(_views(self.grad, tensors))
+        self._decay = np.empty_like(self.velocity)
+        # 2**e > 2 * size: the scaled entries of a finite gradient sum to less
+        # than 2**1023 in magnitude, so their sum cannot overflow.
+        self._tiny = np.full(size, 2.0 ** -(2 * size).bit_length())
 
 
 def init_optimizer(
@@ -286,13 +452,20 @@ def _check_optimizer(params: ClassifierParams, opt: OptimizerState) -> None:
 
 
 def apply_gradients(params: ClassifierParams, opt: OptimizerState) -> None:
-    """One in-place momentum step with the gradients in `opt.grads`; aborts on non-finite ones."""
+    """One in-place momentum step with the gradients in `opt.grads`; aborts on non-finite ones.
+
+    A gradient is finite exactly when the sum of its entries scaled by
+    `opt._tiny` is, a sum that finite entries cannot overflow; only a
+    non-finite sum looks for the first tensor with a non-finite entry. Only
+    a gradient with both an inf and a -inf entry, which aborts, makes numpy
+    warn here (of an invalid value), outside `run_trainer`'s errstate.
+    """
     _check_optimizer(params, opt)
     grad = opt.grad
-    if not np.isfinite(grad).all():
+    if not math.isfinite(grad.dot(opt._tiny)):
         bad = next(name for name, view in opt.grads.items() if not np.isfinite(view).all())
         raise TrainingError(f"non-finite gradient in tensor {bad!r}")
-    grad += opt.weight_decay * params.flat
+    grad += np.multiply(opt.weight_decay, params.flat, out=opt._decay)
     vel = opt.velocity
     vel *= opt.momentum
     vel += grad
@@ -307,42 +480,51 @@ def loss_and_grads(
     clip: float,
     out: Mapping[str, np.ndarray],
     *,
-    forward: tuple[np.ndarray, dict] | None = None,
+    forward: tuple[np.ndarray, tuple] | None = None,
 ) -> float:
     """Soft-target log-loss; its parameter gradients go into out (see `backprop_logits`).
 
     forward, when given, is `_forward(params, features)`, reused instead of recomputed.
     """
+    _check_clip(clip)
+    neg = np.negative(target_weights, dtype=np.float64)
     probs, cache = _forward(params, features) if forward is None else forward
-    loss, dprobs = soft_target_cross_entropy(probs, target_weights, clip)
+    clipped, dprobs = _clipped_dprobs(probs, neg, _fresh(clip, len(probs)))
     backprop_logits(params, features, cache, dlogits_from_dprobs(probs, dprobs), out)
-    return loss
+    return _clipped_loss(clipped, neg)
 
 
 def _step(
     params: ClassifierParams,
     opt: OptimizerState,
     features: np.ndarray,
-    target_weights: np.ndarray,
+    targets: np.ndarray,
     clip: float,
-    forward: tuple[np.ndarray, dict] | None,
+    forward: tuple[np.ndarray, tuple] | None,
     hard: bool,
 ) -> None:
-    """Gradients into the optimizer's vector, then one momentum step; hard: one-hot targets.
+    """Gradients into the optimizer's vector, then one momentum step, all in opt's buffers.
 
-    It raises on a non-finite training loss, as `loss_and_grads` would give it,
-    but computes that loss only when a cheaper test cannot vouch for it. One-hot
-    rows weigh each clipped probability by 0 or 1, and a clipped probability is
-    NaN or lies in [clip, 1 - clip]. So with at least one row, a finite sum of
-    the clipped probabilities makes every loss term finite and at most
+    targets are labels in range (hard) or target weights. It raises on a
+    non-finite training loss, as `loss_and_grads` would give it, but computes
+    that loss only when a cheaper test cannot vouch for it. One-hot rows weigh
+    each clipped probability by 0 or 1, and a clipped probability is NaN or
+    lies in [clip, 1 - clip]. So with at least one row, a finite sum of the
+    clipped probabilities makes every loss term finite and at most
     -ln(clip) < 745, so their sum and the loss are finite.
     """
-    _check_optimizer(params, opt)
-    probs, cache = _forward(params, features) if forward is None else forward
-    clipped, dprobs = _clipped_dprobs(probs, target_weights, clip)
-    backprop_logits(params, features, cache, dlogits_from_dprobs(probs, dprobs), opt.grads)
-    vouched = hard and clipped.shape[0] and math.isfinite(np.add.reduce(clipped, axis=None))
-    if not vouched and not math.isfinite(_clipped_loss(clipped, target_weights)):
+    scratch = _scratch(params, opt, features.shape[0], clip)
+    probs, cache = _forward(params, features, scratch) if forward is None else forward
+    if hard:
+        neg = scratch.neg_eye.take(targets, axis=0)
+    else:
+        neg = np.negative(targets, dtype=np.float64)
+    clipped, dprobs = _clipped_dprobs(probs, neg, scratch)
+    dlogits = dlogits_from_dprobs(probs, dprobs, scratch)
+    backprop_logits(params, features, cache, dlogits, opt.grads, scratch)
+    # The dot product of the clipped entries with ones is their sum, in some order.
+    vouched = hard and clipped.shape[0] and math.isfinite(scratch.flat.dot(scratch.ones))
+    if not vouched and not math.isfinite(_clipped_loss(clipped, neg)):
         raise TrainingError("non-finite training loss")
     apply_gradients(params, opt)
 
@@ -354,10 +536,18 @@ def sgd_step(
     labels: np.ndarray,
     clip: float,
     *,
-    forward: tuple[np.ndarray, dict] | None = None,
+    forward: tuple[np.ndarray, tuple] | None = None,
+    validated: bool = False,
 ) -> None:
-    """One minibatch step of clipped cross-entropy on hard labels; forward as in loss_and_grads."""
-    _step(params, opt, features, one_hot(labels, params.arch.n_classes), clip, forward, True)
+    """One minibatch step of clipped cross-entropy on hard labels; forward as in loss_and_grads.
+
+    validated says that the labels are an integer array already known to lie
+    in [0, n_classes), as a run's are (see `trainers._fit`), so the step does
+    not check them again.
+    """
+    if not validated:
+        labels = _checked_labels(labels, params.arch.n_classes)
+    _step(params, opt, features, labels, clip, forward, True)
 
 
 def sgd_step_soft(
@@ -367,7 +557,7 @@ def sgd_step_soft(
     target_weights: np.ndarray,
     clip: float,
     *,
-    forward: tuple[np.ndarray, dict] | None = None,
+    forward: tuple[np.ndarray, tuple] | None = None,
 ) -> None:
     """Like sgd_step but with per-class target weights instead of hard labels."""
     _step(params, opt, features, target_weights, clip, forward, False)
@@ -401,13 +591,15 @@ def pretrain_ce(
     """Fit the classifier to the observed labels by epochs of hard-label SGD steps.
 
     Each epoch is one pass of `epoch_batches` in the order of one
-    `rng.permutation(n)`, the loop the trainers share.
+    `rng.permutation(n)`, the loop the trainers share. The labels are
+    range-checked once, before the first step.
     """
+    labels = _checked_labels(labels, params.arch.n_classes)
     for _epoch in range(epochs):
         order = rng.permutation(features.shape[0])
         batches = epoch_batches(order, features[order], labels[order], batch_size)
         for _, batch_features, batch_labels in batches:
-            sgd_step(params, opt, batch_features, batch_labels, clip)
+            sgd_step(params, opt, batch_features, batch_labels, clip, validated=True)
 
 
 def save_checkpoint(params: ClassifierParams, path: str | Path) -> None:

@@ -34,9 +34,15 @@ from .classifier import (
     Architecture,
     ClassifierParams,
     OptimizerState,
+    _clipped_dprobs,
+    _clipped_loss,
     _forward,
-    _softmax as _row_softmax,
+    _fresh,
+    _neg_eye,
     _product,
+    _Scratch,
+    _scratch,
+    _softmax as _row_softmax,
     apply_gradients,
     backprop_logits,
     dlogits_from_dprobs,
@@ -253,6 +259,11 @@ class _Run:
     total: int
     iteration: int = 0
 
+    def forward(self, features: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """The classifier's forward pass of a batch, into the optimizer's step buffers."""
+        scratch = _scratch(self.params, self.opt, features.shape[0], self.clip)
+        return _forward(self.params, features, scratch)
+
 
 @dataclass
 class _Hooks:
@@ -267,7 +278,9 @@ class _Hooks:
     them. epoch_start(order, observed) runs before every epoch with the
     epoch's order of the rows and their observed labels; record() gives the
     extra fields of each train record; final_phi() gives the run's
-    transition estimate.
+    transition estimate. The run has validated the observed labels, and a
+    latent kind's Gibbs chain its latent ones, so a hook's hard-label steps
+    pass `validated=True`.
     """
 
     batch: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[float, float] | None]
@@ -290,11 +303,18 @@ def _fit(
     records score the observed labels on the first n_classes outputs
     (extra_class adds one more output), test records the true labels of
     in-distribution samples; each train record carries the largest batch
-    variation since the previous eval.
+    variation since the previous eval. The one-hot targets and test rows
+    that every eval scores are built once, before anything trains, which
+    range-checks the observed labels once for the run.
     """
     ss_init, ss_data, ss_gibbs = np.random.SeedSequence(cfg.seed).spawn(3)
     data_rng, gibbs_rng = np.random.default_rng(ss_data), np.random.default_rng(ss_gibbs)
     n_out = ds.n_classes + 1 if extra_class else ds.n_classes
+    train_targets = one_hot(ds.noisy_labels, n_out)
+    if test_ds is not None:
+        keep = ~test_ds.ood_mask
+        test_features, truth = test_ds.features[keep], test_ds.true_labels[keep]
+        test_targets = one_hot(truth, n_out)
     if cfg.hidden_width > 0:
         arch = Architecture("mlp", ds.dim, n_out, cfg.hidden_width, cfg.activation)
     else:
@@ -322,7 +342,7 @@ def _fit(
         worst = max(window, key=lambda v: v.measured) if window else None
         step = offset + run.iteration
         probs = forward_proba(params, ds.features)
-        loss, _ = soft_target_cross_entropy(probs, one_hot(ds.noisy_labels, n_out), cfg.clip)
+        loss, _ = soft_target_cross_entropy(probs, train_targets, cfg.clip)
         records.append(MetricsRecord(
             step, "train", top1_accuracy(probs, ds.noisy_labels, n_scored), loss,
             max_phi_row_variation=None if worst is None else worst.measured,
@@ -331,10 +351,8 @@ def _fit(
         ))
         if test_ds is not None:
             # One forward of the in-distribution rows serves the loss and the accuracy.
-            keep = ~test_ds.ood_mask
-            test_probs = forward_proba(params, test_ds.features[keep])
-            truth = test_ds.true_labels[keep]
-            loss, _ = soft_target_cross_entropy(test_probs, one_hot(truth, n_out), cfg.clip)
+            test_probs = forward_proba(params, test_features)
+            loss, _ = soft_target_cross_entropy(test_probs, test_targets, cfg.clip)
             records.append(
                 MetricsRecord(step, "test", top1_accuracy(test_probs, truth, n_scored), loss)
             )
@@ -373,10 +391,10 @@ def _train_bootstrap(
         table = _bootstrap_table(beta, k)
 
         def hard(idx: np.ndarray, features: np.ndarray, observed: np.ndarray) -> None:
-            sgd_step(run.params, run.opt, features, observed, run.clip)
+            sgd_step(run.params, run.opt, features, observed, run.clip, validated=True)
 
         def blended(idx: np.ndarray, features: np.ndarray, observed: np.ndarray) -> None:
-            forward = _forward(run.params, features)
+            forward = run.forward(features)
             pseudo = forward[0].argmax(axis=1)
             pseudo += observed * k
             weights = table.take(pseudo, axis=0)
@@ -406,26 +424,41 @@ def _composed_loss_grads(
     phi: np.ndarray,
     clip: float,
     out: Mapping[str, np.ndarray],
+    scratch: _Scratch | None = None,
 ) -> tuple[float, np.ndarray]:
     """Clipped log-loss of the channel-mixed prediction q = probs @ phi.
 
     The classifier gradients go into out (see `backprop_logits`); returns
-    (loss, gradient with respect to phi). phi is a float64 matrix; its three
-    products go through `_product`, which gives `np.matmul`'s bits.
+    (loss, gradient with respect to phi). phi is a K x K float64 matrix;
+    its three products go through `_product`, which gives `np.matmul`'s
+    bits. observed holds labels in [0, K) and clip lies in (0, 0.5), both
+    as a run checked them. Every stage writes into scratch (see
+    `classifier._Scratch`), the returned gradient too; without one, into
+    fresh arrays.
     """
-    probs, cache = _forward(params, features)
-    mixture = _product(probs, phi)
-    loss, dmix = soft_target_cross_entropy(mixture, one_hot(observed, phi.shape[1]), clip)
-    dlogits = dlogits_from_dprobs(probs, _product(dmix, phi.T))
-    backprop_logits(params, features, cache, dlogits, out)
-    return loss, _product(probs.T, dmix)
+    if scratch is None:
+        scratch = _fresh(clip, features.shape[0])
+    probs, cache = _forward(params, features, scratch)
+    mixture = _product(probs, phi, scratch.mixture)
+    neg = _neg_eye(phi.shape[1]).take(observed, axis=0)
+    clipped, dmix = _clipped_dprobs(mixture, neg, scratch)
+    dlogits = dlogits_from_dprobs(probs, _product(dmix, phi.T, scratch.dmixed), scratch)
+    backprop_logits(params, features, cache, dlogits, out, scratch)
+    dphi = _product(probs.T, dmix, scratch.dphi)
+    return _clipped_loss(clipped, neg), dphi
 
 
 def _composed_step(
     run: _Run, features: np.ndarray, observed: np.ndarray, phi: np.ndarray
 ) -> np.ndarray:
-    """One classifier step through the channel phi; returns the gradient with respect to phi."""
-    loss, dphi = _composed_loss_grads(run.params, features, observed, phi, run.clip, run.opt.grads)
+    """One classifier step through the channel phi; returns the gradient with respect to phi.
+
+    The gradient lives in the optimizer's step buffers until the next step.
+    """
+    scratch = _scratch(run.params, run.opt, features.shape[0], run.clip)
+    loss, dphi = _composed_loss_grads(
+        run.params, features, observed, phi, run.clip, run.opt.grads, scratch
+    )
     if not math.isfinite(loss):
         raise TrainingError("non-finite training loss")
     apply_gradients(run.params, run.opt)
@@ -611,7 +644,7 @@ def _train_latent(
         def batch(
             idx: np.ndarray, features: np.ndarray, observed: np.ndarray
         ) -> tuple[float, float] | None:
-            forward = _forward(run.params, features)
+            forward = run.forward(features)
             probs = forward[0][~ds.clean_mask[idx]] if use_clean else forward[0]
             moved = None
             if len(probs):
@@ -620,7 +653,10 @@ def _train_latent(
                 anneal = _anneal(cfg.anneal, run.iteration, run.total)
                 if chain.step(probs, warmup, anneal):
                     moved = chain.certify()
-            sgd_step(run.params, run.opt, features, labels[idx], run.clip, forward=forward)
+            sgd_step(
+                run.params, run.opt, features, labels[idx], run.clip,
+                forward=forward, validated=True,
+            )
             return moved
 
         return _Hooks(batch, epoch_start, record, current_phi)

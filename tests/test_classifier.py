@@ -1,6 +1,7 @@
 """Forward/backward correctness of the small classifier and its optimizer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lccn_lab import classifier
 from lccn_lab.classifier import (
     Architecture,
     _forward,
@@ -173,6 +175,97 @@ def test_apply_gradients_rejects_an_optimizer_of_other_parameters():
         apply_gradients(params, opt)
 
 
+def test_apply_gradients_steps_a_finite_gradient_whose_sum_overflows():
+    # Finite entries whose plain sum overflows pass the finiteness test, which
+    # sums scaled entries, and numpy warns of nothing outside run_trainer's errstate.
+    params, _, _ = make_instance("mlp")
+    opt = init_optimizer(params, learning_rate=0.1, momentum=0.9, weight_decay=0.1)
+    opt.grads["w1"][0, 0] = opt.grads["b2"][1] = 1e308
+    tensors = {name: t.copy() for name, t in params.tensors.items()}
+    velocity = {name: np.zeros_like(t) for name, t in tensors.items()}
+    grads = {name: g.copy() for name, g in opt.grads.items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        apply_gradients(params, opt)
+    reference_apply_gradients(tensors, velocity, grads, 0.1, 0.9, 0.1)
+    for flat, parts in ((params.flat, tensors), (opt.velocity, velocity)):
+        assert flat.tobytes() == np.concatenate([p.ravel() for p in parts.values()]).tobytes()
+
+
+def test_a_step_checks_the_optimizer_once(monkeypatch):
+    # Once when the step buffers are built, then once per step, in apply_gradients.
+    calls = []
+    check = classifier._check_optimizer
+    monkeypatch.setattr(classifier, "_check_optimizer", lambda p, o: calls.append(check(p, o)))
+    params, features, labels = make_instance("mlp", n=8)
+    opt = init_optimizer(params, 0.1)
+    for _ in range(3):
+        sgd_step(params, opt, features, labels, CLIP)
+    assert len(calls) == 4
+
+
+def test_steps_recheck_what_their_buffers_were_built_for():
+    # The clip and the optimizer's layout are checked when the step buffers are
+    # built, and the buffers are built again for another clip or other
+    # parameters; target shapes and plain labels are checked at every step.
+    params, features, labels = make_instance("mlp", "tanh", n=8)
+    opt = init_optimizer(params, 0.1, 0.9, 0.1)
+    sgd_step(params, opt, features, labels, CLIP)
+    before, velocity = params.flat.copy(), opt.velocity.copy()
+    rng = np.random.default_rng(0)
+    refused = [
+        ("clip", lambda: sgd_step(params, opt, features, labels, 0.5)),
+        ("clip", lambda: sgd_step_soft(params, opt, features, one_hot(labels, 3), math.nan)),
+        ("velocity does not match",
+         lambda: sgd_step(make_instance("linear")[0], opt, features, labels, CLIP)),
+        ("same shape", lambda: sgd_step(params, opt, features, labels[:5], CLIP)),
+        ("same shape", lambda: sgd_step_soft(params, opt, features, np.full((8, 4), 0.25), CLIP)),
+        # A row that numpy would broadcast over the batch is refused too.
+        ("same shape", lambda: sgd_step_soft(params, opt, features, one_hot([1], 3), CLIP)),
+    ]
+    for bad in (np.full(8, -1), np.full(8, 3)):
+        refused += [
+            ("labels out of range", lambda bad=bad: sgd_step(params, opt, features, bad, CLIP)),
+            ("labels out of range",
+             lambda bad=bad: pretrain_ce(params, opt, features, bad, 1, 4, CLIP, rng)),
+        ]
+    for message, step in refused:
+        with pytest.raises(ParameterError, match=message):
+            step()
+        assert params.flat.tobytes() == before.tobytes(), message
+        assert opt.velocity.tobytes() == velocity.tobytes(), message
+
+
+@pytest.mark.parametrize(
+    "kind,activation", [("linear", "relu"), ("mlp", "relu"), ("mlp", "tanh")]
+)
+def test_steps_overwrite_no_array_a_caller_holds(kind, activation):
+    # forward_proba and an unbuffered `_forward` give fresh arrays, and a
+    # forward made in the step buffers (as the latent and bootstrap hooks make
+    # theirs) keeps its bits through the step it is handed to.
+    params, features, labels = make_instance(kind, activation, n=8)
+    opt = init_optimizer(params, 0.1, 0.9, 0.05)
+    run = _composed_run(params, opt, CLIP)
+    probs = forward_proba(params, features)
+    fresh = _forward(params, features)
+    held = [probs, fresh[0], *fresh[1]]
+    kept = [a.copy() for a in held]
+    weights = np.full((8, 3), 1.0 / 3.0)
+    for _ in range(2):
+        for step in (
+            lambda forward: sgd_step(params, opt, features, labels, CLIP, forward=forward),
+            lambda forward: sgd_step_soft(params, opt, features, weights, CLIP, forward=forward),
+        ):
+            forward = run.forward(features)
+            arrays = [forward[0], *forward[1]]
+            snapshot = [a.copy() for a in arrays]
+            step(forward)
+            assert [a.tobytes() for a in arrays] == [a.tobytes() for a in snapshot]
+        _composed_step(run, features, labels, np.eye(3))
+        sgd_step(params, opt, features, labels, CLIP)
+    assert [a.tobytes() for a in held] == [a.tobytes() for a in kept]
+
+
 def reference_apply_gradients(tensors, velocity, grads, lr, momentum, weight_decay):
     """The per-tensor momentum loop that the fused update replaced, on plain dicts."""
     for name, grad in grads.items():
@@ -191,7 +284,7 @@ def reference_apply_gradients(tensors, velocity, grads, lr, momentum, weight_dec
     weight_decay=st.sampled_from([0.0, 0.05, 0.3]),
     momentum=st.sampled_from([0.0, 0.9]),
     learning_rate=st.floats(1e-4, 1.0),
-    grad_kinds=st.lists(st.sampled_from(["normal", "zero", "negative", "tiny"]),
+    grad_kinds=st.lists(st.sampled_from(["normal", "zero", "negative", "tiny", "huge"]),
                         min_size=1, max_size=4),
 )
 @settings(max_examples=80, deadline=None)
@@ -207,8 +300,9 @@ def test_fused_update_matches_per_tensor_loop_bit_for_bit(
         grads = {}
         for name, tensor in tensors.items():
             g = rng.normal(size=tensor.shape)
+            # A huge gradient's entries are finite, but their plain sum can overflow.
             grads[name] = {"normal": g, "zero": np.zeros_like(g), "negative": -np.abs(g),
-                           "tiny": g * 1e-300}[grad_kind]
+                           "tiny": g * 1e-300, "huge": g * 1e307}[grad_kind]
         reference_apply_gradients(tensors, velocity, grads, learning_rate, momentum, weight_decay)
         for name, grad in grads.items():
             opt.grads[name][...] = grad
@@ -449,6 +543,7 @@ def _composed_run(params, opt, clip):
     activation=st.sampled_from(["relu", "tanh"]),
     k=st.integers(2, 9),
     n=st.integers(1, 45),
+    batch=st.integers(1, 16),
     seed=st.integers(0, 2**16),
     scale=st.sampled_from([1.0, 30.0, 1e3]),
     clip_edge=st.booleans(),
@@ -458,11 +553,14 @@ def _composed_run(params, opt, clip):
 )
 @settings(max_examples=150, deadline=None)
 def test_in_place_steps_match_the_replaced_step_bit_for_bit(
-    kind, activation, k, n, seed, scale, clip_edge, weight_decay, momentum, steps
+    kind, activation, k, n, batch, seed, scale, clip_edge, weight_decay, momentum, steps
 ):
+    # One epoch of n rows in batches of `batch` (the last one short when batch
+    # does not divide n), then a full batch again, so that the optimizer's step
+    # buffers serve batches of both sizes; the batches take the steps in turn.
     # scale 1e3 saturates probabilities to exactly 0.0 and 1.0; 1.0 - 1e-20 is 1.0,
     # so a saturated 1.0 sits on the upper clip edge. clip_edge moves the lower
-    # edge onto the batch's smallest positive probability.
+    # edge onto the smallest positive probability.
     params, features, labels = make_instance(kind, activation, n=n, k=k, seed=seed)
     features = features * scale
     clip = 1e-20
@@ -481,31 +579,33 @@ def test_in_place_steps_match_the_replaced_step_bit_for_bit(
     phi = rng.dirichlet(np.ones(k) * 0.5, size=k)
     run = _composed_run(params, opt, clip)
     hard = _ref_one_hot(labels, k)
-    targets = {"hard": hard, "soft": weights, "composed": hard}
-    # The steps return no loss; it is read off the same loss path on a copy first.
-    new_steps = {
-        "hard": lambda: (
-            loss_and_grads(params.copy(), features, hard, clip, scratch),
-            sgd_step(params, opt, features, labels, clip),
-        ),
-        "soft": lambda: (
-            loss_and_grads(params.copy(), features, weights, clip, scratch),
-            sgd_step_soft(params, opt, features, weights, clip),
-        ),
-        "composed": lambda: (
-            _composed_loss_grads(
-                params.copy(), features, labels, phi, clip, scratch
-            )[0],
-            _composed_step(run, features, labels, phi),
-        ),
-    }
-    for step in steps:
+    rows = [slice(start, start + batch) for start in range(0, n, batch)]
+    rows.append(slice(0, batch))
+    for i, row in enumerate(rows):
+        step = steps[i % len(steps)]
+        x, y = features[row], labels[row]
+        targets = {"hard": hard, "soft": weights, "composed": hard}[step][row]
+        # The steps return no loss; it is read off the same loss path on a copy first.
+        new_step = {
+            "hard": lambda: (
+                loss_and_grads(params.copy(), x, targets, clip, scratch),
+                sgd_step(params, opt, x, y, clip),
+            ),
+            "soft": lambda: (
+                loss_and_grads(params.copy(), x, targets, clip, scratch),
+                sgd_step_soft(params, opt, x, targets, clip),
+            ),
+            "composed": lambda: (
+                _composed_loss_grads(params.copy(), x, y, phi, clip, scratch)[0],
+                _composed_step(run, x, y, phi),
+            ),
+        }[step]
         # An edge clip of a subnormal probability can overflow a gradient; then
         # both steps must fail alike and leave the state alone.
         outcomes = []
         for take in (
-            new_steps[step],
-            lambda: _ref_step(ref, ref_velocity, opt, features, targets[step], clip,
+            new_step,
+            lambda: _ref_step(ref, ref_velocity, opt, x, targets, clip,
                               phi if step == "composed" else None),
         ):
             try:
@@ -513,9 +613,9 @@ def test_in_place_steps_match_the_replaced_step_bit_for_bit(
                 outcomes.append((np.float64(loss).tobytes(), dphi is None or dphi.tobytes()))
             except TrainingError as exc:
                 outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1], step
-        assert params.flat.tobytes() == ref.flat.tobytes(), step
-        assert opt.velocity.tobytes() == ref_velocity.tobytes(), step
+        assert outcomes[0] == outcomes[1], (i, step)
+        assert params.flat.tobytes() == ref.flat.tobytes(), (i, step)
+        assert opt.velocity.tobytes() == ref_velocity.tobytes(), (i, step)
 
 
 @pytest.mark.parametrize("kind,activation", [("linear", "relu"), ("mlp", "tanh")])
