@@ -10,23 +10,22 @@ plain float in (0, 0.5). An optimizer also owns its steps' buffers
 (`_StepBuffers`), built at its first step and sized for the largest batch
 seen; a shorter batch gets leading-row views of them (`_Scratch`). Each
 stage of a step has one implementation, which writes into the scratch it is
-given with `out=`; given one without arrays (`_FRESH`, `_fresh`) it
-allocates, as `forward_proba`, `loss_and_grads` and
-`soft_target_cross_entropy` do, so their results outlive later steps.
+given with `out=`; given `_FRESH`, which holds no arrays, it allocates, as
+`forward_proba`, `loss_and_grads`, `soft_target_cross_entropy` and
+`_composed_loss_grads` without an optimizer do, so their results outlive
+later steps. `_gradients` is the backward pass that every step shares.
 
 Checks: the clip's range and the optimizer's layout are checked when the
 buffers are built, and again only for other parameters or another clip.
-Each step checks its target shape, and `apply_gradients` the optimizer's
-layout. Labels are range-checked where they come in (`one_hot`,
-`pretrain_ce`, a plain `sgd_step`); a run's steps pass `validated=True`.
+Each step checks its labels' range or its target shape, and
+`apply_gradients` the optimizer's layout, so a step checks it once.
 
 Exact substitutions: a step gives the bits of the plain numpy formulas
 (`np.clip`, `np.sum`, one-hot rows by zeros and scatter, fresh gradient
 arrays joined by a concatenate). A result written with `out=`, or a softmax
-taken in place over its logits, holds what a fresh array would, and a 0-d
-float64 array is the same operand as a Python float. One-hot rows are taken
-from a cached identity (the same 0.0 and 1.0 entries), and a step's negated
-targets from its negation. The loss weighs `log(clipped)` by the negated
+taken in place over its logits, holds what a fresh array would. One-hot rows
+are taken from a cached identity (the same 0.0 and 1.0 entries), and a
+step's negated targets from its negation. The loss weighs `log(clipped)` by the negated
 targets, the bits of `-log(clipped)` weighed by the targets (a product's
 sign is the exclusive or of its factors'). The clip is
 `minimum(maximum(p, clip), 1 - clip)`, `np.clip`'s own formula for a
@@ -131,7 +130,7 @@ def init_params(arch: Architecture, seed: int) -> ClassifierParams:
 
 
 class _Scratch:
-    """What the stages of one step on n rows write into with `out=`, and the step's constants.
+    """The arrays that the stages of one step on n rows write into with `out=`.
 
     probs holds the logits and then, in place, their softmax; col (n, 1) holds
     a row's max, then its sum, then the logit gradient's inner product. pre,
@@ -140,38 +139,20 @@ class _Scratch:
     entries as one vector, and ones, a vector of as many ones), mask, within
     and dprobs are `_clipped_dprobs`'s; mixture, dmixed (the gradient pulled
     back through the channel) and the (K, K) dphi are the composed step's.
-    low and high are the clip's bounds and count the row count n, as 0-d
-    float64 arrays, which numpy reads faster than Python numbers (`_fresh`
-    gives Python numbers); neg_eye is `_neg_eye(K)`. `_FRESH` holds None in
-    every slot, so that numpy allocates each result.
+    `_FRESH` holds None in every slot, so that numpy allocates each result.
     """
 
     __slots__ = (
         "probs", "col", "pre", "hidden", "gate", "dpre", "clipped", "mask", "within",
         "dprobs", "dlogits", "mixture", "dmixed", "flat", "ones", "dphi",
-        "low", "high", "count", "neg_eye",
     )
 
-    def __init__(self, **values) -> None:
+    def __init__(self, **arrays: np.ndarray) -> None:
         for name in self.__slots__:
-            setattr(self, name, values.get(name))
+            setattr(self, name, arrays.get(name))
 
 
 _FRESH = _Scratch()
-
-
-def _fresh(clip: float, n: int) -> _Scratch:
-    """A scratch with no arrays, so that numpy allocates each result, for n rows at this clip."""
-    return _Scratch(low=clip, high=1.0 - clip, count=n)
-
-
-def _constant(value: float) -> np.ndarray:
-    constant = np.array(value)
-    constant.flags.writeable = False
-    return constant
-
-
-_ZERO, _ONE = _constant(0.0), _constant(1.0)
 
 
 class _StepBuffers:
@@ -203,10 +184,7 @@ class _StepBuffers:
             self.rows = rows
             self.by_rows.clear()
         views = {name: a[: n * k if a.ndim == 1 else n] for name, a in self.rows.items()}
-        scratch = self.by_rows[n] = _Scratch(
-            **views, dphi=np.empty((k, k)), low=_constant(self.clip),
-            high=_constant(1.0 - self.clip), count=_constant(float(n)), neg_eye=_neg_eye(k),
-        )
+        scratch = self.by_rows[n] = _Scratch(**views, dphi=np.empty((k, k)))
         return scratch
 
 
@@ -262,7 +240,7 @@ def _forward(
         pre = _product(features, t["w1"], scratch.pre)
         pre += t["b1"]
         if params.arch.activation == "relu":
-            hidden = np.maximum(pre, _ZERO, out=scratch.hidden)
+            hidden = np.maximum(pre, 0.0, out=scratch.hidden)
         else:
             hidden = np.tanh(pre, out=scratch.hidden)
         logits = _product(hidden, t["w2"], scratch.probs)
@@ -288,24 +266,23 @@ def _check_clip(clip: float) -> None:
 
 
 def _clipped_dprobs(
-    probs: np.ndarray, neg: np.ndarray, scratch: _Scratch
+    probs: np.ndarray, neg: np.ndarray, clip: float, scratch: _Scratch = _FRESH
 ) -> tuple[np.ndarray, np.ndarray]:
     """The clipped probabilities and the probability gradient of `soft_target_cross_entropy`.
 
-    neg holds the negated target weights. scratch gives the checked clip's
-    bounds and the row count (see `_fresh`) and takes the results.
+    neg holds the negated target weights and clip is checked; the results are scratch's.
     """
     if probs.shape != neg.shape:
         raise ParameterError("probs and target_weights must have the same shape")
-    low, high = scratch.low, scratch.high
-    clipped = np.maximum(probs, low, out=scratch.clipped)
+    high = 1.0 - clip
+    clipped = np.maximum(probs, clip, out=scratch.clipped)
     np.minimum(clipped, high, out=clipped)
-    outside = np.greater(probs, low, out=scratch.mask)
+    outside = np.greater(probs, clip, out=scratch.mask)
     outside &= np.less(probs, high, out=scratch.within)
     np.logical_not(outside, out=outside)
     dprobs = np.divide(neg, clipped, out=scratch.dprobs)
-    np.divide(dprobs, scratch.count, out=dprobs)
-    np.copyto(dprobs, _ZERO, where=outside)
+    np.divide(dprobs, probs.shape[0], out=dprobs)
+    np.copyto(dprobs, 0.0, where=outside)
     return clipped, dprobs
 
 
@@ -330,7 +307,7 @@ def soft_target_cross_entropy(
     """
     _check_clip(clip)
     neg = np.negative(target_weights, dtype=np.float64)
-    clipped, dprobs = _clipped_dprobs(probs, neg, _fresh(clip, len(probs)))
+    clipped, dprobs = _clipped_dprobs(probs, neg, clip)
     return _clipped_loss(clipped, neg), dprobs
 
 
@@ -394,10 +371,10 @@ def backprop_logits(
     pre, hidden = cache
     dpre = _product(dlogits, params.tensors["w2"].T, scratch.dpre)
     if params.arch.activation == "relu":
-        np.multiply(dpre, np.greater(pre, _ZERO, out=scratch.gate), out=dpre)
+        np.multiply(dpre, np.greater(pre, 0.0, out=scratch.gate), out=dpre)
     else:
         slope = np.square(hidden, out=scratch.gate)
-        np.subtract(_ONE, slope, out=slope)
+        np.subtract(1.0, slope, out=slope)
         np.multiply(dpre, slope, out=dpre)
     _product(features.T, dpre, out["w1"])
     np.add.reduce(dpre, axis=0, out=out["b1"])
@@ -473,6 +450,38 @@ def apply_gradients(params: ClassifierParams, opt: OptimizerState) -> None:
     params.flat -= grad
 
 
+def _gradients(
+    params: ClassifierParams,
+    features: np.ndarray,
+    neg: np.ndarray,
+    clip: float,
+    out: Mapping[str, np.ndarray],
+    scratch: _Scratch = _FRESH,
+    forward: tuple[np.ndarray, tuple] | None = None,
+    phi: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Parameter gradients of the clipped log-loss of negated targets neg, into out.
+
+    The loss scores the class probabilities, or with a channel phi their
+    mixture probs @ phi. Returns the clipped scored probabilities, from which
+    `_clipped_loss` takes the loss, and the gradient with respect to phi (None
+    without one). forward, when given, is `_forward(params, features)`,
+    reused instead of recomputed; clip is checked; the arrays are scratch's.
+    """
+    probs, cache = _forward(params, features, scratch) if forward is None else forward
+    if phi is None:
+        clipped, dprobs = _clipped_dprobs(probs, neg, clip, scratch)
+        dphi = None
+    else:
+        mixture = _product(probs, phi, scratch.mixture)
+        clipped, dmix = _clipped_dprobs(mixture, neg, clip, scratch)
+        dprobs = _product(dmix, phi.T, scratch.dmixed)
+        dphi = _product(probs.T, dmix, scratch.dphi)
+    dlogits = dlogits_from_dprobs(probs, dprobs, scratch)
+    backprop_logits(params, features, cache, dlogits, out, scratch)
+    return clipped, dphi
+
+
 def loss_and_grads(
     params: ClassifierParams,
     features: np.ndarray,
@@ -488,10 +497,47 @@ def loss_and_grads(
     """
     _check_clip(clip)
     neg = np.negative(target_weights, dtype=np.float64)
-    probs, cache = _forward(params, features) if forward is None else forward
-    clipped, dprobs = _clipped_dprobs(probs, neg, _fresh(clip, len(probs)))
-    backprop_logits(params, features, cache, dlogits_from_dprobs(probs, dprobs), out)
+    clipped, _ = _gradients(params, features, neg, clip, out, forward=forward)
     return _clipped_loss(clipped, neg)
+
+
+def _composed_loss_grads(
+    params: ClassifierParams,
+    features: np.ndarray,
+    observed: np.ndarray,
+    phi: np.ndarray,
+    clip: float,
+    out: Mapping[str, np.ndarray],
+    opt: OptimizerState | None = None,
+) -> tuple[float, np.ndarray]:
+    """Clipped log-loss of the channel-mixed prediction q = probs @ phi, on observed labels.
+
+    The classifier gradients go into out (see `backprop_logits`); returns
+    (loss, gradient with respect to phi). phi is a K x K float64 matrix; its
+    three products go through `_product`, which gives `np.matmul`'s bits.
+    With opt, every stage writes into opt's step buffers (see `_scratch`),
+    the returned gradient too, which lives until opt's next step; without,
+    into fresh arrays. `trainers._composed_step` takes its step from here.
+    """
+    labels = _checked_labels(observed, phi.shape[1])
+    if opt is None:
+        _check_clip(clip)
+        scratch = _FRESH
+    else:
+        scratch = _scratch(params, opt, features.shape[0], clip)
+    neg = _neg_eye(phi.shape[1]).take(labels, axis=0)
+    clipped, dphi = _gradients(params, features, neg, clip, out, scratch, phi=phi)
+    return _clipped_loss(clipped, neg), dphi
+
+
+def _buffered_forward(
+    params: ClassifierParams, opt: OptimizerState, features: np.ndarray, clip: float
+) -> tuple[np.ndarray, tuple]:
+    """`_forward` into opt's step buffers, for a step of params at this clip to reuse.
+
+    The arrays live until opt's next step.
+    """
+    return _forward(params, features, _scratch(params, opt, features.shape[0], clip))
 
 
 def _step(
@@ -514,14 +560,11 @@ def _step(
     -ln(clip) < 745, so their sum and the loss are finite.
     """
     scratch = _scratch(params, opt, features.shape[0], clip)
-    probs, cache = _forward(params, features, scratch) if forward is None else forward
     if hard:
-        neg = scratch.neg_eye.take(targets, axis=0)
+        neg = _neg_eye(params.arch.n_classes).take(targets, axis=0)
     else:
         neg = np.negative(targets, dtype=np.float64)
-    clipped, dprobs = _clipped_dprobs(probs, neg, scratch)
-    dlogits = dlogits_from_dprobs(probs, dprobs, scratch)
-    backprop_logits(params, features, cache, dlogits, opt.grads, scratch)
+    clipped, _ = _gradients(params, features, neg, clip, opt.grads, scratch, forward)
     # The dot product of the clipped entries with ones is their sum, in some order.
     vouched = hard and clipped.shape[0] and math.isfinite(scratch.flat.dot(scratch.ones))
     if not vouched and not math.isfinite(_clipped_loss(clipped, neg)):
@@ -537,16 +580,9 @@ def sgd_step(
     clip: float,
     *,
     forward: tuple[np.ndarray, tuple] | None = None,
-    validated: bool = False,
 ) -> None:
-    """One minibatch step of clipped cross-entropy on hard labels; forward as in loss_and_grads.
-
-    validated says that the labels are an integer array already known to lie
-    in [0, n_classes), as a run's are (see `trainers._fit`), so the step does
-    not check them again.
-    """
-    if not validated:
-        labels = _checked_labels(labels, params.arch.n_classes)
+    """One minibatch step of clipped cross-entropy on hard labels; forward as in loss_and_grads."""
+    labels = _checked_labels(labels, params.arch.n_classes)
     _step(params, opt, features, labels, clip, forward, True)
 
 
@@ -591,15 +627,13 @@ def pretrain_ce(
     """Fit the classifier to the observed labels by epochs of hard-label SGD steps.
 
     Each epoch is one pass of `epoch_batches` in the order of one
-    `rng.permutation(n)`, the loop the trainers share. The labels are
-    range-checked once, before the first step.
+    `rng.permutation(n)`, the loop the trainers share.
     """
-    labels = _checked_labels(labels, params.arch.n_classes)
     for _epoch in range(epochs):
         order = rng.permutation(features.shape[0])
         batches = epoch_batches(order, features[order], labels[order], batch_size)
         for _, batch_features, batch_labels in batches:
-            sgd_step(params, opt, batch_features, batch_labels, clip, validated=True)
+            sgd_step(params, opt, batch_features, batch_labels, clip)
 
 
 def save_checkpoint(params: ClassifierParams, path: str | Path) -> None:

@@ -34,18 +34,10 @@ from .classifier import (
     Architecture,
     ClassifierParams,
     OptimizerState,
-    _clipped_dprobs,
-    _clipped_loss,
-    _forward,
-    _fresh,
-    _neg_eye,
-    _product,
-    _Scratch,
-    _scratch,
+    _buffered_forward,
+    _composed_loss_grads,
     _softmax as _row_softmax,
     apply_gradients,
-    backprop_logits,
-    dlogits_from_dprobs,
     epoch_batches,
     forward_proba,
     init_optimizer,
@@ -261,8 +253,7 @@ class _Run:
 
     def forward(self, features: np.ndarray) -> tuple[np.ndarray, tuple]:
         """The classifier's forward pass of a batch, into the optimizer's step buffers."""
-        scratch = _scratch(self.params, self.opt, features.shape[0], self.clip)
-        return _forward(self.params, features, scratch)
+        return _buffered_forward(self.params, self.opt, features, self.clip)
 
 
 @dataclass
@@ -278,9 +269,7 @@ class _Hooks:
     them. epoch_start(order, observed) runs before every epoch with the
     epoch's order of the rows and their observed labels; record() gives the
     extra fields of each train record; final_phi() gives the run's
-    transition estimate. The run has validated the observed labels, and a
-    latent kind's Gibbs chain its latent ones, so a hook's hard-label steps
-    pass `validated=True`.
+    transition estimate.
     """
 
     batch: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[float, float] | None]
@@ -304,8 +293,7 @@ def _fit(
     (extra_class adds one more output), test records the true labels of
     in-distribution samples; each train record carries the largest batch
     variation since the previous eval. The one-hot targets and test rows
-    that every eval scores are built once, before anything trains, which
-    range-checks the observed labels once for the run.
+    that every eval scores are built once, before anything trains.
     """
     ss_init, ss_data, ss_gibbs = np.random.SeedSequence(cfg.seed).spawn(3)
     data_rng, gibbs_rng = np.random.default_rng(ss_data), np.random.default_rng(ss_gibbs)
@@ -391,7 +379,7 @@ def _train_bootstrap(
         table = _bootstrap_table(beta, k)
 
         def hard(idx: np.ndarray, features: np.ndarray, observed: np.ndarray) -> None:
-            sgd_step(run.params, run.opt, features, observed, run.clip, validated=True)
+            sgd_step(run.params, run.opt, features, observed, run.clip)
 
         def blended(idx: np.ndarray, features: np.ndarray, observed: np.ndarray) -> None:
             forward = run.forward(features)
@@ -417,37 +405,6 @@ def _bootstrap_table(beta: float, k: int) -> np.ndarray:
     return table
 
 
-def _composed_loss_grads(
-    params: ClassifierParams,
-    features: np.ndarray,
-    observed: np.ndarray,
-    phi: np.ndarray,
-    clip: float,
-    out: Mapping[str, np.ndarray],
-    scratch: _Scratch | None = None,
-) -> tuple[float, np.ndarray]:
-    """Clipped log-loss of the channel-mixed prediction q = probs @ phi.
-
-    The classifier gradients go into out (see `backprop_logits`); returns
-    (loss, gradient with respect to phi). phi is a K x K float64 matrix;
-    its three products go through `_product`, which gives `np.matmul`'s
-    bits. observed holds labels in [0, K) and clip lies in (0, 0.5), both
-    as a run checked them. Every stage writes into scratch (see
-    `classifier._Scratch`), the returned gradient too; without one, into
-    fresh arrays.
-    """
-    if scratch is None:
-        scratch = _fresh(clip, features.shape[0])
-    probs, cache = _forward(params, features, scratch)
-    mixture = _product(probs, phi, scratch.mixture)
-    neg = _neg_eye(phi.shape[1]).take(observed, axis=0)
-    clipped, dmix = _clipped_dprobs(mixture, neg, scratch)
-    dlogits = dlogits_from_dprobs(probs, _product(dmix, phi.T, scratch.dmixed), scratch)
-    backprop_logits(params, features, cache, dlogits, out, scratch)
-    dphi = _product(probs.T, dmix, scratch.dphi)
-    return _clipped_loss(clipped, neg), dphi
-
-
 def _composed_step(
     run: _Run, features: np.ndarray, observed: np.ndarray, phi: np.ndarray
 ) -> np.ndarray:
@@ -455,9 +412,8 @@ def _composed_step(
 
     The gradient lives in the optimizer's step buffers until the next step.
     """
-    scratch = _scratch(run.params, run.opt, features.shape[0], run.clip)
     loss, dphi = _composed_loss_grads(
-        run.params, features, observed, phi, run.clip, run.opt.grads, scratch
+        run.params, features, observed, phi, run.clip, run.opt.grads, run.opt
     )
     if not math.isfinite(loss):
         raise TrainingError("non-finite training loss")
@@ -653,10 +609,7 @@ def _train_latent(
                 anneal = _anneal(cfg.anneal, run.iteration, run.total)
                 if chain.step(probs, warmup, anneal):
                     moved = chain.certify()
-            sgd_step(
-                run.params, run.opt, features, labels[idx], run.clip,
-                forward=forward, validated=True,
-            )
+            sgd_step(run.params, run.opt, features, labels[idx], run.clip, forward=forward)
             return moved
 
         return _Hooks(batch, epoch_start, record, current_phi)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -192,6 +193,24 @@ def test_apply_gradients_steps_a_finite_gradient_whose_sum_overflows():
         assert flat.tobytes() == np.concatenate([p.ravel() for p in parts.values()]).tobytes()
 
 
+def test_apply_gradients_warns_of_an_inf_beside_a_minus_inf_and_changes_nothing():
+    # Their scaled sum is NaN, which numpy reports as an invalid value unless,
+    # as in run_trainer, its errstate ignores that; the step aborts either way.
+    params, _, _ = make_instance("mlp")
+    opt = init_optimizer(params, learning_rate=0.1, momentum=0.9, weight_decay=0.1)
+    opt.grads["w1"][0, 0], opt.grads["b2"][1] = np.inf, -np.inf
+    before = params.flat.copy()
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        with pytest.raises(TrainingError, match="'w1'"):
+            apply_gradients(params, opt)
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingError, match="'w1'"):
+            apply_gradients(params, opt)
+    assert params.flat.tobytes() == before.tobytes()
+    assert not opt.velocity.any()
+
+
 def test_a_step_checks_the_optimizer_once(monkeypatch):
     # Once when the step buffers are built, then once per step, in apply_gradients.
     calls = []
@@ -207,7 +226,7 @@ def test_a_step_checks_the_optimizer_once(monkeypatch):
 def test_steps_recheck_what_their_buffers_were_built_for():
     # The clip and the optimizer's layout are checked when the step buffers are
     # built, and the buffers are built again for another clip or other
-    # parameters; target shapes and plain labels are checked at every step.
+    # parameters; target shapes and labels are checked at every step.
     params, features, labels = make_instance("mlp", "tanh", n=8)
     opt = init_optimizer(params, 0.1, 0.9, 0.1)
     sgd_step(params, opt, features, labels, CLIP)
@@ -223,11 +242,18 @@ def test_steps_recheck_what_their_buffers_were_built_for():
         # A row that numpy would broadcast over the batch is refused too.
         ("same shape", lambda: sgd_step_soft(params, opt, features, one_hot([1], 3), CLIP)),
     ]
+    # The composed loss checks its clip itself when it has no optimizer's buffers.
+    composed = partial(_composed_loss_grads, params, features, phi=np.eye(3), out=opt.grads)
+    refused += [("clip", lambda clip=clip: composed(labels, clip=clip)) for clip in (0.5, math.nan)]
     for bad in (np.full(8, -1), np.full(8, 3)):
         refused += [
             ("labels out of range", lambda bad=bad: sgd_step(params, opt, features, bad, CLIP)),
             ("labels out of range",
              lambda bad=bad: pretrain_ce(params, opt, features, bad, 1, 4, CLIP, rng)),
+            ("labels out of range", lambda bad=bad: composed(bad, clip=CLIP)),
+            ("labels out of range",
+             lambda bad=bad: _composed_step(_composed_run(params, opt, CLIP), features, bad,
+                                            np.eye(3))),
         ]
     for message, step in refused:
         with pytest.raises(ParameterError, match=message):
@@ -543,7 +569,7 @@ def _composed_run(params, opt, clip):
     activation=st.sampled_from(["relu", "tanh"]),
     k=st.integers(2, 9),
     n=st.integers(1, 45),
-    batch=st.integers(1, 16),
+    batch=st.integers(1, 45),
     seed=st.integers(0, 2**16),
     scale=st.sampled_from([1.0, 30.0, 1e3]),
     clip_edge=st.booleans(),
@@ -556,16 +582,20 @@ def test_in_place_steps_match_the_replaced_step_bit_for_bit(
     kind, activation, k, n, batch, seed, scale, clip_edge, weight_decay, momentum, steps
 ):
     # One epoch of n rows in batches of `batch` (the last one short when batch
-    # does not divide n), then a full batch again, so that the optimizer's step
-    # buffers serve batches of both sizes; the batches take the steps in turn.
+    # does not divide n; one batch of all n rows when batch >= n), then a full
+    # batch again, so that the optimizer's step buffers serve batches of both
+    # sizes. The steps take the batches in turn, wrapping round the batches
+    # until every drawn step has run once.
     # scale 1e3 saturates probabilities to exactly 0.0 and 1.0; 1.0 - 1e-20 is 1.0,
     # so a saturated 1.0 sits on the upper clip edge. clip_edge moves the lower
-    # edge onto the smallest positive probability.
+    # edge onto the first batch's smallest positive probability.
     params, features, labels = make_instance(kind, activation, n=n, k=k, seed=seed)
     features = features * scale
+    rows = [slice(start, start + batch) for start in range(0, n, batch)]
+    rows.append(slice(0, batch))
     clip = 1e-20
     if clip_edge:
-        probs, _ = _ref_forward(params, features)
+        probs, _ = _ref_forward(params, features[rows[0]])
         positive = probs[(probs > 0.0) & (probs < 0.5)]
         if positive.size:
             clip = float(positive.min())
@@ -579,10 +609,8 @@ def test_in_place_steps_match_the_replaced_step_bit_for_bit(
     phi = rng.dirichlet(np.ones(k) * 0.5, size=k)
     run = _composed_run(params, opt, clip)
     hard = _ref_one_hot(labels, k)
-    rows = [slice(start, start + batch) for start in range(0, n, batch)]
-    rows.append(slice(0, batch))
-    for i, row in enumerate(rows):
-        step = steps[i % len(steps)]
+    for i in range(max(len(rows), len(steps))):
+        row, step = rows[i % len(rows)], steps[i % len(steps)]
         x, y = features[row], labels[row]
         targets = {"hard": hard, "soft": weights, "composed": hard}[step][row]
         # The steps return no loss; it is read off the same loss path on a copy first.
