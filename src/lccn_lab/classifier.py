@@ -23,9 +23,10 @@ Each step checks its labels' range or its target shape, and
 Exact substitutions: a step gives the bits of the plain numpy formulas
 (`np.clip`, `np.sum`, one-hot rows by zeros and scatter, fresh gradient
 arrays joined by a concatenate). A result written with `out=`, or a softmax
-taken in place over its logits, holds what a fresh array would. One-hot rows
-are taken from a cached identity (the same 0.0 and 1.0 entries), and a
-step's negated targets from its negation. The loss weighs `log(clipped)` by the negated
+taken in place over its logits, holds what a fresh array would, and a 0-d
+float64 operand (`_bounds`, `_ZERO`, `_ONE`) is the same operand as the
+Python float it holds. One-hot rows are taken from a cached identity (the
+same 0.0 and 1.0 entries), and a step's negated targets from its negation. The loss weighs `log(clipped)` by the negated
 targets, the bits of `-log(clipped)` weighed by the targets (a product's
 sign is the exclusive or of its factors'). The clip is
 `minimum(maximum(p, clip), 1 - clip)`, `np.clip`'s own formula for a
@@ -138,13 +139,14 @@ class _Scratch:
     the hidden layer's, None for a linear model. clipped (with flat, its
     entries as one vector, and ones, a vector of as many ones), mask, within
     and dprobs are `_clipped_dprobs`'s; mixture, dmixed (the gradient pulled
-    back through the channel) and the (K, K) dphi are the composed step's.
-    `_FRESH` holds None in every slot, so that numpy allocates each result.
+    back through the channel) and the (K, K) dphi are the composed step's;
+    bounds is `_bounds` of the step's clip and n. `_FRESH` holds None in
+    every slot, so that numpy allocates each result.
     """
 
     __slots__ = (
         "probs", "col", "pre", "hidden", "gate", "dpre", "clipped", "mask", "within",
-        "dprobs", "dlogits", "mixture", "dmixed", "flat", "ones", "dphi",
+        "dprobs", "dlogits", "mixture", "dmixed", "flat", "ones", "dphi", "bounds",
     )
 
     def __init__(self, **arrays: np.ndarray) -> None:
@@ -153,6 +155,18 @@ class _Scratch:
 
 
 _FRESH = _Scratch()
+# 0-d operands, which numpy reads faster than Python floats (see `_bounds`).
+_ZERO, _ONE = np.zeros(()), np.ones(())
+_ZERO.flags.writeable = _ONE.flags.writeable = False
+
+
+def _bounds(clip: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A clip's bounds clip and 1 - clip and a row count n, as 0-d float64 arrays.
+
+    numpy reads a 0-d operand about 0.1 us faster than a Python number, and
+    gives the same bits; a step reads each of these once or twice.
+    """
+    return np.array(clip), np.array(1.0 - clip), np.array(float(n))
 
 
 class _StepBuffers:
@@ -184,7 +198,9 @@ class _StepBuffers:
             self.rows = rows
             self.by_rows.clear()
         views = {name: a[: n * k if a.ndim == 1 else n] for name, a in self.rows.items()}
-        scratch = self.by_rows[n] = _Scratch(**views, dphi=np.empty((k, k)))
+        scratch = self.by_rows[n] = _Scratch(
+            **views, dphi=np.empty((k, k)), bounds=_bounds(self.clip, n)
+        )
         return scratch
 
 
@@ -240,7 +256,7 @@ def _forward(
         pre = _product(features, t["w1"], scratch.pre)
         pre += t["b1"]
         if params.arch.activation == "relu":
-            hidden = np.maximum(pre, 0.0, out=scratch.hidden)
+            hidden = np.maximum(pre, _ZERO, out=scratch.hidden)
         else:
             hidden = np.tanh(pre, out=scratch.hidden)
         logits = _product(hidden, t["w2"], scratch.probs)
@@ -266,23 +282,24 @@ def _check_clip(clip: float) -> None:
 
 
 def _clipped_dprobs(
-    probs: np.ndarray, neg: np.ndarray, clip: float, scratch: _Scratch = _FRESH
+    probs: np.ndarray, neg: np.ndarray, bounds: tuple, scratch: _Scratch = _FRESH
 ) -> tuple[np.ndarray, np.ndarray]:
     """The clipped probabilities and the probability gradient of `soft_target_cross_entropy`.
 
-    neg holds the negated target weights and clip is checked; the results are scratch's.
+    neg holds the negated target weights and bounds is `_bounds` of a
+    checked clip and probs' row count; the results are scratch's.
     """
     if probs.shape != neg.shape:
         raise ParameterError("probs and target_weights must have the same shape")
-    high = 1.0 - clip
-    clipped = np.maximum(probs, clip, out=scratch.clipped)
+    low, high, count = bounds
+    clipped = np.maximum(probs, low, out=scratch.clipped)
     np.minimum(clipped, high, out=clipped)
-    outside = np.greater(probs, clip, out=scratch.mask)
+    outside = np.greater(probs, low, out=scratch.mask)
     outside &= np.less(probs, high, out=scratch.within)
     np.logical_not(outside, out=outside)
     dprobs = np.divide(neg, clipped, out=scratch.dprobs)
-    np.divide(dprobs, probs.shape[0], out=dprobs)
-    np.copyto(dprobs, 0.0, where=outside)
+    np.divide(dprobs, count, out=dprobs)
+    np.copyto(dprobs, _ZERO, where=outside)
     return clipped, dprobs
 
 
@@ -307,7 +324,7 @@ def soft_target_cross_entropy(
     """
     _check_clip(clip)
     neg = np.negative(target_weights, dtype=np.float64)
-    clipped, dprobs = _clipped_dprobs(probs, neg, clip)
+    clipped, dprobs = _clipped_dprobs(probs, neg, _bounds(clip, len(probs)))
     return _clipped_loss(clipped, neg), dprobs
 
 
@@ -371,10 +388,10 @@ def backprop_logits(
     pre, hidden = cache
     dpre = _product(dlogits, params.tensors["w2"].T, scratch.dpre)
     if params.arch.activation == "relu":
-        np.multiply(dpre, np.greater(pre, 0.0, out=scratch.gate), out=dpre)
+        np.multiply(dpre, np.greater(pre, _ZERO, out=scratch.gate), out=dpre)
     else:
         slope = np.square(hidden, out=scratch.gate)
-        np.subtract(1.0, slope, out=slope)
+        np.subtract(_ONE, slope, out=slope)
         np.multiply(dpre, slope, out=dpre)
     _product(features.T, dpre, out["w1"])
     np.add.reduce(dpre, axis=0, out=out["b1"])
@@ -454,7 +471,7 @@ def _gradients(
     params: ClassifierParams,
     features: np.ndarray,
     neg: np.ndarray,
-    clip: float,
+    bounds: tuple,
     out: Mapping[str, np.ndarray],
     scratch: _Scratch = _FRESH,
     forward: tuple[np.ndarray, tuple] | None = None,
@@ -466,15 +483,16 @@ def _gradients(
     mixture probs @ phi. Returns the clipped scored probabilities, from which
     `_clipped_loss` takes the loss, and the gradient with respect to phi (None
     without one). forward, when given, is `_forward(params, features)`,
-    reused instead of recomputed; clip is checked; the arrays are scratch's.
+    reused instead of recomputed; bounds is as in `_clipped_dprobs`; the
+    arrays are scratch's.
     """
     probs, cache = _forward(params, features, scratch) if forward is None else forward
     if phi is None:
-        clipped, dprobs = _clipped_dprobs(probs, neg, clip, scratch)
+        clipped, dprobs = _clipped_dprobs(probs, neg, bounds, scratch)
         dphi = None
     else:
         mixture = _product(probs, phi, scratch.mixture)
-        clipped, dmix = _clipped_dprobs(mixture, neg, clip, scratch)
+        clipped, dmix = _clipped_dprobs(mixture, neg, bounds, scratch)
         dprobs = _product(dmix, phi.T, scratch.dmixed)
         dphi = _product(probs.T, dmix, scratch.dphi)
     dlogits = dlogits_from_dprobs(probs, dprobs, scratch)
@@ -497,7 +515,8 @@ def loss_and_grads(
     """
     _check_clip(clip)
     neg = np.negative(target_weights, dtype=np.float64)
-    clipped, _ = _gradients(params, features, neg, clip, out, forward=forward)
+    bounds = _bounds(clip, features.shape[0])
+    clipped, _ = _gradients(params, features, neg, bounds, out, forward=forward)
     return _clipped_loss(clipped, neg)
 
 
@@ -522,11 +541,12 @@ def _composed_loss_grads(
     labels = _checked_labels(observed, phi.shape[1])
     if opt is None:
         _check_clip(clip)
-        scratch = _FRESH
+        scratch, bounds = _FRESH, _bounds(clip, features.shape[0])
     else:
         scratch = _scratch(params, opt, features.shape[0], clip)
+        bounds = scratch.bounds
     neg = _neg_eye(phi.shape[1]).take(labels, axis=0)
-    clipped, dphi = _gradients(params, features, neg, clip, out, scratch, phi=phi)
+    clipped, dphi = _gradients(params, features, neg, bounds, out, scratch, phi=phi)
     return _clipped_loss(clipped, neg), dphi
 
 
@@ -564,7 +584,7 @@ def _step(
         neg = _neg_eye(params.arch.n_classes).take(targets, axis=0)
     else:
         neg = np.negative(targets, dtype=np.float64)
-    clipped, _ = _gradients(params, features, neg, clip, opt.grads, scratch, forward)
+    clipped, _ = _gradients(params, features, neg, scratch.bounds, opt.grads, scratch, forward)
     # The dot product of the clipped entries with ones is their sum, in some order.
     vouched = hard and clipped.shape[0] and math.isfinite(scratch.flat.dot(scratch.ones))
     if not vouched and not math.isfinite(_clipped_loss(clipped, neg)):
