@@ -26,9 +26,10 @@ arrays joined by a concatenate). A result written with `out=`, or a softmax
 taken in place over its logits, holds what a fresh array would, and a 0-d
 float64 operand (`_bounds`, `_ZERO`, `_ONE`) is the same operand as the
 Python float it holds. One-hot rows are taken from a cached identity (the
-same 0.0 and 1.0 entries), and a step's negated targets from its negation. The loss weighs `log(clipped)` by the negated
-targets, the bits of `-log(clipped)` weighed by the targets (a product's
-sign is the exclusive or of its factors'). The clip is
+same 0.0 and 1.0 entries), and a step's negated targets from its negation.
+The loss weighs `log(clipped)` by the negated targets, the bits of
+`-log(clipped)` weighed by the targets (a product's sign is the exclusive or
+of its factors'). The clip is
 `minimum(maximum(p, clip), 1 - clip)`, `np.clip`'s own formula for a
 positive clip, and `copyto(where=)` zeroes the gradient outside it as
 `np.where` did; `np.add.reduce` and `np.maximum.reduce` are what `np.sum`,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
