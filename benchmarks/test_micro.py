@@ -24,8 +24,11 @@ labels, so that a few percent of draws move, most batches keep every label
 epoch, planned once by the batch that starts it, and most draws find their
 channel cached by an earlier batch. `test_chain_moves` steps Dirichlet(0.7)
 batches instead, whose draws mostly move, so that each move refreshes the
-kept channels; `test_chain_certify` gives `test_update_bound_settled`'s
-certificate as the chain computes it.
+kept channels. Both chain benchmarks also run at K=5 with a batch of 32
+(lccn_star's latent classes on the ordering bundle) and at K=8 with 16,
+where each draw sums its scores in numpy's pairwise order.
+`test_chain_certify` gives `test_update_bound_settled`'s certificate as the
+chain computes it.
 """
 
 import itertools
@@ -125,6 +128,9 @@ def test_apply_gradients(benchmark, shape):
     benchmark(apply_gradients, params, opt)
 
 
+CHAIN_SHAPES = [(3, 8), (4, 32), (5, 32), (8, 16)]
+
+
 def _chain(k: int, n: int, seed: int = 0):
     """A latent-label chain over n samples with K=k, started from the observed labels."""
     rng = np.random.default_rng(seed)
@@ -177,7 +183,7 @@ def test_gibbs_sample_batch_settled(benchmark, k, batch):
     benchmark(gibbs_sample_batch, probs, observed[idx], counts, prior, labels, idx, rng)
 
 
-@pytest.mark.parametrize("k,batch", [(3, 8), (4, 32)])
+@pytest.mark.parametrize("k,batch", CHAIN_SHAPES)
 def test_gibbs_sample_batch_chain(benchmark, k, batch):
     """Consecutive settled batches that walk one `GibbsChain`, as the latent trainers do."""
     n = 1000 // batch * batch
@@ -194,7 +200,7 @@ def test_gibbs_sample_batch_chain(benchmark, k, batch):
     benchmark(next_batch)
 
 
-@pytest.mark.parametrize("k,batch", [(3, 8), (4, 32)])
+@pytest.mark.parametrize("k,batch", CHAIN_SHAPES)
 def test_chain_moves(benchmark, k, batch):
     """One planned batch of Dirichlet(0.7) rows after another: most draws move a label."""
     rng, observed, labels, counts, prior = _chain(k, 1000)

@@ -346,10 +346,13 @@ def _neg_eye(n_classes: int) -> np.ndarray:
 
 
 def _checked_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """labels as an int64 array; ParameterError unless every one lies in [0, n_classes)."""
+    """labels as an int64 array; ParameterError unless every one lies in [0, n_classes).
+
+    Read as uint64, a negative label is at least 2**63, so one `max` checks both ends.
+    """
     labels = np.asarray(labels, dtype=np.int64)
-    listed = labels.tolist()
-    if listed and (min(listed) < 0 or max(listed) >= n_classes):
+    listed = labels.view(np.uint64).tolist()
+    if listed and max(listed) >= n_classes:
         raise ParameterError("labels out of range")
     return labels
 

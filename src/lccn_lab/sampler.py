@@ -16,18 +16,19 @@ trainers' schedule of that exponent is `trainers._anneal`.
 
 `sampling_distribution` is the one-draw reference; its scores come from
 `_scores`. A `GibbsChain` runs the same chain on plain Python floats with
-its own copy of that arithmetic, written out inside its draw loop, and its
-`step` is bit-identical to replaying the reference draw by draw
+its own copy of that arithmetic, the draw kernel, and its `step` is
+bit-identical to replaying the reference draw by draw
 (`np.cumsum`/`np.searchsorted` on its output against one scalar
 `rng.random()` each): the same labels, the same counts and the same
 generator state after the batch. The two score paths share no code, so the
 replay property checks one against the other. A plan draws the uniforms of
 an epoch, a sweep or a batch with one `rng.random(M)` call (the same doubles
-as M scalar calls); each draw builds its score list and sum in the loop and
-walks the CDF with `cumulative += score / norm`. Score sums follow numpy's
-order (see `noise_model`): for fewer than 8 latent classes the loop that
-builds the scores adds them up left to right from 0.0 as it goes, and from
-8 on `_row_sum` sums the list again in numpy's pairwise order.
+as M scalar calls). Each draw is one call of `_draw_kernel(R)`, whose
+source is written out for the R latent classes with no loop: R products,
+their sum and the CDF walk `cumulative += score / norm`. Score sums follow
+numpy's order (see `noise_model`): for fewer than 8 latent classes one
+expression adds the scores up left to right from 0.0, and for 8 or more
+the kernel calls `_row_sum` on them, numpy's pairwise order.
 `gibbs_sample_batch` is one plan and one step of a chain built for one batch.
 
 The count channel `(a + c) / (A + t)` of a draw depends only on its
@@ -48,6 +49,7 @@ column (kept or warmup) once and reuses it until a draw moves a label.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -95,6 +97,50 @@ def _scores(
     if not 0.0 < norm < math.inf:  # also False for NaN
         raise TrainingError(_SCORE_ERROR)
     return scores, norm
+
+
+_DRAW_SOURCE = """\
+def draw(row, channel, u):
+    [{p}] = row
+    [{c}] = channel
+{scores}
+    norm = {norm}
+    if not 0.0 < norm < inf:  # also True for NaN
+        return -1
+    cumulative = 0.0
+{walk}
+    return {last}
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _draw_kernel(n_latent: int):
+    """`draw(row, channel, u)`: the class one chain draw among n_latent classes takes, or -1.
+
+    `_DRAW_SOURCE` written out for n_latent classes, with no loop: class j
+    scores `row[j] * channel[j]`, the scores sum as `_scores` sums them, and
+    the CDF walk takes the first class whose cumulative sum exceeds u, else
+    the last. -1 means the sum is not finite and positive. It is compiled at
+    a chain's first step, as `dataclasses` writes an `__init__`.
+    """
+    js = range(n_latent)
+    s = [f"s{j}" for j in js]
+    source = _DRAW_SOURCE.format(
+        p=", ".join(f"p{j}" for j in js),
+        c=", ".join(f"c{j}" for j in js),
+        scores="\n".join(f"    s{j} = p{j} * c{j}" for j in js),
+        norm=f"_row_sum([{', '.join(s)}])" if n_latent >= _NUMPY_UNROLL else " + ".join(["0.0", *s]),
+        # The last class needs no test: a uniform past every other partial sum takes it.
+        walk="\n".join(
+            f"    cumulative += s{j} / norm\n    if cumulative > u:\n        return {j}"
+            for j in js[:-1]
+        ),
+        last=n_latent - 1,
+    )
+    namespace = {"inf": math.inf, "_row_sum": _row_sum}
+    # A file name per class count keeps each kernel apart in profiles and tracebacks.
+    exec(compile(source, f"<sampler._draw_kernel({n_latent})>", "exec"), namespace)
+    return namespace["draw"]
 
 
 def _check_anneal(anneal: float) -> None:
@@ -217,11 +263,12 @@ class GibbsChain:
         against counts already updated by earlier draws (through its entry of
         `channels`, filled on a miss; the warmup column with `warmup`, or a
         tempered column, replaces it as `_scores` replaces the count
-        channel), draws a new class with its planned uniform and books it. A
-        move writes its label and two count cells and refreshes the two
-        classes it changed in every kept channel; a batch that keeps every
-        label writes nothing. A batch that fails part-way has consumed its
-        whole plan, and its failing draw's removal stays booked.
+        channel) and draws a new class with its planned uniform, both in one
+        call of `_draw_kernel(R)`, and books it. A move writes its label and
+        two count cells and refreshes the two classes it changed in every
+        kept channel; a batch that keeps every label writes nothing. A batch
+        that fails part-way has consumed its whole plan, and its failing
+        draw's removal stays booked.
 
         probs is (M, R), M at most the rows the plan has left; anneal, in
         [0, inf), tempers the channel factor alone. Only these and `warmup`
@@ -249,7 +296,7 @@ class GibbsChain:
         before = self.before = {}
         # Tempered channel columns by (observed label, old label), valid until a label moves.
         tempered = None if anneal == 1.0 else {}
-        wide = n_latent >= _NUMPY_UNROLL
+        draw = _draw_kernel(n_latent)
         moved = False
         for row, (observed, position, u) in zip(probs.tolist(), self.draws[start:stop]):
             old = latent[position]
@@ -275,16 +322,8 @@ class GibbsChain:
                 base, channel = channel, tempered.get(key)
                 if channel is None:
                     channel = tempered[key] = (np.array(base, dtype=np.float64) ** anneal).tolist()
-            # The scores and their sum, as `_scores` gives them.
-            scores = []
-            norm = 0.0
-            for p, c in zip(row, channel):
-                score = p * c
-                scores.append(score)
-                norm += score
-            if wide:
-                norm = _row_sum(scores)
-            if not 0.0 < norm < math.inf:  # also False for NaN
+            new = draw(row, channel, u)
+            if new < 0:
                 # The failing draw's removal stays booked, and no channel holds for it.
                 column = columns[observed]
                 column[old] -= 1
@@ -293,12 +332,6 @@ class GibbsChain:
                 for kept in channels:
                     kept[:] = [None] * n_latent
                 raise TrainingError(_SCORE_ERROR)
-            cumulative = 0.0
-            # Without a break, a uniform at or above the rounded total takes the last class.
-            for new, score in enumerate(scores):
-                cumulative += score / norm
-                if cumulative > u:
-                    break
             if new != old:
                 for r in old, new:
                     if r not in before:

@@ -262,6 +262,37 @@ def test_steps_recheck_what_their_buffers_were_built_for():
         assert opt.velocity.tobytes() == velocity.tobytes(), message
 
 
+INT64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize(
+    "labels,accepted",
+    [
+        (np.array([0, 2, 1], dtype=np.int64), True),
+        (np.array([], dtype=np.int64), True),
+        (np.array([0, -1, 1], dtype=np.int64), False),
+        (np.array([0, 3, 1], dtype=np.int64), False),
+        (np.array([INT64.min]), False),
+        (np.array([INT64.max]), False),
+        (np.array([2, INT64.min, 0]), False),
+        # uint64 labels are cast to int64: 2**64 - 1 becomes -1 and 2**63 int64's minimum.
+        (np.array([0, 2], dtype=np.uint64), True),
+        (np.array([2**64 - 1], dtype=np.uint64), False),
+        (np.array([2**63], dtype=np.uint64), False),
+        (np.array([3], dtype=np.uint64), False),
+    ],
+)
+def test_label_check_refuses_each_end_of_the_range(labels, accepted):
+    # One `max` of the labels read as uint64 refuses the negative ones too.
+    if accepted:
+        checked = classifier._checked_labels(labels, 3)
+        assert checked.dtype == np.int64 and checked.tolist() == labels.tolist()
+        assert one_hot(labels, 3).shape == (labels.size, 3)
+    else:
+        with pytest.raises(ParameterError, match="labels out of range"):
+            classifier._checked_labels(labels, 3)
+
+
 @pytest.mark.parametrize(
     "kind,activation", [("linear", "relu"), ("mlp", "relu"), ("mlp", "tanh")]
 )

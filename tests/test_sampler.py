@@ -21,6 +21,7 @@ from lccn_lab.noise_model import (
 )
 from lccn_lab.sampler import (
     GibbsChain,
+    _draw_kernel,
     _scores,
     exact_posterior_bruteforce,
     gibbs_sample_batch,
@@ -361,6 +362,55 @@ def test_gibbs_batch_cdf_edges_match_searchsorted():
         if np.cumsum(sampling_distribution(r, 0, np.zeros((3, 3), dtype=np.int64), prior))[-1] < 1.0
     )
     assert _one_draw(row.tolist(), np.nextafter(1.0, 0.0)) == 2
+
+
+ROW_KINDS = ("dirichlet", "zeros", "negative_zeros", "all_zero", "nan", "inf", "huge")
+
+
+def _kernel_case(n_latent, row_kind, data):
+    """A probability row of the given kind and a channel column with some zero entries."""
+    row = data.dirichlet(np.full(n_latent, 0.7)).tolist()
+    if row_kind in ("zeros", "negative_zeros"):
+        zero = 0.0 if row_kind == "zeros" else -0.0
+        row = [zero if data.random() < 0.4 else p for p in row]
+    elif row_kind == "all_zero":
+        row = [float(data.choice([0.0, -0.0])) for _ in row]
+    elif row_kind in ("nan", "inf"):
+        row[int(data.integers(n_latent))] = math.nan if row_kind == "nan" else math.inf
+    channel = [c if data.random() < 0.8 else 0.0 for c in data.uniform(0.0, 1.0, n_latent)]
+    if row_kind == "huge":
+        row, channel = [1e308] * n_latent, [1.0] * n_latent
+    return row, channel
+
+
+@pytest.mark.parametrize("n_latent", range(1, 21))
+def test_draw_kernel_matches_scores_and_searchsorted(n_latent):
+    # Below 8 classes the kernel sums left to right, from 8 on through `_row_sum`.
+    # Every uniform at a partial sum takes the next class (side="right"); one at
+    # or past the last partial sum takes the last class.
+    draw = _draw_kernel(n_latent)
+    for seed, row_kind in itertools.product(range(12), ROW_KINDS):
+        row, channel = _kernel_case(n_latent, row_kind, np.random.default_rng(seed))
+        try:
+            scores, norm = _scores(row, 0.0, [], [], 0.0, channel, 1.0)
+        except TrainingError:
+            for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+                assert draw(row, channel, u) == -1, (row_kind, row, channel)
+            continue
+        assert row_kind not in ("all_zero", "nan", "inf")
+        assert row_kind != "huge" or n_latent == 1  # two or more 1e308 scores overflow the sum
+        partial_sums = np.cumsum(np.array(scores) / norm)
+        uniforms = [0.0, np.nextafter(1.0, 0.0)]
+        for total in partial_sums.tolist():
+            uniforms += [np.nextafter(total, -math.inf), total, np.nextafter(total, math.inf)]
+        for u in uniforms:
+            expected = min(int(np.searchsorted(partial_sums, u, side="right")), n_latent - 1)
+            assert draw(row, channel, float(u)) == expected, (row_kind, row, channel, u)
+
+
+def test_draw_kernel_is_built_once_per_class_count():
+    assert _draw_kernel(4) is _draw_kernel(4)
+    assert _draw_kernel(4) is not _draw_kernel(5)
 
 
 def test_gibbs_batch_failure_writes_counts_back():
