@@ -11,7 +11,8 @@ benchmarks fails Tier-1 instead of `scripts/bench.py`. Shapes follow the two ben
 recovery bundle (K=3, 2-d features, linear model, batch 8) and the ordering
 bundle (K=4, 2-d features, MLP-64 tanh, batch 32). The classifier benchmarks
 time the hard-label step (also given a forward pass, as the latent trainers
-call it), the soft-target and composed-channel steps, a forward pass,
+call it, and over a whole ordering epoch, whose last batch is shorter), the
+soft-target and composed-channel steps, a forward pass,
 and the momentum update `apply_gradients` that ends each step. `gibbs_sample_batch` and
 `update_bound` draw Dirichlet(1) probabilities, so nearly every label moves;
 they also run at K=8 with a batch of 16, where their row sums take numpy's
@@ -73,6 +74,25 @@ def test_sgd_step(benchmark, shape):
     opt = init_optimizer(params, learning_rate=0.01)
     features, labels = _batch(arch, batch)
     benchmark(sgd_step, params, opt, features, labels, CLIP)
+
+
+@pytest.mark.parametrize("shape", ["mlp64"])
+def test_sgd_step_epoch(benchmark, shape):
+    """An ordering-bundle epoch of 1,000 rows: 31 steps of 32 rows and one of 8.
+
+    Both row counts step through one optimizer, so both of its scratches are timed.
+    """
+    arch, batch = SHAPES[f"{shape}-tanh-batch32"]
+    params = init_params(arch, 0)
+    opt = init_optimizer(params, learning_rate=0.01)
+    features, labels = _batch(arch, 1000)
+    batches = [(features[i : i + batch], labels[i : i + batch]) for i in range(0, 1000, batch)]
+
+    def epoch():
+        for batch_features, batch_labels in batches:
+            sgd_step(params, opt, batch_features, batch_labels, CLIP)
+
+    benchmark(epoch)
 
 
 @pytest.mark.parametrize("shape", SHAPES)

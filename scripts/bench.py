@@ -10,7 +10,8 @@ In the checkout (this repository by default) it runs `perfbench/run.py`
 untraced on every workload of BENCHMARK.json for each seed, for the
 benchmark's `run_seconds`; then each microbenchmark of
 `benchmarks/test_micro.py` in its own pytest process with `--benchmark-json`;
-then the Tier-1 suite under a timer. `calibration_sample` readings
+then the Tier-1 suite under a timer; and it counts the lines of each
+module of `src/lccn_lab`. `calibration_sample` readings
 (perfbench/calibrate.py) taken just before and after each microbenchmark
 rescale its median to a fixed core speed, `norm_median_us`, with perfbench's
 formula, so that two files compare despite the host's drift. It writes the
@@ -22,12 +23,16 @@ files' `calibration_sample_s`: when the calibration readings of the two files
 differ, the rescale alone can make up most of the calibrated delta. One
 process per node and file cannot tell a change from the host's drift, so only
 `scripts/ab.py --micro` pairs judge a microbenchmark change. The runs go one
-after another, so that none competes with another for a core.
+after another, so that none competes with another for a core. A module's
+`lines` count every line and its `code` only lines that are not blank, not
+a comment and not part of a docstring, so that deleting comments or
+docstrings does not read as less code.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import statistics
@@ -39,6 +44,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MICRO = "benchmarks/test_micro.py"
+SOURCE = "src/lccn_lab"
+# The nodes whose body can open with a docstring.
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 # Readings of `calibration_sample` taken before and again after each microbenchmark.
 CALIBRATION_SAMPLES = 5
 
@@ -136,10 +144,39 @@ def run_tier1(checkout: Path) -> dict:
     return {"seconds": seconds, "returncode": done.returncode, "summary": summary}
 
 
+def source_lines(checkout: Path) -> dict[str, dict[str, int]]:
+    """Per module of SOURCE in checkout, its total `lines` and its `code` lines.
+
+    A code line is not blank, not a comment and not part of a docstring (the
+    string that opens a module, class or function body, found with `ast`).
+    """
+    counts = {}
+    for path in sorted((checkout / SOURCE).glob("*.py")):
+        text = path.read_text()
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        lines = text.splitlines()
+        code = [
+            number for number, line in enumerate(lines, 1)
+            if number not in docstrings and line.strip() and not line.lstrip().startswith("#")
+        ]
+        counts[path.name] = {"lines": len(lines), "code": len(code)}
+    return counts
+
+
 def _change(old: float | None, new: float | None) -> str:
     if old is None or new is None:
         return "n/a"
     return f"{old:.4g} -> {new:.4g} ({(new - old) / old:+.1%})" if old else f"{old} -> {new}"
+
+
+def _total(source: dict[str, dict[str, int]]) -> dict[str, int]:
+    """A `source_lines` record's lines and code lines summed over its modules; {} for none."""
+    if not source:
+        return {}
+    return {key: sum(counts[key] for counts in source.values()) for key in ("lines", "code")}
 
 
 def print_deltas(previous: dict, current: dict) -> None:
@@ -155,6 +192,11 @@ def print_deltas(previous: dict, current: dict) -> None:
             for key in ("norm_median_us", "median_us", "calibration_sample_s")
         )
         print(f"  micro {name} {deltas}")
+    old_source, source = previous.get("source", {}), current.get("source", {})
+    modules = [(module, old_source.get(module, {}), counts) for module, counts in source.items()]
+    for module, old, counts in [*modules, ("total", _total(old_source), _total(source))]:
+        deltas = "; ".join(f"{key}: {_change(old.get(key), counts[key])}" for key in counts)
+        print(f"  source {module} {deltas}")
     print(f"  tier1 s: {_change(previous['tier1']['seconds'], current['tier1']['seconds'])}"
           f" ({previous['tier1']['summary']} -> {current['tier1']['summary']})")
 
@@ -190,6 +232,7 @@ def main(argv=None) -> int:
         "workloads": workloads,
         "micro": run_micro(checkout),
         "tier1": run_tier1(checkout),
+        "source": source_lines(checkout),
     }
     path = ROOT / f"BENCH_{args.n}.json"
     path.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")

@@ -6,19 +6,20 @@ keeps its `velocity` and `grad` as vectors in that layout, and `grads` names
 the views of `grad`: every step writes its gradients there, and
 `apply_gradients` updates the vectors in place. A write into a view changes
 its vector; rebinding an entry raises TypeError. The log-loss clip is a
-plain float in (0, 0.5). An optimizer also owns its steps' buffers
-(`_StepBuffers`), built at its first step and sized for the largest batch
-seen; a shorter batch gets leading-row views of them (`_Scratch`). Each
-stage of a step has one implementation, which writes into the scratch it is
-given with `out=`; given `_FRESH`, which holds no arrays, it allocates, as
+plain float in (0, 0.5). An optimizer also owns its steps' buffers: one
+`_Scratch` per row count it steps (a run steps its batch size and, at most,
+one shorter final batch), made at the first step of that count. Each stage
+of a step has one implementation, which writes into the scratch it is given
+with `out=`; given `_FRESH`, which holds no arrays, it allocates, as
 `forward_proba`, `loss_and_grads`, `soft_target_cross_entropy` and
 `_composed_loss_grads` without an optimizer do, so their results outlive
 later steps. `_gradients` is the backward pass that every step shares.
 
-Checks: the clip's range and the optimizer's layout are checked when the
-buffers are built, and again only for other parameters or another clip.
-Each step checks its labels' range or its target shape, and
-`apply_gradients` the optimizer's layout, so a step checks it once.
+Checks: the clip's range and the optimizer's layout are checked at the
+optimizer's first step, and again only when a step brings other parameters
+or another clip, which also starts its table of scratches again. Each step
+checks its labels' range or its target shape, and `apply_gradients` the
+optimizer's layout, so a step checks it once.
 
 Exact substitutions: a step gives the bits of the plain numpy formulas
 (`np.clip`, `np.sum`, one-hot rows by zeros and scatter, fresh gradient
@@ -141,8 +142,9 @@ class _Scratch:
     entries as one vector, and ones, a vector of as many ones), mask, within
     and dprobs are `_clipped_dprobs`'s; mixture, dmixed (the gradient pulled
     back through the channel) and the (K, K) dphi are the composed step's;
-    bounds is `_bounds` of the step's clip and n. `_FRESH` holds None in
-    every slot, so that numpy allocates each result.
+    bounds is `_bounds` of the step's clip and n. Built without an
+    architecture, as `_FRESH`, it holds None in every slot, so that numpy
+    allocates each result.
     """
 
     __slots__ = (
@@ -150,7 +152,19 @@ class _Scratch:
         "dprobs", "dlogits", "mixture", "dmixed", "flat", "ones", "dphi", "bounds",
     )
 
-    def __init__(self, **arrays: np.ndarray) -> None:
+    def __init__(self, arch: Architecture | None = None, n: int = 0, clip: float = 0.0) -> None:
+        arrays = {}
+        if arch is not None:
+            k, width = arch.n_classes, arch.hidden_width
+            names = ("probs", "clipped", "dprobs", "dlogits", "mixture", "dmixed")
+            arrays = {name: np.empty((n, k)) for name in names}
+            arrays.update(col=np.empty((n, 1)), mask=np.empty((n, k), bool),
+                          within=np.empty((n, k), bool), ones=np.ones(n * k),
+                          dphi=np.empty((k, k)), bounds=_bounds(clip, n))
+            arrays["flat"] = arrays["clipped"].reshape(-1)
+            if arch.kind == "mlp":
+                arrays.update({name: np.empty((n, width)) for name in ("pre", "hidden", "dpre")})
+                arrays["gate"] = np.empty((n, width), bool if arch.activation == "relu" else float)
         for name in self.__slots__:
             setattr(self, name, arrays.get(name))
 
@@ -170,52 +184,22 @@ def _bounds(clip: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array(clip), np.array(1.0 - clip), np.array(float(n))
 
 
-class _StepBuffers:
-    """An optimizer's step scratch for one parameter set and clip, checked once for them.
+def _scratch(params: ClassifierParams, opt: "OptimizerState", n: int, clip: float) -> _Scratch:
+    """opt's scratch for a step of params on n rows at this clip, made at its first such step.
 
-    `scratch(n)` gives the `_Scratch` of a batch of n rows, made at its first
-    step: leading-row views of arrays sized for the largest batch seen.
+    The optimizer's layout and the clip are checked, and opt's table of
+    scratches started again, only when the parameters object or the clip
+    differs from the last step's.
     """
-
-    def __init__(self, params: ClassifierParams, opt: "OptimizerState", clip: float) -> None:
+    checked_params, checked_clip = opt._checked_for
+    if checked_params is not params or checked_clip != clip:
         _check_optimizer(params, opt)
         _check_clip(clip)
-        self.params, self.clip = params, clip
-        self.rows: dict[str, np.ndarray] = {}
-        self.by_rows: dict[int, _Scratch] = {}
-
-    def scratch(self, n: int) -> _Scratch:
-        arch = self.params.arch
-        k, width = arch.n_classes, arch.hidden_width
-        if n > len(self.rows.get("col", ())):
-            names = ("probs", "clipped", "dprobs", "dlogits", "mixture", "dmixed")
-            rows = {name: np.empty((n, k)) for name in names}
-            rows.update(col=np.empty((n, 1)), mask=np.empty((n, k), bool),
-                        within=np.empty((n, k), bool), ones=np.ones(n * k))
-            rows["flat"] = rows["clipped"].reshape(-1)
-            if arch.kind == "mlp":
-                rows.update({name: np.empty((n, width)) for name in ("pre", "hidden", "dpre")})
-                rows["gate"] = np.empty((n, width), bool if arch.activation == "relu" else float)
-            self.rows = rows
-            self.by_rows.clear()
-        views = {name: a[: n * k if a.ndim == 1 else n] for name, a in self.rows.items()}
-        scratch = self.by_rows[n] = _Scratch(
-            **views, dphi=np.empty((k, k)), bounds=_bounds(self.clip, n)
-        )
-        return scratch
-
-
-def _scratch(params: ClassifierParams, opt: "OptimizerState", n: int, clip: float) -> _Scratch:
-    """opt's scratch for a step of params on n rows at this clip (see `_StepBuffers`).
-
-    The buffers are built, with the optimizer's layout and the clip checked, at
-    opt's first step, and again only for other parameters or another clip.
-    """
-    buffers = opt._buffers
-    if buffers is None or buffers.params is not params or buffers.clip != clip:
-        buffers = opt._buffers = _StepBuffers(params, opt, clip)
-    scratch = buffers.by_rows.get(n)
-    return buffers.scratch(n) if scratch is None else scratch
+        opt._checked_for, opt._scratches = (params, clip), {}
+    scratch = opt._scratches.get(n)
+    if scratch is None:
+        scratch = opt._scratches[n] = _Scratch(params.arch, n, clip)
+    return scratch
 
 
 def _softmax(
@@ -410,7 +394,8 @@ class OptimizerState:
     `velocity` and `grad` are vectors laid out like the `ClassifierParams.flat`
     of the tensors given at construction, and `grads` is a read-only mapping
     of `grad`'s views by tensor name. The optimizer also owns its steps'
-    scratch (`_StepBuffers`, built at the first step) and two vectors of
+    scratch, one `_Scratch` per row count stepped (see `_scratch`), with the
+    parameters and clip it was checked for, and two vectors of
     `apply_gradients`: the weight-decay term and the scale of its finiteness
     test.
     """
@@ -422,7 +407,6 @@ class OptimizerState:
     velocity: np.ndarray = field(init=False, repr=False, compare=False)
     grad: np.ndarray = field(init=False, repr=False, compare=False)
     grads: Mapping[str, np.ndarray] = field(init=False, repr=False, compare=False)
-    _buffers: _StepBuffers | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self, tensors: Mapping[str, np.ndarray]) -> None:
         size = sum(np.size(t) for t in tensors.values())
@@ -433,6 +417,8 @@ class OptimizerState:
         # 2**e > 2 * size: the scaled entries of a finite gradient sum to less
         # than 2**1023 in magnitude, so their sum cannot overflow.
         self._tiny = np.full(size, 2.0 ** -(2 * size).bit_length())
+        self._scratches: dict[int, _Scratch] = {}
+        self._checked_for: tuple[ClassifierParams | None, float | None] = (None, None)
 
 
 def init_optimizer(

@@ -409,8 +409,6 @@ def cmd_diagnose_mixing(args) -> int:
         raise ParameterError(f"--n and --k must be >= 1, got {args.n} and {args.k}")
     if args.seed < 0:
         raise ParameterError(f"--seed must be >= 0, got {args.seed}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     probs = rng.dirichlet(np.ones(args.k), size=args.n)
     observed = rng.integers(0, args.k, size=args.n)
@@ -418,6 +416,8 @@ def cmd_diagnose_mixing(args) -> int:
     diag = mixing_diagnostic(
         probs, observed, prior, sweeps=args.sweeps, burn_in=args.burn_in, seed=args.seed + 1
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(
         out / "mixing.csv",
         ["sweep", "max_tv", "mean_tv"],
@@ -432,19 +432,13 @@ def cmd_diagnose_mixing(args) -> int:
 
 
 def cmd_diagnose_transition(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     phi = _phi_from_value(str(Path(args.run) / "phi_final.json"))
-    write_csv(
-        out / "transition_colormap.csv",
-        ["row", "col", "value", "log_value"],
-        (
-            [i, j, repr(value), repr(math.log(max(value, 1e-12)))]
-            for i, row in enumerate(phi.tolist())
-            for j, value in enumerate(row)
-        ),
-    )
     payload = {"rows": phi.shape[0], "cols": phi.shape[1]}
+    colormap = [
+        [i, j, repr(value), repr(math.log(max(value, 1e-12)))]
+        for i, row in enumerate(phi.tolist())
+        for j, value in enumerate(row)
+    ]
     if args.oracle:
         # An lccn_star run's phi has an outlier row past its K x K block.
         k = phi.shape[1]
@@ -456,27 +450,34 @@ def cmd_diagnose_transition(args) -> int:
             )
         phi = phi[:k]
         per_row = np.abs(phi - oracle).sum(axis=1).tolist()
+        payload["max_row_l1_error"] = transition_l1_error(phi, oracle)
+        payload["frobenius_error"] = transition_frobenius_error(phi, oracle)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_csv(out / "transition_colormap.csv", ["row", "col", "value", "log_value"], colormap)
+    if args.oracle:
         write_csv(
             out / "transition_errors.csv",
             ["row", "l1_error"],
             ([i, repr(err)] for i, err in enumerate(per_row)),
         )
-        payload["max_row_l1_error"] = transition_l1_error(phi, oracle)
-        payload["frobenius_error"] = transition_frobenius_error(phi, oracle)
         print(f"max row L1 error: {payload['max_row_l1_error']:.5f}")
     _write_json(payload, out / "transition_summary.json")
     return EXIT_OK
 
 
 def cmd_diagnose_variation(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     values_a, values_b = (
         [row["measured"] for row in read_csv(Path(run) / "variations.csv", {"measured": float})]
         for run in (args.run_a, args.run_b)
     )
-    write_histogram_csv(variation_histogram(values_a, bins=args.bins), out / "histogram_a.csv")
-    write_histogram_csv(variation_histogram(values_b, bins=args.bins), out / "histogram_b.csv")
+    histogram_a, histogram_b = (
+        variation_histogram(values, bins=args.bins) for values in (values_a, values_b)
+    )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_histogram_csv(histogram_a, out / "histogram_a.csv")
+    write_histogram_csv(histogram_b, out / "histogram_b.csv")
     payload = {
         "run_a": str(args.run_a),
         "run_b": str(args.run_b),
@@ -490,8 +491,6 @@ def cmd_diagnose_variation(args) -> int:
 
 
 def cmd_diagnose_correction(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     records = read_metrics_csv(Path(args.run) / "metrics.csv")
     rows = [
         (r.step, r.correction_ratio)
@@ -500,6 +499,8 @@ def cmd_diagnose_correction(args) -> int:
     ]
     if not rows:
         raise ParameterError("run has no correction_ratio records")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(
         out / "correction_trace.csv",
         ["step", "correction_ratio"],

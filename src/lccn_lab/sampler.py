@@ -407,12 +407,13 @@ def gibbs_sample_batch(
     return labels[np.asarray(batch_indices)].astype(np.int64)
 
 
+# The most joint assignments `exact_posterior_bruteforce` enumerates: 32 MiB of log weights.
+_MAX_STATES = 2**22
+
+
 @np.errstate(divide="ignore", invalid="ignore")  # a non-finite weight fails the final check
 def exact_posterior_bruteforce(
-    probs: np.ndarray,
-    observed_labels: np.ndarray,
-    prior: DirichletPrior,
-    max_states: int = 2**22,
+    probs: np.ndarray, observed_labels: np.ndarray, prior: DirichletPrior
 ) -> np.ndarray:
     """Exact per-sample posterior marginals by enumerating every joint assignment.
 
@@ -420,7 +421,7 @@ def exact_posterior_bruteforce(
     per latent class with counts n_k against the observed labels, the rising
     factorials prod_k alpha_k^(n_k) / A^(sum_k n_k), A being the prior's total.
     Their logs come from a table of sums of log(alpha_k + i) over i < c, whose
-    last row holds log(A + i). Only instances with n_latent ** n <= max_states
+    last row holds log(A + i). Only instances with n_latent ** n <= _MAX_STATES
     are accepted.
     """
     probs = np.asarray(probs, dtype=np.float64)
@@ -434,8 +435,8 @@ def exact_posterior_bruteforce(
     if n and not 0 <= observed_labels.min() <= observed_labels.max() < n_observed:
         raise ParameterError("observed labels out of range")
     n_states = n_latent**n
-    if n_states > max_states:
-        raise ParameterError(f"state space {n_states} exceeds the limit {max_states}")
+    if n_states > _MAX_STATES:
+        raise ParameterError(f"state space {n_states} exceeds the limit {_MAX_STATES}")
     log_probs = np.log(probs)
     bases = np.append(prior.concentration, prior.total)
     log_rising = np.zeros((n_observed + 1, n + 1))

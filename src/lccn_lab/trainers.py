@@ -251,10 +251,6 @@ class _Run:
     total: int
     iteration: int = 0
 
-    def forward(self, features: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """The classifier's forward pass of a batch, into the optimizer's step buffers."""
-        return _buffered_forward(self.params, self.opt, features, self.clip)
-
 
 @dataclass
 class _Hooks:
@@ -382,7 +378,7 @@ def _train_bootstrap(
             sgd_step(run.params, run.opt, features, observed, run.clip)
 
         def blended(idx: np.ndarray, features: np.ndarray, observed: np.ndarray) -> None:
-            forward = run.forward(features)
+            forward = _buffered_forward(run.params, run.opt, features, run.clip)
             pseudo = forward[0].argmax(axis=1)
             pseudo += observed * k
             weights = table.take(pseudo, axis=0)
@@ -600,7 +596,7 @@ def _train_latent(
         def batch(
             idx: np.ndarray, features: np.ndarray, observed: np.ndarray
         ) -> tuple[float, float] | None:
-            forward = run.forward(features)
+            forward = _buffered_forward(run.params, run.opt, features, run.clip)
             probs = forward[0][~ds.clean_mask[idx]] if use_clean else forward[0]
             moved = None
             if len(probs):

@@ -188,3 +188,38 @@ def test_bench_deltas_print_the_raw_median_and_both_calibrations(capsys):
     assert "norm_median_us: 48.8 -> 23.6 (-51.6%)" in line
     assert "median_us: 44.1 -> 36.7 (-16.8%)" in line
     assert "calibration_sample_s: 0.0007 -> 0.001 (+42.9%)" in line
+
+
+def test_source_lines_count_neither_blanks_comments_nor_docstrings(tmp_path, capsys):
+    package = tmp_path / "src" / "lccn_lab"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(
+        '"""A module docstring\n\nover three lines."""\n\n'
+        "# a comment\n"
+        "X = 1  # a trailing comment is on a line of code\n\n\n"
+        "class A:\n"
+        '    """One line."""\n\n'
+        "    def f(self):\n"
+        '        """Two\n        lines."""\n'
+        '        return """not a docstring\n        but code"""\n'
+    )
+    (package / "b.py").write_text("import os\n\n    # an indented comment\nY = os.sep\n")
+    source = bench.source_lines(tmp_path)
+    assert source == {"a.py": {"lines": 16, "code": 5}, "b.py": {"lines": 4, "code": 2}}
+
+    def bench_file(n, source=None):
+        record = {"n": n, "workloads": {}, "micro": {}, "tier1": {"seconds": 1.0, "summary": ""}}
+        return record if source is None else {**record, "source": source}
+
+    smaller = {"a.py": {"lines": 12, "code": 5}, "b.py": {"lines": 4, "code": 1}}
+    bench.print_deltas(bench_file(29, source), bench_file(30, smaller))
+    bench.print_deltas(bench_file(28), bench_file(29, source))
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines() if "source" in line]
+    assert lines == [
+        "source a.py lines: 16 -> 12 (-25.0%); code: 5 -> 5 (+0.0%)",
+        "source b.py lines: 4 -> 4 (+0.0%); code: 2 -> 1 (-50.0%)",
+        "source total lines: 20 -> 16 (-20.0%); code: 7 -> 6 (-14.3%)",
+        "source a.py lines: n/a; code: n/a",
+        "source b.py lines: n/a; code: n/a",
+        "source total lines: n/a; code: n/a",
+    ]

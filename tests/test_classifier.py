@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from lccn_lab import classifier
 from lccn_lab.classifier import (
     Architecture,
+    _buffered_forward,
     _forward,
     _product,
     apply_gradients,
@@ -313,7 +314,7 @@ def test_steps_overwrite_no_array_a_caller_holds(kind, activation):
             lambda forward: sgd_step(params, opt, features, labels, CLIP, forward=forward),
             lambda forward: sgd_step_soft(params, opt, features, weights, CLIP, forward=forward),
         ):
-            forward = run.forward(features)
+            forward = _buffered_forward(run.params, run.opt, features, run.clip)
             arrays = [forward[0], *forward[1]]
             snapshot = [a.copy() for a in arrays]
             step(forward)

@@ -926,6 +926,24 @@ def test_diagnose_correction_missing_run_dir_is_usage_error(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+REFUSED_DIAGNOSES = {
+    "mixing": ["mixing", "--sweeps", "5", "--burn-in", "9"],
+    "transition": ["transition", "--run", "nope"],
+    "variation": ["variation", "--run-a", "nope", "--run-b", "nope"],
+    "correction": ["correction", "--run", "nope"],
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_DIAGNOSES)
+def test_refused_diagnosis_writes_nothing(name, tmp_path, capsys):
+    # Each command reads and computes everything before it makes its output directory.
+    out = tmp_path / "o"
+    argv = [arg.replace("nope", str(tmp_path / "nope")) for arg in REFUSED_DIAGNOSES[name]]
+    assert main(["diagnose", *argv, "--out", str(out)]) == EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- the TrainConfig fuzz, through main ----------------------------------------
 
 FUZZ_DATA = {

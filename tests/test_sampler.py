@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import conditional_transition_column
 from lccn_lab import trainers
+from lccn_lab.cli import EXIT_USAGE, main
 from lccn_lab.errors import InvariantError, ParameterError, TrainingError
 from lccn_lab.noise_model import (
     DirichletPrior,
@@ -1151,12 +1153,28 @@ def test_bruteforce_non_finite_weights_are_a_training_error(row):
         exact_posterior_bruteforce(probs, np.array([0, 1]), DirichletPrior.uniform(2, 1.0))
 
 
-def test_bruteforce_rejects_oversized_state_space():
+def test_bruteforce_rejects_oversized_state_space(tmp_path, capsys):
+    # 4**30 and 2**23 states both pass the limit of 2**22. The 2**23 refusal, by the
+    # reference and by `diagnose mixing`, comes before its 64 MiB of log weights.
     probs = np.full((30, 4), 0.25)
     observed = np.zeros(30, dtype=np.int64)
     prior = DirichletPrior.uniform(4, 1.0)
     with pytest.raises(ParameterError):
         exact_posterior_bruteforce(probs, observed, prior)
+    out = tmp_path / "mix"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="state space 8388608 exceeds the limit 4194304"):
+            exact_posterior_bruteforce(
+                np.full((23, 2), 0.5), np.zeros(23, dtype=np.int64), DirichletPrior.uniform(2)
+            )
+        code = main(["diagnose", "mixing", "--n", "23", "--k", "2", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE and "exceeds the limit" in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 2**23
 
 
 def test_total_variation_rows_hand_example():
