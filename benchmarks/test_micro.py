@@ -29,7 +29,12 @@ kept channels. Both chain benchmarks also run at K=5 with a batch of 32
 (lccn_star's latent classes on the ordering bundle) and at K=8 with 16,
 where each draw sums its scores in numpy's pairwise order.
 `test_chain_certify` gives `test_update_bound_settled`'s certificate as the
-chain computes it.
+chain computes it, for one frozen state: it certifies the same rows again
+and again, so it never reuses a kept smoothed row. `test_chain_step_certify`
+steps settled batches in turn and certifies each one that moved a label, as
+the latent trainers do, so a row's certificate starts from the smoothed row
+its last certificate left. Both also run with five latent rows over four
+observed labels and a batch of 32, lccn_star's shape on the ordering bundle.
 """
 
 import itertools
@@ -178,21 +183,25 @@ def test_update_bound(benchmark, k, batch):
     benchmark(update_bound, before, counts, prior)
 
 
-def _settled_chain(k: int, n: int, batch: int, seed: int = 0):
+def _settled_chain(k: int, n: int, batch: int, seed: int = 0, n_observed: int | None = None):
     """A chain in the workloads' regime, and the first `batch` samples' probabilities.
 
     A fifth of the observed labels are redrawn at random, the latent labels are
     the true ones, and the classifier gives each sample's latent label 0.99: a
     few percent of draws move (3% at K=3 with a batch of 8, 2% at K=4 with 32),
-    so most batches keep every label.
+    so most batches keep every label. With fewer observed labels than the k
+    latent classes (k by default), a sample of a class past them observes a
+    random label, as an outlier does.
     """
+    n_observed = k if n_observed is None else n_observed
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, k, size=n)
-    observed = np.where(rng.random(n) < 0.2, rng.integers(0, k, size=n), labels)
-    counts = confusion_counts(labels, observed, k, k)
+    redraw = (rng.random(n) < 0.2) | (labels >= n_observed)
+    observed = np.where(redraw, rng.integers(0, n_observed, size=n), labels)
+    counts = confusion_counts(labels, observed, k, n_observed)
     probs = np.full((batch, k), 0.01 / (k - 1))
     probs[np.arange(batch), labels[:batch]] = 0.99
-    return rng, observed, labels, counts, DirichletPrior.uniform(k), probs
+    return rng, observed, labels, counts, DirichletPrior.uniform(n_observed), probs
 
 
 @pytest.mark.parametrize("k,batch", [(3, 8), (4, 32)])
@@ -246,13 +255,41 @@ def test_update_bound_settled(benchmark, k, batch):
     benchmark(update_bound, before, counts, prior)
 
 
-@pytest.mark.parametrize("k,batch", [(3, 8), (4, 32)])
+# The observed labels of a certified chain by its latent row count: five rows are
+# lccn_star's on the ordering bundle, whose samples observe four labels.
+CERTIFY_OBSERVED = {3: 3, 4: 4, 5: 4}
+CERTIFY_SHAPES = [(3, 8), (4, 32), (5, 32)]
+
+
+@pytest.mark.parametrize("k,batch", CERTIFY_SHAPES)
 def test_chain_certify(benchmark, k, batch):
     """The same certificate as the chain gives it, from the rows its last step touched."""
-    rng, observed, labels, counts, prior, probs = _settled_chain(k, 1000, batch)
+    rng, observed, labels, counts, prior, probs = _settled_chain(
+        k, 1000, batch, n_observed=CERTIFY_OBSERVED[k]
+    )
     idx = np.arange(batch)
     chain = GibbsChain(labels, counts, prior)
     chain.plan(observed[idx], idx, rng)
     while not chain.step(probs):
         chain.plan(observed[idx], idx, rng)
     benchmark(chain.certify)
+
+
+@pytest.mark.parametrize("k,batch", CERTIFY_SHAPES)
+def test_chain_step_certify(benchmark, k, batch):
+    """One settled batch of a walk through one chain, certified when it moved a label."""
+    n = 1000 // batch * batch
+    rng, observed, labels, counts, prior, probs = _settled_chain(
+        k, n, n, n_observed=CERTIFY_OBSERVED[k]
+    )
+    batches = itertools.cycle(np.split(probs, n // batch))
+    chain = GibbsChain(labels, counts, prior)
+    positions = np.arange(n)
+
+    def next_batch():
+        if chain.cursor == len(chain.draws):
+            chain.plan(observed, positions, rng)
+        if chain.step(next(batches)):
+            chain.certify()
+
+    benchmark(next_batch)

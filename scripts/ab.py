@@ -7,6 +7,7 @@ Usage, from the repository root:
     python3 scripts/ab.py HEAD~1 HEAD --workload latent-ordering --seeds 1 2 --pairs 10
     python3 scripts/ab.py HEAD~1 --micro "test_gibbs_sample_batch[3-8]"
     python3 scripts/ab.py HEAD~1 --workload baselines-ordering --in-process --pairs 20
+    python3 scripts/ab.py HEAD~1 --micro "test_chain_certify[4-32]" --in-process --pairs 20
 
 BASE and REV name git revisions; REV defaults to the working tree. Each side
 is exported into its own temporary directory: a revision with a local
@@ -46,14 +47,28 @@ Each side of a pair is one run of `scripts/bench.py`'s `run_micro` in the
 side's tree: a pytest-benchmark process with `calibration_sample` readings
 before and after it, whose calibrated median `norm_median_us` is the pair's
 reading. The summary is the same, for that one reading, with no failures or
-fingerprints to compare.
+fingerprints to compare. Separate processes cannot resolve a change much
+under 40% this way.
+
+`--micro NODE --in-process` alternates the two sides in this process, as
+`--workload --in-process` does. Each side's `benchmarks/test_micro.py` is
+loaded with `lccn_lab` bound to that side's package (`load_micro`), and the
+node's body runs once with a stand-in for pytest-benchmark's fixture, which
+keeps the call it is given. A sizing run on the base fixes the calls per
+round, as many as fill MICRO_ROUND_S, and one warm-up round per side
+follows; pair i then runs one round per side in `pair_order`, timed with
+perfbench's `Calibrated`, and reads its calibrated mean per call,
+`norm_mean_us`. On a 2-vCPU VM, two sides of the same tree read within 1%
+of each other, with a base IQR of 10-16% of the median over 20 pairs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import importlib.util
+import itertools
 import json
 import os
 import shutil
@@ -61,6 +76,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 if __name__ == "__main__":
@@ -81,6 +97,8 @@ CLAIM_WIN_SHARE = 0.9
 IN_PROCESS_METRICS = (
     ("norm_wall_s", "s", "lower"), ("norm_samples_per_s", "1/s", "higher"), ("wall_s", "s", "lower"),
 )
+# Seconds of one in-process microbenchmark round, sized on the base side.
+MICRO_ROUND_S = 0.25
 
 
 def pair_order(pair: int) -> tuple[str, str]:
@@ -185,7 +203,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     what.add_argument("--micro", type=micro_node, metavar="NODE",
                       help=f"time one microbenchmark of {MICRO} instead of a workload")
     parser.add_argument("--in-process", action="store_true",
-                        help="run the workload pairs in this process, rounds alternating")
+                        help="run the pairs in this process, rounds alternating")
     parser.add_argument("--seeds", type=int, nargs="+", help="workload seeds (0)")
     parser.add_argument("--pairs", type=int, default=CLAIM_PAIRS)
     args = parser.parse_args(argv)
@@ -193,8 +211,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         parser.error("--pairs must be at least 1")
     if args.micro and args.seeds is not None:
         parser.error("--seeds applies to workload runs only, not to --micro")
-    if args.micro and args.in_process:
-        parser.error("--in-process applies to workload runs only, not to --micro")
     args.seeds = args.seeds or [0]
     return args
 
@@ -217,6 +233,92 @@ def micro_pairs(trees: dict[str, Path], node: str, pairs: int) -> None:
               f"{readings['base'][-1]:.4g} -> {readings['rev'][-1]:.4g}", flush=True)
     summary = summarize(readings["base"], readings["rev"], "lower", {"base": 0.0, "rev": 0.0}, True)
     print_summary("norm_median_us", "us", "lower", summary)
+
+
+def load_micro(tree: Path, package: str, node: str):
+    """The call that microbenchmark `node` of `tree` times, against the tree's `lccn_lab` as `package`.
+
+    The tree's benchmark module is imported while `lccn_lab` and its
+    submodules name that package, and the names are restored after. The
+    node's body then runs once with a stand-in `benchmark` that keeps its
+    call, and with the arguments of the parametrization the node id names.
+    """
+    load_package(tree / "src", package)
+    aliases = {name.replace(package, "lccn_lab", 1): module for name, module in sys.modules.items()
+               if name == package or name.startswith(f"{package}.")}
+    saved = {name: sys.modules.get(name) for name in aliases}
+    sys.modules.update(aliases)
+    try:
+        spec = importlib.util.spec_from_file_location(f"{package}_micro", tree / MICRO)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        for name, previous in saved.items():
+            if previous is None:
+                del sys.modules[name]
+            else:
+                sys.modules[name] = previous
+    name, _, case = node.partition("::")[2].partition("[")
+    body = getattr(module, name, None)
+    for kwargs in _parametrizations(body):
+        if "-".join(str(v) for v in kwargs.values()) == case.rstrip("]"):
+            break
+    else:
+        raise SystemExit(f"error: {node} names no microbenchmark of {tree / MICRO}")
+    calls = []
+
+    def benchmark(fn, *args, **kw):  # pytest-benchmark's signature
+        calls.append(functools.partial(fn, *args, **kw))
+
+    body(benchmark, **kwargs)
+    (call,) = calls
+    return call
+
+
+def _parametrizations(body) -> list[dict]:
+    """The keyword arguments of each case of a test's `parametrize` marks; [] for no test."""
+    if not callable(body):
+        return []
+    axes = []
+    for mark in getattr(body, "pytestmark", []):
+        if mark.name == "parametrize":
+            names = [n.strip() for n in mark.args[0].split(",")]
+            axes.append([dict(zip(names, v if len(names) > 1 else (v,))) for v in mark.args[1]])
+    cases = []
+    for combo in itertools.product(*axes):
+        cases.append({k: v for part in combo for k, v in part.items()})
+    return cases
+
+
+def micro_round(call, calls: int) -> float:
+    """Calibrated microseconds per call of `calls` calls in a row."""
+    timed = Calibrated()
+
+    def run() -> None:
+        for _ in range(calls):
+            call()
+
+    timed.time_call(run)
+    return timed.scaled[0] / calls * 1e6
+
+
+def in_process_micro_pairs(trees: dict[str, Path], node: str, pairs: int) -> None:
+    sides = {side: load_micro(tree, f"lccn_lab_{side}", node) for side, tree in trees.items()}
+    calls, start = 0, time.perf_counter()
+    while time.perf_counter() - start < MICRO_ROUND_S:  # sizing, on the base side
+        sides["base"]()
+        calls += 1
+    for call in sides.values():  # warm-up: one unrecorded round per side
+        micro_round(call, calls)
+    print(f"# {calls} calls per round")
+    readings = {"base": [], "rev": []}
+    for pair in range(pairs):
+        for side in pair_order(pair):
+            readings[side].append(micro_round(sides[side], calls))
+        print(f"pair {pair + 1} ({pair_order(pair)[0]} first): norm_mean_us "
+              f"{readings['base'][-1]:.4g} -> {readings['rev'][-1]:.4g}", flush=True)
+    summary = summarize(readings["base"], readings["rev"], "lower", {"base": 0.0, "rev": 0.0}, True)
+    print_summary("norm_mean_us", "us", "lower", summary)
 
 
 def workload_pairs(trees: dict[str, Path], spec: dict, workload: str, seeds: list[int],
@@ -356,10 +458,11 @@ def main(argv=None) -> int:
         what = args.micro or args.workload or spec["workloads"][0]["name"]
         print(f"# {what}: base {revs['base'][:12]} against rev "
               f"{(revs['rev'] or 'working tree')[:12]}, {args.pairs} pairs"
-              + ("" if args.micro else
-                 " of rounds in one process" if args.in_process else
-                 f" of {spec['run_seconds']:g} s"))
-        if args.micro:
+              + (" of rounds in one process" if args.in_process else
+                 "" if args.micro else f" of {spec['run_seconds']:g} s"))
+        if args.micro and args.in_process:
+            in_process_micro_pairs(trees, args.micro, args.pairs)
+        elif args.micro:
             micro_pairs(trees, args.micro, args.pairs)
         elif args.in_process:
             in_process_pairs(trees, what, args.seeds, args.pairs, Path(tmp))

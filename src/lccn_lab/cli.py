@@ -19,7 +19,6 @@ import argparse
 import json
 import math
 import os
-import statistics
 import sys
 from pathlib import Path
 
@@ -317,8 +316,16 @@ def cmd_generate(args) -> int:
 
 
 def _median_test_accuracy(summaries: list[dict]) -> float | None:
-    accuracies = [s["final_test_accuracy"] for s in summaries if s["final_test_accuracy"] is not None]
-    return statistics.median(accuracies) if accuracies else None
+    """The median final test accuracy, with `statistics.median`'s arithmetic; None for none."""
+    accuracies = sorted(
+        s["final_test_accuracy"] for s in summaries if s["final_test_accuracy"] is not None
+    )
+    if not accuracies:
+        return None
+    middle = len(accuracies) // 2
+    if len(accuracies) % 2:
+        return accuracies[middle]
+    return (accuracies[middle - 1] + accuracies[middle]) / 2
 
 
 def cmd_train(args) -> int:

@@ -11,22 +11,29 @@ smoothed transition estimate, the leave-one-out predictive probability used
 by the collapsed Gibbs sampler, and a per-batch bound on how far one batch
 of reassignments can move any transition row.
 
-`update_bound` computes only the rows a batch touched, one pass per row on
-plain Python lists, and returns exactly the bits of the whole-matrix numpy
-formula (`transition_from_counts` before and after, differenced and summed per
-row) with the bound beside it, as one (2, n_latent) array. Its row pass,
-`_certificate`, also certifies the sampler's chain from the rows it touched.
-Every float sum over a row follows numpy's order: `_row_sum` adds a row of
-fewer than 8 entries left to right, which is what numpy does for such rows,
-and a longer row in numpy's unrolled pairwise order, on plain floats too.
-The sampler's rows of 8 or more scores use it too, and its loop over fewer
-scores sums them as it goes.
+`update_bound` computes only the rows a batch touched and returns exactly
+the bits of the whole-matrix numpy formula (`transition_from_counts` before
+and after, differenced and summed per row) with the bound beside it, as one
+(2, n_latent) array. Its pass over the touched rows, `_certificate`, also
+certifies the sampler's chain and picks the row that moved most as it goes.
+Each row is one call of `_certificate_kernel(W)`, source written out for W
+observed labels with no loop and compiled once per width, as the sampler's
+draw kernel is: the row's totals, churn and bound, its smoothed rows with
+their row checks, and their L1 change. A chain keeps each row's smoothed row
+from its last certificate and hands it back while the row's counts are
+still the ones it smoothed, as SparseLDA keeps count-only quantities until
+their counts change. Every float sum over a row follows numpy's order:
+`_row_sum` adds a row of fewer than 8 entries left to right, which is what
+numpy does for such rows, and a longer row in numpy's unrolled pairwise
+order, on plain floats too. Both kernels write the short sums inline and
+call `_row_sum` from 8 entries up (`_sum_source`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from operator import add, sub
+from operator import add
 
 import numpy as np
 
@@ -198,85 +205,167 @@ def update_bound(before: np.ndarray, after: np.ndarray, prior: DirichletPrior) -
     (1 + d / D) with D = n + prior total. The bound divides by the prior
     total, so it certifies only the smoothed (posterior-mean) estimator that
     the latent trainers use. Rows the batch did not touch read exactly 0.0
-    in both rows of the result; every touched row is computed in one pass on
-    plain floats with numpy's arithmetic and summation order (see the module
-    docstring), and its smoothed rows before and after must pass
-    `check_transition`'s row check. A touched row left with negative mass
-    raises `InvariantError`, before the `ParameterError` of any failed row
-    check.
+    in both rows of the result; every touched row is computed by
+    `_certificate`'s pass on plain floats with numpy's arithmetic and
+    summation order (see the module docstring), and its smoothed rows before
+    and after must pass `check_transition`'s row check. A touched row left
+    with negative mass raises `InvariantError`, before the `ParameterError`
+    of any failed row check.
     """
     _check_counts(before, prior)
     if not isinstance(after, np.ndarray) or after.shape != before.shape:
         raise ParameterError("count matrices must have the same shape")
     rows = zip(range(before.shape[0]), before.tolist(), after.tolist())
-    return np.array(_certificate(rows, before.shape[0], prior))
+    certified, _, _ = _certificate(rows, prior.concentration.tolist(), prior.total)
+    certificate = np.zeros((2, before.shape[0]))
+    for r, pair in certified.items():
+        certificate[:, r] = pair
+    return certificate
 
 
-def _certificate(rows, n_rows: int, prior: DirichletPrior) -> tuple[list, list]:
-    """`update_bound`'s rows as lists, from (row, counts before, counts after) triples.
+# Refusal codes of a certificate kernel, combined with `|` over a pass.
+_ROW_CHECK_FAILED = 1
+_NEGATIVE_MASS = 2
 
-    The lists have `n_rows` entries; a row not given reads 0.0 in both.
+
+def _certificate(rows, alpha: list, total: float, smoothed: list | None = None):
+    """Certify (row, counts before, counts after) triples in one pass.
+
+    Returns `certified`, the (measured, bound) of each row whose counts
+    changed, by row; the (measured, bound) of the row that moved most, as
+    `np.argmax` reads the whole measured row (the first of equal maxima, every
+    other row reading 0.0); and whether some row moved more than its bound
+    plus `BOUND_SLACK`. Each row is one call of `_certificate_kernel(W)` for
+    the W entries of `alpha`, the prior's concentration. `smoothed`, when
+    given, holds per row None or the (count row, smoothed row) of its last
+    certificate: a row whose counts before equal that count row reuses the
+    smoothed row, and each certified row leaves its own there. After the
+    pass, a row left with negative mass raises `InvariantError`, and else a
+    failed row check `ParameterError`.
     """
-    alpha = prior.concentration.tolist()
-    total = prior.total
-    measured = [0.0] * n_rows
-    bound = [0.0] * n_rows
-    negative_mass = row_check_failed = False
-    for r, row_before, row_after in rows:
-        if row_before == row_after:
+    kernel = _certificate_kernel(len(alpha))
+    certified = {}
+    refused = 0
+    worst_row, worst = 0, (0.0, 0.0)
+    violated = False
+    for r, before, after in rows:
+        if before == after:
             continue
-        # Integer sums are exact in any order, so totals and deltas need no numpy order.
-        mass, mass_after = sum(row_before), sum(row_after)
-        if mass_after < 0:
-            negative_mass = True
+        kept = None if smoothed is None else smoothed[r]
+        if kept is not None:
+            kept = kept[1] if kept[0] == before else None
+        code, measured, bound, row = kernel(before, after, alpha, total, kept)
+        if code:
+            refused |= code
             continue
-        net = mass_after - mass
-        churn = sum(map(abs, map(sub, row_after, row_before)))
-        denom = mass + total
-        if denom == 0.0:  # a row of negative counts; its smoothed row has no norm either
-            row_check_failed = True
-            continue
-        net_ratio = net / denom
-        shrink = 1.0 + net_ratio
-        if shrink > 0.0:
-            bound[r] = (abs(net_ratio) + churn / denom) / shrink
-        else:
-            # Under a tiny prior a batch that empties a row makes d / D = -n / (n + total)
-            # round to -1; such rows take the equal form over the row's mass after the
-            # batch, which may overflow to inf but never undercuts the measured change.
-            bound[r] = (abs(net) + churn) / (mass_after + total)
-        phi_before = _smoothed_row(row_before, alpha)
-        phi_after = _smoothed_row(row_after, alpha)
-        if phi_before is None or phi_after is None:
-            row_check_failed = True
-        else:
-            measured[r] = _row_sum(list(map(abs, map(sub, phi_after, phi_before))))
-    if negative_mass:
+        certified[r] = measured, bound
+        if smoothed is not None:
+            smoothed[r] = after, row
+        violated = violated or measured > bound + BOUND_SLACK
+        # Measured changes are never negative or NaN, so an untouched row 0 reading
+        # 0.0 wins every tie at 0.0, as `np.argmax` would pick it.
+        if measured > worst[0] or (measured == worst[0] and r <= worst_row):
+            worst_row, worst = r, (measured, bound)
+    if refused & _NEGATIVE_MASS:
         raise InvariantError("a batch cannot leave a row with negative mass")
-    if row_check_failed:
+    if refused:
         raise ParameterError("transition rows must be finite, nonnegative and sum to 1")
-    return measured, bound
+    return certified, worst, violated
 
 
-def _worst_certified_row(measured: list[float], bound: list[float]) -> tuple[float, float]:
-    """(measured, bound) of the row that moved most (the first of equal rows, as `np.argmax`).
+_CERTIFICATE_SOURCE = """\
+def certify(before, after, alpha, total, smoothed):
+    [{b}] = before
+    [{a}] = after
+    mass_after = {mass_after}
+    if mass_after < 0:
+        return NEGATIVE_MASS, 0.0, 0.0, None
+    mass = {mass}
+    denom = mass + total
+    if denom == 0.0:  # a row of negative counts; its smoothed row has no norm either
+        return ROW_CHECK_FAILED, 0.0, 0.0, None
+    net = mass_after - mass
+    churn = {churn}
+    net_ratio = net / denom
+    shrink = 1.0 + net_ratio
+    if shrink > 0.0:
+        bound = (abs(net_ratio) + churn / denom) / shrink
+    else:
+        # Under a tiny prior a batch that empties a row makes d / D = -n / (n + total)
+        # round to -1; such rows take the equal form over the row's mass after the
+        # batch, which may overflow to inf but never undercuts the measured change.
+        bound = (abs(net) + churn) / (mass_after + total)
+    [{k}] = alpha
+    if smoothed is None:
+{smooth_before}
+    else:
+        [{p}] = smoothed
+{smooth_after}
+    return 0, {measured}, bound, [{q}]
+"""
 
-    Raises `InvariantError` when some row exceeds its bound.
+_SMOOTH_SOURCE = """\
+{n}
+norm = {norm}
+if norm == 0.0:
+    return ROW_CHECK_FAILED, 0.0, bound, None
+{divide}
+# A NaN entry fails the sum test, so the sign test may let NaN through.
+if not abs({row_sum} - 1.0) <= ROW_SUM_TOL or {negative}:
+    return ROW_CHECK_FAILED, 0.0, bound, None
+"""
+
+
+def _sum_source(terms: list[str]) -> str:
+    """Source of the float sum of `terms` with `_row_sum`'s bits: inline below 8 terms."""
+    if len(terms) >= _NUMPY_UNROLL:
+        return f"_row_sum([{', '.join(terms)}])"
+    return " + ".join(["0.0", *terms])
+
+
+@functools.lru_cache(maxsize=None)
+def _certificate_kernel(width: int):
+    """`certify(before, after, alpha, total, smoothed)`: one count row's certificate, W = width.
+
+    `_CERTIFICATE_SOURCE` written out for W observed labels, with no loop,
+    on the row's counts before and after, the prior's concentration `alpha`
+    and its `total`. It returns (code, measured, bound, smoothed row after):
+    code 0 is a certified row; `_NEGATIVE_MASS` a row left with negative
+    mass, before anything else is computed; `_ROW_CHECK_FAILED` a row whose
+    smoothed row (`transition_from_counts`'s) fails `check_transition`'s row
+    check. `smoothed`, when not None, is the smoothed row of the counts
+    before, which then is not computed again. Float sums take `_row_sum`'s
+    order (`_sum_source`); integer ones are exact in any order. It is
+    compiled at first use, as `sampler._draw_kernel` is.
     """
-    if any(m > b + BOUND_SLACK for m, b in zip(measured, bound)):
-        raise InvariantError("transition row moved beyond the per-batch update bound")
-    worst = measured.index(max(measured))
-    return measured[worst], bound[worst]
+    js = range(width)
 
+    def smooth(counts: str, out: str, indent: str) -> str:
+        block = _SMOOTH_SOURCE.format(
+            n="\n".join(f"n{j} = {counts}{j} + k{j}" for j in js),
+            norm=_sum_source([f"n{j}" for j in js]),
+            divide="\n".join(f"{out}{j} = n{j} / norm" for j in js),
+            row_sum=_sum_source([f"{out}{j}" for j in js]),
+            negative=" or ".join(f"{out}{j} < 0.0" for j in js),
+        )
+        return "\n".join(indent + line for line in block.splitlines())
 
-def _smoothed_row(count_row: list, alpha: list) -> list[float] | None:
-    """One row of `transition_from_counts`, or None where `check_transition` would refuse it."""
-    numer = list(map(add, count_row, alpha))
-    norm = _row_sum(numer)
-    if norm == 0.0:
-        return None
-    row = [x / norm for x in numer]
-    # A NaN entry fails the sum test, so `min` may ignore NaN in the sign test.
-    if not abs(_row_sum(row) - 1.0) <= ROW_SUM_TOL or min(row) < 0.0:
-        return None
-    return row
+    source = _CERTIFICATE_SOURCE.format(
+        b=", ".join(f"b{j}" for j in js),
+        a=", ".join(f"a{j}" for j in js),
+        mass=" + ".join(f"b{j}" for j in js),
+        mass_after=" + ".join(f"a{j}" for j in js),
+        churn=" + ".join(f"abs(a{j} - b{j})" for j in js),
+        k=", ".join(f"k{j}" for j in js),
+        p=", ".join(f"p{j}" for j in js),
+        smooth_before=smooth("b", "p", " " * 8),
+        smooth_after=smooth("a", "q", " " * 4),
+        measured=_sum_source([f"abs(q{j} - p{j})" for j in js]),
+        q=", ".join(f"q{j}" for j in js),
+    )
+    namespace = {
+        "NEGATIVE_MASS": _NEGATIVE_MASS, "ROW_CHECK_FAILED": _ROW_CHECK_FAILED,
+        "ROW_SUM_TOL": ROW_SUM_TOL, "_row_sum": _row_sum,
+    }
+    exec(compile(source, f"<noise_model._certificate_kernel({width})>", "exec"), namespace)
+    return namespace["certify"]

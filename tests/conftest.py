@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import lccn_lab as L
+from lccn_lab.errors import InvariantError
+from lccn_lab.noise_model import BOUND_SLACK
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +42,16 @@ def conditional_transition_column(counts, prior, observed):
     return (prior.concentration[observed] + counts[:, observed]) / (
         prior.total + counts.sum(axis=1)
     )
+
+
+def numpy_worst_row(certificate):
+    """(measured, bound) of the row that moved most, read from an `update_bound` array with numpy.
+
+    `np.any` for a row beyond its bound (InvariantError), else `np.argmax`,
+    the first of equal maxima: the read `GibbsChain.certify` must match.
+    """
+    measured, bound = certificate
+    if np.any(measured > bound + BOUND_SLACK):
+        raise InvariantError("transition row moved beyond the per-batch update bound")
+    worst = int(np.argmax(measured))
+    return float(measured[worst]), float(bound[worst])

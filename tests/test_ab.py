@@ -150,6 +150,32 @@ def test_a_package_loads_under_a_second_name():
             del sys.modules[module]
 
 
+def test_micro_pairs_run_in_process_too():
+    args = ab.parse_args(["HEAD~1", "--micro", "test_chain_certify[4-32]", "--in-process"])
+    assert args.in_process and args.micro == "benchmarks/test_micro.py::test_chain_certify[4-32]"
+
+
+def test_a_microbenchmark_loads_against_its_sides_package():
+    # In-process micro pairs bind each side's benchmark module to that side's lccn_lab.
+    import lccn_lab
+
+    name = "_lccn_lab_micro_copy"
+    try:
+        call = ab.load_micro(ROOT, name, "benchmarks/test_micro.py::test_chain_certify[5-32]")
+        chain = call.func.__self__
+        assert type(chain).__module__ == f"{name}.sampler"
+        assert chain.counts.shape == (5, 4)
+        measured, bound = call()
+        assert 0.0 < measured <= bound
+        assert sys.modules["lccn_lab"] is lccn_lab
+        assert ab.micro_round(call, 3) > 0.0
+        with pytest.raises(SystemExit, match="names no microbenchmark"):
+            ab.load_micro(ROOT, name, "benchmarks/test_micro.py::test_chain_certify[6-32]")
+    finally:
+        for module in [m for m in sys.modules if m == name or m.startswith(f"{name}.")]:
+            del sys.modules[module]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -158,7 +184,6 @@ def test_a_package_loads_under_a_second_name():
         ["HEAD", "--micro", "test_sgd_step[linear-batch8]", "--workload", "latent-recovery"],
         ["HEAD", "--micro", "test_sgd_step[linear-batch8]", "--seeds", "1"],
         ["HEAD", "--micro", "test_sgd_step[linear-batch8]", "--pairs", "0"],
-        ["HEAD", "--micro", "test_sgd_step[linear-batch8]", "--in-process"],
     ],
 )
 def test_bad_arguments_exit_2_before_any_run(argv, capsys, monkeypatch):

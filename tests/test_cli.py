@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -447,9 +448,27 @@ def test_train_from_an_empty_dataset_file_exits_2_without_a_warning(tmp_path, ca
     assert not caught and "Warning" not in err
 
 
+@pytest.mark.parametrize(
+    "accuracies",
+    [[0.7], [0.9, 0.1, 0.5], [0.1, 0.7], [0.3, 0.9, 0.3, 0.6], [0.5, 0.5, 0.5, 0.5],
+     [1 / 3, 0.0, 2 / 3, 0.1, 0.7, 1.0], [0.25, None, 0.125]],
+    ids=["one", "odd", "even", "even-tied", "all-tied", "even-six", "none-skipped"],
+)
+def test_median_test_accuracy_is_statistics_median(accuracies):
+    summaries = [{"final_test_accuracy": a} for a in accuracies]
+    expected = statistics.median(a for a in accuracies if a is not None)
+    got = cli._median_test_accuracy(summaries)
+    assert type(got) is float and np.float64(got).tobytes() == np.float64(expected).tobytes()
+    assert cli._median_test_accuracy([{"final_test_accuracy": None}]) is None
+    assert cli._median_test_accuracy([]) is None
+
+
 def test_invariant_violation_is_runtime_error(tmp_path, lccn_config, monkeypatch, capsys):
     # measured 1.0 against a bound of 0.0, in the certificate of every batch that moved a label
-    monkeypatch.setattr("lccn_lab.sampler._certificate", lambda *a, **k: ([1.0], [0.0]))
+    def kernel(before, after, alpha, total, smoothed):
+        return 0, 1.0, 0.0, list(alpha)
+
+    monkeypatch.setattr("lccn_lab.noise_model._certificate_kernel", lambda width: kernel)
     code = main(["train", "--config", lccn_config, "--out", str(tmp_path / "o")])
     assert code == EXIT_RUNTIME
     assert "bound" in capsys.readouterr().err

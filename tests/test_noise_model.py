@@ -17,6 +17,7 @@ from conftest import conditional_transition_column
 from lccn_lab.errors import InvariantError, ParameterError
 from lccn_lab.noise_model import (
     DirichletPrior,
+    _certificate_kernel,
     _row_sum,
     check_transition,
     confusion_counts,
@@ -214,6 +215,11 @@ def test_update_bound_small_batch_regime(occupancy, removals, additions):
     assert measured[0] <= 2.0 * churn_ratio + 1e-6
 
 
+def test_certificate_kernel_is_built_once_per_width():
+    assert _certificate_kernel(4) is _certificate_kernel(4)
+    assert _certificate_kernel(4) is not _certificate_kernel(5)
+
+
 def test_update_bound_rejects_row_wipeout_past_total():
     before = make_counts([[2.0, 0.0], [0.0, 2.0]])
     # removing more than the row plus prior holds is not a legal batch update
@@ -255,7 +261,7 @@ def _numpy_update_bound(before, after, prior):
 
 
 @given(
-    n_observed=st.integers(min_value=2, max_value=10),
+    n_observed=st.integers(min_value=2, max_value=20),
     extra_row=st.booleans(),
     log_alpha=st.floats(min_value=-300.0, max_value=1.0),
     vector_alpha=st.booleans(),
@@ -309,17 +315,21 @@ REFUSED_BATCHES = {
 
 @pytest.mark.parametrize("case", REFUSED_BATCHES.values(), ids=list(REFUSED_BATCHES))
 def test_update_bound_refuses_what_the_numpy_formula_refuses(case):
+    # Each case also runs widened to 20 observed labels, by columns of zero
+    # counts: from 8 on, its sums take `_row_sum`'s pairwise path.
     before, after, value, error = case
-    before, after = make_counts(before), make_counts(after)
-    prior = DirichletPrior.uniform(2, value)
-    with pytest.raises(error):
-        update_bound(before, after, prior)
-    with np.errstate(all="ignore"), pytest.raises(ParameterError):
-        _numpy_update_bound(before, after, prior)
+    for width in range(2, 21):
+        padding = [0] * (width - 2)
+        before_w, after_w = (make_counts([row + padding for row in rows]) for rows in (before, after))
+        prior = DirichletPrior.uniform(width, value)
+        with pytest.raises(error):
+            update_bound(before_w, after_w, prior)
+        with np.errstate(all="ignore"), pytest.raises(ParameterError):
+            _numpy_update_bound(before_w, after_w, prior)
 
 
 @given(
-    n_observed=st.integers(min_value=1, max_value=9),
+    n_observed=st.integers(min_value=1, max_value=20),
     extra_row=st.booleans(),
     log_alpha=st.floats(min_value=-300.0, max_value=1.0) | st.just(0.0),
     seed=st.integers(min_value=0, max_value=2**32 - 1),

@@ -9,16 +9,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import conditional_transition_column
-from lccn_lab import trainers
+from conftest import conditional_transition_column, numpy_worst_row
+from lccn_lab import noise_model, trainers
 from lccn_lab.cli import EXIT_USAGE, main
 from lccn_lab.errors import InvariantError, ParameterError, TrainingError
 from lccn_lab.noise_model import (
     DirichletPrior,
     _row_sum,
-    _worst_certified_row,
     check_transition,
     confusion_counts,
+    transition_from_counts,
     update_bound,
 )
 from lccn_lab.sampler import (
@@ -920,8 +920,145 @@ def test_chain_certificate_is_the_update_bound_of_the_whole_count_matrix(case):
         chain.step(np.eye(n_latent)[targets])
         assert labels[positions].tolist() == targets.tolist()
         assert _outcome(chain.certify) == _outcome(
-            lambda: _worst_certified_row(*update_bound(before, counts, prior).tolist())
+            lambda: numpy_worst_row(update_bound(before, counts, prior))
         )
+
+
+def _assert_smoothed_rows_hold(chain):
+    """Each smoothed row the chain keeps is `transition_from_counts`'s row of its count row."""
+    for kept in chain.smoothed:
+        if kept is not None:
+            counts, row = kept
+            expected = transition_from_counts(np.array([counts]), chain.prior)[0]
+            assert np.array(row).tobytes() == expected.tobytes()
+
+
+@st.composite
+def uncertified_cases(draw):
+    """`certify_cases` whose batches are certified only where `certified` says, and at the end."""
+    case = draw(certify_cases())
+    certified = draw(st.lists(st.booleans(), min_size=len(case[4]), max_size=len(case[4])))
+    return case, certified[:-1] + [True]
+
+
+def _uncertified_example(n_observed):
+    """Rows 0 and 1 are certified, moved twice without a certificate, then certified again."""
+    observed = np.arange(10) % n_observed
+    labels = np.zeros(10, dtype=np.int64)
+    labels[5:] = 1
+    return (observed, labels, DirichletPrior.uniform(n_observed), 2,
+            ["random"] * 4, np.random.default_rng(7)), [True, False, False, True]
+
+
+@example(case=_uncertified_example(2))
+@example(case=_uncertified_example(9))
+@given(case=uncertified_cases())
+@settings(max_examples=200, deadline=None)
+def test_a_chain_stepped_without_certificates_certifies_from_its_counts(case):
+    # The chain keeps each row's smoothed row from its last certificate; steps
+    # that nobody certifies (`mixing_diagnostic`, `gibbs_sample_batch`) move the
+    # counts under it, so a kept row is reused only for the very counts it smoothed.
+    (observed, labels, prior, n_latent, kinds, data), certified = case
+    counts = confusion_counts(labels, observed, n_latent, prior.n_observed)
+    chain = GibbsChain(labels, counts, prior)
+    for kind, certify in zip(kinds, certified):
+        positions, targets = _certify_targets(kind, observed, labels, n_latent, data)
+        if kind == "random" and not certify:
+            targets = 1 - np.minimum(labels[positions], 1)  # moves between rows 0 and 1
+        before = counts.copy()
+        chain.plan(observed[positions], positions, data)
+        chain.step(np.eye(n_latent)[targets])
+        if certify:
+            assert _outcome(chain.certify) == _outcome(
+                lambda: numpy_worst_row(update_bound(before, counts, prior))
+            )
+            _assert_smoothed_rows_hold(chain)
+
+
+# Few values, so that rows tie, a bound sits within BOUND_SLACK of its row or
+# overflows to inf, and measured is often all zero.
+CERTIFIED_VALUES = st.sampled_from([0.0, 5e-324, 1e-13, 0.125, 0.5, 1.0, math.inf])
+
+
+@given(
+    rows=st.lists(st.tuples(CERTIFIED_VALUES, CERTIFIED_VALUES, st.booleans()), min_size=1,
+                  max_size=9),
+    order=st.randoms(use_true_random=False),
+)
+@example(rows=[(0.0, 0.0, True)] * 4, order=None)
+@example(rows=[(0.0, 0.5, False), (0.0, 0.5, True), (0.0, 1.0, True)], order=None)
+@example(rows=[(0.5, 1.0, True), (0.5, 0.5, True), (0.125, 0.5, True)], order=None)
+@settings(max_examples=300, deadline=None)
+def test_certify_picks_the_worst_row_as_numpy_reads_it(rows, order):
+    # A stand-in kernel gives row r the (measured, bound) of rows[r] when the
+    # row is touched; untouched rows read 0.0. The chain hands the touched rows
+    # over in the order its step touched them, here shuffled; its pick must be
+    # numpy's: np.any for a row beyond its bound, else np.argmax, the first of
+    # equal maxima.
+    n = len(rows)
+    counts = np.arange(n, dtype=np.int64)[:, None]
+    chain = GibbsChain(np.zeros(1, dtype=np.int64), counts, DirichletPrior.uniform(1))
+    touched = [r for r, (_, _, moved) in enumerate(rows) if moved]
+    if order is not None:
+        order.shuffle(touched)
+    chain.before = {r: [r + 1] for r in touched}
+
+    def kernel(before, after, alpha, total, smoothed):
+        return 0, *rows[after[0]][:2], [1.0]
+
+    certificate = np.zeros((2, n))
+    for r in touched:
+        certificate[:, r] = rows[r][:2]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(noise_model, "_certificate_kernel", lambda width: kernel)
+        got = _outcome(chain.certify)
+    assert got == _outcome(lambda: numpy_worst_row(certificate))
+
+
+def _chain_of_counts(rows):
+    """A chain whose samples fill each cell of the count matrix `rows`, in row order.
+
+    Returns the chain, its observed labels and the sample positions by cell.
+    """
+    cells = [(r, k) for r, row in enumerate(rows) for k, c in enumerate(row) for _ in range(c)]
+    labels, observed = (np.array(side, dtype=np.int64) for side in zip(*cells))
+    counts = confusion_counts(labels, observed, len(rows), len(rows[0]))
+    return GibbsChain(labels, counts, DirichletPrior.uniform(len(rows[0]))), observed, cells
+
+
+# Each case: the count rows, the batch's (old row, observed label, new row) moves,
+# and the row whose (measured, bound) certify must give, as np.argmax picks it
+# (None: the untouched row 0, which reads (0.0, 0.0)).
+WORST_ROW_CASES = {
+    # Rows 1 and 2 make the same move and tie as the largest change; the step
+    # touches row 2 first (its draw comes first), and row 1, the first of equal
+    # maxima, wins.
+    "tie between rows 1 and 2": ([[30, 10], [1, 3], [1, 3]], [(2, 1, 0), (1, 1, 0)], 1),
+    # Row 1 hands one sample of each label to row 0: both smoothed rows stay at
+    # (0.5, 0.5), so every row measures 0.0, and row 0's bound is the pick.
+    "zero change at rows 0 and 1": ([[1, 1], [2, 2], [5, 5]], [(1, 0, 0), (1, 1, 0)], 0),
+    # The same at rows 1 and 2: the untouched row 0 reads (0.0, 0.0) and wins.
+    "zero change at rows 1 and 2": ([[5, 5], [1, 1], [2, 2]], [(2, 0, 1), (2, 1, 1)], None),
+}
+
+
+@pytest.mark.parametrize("case", WORST_ROW_CASES.values(), ids=list(WORST_ROW_CASES))
+def test_certify_picks_ties_and_zero_changes_as_numpy(case):
+    rows, moves, pick = case
+    chain, observed, cells = _chain_of_counts(rows)
+    positions = np.array([cells.index((old, k)) for old, k, _ in moves])
+    before = chain.counts.copy()
+    chain.plan(observed[positions], positions, np.random.default_rng(0))
+    assert chain.step(np.eye(len(rows))[[new for _, _, new in moves]])
+    certificate = update_bound(before, chain.counts, chain.prior)
+    measured, bound = certificate
+    if pick == 1:
+        assert measured[1] == measured[2] == measured.max() and list(chain.before) == [2, 0, 1]
+    else:  # every row measures 0.0, and every touched row has a bound
+        assert not measured.any() and bound[list(chain.before)].all()
+    got = chain.certify()
+    assert np.array(got).tobytes() == np.array(numpy_worst_row(certificate)).tobytes()
+    assert got == ((0.0, 0.0) if pick is None else tuple(certificate[:, pick]))
 
 
 # ------------------------------------------------------------ epoch plans
@@ -993,6 +1130,7 @@ def _run_epoch(case, planned):
             moved = chain.step(probs, warm, anneal)
             certificate = _outcome(chain.certify) if moved else None
             _assert_channels_hold(chain)
+            _assert_smoothed_rows_hold(chain)
         else:
             before = counts.copy()
             gibbs_sample_batch(
@@ -1002,9 +1140,7 @@ def _run_epoch(case, planned):
             moved = labels[positions].tolist() != previous
             certificate = None
             if moved:
-                certificate = _outcome(
-                    lambda: _worst_certified_row(*update_bound(before, counts, prior).tolist())
-                )
+                certificate = _outcome(lambda: numpy_worst_row(update_bound(before, counts, prior)))
         assert moved == (labels[positions].tolist() != previous)
         outcomes.append((moved, certificate, labels.tolist(), counts.tolist()))
     if planned:

@@ -1,13 +1,13 @@
 """End-to-end trainer behaviour: equivalences, determinism, and config guards."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import numpy_worst_row
 from lccn_lab.classifier import forward_proba, one_hot
 from lccn_lab.datagen import NoiseSpec, apply_noise, make_gaussian_mixture, mark_clean_subset
 from lccn_lab.errors import InvariantError, ParameterError, TrainingError
@@ -20,9 +20,7 @@ from lccn_lab.trainers import (
     run_trainer,
 )
 from lccn_lab.noise_model import (
-    BOUND_SLACK,
     DirichletPrior,
-    _worst_certified_row,
     check_transition,
     confusion_counts,
     update_bound,
@@ -380,31 +378,6 @@ def test_batch_that_moves_no_label_certifies_as_zero(
         assert (float(measured[worst]), float(bound[worst])) == (0.0, 0.0)
 
 
-# Few values, so that rows tie, a bound sits within BOUND_SLACK of its row or
-# overflows to inf, and measured is often all zero.
-CERTIFIED_VALUES = st.sampled_from([0.0, 5e-324, 1e-13, 0.125, 0.5, 1.0, math.inf])
-
-
-@given(rows=st.lists(st.tuples(CERTIFIED_VALUES, CERTIFIED_VALUES), min_size=1, max_size=9))
-@example(rows=[(0.0, 0.0)] * 4)
-@example(rows=[(0.5, 1.0), (0.5, 0.5), (0.125, 0.5)])
-@settings(max_examples=300, deadline=None)
-def test_worst_certified_row_reads_like_numpy(rows):
-    # The trainer's list read of the certificate against its numpy read:
-    # np.any for a violation, np.argmax (the first of equal maxima) for the worst row.
-    measured, bound = np.array(rows, dtype=np.float64).T
-    certificate = np.array([measured, bound])
-    if np.any(measured > bound + BOUND_SLACK):
-        with pytest.raises(InvariantError):
-            _worst_certified_row(*certificate.tolist())
-        return
-    worst = int(np.argmax(measured))
-    expected = (float(measured[worst]), float(bound[worst]))
-    got = _worst_certified_row(*certificate.tolist())
-    assert [type(v) for v in got] == [float, float]
-    assert np.array(got).tobytes() == np.array(expected).tobytes()
-
-
 def _planned_positions(chain, probs):
     """Positions of the samples the chain's next step resamples, read from its plan."""
     draws = chain.draws[chain.cursor : chain.cursor + len(probs)]
@@ -443,7 +416,7 @@ def test_label_swap_with_equal_counts_is_still_certified(blobs2_tiny, monkeypatc
         before, after = steps[-1]
         cert = certify(chain)
         certificates.append((np.array_equal(before, after), update_bound(before, after, chain.prior)))
-        assert cert == _worst_certified_row(*certificates[-1][1].tolist())
+        assert cert == numpy_worst_row(certificates[-1][1])
         return cert
 
     monkeypatch.setattr(GibbsChain, "step", scripted_step)
