@@ -30,11 +30,10 @@ kept channels. Both chain benchmarks also run at K=5 with a batch of 32
 where each draw sums its scores in numpy's pairwise order.
 `test_chain_certify` gives `test_update_bound_settled`'s certificate as the
 chain computes it, for one frozen state: it certifies the same rows again
-and again, so it never reuses a kept smoothed row. `test_chain_step_certify`
-steps settled batches in turn and certifies each one that moved a label, as
-the latent trainers do, so a row's certificate starts from the smoothed row
-its last certificate left. Both also run with five latent rows over four
-observed labels and a batch of 32, lccn_star's shape on the ordering bundle.
+and again. `test_chain_step_certify` steps settled batches in turn and
+certifies each one that moved a label, as the latent trainers do. Both also
+run with five latent rows over four observed labels and a batch of 32,
+lccn_star's shape on the ordering bundle.
 """
 
 import itertools

@@ -5,9 +5,8 @@ Usage, from the repository root:
 
     python3 scripts/ab.py HEAD~1
     python3 scripts/ab.py HEAD~1 HEAD --workload latent-ordering --seeds 1 2 --pairs 10
-    python3 scripts/ab.py HEAD~1 --micro "test_gibbs_sample_batch[3-8]"
     python3 scripts/ab.py HEAD~1 --workload baselines-ordering --in-process --pairs 20
-    python3 scripts/ab.py HEAD~1 --micro "test_chain_certify[4-32]" --in-process --pairs 20
+    python3 scripts/ab.py HEAD~1 --micro "test_chain_certify[4-32]" --pairs 20
 
 BASE and REV name git revisions; REV defaults to the working tree. Each side
 is exported into its own temporary directory: a revision with a local
@@ -42,24 +41,19 @@ the summary is the same as above. `setup_s` and `peak_rss_mb` belong to a
 process, so only the separate-process mode reads them.
 
 `--micro NODE` times one microbenchmark of benchmarks/test_micro.py instead,
-named by its pytest node id or its bare test id (`test_sgd_step[linear-batch8]`).
-Each side of a pair is one run of `scripts/bench.py`'s `run_micro` in the
-side's tree: a pytest-benchmark process with `calibration_sample` readings
-before and after it, whose calibrated median `norm_median_us` is the pair's
-reading. The summary is the same, for that one reading, with no failures or
-fingerprints to compare. Separate processes cannot resolve a change much
-under 40% this way.
-
-`--micro NODE --in-process` alternates the two sides in this process, as
-`--workload --in-process` does. Each side's `benchmarks/test_micro.py` is
-loaded with `lccn_lab` bound to that side's package (`load_micro`), and the
-node's body runs once with a stand-in for pytest-benchmark's fixture, which
-keeps the call it is given. A sizing run on the base fixes the calls per
-round, as many as fill MICRO_ROUND_S, and one warm-up round per side
-follows; pair i then runs one round per side in `pair_order`, timed with
-perfbench's `Calibrated`, and reads its calibrated mean per call,
-`norm_mean_us`. On a 2-vCPU VM, two sides of the same tree read within 1%
-of each other, with a base IQR of 10-16% of the median over 20 pairs.
+named by its pytest node id or its bare test id (`test_sgd_step[linear-batch8]`),
+and always alternates the two sides in this process, as `--workload
+--in-process` does (separate pytest-benchmark processes cannot resolve a
+change much under 40%). Each side's `benchmarks/test_micro.py` is loaded
+with `lccn_lab` bound to that side's package (`load_micro`), and the node's
+body runs once with a stand-in for pytest-benchmark's fixture, which keeps
+the call it is given. A sizing run on the base fixes the calls per round, as
+many as fill MICRO_ROUND_S, and one warm-up round per side follows; pair i
+then runs one round per side in `pair_order`, timed with perfbench's
+`Calibrated`, and reads its calibrated mean per call, `norm_mean_us`. The
+summary is the same, for that one reading, with no failures or fingerprints
+to compare. On a 2-vCPU VM, two sides of the same tree read within 1% of
+each other, with a base IQR of 10-16% of the median over 20 pairs.
 """
 
 from __future__ import annotations
@@ -87,7 +81,7 @@ if __name__ == "__main__":
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
-from bench import MICRO, run_micro, run_workload  # noqa: E402
+from bench import MICRO, run_workload  # noqa: E402
 from calibrate import Calibrated  # noqa: E402  (perfbench/, which bench puts on the path)
 
 BENCHMARK_FILES = ("BENCHMARK.json", "perfbench")
@@ -203,7 +197,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     what.add_argument("--micro", type=micro_node, metavar="NODE",
                       help=f"time one microbenchmark of {MICRO} instead of a workload")
     parser.add_argument("--in-process", action="store_true",
-                        help="run the pairs in this process, rounds alternating")
+                        help="run the workload pairs in this process, rounds alternating")
     parser.add_argument("--seeds", type=int, nargs="+", help="workload seeds (0)")
     parser.add_argument("--pairs", type=int, default=CLAIM_PAIRS)
     args = parser.parse_args(argv)
@@ -211,6 +205,8 @@ def parse_args(argv=None) -> argparse.Namespace:
         parser.error("--pairs must be at least 1")
     if args.micro and args.seeds is not None:
         parser.error("--seeds applies to workload runs only, not to --micro")
+    if args.micro and args.in_process:
+        parser.error("--in-process applies to workload runs; --micro always runs in this process")
     args.seeds = args.seeds or [0]
     return args
 
@@ -221,18 +217,6 @@ def print_summary(name: str, unit: str, better: str, s: dict) -> None:
           f"{s['base_median']:.4g} -> {s['rev_median']:.4g} ({change:+.1%}), "
           f"base IQR {s['base_iqr']:.4g}, wins {s['wins']}/{s['pairs']}, "
           f"claim holds: {'yes' if s['claim_holds'] else 'no'}")
-
-
-def micro_pairs(trees: dict[str, Path], node: str, pairs: int) -> None:
-    readings = {"base": [], "rev": []}
-    for pair in range(pairs):
-        for side in pair_order(pair):
-            (stats,) = run_micro(trees[side], [node]).values()
-            readings[side].append(stats["norm_median_us"])
-        print(f"pair {pair + 1} ({pair_order(pair)[0]} first): norm_median_us "
-              f"{readings['base'][-1]:.4g} -> {readings['rev'][-1]:.4g}", flush=True)
-    summary = summarize(readings["base"], readings["rev"], "lower", {"base": 0.0, "rev": 0.0}, True)
-    print_summary("norm_median_us", "us", "lower", summary)
 
 
 def load_micro(tree: Path, package: str, node: str):
@@ -302,7 +286,7 @@ def micro_round(call, calls: int) -> float:
     return timed.scaled[0] / calls * 1e6
 
 
-def in_process_micro_pairs(trees: dict[str, Path], node: str, pairs: int) -> None:
+def micro_pairs(trees: dict[str, Path], node: str, pairs: int) -> None:
     sides = {side: load_micro(tree, f"lccn_lab_{side}", node) for side, tree in trees.items()}
     calls, start = 0, time.perf_counter()
     while time.perf_counter() - start < MICRO_ROUND_S:  # sizing, on the base side
@@ -458,11 +442,9 @@ def main(argv=None) -> int:
         what = args.micro or args.workload or spec["workloads"][0]["name"]
         print(f"# {what}: base {revs['base'][:12]} against rev "
               f"{(revs['rev'] or 'working tree')[:12]}, {args.pairs} pairs"
-              + (" of rounds in one process" if args.in_process else
-                 "" if args.micro else f" of {spec['run_seconds']:g} s"))
-        if args.micro and args.in_process:
-            in_process_micro_pairs(trees, args.micro, args.pairs)
-        elif args.micro:
+              + (" of rounds in one process" if args.in_process or args.micro else
+                 f" of {spec['run_seconds']:g} s"))
+        if args.micro:
             micro_pairs(trees, args.micro, args.pairs)
         elif args.in_process:
             in_process_pairs(trees, what, args.seeds, args.pairs, Path(tmp))

@@ -19,10 +19,7 @@ certifies the sampler's chain and picks the row that moved most as it goes.
 Each row is one call of `_certificate_kernel(W)`, source written out for W
 observed labels with no loop and compiled once per width, as the sampler's
 draw kernel is: the row's totals, churn and bound, its smoothed rows with
-their row checks, and their L1 change. A chain keeps each row's smoothed row
-from its last certificate and hands it back while the row's counts are
-still the ones it smoothed, as SparseLDA keeps count-only quantities until
-their counts change. Every float sum over a row follows numpy's order:
+their row checks, and their L1 change. Every float sum over a row follows numpy's order:
 `_row_sum` adds a row of fewer than 8 entries left to right, which is what
 numpy does for such rows, and a longer row in numpy's unrolled pairwise
 order, on plain floats too. Both kernels write the short sums inline and
@@ -228,7 +225,7 @@ _ROW_CHECK_FAILED = 1
 _NEGATIVE_MASS = 2
 
 
-def _certificate(rows, alpha: list, total: float, smoothed: list | None = None):
+def _certificate(rows, alpha: list, total: float):
     """Certify (row, counts before, counts after) triples in one pass.
 
     Returns `certified`, the (measured, bound) of each row whose counts
@@ -236,12 +233,9 @@ def _certificate(rows, alpha: list, total: float, smoothed: list | None = None):
     `np.argmax` reads the whole measured row (the first of equal maxima, every
     other row reading 0.0); and whether some row moved more than its bound
     plus `BOUND_SLACK`. Each row is one call of `_certificate_kernel(W)` for
-    the W entries of `alpha`, the prior's concentration. `smoothed`, when
-    given, holds per row None or the (count row, smoothed row) of its last
-    certificate: a row whose counts before equal that count row reuses the
-    smoothed row, and each certified row leaves its own there. After the
-    pass, a row left with negative mass raises `InvariantError`, and else a
-    failed row check `ParameterError`.
+    the W entries of `alpha`, the prior's concentration. After the pass, a
+    row left with negative mass raises `InvariantError`, and else a failed
+    row check `ParameterError`.
     """
     kernel = _certificate_kernel(len(alpha))
     certified = {}
@@ -251,16 +245,11 @@ def _certificate(rows, alpha: list, total: float, smoothed: list | None = None):
     for r, before, after in rows:
         if before == after:
             continue
-        kept = None if smoothed is None else smoothed[r]
-        if kept is not None:
-            kept = kept[1] if kept[0] == before else None
-        code, measured, bound, row = kernel(before, after, alpha, total, kept)
+        code, measured, bound = kernel(before, after, alpha, total)
         if code:
             refused |= code
             continue
         certified[r] = measured, bound
-        if smoothed is not None:
-            smoothed[r] = after, row
         violated = violated or measured > bound + BOUND_SLACK
         # Measured changes are never negative or NaN, so an untouched row 0 reading
         # 0.0 wins every tie at 0.0, as `np.argmax` would pick it.
@@ -274,16 +263,16 @@ def _certificate(rows, alpha: list, total: float, smoothed: list | None = None):
 
 
 _CERTIFICATE_SOURCE = """\
-def certify(before, after, alpha, total, smoothed):
+def certify(before, after, alpha, total):
     [{b}] = before
     [{a}] = after
     mass_after = {mass_after}
     if mass_after < 0:
-        return NEGATIVE_MASS, 0.0, 0.0, None
+        return NEGATIVE_MASS, 0.0, 0.0
     mass = {mass}
     denom = mass + total
     if denom == 0.0:  # a row of negative counts; its smoothed row has no norm either
-        return ROW_CHECK_FAILED, 0.0, 0.0, None
+        return ROW_CHECK_FAILED, 0.0, 0.0
     net = mass_after - mass
     churn = {churn}
     net_ratio = net / denom
@@ -296,23 +285,20 @@ def certify(before, after, alpha, total, smoothed):
         # batch, which may overflow to inf but never undercuts the measured change.
         bound = (abs(net) + churn) / (mass_after + total)
     [{k}] = alpha
-    if smoothed is None:
 {smooth_before}
-    else:
-        [{p}] = smoothed
 {smooth_after}
-    return 0, {measured}, bound, [{q}]
+    return 0, {measured}, bound
 """
 
 _SMOOTH_SOURCE = """\
 {n}
 norm = {norm}
 if norm == 0.0:
-    return ROW_CHECK_FAILED, 0.0, bound, None
+    return ROW_CHECK_FAILED, 0.0, bound
 {divide}
 # A NaN entry fails the sum test, so the sign test may let NaN through.
 if not abs({row_sum} - 1.0) <= ROW_SUM_TOL or {negative}:
-    return ROW_CHECK_FAILED, 0.0, bound, None
+    return ROW_CHECK_FAILED, 0.0, bound
 """
 
 
@@ -325,22 +311,21 @@ def _sum_source(terms: list[str]) -> str:
 
 @functools.lru_cache(maxsize=None)
 def _certificate_kernel(width: int):
-    """`certify(before, after, alpha, total, smoothed)`: one count row's certificate, W = width.
+    """`certify(before, after, alpha, total)`: one count row's certificate, W = width.
 
     `_CERTIFICATE_SOURCE` written out for W observed labels, with no loop,
     on the row's counts before and after, the prior's concentration `alpha`
-    and its `total`. It returns (code, measured, bound, smoothed row after):
-    code 0 is a certified row; `_NEGATIVE_MASS` a row left with negative
-    mass, before anything else is computed; `_ROW_CHECK_FAILED` a row whose
-    smoothed row (`transition_from_counts`'s) fails `check_transition`'s row
-    check. `smoothed`, when not None, is the smoothed row of the counts
-    before, which then is not computed again. Float sums take `_row_sum`'s
+    and its `total`. It returns (code, measured, bound): code 0 is a
+    certified row; `_NEGATIVE_MASS` a row left with negative mass, before
+    anything else is computed; `_ROW_CHECK_FAILED` a row whose smoothed row
+    before or after (`transition_from_counts`'s) fails `check_transition`'s
+    row check. Float sums take `_row_sum`'s
     order (`_sum_source`); integer ones are exact in any order. It is
     compiled at first use, as `sampler._draw_kernel` is.
     """
     js = range(width)
 
-    def smooth(counts: str, out: str, indent: str) -> str:
+    def smooth(counts: str, out: str) -> str:
         block = _SMOOTH_SOURCE.format(
             n="\n".join(f"n{j} = {counts}{j} + k{j}" for j in js),
             norm=_sum_source([f"n{j}" for j in js]),
@@ -348,7 +333,7 @@ def _certificate_kernel(width: int):
             row_sum=_sum_source([f"{out}{j}" for j in js]),
             negative=" or ".join(f"{out}{j} < 0.0" for j in js),
         )
-        return "\n".join(indent + line for line in block.splitlines())
+        return "\n".join("    " + line for line in block.splitlines())
 
     source = _CERTIFICATE_SOURCE.format(
         b=", ".join(f"b{j}" for j in js),
@@ -357,11 +342,9 @@ def _certificate_kernel(width: int):
         mass_after=" + ".join(f"a{j}" for j in js),
         churn=" + ".join(f"abs(a{j} - b{j})" for j in js),
         k=", ".join(f"k{j}" for j in js),
-        p=", ".join(f"p{j}" for j in js),
-        smooth_before=smooth("b", "p", " " * 8),
-        smooth_after=smooth("a", "q", " " * 4),
+        smooth_before=smooth("b", "p"),
+        smooth_after=smooth("a", "q"),
         measured=_sum_source([f"abs(q{j} - p{j})" for j in js]),
-        q=", ".join(f"q{j}" for j in js),
     )
     namespace = {
         "NEGATIVE_MASS": _NEGATIVE_MASS, "ROW_CHECK_FAILED": _ROW_CHECK_FAILED,

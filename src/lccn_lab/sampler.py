@@ -41,8 +41,7 @@ the two classes' entries of every kept column and drops the column of a cell
 it emptied, as SparseLDA (Yao, Mimno and McCallum, 2009) updates its
 count-only coefficients. The chain also keeps each count row its last step
 touched as it was before, so `GibbsChain.certify` gives
-`noise_model.update_bound`'s certificate from those rows alone, each
-starting from the smoothed row that its last certificate kept. An exponent
+`noise_model.update_bound`'s certificate from those rows alone. An exponent
 other than 1 always goes through numpy's `**`, whose vectorized power may
 round differently from Python's; an annealed batch raises each pair's base
 column (kept or warmup) once and reuses it until a draw moves a label.
@@ -205,10 +204,8 @@ class GibbsChain:
     cell, the count channel `(a + c) / (A + t)` that a sample in that cell
     scores against once its own count is removed. `before` holds each count
     row that the last `step` moved a label into or out of, as it was before
-    that step. `smoothed[r]` is None or the (count row, smoothed row) of
-    row r's last certificate. `draws` holds the plan's (observed label,
-    position, uniform) triples, and `cursor` how many of them the steps have
-    taken.
+    that step. `draws` holds the plan's (observed label, position, uniform)
+    triples, and `cursor` how many of them the steps have taken.
     """
 
     def __init__(
@@ -232,7 +229,6 @@ class GibbsChain:
         self.totals = [sum(row) for row in zip(*self.columns)]
         self.channels: list[list] = [[None] * len(self.totals) for _ in self.columns]
         self.before: dict[int, list] = {}
-        self.smoothed: list[tuple[list, list] | None] = [None] * len(self.totals)
         self.draws: list[tuple[int, int, float]] = []
         self.cursor = 0
 
@@ -375,16 +371,13 @@ class GibbsChain:
         One `_certificate` pass over the rows in `before` computes them and
         picks the worst: every other row kept its counts and reads 0.0, and
         the first of equal maxima wins, as `np.argmax` picks it from the
-        whole measured row. A row whose counts before the step are those of
-        its last certificate starts from the smoothed row kept in `smoothed`;
-        steps that nobody certified leave other counts, which are smoothed
-        afresh. Raises as `update_bound` would on the whole matrix, and
-        `InvariantError` when a row moved more than its bound plus
-        `BOUND_SLACK`.
+        whole measured row. Raises as `update_bound` would on the whole
+        matrix, and `InvariantError` when a row moved more than its bound
+        plus `BOUND_SLACK`.
         """
         columns = self.columns
         rows = [(r, row, [cells[r] for cells in columns]) for r, row in self.before.items()]
-        _, worst, violated = _certificate(rows, self.alpha, self.prior.total, self.smoothed)
+        _, worst, violated = _certificate(rows, self.alpha, self.prior.total)
         if violated:
             raise InvariantError("transition row moved beyond the per-batch update bound")
         return worst

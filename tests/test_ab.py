@@ -150,11 +150,6 @@ def test_a_package_loads_under_a_second_name():
             del sys.modules[module]
 
 
-def test_micro_pairs_run_in_process_too():
-    args = ab.parse_args(["HEAD~1", "--micro", "test_chain_certify[4-32]", "--in-process"])
-    assert args.in_process and args.micro == "benchmarks/test_micro.py::test_chain_certify[4-32]"
-
-
 def test_a_microbenchmark_loads_against_its_sides_package():
     # In-process micro pairs bind each side's benchmark module to that side's lccn_lab.
     import lccn_lab
@@ -184,13 +179,14 @@ def test_a_microbenchmark_loads_against_its_sides_package():
         ["HEAD", "--micro", "test_sgd_step[linear-batch8]", "--workload", "latent-recovery"],
         ["HEAD", "--micro", "test_sgd_step[linear-batch8]", "--seeds", "1"],
         ["HEAD", "--micro", "test_sgd_step[linear-batch8]", "--pairs", "0"],
+        ["HEAD", "--micro", "test_sgd_step[linear-batch8]", "--in-process"],
     ],
 )
 def test_bad_arguments_exit_2_before_any_run(argv, capsys, monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("a run was started")
 
-    monkeypatch.setattr(ab, "run_micro", no_run)
+    monkeypatch.setattr(ab, "load_micro", no_run)
     monkeypatch.setattr(ab, "run_workload", no_run)
     monkeypatch.setattr(ab, "export", no_run)
     with pytest.raises(SystemExit) as exit_info:

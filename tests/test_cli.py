@@ -465,8 +465,8 @@ def test_median_test_accuracy_is_statistics_median(accuracies):
 
 def test_invariant_violation_is_runtime_error(tmp_path, lccn_config, monkeypatch, capsys):
     # measured 1.0 against a bound of 0.0, in the certificate of every batch that moved a label
-    def kernel(before, after, alpha, total, smoothed):
-        return 0, 1.0, 0.0, list(alpha)
+    def kernel(before, after, alpha, total):
+        return 0, 1.0, 0.0
 
     monkeypatch.setattr("lccn_lab.noise_model._certificate_kernel", lambda width: kernel)
     code = main(["train", "--config", lccn_config, "--out", str(tmp_path / "o")])
