@@ -42,18 +42,22 @@ process, so only the separate-process mode reads them.
 
 `--micro NODE` times one microbenchmark of benchmarks/test_micro.py instead,
 named by its pytest node id or its bare test id (`test_sgd_step[linear-batch8]`),
-and always alternates the two sides in this process, as `--workload
---in-process` does (separate pytest-benchmark processes cannot resolve a
-change much under 40%). Each side's `benchmarks/test_micro.py` is loaded
-with `lccn_lab` bound to that side's package (`load_micro`), and the node's
-body runs once with a stand-in for pytest-benchmark's fixture, which keeps
-the call it is given. A sizing run on the base fixes the calls per round, as
-many as fill MICRO_ROUND_S, and one warm-up round per side follows; pair i
-then runs one round per side in `pair_order`, timed with perfbench's
-`Calibrated`, and reads its calibrated mean per call, `norm_mean_us`. The
-summary is the same, for that one reading, with no failures or fingerprints
-to compare. On a 2-vCPU VM, two sides of the same tree read within 1% of
-each other, with a base IQR of 10-16% of the median over 20 pairs.
+with `scripts/bench.py`'s microbenchmark harness, and always alternates the
+two sides in this process, as `--workload --in-process` does (separate
+processes cannot resolve a change much under 40%). Each side's
+`benchmarks/test_micro.py` is loaded with `lccn_lab` bound to that side's
+package (`load_micro`), and the node's body hands over the call it times. A
+sizing run on the base fixes the calls per round, as many as fill
+`bench.MICRO_ROUND_S`, and one warm-up round per side follows; pair i then runs
+one round per side in `pair_order` (`micro_round`) and reads its calibrated
+mean per call, `norm_mean_us`. The summary is the same, for that one
+reading, with no failures or fingerprints to compare. On a 2-vCPU VM, two
+sides of the same tree read within 1% of each other, with a base IQR of
+10-16% of the median over 20 pairs.
+
+All three modes share one pair loop, `run_pairs`: each builds its two sides,
+a function per side from a seed to one pair's readings, fingerprints, failed
+and attempted training runs, and sizes and warms them up as it needs.
 """
 
 from __future__ import annotations
@@ -61,8 +65,6 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib
-import importlib.util
-import itertools
 import json
 import os
 import shutil
@@ -70,8 +72,8 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
+from typing import NoReturn
 
 if __name__ == "__main__":
     # Pin every thread pool before numpy loads, as perfbench/run.py does, so that
@@ -81,18 +83,19 @@ if __name__ == "__main__":
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
-from bench import MICRO, run_workload  # noqa: E402
+from bench import (  # noqa: E402
+    MICRO, load_micro, load_package, micro_calls, micro_round, run_workload,
+)
 from calibrate import Calibrated  # noqa: E402  (perfbench/, which bench puts on the path)
 
 BENCHMARK_FILES = ("BENCHMARK.json", "perfbench")
 CLAIM_PAIRS = 10
 CLAIM_WIN_SHARE = 0.9
-# (name, unit, better) of the readings of an in-process pair.
+# (name, unit, better) of the readings of an in-process pair, and of a micro pair.
 IN_PROCESS_METRICS = (
     ("norm_wall_s", "s", "lower"), ("norm_samples_per_s", "1/s", "higher"), ("wall_s", "s", "lower"),
 )
-# Seconds of one in-process microbenchmark round, sized on the base side.
-MICRO_ROUND_S = 0.25
+MICRO_METRICS = (("norm_mean_us", "us", "lower"),)
 
 
 def pair_order(pair: int) -> tuple[str, str]:
@@ -219,135 +222,71 @@ def print_summary(name: str, unit: str, better: str, s: dict) -> None:
           f"claim holds: {'yes' if s['claim_holds'] else 'no'}")
 
 
-def load_micro(tree: Path, package: str, node: str):
-    """The call that microbenchmark `node` of `tree` times, against the tree's `lccn_lab` as `package`.
+def run_pairs(metrics, sides: dict, seeds: list, pairs: int) -> dict[str, dict]:
+    """Run `pairs` pairs of two sides in `pair_order`, print them and each metric's summary.
 
-    The tree's benchmark module is imported while `lccn_lab` and its
-    submodules name that package, and the names are restored after. The
-    node's body then runs once with a stand-in `benchmark` that keeps its
-    call, and with the arguments of the parametrization the node id names.
+    `metrics` are (name, unit, better) triples of the readings, and `sides`
+    maps "base" and "rev" to a function from a seed to one run's readings (a
+    dict by metric name), its fingerprints, and its failed and attempted
+    training runs; pair i runs at seed seeds[i % len(seeds)]. A side without
+    training runs gives None for fingerprints, and its pairs print neither a
+    seed nor fingerprints. Returns each metric's `summarize` by name.
     """
-    load_package(tree / "src", package)
-    aliases = {name.replace(package, "lccn_lab", 1): module for name, module in sys.modules.items()
-               if name == package or name.startswith(f"{package}.")}
-    saved = {name: sys.modules.get(name) for name in aliases}
-    sys.modules.update(aliases)
-    try:
-        spec = importlib.util.spec_from_file_location(f"{package}_micro", tree / MICRO)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        for name, previous in saved.items():
-            if previous is None:
-                del sys.modules[name]
-            else:
-                sys.modules[name] = previous
-    name, _, case = node.partition("::")[2].partition("[")
-    body = getattr(module, name, None)
-    for kwargs in _parametrizations(body):
-        if "-".join(str(v) for v in kwargs.values()) == case.rstrip("]"):
-            break
-    else:
-        raise SystemExit(f"error: {node} names no microbenchmark of {tree / MICRO}")
-    calls = []
-
-    def benchmark(fn, *args, **kw):  # pytest-benchmark's signature
-        calls.append(functools.partial(fn, *args, **kw))
-
-    body(benchmark, **kwargs)
-    (call,) = calls
-    return call
-
-
-def _parametrizations(body) -> list[dict]:
-    """The keyword arguments of each case of a test's `parametrize` marks; [] for no test."""
-    if not callable(body):
-        return []
-    axes = []
-    for mark in getattr(body, "pytestmark", []):
-        if mark.name == "parametrize":
-            names = [n.strip() for n in mark.args[0].split(",")]
-            axes.append([dict(zip(names, v if len(names) > 1 else (v,))) for v in mark.args[1]])
-    cases = []
-    for combo in itertools.product(*axes):
-        cases.append({k: v for part in combo for k, v in part.items()})
-    return cases
-
-
-def micro_round(call, calls: int) -> float:
-    """Calibrated microseconds per call of `calls` calls in a row."""
-    timed = Calibrated()
-
-    def run() -> None:
-        for _ in range(calls):
-            call()
-
-    timed.time_call(run)
-    return timed.scaled[0] / calls * 1e6
-
-
-def micro_pairs(trees: dict[str, Path], node: str, pairs: int) -> None:
-    sides = {side: load_micro(tree, f"lccn_lab_{side}", node) for side, tree in trees.items()}
-    calls, start = 0, time.perf_counter()
-    while time.perf_counter() - start < MICRO_ROUND_S:  # sizing, on the base side
-        sides["base"]()
-        calls += 1
-    for call in sides.values():  # warm-up: one unrecorded round per side
-        micro_round(call, calls)
-    print(f"# {calls} calls per round")
     readings = {"base": [], "rev": []}
-    for pair in range(pairs):
-        for side in pair_order(pair):
-            readings[side].append(micro_round(sides[side], calls))
-        print(f"pair {pair + 1} ({pair_order(pair)[0]} first): norm_mean_us "
-              f"{readings['base'][-1]:.4g} -> {readings['rev'][-1]:.4g}", flush=True)
-    summary = summarize(readings["base"], readings["rev"], "lower", {"base": 0.0, "rev": 0.0}, True)
-    print_summary("norm_mean_us", "us", "lower", summary)
-
-
-def workload_pairs(trees: dict[str, Path], spec: dict, workload: str, seeds: list[int],
-                   pairs: int) -> None:
-    metrics = spec["end_to_end"]
-    runs = {"base": [], "rev": []}
+    failed, attempted = {"base": 0, "rev": 0}, {"base": 0, "rev": 0}
     fingerprints_match = True
     for pair in range(pairs):
         seed = seeds[pair % len(seeds)]
+        prints = {}
         for side in pair_order(pair):
-            runs[side].append(run_workload(trees[side], workload, seed, spec["run_seconds"])[0])
-        base, rev = runs["base"][-1], runs["rev"][-1]
-        cells = ", ".join(
-            f"{m['name']} {base['end_to_end'][m['name']]:.4g} -> "
-            f"{rev['end_to_end'][m['name']]:.4g}"
-            for m in metrics
-        )
-        same = base["fingerprints"] == rev["fingerprints"]
+            reading, prints[side], fails, runs = sides[side](seed)
+            readings[side].append(reading)
+            failed[side] += fails
+            attempted[side] += runs
+        base, rev = readings["base"][-1], readings["rev"][-1]
+        same = prints["base"] == prints["rev"]
         fingerprints_match = fingerprints_match and same
-        print(f"pair {pair + 1} seed {seed} ({pair_order(pair)[0]} first): {cells}; "
-              f"fingerprints {'identical' if same else 'DIFFER'}", flush=True)
+        cells = ", ".join(f"{name} {base[name]:.4g} -> {rev[name]:.4g}" for name, _, _ in metrics)
+        if prints["base"] is None:
+            print(f"pair {pair + 1} ({pair_order(pair)[0]} first): {cells}", flush=True)
+        else:
+            print(f"pair {pair + 1} seed {seed} ({pair_order(pair)[0]} first): {cells}; "
+                  f"fingerprints {'identical' if same else 'DIFFER'}", flush=True)
+    if any(attempted.values()):
+        print(f"# failed training runs: base {failed['base']}/{attempted['base']}, "
+              f"rev {failed['rev']}/{attempted['rev']}")
+    failed_share = {side: failed[side] / max(attempted[side], 1) for side in failed}
+    summaries = {}
+    for name, unit, better in metrics:
+        summaries[name] = summarize([r[name] for r in readings["base"]],
+                                    [r[name] for r in readings["rev"]], better,
+                                    failed_share, fingerprints_match)
+        print_summary(name, unit, better, summaries[name])
+    return summaries
 
-    failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
-    attempted = {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()}
-    print(f"# failed training runs: base {failed['base']}/{attempted['base']}, "
-          f"rev {failed['rev']}/{attempted['rev']}")
-    failed_share = {side: failed[side] / max(attempted[side], 1) for side in runs}
-    for metric in metrics:
-        name = metric["name"]
-        summary = summarize([r["end_to_end"][name] for r in runs["base"]],
-                            [r["end_to_end"][name] for r in runs["rev"]], metric["better"],
-                            failed_share, fingerprints_match)
-        print_summary(name, metric["unit"], metric["better"], summary)
+
+def micro_sides(trees: dict[str, Path], node: str) -> dict:
+    """Each side's round of microbenchmark `node`, sized on the base and warmed up once."""
+    calls = {side: load_micro(tree, f"lccn_lab_{side}", node) for side, tree in trees.items()}
+    per_round = micro_calls(calls["base"])
+    for call in calls.values():  # warm-up: one unrecorded round per side
+        micro_round(call, per_round)
+    print(f"# {per_round} calls per round")
+
+    def run(call, seed: int) -> tuple[dict, None, int, int]:
+        return micro_round(call, per_round), None, 0, 0
+
+    return {side: functools.partial(run, call) for side, call in calls.items()}
 
 
-def load_package(src: Path, name: str):
-    """Import the `lccn_lab` package under src as `name`; its submodules import as `name.x`."""
-    init = src / "lccn_lab" / "__init__.py"
-    spec = importlib.util.spec_from_file_location(
-        name, init, submodule_search_locations=[str(init.parent)]
-    )
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
-    return package
+def workload_sides(trees: dict[str, Path], workload: str, seconds: float) -> dict:
+    """Each side's separate `perfbench/run.py` process of `workload` for `seconds`."""
+
+    def run(tree: Path, seed: int) -> tuple[dict, dict, int, int]:
+        record = run_workload(tree, workload, seed, seconds)[0]
+        return record["end_to_end"], record["fingerprints"], record["failed"], record["attempted"]
+
+    return {side: functools.partial(run, tree) for side, tree in trees.items()}
 
 
 def round_reading(raw: list[float], scaled: list[float], samples: int) -> dict[str, float]:
@@ -383,8 +322,8 @@ class _Side:
         return round_reading(timed.raw, timed.scaled, samples), prints, failed, len(runs)
 
 
-def in_process_pairs(trees: dict[str, Path], workload: str, seeds: list[int], pairs: int,
-                     tmp: Path) -> None:
+def in_process_sides(trees: dict[str, Path], workload: str, seeds: list[int], tmp: Path) -> dict:
+    """Each side's in-process round of `workload`, warmed up once per seed."""
     sys.path.insert(0, str(trees["base"] / "perfbench"))
     import checks
     import workloads
@@ -394,31 +333,13 @@ def in_process_pairs(trees: dict[str, Path], workload: str, seeds: list[int], pa
     for seed in seeds:  # warm-up: one unrecorded round per side and seed
         for side in sides.values():
             side.round(seed)
-    readings = {"base": [], "rev": []}
-    failed, attempted = {"base": 0, "rev": 0}, {"base": 0, "rev": 0}
-    fingerprints_match = True
-    for pair in range(pairs):
-        seed = seeds[pair % len(seeds)]
-        prints = {}
-        for side in pair_order(pair):
-            reading, prints[side], fails, runs = sides[side].round(seed)
-            readings[side].append(reading)
-            failed[side] += fails
-            attempted[side] += runs
-        base, rev = readings["base"][-1], readings["rev"][-1]
-        same = prints["base"] == prints["rev"]
-        fingerprints_match = fingerprints_match and same
-        cells = ", ".join(f"{name} {base[name]:.4g} -> {rev[name]:.4g}"
-                          for name, _, _ in IN_PROCESS_METRICS)
-        print(f"pair {pair + 1} seed {seed} ({pair_order(pair)[0]} first): {cells}; "
-              f"fingerprints {'identical' if same else 'DIFFER'}", flush=True)
-    print(f"# failed training runs: base {failed['base']}/{attempted['base']}, "
-          f"rev {failed['rev']}/{attempted['rev']}")
-    failed_share = {side: failed[side] / max(attempted[side], 1) for side in sides}
-    for name, unit, better in IN_PROCESS_METRICS:
-        summary = summarize([r[name] for r in readings["base"]], [r[name] for r in readings["rev"]],
-                            better, failed_share, fingerprints_match)
-        print_summary(name, unit, better, summary)
+    return {name: side.round for name, side in sides.items()}
+
+
+def _refuse(message: str) -> NoReturn:
+    """Exit 2 with `message`, as argparse refuses a bad argument."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def main(argv=None) -> int:
@@ -426,8 +347,11 @@ def main(argv=None) -> int:
     try:
         revs = {"base": _resolve(args.base), "rev": args.rev and _resolve(args.rev)}
     except subprocess.CalledProcessError as exc:
-        print(f"error: unknown revision: {exc.stderr.strip()}", file=sys.stderr)
-        return 2
+        _refuse(f"unknown revision: {exc.stderr.strip()}")
+    spec = json.loads(_git("show", f"{revs['base']}:BENCHMARK.json").stdout)
+    known = [w["name"] for w in spec["workloads"]]
+    if args.workload is not None and args.workload not in known:
+        _refuse(f"unknown workload {args.workload!r}; BENCHMARK.json names {', '.join(known)}")
 
     with tempfile.TemporaryDirectory(prefix="lccn-ab-") as tmp:
         trees = {side: Path(tmp) / side for side in revs}
@@ -435,21 +359,21 @@ def main(argv=None) -> int:
             export(rev, trees[side])
         differ = benchmark_differs(trees["base"], trees["rev"])
         if differ:
-            print(f"error: the benchmark differs between the sides: {', '.join(differ)}",
-                  file=sys.stderr)
-            return 2
-        spec = json.loads((trees["base"] / "BENCHMARK.json").read_text())
-        what = args.micro or args.workload or spec["workloads"][0]["name"]
+            _refuse(f"the benchmark differs between the sides: {', '.join(differ)}")
+        what = args.micro or args.workload or known[0]
         print(f"# {what}: base {revs['base'][:12]} against rev "
               f"{(revs['rev'] or 'working tree')[:12]}, {args.pairs} pairs"
               + (" of rounds in one process" if args.in_process or args.micro else
                  f" of {spec['run_seconds']:g} s"))
         if args.micro:
-            micro_pairs(trees, args.micro, args.pairs)
+            run_pairs(MICRO_METRICS, micro_sides(trees, args.micro), args.seeds, args.pairs)
         elif args.in_process:
-            in_process_pairs(trees, what, args.seeds, args.pairs, Path(tmp))
+            sides = in_process_sides(trees, what, args.seeds, Path(tmp))
+            run_pairs(IN_PROCESS_METRICS, sides, args.seeds, args.pairs)
         else:
-            workload_pairs(trees, spec, what, args.seeds, args.pairs)
+            metrics = [(m["name"], m["unit"], m["better"]) for m in spec["end_to_end"]]
+            sides = workload_sides(trees, what, spec["run_seconds"])
+            run_pairs(metrics, sides, args.seeds, args.pairs)
     return 0
 
 

@@ -8,37 +8,46 @@ Usage, from the repository root:
 
 In the checkout (this repository by default) it runs `perfbench/run.py`
 untraced on every workload of BENCHMARK.json for each seed, for the
-benchmark's `run_seconds`; then each microbenchmark of
-`benchmarks/test_micro.py` in its own pytest process with `--benchmark-json`;
-then the Tier-1 suite under a timer; and it counts the lines of each
-module of `src/lccn_lab`. `calibration_sample` readings
-(perfbench/calibrate.py) taken just before and after each microbenchmark
-rescale its median to a fixed core speed, `norm_median_us`, with perfbench's
-formula, so that two files compare despite the host's drift. It writes the
-machine facts and every result to BENCH_<n>.json at the root of this
-repository and prints the deltas against the previous file (BENCH_<n-1>.json
-unless --previous names another; n/a where the previous file has none). A
-microbenchmark's line gives its calibrated and its raw median delta and both
-files' `calibration_sample_s`: when the calibration readings of the two files
-differ, the rescale alone can make up most of the calibrated delta. One
-process per node and file cannot tell a change from the host's drift, so only
-`scripts/ab.py --micro` pairs judge a microbenchmark change. The runs go one
-after another, so that none competes with another for a core. A module's
-`lines` count every line and its `code` only lines that are not blank, not
-a comment and not part of a docstring, so that deleting comments or
-docstrings does not read as less code.
+benchmark's `run_seconds`; then times each microbenchmark of
+`benchmarks/test_micro.py` in this process (`record_micro`); then the
+Tier-1 suite under a timer; and it counts the lines of each module of
+`src/lccn_lab`. It writes the machine facts and every result to
+BENCH_<n>.json at the root of this repository and prints the deltas against
+the previous file (BENCH_<n-1>.json unless --previous names another; n/a
+where the previous file has none). The runs go one after another, so that
+none competes with another for a core. A module's `lines` count every line
+and its `code` only lines that are not blank, not a comment and not part of
+a docstring, so that deleting comments or docstrings does not read as less
+code.
+
+This module is also the one microbenchmark harness; `scripts/ab.py --micro`
+uses it too. `micro_cases` lists the microbenchmarks of a loaded
+`benchmarks/test_micro.py` by their test ids, as pytest names them, from
+their `parametrize` marks. `load_micro_module` imports a tree's copy of that
+file against the tree's own `lccn_lab`, loaded under a name of its own.
+`micro_call` runs a body once with a stand-in for pytest-benchmark's
+fixture, which keeps the call it is given. `micro_round` times that call
+over a round, as many calls in a row as fill MICRO_ROUND_S (`micro_calls`),
+with perfbench's `Calibrated`, and reads the calibrated mean per call,
+`norm_mean_us`, and the raw one, `mean_us`. A BENCH file records, per
+microbenchmark, the median and quartiles of `norm_mean_us` over
+MICRO_ROUNDS rounds (the sizing calls warm it up) and the median `mean_us`.
+Two files are read at different times, whose drift can exceed a small
+change, so only `scripts/ab.py --micro` pairs judge a microbenchmark change.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import functools
+import importlib.util
+import itertools
 import json
 import os
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -47,11 +56,12 @@ MICRO = "benchmarks/test_micro.py"
 SOURCE = "src/lccn_lab"
 # The nodes whose body can open with a docstring.
 DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
-# Readings of `calibration_sample` taken before and again after each microbenchmark.
-CALIBRATION_SAMPLES = 5
+# Seconds of one microbenchmark round, and the rounds of each in a BENCH file.
+MICRO_ROUND_S = 0.25
+MICRO_ROUNDS = 10
 
 sys.path.insert(0, str(ROOT / "perfbench"))
-from calibrate import Calibrated, calibration_sample  # noqa: E402
+from calibrate import Calibrated  # noqa: E402
 
 
 def _run(cmd: list[str], cwd: Path) -> subprocess.CompletedProcess:
@@ -92,42 +102,121 @@ def run_workload(checkout: Path, workload: str, seed: int, seconds: float) -> tu
     }, facts
 
 
-def _calibration_samples() -> list[float]:
-    return [calibration_sample() for _ in range(CALIBRATION_SAMPLES)]
+def load_package(src: Path, name: str):
+    """Import the `lccn_lab` package under src as `name`; its submodules import as `name.x`."""
+    init = src / "lccn_lab" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
 
 
-def run_micro(checkout: Path, nodes: list[str] | None = None) -> dict:
-    """Median and quartiles, in microseconds, of every microbenchmark; the median also calibrated.
+def load_micro_module(tree: Path, package: str):
+    """`tree`'s MICRO, imported against the tree's `lccn_lab` loaded as `package`.
 
-    nodes, when given, are the pytest node ids to run instead of all of MICRO's.
+    While the module runs, `lccn_lab` and its submodules name that package;
+    the names are restored after.
     """
-    pytest = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
-    if nodes is None:
-        listing = _run([*pytest, "--collect-only", MICRO], checkout)
-        nodes = [line for line in listing.stdout.splitlines() if "::" in line]
-        if listing.returncode != 0 or not nodes:
-            raise SystemExit(f"no microbenchmarks collected:\n{listing.stdout}{listing.stderr}")
+    load_package(tree / "src", package)
+    aliases = {name.replace(package, "lccn_lab", 1): module for name, module in sys.modules.items()
+               if name == package or name.startswith(f"{package}.")}
+    saved = {name: sys.modules.get(name) for name in aliases}
+    sys.modules.update(aliases)
+    try:
+        spec = importlib.util.spec_from_file_location(f"{package}_micro", tree / MICRO)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        for name, previous in saved.items():
+            if previous is None:
+                del sys.modules[name]
+            else:
+                sys.modules[name] = previous
+    return module
+
+
+def micro_cases(module) -> dict[str, tuple]:
+    """Each microbenchmark of a loaded MICRO by its pytest test id: its body and keyword arguments.
+
+    A test's cases are the product of its `parametrize` marks.
+    """
+    cases = {}
+    for name, body in vars(module).items():
+        if not name.startswith("test_"):
+            continue
+        axes = []
+        for mark in getattr(body, "pytestmark", []):
+            if mark.name == "parametrize":
+                names = [n.strip() for n in mark.args[0].split(",")]
+                axes.append([dict(zip(names, v if len(names) > 1 else (v,))) for v in mark.args[1]])
+        for combo in itertools.product(*axes):
+            kwargs = {k: v for part in combo for k, v in part.items()}
+            cases[f"{name}[{'-'.join(str(v) for v in kwargs.values())}]"] = (body, kwargs)
+    return cases
+
+
+def micro_call(body, kwargs: dict):
+    """The call that a microbenchmark body times: the body runs once with a stand-in `benchmark`."""
+    calls = []
+
+    def benchmark(fn, *args, **kw):  # pytest-benchmark's signature
+        calls.append(functools.partial(fn, *args, **kw))
+
+    body(benchmark, **kwargs)
+    (call,) = calls
+    return call
+
+
+def load_micro(tree: Path, package: str, node: str):
+    """The call that microbenchmark `node`, a pytest node id, of `tree` times against `package`."""
+    case = micro_cases(load_micro_module(tree, package)).get(node.partition("::")[2])
+    if case is None:
+        raise SystemExit(f"error: {node} names no microbenchmark of {tree / MICRO}")
+    return micro_call(*case)
+
+
+def micro_calls(call) -> int:
+    """How many calls of `call` in a row fill MICRO_ROUND_S: the calls of one round."""
+    calls, start = 0, time.perf_counter()
+    while time.perf_counter() - start < MICRO_ROUND_S:
+        call()
+        calls += 1
+    return calls
+
+
+def micro_round(call, calls: int) -> dict[str, float]:
+    """Calibrated and raw microseconds per call, `norm_mean_us` and `mean_us`, of `calls` in a row."""
+    timed = Calibrated()
+
+    def run() -> None:
+        for _ in range(calls):
+            call()
+
+    timed.time_call(run)
+    return {"norm_mean_us": timed.scaled[0] / calls * 1e6, "mean_us": timed.raw[0] / calls * 1e6}
+
+
+def record_micro(checkout: Path) -> dict:
+    """Per microbenchmark of checkout, `norm_mean_us` median and quartiles over MICRO_ROUNDS rounds.
+
+    Each record also holds the median raw `mean_us` and the calls of a round.
+    """
     micro = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "micro.json"
-        for node in nodes:
-            samples = _calibration_samples()
-            done = _run([*pytest, node, f"--benchmark-json={out}"], checkout)
-            samples += _calibration_samples()
-            if done.returncode != 0:
-                raise SystemExit(f"microbenchmark {node} failed:\n{done.stdout}{done.stderr}")
-            (bench,) = json.loads(out.read_text())["benchmarks"]
-            stats = bench["stats"]
-            calibrated = Calibrated()
-            calibrated.record(stats["median"], samples)
-            micro[bench["name"]] = {
-                "median_us": stats["median"] * 1e6,
-                "norm_median_us": calibrated.scaled[0] * 1e6,
-                "q1_us": stats["q1"] * 1e6,
-                "q3_us": stats["q3"] * 1e6,
-                "rounds": stats["rounds"],
-                "calibration_sample_s": statistics.median(samples),
-            }
+    for name, case in micro_cases(load_micro_module(checkout, "lccn_lab_bench")).items():
+        call = micro_call(*case)
+        calls = micro_calls(call)
+        rounds = [micro_round(call, calls) for _ in range(MICRO_ROUNDS)]
+        q1, median, q3 = statistics.quantiles(
+            [r["norm_mean_us"] for r in rounds], n=4, method="inclusive"
+        )
+        micro[name] = {
+            "norm_mean_us": median, "norm_q1_us": q1, "norm_q3_us": q3,
+            "mean_us": statistics.median(r["mean_us"] for r in rounds),
+            "calls": calls, "rounds": MICRO_ROUNDS,
+        }
     return micro
 
 
@@ -189,7 +278,7 @@ def print_deltas(previous: dict, current: dict) -> None:
         old = previous["micro"].get(name, {})
         deltas = "; ".join(
             f"{key}: {_change(old.get(key), stats.get(key))}"
-            for key in ("norm_median_us", "median_us", "calibration_sample_s")
+            for key in ("norm_mean_us", "mean_us")
         )
         print(f"  micro {name} {deltas}")
     old_source, source = previous.get("source", {}), current.get("source", {})
@@ -230,7 +319,7 @@ def main(argv=None) -> int:
         "machine": facts,
         "settings": {"seeds": args.seeds, "run_seconds": spec["run_seconds"]},
         "workloads": workloads,
-        "micro": run_micro(checkout),
+        "micro": record_micro(checkout),
         "tier1": run_tier1(checkout),
         "source": source_lines(checkout),
     }

@@ -57,7 +57,6 @@ import numpy as np
 
 from .errors import InvariantError, ParameterError, TrainingError, check_type
 from .noise_model import (
-    _NUMPY_UNROLL,
     DirichletPrior,
     _certificate,
     _check_counts,
@@ -77,23 +76,15 @@ def _scores(
 
     A score is a classifier probability times the channel: the warmup column if
     given, else the count column (a + c) / (alpha_total + t). `anneal` tempers
-    the channel alone, through numpy's `**`. The loop that builds the scores
-    adds them up left to right from 0.0, which is `_row_sum` of a row of fewer
-    than `_NUMPY_UNROLL` entries; a wider row is summed again by `_row_sum`.
+    the channel alone, through numpy's `**`. The sum is `_row_sum`'s, numpy's order.
     """
     channel = warmup
     if channel is None:
         channel = [(a + c) / (alpha_total + t) for c, t in zip(column, totals)]
     if anneal != 1.0:
         channel = (np.array(channel, dtype=np.float64) ** anneal).tolist()
-    scores = []
-    norm = 0.0
-    for p, c in zip(row, channel):
-        score = p * c
-        scores.append(score)
-        norm += score
-    if len(scores) >= _NUMPY_UNROLL:
-        norm = _row_sum(scores)
+    scores = [p * c for p, c in zip(row, channel)]
+    norm = _row_sum(scores)
     if not 0.0 < norm < math.inf:  # also False for NaN
         raise TrainingError(_SCORE_ERROR)
     return scores, norm

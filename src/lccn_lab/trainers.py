@@ -472,7 +472,7 @@ def _train_transition_layer(
             layer_velocity += dlayer
             layer_logits -= rate * layer_velocity
             layer_phi = _row_softmax(layer_logits)
-            return float(np.abs(layer_phi - phi).sum(axis=1).max()), float("nan")
+            return transition_l1_error(layer_phi, phi), float("nan")
 
         def record() -> dict:
             return {"phi_l1_error": _phi_error(cfg, current_phi())}

@@ -156,19 +156,70 @@ def test_a_microbenchmark_loads_against_its_sides_package():
 
     name = "_lccn_lab_micro_copy"
     try:
-        call = ab.load_micro(ROOT, name, "benchmarks/test_micro.py::test_chain_certify[5-32]")
+        call = bench.load_micro(ROOT, name, "benchmarks/test_micro.py::test_chain_certify[5-32]")
         chain = call.func.__self__
         assert type(chain).__module__ == f"{name}.sampler"
         assert chain.counts.shape == (5, 4)
         measured, bound = call()
         assert 0.0 < measured <= bound
         assert sys.modules["lccn_lab"] is lccn_lab
-        assert ab.micro_round(call, 3) > 0.0
+        reading = bench.micro_round(call, 3)
+        assert reading["norm_mean_us"] > 0.0 and reading["mean_us"] > 0.0
         with pytest.raises(SystemExit, match="names no microbenchmark"):
-            ab.load_micro(ROOT, name, "benchmarks/test_micro.py::test_chain_certify[6-32]")
+            bench.load_micro(ROOT, name, "benchmarks/test_micro.py::test_chain_certify[6-32]")
     finally:
         for module in [m for m in sys.modules if m == name or m.startswith(f"{name}.")]:
             del sys.modules[module]
+
+
+def test_bench_records_every_microbenchmark_in_short_rounds(monkeypatch):
+    monkeypatch.setattr(bench, "MICRO_ROUND_S", 0.001)
+    monkeypatch.setattr(bench, "MICRO_ROUNDS", 3)
+    name = "lccn_lab_bench"
+    try:
+        micro = bench.record_micro(ROOT)
+        cases = bench.micro_cases(bench.load_micro_module(ROOT, name))
+    finally:
+        for module in [m for m in sys.modules if m == name or m.startswith(f"{name}.")]:
+            del sys.modules[module]
+    assert list(micro) == list(cases) and "test_chain_certify[4-32]" in micro
+    for record in micro.values():
+        assert 0.0 < record["norm_q1_us"] <= record["norm_mean_us"] <= record["norm_q3_us"]
+        assert record["mean_us"] > 0.0 and record["calls"] >= 1 and record["rounds"] == 3
+
+
+def test_one_pair_loop_alternates_stub_sides_and_tallies_their_runs(capsys):
+    # Pair i reads BASE[i] on the base and BASE[i] - 0.1 on REV: ten wins by more than the IQR.
+    order = []
+
+    def side(name, fails=0, prints=None, shift=0.0, runs=3):
+        def run(seed):
+            order.append((name, seed))
+            pair = sum(side == name for side, _ in order) - 1
+            return {"x_s": BASE[pair] + shift}, prints, fails, runs
+        return run
+
+    def pairs(rev, base=None, seeds=(0, 7)):
+        order.clear()
+        sides = {"base": base or side("base", prints={"a": 1}), "rev": rev}
+        summary = ab.run_pairs([("x_s", "s", "lower")], sides, list(seeds), 10)["x_s"]
+        return summary, capsys.readouterr().out
+
+    summary, out = pairs(side("rev", prints={"a": 1}, shift=-0.1))
+    assert order[:4] == [("base", 0), ("rev", 0), ("rev", 7), ("base", 7)]
+    assert "pair 2 seed 7 (rev first): x_s 1.01 -> 0.91; fingerprints identical" in out
+    assert "# failed training runs: base 0/30, rev 0/30" in out
+    assert summary["wins"] == 10 and summary["claim_holds"]
+    summary, out = pairs(side("rev", fails=1, prints={"a": 1}, shift=-0.1))
+    assert "# failed training runs: base 0/30, rev 10/30" in out
+    assert summary["wins"] == 10 and not summary["claim_holds"]
+    summary, out = pairs(side("rev", prints={"a": 2}, shift=-0.1))
+    assert "fingerprints DIFFER" in out
+    assert summary["wins"] == 10 and not summary["claim_holds"]
+    # A side without training runs, as a microbenchmark's, prints no seed, fingerprints or failures.
+    summary, out = pairs(side("rev", shift=-0.1, runs=0), base=side("base", runs=0), seeds=(0,))
+    assert "pair 2 (rev first): x_s 1.01 -> 0.91\n" in out and "failed" not in out
+    assert summary["claim_holds"]
 
 
 @pytest.mark.parametrize(
@@ -180,6 +231,8 @@ def test_a_microbenchmark_loads_against_its_sides_package():
         ["HEAD", "--micro", "test_sgd_step[linear-batch8]", "--seeds", "1"],
         ["HEAD", "--micro", "test_sgd_step[linear-batch8]", "--pairs", "0"],
         ["HEAD", "--micro", "test_sgd_step[linear-batch8]", "--in-process"],
+        ["HEAD", "--workload", "no-such-workload"],
+        ["HEAD", "--workload", "no-such-workload", "--in-process"],
     ],
 )
 def test_bad_arguments_exit_2_before_any_run(argv, capsys, monkeypatch):
@@ -195,20 +248,20 @@ def test_bad_arguments_exit_2_before_any_run(argv, capsys, monkeypatch):
     assert "error:" in capsys.readouterr().err
 
 
-def test_bench_deltas_print_the_raw_median_and_both_calibrations(capsys):
-    def bench_file(n, median_us, norm_median_us, sample_s):
-        micro = {"test_update_bound[3-8]": {
-            "median_us": median_us, "norm_median_us": norm_median_us,
-            "calibration_sample_s": sample_s,
-        }}
+def test_bench_deltas_print_the_calibrated_and_the_raw_mean(capsys):
+    def bench_file(n, norm_mean_us, mean_us):
+        micro = {"test_update_bound[3-8]": {"norm_mean_us": norm_mean_us, "mean_us": mean_us}}
         return {"n": n, "workloads": {}, "micro": micro,
                 "tier1": {"seconds": 50.0, "summary": "555 passed"}}
 
-    bench.print_deltas(bench_file(12, 44.1, 48.8, 0.0007), bench_file(18, 36.7, 23.6, 0.001))
+    bench.print_deltas(bench_file(31, 48.8, 44.1), bench_file(32, 23.6, 36.7))
     (line,) = [line for line in capsys.readouterr().out.splitlines() if "micro" in line]
-    assert "norm_median_us: 48.8 -> 23.6 (-51.6%)" in line
-    assert "median_us: 44.1 -> 36.7 (-16.8%)" in line
-    assert "calibration_sample_s: 0.0007 -> 0.001 (+42.9%)" in line
+    assert line.strip() == ("micro test_update_bound[3-8] norm_mean_us: 48.8 -> 23.6 (-51.6%); "
+                            "mean_us: 44.1 -> 36.7 (-16.8%)")
+    old = {**bench_file(31, 0.0, 0.0), "micro": {"test_update_bound[3-8]": {"norm_median_us": 48.8}}}
+    bench.print_deltas(old, bench_file(32, 23.6, 36.7))
+    (line,) = [line for line in capsys.readouterr().out.splitlines() if "micro" in line]
+    assert line.strip() == "micro test_update_bound[3-8] norm_mean_us: n/a; mean_us: n/a"
 
 
 def test_source_lines_count_neither_blanks_comments_nor_docstrings(tmp_path, capsys):

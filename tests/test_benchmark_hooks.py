@@ -3,11 +3,13 @@
 `perfbench/tracer.py` lists (module, function) pairs in `TRACED` and patches
 them while a traced round runs. A refactor that renames or moves one of them
 fails here instead of in the benchmark. `benchmarks/test_micro.py` sits
-outside `testpaths`; every one of its bodies runs here once, with a stand-in
-for pytest-benchmark's fixture, so an API change that breaks `scripts/bench.py`
-fails here too. Both files are loaded read-only, without registering them in
-`sys.modules`. `scripts/run_noise_benchmark.py`, the all-trainers recipe,
-runs once on a tiny grid.
+outside `testpaths`; `scripts/bench.py`'s microbenchmark harness lists its
+cases, which must be the nodes pytest collects, and every body runs here
+once with the harness's stand-in for pytest-benchmark's fixture, so an API
+change that breaks the microbenchmarks fails here too. These files are
+loaded read-only, without registering them in `sys.modules`.
+`scripts/run_noise_benchmark.py`, the all-trainers recipe, runs once on a
+tiny grid.
 
 Every traced function must also run: the eight trainer kinds on the golden
 config call each of them, except those that `SILENT_TRACED` names with its
@@ -25,7 +27,8 @@ import ast
 import importlib
 import importlib.util
 import inspect
-import itertools
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,35 +92,22 @@ def test_every_traced_layer_runs_and_each_step_updates_once(tmp_path):
     assert calls["classifier.apply_gradients"] == sum(calls[key] for key in steps)
 
 
-def _micro_cases():
-    """One (body, kwargs) case per parametrization of each microbenchmark."""
-    micro = _load("benchmarks/test_micro.py", "_micro_benchmarks")
-    cases = []
-    for name, body in vars(micro).items():
-        if not name.startswith("test_"):
-            continue
-        axes = []
-        for mark in getattr(body, "pytestmark", []):
-            if mark.name == "parametrize":
-                names = [n.strip() for n in mark.args[0].split(",")]
-                axes.append([dict(zip(names, v if len(names) > 1 else (v,))) for v in mark.args[1]])
-        for combo in itertools.product(*axes):
-            kwargs = {k: v for part in combo for k, v in part.items()}
-            case_id = f"{name}[{'-'.join(str(v) for v in kwargs.values())}]"
-            cases.append(pytest.param(body, kwargs, id=case_id))
-    return cases
+BENCH = _load("scripts/bench.py", "_bench_script")
+MICRO_CASES = BENCH.micro_cases(_load(BENCH.MICRO, "_micro_benchmarks"))
 
 
-@pytest.mark.parametrize("body, kwargs", _micro_cases())
+def test_micro_cases_are_the_nodes_pytest_collects():
+    listing = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         BENCH.MICRO], cwd=ROOT, capture_output=True, text=True, check=True,
+    )
+    nodes = [line for line in listing.stdout.splitlines() if "::" in line]
+    assert nodes == [f"{BENCH.MICRO}::{name}" for name in MICRO_CASES]
+
+
+@pytest.mark.parametrize("body, kwargs", MICRO_CASES.values(), ids=list(MICRO_CASES))
 def test_microbenchmark_runs_once(body, kwargs):
-    calls = []
-
-    def benchmark(fn, *args, **kwargs):  # pytest-benchmark's signature
-        calls.append(fn)
-        return fn(*args, **kwargs)
-
-    body(benchmark, **kwargs)
-    assert len(calls) == 1
+    BENCH.micro_call(body, kwargs)()  # the body hands over exactly one call
 
 
 def test_noise_benchmark_script_runs_its_grid(tmp_path):

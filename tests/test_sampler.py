@@ -296,8 +296,8 @@ def _comprehension_scores(row, a, column, totals, alpha_total, warmup, anneal):
 @example(k=8, seed=0, warmup=False, anneal=1.0, row_kind="nan")
 @settings(max_examples=300, deadline=None)
 def test_scores_match_the_comprehension_and_row_sum_bit_for_bit(k, seed, warmup, anneal, row_kind):
-    # K < 8 takes the one-pass sum, K >= 8 `_row_sum`'s numpy reduction; both
-    # must raise alike on an all-zero row and on a non-finite one.
+    # K < 8 sums left to right, K >= 8 in numpy's pairwise order; both must
+    # raise alike on an all-zero row and on a non-finite one.
     data = np.random.default_rng(seed)
     row = data.dirichlet(np.full(k, 0.7)).tolist()
     if row_kind == "sparse":
