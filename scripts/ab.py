@@ -40,13 +40,15 @@ round is every run of the workload through the side's
 the summary is the same as above. `setup_s` and `peak_rss_mb` belong to a
 process, so only the separate-process mode reads them.
 
-`--micro NODE` times one microbenchmark of benchmarks/test_micro.py instead,
-named by its pytest node id or its bare test id (`test_sgd_step[linear-batch8]`),
-with `scripts/bench.py`'s microbenchmark harness, and always alternates the
-two sides in this process, as `--workload --in-process` does (separate
-processes cannot resolve a change much under 40%). Each side's
-`benchmarks/test_micro.py` is loaded with `lccn_lab` bound to that side's
-package (`load_micro`), and the node's body hands over the call it times. A
+`--micro ID` times one microbenchmark of benchmarks/micro.py instead, named
+by its id in that file's `CASES` (`test_sgd_step[linear-batch8]`), with
+`scripts/bench.py`'s microbenchmark harness, and always alternates the two
+sides in this process, as `--workload --in-process` does (separate
+processes cannot resolve a change much under 40%). Before anything is
+exported, each revision's `benchmarks/micro.py` is read and run as a plain
+module (`micro_case`); an id that either side's table lacks exits 2, as an
+unknown workload does. Each side's case is then given that side's package,
+imported under a name of its own, and returns the call it times. A
 sizing run on the base fixes the calls per round, as many as fill
 `bench.MICRO_ROUND_S`, and one warm-up round per side follows; pair i then runs
 one round per side in `pair_order` (`micro_round`) and reads its calibrated
@@ -84,7 +86,7 @@ if __name__ == "__main__":
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 from bench import (  # noqa: E402
-    MICRO, load_micro, load_package, micro_calls, micro_round, run_workload,
+    MICRO, load_package, micro_calls, micro_round, micro_table, run_workload,
 )
 from calibrate import Calibrated  # noqa: E402  (perfbench/, which bench puts on the path)
 
@@ -183,12 +185,24 @@ def _resolve(rev: str) -> str:
     return _git("rev-parse", "--verify", f"{rev}^{{commit}}", text=True).stdout.strip()
 
 
-def micro_node(name: str) -> str:
-    """The pytest node id of a microbenchmark given by its node id or its bare test id."""
-    node = name if "::" in name else f"{MICRO}::{name}"
-    if node.partition("::")[0] != MICRO or not node.partition("::")[2]:
-        raise argparse.ArgumentTypeError(f"{name!r} is no test of {MICRO}")
-    return node
+def _show(rev: str | None, path: str) -> str:
+    """The text of `path` at revision `rev`, or in the working tree when None."""
+    if rev is None:
+        return (ROOT / path).read_text()
+    return _git("show", f"{rev}:{path}", text=True).stdout
+
+
+def micro_case(rev: str | None, name: str):
+    """Case `name` of MICRO's table at revision `rev` (None: the working tree); exit 2 if none."""
+    where = rev[:12] if rev else "the working tree"
+    try:
+        text = _show(rev, MICRO)
+    except (OSError, subprocess.CalledProcessError):
+        _refuse(f"{where} has no {MICRO}")
+    case = micro_table(text).get(name)
+    if case is None:
+        _refuse(f"{name!r} names no microbenchmark of {MICRO} in {where}")
+    return case
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -197,8 +211,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("rev", nargs="?", help="git revision of the other side (working tree)")
     what = parser.add_mutually_exclusive_group()
     what.add_argument("--workload", help="workload of BENCHMARK.json (its first one)")
-    what.add_argument("--micro", type=micro_node, metavar="NODE",
-                      help=f"time one microbenchmark of {MICRO} instead of a workload")
+    what.add_argument("--micro", metavar="ID",
+                      help=f"time one microbenchmark of {MICRO}, by its id, instead of a workload")
     parser.add_argument("--in-process", action="store_true",
                         help="run the workload pairs in this process, rounds alternating")
     parser.add_argument("--seeds", type=int, nargs="+", help="workload seeds (0)")
@@ -265,9 +279,10 @@ def run_pairs(metrics, sides: dict, seeds: list, pairs: int) -> dict[str, dict]:
     return summaries
 
 
-def micro_sides(trees: dict[str, Path], node: str) -> dict:
-    """Each side's round of microbenchmark `node`, sized on the base and warmed up once."""
-    calls = {side: load_micro(tree, f"lccn_lab_{side}", node) for side, tree in trees.items()}
+def micro_sides(trees: dict[str, Path], cases: dict) -> dict:
+    """Each side's round of its microbenchmark case, sized on the base and warmed up once."""
+    calls = {side: cases[side](load_package(tree / "src", f"lccn_lab_{side}"))
+             for side, tree in trees.items()}
     per_round = micro_calls(calls["base"])
     for call in calls.values():  # warm-up: one unrecorded round per side
         micro_round(call, per_round)
@@ -348,10 +363,12 @@ def main(argv=None) -> int:
         revs = {"base": _resolve(args.base), "rev": args.rev and _resolve(args.rev)}
     except subprocess.CalledProcessError as exc:
         _refuse(f"unknown revision: {exc.stderr.strip()}")
-    spec = json.loads(_git("show", f"{revs['base']}:BENCHMARK.json").stdout)
+    spec = json.loads(_show(revs["base"], "BENCHMARK.json"))
     known = [w["name"] for w in spec["workloads"]]
     if args.workload is not None and args.workload not in known:
         _refuse(f"unknown workload {args.workload!r}; BENCHMARK.json names {', '.join(known)}")
+    if args.micro is not None:
+        cases = {side: micro_case(rev, args.micro) for side, rev in revs.items()}
 
     with tempfile.TemporaryDirectory(prefix="lccn-ab-") as tmp:
         trees = {side: Path(tmp) / side for side in revs}
@@ -366,7 +383,7 @@ def main(argv=None) -> int:
               + (" of rounds in one process" if args.in_process or args.micro else
                  f" of {spec['run_seconds']:g} s"))
         if args.micro:
-            run_pairs(MICRO_METRICS, micro_sides(trees, args.micro), args.seeds, args.pairs)
+            run_pairs(MICRO_METRICS, micro_sides(trees, cases), args.seeds, args.pairs)
         elif args.in_process:
             sides = in_process_sides(trees, what, args.seeds, Path(tmp))
             run_pairs(IN_PROCESS_METRICS, sides, args.seeds, args.pairs)

@@ -9,51 +9,51 @@ Usage, from the repository root:
 In the checkout (this repository by default) it runs `perfbench/run.py`
 untraced on every workload of BENCHMARK.json for each seed, for the
 benchmark's `run_seconds`; then times each microbenchmark of
-`benchmarks/test_micro.py` in this process (`record_micro`); then the
+`benchmarks/micro.py` in this process (`record_micro`); then the
 Tier-1 suite under a timer; and it counts the lines of each module of
-`src/lccn_lab`. It writes the machine facts and every result to
+`src/lccn_lab` (`source`) and of each script of `scripts/` and
+`benchmarks/` (`tooling`). It writes the machine facts and every result to
 BENCH_<n>.json at the root of this repository and prints the deltas against
 the previous file (BENCH_<n-1>.json unless --previous names another; n/a
 where the previous file has none). The runs go one after another, so that
-none competes with another for a core. A module's `lines` count every line
+none competes with another for a core. A file's `lines` count every line
 and its `code` only lines that are not blank, not a comment and not part of
 a docstring, so that deleting comments or docstrings does not read as less
 code.
 
 This module is also the one microbenchmark harness; `scripts/ab.py --micro`
-uses it too. `micro_cases` lists the microbenchmarks of a loaded
-`benchmarks/test_micro.py` by their test ids, as pytest names them, from
-their `parametrize` marks. `load_micro_module` imports a tree's copy of that
-file against the tree's own `lccn_lab`, loaded under a name of its own.
-`micro_call` runs a body once with a stand-in for pytest-benchmark's
-fixture, which keeps the call it is given. `micro_round` times that call
-over a round, as many calls in a row as fill MICRO_ROUND_S (`micro_calls`),
-with perfbench's `Calibrated`, and reads the calibrated mean per call,
-`norm_mean_us`, and the raw one, `mean_us`. A BENCH file records, per
-microbenchmark, the median and quartiles of `norm_mean_us` over
-MICRO_ROUNDS rounds (the sizing calls warm it up) and the median `mean_us`.
-Two files are read at different times, whose drift can exceed a small
-change, so only `scripts/ab.py --micro` pairs judge a microbenchmark change.
+uses it too. `micro_table` runs the text of a tree's `benchmarks/micro.py`
+as a plain module and returns its `CASES`: by id, a function that takes an
+`lccn_lab` package and returns the call to time. `load_package` imports the
+tree's own package under a name of its own, to hand to a case.
+`micro_round` times the call over a round, as many calls in a row as fill
+MICRO_ROUND_S (`micro_calls`), with perfbench's `Calibrated`, and reads the
+calibrated mean per call, `norm_mean_us`, and the raw one, `mean_us`. A
+BENCH file records, per microbenchmark, the median and quartiles of
+`norm_mean_us` over MICRO_ROUNDS rounds (the sizing calls warm it up) and
+the median `mean_us`. Two files are read at different times, whose drift
+can exceed a small change, so only `scripts/ab.py --micro` pairs judge a
+microbenchmark change.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import functools
 import importlib.util
-import itertools
 import json
 import os
 import statistics
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MICRO = "benchmarks/test_micro.py"
+MICRO = "benchmarks/micro.py"
 SOURCE = "src/lccn_lab"
+TOOLING = ("scripts", "benchmarks")
 # The nodes whose body can open with a docstring.
 DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 # Seconds of one microbenchmark round, and the rounds of each in a BENCH file.
@@ -114,68 +114,11 @@ def load_package(src: Path, name: str):
     return package
 
 
-def load_micro_module(tree: Path, package: str):
-    """`tree`'s MICRO, imported against the tree's `lccn_lab` loaded as `package`.
-
-    While the module runs, `lccn_lab` and its submodules name that package;
-    the names are restored after.
-    """
-    load_package(tree / "src", package)
-    aliases = {name.replace(package, "lccn_lab", 1): module for name, module in sys.modules.items()
-               if name == package or name.startswith(f"{package}.")}
-    saved = {name: sys.modules.get(name) for name in aliases}
-    sys.modules.update(aliases)
-    try:
-        spec = importlib.util.spec_from_file_location(f"{package}_micro", tree / MICRO)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        for name, previous in saved.items():
-            if previous is None:
-                del sys.modules[name]
-            else:
-                sys.modules[name] = previous
-    return module
-
-
-def micro_cases(module) -> dict[str, tuple]:
-    """Each microbenchmark of a loaded MICRO by its pytest test id: its body and keyword arguments.
-
-    A test's cases are the product of its `parametrize` marks.
-    """
-    cases = {}
-    for name, body in vars(module).items():
-        if not name.startswith("test_"):
-            continue
-        axes = []
-        for mark in getattr(body, "pytestmark", []):
-            if mark.name == "parametrize":
-                names = [n.strip() for n in mark.args[0].split(",")]
-                axes.append([dict(zip(names, v if len(names) > 1 else (v,))) for v in mark.args[1]])
-        for combo in itertools.product(*axes):
-            kwargs = {k: v for part in combo for k, v in part.items()}
-            cases[f"{name}[{'-'.join(str(v) for v in kwargs.values())}]"] = (body, kwargs)
-    return cases
-
-
-def micro_call(body, kwargs: dict):
-    """The call that a microbenchmark body times: the body runs once with a stand-in `benchmark`."""
-    calls = []
-
-    def benchmark(fn, *args, **kw):  # pytest-benchmark's signature
-        calls.append(functools.partial(fn, *args, **kw))
-
-    body(benchmark, **kwargs)
-    (call,) = calls
-    return call
-
-
-def load_micro(tree: Path, package: str, node: str):
-    """The call that microbenchmark `node`, a pytest node id, of `tree` times against `package`."""
-    case = micro_cases(load_micro_module(tree, package)).get(node.partition("::")[2])
-    if case is None:
-        raise SystemExit(f"error: {node} names no microbenchmark of {tree / MICRO}")
-    return micro_call(*case)
+def micro_table(text: str) -> dict:
+    """The CASES of MICRO's text, run as a plain module: each case's function of a package by id."""
+    module = types.ModuleType("micro")
+    exec(compile(text, MICRO, "exec"), vars(module))
+    return module.CASES
 
 
 def micro_calls(call) -> int:
@@ -204,9 +147,10 @@ def record_micro(checkout: Path) -> dict:
 
     Each record also holds the median raw `mean_us` and the calls of a round.
     """
+    package = load_package(checkout / "src", "lccn_lab_bench")
     micro = {}
-    for name, case in micro_cases(load_micro_module(checkout, "lccn_lab_bench")).items():
-        call = micro_call(*case)
+    for name, case in micro_table((checkout / MICRO).read_text()).items():
+        call = case(package)
         calls = micro_calls(call)
         rounds = [micro_round(call, calls) for _ in range(MICRO_ROUNDS)]
         q1, median, q3 = statistics.quantiles(
@@ -233,26 +177,34 @@ def run_tier1(checkout: Path) -> dict:
     return {"seconds": seconds, "returncode": done.returncode, "summary": summary}
 
 
-def source_lines(checkout: Path) -> dict[str, dict[str, int]]:
-    """Per module of SOURCE in checkout, its total `lines` and its `code` lines.
+def _line_counts(path: Path) -> dict[str, int]:
+    """A file's total `lines` and its `code` lines.
 
     A code line is not blank, not a comment and not part of a docstring (the
     string that opens a module, class or function body, found with `ast`).
     """
-    counts = {}
-    for path in sorted((checkout / SOURCE).glob("*.py")):
-        text = path.read_text()
-        docstrings = set()
-        for node in ast.walk(ast.parse(text)):
-            if isinstance(node, DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
-                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
-        lines = text.splitlines()
-        code = [
-            number for number, line in enumerate(lines, 1)
-            if number not in docstrings and line.strip() and not line.lstrip().startswith("#")
-        ]
-        counts[path.name] = {"lines": len(lines), "code": len(code)}
-    return counts
+    text = path.read_text()
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = text.splitlines()
+    code = [
+        number for number, line in enumerate(lines, 1)
+        if number not in docstrings and line.strip() and not line.lstrip().startswith("#")
+    ]
+    return {"lines": len(lines), "code": len(code)}
+
+
+def source_lines(checkout: Path) -> dict[str, dict[str, int]]:
+    """Per module of SOURCE in checkout, its `_line_counts`."""
+    return {path.name: _line_counts(path) for path in sorted((checkout / SOURCE).glob("*.py"))}
+
+
+def tooling_lines(checkout: Path) -> dict[str, dict[str, int]]:
+    """Per Python file of the TOOLING directories in checkout, by its path there, its `_line_counts`."""
+    return {f"{folder}/{path.name}": _line_counts(path)
+            for folder in TOOLING for path in sorted((checkout / folder).glob("*.py"))}
 
 
 def _change(old: float | None, new: float | None) -> str:
@@ -282,10 +234,15 @@ def print_deltas(previous: dict, current: dict) -> None:
         )
         print(f"  micro {name} {deltas}")
     old_source, source = previous.get("source", {}), current.get("source", {})
-    modules = [(module, old_source.get(module, {}), counts) for module, counts in source.items()]
-    for module, old, counts in [*modules, ("total", _total(old_source), _total(source))]:
-        deltas = "; ".join(f"{key}: {_change(old.get(key), counts[key])}" for key in counts)
-        print(f"  source {module} {deltas}")
+    rows = [("source", module, old_source.get(module, {}), counts)
+            for module, counts in source.items()]
+    rows.append(("source", "total", _total(old_source), _total(source)))
+    rows.append(("tooling", "total", _total(previous.get("tooling", {})),
+                 _total(current.get("tooling", {}))))
+    for kind, name, old, counts in rows:
+        if counts:
+            deltas = "; ".join(f"{key}: {_change(old.get(key), counts[key])}" for key in counts)
+            print(f"  {kind} {name} {deltas}")
     print(f"  tier1 s: {_change(previous['tier1']['seconds'], current['tier1']['seconds'])}"
           f" ({previous['tier1']['summary']} -> {current['tier1']['summary']})")
 
@@ -322,6 +279,7 @@ def main(argv=None) -> int:
         "micro": record_micro(checkout),
         "tier1": run_tier1(checkout),
         "source": source_lines(checkout),
+        "tooling": tooling_lines(checkout),
     }
     path = ROOT / f"BENCH_{args.n}.json"
     path.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")

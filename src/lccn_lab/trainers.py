@@ -35,6 +35,7 @@ from .classifier import (
     ClassifierParams,
     OptimizerState,
     _buffered_forward,
+    _check_clip,
     _composed_loss_grads,
     _softmax as _row_softmax,
     apply_gradients,
@@ -156,8 +157,7 @@ class TrainConfig:
             raise ParameterError(f"momentum must lie in [0, 1), got {self.momentum!r}")
         if not 0.0 <= self.weight_decay < math.inf:
             raise ParameterError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
-        if not 0.0 < self.clip < 0.5:
-            raise ParameterError(f"clip must lie strictly between 0 and 0.5, got {self.clip!r}")
+        _check_clip(self.clip)
         for name in ("oracle_phi", "reference_phi"):
             matrix = getattr(self, name)
             if matrix is not None:

@@ -1,6 +1,7 @@
 """The pair and claim logic of `scripts/ab.py`, on synthetic numbers: no benchmark runs."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -106,13 +107,11 @@ def test_benchmark_differs_names_every_changed_or_lone_benchmark_file(tmp_path):
     ]
 
 
-def test_micro_takes_a_node_id_or_a_bare_test_id():
-    node = "benchmarks/test_micro.py::test_update_bound[3-8]"
-    assert ab.micro_node(node) == node
-    assert ab.micro_node("test_update_bound[3-8]") == node
+def test_micro_takes_a_table_id():
     args = ab.parse_args(["HEAD~1", "--micro", "test_sgd_step[linear-batch8]", "--pairs", "4"])
-    assert args.micro == "benchmarks/test_micro.py::test_sgd_step[linear-batch8]"
+    assert args.micro == "test_sgd_step[linear-batch8]"
     assert (args.base, args.rev, args.pairs, args.workload) == ("HEAD~1", None, 4, None)
+    assert ab.micro_case(None, args.micro).func.__name__ == "sgd_step"
 
 
 def test_workload_runs_default_to_seed_zero():
@@ -151,13 +150,14 @@ def test_a_package_loads_under_a_second_name():
 
 
 def test_a_microbenchmark_loads_against_its_sides_package():
-    # In-process micro pairs bind each side's benchmark module to that side's lccn_lab.
+    # In-process micro pairs hand each side's case that side's lccn_lab.
     import lccn_lab
 
     name = "_lccn_lab_micro_copy"
     try:
-        call = bench.load_micro(ROOT, name, "benchmarks/test_micro.py::test_chain_certify[5-32]")
-        chain = call.func.__self__
+        table = bench.micro_table((ROOT / bench.MICRO).read_text())
+        call = table["test_chain_certify[5-32]"](bench.load_package(ROOT / "src", name))
+        chain = call.__self__
         assert type(chain).__module__ == f"{name}.sampler"
         assert chain.counts.shape == (5, 4)
         measured, bound = call()
@@ -165,8 +165,6 @@ def test_a_microbenchmark_loads_against_its_sides_package():
         assert sys.modules["lccn_lab"] is lccn_lab
         reading = bench.micro_round(call, 3)
         assert reading["norm_mean_us"] > 0.0 and reading["mean_us"] > 0.0
-        with pytest.raises(SystemExit, match="names no microbenchmark"):
-            bench.load_micro(ROOT, name, "benchmarks/test_micro.py::test_chain_certify[6-32]")
     finally:
         for module in [m for m in sys.modules if m == name or m.startswith(f"{name}.")]:
             del sys.modules[module]
@@ -178,11 +176,12 @@ def test_bench_records_every_microbenchmark_in_short_rounds(monkeypatch):
     name = "lccn_lab_bench"
     try:
         micro = bench.record_micro(ROOT)
-        cases = bench.micro_cases(bench.load_micro_module(ROOT, name))
     finally:
         for module in [m for m in sys.modules if m == name or m.startswith(f"{name}.")]:
             del sys.modules[module]
-    assert list(micro) == list(cases) and "test_chain_certify[4-32]" in micro
+    assert list(micro) == list(bench.micro_table((ROOT / bench.MICRO).read_text()))
+    # The ids carry on those of BENCH_32, so that BENCH files compare case by case.
+    assert set(json.loads((ROOT / "BENCH_32.json").read_text())["micro"]) <= set(micro)
     for record in micro.values():
         assert 0.0 < record["norm_q1_us"] <= record["norm_mean_us"] <= record["norm_q3_us"]
         assert record["mean_us"] > 0.0 and record["calls"] >= 1 and record["rounds"] == 3
@@ -231,6 +230,7 @@ def test_one_pair_loop_alternates_stub_sides_and_tallies_their_runs(capsys):
         ["HEAD", "--micro", "test_sgd_step[linear-batch8]", "--seeds", "1"],
         ["HEAD", "--micro", "test_sgd_step[linear-batch8]", "--pairs", "0"],
         ["HEAD", "--micro", "test_sgd_step[linear-batch8]", "--in-process"],
+        ["HEAD", "--micro", "test_chain_certify[6-32]"],
         ["HEAD", "--workload", "no-such-workload"],
         ["HEAD", "--workload", "no-such-workload", "--in-process"],
     ],
@@ -239,7 +239,7 @@ def test_bad_arguments_exit_2_before_any_run(argv, capsys, monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("a run was started")
 
-    monkeypatch.setattr(ab, "load_micro", no_run)
+    monkeypatch.setattr(ab, "load_package", no_run)
     monkeypatch.setattr(ab, "run_workload", no_run)
     monkeypatch.setattr(ab, "export", no_run)
     with pytest.raises(SystemExit) as exit_info:
@@ -297,3 +297,23 @@ def test_source_lines_count_neither_blanks_comments_nor_docstrings(tmp_path, cap
         "source b.py lines: n/a; code: n/a",
         "source total lines: n/a; code: n/a",
     ]
+
+
+def test_bench_records_and_prints_the_tooling_lines(tmp_path, capsys):
+    _tree(tmp_path, {"scripts/a.py": "# a comment\nX = 1\n", "benchmarks/b.py": '"""Doc."""\nY = 2\n',
+                     "scripts/notes.txt": "no code\n", "src/lccn_lab/c.py": "Z = 3\n"})
+    tooling = bench.tooling_lines(tmp_path)
+    assert tooling == {"scripts/a.py": {"lines": 2, "code": 1},
+                       "benchmarks/b.py": {"lines": 2, "code": 1}}
+
+    def bench_file(n, **lines):
+        return {"n": n, "workloads": {}, "micro": {}, "tier1": {"seconds": 1.0, "summary": ""},
+                **lines}
+
+    smaller = {"scripts/a.py": {"lines": 1, "code": 1}}
+    bench.print_deltas(bench_file(33, tooling=tooling), bench_file(34, tooling=smaller))
+    bench.print_deltas(bench_file(32), bench_file(33, tooling=tooling))
+    bench.print_deltas(bench_file(32), bench_file(33))
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines() if "tooling" in line]
+    assert lines == ["tooling total lines: 4 -> 1 (-75.0%); code: 2 -> 1 (-50.0%)",
+                     "tooling total lines: n/a; code: n/a"]

@@ -2,10 +2,9 @@
 
 `perfbench/tracer.py` lists (module, function) pairs in `TRACED` and patches
 them while a traced round runs. A refactor that renames or moves one of them
-fails here instead of in the benchmark. `benchmarks/test_micro.py` sits
-outside `testpaths`; `scripts/bench.py`'s microbenchmark harness lists its
-cases, which must be the nodes pytest collects, and every body runs here
-once with the harness's stand-in for pytest-benchmark's fixture, so an API
+fails here instead of in the benchmark. Every case of `benchmarks/micro.py`,
+as `scripts/bench.py`'s microbenchmark harness reads its table, builds its
+state against `lccn_lab` and makes its timed call once here, so an API
 change that breaks the microbenchmarks fails here too. These files are
 loaded read-only, without registering them in `sys.modules`.
 `scripts/run_noise_benchmark.py`, the all-trainers recipe, runs once on a
@@ -27,13 +26,12 @@ import ast
 import importlib
 import importlib.util
 import inspect
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 from test_golden import BASE_CFG
 
+import lccn_lab
 from lccn_lab import cli
 from lccn_lab.trainers import TRAINER_KINDS
 
@@ -93,21 +91,12 @@ def test_every_traced_layer_runs_and_each_step_updates_once(tmp_path):
 
 
 BENCH = _load("scripts/bench.py", "_bench_script")
-MICRO_CASES = BENCH.micro_cases(_load(BENCH.MICRO, "_micro_benchmarks"))
+MICRO_CASES = BENCH.micro_table((ROOT / BENCH.MICRO).read_text())
 
 
-def test_micro_cases_are_the_nodes_pytest_collects():
-    listing = subprocess.run(
-        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
-         BENCH.MICRO], cwd=ROOT, capture_output=True, text=True, check=True,
-    )
-    nodes = [line for line in listing.stdout.splitlines() if "::" in line]
-    assert nodes == [f"{BENCH.MICRO}::{name}" for name in MICRO_CASES]
-
-
-@pytest.mark.parametrize("body, kwargs", MICRO_CASES.values(), ids=list(MICRO_CASES))
-def test_microbenchmark_runs_once(body, kwargs):
-    BENCH.micro_call(body, kwargs)()  # the body hands over exactly one call
+@pytest.mark.parametrize("case", MICRO_CASES.values(), ids=list(MICRO_CASES))
+def test_microbenchmark_runs_once(case):
+    case(lccn_lab)()  # the case builds its state and hands over the call it times
 
 
 def test_noise_benchmark_script_runs_its_grid(tmp_path):

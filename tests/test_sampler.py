@@ -267,17 +267,18 @@ def test_sampling_distribution_is_bit_identical_to_numpy_formula(case):
         assert dist.tobytes() == reference.tobytes()
 
 
-def _comprehension_scores(row, a, column, totals, alpha_total, warmup, anneal):
-    """`sampler._scores` as first written: the scores by a comprehension, then `_row_sum`."""
-    if warmup is None and anneal == 1.0:
-        scores = [p * ((a + c) / (alpha_total + t)) for p, c, t in zip(row, column, totals)]
+def _numpy_scores(row, a, column, totals, alpha_total, warmup, anneal):
+    """The scores and their norm in whole float64 arrays: numpy's `**` and `np.sum`."""
+    if warmup is None:
+        channel = (a + np.array(column, dtype=np.float64)) / (
+            alpha_total + np.array(totals, dtype=np.float64)
+        )
     else:
-        if warmup is None:
-            warmup = [(a + c) / (alpha_total + t) for c, t in zip(column, totals)]
-        if anneal != 1.0:
-            warmup = (np.array(warmup, dtype=np.float64) ** anneal).tolist()
-        scores = [p * c for p, c in zip(row, warmup)]
-    norm = _row_sum(scores)
+        channel = np.array(warmup, dtype=np.float64)
+    if anneal != 1.0:
+        channel = channel**anneal
+    scores = np.array(row, dtype=np.float64) * channel
+    norm = np.sum(scores)
     if not 0.0 < norm < math.inf:
         raise TrainingError("sampling scores are non-finite or all zero")
     return scores, norm
@@ -295,9 +296,10 @@ def _comprehension_scores(row, a, column, totals, alpha_total, warmup, anneal):
 @example(k=3, seed=0, warmup=False, anneal=1.0, row_kind="inf")
 @example(k=8, seed=0, warmup=False, anneal=1.0, row_kind="nan")
 @settings(max_examples=300, deadline=None)
-def test_scores_match_the_comprehension_and_row_sum_bit_for_bit(k, seed, warmup, anneal, row_kind):
-    # K < 8 sums left to right, K >= 8 in numpy's pairwise order; both must
-    # raise alike on an all-zero row and on a non-finite one.
+def test_scores_match_numpys_arrays_and_sum_bit_for_bit(k, seed, warmup, anneal, row_kind):
+    # `_row_sum` sums K < 8 left to right and K >= 8 in numpy's pairwise order;
+    # both must give np.sum's bits, and raise alike on an all-zero row and on a
+    # non-finite one.
     data = np.random.default_rng(seed)
     row = data.dirichlet(np.full(k, 0.7)).tolist()
     if row_kind == "sparse":
@@ -314,9 +316,9 @@ def test_scores_match_the_comprehension_and_row_sum_bit_for_bit(k, seed, warmup,
     alpha_total = a + float(data.uniform(0.05, 20.0))
     channel = data.dirichlet(np.ones(k)).tolist() if warmup else None
     outcomes = []
-    for scores in (_scores, _comprehension_scores):
+    for scores in (_scores, _numpy_scores):
         try:
-            with np.errstate(over="ignore"):  # numpy's sum of a huge row at K >= 8
+            with np.errstate(over="ignore"):  # numpy's sum of a huge row
                 values, norm = scores(row, a, column, totals, alpha_total, channel, anneal)
             outcomes.append((np.array(values).tobytes(), np.float64(norm).tobytes()))
         except TrainingError as exc:
