@@ -10,8 +10,9 @@ it measures, builds the case's state and returns the zero-argument call that
 is timed. Nothing here imports the package, so each side of a pair hands in
 its own; `tests/test_benchmark_hooks.py` makes every call once against
 `lccn_lab`, so an API change that breaks these benchmarks fails Tier-1
-instead of `scripts/bench.py`. The ids are those of the pytest-benchmark
-tests these cases once were, so that BENCH files compare across the change.
+instead of `scripts/bench.py`. The ids keep the form that earlier BENCH
+files record, `test_<case>[<parameters>]`, so that BENCH files compare case
+by case.
 
 Shapes follow the two benchmark bundles: the
 recovery bundle (K=3, 2-d features, linear model, batch 8) and the ordering
