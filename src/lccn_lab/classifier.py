@@ -61,7 +61,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ParameterError, TrainingError
+from .errors import ParameterError, TrainingError, check_labels
 
 
 @dataclass(frozen=True)
@@ -329,21 +329,9 @@ def _neg_eye(n_classes: int) -> np.ndarray:
     return neg
 
 
-def _checked_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """labels as an int64 array; ParameterError unless every one lies in [0, n_classes).
-
-    Read as uint64, a negative label is at least 2**63, so one `max` checks both ends.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    listed = labels.view(np.uint64).tolist()
-    if listed and max(listed) >= n_classes:
-        raise ParameterError("labels out of range")
-    return labels
-
-
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     """(n, n_classes) one-hot rows of 1-d integer labels: fresh rows of a cached identity."""
-    return _eye(n_classes).take(_checked_labels(labels, n_classes), axis=0)
+    return _eye(n_classes).take(check_labels(labels, n_classes, "labels"), axis=0)
 
 
 def dlogits_from_dprobs(
@@ -528,7 +516,7 @@ def _composed_loss_grads(
     the returned gradient too, which lives until opt's next step; without,
     into fresh arrays. `trainers._composed_step` takes its step from here.
     """
-    labels = _checked_labels(observed, phi.shape[1])
+    labels = check_labels(observed, phi.shape[1], "observed labels")
     if opt is None:
         _check_clip(clip)
         scratch, bounds = _FRESH, _bounds(clip, features.shape[0])
@@ -592,7 +580,7 @@ def sgd_step(
     forward: tuple[np.ndarray, tuple] | None = None,
 ) -> None:
     """One minibatch step of clipped cross-entropy on hard labels; forward as in loss_and_grads."""
-    labels = _checked_labels(labels, params.arch.n_classes)
+    labels = check_labels(labels, params.arch.n_classes, "labels")
     _step(params, opt, features, labels, clip, forward, True)
 
 

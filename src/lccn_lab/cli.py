@@ -268,9 +268,12 @@ def _train(ds, test_ds, report, config: TrainConfig, echo: dict, out_dir: Path) 
     return summary
 
 
-def run_experiment(cfg: dict, seed: int, out_dir: Path, base: Path | None = None) -> dict:
-    """One seed of one experiment config, planned then trained; writes its artifacts into out_dir."""
-    return _train(*_plan(cfg, [seed], base)[0], out_dir)
+def run_experiment(cfg: dict, seed: int, out_dir: Path) -> dict:
+    """One seed of one experiment config, planned then trained; writes its artifacts into out_dir.
+
+    A relative file path in cfg reads from the working directory.
+    """
+    return _train(*_plan(cfg, [seed], None)[0], out_dir)
 
 
 def _run_seeds(runs: list, out: Path) -> list[dict]:

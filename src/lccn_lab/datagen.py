@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, check_field_types, check_type
+from .errors import ParameterError, check_field_types, check_integers, check_labels, check_type
 from .noise_model import confusion_counts
 
 # Sentinel true label for out-of-distribution samples whose original class
@@ -55,8 +55,8 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.true_labels = np.asarray(self.true_labels, dtype=np.int64)
-        self.noisy_labels = np.asarray(self.noisy_labels, dtype=np.int64)
+        self.true_labels = check_integers(self.true_labels, "true_labels")
+        self.noisy_labels = check_labels(self.noisy_labels, self.n_classes, "noisy_labels")
         self.clean_mask = np.asarray(self.clean_mask, dtype=bool)
         self.ood_mask = np.asarray(self.ood_mask, dtype=bool)
         self.validate()
@@ -84,8 +84,6 @@ class LabeledDataset:
         for name in ("true_labels", "noisy_labels", "clean_mask", "ood_mask"):
             if getattr(self, name).shape != (n,):
                 raise ParameterError(f"{name} must have length {n}")
-        if np.any((self.noisy_labels < 0) | (self.noisy_labels >= self.n_classes)):
-            raise ParameterError("noisy_labels out of range")
         in_dist = ~self.ood_mask
         bad = (self.true_labels[in_dist] < 0) | (self.true_labels[in_dist] >= self.n_classes)
         if np.any(bad):

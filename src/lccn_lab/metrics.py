@@ -11,7 +11,7 @@ import numpy as np
 
 from .classifier import ClassifierParams, forward_proba
 from .datagen import OOD_LABEL, LabeledDataset
-from .errors import ParameterError
+from .errors import ParameterError, check_integers
 
 
 @dataclass
@@ -56,8 +56,8 @@ def top1_accuracy(probs: np.ndarray, labels: np.ndarray, n_classes: int | None =
 
 def correction_ratio(assignment_labels: np.ndarray, true_labels: np.ndarray) -> float:
     """Share of in-distribution samples whose latent label matches the truth."""
-    assignment_labels = np.asarray(assignment_labels, dtype=np.int64)
-    true_labels = np.asarray(true_labels, dtype=np.int64)
+    assignment_labels = check_integers(assignment_labels, "assignment labels")
+    true_labels = check_integers(true_labels, "true labels")
     if assignment_labels.shape != true_labels.shape:
         raise ParameterError("assignment and true labels must have the same length")
     keep = true_labels != OOD_LABEL

@@ -34,7 +34,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import InvariantError, ParameterError
+from .errors import InvariantError, ParameterError, check_labels
 
 ROW_SUM_TOL = 1e-9
 # How far a measured row change may exceed its update bound: float rounding.
@@ -121,14 +121,20 @@ def confusion_counts(
 ) -> np.ndarray:
     """(n_latent, n_observed) int64 tally of latent label (row) vs observed label (column).
 
-    Samples masked by `exclude` stay out; every other label must lie in its range.
+    Samples masked by `exclude`, a bool array of the labels' length, stay out;
+    the others' labels, as many latent as observed, pass `check_labels`.
     """
     if exclude is not None:
-        labels, observed_labels = labels[~exclude], observed_labels[~exclude]
-    ranges = (("latent", labels, n_latent), ("observed", observed_labels, n_observed))
-    for what, values, size in ranges:
-        if values.size and not 0 <= values.min() <= values.max() < size:
-            raise ParameterError(f"{what} labels must lie in [0, {size})")
+        exclude = np.asarray(exclude)
+        shapes = {exclude.shape, np.shape(labels), np.shape(observed_labels)}
+        if exclude.dtype != bool or shapes != {(exclude.size,)}:
+            raise ParameterError("exclude must be a bool array of the labels' length")
+        keep = ~exclude
+        labels, observed_labels = np.asarray(labels)[keep], np.asarray(observed_labels)[keep]
+    labels = check_labels(labels, n_latent, "latent labels")
+    observed_labels = check_labels(observed_labels, n_observed, "observed labels")
+    if labels.size != observed_labels.size:
+        raise ParameterError("latent and observed labels must have the same length")
     counts = np.zeros((n_latent, n_observed), dtype=np.int64)
     np.add.at(counts, (labels, observed_labels), 1)
     return counts
@@ -174,13 +180,11 @@ def warmup_transition(
     observed as k, normalized by the total prediction mass for class r.
     Rows whose total mass is numerically zero fall back to uniform.
     """
+    observed_labels = check_labels(observed_labels, n_observed, "observed labels")
     predictions = np.asarray(predictions, dtype=np.float64)
-    observed_labels = np.asarray(observed_labels, dtype=np.int64)
     if predictions.ndim != 2 or predictions.shape[0] != observed_labels.size:
         raise ParameterError("predictions must be (n, n_latent) matching observed_labels")
     k = n_observed
-    if np.any((observed_labels < 0) | (observed_labels >= k)):
-        raise ParameterError("observed labels out of range")
     onehot = np.zeros((observed_labels.size, k))
     onehot[np.arange(observed_labels.size), observed_labels] = 1.0
     numer = predictions.T @ onehot

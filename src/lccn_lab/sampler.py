@@ -14,10 +14,10 @@ factor alone, never the classifier's, to a plain exponent `anneal` in
 [0, inf): 1 is the collapsed posterior and 0 follows the classifier. The
 trainers' schedule of that exponent is `trainers._anneal`.
 
-`sampling_distribution` is the one-draw reference; its scores come from
-`_scores`. A `GibbsChain` runs the same chain on plain Python floats with
-its own copy of that arithmetic, the draw kernel, and its `step` is
-bit-identical to replaying the reference draw by draw
+`sampling_distribution` is the one-draw reference, the whole-array numpy
+formula: the classifier row times the channel column, over its `sum`. A
+`GibbsChain` runs the same chain on plain Python floats, the draw kernel,
+and its `step` is bit-identical to replaying the reference draw by draw
 (`np.cumsum`/`np.searchsorted` on its output against one scalar
 `rng.random()` each): the same labels, the same counts and the same
 generator state after the batch. The two score paths share no code, so the
@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantError, ParameterError, TrainingError, check_type
+from .errors import InvariantError, ParameterError, TrainingError, check_labels, check_type
 from .noise_model import (
     DirichletPrior,
     _certificate,
@@ -66,28 +66,6 @@ from .noise_model import (
 )
 
 _SCORE_ERROR = "sampling scores are non-finite or all zero"
-
-
-def _scores(
-    row: list, a: float, column: list, totals: list, alpha_total: float,
-    warmup: list | None, anneal: float,
-) -> tuple[list[float], float]:
-    """Unnormalized scores of one reference draw and their sum, which must be finite and positive.
-
-    A score is a classifier probability times the channel: the warmup column if
-    given, else the count column (a + c) / (alpha_total + t). `anneal` tempers
-    the channel alone, through numpy's `**`. The sum is `_row_sum`'s, numpy's order.
-    """
-    channel = warmup
-    if channel is None:
-        channel = [(a + c) / (alpha_total + t) for c, t in zip(column, totals)]
-    if anneal != 1.0:
-        channel = (np.array(channel, dtype=np.float64) ** anneal).tolist()
-    scores = [p * c for p, c in zip(row, channel)]
-    norm = _row_sum(scores)
-    if not 0.0 < norm < math.inf:  # also False for NaN
-        raise TrainingError(_SCORE_ERROR)
-    return scores, norm
 
 
 _DRAW_SOURCE = """\
@@ -109,7 +87,7 @@ def _draw_kernel(n_latent: int):
     """`draw(row, channel, u)`: the class one chain draw among n_latent classes takes, or -1.
 
     `_DRAW_SOURCE` written out for n_latent classes, with no loop: class j
-    scores `row[j] * channel[j]`, the scores sum as `_scores` sums them, and
+    scores `row[j] * channel[j]`, the scores sum as numpy sums them, and
     the CDF walk takes the first class whose cumulative sum exceeds u, else
     the last. -1 means the sum is not finite and positive. It is compiled at
     a chain's first step, as `dataclasses` writes an `__init__`.
@@ -152,6 +130,7 @@ def _check_warmup(warmup_phi, counts: np.ndarray) -> np.ndarray | None:
     return warmup_phi
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite sum raises below
 def sampling_distribution(
     probs_row: np.ndarray,
     observed_label: int,
@@ -175,13 +154,17 @@ def sampling_distribution(
         raise ParameterError("observed label out of range")
     _check_anneal(anneal)
     warmup_phi = _check_warmup(warmup_phi, counts)
-    scores, norm = _scores(
-        probs_row.tolist(), float(prior.concentration[observed_label]),
-        counts[:, observed_label].tolist(), counts.sum(axis=1).tolist(), prior.total,
-        None if warmup_phi is None else warmup_phi[:, observed_label].tolist(),
-        anneal,
-    )
-    return np.array([score / norm for score in scores])
+    if warmup_phi is None:
+        channel = (prior.concentration[observed_label] + counts[:, observed_label]) / (
+            prior.total + counts.sum(axis=1)
+        )
+    else:
+        channel = warmup_phi[:, observed_label]
+    scores = probs_row * channel**anneal  # numpy's power of 1.0 returns each entry as is
+    norm = scores.sum()
+    if not 0.0 < norm < math.inf:  # also False for NaN
+        raise TrainingError(_SCORE_ERROR)
+    return scores / norm
 
 
 class GibbsChain:
@@ -230,15 +213,8 @@ class GibbsChain:
         `rng.random(M)` draws all their uniforms; a plan replaces what is
         left of the previous one.
         """
-        observed, positions = np.asarray(observed), np.asarray(positions)
-        for name, values, size in (
-            ("observed labels", observed, len(self.columns)),
-            ("batch indices", positions, len(self.latent)),
-        ):
-            if values.ndim != 1 or values.dtype.kind not in "iu":
-                raise ParameterError(f"{name} must be a 1-d integer array")
-            if values.size and not 0 <= values.min() <= values.max() < size:
-                raise ParameterError(f"{name} out of range")
+        observed = check_labels(observed, len(self.columns), "observed labels")
+        positions = check_labels(positions, len(self.latent), "batch indices")
         if len(observed) != len(positions):
             raise ParameterError("batch arrays must have matching lengths")
         if not isinstance(rng, np.random.Generator):
@@ -253,9 +229,9 @@ class GibbsChain:
         Each draw removes the sample's old count, scores every latent class
         against counts already updated by earlier draws (through its entry of
         `channels`, filled on a miss; the warmup column with `warmup`, or a
-        tempered column, replaces it as `_scores` replaces the count
-        channel) and draws a new class with its planned uniform, both in one
-        call of `_draw_kernel(R)`, and books it. A move writes its label and
+        tempered column, replaces it as in `sampling_distribution`) and
+        draws a new class with its planned uniform, both in one call of
+        `_draw_kernel(R)`, and books it. A move writes its label and
         two count cells and refreshes the two classes it changed in every
         kept channel; a batch that keeps every label writes nothing. A batch
         that fails part-way has consumed its whole plan, and its failing
@@ -422,15 +398,13 @@ def exact_posterior_bruteforce(
     are accepted.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    observed_labels = np.asarray(observed_labels)
     if probs.ndim != 2 or probs.shape[1] < 1:
         raise ParameterError("probs must be (n_samples, n_latent) with n_latent >= 1")
     n, n_latent = probs.shape
     n_observed = prior.n_observed
-    if observed_labels.shape != (n,) or observed_labels.dtype.kind not in "iu":
-        raise ParameterError("observed_labels must hold one integer label per row of probs")
-    if n and not 0 <= observed_labels.min() <= observed_labels.max() < n_observed:
-        raise ParameterError("observed labels out of range")
+    observed_labels = check_labels(observed_labels, n_observed, "observed labels")
+    if observed_labels.size != n:
+        raise ParameterError("observed_labels must hold one label per row of probs")
     n_states = n_latent**n
     if n_states > _MAX_STATES:
         raise ParameterError(f"state space {n_states} exceeds the limit {_MAX_STATES}")

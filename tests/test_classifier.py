@@ -31,7 +31,10 @@ from lccn_lab.classifier import (
     sgd_step_soft,
     soft_target_cross_entropy,
 )
-from lccn_lab.errors import ParameterError, TrainingError
+from lccn_lab.datagen import LabeledDataset
+from lccn_lab.errors import ParameterError, TrainingError, check_labels
+from lccn_lab.noise_model import DirichletPrior, confusion_counts, warmup_transition
+from lccn_lab.sampler import GibbsChain, exact_posterior_bruteforce
 from lccn_lab.trainers import _composed_loss_grads, _composed_step, _Run
 
 CLIP = 1e-20  # TrainConfig's default
@@ -266,6 +269,39 @@ def test_steps_recheck_what_their_buffers_were_built_for():
 INT64 = np.iinfo(np.int64)
 
 
+def _label_sites(n):
+    """Each entry point that checks n labels against 3 classes, as a call of the labels, by name.
+
+    A refusal's traceback names the site by its line here.
+    """
+    params, features, _ = make_instance(n=max(n, 1))
+    features = features[:n]
+    opt = init_optimizer(params, 0.1, 0.9)
+    zeros, uniform = np.zeros(n, dtype=np.int64), np.full((n, 3), 1 / 3)
+    prior, rng = DirichletPrior.uniform(3, 1.0), np.random.default_rng(0)
+    chain = GibbsChain(np.zeros(3, dtype=np.int64), confusion_counts([0] * 3, [0] * 3, 3, 3), prior)
+    sites = {
+        "check_labels": lambda labels: check_labels(labels, 3, "labels"),
+        "one_hot": lambda labels: one_hot(labels, 3),
+        "confusion_counts latent": lambda labels: confusion_counts(labels, zeros, 3, 3),
+        "confusion_counts observed": lambda labels: confusion_counts(zeros, labels, 3, 3),
+        "warmup_transition": lambda labels: warmup_transition(uniform, labels, 3),
+        "plan observed": lambda labels: chain.plan(labels, zeros, rng),
+        "plan positions": lambda labels: chain.plan(zeros, labels, rng),
+        "exact_posterior_bruteforce": lambda labels: exact_posterior_bruteforce(
+            uniform, labels, prior),
+    }
+    if n:  # a step's loss and a dataset need a sample
+        sites |= {
+            "sgd_step": lambda labels: sgd_step(params, opt, features, labels, CLIP),
+            "_composed_loss_grads": lambda labels: _composed_loss_grads(
+                params, features, labels, np.eye(3), CLIP, opt.grads),
+            "LabeledDataset": lambda labels: LabeledDataset(
+                features, zeros, labels, zeros == 1, zeros == 1, 3),
+        }
+    return sites
+
+
 @pytest.mark.parametrize(
     "labels,accepted",
     [
@@ -281,17 +317,28 @@ INT64 = np.iinfo(np.int64)
         (np.array([2**64 - 1], dtype=np.uint64), False),
         (np.array([2**63], dtype=np.uint64), False),
         (np.array([3], dtype=np.uint64), False),
+        # Refused, not truncated or read as 0 and 1.
+        (np.array([0.9, 1.2]), False),
+        (np.array([True, False]), False),
+        (np.array([[0, 1], [2, 0]]), False),
+        ([0, 2, 1], True),
+        ([], True),
     ],
 )
 def test_label_check_refuses_each_end_of_the_range(labels, accepted):
-    # One `max` of the labels read as uint64 refuses the negative ones too.
+    # One `max` of the labels read as uint64 refuses the negative ones too, and
+    # every entry point that takes a label array refuses what `check_labels` refuses.
+    sites = _label_sites(len(labels))
     if accepted:
-        checked = classifier._checked_labels(labels, 3)
-        assert checked.dtype == np.int64 and checked.tolist() == labels.tolist()
-        assert one_hot(labels, 3).shape == (labels.size, 3)
+        checked = check_labels(labels, 3, "labels")
+        assert checked.dtype == np.int64 and checked.tolist() == np.asarray(labels).tolist()
+        assert one_hot(labels, 3).shape == (len(labels), 3)
+        for call in sites.values():
+            call(labels)
     else:
-        with pytest.raises(ParameterError, match="labels out of range"):
-            classifier._checked_labels(labels, 3)
+        for call in sites.values():
+            with pytest.raises(ParameterError, match=r"out of range \[0, 3\)|1-d array of int"):
+                call(labels)
 
 
 @pytest.mark.parametrize(

@@ -316,6 +316,15 @@ def test_empty_dataset_is_refused(shape):
                              np.zeros(n, bool), np.zeros(n, bool), 2)
 
 
+def test_dataset_refuses_float_true_labels():
+    # 0.9 would be truncated to class 0; the OOD sentinel stays allowed.
+    masks = [False, False], [False, True]
+    ds = L.LabeledDataset(np.zeros((2, 1)), [0, L.OOD_LABEL], [0, 1], *masks, 2)
+    assert ds.true_labels.tolist() == [0, L.OOD_LABEL]
+    with pytest.raises(ParameterError, match="true_labels must be a 1-d array of integers"):
+        L.LabeledDataset(np.zeros((2, 1)), np.array([0.9, L.OOD_LABEL]), [0, 1], *masks, 2)
+
+
 def test_load_dataset_missing_field_raises(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"features": [[0.0]], "K": 2}))

@@ -85,6 +85,14 @@ def test_correction_ratio_accepts_label_list():
     assert correction_ratio([0, 1, 1], [0, 1, 0]) == pytest.approx(2 / 3)
 
 
+def test_correction_ratio_refuses_float_labels():
+    # 0.9 and 1.5 would be truncated to 0 and 1 and read a perfect match.
+    with pytest.raises(ParameterError, match="assignment labels must be a 1-d array of integers"):
+        correction_ratio([0.9, 1.5], [0, 1])
+    with pytest.raises(ParameterError, match="true labels must be a 1-d array of integers"):
+        correction_ratio([0, 1], np.array([0.9, OOD_LABEL]))
+
+
 def test_correction_ratio_empty_raises():
     with pytest.raises(ParameterError):
         correction_ratio(np.array([]), np.array([]))

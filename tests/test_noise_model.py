@@ -86,6 +86,18 @@ def test_counts_skip_excluded_samples_whatever_their_labels():
     assert counts.tolist() == [[1, 0], [0, 1]]
 
 
+def test_counts_take_only_a_bool_mask_of_the_labels_length():
+    # An integer mask was inverted bitwise: ~1 is -2, which indexed from the end.
+    latent, observed = np.array([0, 1, 1]), np.array([0, 1, 0])
+    mask = np.array([False, False, True])
+    assert confusion_counts(latent, observed, 2, 2, exclude=mask).tolist() == [[1, 0], [0, 1]]
+    for exclude in (mask.astype(int), mask[:2], np.append(mask, False)):
+        with pytest.raises(ParameterError, match="exclude must be a bool array"):
+            confusion_counts(latent, observed, 2, 2, exclude=exclude)
+    with pytest.raises(ParameterError, match="the same length"):
+        confusion_counts(latent, observed[:2], 2, 2)
+
+
 @pytest.mark.parametrize(
     "latent, observed",
     [([0, 1, -2], [0, 0, 1]), ([0, 1, 2], [0, 1, 1]),
@@ -93,7 +105,7 @@ def test_counts_skip_excluded_samples_whatever_their_labels():
 )
 def test_counts_reject_labels_outside_their_range(latent, observed):
     # -1 would be counted in the last column, -2 dropped, and 2 an IndexError.
-    with pytest.raises(ParameterError, match="labels must lie in"):
+    with pytest.raises(ParameterError, match=r"labels out of range \[0, 2\)"):
         confusion_counts(np.array(latent), np.array(observed), 2, 2)
 
 
