@@ -18,7 +18,8 @@ Shapes follow the two benchmark bundles: the
 recovery bundle (K=3, 2-d features, linear model, batch 8) and the ordering
 bundle (K=4, 2-d features, MLP-64 tanh, batch 32). The classifier benchmarks
 time the hard-label step (also given a forward pass, as the latent trainers
-call it, and over a whole ordering epoch, whose last batch is shorter), the
+call it, and over a whole ordering epoch, whose last batch is shorter), a
+latent trainer's batch (the buffered forward pass, then that step), the
 soft-target and composed-channel steps, a forward pass,
 and the momentum update `apply_gradients` that ends each step. `gibbs_sample_batch` and
 `update_bound` draw Dirichlet(1) probabilities, so nearly every label moves;
@@ -104,8 +105,27 @@ def sgd_step_reused_forward(shape, lab):
     params = c.init_params(arch, 0)
     opt = c.init_optimizer(params, learning_rate=0.01)
     features, labels = _batch(arch, batch)
-    forward = c._forward(params, features)
+    forward = c._buffered_forward(params, opt, features, CLIP)
     return functools.partial(c.sgd_step, params, opt, features, labels, CLIP, forward=forward)
+
+
+def latent_batch(shape, lab):
+    """A latent trainer's classifier work on one batch: its forward pass, then the step reusing it.
+
+    Both go through the optimizer's buffers, as in the trainers; the Gibbs
+    step that the trainers run between them is left out.
+    """
+    c = lab.classifier
+    arch, batch = _shape(lab, shape)
+    params = c.init_params(arch, 0)
+    opt = c.init_optimizer(params, learning_rate=0.01)
+    features, labels = _batch(arch, batch)
+    forward, step = c._buffered_forward, c.sgd_step
+
+    def one_batch():
+        step(params, opt, features, labels, CLIP, forward=forward(params, opt, features, CLIP))
+
+    return one_batch
 
 
 def sgd_step_soft(shape, lab):
@@ -296,6 +316,7 @@ CASES = {
     **_cases(sgd_step, *SHAPES),
     **_cases(sgd_step_epoch, "mlp64"),
     **_cases(sgd_step_reused_forward, *SHAPES),
+    **_cases(latent_batch, *SHAPES),
     **_cases(sgd_step_soft, *SHAPES),
     **_cases(composed_step, *SHAPES),
     **_cases(forward_proba, *SHAPES),

@@ -6,47 +6,55 @@ keeps its `velocity` and `grad` as vectors in that layout, and `grads` names
 the views of `grad`: every step writes its gradients there, and
 `apply_gradients` updates the vectors in place. A write into a view changes
 its vector; rebinding an entry raises TypeError. The log-loss clip is a
-plain float in (0, 0.5). An optimizer also owns its steps' buffers: one
-`_Scratch` per row count it steps (a run steps its batch size and, at most,
-one shorter final batch), made at the first step of that count. Each stage
-of a step has one implementation, which writes into the scratch it is given
-with `out=`; given `_FRESH`, which holds no arrays, it allocates, as
-`forward_proba`, `loss_and_grads`, `soft_target_cross_entropy` and
-`_composed_loss_grads` without an optimizer do, so their results outlive
-later steps. `_gradients` is the backward pass that every step shares.
+plain float in (0, 0.5). A step runs in a `_Kernel`, made for one
+parameters object, one row count and one clip: two closures, `forward` and
+`step`, that hold as closure variables all that a step reads and writes
+besides its inputs (the tensor and gradient views, the arrays it writes
+into, the clip's 0-d bounds, the negated identity and the numpy functions
+it calls), so that a step looks nothing up. An optimizer owns one kernel
+per row count it steps (a run steps its batch size and, at most, one
+shorter final batch), made at its first step of that count (`_kernel`).
+`loss_and_grads`, `soft_target_cross_entropy` and `_composed_loss_grads`
+without an optimizer make a throwaway kernel, in which numpy allocates each
+result, so that their results outlive later steps; `forward_proba` keeps
+one such kernel per parameters object (`ClassifierParams._forward`). Each
+stage has one implementation: the forward and backward passes in
+`_Kernel`, the clip and its gradient in `_clip_stage`.
 
-Checks: the clip's range and the optimizer's layout are checked at the
-optimizer's first step, and again only when a step brings other parameters
-or another clip, which also starts its table of scratches again. Each step
-checks its labels' range or its target shape, and `apply_gradients` the
-optimizer's layout, so a step checks it once.
+Checks: the clip's range and the optimizer's layout are checked when an
+optimizer's kernel is made, and again only when a step brings other
+parameters or another clip, which also starts its table of kernels again.
+Each step checks its labels' range or its target shape, and
+`apply_gradients` the optimizer's layout, so a step checks it once.
 
 Exact substitutions: a step gives the bits of the plain numpy formulas
 (`np.clip`, `np.sum`, one-hot rows by zeros and scatter, fresh gradient
-arrays joined by a concatenate). A result written with `out=`, or a softmax
-taken in place over its logits, holds what a fresh array would, and a 0-d
-float64 operand (`_bounds`, `_ZERO`, `_ONE`) is the same operand as the
-Python float it holds. One-hot rows are taken from a cached identity (the
-same 0.0 and 1.0 entries), and a step's negated targets from its negation.
-The loss weighs `log(clipped)` by the negated targets, the bits of
-`-log(clipped)` weighed by the targets (a product's sign is the exclusive or
-of its factors'). The clip is
-`minimum(maximum(p, clip), 1 - clip)`, `np.clip`'s own formula for a
-positive clip, and `copyto(where=)` zeroes the gradient outside it as
-`np.where` did; `np.add.reduce` and `np.maximum.reduce` are what `np.sum`,
-`.sum()` and `.max()` call, over the same axes. The loss keeps its dense sum
-over every entry, so numpy's blocked summation order is unchanged. A matrix
-product whose entries sum 2 or more terms is `ndarray.dot`, which gives
-`np.matmul`'s bits (`_product`). A hard-label step computes its loss only
-when the sum of its clipped probabilities is not finite; otherwise that loss
-is finite (see `_step`), and a step gives the same verdict and the same bits
-either way. `apply_gradients` sums the gradient's entries scaled by a power
-of two small enough that finite entries cannot overflow the sum, so it is
-finite exactly when every entry is; only a non-finite sum leads to the
-entry-wise pass that names the tensor. Those two sums are dot products with
-a constant vector, whose order of addition does not matter, since only their
-finiteness is read. A batch's rows are contiguous slices of one gather per
-epoch (`epoch_batches`), which hold the values a gather per batch would.
+arrays joined by a concatenate). A result written into an out array, given
+by keyword or by position, or a softmax taken in place over its logits,
+holds what a fresh array would, and a 0-d float64 operand (the clip's
+bounds and row count, `_ZERO`, `_ONE`) is the same operand as the Python
+float it holds. One-hot rows are taken from a cached identity (the same 0.0
+and 1.0 entries), and a step's negated targets from its negation. The loss
+weighs `log(clipped)` by the negated targets, the bits of `-log(clipped)`
+weighed by the targets (a product's sign is the exclusive or of its
+factors'). The clip is `minimum(maximum(p, clip), 1 - clip)`, `np.clip`'s
+own formula for a positive clip, and `copyto(where=)` zeroes the gradient
+outside it as `np.where` did; `np.add.reduce` and `np.maximum.reduce` are
+what `np.sum`, `.sum()` and `.max()` call, over the same axes. The loss
+keeps its dense sum over every entry, so numpy's blocked summation order is
+unchanged. A matrix product whose entries sum 2 or more terms is
+`ndarray.dot`, which gives `np.matmul`'s bits; a kernel picks dot or matmul
+once per product from the shapes it was made for (`_product_by`). A
+hard-label or composed step computes its loss only when the sum of its
+clipped scores is not finite; otherwise that loss is finite (see `_step`),
+and a step gives the same verdict and the same bits either way.
+`apply_gradients` sums the gradient's entries scaled by a power of two small
+enough that finite entries cannot overflow the sum, so it is finite exactly
+when every entry is; only a non-finite sum leads to the entry-wise pass that
+names the tensor. Those two sums are dot products with a constant vector,
+whose order of addition does not matter, since only their finiteness is
+read. A batch's rows are contiguous slices of one gather per epoch
+(`epoch_batches`), which hold the values a gather per batch would.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import InitVar, asdict, dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -113,6 +121,14 @@ class ClassifierParams:
     def copy(self) -> "ClassifierParams":
         return ClassifierParams(self.arch, self.tensors)
 
+    @functools.cached_property
+    def _forward(self):
+        """`forward_proba`'s forward pass, into fresh arrays: one kernel's, made at its first call.
+
+        A kernel that only forwards reads its row count nowhere, so one serves every call.
+        """
+        return _Kernel(self, 0, None, {}, False).forward
+
 
 def init_params(arch: Architecture, seed: int) -> ClassifierParams:
     """Small uniform init (+-1/sqrt(fan_in)) for weights, zeros for biases."""
@@ -132,122 +148,171 @@ def init_params(arch: Architecture, seed: int) -> ClassifierParams:
     return ClassifierParams(arch, tensors)
 
 
-class _Scratch:
-    """The arrays that the stages of one step on n rows write into with `out=`.
-
-    probs holds the logits and then, in place, their softmax; col (n, 1) holds
-    a row's max, then its sum, then the logit gradient's inner product. pre,
-    hidden, gate (the activation's slope; a bool mask for relu) and dpre are
-    the hidden layer's, None for a linear model. clipped (with flat, its
-    entries as one vector, and ones, a vector of as many ones), mask, within
-    and dprobs are `_clipped_dprobs`'s; mixture, dmixed (the gradient pulled
-    back through the channel) and the (K, K) dphi are the composed step's;
-    bounds is `_bounds` of the step's clip and n. Built without an
-    architecture, as `_FRESH`, it holds None in every slot, so that numpy
-    allocates each result.
-    """
-
-    __slots__ = (
-        "probs", "col", "pre", "hidden", "gate", "dpre", "clipped", "mask", "within",
-        "dprobs", "dlogits", "mixture", "dmixed", "flat", "ones", "dphi", "bounds",
-    )
-
-    def __init__(self, arch: Architecture | None = None, n: int = 0, clip: float = 0.0) -> None:
-        arrays = {}
-        if arch is not None:
-            k, width = arch.n_classes, arch.hidden_width
-            names = ("probs", "clipped", "dprobs", "dlogits", "mixture", "dmixed")
-            arrays = {name: np.empty((n, k)) for name in names}
-            arrays.update(col=np.empty((n, 1)), mask=np.empty((n, k), bool),
-                          within=np.empty((n, k), bool), ones=np.ones(n * k),
-                          dphi=np.empty((k, k)), bounds=_bounds(clip, n))
-            arrays["flat"] = arrays["clipped"].reshape(-1)
-            if arch.kind == "mlp":
-                arrays.update({name: np.empty((n, width)) for name in ("pre", "hidden", "dpre")})
-                arrays["gate"] = np.empty((n, width), bool if arch.activation == "relu" else float)
-        for name in self.__slots__:
-            setattr(self, name, arrays.get(name))
-
-
-_FRESH = _Scratch()
-# 0-d operands, which numpy reads faster than Python floats (see `_bounds`).
-_ZERO, _ONE = np.zeros(()), np.ones(())
+_ZERO, _ONE = np.zeros(()), np.ones(())  # 0-d operands, which numpy reads faster than floats
 _ZERO.flags.writeable = _ONE.flags.writeable = False
 
 
-def _bounds(clip: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A clip's bounds clip and 1 - clip and a row count n, as 0-d float64 arrays.
+def _product_by(inner: int) -> Callable:
+    """`np.matmul`'s call `(a, b, out)` for 2-d float64 products of `inner` terms per entry.
 
-    numpy reads a 0-d operand about 0.1 us faster than a Python number, and
-    gives the same bits; a step reads each of these once or twice.
+    With 2 or more terms, `ndarray.dot` gives matmul's bits at about half its
+    call cost. With one term it can give -0.0 where matmul gives +0.0, so that
+    case keeps matmul. out, if not None, is C-contiguous.
     """
-    return np.array(clip), np.array(1.0 - clip), np.array(float(n))
+    return np.ndarray.dot if inner > 1 else np.matmul
 
 
-def _scratch(params: ClassifierParams, opt: "OptimizerState", n: int, clip: float) -> _Scratch:
-    """opt's scratch for a step of params on n rows at this clip, made at its first such step.
+def _nothing(shape, dtype=None) -> None:
+    """An unbuffered stage's array slot: None, so that numpy allocates the result."""
+
+
+def _clip_stage(clip: float, n: int, k: int, buffered: bool):
+    """`dscores(scored, neg)` of the clipped log-loss of n rows of k scores, and `clipped_sum`.
+
+    dscores gives the clipped scores and their gradient, for a checked clip
+    and the negated target weights neg. Buffered, both are written into
+    arrays of the stage, and `clipped_sum()` sums the last clipped scores in
+    some order; unbuffered, numpy allocates them (k is not read) and
+    `clipped_sum` is None.
+    """
+    low, high, count = np.array(clip), np.array(1.0 - clip), np.array(float(n))
+    new = np.empty if buffered else _nothing
+    clipped, dscored, mask, within = new((n, k)), new((n, k)), new((n, k), bool), new((n, k), bool)
+    greater, less, logical_not, divide, copyto = (
+        np.greater, np.less, np.logical_not, np.divide, np.copyto
+    )
+
+    def dscores(scored: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if scored.shape != neg.shape:
+            raise ParameterError("probs and target_weights must have the same shape")
+        kept = np.maximum(scored, low, out=clipped)
+        np.minimum(kept, high, out=kept)
+        outside = greater(scored, low, mask)
+        outside &= less(scored, high, within)
+        logical_not(outside, outside)
+        grad = divide(neg, kept, dscored)
+        divide(grad, count, grad)
+        copyto(grad, _ZERO, "same_kind", outside)
+        return kept, grad
+
+    if not buffered:
+        return dscores, None
+    flat, ones = clipped.reshape(-1), np.ones(n * k)
+    return dscores, lambda: flat.dot(ones)
+
+
+class _Kernel:
+    """One step of params on n rows: closures over what it reads and writes.
+
+    `forward(features)` gives the class probabilities and the backprop cache,
+    (pre, hidden) of an MLP and () of a linear model. `step(features, neg,
+    forward, phi=None)` writes into grads (each tensor's name to a
+    C-contiguous array of its shape, such as `OptimizerState.grads`) the
+    gradients of the clipped log-loss of the negated target weights neg. The
+    loss scores the class probabilities, or with a channel phi their mixture
+    probs @ phi. forward, unless None, is a `forward` of these features,
+    reused instead of recomputed. step returns the clipped scores, from which
+    `_clipped_loss` takes the loss, and the gradient with respect to phi
+    (None without one). `negated(labels, 0)` takes a hard step's neg from the
+    negated identity, and `clipped_sum` is the clip stage's (`_clip_stage`).
+
+    Buffered, each result goes into an array of the kernel, which lives until
+    the kernel's next call: probs holds the logits and then, in place, their
+    softmax; col (n, 1) a row's max, then its sum, then the logit gradient's
+    inner product; pre, hidden, gate (the activation's slope; a bool mask for
+    relu) and dpre are the hidden layer's; mixture, dmixed (the gradient
+    pulled back through the channel) and the (K, K) dphi the composed step's.
+    Unbuffered, numpy allocates each result, which outlives later steps. A
+    kernel made with clip None only forwards.
+    """
+
+    __slots__ = ("forward", "step", "negated", "clipped_sum")
+
+    def __init__(self, params: ClassifierParams, n: int, clip: float | None,
+                 grads: Mapping[str, np.ndarray], buffered: bool) -> None:
+        arch, t = params.arch, params.tensors
+        k, width, mlp = arch.n_classes, arch.hidden_width, arch.kind == "mlp"
+        relu = arch.activation == "relu"
+        new = np.empty if buffered else _nothing
+        probs, dlogits, mixture, dmixed = new((n, k)), new((n, k)), new((n, k)), new((n, k))
+        col, dphi, wide = new((n, 1)), new((k, k)), new if mlp else _nothing
+        pre, hidden, dpre = wide((n, width)), wide((n, width)), wide((n, width))
+        gate = wide((n, width), bool if relu else float)
+        names = ("w1", "b1", "w2", "b2") if mlp else (None, None, "w", "b")
+        w_in, b_in, w_out, b_out = (t.get(name) for name in names)
+        g_in, gb_in, g_out, gb_out = (grads.get(name) for name in names)
+        by_d, by_h, by_n = (_product_by(size) for size in (arch.input_dim, width, n))
+        dot, w_out_t = np.ndarray.dot, w_out.T
+        add_reduce, max_reduce, multiply, subtract, divide, exp, tanh, square, greater = (
+            np.add.reduce, np.maximum.reduce, np.multiply, np.subtract, np.divide, np.exp,
+            np.tanh, np.square, np.greater,
+        )
+        stage = (None, None) if clip is None else _clip_stage(clip, n, k, buffered)
+        dscores, self.clipped_sum = stage
+        self.negated = _neg_eye(k).take
+
+        def forward_pass(features: np.ndarray) -> tuple[np.ndarray, tuple]:
+            if mlp:
+                pre_act = by_d(features, w_in, pre)
+                pre_act += b_in
+                act = np.maximum(pre_act, _ZERO, out=hidden) if relu else tanh(pre_act, hidden)
+                cache, logits = (pre_act, act), by_h(act, w_out, probs)
+            else:
+                cache, logits = (), by_d(features, w_out, probs)
+            logits += b_out
+            subtract(logits, max_reduce(logits, 1, None, col, True), logits)
+            exp(logits, logits)
+            return divide(logits, add_reduce(logits, 1, None, col, True), logits), cache
+
+        def step(features: np.ndarray, neg: np.ndarray, forward: tuple | None,
+                 phi: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+            p, cache = forward_pass(features) if forward is None else forward
+            if phi is None:
+                clipped, dp = dscores(p, neg)
+                dphi_out = None
+            else:
+                clipped, dmix = dscores(dot(p, phi, mixture), neg)
+                dp = dot(dmix, phi.T, dmixed)
+                dphi_out = by_n(p.T, dmix, dphi)
+            dl = multiply(p, dp, dlogits)
+            subtract(dp, add_reduce(dl, 1, None, col, True), dl)
+            multiply(p, dl, dl)
+            if mlp:
+                pre_act, act = cache
+                dh = dot(dl, w_out_t, dpre)
+                if relu:
+                    multiply(dh, greater(pre_act, _ZERO, gate), dh)
+                else:
+                    slope = square(act, gate)
+                    subtract(_ONE, slope, slope)
+                    multiply(dh, slope, dh)
+                by_n(features.T, dh, g_in)
+                add_reduce(dh, 0, None, gb_in)
+                by_n(act.T, dl, g_out)
+            else:
+                by_n(features.T, dl, g_out)
+            add_reduce(dl, 0, None, gb_out)
+            return clipped, dphi_out
+
+        self.forward, self.step = forward_pass, step
+
+
+def _kernel(params: ClassifierParams, opt: "OptimizerState", n: int, clip: float) -> _Kernel:
+    """opt's kernel for a step of params on n rows at this clip, made at its first such step.
 
     The optimizer's layout and the clip are checked, and opt's table of
-    scratches started again, only when the parameters object or the clip
+    kernels started again, only when the parameters object or the clip
     differs from the last step's.
     """
     checked_params, checked_clip = opt._checked_for
     if checked_params is not params or checked_clip != clip:
         _check_optimizer(params, opt)
         _check_clip(clip)
-        opt._checked_for, opt._scratches = (params, clip), {}
-    scratch = opt._scratches.get(n)
-    if scratch is None:
-        scratch = opt._scratches[n] = _Scratch(params.arch, n, clip)
-    return scratch
-
-
-def _softmax(
-    logits: np.ndarray, out: np.ndarray | None = None, col: np.ndarray | None = None
-) -> np.ndarray:
-    """Row softmax of logits into out (fresh if None; it may be logits); col: an (n, 1) scratch."""
-    shifted = np.subtract(
-        logits, np.maximum.reduce(logits, axis=1, keepdims=True, out=col), out=out
-    )
-    expz = np.exp(shifted, out=shifted)
-    return np.divide(expz, np.add.reduce(expz, axis=1, keepdims=True, out=col), out=expz)
-
-
-def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """`np.matmul(a, b, out=out)` of 2-d float64 arrays; out, if given, C-contiguous.
-
-    With 2 or more terms per product, `ndarray.dot` gives matmul's bits at about
-    half its call cost. With one term per product it can give -0.0 where
-    matmul gives +0.0, so that case keeps matmul.
-    """
-    if a.shape[1] > 1:
-        return a.dot(b, out=out)
-    return np.matmul(a, b, out=out)
-
-
-def _forward(
-    params: ClassifierParams, features: np.ndarray, scratch: _Scratch = _FRESH
-) -> tuple[np.ndarray, tuple]:
-    """Class probabilities and the backprop cache: (pre, hidden) of an MLP, () of a linear model.
-
-    The arrays are scratch's; with `_FRESH`, fresh ones.
-    """
-    t = params.tensors
-    if params.arch.kind == "linear":
-        logits = _product(features, t["w"], scratch.probs)
-        logits += t["b"]
-        cache = ()
-    else:
-        pre = _product(features, t["w1"], scratch.pre)
-        pre += t["b1"]
-        if params.arch.activation == "relu":
-            hidden = np.maximum(pre, _ZERO, out=scratch.hidden)
-        else:
-            hidden = np.tanh(pre, out=scratch.hidden)
-        logits = _product(hidden, t["w2"], scratch.probs)
-        logits += t["b2"]
-        cache = pre, hidden
-    return _softmax(logits, logits, scratch.col), cache
+        opt._checked_for, opt._kernels = (params, clip), {}
+    kernel = opt._kernels.get(n)
+    if kernel is None:
+        kernel = opt._kernels[n] = _Kernel(params, n, clip, opt.grads, True)
+    return kernel
 
 
 def forward_proba(params: ClassifierParams, features: np.ndarray) -> np.ndarray:
@@ -257,7 +322,7 @@ def forward_proba(params: ClassifierParams, features: np.ndarray) -> np.ndarray:
         raise ParameterError(
             f"features must be (n, {params.arch.input_dim}), got {features.shape}"
         )
-    probs, _ = _forward(params, features)
+    probs, _ = params._forward(features)
     return probs
 
 
@@ -266,36 +331,14 @@ def _check_clip(clip: float) -> None:
         raise ParameterError(f"clip must lie strictly between 0 and 0.5, got {clip!r}")
 
 
-def _clipped_dprobs(
-    probs: np.ndarray, neg: np.ndarray, bounds: tuple, scratch: _Scratch = _FRESH
-) -> tuple[np.ndarray, np.ndarray]:
-    """The clipped probabilities and the probability gradient of `soft_target_cross_entropy`.
-
-    neg holds the negated target weights and bounds is `_bounds` of a
-    checked clip and probs' row count; the results are scratch's.
-    """
-    if probs.shape != neg.shape:
-        raise ParameterError("probs and target_weights must have the same shape")
-    low, high, count = bounds
-    clipped = np.maximum(probs, low, out=scratch.clipped)
-    np.minimum(clipped, high, out=clipped)
-    outside = np.greater(probs, low, out=scratch.mask)
-    outside &= np.less(probs, high, out=scratch.within)
-    np.logical_not(outside, out=outside)
-    dprobs = np.divide(neg, clipped, out=scratch.dprobs)
-    np.divide(dprobs, count, out=dprobs)
-    np.copyto(dprobs, _ZERO, where=outside)
-    return clipped, dprobs
-
-
 def _clipped_loss(clipped: np.ndarray, neg: np.ndarray) -> float:
-    """`soft_target_cross_entropy`'s loss from `_clipped_dprobs`'s clipped probabilities.
+    """`soft_target_cross_entropy`'s loss from the clip stage's clipped probabilities.
 
     neg holds the negated target weights. The log is taken in place, over clipped.
     """
-    terms = np.log(clipped, out=clipped)
-    np.multiply(neg, terms, out=terms)
-    return float(np.add.reduce(terms, axis=None) / clipped.shape[0])
+    terms = np.log(clipped, clipped)
+    np.multiply(neg, terms, terms)
+    return float(np.add.reduce(terms, None) / clipped.shape[0])
 
 
 def soft_target_cross_entropy(
@@ -309,7 +352,8 @@ def soft_target_cross_entropy(
     """
     _check_clip(clip)
     neg = np.negative(target_weights, dtype=np.float64)
-    clipped, dprobs = _clipped_dprobs(probs, neg, _bounds(clip, len(probs)))
+    dscores, _ = _clip_stage(clip, len(probs), 0, False)  # unbuffered: k is not read
+    clipped, dprobs = dscores(probs, neg)
     return _clipped_loss(clipped, neg), dprobs
 
 
@@ -334,47 +378,6 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return _eye(n_classes).take(check_labels(labels, n_classes, "labels"), axis=0)
 
 
-def dlogits_from_dprobs(
-    probs: np.ndarray, dprobs: np.ndarray, scratch: _Scratch = _FRESH
-) -> np.ndarray:
-    """Pull a probability-space gradient back through the softmax (into scratch's dlogits)."""
-    out = np.multiply(probs, dprobs, out=scratch.dlogits)
-    inner = np.add.reduce(out, axis=1, keepdims=True, out=scratch.col)
-    np.subtract(dprobs, inner, out=out)
-    return np.multiply(probs, out, out=out)
-
-
-def backprop_logits(
-    params: ClassifierParams,
-    features: np.ndarray,
-    cache: tuple,
-    dlogits: np.ndarray,
-    out: Mapping[str, np.ndarray],
-    scratch: _Scratch = _FRESH,
-) -> None:
-    """Write the gradients of all parameter tensors, given the logit-space gradient, into out.
-
-    out maps each tensor's name to a C-contiguous array of its shape, such as
-    `OptimizerState.grads`; the hidden layer's gradient goes through scratch.
-    """
-    if params.arch.kind == "linear":
-        _product(features.T, dlogits, out["w"])
-        np.add.reduce(dlogits, axis=0, out=out["b"])
-        return
-    pre, hidden = cache
-    dpre = _product(dlogits, params.tensors["w2"].T, scratch.dpre)
-    if params.arch.activation == "relu":
-        np.multiply(dpre, np.greater(pre, _ZERO, out=scratch.gate), out=dpre)
-    else:
-        slope = np.square(hidden, out=scratch.gate)
-        np.subtract(_ONE, slope, out=slope)
-        np.multiply(dpre, slope, out=dpre)
-    _product(features.T, dpre, out["w1"])
-    np.add.reduce(dpre, axis=0, out=out["b1"])
-    _product(hidden.T, dlogits, out["w2"])
-    np.add.reduce(dlogits, axis=0, out=out["b2"])
-
-
 @dataclass
 class OptimizerState:
     """Momentum SGD with weight decay added to the raw gradient.
@@ -382,7 +385,7 @@ class OptimizerState:
     `velocity` and `grad` are vectors laid out like the `ClassifierParams.flat`
     of the tensors given at construction, and `grads` is a read-only mapping
     of `grad`'s views by tensor name. The optimizer also owns its steps'
-    scratch, one `_Scratch` per row count stepped (see `_scratch`), with the
+    kernels, one `_Kernel` per row count stepped (see `_kernel`), with the
     parameters and clip it was checked for, and two vectors of
     `apply_gradients`: the weight-decay term and the scale of its finiteness
     test.
@@ -405,7 +408,7 @@ class OptimizerState:
         # 2**e > 2 * size: the scaled entries of a finite gradient sum to less
         # than 2**1023 in magnitude, so their sum cannot overflow.
         self._tiny = np.full(size, 2.0 ** -(2 * size).bit_length())
-        self._scratches: dict[int, _Scratch] = {}
+        self._kernels: dict[int, _Kernel] = {}
         self._checked_for: tuple[ClassifierParams | None, float | None] = (None, None)
 
 
@@ -437,45 +440,11 @@ def apply_gradients(params: ClassifierParams, opt: OptimizerState) -> None:
     if not math.isfinite(grad.dot(opt._tiny)):
         bad = next(name for name, view in opt.grads.items() if not np.isfinite(view).all())
         raise TrainingError(f"non-finite gradient in tensor {bad!r}")
-    grad += np.multiply(opt.weight_decay, params.flat, out=opt._decay)
+    grad += np.multiply(opt.weight_decay, params.flat, opt._decay)
     vel = opt.velocity
     vel *= opt.momentum
     vel += grad
-    np.multiply(opt.learning_rate, vel, out=grad)
-    params.flat -= grad
-
-
-def _gradients(
-    params: ClassifierParams,
-    features: np.ndarray,
-    neg: np.ndarray,
-    bounds: tuple,
-    out: Mapping[str, np.ndarray],
-    scratch: _Scratch = _FRESH,
-    forward: tuple[np.ndarray, tuple] | None = None,
-    phi: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Parameter gradients of the clipped log-loss of negated targets neg, into out.
-
-    The loss scores the class probabilities, or with a channel phi their
-    mixture probs @ phi. Returns the clipped scored probabilities, from which
-    `_clipped_loss` takes the loss, and the gradient with respect to phi (None
-    without one). forward, when given, is `_forward(params, features)`,
-    reused instead of recomputed; bounds is as in `_clipped_dprobs`; the
-    arrays are scratch's.
-    """
-    probs, cache = _forward(params, features, scratch) if forward is None else forward
-    if phi is None:
-        clipped, dprobs = _clipped_dprobs(probs, neg, bounds, scratch)
-        dphi = None
-    else:
-        mixture = _product(probs, phi, scratch.mixture)
-        clipped, dmix = _clipped_dprobs(mixture, neg, bounds, scratch)
-        dprobs = _product(dmix, phi.T, scratch.dmixed)
-        dphi = _product(probs.T, dmix, scratch.dphi)
-    dlogits = dlogits_from_dprobs(probs, dprobs, scratch)
-    backprop_logits(params, features, cache, dlogits, out, scratch)
-    return clipped, dphi
+    params.flat -= np.multiply(opt.learning_rate, vel, grad)
 
 
 def loss_and_grads(
@@ -487,14 +456,13 @@ def loss_and_grads(
     *,
     forward: tuple[np.ndarray, tuple] | None = None,
 ) -> float:
-    """Soft-target log-loss; its parameter gradients go into out (see `backprop_logits`).
+    """Soft-target log-loss; its parameter gradients go into out (see `_Kernel`).
 
-    forward, when given, is `_forward(params, features)`, reused instead of recomputed.
+    forward, when given, is a kernel's `forward` of these features, reused instead of recomputed.
     """
     _check_clip(clip)
     neg = np.negative(target_weights, dtype=np.float64)
-    bounds = _bounds(clip, features.shape[0])
-    clipped, _ = _gradients(params, features, neg, bounds, out, forward=forward)
+    clipped, _ = _Kernel(params, features.shape[0], clip, out, False).step(features, neg, forward)
     return _clipped_loss(clipped, neg)
 
 
@@ -506,68 +474,62 @@ def _composed_loss_grads(
     clip: float,
     out: Mapping[str, np.ndarray],
     opt: OptimizerState | None = None,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | None, np.ndarray]:
     """Clipped log-loss of the channel-mixed prediction q = probs @ phi, on observed labels.
 
-    The classifier gradients go into out (see `backprop_logits`); returns
-    (loss, gradient with respect to phi). phi is a K x K float64 matrix; its
-    three products go through `_product`, which gives `np.matmul`'s bits.
-    With opt, every stage writes into opt's step buffers (see `_scratch`),
-    the returned gradient too, which lives until opt's next step; without,
-    into fresh arrays. `trainers._composed_step` takes its step from here.
+    Returns (loss, gradient with respect to phi); phi is a K x K float64
+    matrix. Without opt, the classifier gradients go into out and the arrays
+    are fresh. With opt, out is opt.grads: every result goes into opt's
+    kernel (see `_kernel`), the returned gradient too, which lives until
+    opt's next step, and the loss is None. A non-finite loss raises
+    `TrainingError` then, vouched for as in `_step`. `trainers._composed_step`
+    takes its step from here.
     """
     labels = check_labels(observed, phi.shape[1], "observed labels")
     if opt is None:
         _check_clip(clip)
-        scratch, bounds = _FRESH, _bounds(clip, features.shape[0])
+        kernel = _Kernel(params, features.shape[0], clip, out, False)
     else:
-        scratch = _scratch(params, opt, features.shape[0], clip)
-        bounds = scratch.bounds
+        kernel = _kernel(params, opt, features.shape[0], clip)
     neg = _neg_eye(phi.shape[1]).take(labels, axis=0)
-    clipped, dphi = _gradients(params, features, neg, bounds, out, scratch, phi=phi)
+    if opt is not None:
+        return None, _step(kernel, features, neg, None, True, phi)
+    clipped, dphi = kernel.step(features, neg, None, phi)
     return _clipped_loss(clipped, neg), dphi
 
 
 def _buffered_forward(
     params: ClassifierParams, opt: OptimizerState, features: np.ndarray, clip: float
 ) -> tuple[np.ndarray, tuple]:
-    """`_forward` into opt's step buffers, for a step of params at this clip to reuse.
+    """The `forward` of opt's kernel, for a step of params at this clip to reuse.
 
     The arrays live until opt's next step.
     """
-    return _forward(params, features, _scratch(params, opt, features.shape[0], clip))
+    return _kernel(params, opt, features.shape[0], clip).forward(features)
 
 
 def _step(
-    params: ClassifierParams,
-    opt: OptimizerState,
+    kernel: _Kernel,
     features: np.ndarray,
-    targets: np.ndarray,
-    clip: float,
+    neg: np.ndarray,
     forward: tuple[np.ndarray, tuple] | None,
     hard: bool,
-) -> None:
-    """Gradients into the optimizer's vector, then one momentum step, all in opt's buffers.
+    phi: np.ndarray | None = None,
+) -> np.ndarray | None:
+    """The kernel's step, which raises on a non-finite training loss; returns its phi gradient.
 
-    targets are labels in range (hard) or target weights. It raises on a
-    non-finite training loss, as `loss_and_grads` would give it, but computes
-    that loss only when a cheaper test cannot vouch for it. One-hot rows weigh
-    each clipped probability by 0 or 1, and a clipped probability is NaN or
-    lies in [clip, 1 - clip]. So with at least one row, a finite sum of the
-    clipped probabilities makes every loss term finite and at most
-    -ln(clip) < 745, so their sum and the loss are finite.
+    neg holds negated one-hot rows (hard) or target weights. The loss is the
+    one `loss_and_grads` would give, computed only when a cheaper test
+    cannot vouch for it. One-hot rows weigh each clipped score by 0 or 1,
+    and a clipped score is NaN or lies in [clip, 1 - clip]. So with at least
+    one row, a finite sum of the clipped scores makes every loss term finite
+    and at most -ln(clip) < 745, so their sum and the loss are finite.
     """
-    scratch = _scratch(params, opt, features.shape[0], clip)
-    if hard:
-        neg = _neg_eye(params.arch.n_classes).take(targets, axis=0)
-    else:
-        neg = np.negative(targets, dtype=np.float64)
-    clipped, _ = _gradients(params, features, neg, scratch.bounds, opt.grads, scratch, forward)
-    # The dot product of the clipped entries with ones is their sum, in some order.
-    vouched = hard and clipped.shape[0] and math.isfinite(scratch.flat.dot(scratch.ones))
+    clipped, dphi = kernel.step(features, neg, forward, phi)
+    vouched = hard and clipped.shape[0] and math.isfinite(kernel.clipped_sum())
     if not vouched and not math.isfinite(_clipped_loss(clipped, neg)):
         raise TrainingError("non-finite training loss")
-    apply_gradients(params, opt)
+    return dphi
 
 
 def sgd_step(
@@ -581,7 +543,9 @@ def sgd_step(
 ) -> None:
     """One minibatch step of clipped cross-entropy on hard labels; forward as in loss_and_grads."""
     labels = check_labels(labels, params.arch.n_classes, "labels")
-    _step(params, opt, features, labels, clip, forward, True)
+    kernel = _kernel(params, opt, features.shape[0], clip)
+    _step(kernel, features, kernel.negated(labels, 0), forward, True)
+    apply_gradients(params, opt)
 
 
 def sgd_step_soft(
@@ -594,7 +558,9 @@ def sgd_step_soft(
     forward: tuple[np.ndarray, tuple] | None = None,
 ) -> None:
     """Like sgd_step but with per-class target weights instead of hard labels."""
-    _step(params, opt, features, target_weights, clip, forward, False)
+    kernel = _kernel(params, opt, features.shape[0], clip)
+    _step(kernel, features, np.negative(target_weights, dtype=np.float64), forward, False)
+    apply_gradients(params, opt)
 
 
 def epoch_batches(order: np.ndarray, features: np.ndarray, labels: np.ndarray, batch_size: int):

@@ -55,6 +55,7 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
+        check_type(self.n_classes, "int", "n_classes")
         self.true_labels = check_integers(self.true_labels, "true_labels")
         self.noisy_labels = check_labels(self.noisy_labels, self.n_classes, "noisy_labels")
         self.clean_mask = np.asarray(self.clean_mask, dtype=bool)

@@ -64,11 +64,15 @@ _INT64, _UINT64 = np.dtype(np.int64), np.dtype(np.uint64)
 def check_integers(values, name: str) -> np.ndarray:
     """values as a 1-d int64 array if they are integers, as a list or of any integer dtype.
 
-    A float, bool or 2-d array raises ParameterError, not truncated; an empty
-    list is taken. uint64 is cast as numpy casts it: 2**64 - 1 reads -1.
+    A float, bool, 2-d array or ragged nested list raises ParameterError, not
+    truncated; an empty list is taken. uint64 is cast as numpy casts it:
+    2**64 - 1 reads -1.
     """
-    labels = np.asarray(values)
-    if labels.ndim != 1 or (labels.dtype.kind not in "iu" and labels.size):
+    try:
+        labels = np.asarray(values)
+    except ValueError:  # a ragged nested list
+        labels = None
+    if labels is None or labels.ndim != 1 or (labels.dtype.kind not in "iu" and labels.size):
         raise ParameterError(f"{name} must be a 1-d array of integers")
     return labels.astype(_INT64, copy=False)
 

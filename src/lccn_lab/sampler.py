@@ -180,23 +180,32 @@ class GibbsChain:
     row that the last `step` moved a label into or out of, as it was before
     that step. `draws` holds the plan's (observed label, position, uniform)
     triples, and `cursor` how many of them the steps have taken.
+
+    Built with `positions`, as `gibbs_sample_batch` builds its chain of one
+    batch, the chain checks and mirrors only the labels of those samples,
+    in a dict `latent` by position, and its plans may take no other sample.
     """
 
     def __init__(
         self, labels: np.ndarray, counts: np.ndarray, prior: DirichletPrior,
-        warmup_phi: np.ndarray | None = None,
+        warmup_phi: np.ndarray | None = None, positions: np.ndarray | None = None,
     ) -> None:
         _check_counts(counts, prior)
         if not isinstance(labels, np.ndarray) or labels.ndim != 1 or labels.dtype.kind not in "iu":
             raise ParameterError("labels must be a 1-d integer array")
+        listed = labels
+        if positions is not None:
+            positions = check_labels(positions, len(labels), "batch indices")
+            listed = labels[positions]
+        latent, n_latent = listed.tolist(), counts.shape[0]
         # A negative label would index the count column from its end.
-        outside = np.flatnonzero((labels < 0) | (labels >= counts.shape[0]))
-        if outside.size:
-            i = outside[0]
+        if latent and not 0 <= min(latent) <= max(latent) < n_latent:
+            j = next(j for j, label in enumerate(latent) if not 0 <= label < n_latent)
+            i = j if positions is None else positions[j]
             raise InvariantError(f"latent label {labels[i]} of sample {i} is no latent class")
         warmup_phi = _check_warmup(warmup_phi, counts)
         self.labels, self.counts, self.prior = labels, counts, prior
-        self.latent = labels.tolist()
+        self.latent = latent if positions is None else dict(zip(positions.tolist(), latent))
         self.alpha = prior.concentration.tolist()
         self.warmup_columns = None if warmup_phi is None else warmup_phi.T.tolist()
         self.columns = counts.T.tolist()
@@ -209,18 +218,21 @@ class GibbsChain:
     def plan(self, observed: np.ndarray, positions: np.ndarray, rng: np.random.Generator) -> None:
         """Check the (M,) integer observed labels and positions the next steps resample, in order.
 
-        Observed labels lie in [0, K) and positions in [0, N). Then one
+        Observed labels lie in [0, K) and positions in [0, N), among the
+        chain's samples if it was built with positions. Then one
         `rng.random(M)` draws all their uniforms; a plan replaces what is
         left of the previous one.
         """
         observed = check_labels(observed, len(self.columns), "observed labels")
-        positions = check_labels(positions, len(self.latent), "batch indices")
+        positions = check_labels(positions, len(self.labels), "batch indices").tolist()
         if len(observed) != len(positions):
             raise ParameterError("batch arrays must have matching lengths")
+        if isinstance(self.latent, dict) and not self.latent.keys() >= set(positions):
+            raise ParameterError("the chain was built for other samples")
         if not isinstance(rng, np.random.Generator):
             raise ParameterError(f"rng must be a numpy Generator, got {type(rng).__name__}")
         uniforms = rng.random(len(observed)).tolist()
-        self.draws = list(zip(observed.tolist(), positions.tolist(), uniforms))
+        self.draws = list(zip(observed.tolist(), positions, uniforms))
         self.cursor = 0
 
     def step(self, probs: np.ndarray, warmup: bool = False, anneal: float = 1.0) -> bool:
@@ -364,12 +376,13 @@ def gibbs_sample_batch(
     """Resample the latent labels of one batch, updating `counts` and `labels` in place.
 
     One plan and one `GibbsChain.step`, scored against `warmup_phi` when it
-    is given, of a chain built for this batch alone; every argument is
-    checked before the plan draws. Returns the (M,) int64 latent labels of
+    is given, of a chain built for this batch's positions alone, which
+    checks and lists only their labels; every argument is checked before
+    the plan draws. Returns the (M,) int64 latent labels of
     the batch samples after the batch (a sample listed twice reads its last
     draw).
     """
-    chain = GibbsChain(labels, counts, prior, warmup_phi)
+    chain = GibbsChain(labels, counts, prior, warmup_phi, batch_indices)
     # The step checks these only after the plan has drawn.
     _check_anneal(anneal)
     probs = np.asarray(probs, dtype=np.float64)

@@ -37,7 +37,6 @@ from .classifier import (
     _buffered_forward,
     _check_clip,
     _composed_loss_grads,
-    _softmax as _row_softmax,
     apply_gradients,
     epoch_batches,
     forward_proba,
@@ -406,15 +405,21 @@ def _composed_step(
 ) -> np.ndarray:
     """One classifier step through the channel phi; returns the gradient with respect to phi.
 
-    The gradient lives in the optimizer's step buffers until the next step.
+    A non-finite training loss raises `TrainingError` before the update. The
+    gradient lives in the optimizer's step buffers until the next step.
     """
-    loss, dphi = _composed_loss_grads(
+    _, dphi = _composed_loss_grads(
         run.params, features, observed, phi, run.clip, run.opt.grads, run.opt
     )
-    if not math.isfinite(loss):
-        raise TrainingError("non-finite training loss")
     apply_gradients(run.params, run.opt)
     return dphi
+
+
+def _row_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row softmax of the transition layer's logits, into a fresh array."""
+    shifted = np.subtract(logits, np.maximum.reduce(logits, axis=1, keepdims=True))
+    expz = np.exp(shifted, out=shifted)
+    return np.divide(expz, np.add.reduce(expz, axis=1, keepdims=True), out=expz)
 
 
 def _initial_channel(

@@ -14,10 +14,9 @@ from lccn_lab import classifier
 from lccn_lab.classifier import (
     Architecture,
     _buffered_forward,
-    _forward,
-    _product,
+    _Kernel,
+    _product_by,
     apply_gradients,
-    dlogits_from_dprobs,
     epoch_batches,
     forward_proba,
     init_optimizer,
@@ -48,6 +47,11 @@ def make_instance(kind="linear", activation="relu", n=6, d=3, k=3, seed=0):
     features = rng.normal(size=(n, d))
     labels = rng.integers(0, k, size=n)
     return params, features, labels
+
+
+def _fresh_forward(params, features):
+    """`forward_proba`'s forward pass with its backprop cache, into fresh arrays."""
+    return params._forward(features)
 
 
 def numerical_grads(params, features, weights, clip, h=1e-6):
@@ -107,13 +111,18 @@ def test_soft_target_cross_entropy_rejects_bad_clip():
 
 
 def test_dlogits_from_dprobs_chain_rule():
-    # p = softmax(z); for f(p) with gradient dp, df/dz = p * (dp - sum(p*dp))
+    # p = softmax(z); for f(p) with gradient dp, df/dz = p * (dp - sum(p*dp)). A linear
+    # kernel's step on identity features writes that pull-back as its weight gradient,
+    # with the probability gradient dp = neg / p / n of its loss inside the clip.
     rng = np.random.default_rng(3)
     z = rng.normal(size=(4, 3))
     zs = z - z.max(axis=1, keepdims=True)
     p = np.exp(zs) / np.exp(zs).sum(axis=1, keepdims=True)
-    dp = rng.normal(size=(4, 3))
-    analytic = dlogits_from_dprobs(p, dp)
+    neg = rng.normal(size=(4, 3))
+    dp = neg / p / 4
+    params = init_params(Architecture("linear", 4, 3), 0)
+    analytic = init_optimizer(params, 0.1).grads["w"]
+    _Kernel(params, 4, CLIP, {"w": analytic}, False).step(np.eye(4), neg, (p, ()))
     h = 1e-7
     numeric = np.zeros_like(z)
     for i in range(4):
@@ -323,6 +332,8 @@ def _label_sites(n):
         (np.array([[0, 1], [2, 0]]), False),
         ([0, 2, 1], True),
         ([], True),
+        # A ragged nested list, which numpy refuses to make an array of.
+        ([[0], [0, 1]], False),
     ],
 )
 def test_label_check_refuses_each_end_of_the_range(labels, accepted):
@@ -345,14 +356,14 @@ def test_label_check_refuses_each_end_of_the_range(labels, accepted):
     "kind,activation", [("linear", "relu"), ("mlp", "relu"), ("mlp", "tanh")]
 )
 def test_steps_overwrite_no_array_a_caller_holds(kind, activation):
-    # forward_proba and an unbuffered `_forward` give fresh arrays, and a
+    # forward_proba and its kernel's forward give fresh arrays, and a
     # forward made in the step buffers (as the latent and bootstrap hooks make
     # theirs) keeps its bits through the step it is handed to.
     params, features, labels = make_instance(kind, activation, n=8)
     opt = init_optimizer(params, 0.1, 0.9, 0.05)
     run = _composed_run(params, opt, CLIP)
     probs = forward_proba(params, features)
-    fresh = _forward(params, features)
+    fresh = _fresh_forward(params, features)
     held = [probs, fresh[0], *fresh[1]]
     kept = [a.copy() for a in held]
     weights = np.full((8, 3), 1.0 / 3.0)
@@ -427,10 +438,10 @@ def test_sgd_steps_reuse_a_given_forward_bit_for_bit(kind, activation):
     weights = np.random.default_rng(1).dirichlet(np.ones(3), size=8)
     for _ in range(3):
         sgd_step(params, opt, features, labels, CLIP)
-        sgd_step(twin, twin_opt, features, labels, CLIP, forward=_forward(twin, features))
+        sgd_step(twin, twin_opt, features, labels, CLIP, forward=_fresh_forward(twin, features))
         sgd_step_soft(params, opt, features, weights, CLIP)
         sgd_step_soft(
-            twin, twin_opt, features, weights, CLIP, forward=_forward(twin, features)
+            twin, twin_opt, features, weights, CLIP, forward=_fresh_forward(twin, features)
         )
     assert params.flat.tobytes() == twin.flat.tobytes()
     assert opt.velocity.tobytes() == twin_opt.velocity.tobytes()
@@ -730,7 +741,7 @@ def test_in_place_steps_reject_nan_probabilities_and_change_nothing(kind, activa
     params, features, labels = make_instance(kind, activation, n=8)
     opt = init_optimizer(params, 0.1, 0.9, 0.3)
     run = _composed_run(params, opt, 1e-20)
-    probs, cache = _forward(params, features)
+    probs, cache = _fresh_forward(params, features)
     probs[2, 1] = np.nan
     weights = np.full((8, 3), 1.0 / 3.0)
     # The composed step forwards by itself: a NaN bias gives it NaN probabilities.
@@ -753,7 +764,7 @@ def test_in_place_steps_name_the_first_nonfinite_gradient_and_change_nothing(kin
     params, features, labels = make_instance(kind, "tanh", n=8)
     opt = init_optimizer(params, 0.1, 0.9, 0.3)
     sgd_step(params, opt, features, labels, CLIP)
-    forward = _forward(params, features)
+    forward = _fresh_forward(params, features)
     weights = np.full((8, 3), 1.0 / 3.0)
     bad = features.copy()
     bad[3, 0] = np.inf  # the loss comes from the given forward and stays finite
@@ -807,7 +818,7 @@ def test_hard_step_matches_loss_and_grads_bit_for_bit(
         opt = init_optimizer(twin, 0.05, 0.9, 0.3)
         outcomes = []
         for _ in range(2):
-            forward = _forward(twin, features) if given_forward or poison else None
+            forward = _fresh_forward(twin, features) if given_forward or poison else None
             for row, col in poison:
                 forward[0][row, col] = np.nan
             try:
@@ -897,7 +908,8 @@ def test_products_give_the_matmul_bits(case):
         (c["probs"], c["phi"]), (c["dmix"], c["phi"].T), (c["probs"].T, c["dmix"]),
     ]:
         expected = np.matmul(a, b)
-        assert _product(a, b).tobytes() == expected.tobytes()
+        product = _product_by(a.shape[1])
+        assert product(a, b).tobytes() == expected.tobytes()
         out = np.empty_like(expected)
-        _product(a, b, out)
+        product(a, b, out)
         assert out.tobytes() == expected.tobytes()

@@ -317,12 +317,16 @@ def test_empty_dataset_is_refused(shape):
 
 
 def test_dataset_refuses_float_true_labels():
-    # 0.9 would be truncated to class 0; the OOD sentinel stays allowed.
+    # 0.9 would be truncated to class 0; the OOD sentinel stays allowed. A class
+    # count that is no int is refused too, not taken (2.5) or leaked as a TypeError ("2").
     masks = [False, False], [False, True]
     ds = L.LabeledDataset(np.zeros((2, 1)), [0, L.OOD_LABEL], [0, 1], *masks, 2)
     assert ds.true_labels.tolist() == [0, L.OOD_LABEL]
     with pytest.raises(ParameterError, match="true_labels must be a 1-d array of integers"):
         L.LabeledDataset(np.zeros((2, 1)), np.array([0.9, L.OOD_LABEL]), [0, 1], *masks, 2)
+    for k in (2.5, "2"):
+        with pytest.raises(ParameterError, match="n_classes must be int"):
+            L.LabeledDataset(np.zeros((2, 1)), [0, L.OOD_LABEL], [0, 1], *masks, k)
 
 
 def test_load_dataset_missing_field_raises(tmp_path):

@@ -519,6 +519,23 @@ def test_gibbs_batch_rejects_a_label_outside_the_latent_range(label):
     assert counts.tolist() == [[1, 0], [0, 1]] and labels.tolist() == [label, 1]
 
 
+def test_a_one_batch_chain_checks_and_plans_only_its_samples():
+    # `gibbs_sample_batch` checks and lists the labels of its batch alone, so a
+    # label outside the batch is not read; a plan of another sample is refused.
+    counts, prior = counts_of([[1, 0], [0, 1]]), DirichletPrior.uniform(2, 1.0)
+    labels = np.array([0, 1, 7])
+    sampled = gibbs_sample_batch(
+        np.array([[1.0, 0.0]]), np.array([0]), counts, prior, labels, np.array([0]),
+        np.random.default_rng(0),
+    )
+    assert sampled.tolist() == [0] and labels.tolist() == [0, 1, 7]
+    chain = GibbsChain(labels, counts, prior, positions=np.array([0]))
+    with pytest.raises(ParameterError, match="built for other samples"):
+        chain.plan(np.array([1]), np.array([1]), np.random.default_rng(0))
+    with pytest.raises(InvariantError, match="latent label 7 of sample 2 "):
+        GibbsChain(labels, counts, prior, positions=np.array([1, 2]))
+
+
 def _assert_warmup_refused_before_drawing(warm):
     counts = counts_of([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     prior = DirichletPrior.uniform(3, 1.0)
